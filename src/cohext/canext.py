@@ -18,7 +18,6 @@ from .lattice import (
     LatticeHom,
     MonotoneMap,
     downset_lattice,
-    lattice_homs,
     prime_filter_poset,
     prime_filters,
     require_distributive,
@@ -113,7 +112,7 @@ def canonical_extension(L: FinLattice) -> CanonicalExtension:
     pf = prime_filters(L)
     ext = downset_lattice(prime_filter_poset(L))
     embed = {
-        a: set_name(frozenset(set_name(s) for s in pf if a in s))
+        a: ext.encode[frozenset(set_name(s) for s in pf if a in s)]
         for a in L.elements
     }
     ce = CanonicalExtension(L, ext, embed)
@@ -253,17 +252,6 @@ def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
         for u in ce_s.ext.elements
     }
     return LatticeHom(ce_s.ext, K, table)
-
-
-def count_complete_extensions(h: LatticeHom, ce_s: CanonicalExtension) -> int:
-    """How many complete homs ext -> target restrict to h along the
-    embedding.  For finite lattices complete homs are exactly the bounded
-    lattice homs, so plain hom enumeration is an honest count."""
-    return sum(
-        1
-        for g in lattice_homs(ce_s.ext, h.target)
-        if all(g(ce_s.e(a)) == h(a) for a in h.source.elements)
-    )
 
 
 # -- composition, Esakia, square transfer -------------------------------------

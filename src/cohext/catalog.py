@@ -64,10 +64,6 @@ def all_posets(n: int) -> tuple[FinPoset, ...]:
     return tuple(out)
 
 
-def posets_up_to(n: int) -> list[FinPoset]:
-    return [p for k in range(n + 1) for p in all_posets(k)]
-
-
 def distributive_lattices(max_size: int) -> list[FinLattice]:
     """All bounded distributive lattices with at most max_size elements,
     one per isomorphism class, as downset lattices of their irreducibles.

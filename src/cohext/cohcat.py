@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .fincat import CategoryError, FinCategory, FinFunctor, Morphism
-from .lattice import FinLattice, LatticeHom, MonotoneMap, NamedSetLattice
-from .order import FinPoset, set_name
+from .lattice import FinLattice, LatticeHom, MonotoneMap, NamedSetLattice, set_lattice
+from .order import set_name
 
 
 class MissingLimitError(CategoryError):
@@ -115,13 +115,6 @@ class CohCategory:
         A = self.cat.src(f)
         h = self.pairing(self.cat.identity(A), f)
         return self.image_map(h)(self.sub_lattice(A).top)
-
-    def relative_graph(self, u: str, f: str) -> str:
-        """Graph of f restricted to the subobject u of its source."""
-        A = self.cat.src(f)
-        obj, mono = self.subobject_object(A, u)
-        h = self.pairing(mono, self.cat.compose(f, mono))
-        return self.image_map(h)(self.sub_lattice(obj).top)
 
     def morphism_from_graph(self, A: str, u: str, B: str, v: str, rel: str):
         """The morphism between the realizing objects of u and v whose
@@ -259,17 +252,8 @@ class ConcreteCohCategory(CohCategory):
 
     @lru_cache(maxsize=None)
     def sub_lattice(self, A: str) -> NamedSetLattice:
-        subs = sorted(_subsets(self.of_name[A]), key=lambda s: (len(s), sorted(s)))
-        names = {s: set_name(s) for s in subs}
-        poset = FinPoset.trusted(
-            tuple(names[s] for s in subs),
-            frozenset((names[s], names[t]) for s in subs for t in subs if s <= t),
-        )
-        meet = {(names[s], names[t]): names[s & t] for s in subs for t in subs}
-        join = {(names[s], names[t]): names[s | t] for s in subs for t in subs}
-        return NamedSetLattice.trusted(
-            poset, meet, join, names[frozenset()], names[self.of_name[A]],
-            decode={names[s]: s for s in subs},
+        return set_lattice(
+            sorted(_subsets(self.of_name[A]), key=lambda s: (len(s), sorted(s)))
         )
 
     def pullback_map(self, f: str) -> LatticeHom:
@@ -278,7 +262,7 @@ class ConcreteCohCategory(CohCategory):
         return LatticeHom(
             SB, SA,
             {
-                v: set_name(frozenset(a for a in A if m[a] in SB.decode[v]))
+                v: SA.encode[frozenset(a for a in A if m[a] in SB.decode[v])]
                 for v in SB.elements
             },
         )
@@ -289,7 +273,7 @@ class ConcreteCohCategory(CohCategory):
         return MonotoneMap(
             SA, SB,
             {
-                u: set_name(frozenset(m[a] for a in SA.decode[u]))
+                u: SB.encode[frozenset(m[a] for a in SA.decode[u])]
                 for u in SA.elements
             },
         )
@@ -300,13 +284,13 @@ class ConcreteCohCategory(CohCategory):
         return MonotoneMap(
             SA, SB,
             {
-                u: set_name(
+                u: SB.encode[
                     frozenset(
                         b
                         for b in B
                         if all(a in SA.decode[u] for a in A if m[a] == b)
                     )
-                )
+                ]
                 for u in SA.elements
             },
         )

@@ -190,14 +190,3 @@ def category_to_dot(cat: FinCategory, name: str = "C") -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def poset_to_dot(p: FinPoset, name: str = "P") -> str:
-    lines = [f"digraph {json.dumps(name)} {{"]
-    for a in p.elements:
-        lines.append(f"  {json.dumps(a)};")
-    for a in p.elements:
-        for b in p.lower_covers(a):
-            lines.append(f"  {json.dumps(b)} -> {json.dumps(a)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

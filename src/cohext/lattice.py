@@ -5,12 +5,18 @@ validated against the order at construction: meet(a,b) must be the greatest
 lower bound and join(a,b) the least upper bound, which forces all the
 lattice identities.  Distributivity is a separate predicate so that
 non-distributive counterexamples remain representable.
+
+Every lattice of sets (downsets, filters, ideals, subsets of a finite set,
+families of subsets) is built by `set_lattice`, the one place that names
+set elements and keeps the name <-> set maps (`decode` / `encode`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
+from operator import and_, ge, le, or_
 
 from .order import FinPoset, set_name
 
@@ -146,9 +152,6 @@ class FinLattice:
             self.top, self.bottom,
         )
 
-    def is_trivial(self) -> bool:
-        return len(self.elements) == 1
-
     def iso_to(self, other: FinLattice) -> dict[str, str] | None:
         return self.poset.iso_to(other.poset)
 
@@ -168,39 +171,57 @@ class FinLattice:
 
 
 @dataclass(frozen=True, eq=False)
-class DownsetLattice(FinLattice):
-    """Downset lattice of a poset; remembers which set each element names."""
+class NamedSetLattice(FinLattice):
+    """Lattice whose elements name sets (or families of sets): `decode`
+    maps a name to its set and `encode` maps the set back."""
+
+    decode: dict = field(default_factory=dict)
+    encode: dict = field(default_factory=dict)
+
+    def encode_of(self, s) -> str:
+        try:
+            return self.encode[s]
+        except KeyError:
+            raise LatticeError(f"{set_name(s)} is not an element here") from None
+
+
+@dataclass(frozen=True, eq=False)
+class DownsetLattice(NamedSetLattice):
+    """Downset lattice of a poset; remembers the poset."""
 
     base_poset: FinPoset = None
-    decode: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def __eq__(self, other):
-        return FinLattice.__eq__(self, other)
 
-    def __hash__(self):
-        return FinLattice.__hash__(self)
+def set_lattice(
+    items, name=set_name, meet=and_, join=or_, leq=le, cls=NamedSetLattice, **extra
+) -> NamedSetLattice:
+    """The lattice on `items` (kept in the given order) ordered by `leq`.
+
+    `meet` and `join` must map pairs of items to items that are their glb
+    and lub under `leq`; the tables are trusted, not validated.  Elements
+    are named by `name`; `extra` sets further fields of `cls`."""
+    items = list(items)
+    encode = {s: name(s) for s in items}
+    poset = FinPoset.trusted(
+        tuple(encode[s] for s in items),
+        frozenset((encode[s], encode[t]) for s in items for t in items if leq(s, t)),
+    )
+    meet_table = {
+        (encode[s], encode[t]): encode[meet(s, t)] for s in items for t in items
+    }
+    join_table = {
+        (encode[s], encode[t]): encode[join(s, t)] for s in items for t in items
+    }
+    return cls.trusted(
+        poset, meet_table, join_table,
+        encode[reduce(meet, items)], encode[reduce(join, items)],
+        decode={n: s for s, n in encode.items()}, encode=encode, **extra,
+    )
 
 
 def downset_lattice(p: FinPoset) -> DownsetLattice:
     """All down-closed subsets of p, ordered by inclusion."""
-    sets = p.downsets()
-    names = {s: set_name(s) for s in sets}
-    poset = FinPoset.trusted(
-        tuple(names[s] for s in sets),
-        frozenset(
-            (names[s], names[t]) for s in sets for t in sets if s <= t
-        ),
-    )
-    meet = {
-        (names[s], names[t]): names[s & t] for s in sets for t in sets
-    }
-    join = {
-        (names[s], names[t]): names[s | t] for s in sets for t in sets
-    }
-    return DownsetLattice.trusted(
-        poset, meet, join, names[min(sets, key=len)], names[max(sets, key=len)],
-        base_poset=p, decode={names[s]: s for s in sets},
-    )
+    return set_lattice(p.downsets(), cls=DownsetLattice, base_poset=p)
 
 
 def distributivity_witness(L: FinLattice) -> tuple[str, str, str] | None:
@@ -303,52 +324,23 @@ def prime_filter_poset(L: FinLattice) -> FinPoset:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class NamedSetLattice(FinLattice):
-    """Lattice whose elements name subsets of an ambient lattice."""
-
-    decode: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def encode_of(self, s: frozenset) -> str:
-        for name, t in self.decode.items():
-            if t == s:
-                return name
-        raise LatticeError(f"{set_name(s)} is not an element here")
-
-    def __eq__(self, other):
-        return FinLattice.__eq__(self, other)
-
-    def __hash__(self):
-        return FinLattice.__hash__(self)
-
-
 def filter_lattice(L: FinLattice) -> NamedSetLattice:
-    """All filters of L ordered by reverse inclusion."""
-    fl = filters(L)
-    names = {s: set_name(s) for s in fl}
-    poset = FinPoset(
-        tuple(names[s] for s in fl),
-        frozenset((names[s], names[t]) for s in fl for t in fl if s >= t),
-    )
-    lat = FinLattice.from_poset(poset)
-    return NamedSetLattice(
-        lat.poset, lat.meet_table, lat.join_table, lat.bottom, lat.top,
-        decode={names[s]: s for s in fl},
+    """All filters of L ordered by reverse inclusion.  Every filter is
+    principal, so the meet of up(a) and up(b) is up(a /\\ b) and their
+    join is the intersection up(a \\/ b)."""
+    least = {L.poset.up_set(a): a for a in L.elements}
+    return set_lattice(
+        filters(L), leq=ge, join=and_,
+        meet=lambda s, t: L.poset.up_set(L.meet(least[s], least[t])),
     )
 
 
 def ideal_lattice(L: FinLattice) -> NamedSetLattice:
-    """All ideals of L ordered by inclusion."""
-    il = ideals(L)
-    names = {s: set_name(s) for s in il}
-    poset = FinPoset(
-        tuple(names[s] for s in il),
-        frozenset((names[s], names[t]) for s in il for t in il if s <= t),
-    )
-    lat = FinLattice.from_poset(poset)
-    return NamedSetLattice(
-        lat.poset, lat.meet_table, lat.join_table, lat.bottom, lat.top,
-        decode={names[s]: s for s in il},
+    """All ideals of L ordered by inclusion; the dual of `filter_lattice`."""
+    greatest = {L.poset.down_set(a): a for a in L.elements}
+    return set_lattice(
+        ideals(L),
+        join=lambda s, t: L.poset.down_set(L.join(greatest[s], greatest[t])),
     )
 
 
@@ -568,11 +560,13 @@ def birkhoff(L: FinLattice) -> tuple[LatticeHom, LatticeHom]:
     require_distributive(L)
     J = join_irreducibles(L)
     D = downset_lattice(J)
-    encode = {
-        a: set_name(frozenset(j for j in J.elements if L.leq(j, a)))
-        for a in L.elements
-    }
-    to = LatticeHom(L, D, encode)
+    to = LatticeHom(
+        L, D,
+        {
+            a: D.encode[frozenset(j for j in J.elements if L.leq(j, a))]
+            for a in L.elements
+        },
+    )
     fro = LatticeHom(D, L, {d: L.join_all(D.decode[d]) for d in D.elements})
     return to, fro
 

@@ -12,20 +12,21 @@ explicit term-depth budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import and_, le, or_
 
 from ..canext import canonical_extension, comjpm_decide, extend_hom
 from ..fincat import FinCategory, Morphism
 from ..lattice import (
-    FinLattice,
     LatticeHom,
     MonotoneMap,
     NamedSetLattice,
     is_prime_filter,
     prime_filters,
+    set_lattice,
 )
-from ..order import FinPoset, set_name
+from ..order import set_name
 from .chase import FinModel
 from .syntax import App, RelAtom, Theory, Var, print_term
 
@@ -289,25 +290,19 @@ class FamilyCategory:
                 cur = list(fams[s])
                 for u in cur:
                     for v in cur:
-                        new.add(tuple(a & b for a, b in zip(u, v)))
-                        new.add(tuple(a | b for a, b in zip(u, v)))
+                        new.add(_family_meet(u, v))
+                        new.add(_family_join(u, v))
                 if not new <= fams[s]:
                     fams[s] |= new
                     changed = True
             for name, tm in self._maps.items():
                 for u in list(fams[tm.tgt]):
-                    pre = tuple(
-                        frozenset(a for a in tb if tb[a] in part)
-                        for tb, part in zip(tm.tables, u)
-                    )
+                    pre = _preimage(tm.tables, u)
                     if pre not in fams[tm.src]:
                         fams[tm.src].add(pre)
                         changed = True
                 for u in list(fams[tm.src]):
-                    img = tuple(
-                        frozenset(tb[a] for a in part)
-                        for tb, part in zip(tm.tables, u)
-                    )
+                    img = _image(tm.tables, u)
                     if img not in fams[tm.tgt]:
                         fams[tm.tgt].add(img)
                         changed = True
@@ -318,79 +313,58 @@ class FamilyCategory:
         return self._subs[A]
 
     def decode(self, A: str, u: str) -> tuple:
-        return self._subs[A].decode_family[u]
+        return self._subs[A].decode[u]
 
     def pullback_map(self, f: str) -> LatticeHom:
         tm = self._maps[f]
         SA, SB = self._subs[tm.src], self._subs[tm.tgt]
-        table = {}
-        for v in SB.elements:
-            fam = self.decode(tm.tgt, v)
-            pre = tuple(
-                frozenset(a for a in tb if tb[a] in part)
-                for tb, part in zip(tm.tables, fam)
-            )
-            table[v] = SA.encode_family[pre]
-        return LatticeHom(SB, SA, table)
+        return LatticeHom(
+            SB, SA,
+            {v: SA.encode[_preimage(tm.tables, SB.decode[v])] for v in SB.elements},
+        )
 
     def image_map(self, f: str) -> MonotoneMap:
         tm = self._maps[f]
         SA, SB = self._subs[tm.src], self._subs[tm.tgt]
-        table = {}
-        for u in SA.elements:
-            fam = self.decode(tm.src, u)
-            img = tuple(
-                frozenset(tb[a] for a in part)
-                for tb, part in zip(tm.tables, fam)
-            )
-            table[u] = SB.encode_family[img]
-        return MonotoneMap(SA, SB, table)
+        return MonotoneMap(
+            SA, SB, {u: SB.encode[_image(tm.tables, SA.decode[u])] for u in SA.elements}
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class FamilySetLattice(NamedSetLattice):
-    decode_family: dict = field(default_factory=dict)
-    encode_family: dict = field(default_factory=dict)
+# families of subsets, one per model, with componentwise operations
 
-    def __eq__(self, other):
-        return FinLattice.__eq__(self, other)
 
-    def __hash__(self):
-        return FinLattice.__hash__(self)
+def _family_meet(f, g) -> tuple:
+    return tuple(map(and_, f, g))
+
+
+def _family_join(f, g) -> tuple:
+    return tuple(map(or_, f, g))
+
+
+def _family_leq(f, g) -> bool:
+    return all(map(le, f, g))
+
+
+def _preimage(tables, fam) -> tuple:
+    """Componentwise preimage of a family along per-model function tables."""
+    return tuple(
+        frozenset(a for a in tb if tb[a] in part) for tb, part in zip(tables, fam)
+    )
+
+
+def _image(tables, fam) -> tuple:
+    """Componentwise direct image of a family along per-model function tables."""
+    return tuple(frozenset(tb[a] for a in part) for tb, part in zip(tables, fam))
 
 
 def _family_name(fam) -> str:
     return "[" + "|".join(set_name(p) for p in fam) + "]"
 
 
-def _family_lattice(fams) -> FamilySetLattice:
-    names = {fam: _family_name(fam) for fam in fams}
-    poset = FinPoset.trusted(
-        tuple(names[f] for f in fams),
-        frozenset(
-            (names[f], names[g])
-            for f in fams
-            for g in fams
-            if all(a <= b for a, b in zip(f, g))
-        ),
-    )
-    meet = {
-        (names[f], names[g]): names[tuple(a & b for a, b in zip(f, g))]
-        for f in fams
-        for g in fams
-    }
-    join = {
-        (names[f], names[g]): names[tuple(a | b for a, b in zip(f, g))]
-        for f in fams
-        for g in fams
-    }
-    bot = names[min(fams, key=lambda f: sum(len(p) for p in f))]
-    top = names[max(fams, key=lambda f: sum(len(p) for p in f))]
-    return FamilySetLattice.trusted(
-        poset, meet, join, bot, top,
-        decode={},
-        decode_family={names[f]: f for f in fams},
-        encode_family={f: names[f] for f in fams},
+def _family_lattice(fams) -> NamedSetLattice:
+    return set_lattice(
+        fams, name=_family_name, meet=_family_meet, join=_family_join, leq=_family_leq
     )
 
 
@@ -555,7 +529,7 @@ class Evaluation:
         self.C = C
         self.family = C.family
         self.indices = _indices(C, indices)
-        self._sub: dict[str, FamilySetLattice] = {}
+        self._sub: dict[str, NamedSetLattice] = {}
         for A in C.sorts:
             subs = sorted(self._subfunctors(A))
             self._sub[A] = _family_lattice(subs)
@@ -610,7 +584,7 @@ class Evaluation:
             frontier = nxt
         return out
 
-    def sub_lattice(self, A: str) -> FamilySetLattice:
+    def sub_lattice(self, A: str) -> NamedSetLattice:
         return self._sub[A]
 
     def sigma(self, A: str) -> LatticeHom:
@@ -623,7 +597,7 @@ class Evaluation:
             fam = self.project(self.C.decode(A, u))
             if not self.is_subfunctor(A, fam):
                 raise ValueError(f"{u} is not hom-monotone; family is inconsistent")
-            table[u] = SE.encode_family[fam]
+            table[u] = SE.encode[fam]
         return LatticeHom(SA, SE, table)
 
     def _tables(self, tm: TermMap) -> tuple:
@@ -632,28 +606,18 @@ class Evaluation:
     def pullback_map(self, f: str) -> LatticeHom:
         tm = self.C.term_map(f)
         SA, SB = self._sub[tm.src], self._sub[tm.tgt]
-        table = {}
-        for v in SB.elements:
-            fam = SB.decode_family[v]
-            pre = tuple(
-                frozenset(a for a in tb if tb[a] in part)
-                for tb, part in zip(self._tables(tm), fam)
-            )
-            table[v] = SA.encode_family[pre]
-        return LatticeHom(SB, SA, table)
+        tables = self._tables(tm)
+        return LatticeHom(
+            SB, SA, {v: SA.encode[_preimage(tables, SB.decode[v])] for v in SB.elements}
+        )
 
     def image_map(self, f: str) -> MonotoneMap:
         tm = self.C.term_map(f)
         SA, SB = self._sub[tm.src], self._sub[tm.tgt]
-        table = {}
-        for u in SA.elements:
-            fam = SA.decode_family[u]
-            img = tuple(
-                frozenset(tb[a] for a in part)
-                for tb, part in zip(self._tables(tm), fam)
-            )
-            table[u] = SB.encode_family[img]
-        return MonotoneMap(SA, SB, table)
+        tables = self._tables(tm)
+        return MonotoneMap(
+            SA, SB, {u: SB.encode[_image(tables, SA.decode[u])] for u in SA.elements}
+        )
 
     def coherence_check(self) -> ConditionReport:
         """Degreewise: the subobject action preserves meets, joins, and
@@ -719,14 +683,6 @@ class Evaluation:
                             f"map {f}, prime filter {sorted(rho)}, model {i}",
                         )
         return ConditionReport("ev-pmodel", True)
-
-
-def _subsets(s: frozenset):
-    items = sorted(s)
-    out = [frozenset()]
-    for e in items:
-        out += [t | {e} for t in out]
-    return out
 
 
 # -- the sigma-bar frame isomorphism -----------------------------------------------
@@ -826,7 +782,7 @@ def sigma_bar_check(
         SE = ev.sub_lattice(A)
         ext = exts[A]
         for H in SE.elements:
-            fam = SE.decode_family[H]
+            fam = SE.decode[H]
             points = []
             for pj, j in enumerate(ev.indices):
                 for a in sorted(fam[pj]):

@@ -101,20 +101,6 @@ class FinPoset:
         out.sort(key=lambda s: (len(s), sorted(s)))
         return out
 
-    def minimal_elements(self) -> frozenset[str]:
-        return frozenset(
-            a for a in self.elements if not any(self.lt(x, a) for x in self.elements)
-        )
-
-    def maximal_elements(self) -> frozenset[str]:
-        return frozenset(
-            a for a in self.elements if not any(self.lt(a, x) for x in self.elements)
-        )
-
-    def lower_covers(self, a: str) -> list[str]:
-        below = [x for x in self.elements if self.lt(x, a)]
-        return [x for x in below if not any(self.lt(x, y) for y in below)]
-
     def restricted(self, subset) -> FinPoset:
         keep = set(subset)
         return FinPoset(

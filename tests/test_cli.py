@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, report determinism, DOT export."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "cohext.cli", *args],
         capture_output=True, text=True, cwd=PKG,
+        env={**os.environ, "PYTHONPATH": str(PKG / "src")},
     )
 
 
@@ -91,6 +93,15 @@ def test_tot_subcommands(tmp_path):
     by_name = {c["name"]: c for c in data["checks"]}
     assert not by_name["surjection"]["pass"] and by_name["surjection"]["witness"]
     assert not by_name["open"]["pass"]
+
+
+def test_budget_exhausted_coincidence_check_is_not_a_pass():
+    r = run_cli("--budget", "4", "tot", "sheaf-check", fx("one_point.cat.json"))
+    assert r.returncode == 1
+    data = json.loads(r.stdout)
+    check = {c["name"]: c for c in data["checks"]}["topology-coincidence"]
+    assert not data["pass"] and not check["pass"]
+    assert check["witness"].startswith("sieve budget exhausted at")
 
 
 def test_chase_command_reports_model():

@@ -235,7 +235,7 @@ def test_subfunctor_criterion_direct():
     ev = Evaluation(C)
     A = "A"
     for H in ev.sub_lattice(A).elements:
-        fam = ev.sub_lattice(A).decode_family[H]
+        fam = ev.sub_lattice(A).decode[H]
         assert subfunctor_test(C, A, fam)
     # a non-closed family is rejected: take a cyclic orbit and delete a point
     for i, M in enumerate(C.family.models):

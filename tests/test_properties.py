@@ -1,17 +1,24 @@
 """Randomized structure properties, sampling posets beyond the exhaustive
 enumeration bound."""
 
+from operator import ge, le
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohext.canext import canonical_extension, check_compact, check_dense
+from cohext.catalog import distributive_lattices
 from cohext.lattice import (
+    FinLattice,
     MonotoneMap,
     birkhoff,
+    boolean4,
     check_distributive,
     downset_lattice,
     filter_lattice,
+    ideal_lattice,
     join_irreducibles,
+    m3,
     prime_filters,
 )
 from cohext.order import FinPoset
@@ -35,7 +42,12 @@ def posets(draw, max_size=5):
 @given(posets())
 @settings(max_examples=60, deadline=None)
 def test_downset_lattices_are_distributive(p):
-    assert check_distributive(downset_lattice(p))
+    L = downset_lattice(p)
+    assert check_distributive(L)
+    # the trusted tables pass the validating constructors
+    FinLattice(
+        FinPoset(L.elements, L.poset.pairs), L.meet_table, L.join_table, L.bottom, L.top
+    )
 
 
 @given(posets())
@@ -54,6 +66,25 @@ def test_filter_lattice_meet_iso_random(p):
     FL = filter_lattice(L)
     iso = MonotoneMap(FL, L, {n: L.meet_all(FL.decode[n]) for n in FL.elements})
     assert iso.is_iso()
+
+
+def test_filter_and_ideal_tables_match_the_derived_ones():
+    for L in distributive_lattices(6) + [m3(), boolean4()]:
+        for S, leq in ((filter_lattice(L), ge), (ideal_lattice(L), le)):
+            order = FinPoset(
+                S.elements,
+                frozenset(
+                    (a, b)
+                    for a in S.elements
+                    for b in S.elements
+                    if leq(S.decode[a], S.decode[b])
+                ),
+            )
+            derived = FinLattice.from_poset(order)
+            assert S.poset.pairs == order.pairs
+            assert S.meet_table == derived.meet_table
+            assert S.join_table == derived.join_table
+            assert (S.bottom, S.top) == (derived.bottom, derived.top)
 
 
 @given(posets(max_size=4))
