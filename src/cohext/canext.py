@@ -3,15 +3,20 @@
 The extension of L is materialized as the downset lattice of the poset of
 prime filters of L under reverse inclusion, with the embedding
 a |-> {rho | a in rho}.  Even though the embedding is an isomorphism for
-finite L, the construction mirrors the general definitions: denseness,
-compactness, and the two-stage sigma/pi lifting formulas are all computed
-literally, so the code paths match the infinite-case definitions and the
-finite collapse is a theorem the test suite proves rather than a shortcut.
+finite L, the construction mirrors the general definitions: denseness and
+the two-stage sigma/pi lifting formulas are computed literally (over filter
+and ideal elements tabulated once per extension), and compactness is
+decided over the meets and joins of all subsets, which is equivalent to
+quantifying over all subset pairs.  So the code paths match the
+infinite-case definitions and the finite collapse is a theorem the test
+suite proves rather than a shortcut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 from .lattice import (
     FinLattice,
     LatticeError,
@@ -56,33 +61,64 @@ class CanonicalExtension:
     def e(self, a: str) -> str:
         return self.embed[a]
 
-    @property
+    # Derived tables, computed once per extension: cached_property writes
+    # to the instance __dict__, which a frozen (non-slots) dataclass allows.
+
+    @cached_property
     def image(self) -> frozenset[str]:
         return frozenset(self.embed.values())
 
-    @property
+    @cached_property
+    def filter_of(self) -> dict[str, tuple[str, ...]]:
+        """For each x in ext, the base elements whose image lies above x."""
+        ext, e = self.ext, self.embed
+        return {
+            x: tuple(a for a in self.base.elements if ext.leq(x, e[a]))
+            for x in ext.elements
+        }
+
+    @cached_property
+    def ideal_of(self) -> dict[str, tuple[str, ...]]:
+        """For each y in ext, the base elements whose image lies below y."""
+        ext, e = self.ext, self.embed
+        return {
+            y: tuple(a for a in self.base.elements if ext.leq(e[a], y))
+            for y in ext.elements
+        }
+
+    @cached_property
     def filt_elements(self) -> frozenset[str]:
         """Meet closure of the embedded image in ext."""
+        ext, e = self.ext, self.embed
         return frozenset(
             x
-            for x in self.ext.elements
-            if x == self.ext.meet_all(y for y in self.image if self.ext.leq(x, y))
+            for x in ext.elements
+            if x == ext.meet_all(e[a] for a in self.filter_of[x])
         )
 
-    @property
+    @cached_property
     def ideal_elements(self) -> frozenset[str]:
+        """Join closure of the embedded image in ext."""
+        ext, e = self.ext, self.embed
         return frozenset(
-            x
-            for x in self.ext.elements
-            if x == self.ext.join_all(y for y in self.image if self.ext.leq(y, x))
+            y
+            for y in ext.elements
+            if y == ext.join_all(e[a] for a in self.ideal_of[y])
         )
 
-    def filter_of(self, x: str) -> list[str]:
-        """Base elements whose image lies above x."""
-        return [a for a in self.base.elements if self.ext.leq(x, self.e(a))]
+    @cached_property
+    def filt_below(self) -> dict[str, tuple[str, ...]]:
+        """For each u in ext, the filter elements below u, in ext order."""
+        ext, filt = self.ext, self.filt_elements
+        below = [x for x in ext.elements if x in filt]
+        return {u: tuple(x for x in below if ext.leq(x, u)) for u in ext.elements}
 
-    def ideal_of(self, y: str) -> list[str]:
-        return [a for a in self.base.elements if self.ext.leq(self.e(a), y)]
+    @cached_property
+    def ideal_above(self) -> dict[str, tuple[str, ...]]:
+        """For each u in ext, the ideal elements above u, in ext order."""
+        ext, idl = self.ext, self.ideal_elements
+        above = [y for y in ext.elements if y in idl]
+        return {u: tuple(y for y in above if ext.leq(u, y)) for u in ext.elements}
 
     def is_iso(self) -> bool:
         return len(self.image) == len(self.ext.elements)
@@ -124,13 +160,11 @@ def check_dense(ce: CanonicalExtension) -> bool:
     """Every element of ext is a join of filter elements and a meet of
     ideal elements (equivalently: a join of meets and meet of joins of
     embedded elements)."""
-    filt, idl = ce.filt_elements, ce.ideal_elements
-    for u in ce.ext.elements:
-        jm = ce.ext.join_all(x for x in filt if ce.ext.leq(x, u))
-        mj = ce.ext.meet_all(y for y in idl if ce.ext.leq(u, y))
-        if jm != u or mj != u:
-            return False
-    return True
+    ext = ce.ext
+    return all(
+        ext.join_all(ce.filt_below[u]) == u and ext.meet_all(ce.ideal_above[u]) == u
+        for u in ext.elements
+    )
 
 
 def check_compact(ce: CanonicalExtension, budget: int = 1 << 22) -> bool:
@@ -138,24 +172,35 @@ def check_compact(ce: CanonicalExtension, budget: int = 1 << 22) -> bool:
     some finite F' <= F, I' <= I satisfy /\\ F' <= \\/ I' in the base.
 
     At finite scale the whole subsets are the optimal finite witnesses, so
-    the check compares the two inequalities directly, exhaustively over
-    subset pairs.
+    the check compares the two inequalities directly.  They depend on a
+    subset pair (F, I) only through the values (/\\ e[F], /\\ F) and
+    (\\/ e[I], \\/ I), so quantifying over the distinct meet and join
+    values of all subsets is equivalent to quantifying over all subset
+    pairs.  Each subset's meet and join come from the subset without its
+    highest element.
     """
-    elems = ce.base.elements
+    base, ext = ce.base, ce.ext
+    elems = base.elements
     n = len(elems)
     if (1 << (2 * n)) > budget:
         raise LatticeError(f"compactness check over {n} elements exceeds budget")
-    subsets = []
-    for mask in range(1 << n):
-        subsets.append([elems[i] for i in range(n) if mask >> i & 1])
-    for F in subsets:
-        mF_ext = ce.ext.meet_all(ce.e(a) for a in F)
-        mF_base = ce.base.meet_all(F)
-        for I in subsets:
-            if ce.ext.leq(mF_ext, ce.ext.join_all(ce.e(a) for a in I)):
-                if not ce.base.leq(mF_base, ce.base.join_all(I)):
-                    return False
-    return True
+    meets = [(ext.top, base.top)]
+    joins = [(ext.bottom, base.bottom)]
+    for mask in range(1, 1 << n):
+        i = mask.bit_length() - 1
+        a, rest = elems[i], mask ^ (1 << i)
+        e_a = ce.embed[a]
+        m_ext, m_base = meets[rest]
+        j_ext, j_base = joins[rest]
+        meets.append((ext.meet(m_ext, e_a), base.meet(m_base, a)))
+        joins.append((ext.join(j_ext, e_a), base.join(j_base, a)))
+    joins = set(joins)
+    return all(
+        base.leq(m_base, j_base)
+        for m_ext, m_base in set(meets)
+        for j_ext, j_base in joins
+        if ext.leq(m_ext, j_ext)
+    )
 
 
 # -- sigma / pi / delta extensions --------------------------------------------
@@ -189,13 +234,11 @@ def sigma_extension(
     _check_lift_typing(f, ce_s, ce_t)
     ext_s, ext_t = ce_s.ext, ce_t.ext
     on_filt = {
-        x: ext_t.meet_all(ce_t.e(f(a)) for a in ce_s.filter_of(x))
+        x: ext_t.meet_all(ce_t.e(f(a)) for a in ce_s.filter_of[x])
         for x in ce_s.filt_elements
     }
     table = {
-        u: ext_t.join_all(
-            on_filt[x] for x in ce_s.filt_elements if ext_s.leq(x, u)
-        )
+        u: ext_t.join_all(on_filt[x] for x in ce_s.filt_below[u])
         for u in ext_s.elements
     }
     return ExtendedMap("sigma", f, ce_s, ce_t, MonotoneMap(ext_s, ext_t, table))
@@ -207,13 +250,11 @@ def pi_extension(
     _check_lift_typing(f, ce_s, ce_t)
     ext_s, ext_t = ce_s.ext, ce_t.ext
     on_idl = {
-        y: ext_t.join_all(ce_t.e(f(a)) for a in ce_s.ideal_of(y))
+        y: ext_t.join_all(ce_t.e(f(a)) for a in ce_s.ideal_of[y])
         for y in ce_s.ideal_elements
     }
     table = {
-        u: ext_t.meet_all(
-            on_idl[y] for y in ce_s.ideal_elements if ext_s.leq(u, y)
-        )
+        u: ext_t.meet_all(on_idl[y] for y in ce_s.ideal_above[u])
         for u in ext_s.elements
     }
     return ExtendedMap("pi", f, ce_s, ce_t, MonotoneMap(ext_s, ext_t, table))
@@ -245,10 +286,10 @@ def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
     embedded base.  K is the codomain of h itself, not its extension."""
     K = h.target
     on_filt = {
-        x: K.meet_all(h(a) for a in ce_s.filter_of(x)) for x in ce_s.filt_elements
+        x: K.meet_all(h(a) for a in ce_s.filter_of[x]) for x in ce_s.filt_elements
     }
     table = {
-        u: K.join_all(on_filt[x] for x in ce_s.filt_elements if ce_s.ext.leq(x, u))
+        u: K.join_all(on_filt[x] for x in ce_s.filt_below[u])
         for u in ce_s.ext.elements
     }
     return LatticeHom(ce_s.ext, K, table)

@@ -359,8 +359,11 @@ class MonotoneMap:
                 raise LatticeError(f"map undefined on {a}")
             if self.mapping[a] not in self.target.elements:
                 raise LatticeError(f"map sends {a} outside the target")
+        # Product order, not the pair set's, so the witness is the first
+        # offending pair whatever the hash seed.
+        m, src, tgt = self.mapping, self.source.poset.pairs, self.target.poset.pairs
         for a, b in product(self.source.elements, repeat=2):
-            if self.source.leq(a, b) and not self.target.leq(self(a), self(b)):
+            if (a, b) in src and (m[a], m[b]) not in tgt:
                 raise LatticeError(f"not order-preserving on ({a},{b})")
 
     def __call__(self, a: str) -> str:
@@ -377,21 +380,21 @@ class MonotoneMap:
 
     def preserves_finite_joins(self) -> bool:
         """Binary joins and bottom."""
-        L, K = self.source, self.target
-        if self(L.bottom) != K.bottom:
+        L, K, m = self.source, self.target, self.mapping
+        if m[L.bottom] != K.bottom:
             return False
+        lj, kj = L.join_table, K.join_table
         return all(
-            self(L.join(a, b)) == K.join(self(a), self(b))
-            for a, b in product(L.elements, repeat=2)
+            m[lj[a, b]] == kj[m[a], m[b]] for a, b in product(L.elements, repeat=2)
         )
 
     def preserves_finite_meets(self) -> bool:
-        L, K = self.source, self.target
-        if self(L.top) != K.top:
+        L, K, m = self.source, self.target, self.mapping
+        if m[L.top] != K.top:
             return False
+        lm, km = L.meet_table, K.meet_table
         return all(
-            self(L.meet(a, b)) == K.meet(self(a), self(b))
-            for a, b in product(L.elements, repeat=2)
+            m[lm[a, b]] == km[m[a], m[b]] for a, b in product(L.elements, repeat=2)
         )
 
     def is_lattice_hom(self) -> bool:

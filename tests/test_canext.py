@@ -294,3 +294,109 @@ def test_trivial_lattice_extension():
     ce = canonical_extension(trivial_lattice())
     assert len(ce.ext.elements) == 1
     assert ce.is_iso() and check_dense(ce) and check_compact(ce)
+
+
+# -- oracles for the tabulated fast paths ---------------------------------------
+
+
+def compact_all_subset_pairs(ce):
+    """Compactness quantified literally over all subset pairs (F, I)."""
+    elems = ce.base.elements
+    n = len(elems)
+    subsets = []
+    for mask in range(1 << n):
+        subsets.append([elems[i] for i in range(n) if mask >> i & 1])
+    for F in subsets:
+        mF_ext = ce.ext.meet_all(ce.e(a) for a in F)
+        mF_base = ce.base.meet_all(F)
+        for I in subsets:
+            if ce.ext.leq(mF_ext, ce.ext.join_all(ce.e(a) for a in I)):
+                if not ce.base.leq(mF_base, ce.base.join_all(I)):
+                    return False
+    return True
+
+
+def hand_built_embeddings():
+    two, B = chain_lattice(2), boolean4()
+    return [
+        CanonicalExtension(two, B, {"c0": "0", "c1": "1"}),
+        CanonicalExtension(B, B, {a: a for a in B.elements}),
+    ]
+
+
+def unchecked_extension(base, ext, embed):
+    """An embedding built past the constructor's hom/injectivity checks."""
+    ce = object.__new__(CanonicalExtension)
+    for k, v in (("base", base), ("ext", ext), ("embed", embed)):
+        object.__setattr__(ce, k, v)
+    return ce
+
+
+def test_compact_matches_all_subset_pairs_oracle():
+    extensions = [canonical_extension(L) for L in distributive_lattices(6)]
+    extensions += hand_built_embeddings()
+    for ce in extensions:
+        assert check_compact(ce) == compact_all_subset_pairs(ce) is True
+    # a non-injective map is not compact: c1 <= c0 after collapsing them
+    three, two = chain_lattice(3), chain_lattice(2)
+    collapse = unchecked_extension(three, two, {"c0": "c0", "c1": "c0", "c2": "c1"})
+    assert check_compact(collapse) == compact_all_subset_pairs(collapse) is False
+
+
+def test_cached_tables_match_their_definitions():
+    extensions = [canonical_extension(L) for L in distributive_lattices(6)]
+    extensions += hand_built_embeddings()
+    for ce in extensions:
+        ext, base = ce.ext, ce.base
+        image = frozenset(ce.embed.values())
+        filt = frozenset(
+            x for x in ext.elements
+            if x == ext.meet_all(y for y in image if ext.leq(x, y))
+        )
+        idl = frozenset(
+            x for x in ext.elements
+            if x == ext.join_all(y for y in image if ext.leq(y, x))
+        )
+        assert ce.image == image
+        assert ce.filt_elements == filt and ce.ideal_elements == idl
+        for u in ext.elements:
+            assert ce.filter_of[u] == tuple(
+                a for a in base.elements if ext.leq(u, ce.e(a))
+            )
+            assert ce.ideal_of[u] == tuple(
+                a for a in base.elements if ext.leq(ce.e(a), u)
+            )
+            assert set(ce.filt_below[u]) == {x for x in filt if ext.leq(x, u)}
+            assert set(ce.ideal_above[u]) == {y for y in idl if ext.leq(u, y)}
+
+
+def rescan_tables(f, cs, ct):
+    """Sigma and pi by rescanning the filter and ideal elements with leq."""
+    ext_s, ext_t, base = cs.ext, ct.ext, cs.base.elements
+    on_filt = {
+        x: ext_t.meet_all(ct.e(f(a)) for a in base if ext_s.leq(x, cs.e(a)))
+        for x in cs.filt_elements
+    }
+    on_idl = {
+        y: ext_t.join_all(ct.e(f(a)) for a in base if ext_s.leq(cs.e(a), y))
+        for y in cs.ideal_elements
+    }
+    sigma = {
+        u: ext_t.join_all(on_filt[x] for x in cs.filt_elements if ext_s.leq(x, u))
+        for u in ext_s.elements
+    }
+    pi = {
+        u: ext_t.meet_all(on_idl[y] for y in cs.ideal_elements if ext_s.leq(u, y))
+        for u in ext_s.elements
+    }
+    return sigma, pi
+
+
+def test_sigma_pi_match_rescan_formula_small():
+    for L in distributive_lattices(4):
+        for K in distributive_lattices(4):
+            cs, ct = lift_pair(L, K)
+            for f in monotone_maps(L, K):
+                sigma, pi = rescan_tables(f, cs, ct)
+                assert sigma_extension(f, cs, ct).map.mapping == sigma
+                assert pi_extension(f, cs, ct).map.mapping == pi

@@ -104,6 +104,25 @@ def test_budget_exhausted_coincidence_check_is_not_a_pass():
     assert check["witness"].startswith("sieve budget exhausted at")
 
 
+def test_predcat_budget_cut_is_a_located_error():
+    r = run_cli("--budget", "2", "predcat", "build", fx("three_chain.latcat.json"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: predicate-category enumeration needs")
+    assert "budget is 2" in r.stderr
+
+
+def test_sieve_budget_cut_fails_sheaf_check_and_keeps_the_report():
+    r = run_cli("--budget", "8", "tot", "sheaf-check", fx("diamond.latcat.json"))
+    assert r.returncode == 1
+    data = json.loads(r.stdout)
+    checks = {c["name"]: c for c in data["checks"]}
+    assert list(checks) == ["sheaf", "unique-glueing", "topology-coincidence"]
+    assert not data["pass"] and not checks["sheaf"]["pass"]
+    assert checks["sheaf"]["witness"].startswith("sieve enumeration on ")
+    assert "COHEXT_SIEVE_BUDGET" in checks["sheaf"]["witness"]
+
+
 def test_chase_command_reports_model():
     r = run_cli("chase", fx("pointed.chr"))
     assert r.returncode == 0

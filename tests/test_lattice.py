@@ -1,5 +1,10 @@
 """Lattice substrate: downsets, filters, prime filters, Birkhoff duality."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cohext.catalog import distributive_lattices
@@ -204,3 +209,24 @@ def test_hom_validation():
 
 def test_trivial_lattice_has_no_prime_filters():
     assert prime_filters(trivial_lattice()) == []
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_rejected_map_names_first_offending_pair_in_product_order(hash_seed):
+    # Offending pairs are (0,a), (0,b), (0,1) and (b,1); the witness must be
+    # the first of them in product order whatever the hash seed.
+    code = (
+        "from cohext.lattice import LatticeError, MonotoneMap, boolean4\n"
+        "B = boolean4()\n"
+        "try:\n"
+        "    MonotoneMap(B, B, {'0': '1', 'a': '0', 'b': 'b', '1': 'a'})\n"
+        "except LatticeError as e:\n"
+        "    print(e)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "not order-preserving on (0,a)\n"
