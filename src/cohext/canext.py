@@ -50,6 +50,8 @@ class CanonicalExtension:
     base: FinLattice
     ext: FinLattice
     embed: dict[str, str]
+    # the prime filters of base, set by `canonical_extension`
+    prime_filters: tuple[frozenset[str], ...] | None = None
 
     def __post_init__(self):
         m = MonotoneMap(self.base, self.ext, self.embed)
@@ -145,13 +147,13 @@ def canonical_extension(L: FinLattice) -> CanonicalExtension:
     if cached is not None:
         return cached
     require_distributive(L)
-    pf = prime_filters(L)
-    ext = downset_lattice(prime_filter_poset(L))
+    pf = tuple(prime_filters(L))
+    ext = downset_lattice(prime_filter_poset(L, pf))
     embed = {
         a: ext.encode[frozenset(set_name(s) for s in pf if a in s)]
         for a in L.elements
     }
-    ce = CanonicalExtension(L, ext, embed)
+    ce = CanonicalExtension(L, ext, embed, pf)
     _EXTENSION_CACHE[L] = ce
     return ce
 
@@ -378,14 +380,14 @@ def comjpm_decide(
         if g(h1(a)) != h2(f(a)):
             raise LatticeError(f"base square does not commute at {a}")
     L1, K1, K2 = h1.source, h1.target, h2.target
+    ce1 = canonical_extension(L1)
     cond1 = True
-    for rho in prime_filters(L1):
+    for rho in ce1.prime_filters:
         lhs = g(K1.meet_all(h1(a) for a in rho))
         rhs = K2.meet_all(g(h1(a)) for a in rho)
         if lhs != rhs:
             cond1 = False
             break
-    ce1 = canonical_extension(L1)
     ce2 = canonical_extension(f.target)
     h1bar = extend_hom(h1, ce1)
     h2bar = extend_hom(h2, ce2)

@@ -8,6 +8,7 @@ lattices, so no lattice-level deduplication is needed.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations, product
 
 from .lattice import FinLattice, downset_lattice
 from .order import FinPoset
@@ -19,17 +20,16 @@ class EnumerationBound(ValueError):
 
 def _canonical_key(p: FinPoset) -> tuple:
     """Isomorphism-invariant-first canonical form: the lexicographically
-    least relation matrix over all orderings compatible with the degree
-    signature.  Brute force; fine for <= 6 elements."""
-    from itertools import permutations
-
+    least relation matrix over all orderings that sort the elements by
+    their (down-set size, up-set size) signature.  Those orderings are the
+    permutations within each signature class, taken in signature order."""
     n = len(p.elements)
+    classes: dict[tuple[int, int], list[str]] = {}
+    for a in p.elements:
+        classes.setdefault((len(p.down_set(a)), len(p.up_set(a))), []).append(a)
     best = None
-    sigs = {a: (len(p.down_set(a)), len(p.up_set(a))) for a in p.elements}
-    ordered = sorted(p.elements, key=lambda a: sigs[a])
-    for perm in permutations(ordered):
-        if [sigs[a] for a in perm] != sorted(sigs.values()):
-            continue
+    for parts in product(*(permutations(classes[s]) for s in sorted(classes))):
+        perm = [a for part in parts for a in part]
         mat = tuple(
             p.leq(perm[i], perm[j]) for i in range(n) for j in range(n)
         )

@@ -27,7 +27,7 @@ from .jsonio import (
     model_from_json,
     model_to_json,
 )
-from .lattice import LatticeError, LatticeHom, prime_filters
+from .lattice import LatticeError, LatticeHom
 from .predcat import BudgetError
 from .report import Report
 
@@ -35,10 +35,12 @@ from .report import Report
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.budget is not None and args.budget < 1:
+        parser.error(f"argument --budget: must be an integer >= 1, not {args.budget}")
     if not hasattr(args, "run"):
         parser.print_help()
         return 2
-    if getattr(args, "budget", None):
+    if args.budget is not None:
         os.environ["COHEXT_BUDGET"] = str(args.budget)
         os.environ["COHEXT_SIEVE_BUDGET"] = str(args.budget)
     report = Report(command=args.command, seed=getattr(args, "seed", None))
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write the JSON report to a file")
     p.add_argument("--timing", action="store_true", help="include wall time")
-    p.add_argument("--budget", type=int, help="search budget override")
+    p.add_argument("--budget", type=int, help="search budget override, >= 1")
     sub = p.add_subparsers(dest="command")
 
     c = sub.add_parser("canext", help="canonical extension of a lattice file")
@@ -159,7 +161,7 @@ def cmd_canext(args, report: Report):
     report.check("compact", check_compact(ce))
     report.check(
         "primeFilterCount", True,
-        count=len(prime_filters(L)), extSize=len(ce.ext.elements),
+        count=len(ce.prime_filters), extSize=len(ce.ext.elements),
     )
 
 

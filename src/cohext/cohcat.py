@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 from .fincat import CategoryError, FinCategory, FinFunctor, Morphism
 from .lattice import FinLattice, LatticeHom, MonotoneMap, NamedSetLattice, set_lattice
-from .order import set_name
+from .order import set_name, union_closure
 
 
 class MissingLimitError(CategoryError):
@@ -353,11 +353,8 @@ class ConcreteCohCategory(CohCategory):
 
 
 def _subsets(s: frozenset):
-    items = sorted(s)
-    out = [frozenset()]
-    for e in items:
-        out += [t | {e} for t in out]
-    return out
+    """All subsets of s: the unions of its singletons."""
+    return list(union_closure([frozenset({e}) for e in sorted(s)], empty=frozenset()))
 
 
 def _functions(A, B):

@@ -314,9 +314,9 @@ def prime_filters(L: FinLattice) -> list[frozenset[str]]:
     return [s for s in filters(L) if is_prime_filter(L, s)]
 
 
-def prime_filter_poset(L: FinLattice) -> FinPoset:
-    """Prime filters ordered by reverse inclusion."""
-    pf = prime_filters(L)
+def prime_filter_poset(L: FinLattice, pf=None) -> FinPoset:
+    """Prime filters (`pf`, if already computed) under reverse inclusion."""
+    pf = prime_filters(L) if pf is None else pf
     names = {s: set_name(s) for s in pf}
     return FinPoset(
         tuple(names[s] for s in pf),

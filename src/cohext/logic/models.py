@@ -13,7 +13,7 @@ explicit term-depth budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from operator import and_, le, or_
 
 from ..canext import canonical_extension, comjpm_decide, extend_hom
@@ -26,7 +26,7 @@ from ..lattice import (
     prime_filters,
     set_lattice,
 )
-from ..order import set_name
+from ..order import set_name, union_closure
 from .chase import FinModel
 from .syntax import App, RelAtom, Theory, Var, print_term
 
@@ -559,29 +559,18 @@ class Evaluation:
         )
 
     def _subfunctors(self, A: str, budget: int = 1 << 14):
-        """Every subfunctor is a union of cyclic ones, so close the cyclic
-        generators under union."""
+        """Every subfunctor is the union of the cyclic ones below it, so
+        the subfunctors are the componentwise union closure of the cyclic
+        ones.  The search stops once it has found more than `budget`."""
         empty = tuple(frozenset() for _ in self.indices)
-        gens = {
+        gens = dict.fromkeys(
             self.cyclic_subfunctor(A, i, a)
             for i in self.indices
             for a in self.family.models[i].sorts[A]
-        }
-        out = {empty}
-        frontier = {empty}
-        while frontier:
-            nxt = set()
-            for fam in frontier:
-                for g in gens:
-                    u = tuple(x | y for x, y in zip(fam, g))
-                    if u not in out:
-                        out.add(u)
-                        nxt.add(u)
-            if len(out) > budget:
-                raise ValueError(
-                    f"subfunctor lattice of ev({A}) exceeds {budget} elements"
-                )
-            frontier = nxt
+        )
+        out = set(islice(union_closure(gens, _family_join, empty), budget + 1))
+        if len(out) > budget:
+            raise ValueError(f"subfunctor lattice of ev({A}) exceeds {budget} elements")
         return out
 
     def sub_lattice(self, A: str) -> NamedSetLattice:

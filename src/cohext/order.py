@@ -2,12 +2,17 @@
 
 Elements are opaque strings; the order is an explicit set of pairs.  All
 structure downstream (lattices, categories, sites) is built on these.
+
+Down-closed families (downsets here, sieves in `sites`, subfunctors in
+`logic.models`) are the union closures of their principal members, and
+`union_closure` enumerates them without a search over all subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import or_
 
 
 class OrderError(ValueError):
@@ -17,6 +22,21 @@ class OrderError(ValueError):
 def set_name(s) -> str:
     """Canonical printable name for a finite set of strings."""
     return "{" + ",".join(sorted(s)) + "}"
+
+
+def union_closure(gens, join=or_, empty=0):
+    """Yield each union of members of `gens` once, the empty union first,
+    in a deterministic order; a consumer may stop at any point.  `join` is
+    the binary union, bitwise or on int bitmasks by default."""
+    found, seen = [empty], {empty}
+    yield empty
+    for g in gens:
+        for x in found[:]:
+            u = join(x, g)
+            if u not in seen:
+                seen.add(u)
+                found.append(u)
+                yield u
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,20 +104,18 @@ class FinPoset:
     def up_set(self, a: str) -> frozenset[str]:
         return frozenset(x for x in self.elements if self.leq(a, x))
 
-    def is_down_closed(self, s) -> bool:
-        s = set(s)
-        return all(x in s for a in s for x in self.elements if self.leq(x, a))
-
     def downsets(self) -> list[frozenset[str]]:
-        """All down-closed subsets, ordered deterministically."""
+        """All down-closed subsets (unions of principal downsets), sorted."""
         if len(self.elements) > 16:
             raise OrderError("downset enumeration capped at 16 elements")
-        out = []
-        n = len(self.elements)
-        for mask in range(1 << n):
-            s = frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
-            if self.is_down_closed(s):
-                out.append(s)
+        elems = self.elements
+        principal = [
+            sum(1 << i for i, x in enumerate(elems) if self.leq(x, a)) for a in elems
+        ]
+        out = [
+            frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+            for mask in union_closure(principal)
+        ]
         out.sort(key=lambda s: (len(s), sorted(s)))
         return out
 

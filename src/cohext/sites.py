@@ -1,9 +1,12 @@
 """Grothendieck coverages, filter and type categories, sheaf checks, and
 locale-morphism analysis, all at finite scale.
 
-Coverages are stored as predicates on sieves plus generator enumeration;
-sieve spaces are budgeted.  The filter category quotients local maps by
-germ equivalence computed as an explicit equivalence closure.
+Coverages are stored as predicates on sieves plus generator enumeration.
+A sieve is the union of the principal sieves of its members, so the sieves
+on an object are enumerated as the union closure of its principal sieves,
+under the unchanged budget on 2^(morphisms into the object).  The filter
+category quotients local maps by germ equivalence computed as an explicit
+equivalence closure.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .lattice import (
     prime_filter_poset,
     prime_filters,
 )
-from .order import FinPoset, set_name
+from .order import FinPoset, set_name, union_closure
 
 
 def sieve_budget(default: int = 4096) -> int:
@@ -62,15 +65,9 @@ class Site:
                 out.add(self.cat.compose(f, g))
         return frozenset(out)
 
-    def is_sieve(self, A: str, s) -> bool:
-        s = set(s)
-        return all(self.cat.tgt(f) == A for f in s) and all(
-            self.cat.compose(f, g) in s
-            for f in s
-            for g in self.cat.morphisms_into(self.cat.src(f))
-        )
-
     def all_sieves(self, A: str, budget: int | None = None) -> list[frozenset[str]]:
+        """Every sieve on A, as a union of principal sieves.  Ordered as
+        bitmasks over `morphisms_into(A)`: by the sum of 2^index."""
         budget = budget if budget is not None else sieve_budget()
         inc = self.cat.morphisms_into(A)
         if 1 << len(inc) > budget:
@@ -78,12 +75,14 @@ class Site:
                 f"sieve enumeration on {A} needs 2^{len(inc)} subsets; "
                 "raise COHEXT_SIEVE_BUDGET"
             )
-        sieves = []
-        for mask in range(1 << len(inc)):
-            s = frozenset(inc[i] for i in range(len(inc)) if mask >> i & 1)
-            if self.is_sieve(A, s):
-                sieves.append(s)
-        return sieves
+        index = {f: i for i, f in enumerate(inc)}
+        principal = [
+            sum(1 << index[g] for g in self.sieve_generated(A, [f])) for f in inc
+        ]
+        return [
+            frozenset(f for i, f in enumerate(inc) if mask >> i & 1)
+            for mask in sorted(union_closure(principal))
+        ]
 
     def covering_sieves(self, A: str, budget: int | None = None):
         return [s for s in self.all_sieves(A, budget) if self.covers(A, s)]
@@ -102,18 +101,22 @@ def coherent_topology(C: CohCategory) -> Site:
             C.image_map(f)(C.sub_lattice(C.cat.src(f)).top) for f in sieve
         ) == S.top
 
-    gens: dict[str, tuple] = {}
-    for A in C.cat.objects:
-        inc = C.cat.morphisms_into(A)
-        found: list[tuple] = []
-        for r in range(0, len(inc) + 1):
-            for fam in combinations(inc, r):
-                if covers(A, fam) and not any(
-                    set(prev) <= set(fam) for prev in found
-                ):
-                    found.append(fam)
-        gens[A] = tuple(found)
+    gens = {
+        A: _minimal_covers(covers, A, C.cat.morphisms_into(A)) for A in C.cat.objects
+    }
     return Site(C.cat, covers, gens)
+
+
+def _minimal_covers(covers, A: str, inc, max_size: int | None = None) -> tuple:
+    """The families of at most `max_size` members of `inc` that cover A and
+    contain no smaller covering family, by size and then in `inc` order."""
+    top = len(inc) if max_size is None else min(len(inc), max_size)
+    found: list[tuple] = []
+    for r in range(top + 1):
+        for fam in combinations(inc, r):
+            if covers(A, fam) and not any(set(p) <= set(fam) for p in found):
+                found.append(fam)
+    return tuple(found)
 
 
 # -- filter and type categories --------------------------------------------------
@@ -460,17 +463,7 @@ def semidirect_site(C_like, X: CoherentHyperdoctrine) -> SemidirectSite:
             total = FA.join(total, adjoints[mdata[n]](v))
         return total == u
 
-    gens: dict[str, tuple] = {}
-    for nx, (A, u) in omap.items():
-        inc = cat.morphisms_into(nx)
-        found: list[tuple] = []
-        for r in range(0, min(len(inc), 3) + 1):
-            for fam in combinations(inc, r):
-                if covers(nx, fam) and not any(
-                    set(p) <= set(fam) for p in found
-                ):
-                    found.append(fam)
-        gens[nx] = tuple(found)
+    gens = {nx: _minimal_covers(covers, nx, cat.morphisms_into(nx), 3) for nx in omap}
     return SemidirectSite(cat, covers, gens, obj_data=omap, mor_data=mdata)
 
 
@@ -641,23 +634,19 @@ def localic_tot_for_lattice(L: FinLattice) -> LocalicTotReport:
     iso = e_poset.iso_to(prime_filter_poset(L)) is not None
     site = jp_site(tau)
     trivial = True
-    sub_site = Site(tau.cat, site.covers, site.generators)
     for X in e_objs:
-        inc = [
-            f
-            for f in tau.cat.morphisms_into(X)
-            if tau.cat.src(f) in e_objs
-        ]
-        for mask in range(1 << len(inc)):
-            sieve = frozenset(inc[i] for i in range(len(inc)) if mask >> i & 1)
-            closed = all(
-                tau.cat.compose(f, g) in sieve
-                for f in sieve
+        # the sieves on X in the full subcategory on e_objs: unions of
+        # principal ones
+        principal = [
+            frozenset(
+                tau.cat.compose(f, g)
                 for g in tau.cat.morphisms_into(tau.cat.src(f))
                 if tau.cat.src(g) in e_objs
             )
-            if not closed:
-                continue
+            for f in tau.cat.morphisms_into(X)
+            if tau.cat.src(f) in e_objs
+        ]
+        for sieve in union_closure(principal, empty=frozenset()):
             if site.covers(X, sieve) and not any(
                 tau.cat.is_iso(f) is not None for f in sieve
             ):

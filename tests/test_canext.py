@@ -255,6 +255,30 @@ def test_comjpm_identity_square():
     assert comjpm_decide(h, h, f, f) == (True, True)
 
 
+def test_extension_keeps_the_prime_filters_of_its_base():
+    from cohext.lattice import prime_filter_poset, prime_filters
+
+    for L in distributive_lattices(6) + [boolean4()]:
+        ce = canonical_extension(L)
+        assert ce.prime_filters == tuple(prime_filters(L))
+        assert ce.ext.base_poset == prime_filter_poset(L)
+
+
+def test_comjpm_reads_the_extension_prime_filters(monkeypatch):
+    import cohext.canext as canext
+
+    B = boolean4()
+    h = LatticeHom.identity(B)
+    f = MonotoneMap.identity(B)
+    canonical_extension(B)
+
+    def refuse(L):
+        raise AssertionError("prime filters recomputed")
+
+    monkeypatch.setattr(canext, "prime_filters", refuse)
+    assert comjpm_decide(h, h, f, f) == (True, True)
+
+
 def test_comjpm_agreement_on_commuting_squares_sample():
     lats = distributive_lattices(3)
     for L1 in lats:

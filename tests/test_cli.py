@@ -123,6 +123,14 @@ def test_sieve_budget_cut_fails_sheaf_check_and_keeps_the_report():
     assert "COHEXT_SIEVE_BUDGET" in checks["sheaf"]["witness"]
 
 
+def test_budget_below_one_is_a_usage_error():
+    for budget in ("0", "-3"):
+        r = run_cli("--budget", budget, "tot", "sheaf-check", fx("one_point.cat.json"))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"--budget: must be an integer >= 1, not {budget}" in r.stderr
+
+
 def test_chase_command_reports_model():
     r = run_cli("chase", fx("pointed.chr"))
     assert r.returncode == 0

@@ -1,5 +1,7 @@
 """Parser, chase, and the model-family pipeline."""
 
+from itertools import product
+
 import pytest
 
 from cohext.fixtures import designated_model_index, fixture_path
@@ -248,6 +250,77 @@ def test_subfunctor_criterion_direct():
                     if tuple(broken) != tuple(orbit):
                         assert not ev.is_subfunctor(A, tuple(broken))
                         return
+
+
+def subfunctors_frontier_oracle(ev, A):
+    """The breadth-first union closure of the cyclic subfunctors."""
+    empty = tuple(frozenset() for _ in ev.indices)
+    gens = {
+        ev.cyclic_subfunctor(A, i, a)
+        for i in ev.indices
+        for a in ev.family.models[i].sorts[A]
+    }
+    out = {empty}
+    frontier = {empty}
+    while frontier:
+        nxt = set()
+        for fam in frontier:
+            for g in gens:
+                u = tuple(x | y for x, y in zip(fam, g))
+                if u not in out:
+                    out.add(u)
+                    nxt.add(u)
+        frontier = nxt
+    return out
+
+
+def subfunctors_subset_oracle(ev, A):
+    """Every family of subsets of the carriers that is a subfunctor."""
+    choices = []
+    for part in ev.carrier(A):
+        pts = sorted(part)
+        choices.append([
+            frozenset(p for k, p in enumerate(pts) if mask >> k & 1)
+            for mask in range(1 << len(pts))
+        ])
+    return {fam for fam in product(*choices) if ev.is_subfunctor(A, fam)}
+
+
+def test_subfunctors_match_the_oracles_on_the_corpus():
+    for name in CORPUS:
+        for size in (2, 3):
+            C = corpus_category(name, size)
+            n = len(C.family.models)
+            for indices in (None, tuple(range(1, n))):
+                ev = Evaluation(C, indices)
+                for A in C.sorts:
+                    subs = ev._subfunctors(A)
+                    assert subs == subfunctors_frontier_oracle(ev, A)
+                    if size == 2:
+                        assert subs == subfunctors_subset_oracle(ev, A)
+
+
+def test_subfunctor_bound_stops_the_search_once_passed(monkeypatch):
+    import cohext.logic.models as models
+
+    ev = Evaluation(corpus_category("ordered"))
+    total = len(ev._subfunctors("A"))
+    assert len(ev._subfunctors("A", budget=total)) == total
+    pulled = []
+    closure = models.union_closure
+
+    def counted(*args):
+        for x in closure(*args):
+            pulled.append(x)
+            yield x
+
+    monkeypatch.setattr(models, "union_closure", counted)
+    for budget in range(total):
+        pulled.clear()
+        with pytest.raises(ValueError) as e:
+            ev._subfunctors("A", budget=budget)
+        assert str(e.value) == f"subfunctor lattice of ev(A) exceeds {budget} elements"
+        assert len(pulled) == budget + 1
 
 
 def test_sigma_restricted_to_base_is_plain_sigma():

@@ -3,12 +3,14 @@ and locale-morphism analysis."""
 
 import pytest
 
+from cohext.catalog import distributive_lattices
 from cohext.cohcat import ConcreteCohCategory, LatticeCategory, lattice_hom_functor
 from cohext.fincat import FinFunctor
 from cohext.fixtures import mutated_comparison_source
 from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
 from cohext.lattice import LatticeHom, boolean4, chain_lattice, trivial_lattice
 from cohext.sites import (
+    SiteError,
     coherent_topology,
     comparison_check,
     factorization_data,
@@ -130,6 +132,68 @@ def test_jp_singleton_description_matches_induced_oracle():
                 assert site.covers(X, sieve) == jp_cover_induced_oracle(
                     tau, X, sieve
                 )
+
+
+def sieves_oracle(site, A):
+    """Every subset of the morphisms into A that is closed under
+    precomposition, in bitmask order over `morphisms_into(A)`."""
+    inc = site.cat.morphisms_into(A)
+    out = []
+    for mask in range(1 << len(inc)):
+        s = frozenset(inc[i] for i in range(len(inc)) if mask >> i & 1)
+        if all(
+            site.cat.compose(f, g) in s
+            for f in s
+            for g in site.cat.morphisms_into(site.cat.src(f))
+        ):
+            out.append(s)
+    return out
+
+
+def oracle_sites():
+    """The jp, semidirect and irreducible sites over DL(<=4) and the three
+    concrete fragments."""
+    cats = [LatticeCategory(L) for L in distributive_lattices(4)]
+    cats += [
+        ConcreteCohCategory([frozenset(s) for s in seeds])
+        for seeds in ((("x",),), (("x",), ("y",)), (("x", "y"),))
+    ]
+    for C in cats:
+        X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+        yield jp_site(type_category(C))
+        yield semidirect_site(C, X)
+        yield irreducible_site(C, X)
+
+
+def test_all_sieves_match_subset_oracle_in_order():
+    checked = refused = 0
+    for site in oracle_sites():
+        for A in site.cat.objects:
+            k = len(site.cat.morphisms_into(A))
+            if k > 12:
+                # the default budget of 4096 refuses these up front
+                with pytest.raises(SiteError, match=f"needs 2\\^{k} subsets"):
+                    site.all_sieves(A)
+                refused += 1
+                continue
+            assert site.all_sieves(A) == sieves_oracle(site, A)
+            checked += 1
+    assert checked == 85 and refused == 3
+
+
+def test_sieve_budget_refuses_up_front_at_the_same_bound():
+    site = semidirect_site(
+        LatticeCategory(boolean4()),
+        canext_hyperdoctrine(sub_hyperdoctrine(LatticeCategory(boolean4()))),
+    )
+    A = max(site.cat.objects, key=lambda A: len(site.cat.morphisms_into(A)))
+    k = len(site.cat.morphisms_into(A))
+    assert len(site.all_sieves(A, budget=1 << k)) < 1 << k
+    with pytest.raises(SiteError) as e:
+        site.all_sieves(A, budget=(1 << k) - 1)
+    assert str(e.value) == (
+        f"sieve enumeration on {A} needs 2^{k} subsets; raise COHEXT_SIEVE_BUDGET"
+    )
 
 
 def test_jp_cover_example_on_three_chain():
