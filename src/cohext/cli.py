@@ -35,8 +35,10 @@ from .report import Report
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget is not None and args.budget < 1:
-        parser.error(f"argument --budget: must be an integer >= 1, not {args.budget}")
+    flags = (("--budget", args.budget), ("--max-size", getattr(args, "max_size", None)))
+    for flag, value in flags:
+        if value is not None and value < 1:
+            parser.error(f"argument {flag}: must be an integer >= 1, not {value}")
     if not hasattr(args, "run"):
         parser.print_help()
         return 2
@@ -367,10 +369,13 @@ def _family_setup(args, report):
     report.add_input(args.theory)
     T = parse_theory(Path(args.theory).read_text())
     models = enumerate_models(T, args.max_size)
+    if args.drop is not None and not 0 <= args.drop < len(models):
+        last = len(models) - 1
+        raise ValueError(f"argument --drop: must be in 0..{last}, not {args.drop}")
     fam = ModelFamily.build(models)
     C = FamilyCategory(T, fam)
     indices = None
-    if getattr(args, "drop", None) is not None:
+    if args.drop is not None:
         indices = tuple(i for i in range(len(models)) if i != args.drop)
     return C, indices, len(models)
 

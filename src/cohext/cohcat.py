@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 
 from .fincat import CategoryError, FinCategory, FinFunctor, Morphism
 from .lattice import FinLattice, LatticeHom, MonotoneMap, NamedSetLattice, set_lattice
-from .order import set_name, union_closure
+from .order import assignments, set_name, union_closure
 
 
 class MissingLimitError(CategoryError):
@@ -359,15 +358,8 @@ def _subsets(s: frozenset):
 
 def _functions(A, B):
     """All functions A -> B as dicts, deterministic order."""
-    items = sorted(A)
-    if not items:
-        return [dict()]
-    if not B:
-        return []
-    out = []
-    for values in iproduct(sorted(B), repeat=len(items)):
-        out.append(dict(zip(items, values)))
-    return out
+    values = sorted(B)
+    return list(assignments(sorted(A), lambda a: values, lambda a, acc: True))
 
 
 def _fincat_unchecked(objects, morphisms, comp, identities) -> FinCategory:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from .order import assignments
+
 
 class CategoryError(ValueError):
     """Category data violates the category laws."""
@@ -256,34 +258,19 @@ class NaturalTransformation:
 
 
 def natural_iso(F: FinFunctor, G: FinFunctor) -> NaturalTransformation | None:
-    """Search for a natural isomorphism F => G; explicit component table."""
+    """Search for a natural isomorphism F => G; explicit component table.
+    Each component must be an iso whose assigned naturality squares commute."""
     C, D = F.source, F.target
-    objs = list(C.objects)
 
-    def extend(i, acc):
-        if i == len(objs):
-            return dict(acc)
-        A = objs[i]
-        for c in D.hom(F.on_obj(A), G.on_obj(A)):
-            if D.is_iso(c) is None:
-                continue
-            acc[A] = c
-            ok = True
-            for f, m in C.morphisms.items():
-                if m.src in acc and m.tgt in acc:
-                    if D.compose(acc[m.tgt], F.on_mor(f)) != D.compose(
-                        G.on_mor(f), acc[m.src]
-                    ):
-                        ok = False
-                        break
-            if ok:
-                res = extend(i + 1, acc)
-                if res is not None:
-                    return res
-            del acc[A]
-        return None
+    def consistent(A, acc):
+        return D.is_iso(acc[A]) is not None and all(
+            D.compose(acc[m.tgt], F.on_mor(f)) == D.compose(G.on_mor(f), acc[m.src])
+            for f, m in C.morphisms.items()
+            if A in (m.src, m.tgt) and m.src in acc and m.tgt in acc
+        )
 
-    table = extend(0, {})
-    if table is None:
-        return None
-    return NaturalTransformation(F, G, table)
+    tables = assignments(
+        C.objects, lambda A: D.hom(F.on_obj(A), G.on_obj(A)), consistent
+    )
+    table = next(tables, None)
+    return None if table is None else NaturalTransformation(F, G, table)

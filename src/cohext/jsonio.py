@@ -158,20 +158,48 @@ def model_to_json(M) -> dict:
 
 
 def model_from_json(T, data: dict):
+    """A (possibly partial) model of T.  Its sorts must be T's, and each
+    function or relation must be T's, with rows of elements of the right
+    carriers; a function or relation left out gets an empty table."""
     from .logic.chase import FinModel
 
-    return FinModel(
-        T,
-        {s: tuple(xs) for s, xs in data["sorts"].items()},
-        {
-            f: {tuple(k): v for k, v in entries}
-            for f, entries in data.get("functions", {}).items()
-        },
-        {
-            r: frozenset(map(tuple, rows))
-            for r, rows in data.get("relations", {}).items()
-        },
-    )
+    sig = T.signature
+    sorts = data.get("sorts") if isinstance(data, dict) else None
+    if not isinstance(sorts, dict) or set(sorts) != set(sig.sorts):
+        raise FormatError(f"model needs 'sorts' with exactly the sorts {sig.sorts}")
+    if not all(
+        isinstance(xs, list) and all(isinstance(x, str) for x in xs)
+        for xs in sorts.values()
+    ):
+        raise FormatError("model carriers must be lists of strings")
+
+    def table(key, declared):
+        given = data.get(key, {})
+        if not isinstance(given, dict) or any(
+            name not in declared or not isinstance(rows, list)
+            for name, rows in given.items()
+        ):
+            raise FormatError(f"'{key}' must map names in {list(declared)} to lists")
+        return {**given, **{name: [] for name in declared if name not in given}}
+
+    def row(name, arg_sorts, cells):
+        if not isinstance(cells, list) or len(cells) != len(arg_sorts) or any(
+            x not in sorts[s] for s, x in zip(arg_sorts, cells)
+        ):
+            raise FormatError(f"{name}: {cells!r} is not a row of sorts {arg_sorts}")
+        return tuple(cells)
+
+    funcs = {}
+    for f, entries in table("functions", sig.funcs).items():
+        args, res = sig.funcs[f]
+        if not all(isinstance(e, list) and len(e) == 2 for e in entries):
+            raise FormatError(f"function {f}: entries must be [arguments, value]")
+        funcs[f] = {row(f, args, k): row(f, (res,), [v])[0] for k, v in entries}
+    rels = {
+        r: frozenset(row(r, sig.rels[r], cells) for cells in rows)
+        for r, rows in table("relations", sig.rels).items()
+    }
+    return FinModel(T, {s: tuple(xs) for s, xs in sorts.items()}, funcs, rels)
 
 
 # -- DOT export ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import product
 from operator import and_, ge, le, or_
 
-from .order import FinPoset, set_name
+from .order import FinPoset, assignments, set_name
 
 
 class LatticeError(ValueError):
@@ -512,28 +512,21 @@ def pairing(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
 
 
 def monotone_maps(L: FinLattice, K: FinLattice):
-    """All order-preserving maps L -> K, by backtracking along a linear
-    extension."""
+    """All order-preserving maps L -> K, sorted by their items.  Elements
+    are assigned along a linear extension, so each is checked only against
+    the earlier elements below it."""
     order = L.poset.linear_extension()
-    out = []
+    below = {a: [b for b in order[:i] if L.leq(b, a)] for i, a in enumerate(order)}
+    target = K.poset.pairs
 
-    def extend(i, acc):
-        if i == len(order):
-            out.append(MonotoneMap(L, K, dict(acc)))
-            return
-        a = order[i]
-        for k in K.elements:
-            ok = all(
-                (not L.leq(b, a) or K.leq(acc[b], k))
-                and (not L.leq(a, b) or K.leq(k, acc[b]))
-                for b in acc
-            )
-            if ok:
-                acc[a] = k
-                extend(i + 1, acc)
-                del acc[a]
+    def consistent(a, acc):
+        k = acc[a]
+        return all((acc[b], k) in target for b in below[a])
 
-    extend(0, {})
+    out = [
+        MonotoneMap(L, K, m)
+        for m in assignments(order, lambda a: K.elements, consistent)
+    ]
     out.sort(key=lambda m: tuple(sorted(m.mapping.items())))
     return out
 

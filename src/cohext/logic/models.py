@@ -26,7 +26,7 @@ from ..lattice import (
     prime_filters,
     set_lattice,
 )
-from ..order import set_name, union_closure
+from ..order import assignments, set_name, union_closure
 from .chase import FinModel
 from .syntax import App, RelAtom, Theory, Var, print_term
 
@@ -41,8 +41,7 @@ def enumerate_models(
     isomorphism class when up_to_iso."""
     sig = T.signature
     out, seen = [], set()
-    sizes = list(_size_vectors(len(sig.sorts), min_size, max_size))
-    for vec in sizes:
+    for vec in iproduct(range(min_size, max_size + 1), repeat=len(sig.sorts)):
         sorts = {
             s: tuple(f"{s.lower()}{i}" for i in range(n))
             for s, n in zip(sig.sorts, vec)
@@ -61,34 +60,15 @@ def enumerate_models(
     return out
 
 
-def _size_vectors(k, lo, hi):
-    if k == 0:
-        yield ()
-        return
-    for n in range(lo, hi + 1):
-        for rest in _size_vectors(k - 1, lo, hi):
-            yield (n,) + rest
-
-
 def _all_func_tables(sig, sorts):
+    """Every choice of function tables; the first function varies fastest
+    and each table runs through its values in lexicographic order."""
     items = sorted(sig.funcs.items())
-    if not items:
-        yield {}
-        return
-
-    def rec(i):
-        if i == len(items):
-            yield {}
-            return
-        name, (args, res) = items[i]
-        domain = list(iproduct(*[sorts[s] for s in args]))
-        for rest in rec(i + 1):
-            if not sorts[res] and domain:
-                return
-            for values in iproduct(sorts[res], repeat=len(domain)):
-                yield {name: dict(zip(domain, values)), **rest}
-
-    yield from rec(0)
+    domains = {f: list(iproduct(*[sorts[s] for s in args])) for f, (args, _) in items}
+    keys = [(f, d) for f, _ in reversed(items) for d in domains[f]]
+    codomain = lambda key: sorts[sig.funcs[key[0]][1]]
+    for acc in assignments(keys, codomain, lambda key, acc: True):
+        yield {f: {d: acc[f, d] for d in domains[f]} for f, _ in items}
 
 
 def _all_rel_tables(sig, sorts):
@@ -112,40 +92,36 @@ def _all_rel_tables(sig, sorts):
 
 def homomorphisms(M: FinModel, N: FinModel) -> list[dict[str, dict[str, str]]]:
     """All structure homomorphisms M -> N: sort-indexed maps commuting with
-    the function tables and preserving the relations."""
+    the function tables and preserving the relations, in lexicographic
+    order.  A row of M's relations or function graphs is checked as soon as
+    its last element is assigned."""
     sig = M.theory.signature
-    sort_maps = []
-    for s in sig.sorts:
-        dom, cod = M.sorts[s], N.sorts[s]
-        if dom and not cod:
-            return []
-        sort_maps.append(
-            [dict(zip(dom, vals)) for vals in iproduct(cod, repeat=len(dom))]
+    keys = [(s, a) for s in sig.sorts for a in M.sorts[s]]
+    position = {k: i for i, k in enumerate(keys)}
+    tables = [
+        (
+            args + (res,),
+            [k + (v,) for k, v in M.funcs[f].items()],
+            {k + (v,) for k, v in N.funcs[f].items()},
         )
-    out = []
-    for combo in iproduct(*sort_maps):
-        h = dict(zip(sig.sorts, combo))
-        ok = True
-        for f, (args, res) in sig.funcs.items():
-            for tup, v in M.funcs[f].items():
-                mapped = tuple(h[s][a] for s, a in zip(args, tup))
-                if N.funcs[f][mapped] != h[res][v]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for r, argsorts in sig.rels.items():
-                for tup in M.rels[r]:
-                    mapped = tuple(h[s][a] for s, a in zip(argsorts, tup))
-                    if mapped not in N.rels[r]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            out.append(h)
-    return out
+        for f, (args, res) in sig.funcs.items()
+    ] + [(args, M.rels[r], N.rels[r]) for r, args in sig.rels.items()]
+    rows = {k: [] for k in keys}
+    for sorts, m_rows, n_rows in tables:
+        for row in m_rows:
+            cells = tuple(zip(sorts, row))
+            if cells:
+                rows[max(cells, key=position.__getitem__)].append((cells, n_rows))
+            elif row not in n_rows:
+                return []
+
+    def consistent(key, acc):
+        return all(tuple(acc[c] for c in cells) in n for cells, n in rows[key])
+
+    return [
+        {s: {a: h[s, a] for a in M.sorts[s]} for s in sig.sorts}
+        for h in assignments(keys, lambda key: N.sorts[key[0]], consistent)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,13 +5,14 @@ structure downstream (lattices, categories, sites) is built on these.
 
 Down-closed families (downsets here, sieves in `sites`, subfunctors in
 `logic.models`) are the union closures of their principal members, and
-`union_closure` enumerates them without a search over all subsets.
+`union_closure` enumerates them without a search over all subsets.  Every
+finite map search (monotone maps, isomorphisms, homomorphisms, function
+tables) is one depth-first `assignments` that prunes as it assigns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from operator import or_
 
 
@@ -37,6 +38,27 @@ def union_closure(gens, join=or_, empty=0):
                 seen.add(u)
                 found.append(u)
                 yield u
+
+
+def assignments(keys, values, consistent):
+    """Yield, in lexicographic order, each dict giving every key in turn a
+    value from `values(key)` such that `consistent(key, acc)` held when the
+    key was added to `acc`; a rejected value cuts its whole branch."""
+    keys = tuple(keys)
+    acc = {}
+
+    def extend(i):
+        if i == len(keys):
+            yield dict(acc)
+            return
+        key = keys[i]
+        for v in values(key):
+            acc[key] = v
+            if consistent(key, acc):
+                yield from extend(i + 1)
+        acc.pop(key, None)
+
+    return extend(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,22 +166,25 @@ class FinPoset:
         return (len(self.down_set(a)), len(self.up_set(a)))
 
     def iso_to(self, other: FinPoset) -> dict[str, str] | None:
-        """An order isomorphism onto `other`, or None.  Brute force."""
-        if len(self.elements) != len(other.elements):
+        """The lexicographically first order isomorphism onto `other`, from
+        sorted elements to sorted elements, or None."""
+        sig = {a: self._signature(a) for a in self.elements}
+        osig = {b: other._signature(b) for b in other.elements}
+        if sorted(sig.values()) != sorted(osig.values()):
             return None
-        if sorted(self._signature(a) for a in self.elements) != sorted(
-            other._signature(b) for b in other.elements
-        ):
-            return None
-        src = sorted(self.elements)
-        for perm in permutations(sorted(other.elements)):
-            m = dict(zip(src, perm))
-            if all(
-                self.leq(a, b) == other.leq(m[a], m[b])
-                for a, b in combinations(src, 2)
-            ) and all(self._signature(a) == other._signature(m[a]) for a in src):
-                return m
-        return None
+        targets = sorted(other.elements)
+
+        def agree(a, m):
+            b = m[a]
+            return sig[a] == osig[b] and all(
+                y != b
+                and self.leq(x, a) == other.leq(y, b)
+                and self.leq(a, x) == other.leq(b, y)
+                for x, y in m.items()
+                if x != a
+            )
+
+        return next(assignments(sorted(self.elements), lambda a: targets, agree), None)
 
     def __eq__(self, other):
         return (

@@ -36,7 +36,7 @@ from .lattice import (
     prime_filter_poset,
     prime_filters,
 )
-from .order import FinPoset, set_name, union_closure
+from .order import FinPoset, assignments, set_name, union_closure
 
 
 def sieve_budget(default: int = 4096) -> int:
@@ -101,22 +101,15 @@ def coherent_topology(C: CohCategory) -> Site:
             C.image_map(f)(C.sub_lattice(C.cat.src(f)).top) for f in sieve
         ) == S.top
 
-    gens = {
-        A: _minimal_covers(covers, A, C.cat.morphisms_into(A)) for A in C.cat.objects
-    }
+    gens = {}
+    for A in C.cat.objects:
+        inc, found = C.cat.morphisms_into(A), []
+        for r in range(len(inc) + 1):
+            for fam in combinations(inc, r):
+                if covers(A, fam) and not any(set(p) <= set(fam) for p in found):
+                    found.append(fam)
+        gens[A] = tuple(found)
     return Site(C.cat, covers, gens)
-
-
-def _minimal_covers(covers, A: str, inc, max_size: int | None = None) -> tuple:
-    """The families of at most `max_size` members of `inc` that cover A and
-    contain no smaller covering family, by size and then in `inc` order."""
-    top = len(inc) if max_size is None else min(len(inc), max_size)
-    found: list[tuple] = []
-    for r in range(top + 1):
-        for fam in combinations(inc, r):
-            if covers(A, fam) and not any(set(p) <= set(fam) for p in found):
-                found.append(fam)
-    return tuple(found)
 
 
 # -- filter and type categories --------------------------------------------------
@@ -414,7 +407,8 @@ class SemidirectSite(Site):
 
 def semidirect_site(C_like, X: CoherentHyperdoctrine) -> SemidirectSite:
     """Build C x| X over the hyperdoctrine's base; C_like supplies nothing
-    beyond its base category (the covers come from X's adjoints)."""
+    beyond its base category (the covers come from X's adjoints).  It has
+    no generating families: `generators` is empty, so a lookup fails."""
     w = check_internal_locale(X)
     if w is not None:
         raise SiteError(w)
@@ -463,8 +457,7 @@ def semidirect_site(C_like, X: CoherentHyperdoctrine) -> SemidirectSite:
             total = FA.join(total, adjoints[mdata[n]](v))
         return total == u
 
-    gens = {nx: _minimal_covers(covers, nx, cat.morphisms_into(nx), 3) for nx in omap}
-    return SemidirectSite(cat, covers, gens, obj_data=omap, mor_data=mdata)
+    return SemidirectSite(cat, covers, {}, obj_data=omap, mor_data=mdata)
 
 
 # -- sheaf condition --------------------------------------------------------------
@@ -495,6 +488,8 @@ def sheaf_check(
 
 
 def _matching_families(C, X, sieve, budget=None):
+    """Every family of fiber elements on the sieve's members that agrees
+    along precomposition, in lexicographic order over the sorted sieve."""
     budget = budget if budget is not None else sieve_budget()
     sieve = sorted(sieve)
     total = 1
@@ -502,27 +497,24 @@ def _matching_families(C, X, sieve, budget=None):
         total *= len(X.fiber(C.cat.src(f)).elements)
         if total > budget:
             raise SiteError("matching-family enumeration exceeds budget")
-    fams = [dict()]
+    links = {f: [] for f in sieve}
     for f in sieve:
-        fams = [
-            {**fam, f: u}
-            for fam in fams
-            for u in X.fiber(C.cat.src(f)).elements
-        ]
-    out = []
-    for fam in fams:
-        ok = True
-        for f in sieve:
-            for g in C.cat.morphisms_into(C.cat.src(f)):
-                fg = C.cat.compose(f, g)
-                if fg in fam and X.sub(g)(fam[f]) != fam[fg]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(fam)
-    return out
+        for g in C.cat.morphisms_into(C.cat.src(f)):
+            fg = C.cat.compose(f, g)
+            if fg in links:
+                links[f].append((f, g, fg))
+                links[fg].append((f, g, fg))
+
+    def consistent(f, fam):
+        return all(
+            X.sub(g)(fam[h]) == fam[hg]
+            for h, g, hg in links[f]
+            if h in fam and hg in fam
+        )
+
+    return list(
+        assignments(sieve, lambda f: X.fiber(C.cat.src(f)).elements, consistent)
+    )
 
 
 def unique_glueing_check(C: CohCategory, X: CoherentHyperdoctrine):

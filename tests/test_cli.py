@@ -146,6 +146,36 @@ def test_models_commands():
     assert r.returncode == 0
 
 
+def test_model_flags_out_of_range_are_usage_errors():
+    # pointed.chr has 3 models of size <= 2, so valid drops are 0..2
+    for cmd in ("check-m", "sigma-bar"):
+        for drop in ("99", "-1", "3"):
+            r = run_cli(
+                "models", cmd, fx("pointed.chr"), "--max-size", "2", "--drop", drop
+            )
+            assert r.returncode == 2 and r.stdout == ""
+            assert f"--drop: must be in 0..2, not {drop}" in r.stderr
+        r = run_cli("models", cmd, fx("pointed.chr"), "--max-size", "0")
+        assert r.returncode == 2 and r.stdout == ""
+        assert "--max-size: must be an integer >= 1, not 0" in r.stderr
+    r = run_cli("models", "check-m", fx("pointed.chr"), "--drop", "0")
+    assert r.returncode in (0, 1)
+    assert json.loads(r.stdout)["checks"][0]["data"]["dropped"] == 0
+
+
+def test_chase_start_must_be_a_model_of_the_theory(tmp_path):
+    r = run_cli("chase", fx("pointed.chr"), "--start", fx("two_chain.lat.json"))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: model needs 'sorts'")
+    assert "Traceback" not in r.stderr
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({"sorts": {"A": ["a"]}, "relations": {"P": [["a"]]}}))
+    r = run_cli("chase", fx("pointed.chr"), "--start", str(start))
+    assert r.returncode == 0
+    model = json.loads(r.stdout)["checks"][0]["data"]["model"]
+    assert model["sorts"]["A"][0] == "a" and ["a"] in model["relations"]["P"]
+
+
 def test_enumerate_counts_and_refusal():
     r = run_cli("enumerate", "dl", "--max", "5")
     assert r.returncode == 0

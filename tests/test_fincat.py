@@ -1,15 +1,21 @@
 """Categories, functors, and the concrete/posetal subobject calculus."""
 
+from itertools import permutations, product
+
 import pytest
 
+from cohext import predcat
+from cohext.catalog import distributive_lattices
 from cohext.cohcat import (
     ConcreteCohCategory,
     LatticeCategory,
     MissingLimitError,
+    _functions,
     check_coherent_functor,
     check_conservative,
     check_heyting_functor,
     conservative_witness,
+    fun_name,
     lattice_hom_functor,
 )
 from cohext.fincat import (
@@ -20,7 +26,8 @@ from cohext.fincat import (
     check_equivalence,
     natural_iso,
 )
-from cohext.lattice import LatticeHom, boolean4, chain_lattice
+from cohext.lattice import LatticeHom, boolean4, chain_lattice, lattice_homs
+from cohext.order import set_name
 
 
 def two_point_category():
@@ -185,3 +192,101 @@ def test_natural_iso_search():
     F = FinFunctor.identity(C.cat)
     iso = natural_iso(F, F)
     assert iso is not None and iso.is_iso()
+
+
+def natural_iso_oracle(F: FinFunctor, G: FinFunctor) -> dict[str, str] | None:
+    """Backtracking over the objects; every candidate re-checks all the
+    naturality squares whose two ends are assigned."""
+    C, D = F.source, F.target
+    objs = list(C.objects)
+
+    def extend(i, acc):
+        if i == len(objs):
+            return dict(acc)
+        A = objs[i]
+        for c in D.hom(F.on_obj(A), G.on_obj(A)):
+            if D.is_iso(c) is None:
+                continue
+            acc[A] = c
+            ok = True
+            for f, m in C.morphisms.items():
+                if m.src in acc and m.tgt in acc:
+                    if D.compose(acc[m.tgt], F.on_mor(f)) != D.compose(
+                        G.on_mor(f), acc[m.src]
+                    ):
+                        ok = False
+                        break
+            if ok:
+                res = extend(i + 1, acc)
+                if res is not None:
+                    return res
+            del acc[A]
+        return None
+
+    return extend(0, {})
+
+
+def relabel_functor(C: ConcreteCohCategory, rename: dict) -> FinFunctor:
+    """The automorphism of a concrete category induced by a permutation of
+    its points."""
+
+    def image(S):
+        return frozenset(rename[a] for a in S)
+
+    obj_map = {set_name(S): set_name(image(S)) for S in C.sets}
+    mor_map = {
+        n: fun_name(image(A), image(B), {rename[a]: rename[b] for a, b in m.items()})
+        for n, (A, B, m) in C._funs.items()
+    }
+    return FinFunctor(C.cat, C.cat, obj_map, mor_map)
+
+
+def test_natural_iso_matches_backtracking_oracle(monkeypatch):
+    pairs = []
+    # the automorphisms of the concrete category on {x, y, z} that permute
+    # its points: any two are naturally iso through the relabelling maps
+    C = ConcreteCohCategory([frozenset("xyz")])
+    autos = [relabel_functor(C, dict(zip("xyz", p))) for p in permutations("xyz")]
+    pairs += list(product(autos, repeat=2))
+    # posetal functors from lattice homs: iso exactly when the homs agree
+    for L, K in product(distributive_lattices(4), repeat=2):
+        CL, CK = LatticeCategory(L), LatticeCategory(K)
+        functors = [lattice_hom_functor(h, CL, CK) for h in lattice_homs(L, K)]
+        pairs += list(product(functors, repeat=2))
+    # the comparisons searched by the universal factorization
+    calls = []
+
+    def recording(F, G):
+        calls.append((F, G))
+        return natural_iso(F, G)
+
+    monkeypatch.setattr(predcat, "natural_iso", recording)
+    for L in distributive_lattices(3):
+        C3 = LatticeCategory(L)
+        ext = predcat.canonical_extension_category(C3)
+        predcat.universal_factorization(ext.embedding, C3, ext.coh, ext)
+    Cx = ConcreteCohCategory([frozenset({"x"})])
+    predcat.universal_factorization(FinFunctor.identity(Cx.cat), Cx, Cx)
+    assert len(calls) == 4
+    pairs += calls
+    found = 0
+    for F, G in pairs:
+        iso = natural_iso(F, G)
+        expected = natural_iso_oracle(F, G)
+        if expected is None:
+            assert iso is None
+        else:
+            assert list(iso.components.items()) == list(expected.items())
+            found += 1
+    assert 0 < found < len(pairs)
+    # autos[1] swaps y and z; its comparison with the identity is that swap
+    swap_to_id = natural_iso(autos[1], autos[0])
+    assert swap_to_id.components["{x,y,z}"] == "fn(x>x,y>z,z>y):{x,y,z}->{x,y,z}"
+
+
+def test_functions_are_the_product_in_order():
+    for A, B in product([set(), {"a"}, {"b", "a"}, {"c", "a", "b"}], repeat=2):
+        items = sorted(A)
+        expected = [dict(zip(items, v)) for v in product(sorted(B), repeat=len(items))]
+        got = _functions(frozenset(A), frozenset(B))
+        assert [list(f.items()) for f in got] == [list(f.items()) for f in expected]

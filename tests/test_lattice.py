@@ -230,3 +230,42 @@ def test_rejected_map_names_first_offending_pair_in_product_order(hash_seed):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout == "not order-preserving on (0,a)\n"
+
+
+def monotone_maps_oracle(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
+    """Backtracking along a linear extension, checking each new element
+    against every element assigned before it in both directions."""
+    order = L.poset.linear_extension()
+    out = []
+
+    def extend(i, acc):
+        if i == len(order):
+            out.append(MonotoneMap(L, K, dict(acc)))
+            return
+        a = order[i]
+        for k in K.elements:
+            ok = all(
+                (not L.leq(b, a) or K.leq(acc[b], k))
+                and (not L.leq(a, b) or K.leq(k, acc[b]))
+                for b in acc
+            )
+            if ok:
+                acc[a] = k
+                extend(i + 1, acc)
+                del acc[a]
+
+    extend(0, {})
+    out.sort(key=lambda m: tuple(sorted(m.mapping.items())))
+    return out
+
+
+def test_monotone_maps_match_backtracking_oracle():
+    lattices = distributive_lattices(5) + [m3(), boolean4()]
+    total = 0
+    for L in lattices:
+        for K in lattices:
+            got = [list(m.mapping.items()) for m in monotone_maps(L, K)]
+            expected = [list(m.mapping.items()) for m in monotone_maps_oracle(L, K)]
+            assert got == expected
+            total += len(got)
+    assert total == 5089

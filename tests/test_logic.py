@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from cohext.fixtures import designated_model_index, fixture_path
+from cohext.jsonio import FormatError, model_from_json, model_to_json
 from cohext.logic.chase import FinModel, chase
 from cohext.logic.models import (
     DistillationBudget,
@@ -29,6 +30,7 @@ from cohext.logic.syntax import (
     Or,
     Signature,
     SortError,
+    Theory,
     print_formula,
     print_theory,
 )
@@ -161,6 +163,50 @@ def test_chase_corpus_terminates():
         assert res.model.satisfies_theory()
 
 
+ONE = {"sorts": {"A": ["a"]}}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "model needs 'sorts'"),
+        ({}, "model needs 'sorts'"),
+        ({"elements": ["c0"], "leq": []}, "model needs 'sorts'"),
+        ({"sorts": {"B": ["a"]}}, "model needs 'sorts' with exactly the sorts"),
+        ({"sorts": {"A": ["a"], "B": []}}, "with exactly the sorts"),
+        ({"sorts": {"A": "a"}}, "carriers must be lists of strings"),
+        ({"sorts": {"A": [1]}}, "carriers must be lists of strings"),
+        ({**ONE, "functions": {"g": []}}, "'functions' must map names in"),
+        ({**ONE, "relations": {"Q": []}}, "'relations' must map names in"),
+        ({**ONE, "relations": {"P": 3}}, "'relations' must map names in"),
+        ({**ONE, "functions": []}, "'functions' must map names in"),
+        ({**ONE, "functions": {"c": [[[], "b"]]}}, "c: ['b'] is not a row"),
+        ({**ONE, "functions": {"c": [[["a"], "a"]]}}, "c: ['a'] is not a row"),
+        ({**ONE, "functions": {"c": [["a"]]}}, "entries must be"),
+        ({**ONE, "functions": {"c": [7]}}, "entries must be"),
+        ({**ONE, "relations": {"P": [["b"]]}}, "P: ['b'] is not a row"),
+        ({**ONE, "relations": {"P": [["a", "a"]]}}, "is not a row"),
+        ({**ONE, "relations": {"P": ["a"]}}, "P: 'a' is not a row"),
+    ],
+)
+def test_model_from_json_rejects_malformed_models(data, message):
+    T = parse_theory(fixture_path("pointed.chr").read_text())
+    with pytest.raises(FormatError) as e:
+        model_from_json(T, data)
+    assert message in str(e.value)
+
+
+def test_model_json_round_trip_and_partial_tables():
+    for name in CORPUS:
+        T = parse_theory(fixture_path(f"{name}.chr").read_text())
+        for M in enumerate_models(T, 2):
+            back = model_from_json(T, model_to_json(M))
+            assert (back.sorts, back.funcs, back.rels) == (M.sorts, M.funcs, M.rels)
+    T = parse_theory(fixture_path("pointed.chr").read_text())
+    M = model_from_json(T, {"sorts": {"A": []}})
+    assert M.funcs == {"c": {}} and M.rels == {"P": frozenset()}
+
+
 def test_chase_equality_merging():
     T = theory(
         "sort A\nfun f : A -> A\nrel P : A\n"
@@ -196,6 +242,60 @@ def test_homomorphism_search_respects_structure():
     N = FinModel(T, {"A": ("b0",)}, {}, {"P": frozenset()})
     assert homomorphisms(M, N) == []
     assert len(homomorphisms(N, M)) == 1
+
+
+def homomorphisms_oracle(M: FinModel, N: FinModel) -> list[dict]:
+    """Every sort-indexed function M -> N, filtered by the function tables
+    and the relations."""
+    sig = M.theory.signature
+    sort_maps = []
+    for s in sig.sorts:
+        dom, cod = M.sorts[s], N.sorts[s]
+        if dom and not cod:
+            return []
+        sort_maps.append(
+            [dict(zip(dom, vals)) for vals in product(cod, repeat=len(dom))]
+        )
+    out = []
+    for combo in product(*sort_maps):
+        h = dict(zip(sig.sorts, combo))
+        if all(
+            N.funcs[f][tuple(h[s][a] for s, a in zip(args, tup))] == h[res][v]
+            for f, (args, res) in sig.funcs.items()
+            for tup, v in M.funcs[f].items()
+        ) and all(
+            tuple(h[s][a] for s, a in zip(argsorts, tup)) in N.rels[r]
+            for r, argsorts in sig.rels.items()
+            for tup in M.rels[r]
+        ):
+            out.append(h)
+    return out
+
+
+def as_items(homs):
+    return [[(s, list(h[s].items())) for s in h] for h in homs]
+
+
+def test_homomorphisms_match_product_filter_oracle():
+    families = [
+        enumerate_models(parse_theory(fixture_path(f"{name}.chr").read_text()), 4)
+        for name in CORPUS
+    ]
+    # two sorts, a cross-sort function, a constant, a binary and a nullary
+    # relation (the parser has no nullary relations, so built directly)
+    sig = Signature(
+        ("A", "B"), {"f": (("A",), "B"), "c": ((), "A")}, {"P": ("B", "A"), "R": ()}
+    )
+    families.append(enumerate_models(Theory(sig, ()), 2))
+    # an empty carrier in the source
+    families.append(enumerate_models(theory("sort A\nsort B\nrel P : A\n"), 2, 0))
+    total = 0
+    for models in families:
+        for M, N in product(models, repeat=2):
+            got = homomorphisms(M, N)
+            assert as_items(got) == as_items(homomorphisms_oracle(M, N))
+            total += len(got)
+    assert total == 13671
 
 
 def test_types_are_prime_filters_on_all_corpus_fixtures():

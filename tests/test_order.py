@@ -1,13 +1,22 @@
-"""Posets: union closure, downset enumeration and the poset catalog key,
-each against the brute-force path it replaced."""
+"""Posets: union closure, the assignment search, downset enumeration,
+order isomorphisms and the poset catalog key, each against the brute-force
+path it replaced."""
 
-from itertools import combinations, permutations
+import random
+from itertools import combinations, permutations, product
 from operator import or_
 
 import pytest
 
 from cohext.catalog import _canonical_key, all_posets, distributive_lattices
-from cohext.order import FinPoset, OrderError, antichain, chain, union_closure
+from cohext.order import (
+    FinPoset,
+    OrderError,
+    antichain,
+    assignments,
+    chain,
+    union_closure,
+)
 
 
 def all_small_posets():
@@ -39,6 +48,99 @@ def canonical_key_oracle(p: FinPoset) -> tuple:
         if best is None or mat < best:
             best = mat
     return (n, best)
+
+
+def iso_to_oracle(p: FinPoset, q: FinPoset) -> dict[str, str] | None:
+    """The first permutation of q's sorted elements, as images of p's
+    sorted elements, that preserves order pairs and signatures."""
+    if len(p.elements) != len(q.elements):
+        return None
+    if sorted(p._signature(a) for a in p.elements) != sorted(
+        q._signature(b) for b in q.elements
+    ):
+        return None
+    src = sorted(p.elements)
+    for perm in permutations(sorted(q.elements)):
+        m = dict(zip(src, perm))
+        if all(
+            p.leq(a, b) == q.leq(m[a], m[b]) for a, b in combinations(src, 2)
+        ) and all(p._signature(a) == q._signature(m[a]) for a in src):
+            return m
+    return None
+
+
+def test_assignments_come_in_lexicographic_order():
+    always = lambda k, acc: True
+    got = list(assignments("abc", lambda k: [2, 0, 1], always))
+    assert got == [dict(zip("abc", v)) for v in product([2, 0, 1], repeat=3)]
+    assert all(list(m) == list("abc") for m in got)
+    # values may depend on the key; an empty key list has one assignment
+    got = list(assignments("ab", lambda k: "xy" if k == "a" else "z", always))
+    assert got == [{"a": "x", "b": "z"}, {"a": "y", "b": "z"}]
+    assert list(assignments([], lambda k: [], always)) == [{}]
+    assert list(assignments("ab", lambda k: [] if k == "b" else [1], always)) == []
+
+
+def test_assignments_cut_a_branch_at_its_rejected_key():
+    calls = []
+
+    def consistent(key, acc):
+        calls.append(dict(acc))
+        return not (key == "a" and acc["a"] == 1)
+
+    got = list(assignments("abc", lambda k: [0, 1], consistent))
+    assert got == [dict(zip("abc", (0,) + v)) for v in product([0, 1], repeat=2)]
+    # a=1 is tried once and never extended: 2 + 2 + 4 checks, not 2 + 4 + 8
+    assert len(calls) == 8
+    assert {"a": 1} in calls and not any(c.get("a") == 1 and len(c) > 1 for c in calls)
+    # the check sees the earlier keys and the newest one, nothing later
+    assert all(list(c) == list("abc")[: len(c)] for c in calls)
+
+
+def test_assignments_stop_early_and_yield_copies():
+    asked = []
+
+    def values(key):
+        asked.append(key)
+        return iter(range(3))
+
+    checked = []
+    gen = assignments("abcd", values, lambda k, acc: checked.append(k) or True)
+    first = next(gen)
+    assert first == dict.fromkeys("abcd", 0)
+    assert asked == list("abcd") and checked == list("abcd")
+    first["a"] = 99
+    assert next(gen) == {"a": 0, "b": 0, "c": 0, "d": 1}
+    assert asked == list("abcd") and len(checked) == 5
+
+
+def test_iso_to_matches_permutation_scan_on_all_posets_up_to_six():
+    posets = all_small_posets()
+    by_size = {}
+    for p in posets:
+        by_size.setdefault(len(p.elements), []).append(p)
+    rng = random.Random(0)
+    found = 0
+    for p in posets:
+        # a relabelled copy, listed in another order, is always isomorphic
+        names = [f"v{i}" for i in range(len(p.elements))]
+        rng.shuffle(names)
+        rename = dict(zip(p.elements, names))
+        elements = list(names)
+        rng.shuffle(elements)
+        copy = FinPoset(
+            tuple(elements), frozenset((rename[a], rename[b]) for a, b in p.pairs)
+        )
+        for q in by_size[len(p.elements)] + [copy]:
+            got = p.iso_to(q)
+            expected = iso_to_oracle(p, q)
+            assert got == expected
+            if got is not None:
+                assert list(got.items()) == list(expected.items())
+                found += 1
+    # the catalog lists one poset per class, so only a poset and its copy
+    # (and the poset itself) are isomorphic
+    assert found == 2 * len(posets)
 
 
 def test_union_closure_is_every_union_of_generators():

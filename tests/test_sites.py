@@ -11,6 +11,7 @@ from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
 from cohext.lattice import LatticeHom, boolean4, chain_lattice, trivial_lattice
 from cohext.sites import (
     SiteError,
+    _matching_families,
     coherent_topology,
     comparison_check,
     factorization_data,
@@ -212,6 +213,8 @@ def test_semidirect_site_full_fiber_covers_match_coherent():
     C = LatticeCategory(chain_lattice(2))
     X = canext_hyperdoctrine(sub_hyperdoctrine(C))
     site = semidirect_site(C, X)
+    # no generating families are listed, so looking one up fails loudly
+    assert site.generators == {}
     coh = coherent_topology(C)
     for nx, (A, u) in site.obj_data.items():
         if u != X.fiber(A).top:
@@ -235,6 +238,42 @@ def test_sheaf_check_on_fixtures():
         assert ok, w
         ok, w = unique_glueing_check(C, X)
         assert ok, w
+
+
+def matching_families_oracle(C, X, sieve):
+    """Every family on the sorted sieve, built as a product and then
+    filtered by agreement along precomposition."""
+    sieve = sorted(sieve)
+    fams = [dict()]
+    for f in sieve:
+        fams = [{**fam, f: u} for fam in fams for u in X.fiber(C.cat.src(f)).elements]
+    return [
+        fam
+        for fam in fams
+        if all(
+            X.sub(g)(fam[f]) == fam[C.cat.compose(f, g)]
+            for f in sieve
+            for g in C.cat.morphisms_into(C.cat.src(f))
+            if C.cat.compose(f, g) in fam
+        )
+    ]
+
+
+def test_matching_families_match_product_filter_oracle():
+    cats = fixture_categories() + [LatticeCategory(L) for L in distributive_lattices(4)]
+    compared = 0
+    for C in cats:
+        site = coherent_topology(C)
+        for X in (sub_hyperdoctrine(C), canext_hyperdoctrine(sub_hyperdoctrine(C))):
+            for A in C.cat.objects:
+                for sieve in site.covering_sieves(A):
+                    got = _matching_families(C, X, sieve)
+                    expected = matching_families_oracle(C, X, sieve)
+                    assert [list(f.items()) for f in got] == [
+                        list(f.items()) for f in expected
+                    ]
+                    compared += 1
+    assert compared == 84
 
 
 def test_sheaf_check_fails_on_doctored_presheaf():
