@@ -8,10 +8,9 @@ lattices, so no lattice-level deduplication is needed.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
 
 from .lattice import FinLattice, downset_lattice
-from .order import FinPoset
+from .order import FinPoset, canonical_form
 
 
 class EnumerationBound(ValueError):
@@ -19,23 +18,11 @@ class EnumerationBound(ValueError):
 
 
 def _canonical_key(p: FinPoset) -> tuple:
-    """Isomorphism-invariant-first canonical form: the lexicographically
-    least relation matrix over all orderings that sort the elements by
-    their (down-set size, up-set size) signature.  Those orderings are the
-    permutations within each signature class, taken in signature order."""
-    n = len(p.elements)
-    classes: dict[tuple[int, int], list[str]] = {}
-    for a in p.elements:
-        classes.setdefault((len(p.down_set(a)), len(p.up_set(a))), []).append(a)
-    best = None
-    for parts in product(*(permutations(classes[s]) for s in sorted(classes))):
-        perm = [a for part in parts for a in part]
-        mat = tuple(
-            p.leq(perm[i], perm[j]) for i in range(n) for j in range(n)
-        )
-        if best is None or mat < best:
-            best = mat
-    return (n, best)
+    """Isomorphism-invariant-first canonical form: the size, then the
+    lexicographically least relation matrix over the orderings that sort
+    the elements by their (down-set size, up-set size) signature."""
+    matrix = lambda o: tuple(p.leq(a, b) for a in o for b in o)
+    return (len(p.elements), canonical_form(p.elements, p._signature, matrix))
 
 
 @lru_cache(maxsize=None)

@@ -35,10 +35,16 @@ from .report import Report
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    flags = (("--budget", args.budget), ("--max-size", getattr(args, "max_size", None)))
-    for flag, value in flags:
-        if value is not None and value < 1:
-            parser.error(f"argument {flag}: must be an integer >= 1, not {value}")
+    flags = (
+        ("--budget", args.budget, 1),
+        ("--max-size", getattr(args, "max_size", None), 1),
+        ("--max-fresh", getattr(args, "max_fresh", None), 0),
+        ("--rounds", getattr(args, "rounds", None), 1),
+        ("--max", getattr(args, "max", None), 0),
+    )
+    for flag, value, least in flags:
+        if value is not None and value < least:
+            parser.error(f"argument {flag}: must be an integer >= {least}, not {value}")
     if not hasattr(args, "run"):
         parser.print_help()
         return 2

@@ -209,7 +209,7 @@ class ConcreteCohCategory(CohCategory):
     (plus product squares when available).
     """
 
-    def __init__(self, seeds, check_associativity: bool = False):
+    def __init__(self, seeds):
         sets = set()
         for s in seeds:
             s = frozenset(s)
@@ -237,9 +237,7 @@ class ConcreteCohCategory(CohCategory):
             for g in by_src.get(set_name(B), []):
                 _, C, gm = self._funs[g]
                 comp[(g, f)] = fun_name(A, C, {a: gm[fm[a]] for a in A})
-        self.cat = FinCategory(
-            tuple(set_name(s) for s in self.sets), morphisms, comp, identities
-        ) if check_associativity else _fincat_unchecked(
+        self.cat = FinCategory.trusted(
             tuple(set_name(s) for s in self.sets), morphisms, comp, identities
         )
 
@@ -360,17 +358,6 @@ def _functions(A, B):
     """All functions A -> B as dicts, deterministic order."""
     values = sorted(B)
     return list(assignments(sorted(A), lambda a: values, lambda a, acc: True))
-
-
-def _fincat_unchecked(objects, morphisms, comp, identities) -> FinCategory:
-    """Build a FinCategory skipping the O(n^3) associativity sweep; used
-    only for categories whose composition is function composition."""
-    cat = object.__new__(FinCategory)
-    object.__setattr__(cat, "objects", objects)
-    object.__setattr__(cat, "morphisms", morphisms)
-    object.__setattr__(cat, "comp", comp)
-    object.__setattr__(cat, "identities", identities)
-    return cat
 
 
 # -- distributive lattices as posetal categories -------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from ..order import canonical_form
 from .syntax import (
     And,
     App,
@@ -106,40 +107,28 @@ class FinModel:
         )
 
     def canonical_key(self):
-        """Isomorphism-invariant key: least rename over all permutations.
-        Usable only for small carriers."""
-        from itertools import permutations
+        """Isomorphism-invariant key: the least rename of the tables by
+        position within each sort, over the orders that permute only
+        elements of one sort with the same (symbol, position) incidences
+        in function graph and relation rows (`order.canonical_form`)."""
+        sort_of = {x: s for s, xs in self.sorts.items() for x in xs}
+        incidences = {x: [] for x in sort_of}
+        graphs = [(f, k + (v,)) for f, tab in self.funcs.items() for k, v in tab.items()]
+        for name, row in graphs + [(r, t) for r, ts in self.rels.items() for t in ts]:
+            for i, x in enumerate(row):
+                incidences[x].append((name, i))
 
-        best = None
-        per_sort = [
-            list(permutations(range(len(xs)))) for xs in self.sorts.values()
-        ]
-        names = list(self.sorts)
-        for combo in iproduct(*per_sort):
-            mapping = {}
-            for sname, perm in zip(names, combo):
-                xs = self.sorts[sname]
-                for i, j in enumerate(perm):
-                    mapping[xs[i]] = f"{sname}#{j}"
-            key = (
-                tuple(sorted((s, len(xs)) for s, xs in self.sorts.items())),
-                tuple(
-                    sorted(
-                        (f, tuple(sorted((tuple(mapping[a] for a in k), mapping[v])
-                                          for k, v in tab.items())))
-                        for f, tab in self.funcs.items()
-                    )
-                ),
-                tuple(
-                    sorted(
-                        (r, tuple(sorted(tuple(mapping[a] for a in t) for t in rows)))
-                        for r, rows in self.rels.items()
-                    )
-                ),
+        def encode(order):
+            m = self.rename({x: f"{s}#{j}" for s in self.sorts
+                             for j, x in enumerate(y for y in order if sort_of[y] == s)})
+            return (
+                tuple(sorted((s, len(xs)) for s, xs in m.sorts.items())),
+                tuple(sorted((f, tuple(sorted(t.items()))) for f, t in m.funcs.items())),
+                tuple(sorted((r, tuple(sorted(ts))) for r, ts in m.rels.items())),
             )
-            if best is None or key < best:
-                best = key
-        return best
+
+        signature = lambda x: (sort_of[x], tuple(sorted(incidences[x])))
+        return canonical_form(sort_of, signature, encode)
 
 
 @dataclass
@@ -208,33 +197,33 @@ def _fresh(state: _State, sort: str, max_fresh: int) -> str:
 
 
 def _search(T, state, max_fresh, max_rounds, seed) -> ChaseResult:
-    """Depth-first over branch choices; within a branch, repair rounds."""
+    """Depth-first over branch choices; within a branch, repair rounds.
+    The theory is refuted only when no budget cut a branch short."""
     stack = [(state, 0)]
     best_partial = state
+    cuts = set()  # names of the budgets that cut a branch
     while stack:
         st, rounds = stack.pop()
         try:
-            outcome = _run_rounds(T, st, max_fresh, max_rounds - rounds, seed)
+            outcome = _run_rounds(T, st, max_fresh, max_rounds - rounds, seed, cuts)
         except _Exhausted:
             best_partial = st
+            cuts.add("round")
             continue
         if outcome[0] == "model":
             return ChaseResult("model", outcome[1], rounds + outcome[2])
-        if outcome[0] == "branch":
-            _, alternatives, used = outcome
-            for alt in reversed(alternatives):
-                stack.append((alt, rounds + used))
-            continue
         if outcome[0] == "stuck":
             best_partial = st
             continue
-    if best_partial.fresh >= max_fresh:
+        _, alternatives, used = outcome
+        stack.extend((alt, rounds + used) for alt in reversed(alternatives))
+    if cuts:
         return ChaseResult("exhausted", _to_model(T, best_partial), max_rounds,
-                           "fresh-element budget exhausted")
+                           " and ".join(sorted(cuts)) + " budget exhausted")
     return ChaseResult("refuted", None, max_rounds, "all branches failed")
 
 
-def _run_rounds(T, state, max_fresh, rounds_left, seed):
+def _run_rounds(T, state, max_fresh, rounds_left, seed, cuts):
     used = 0
     while used < rounds_left:
         violation = _find_violation(T, state)
@@ -244,7 +233,7 @@ def _run_rounds(T, state, max_fresh, rounds_left, seed):
                 return ("model", model, used)
             return ("stuck", None, used)
         seq, env = violation
-        alternatives = _repairs(T, seq.rhs, env, state, max_fresh, seed)
+        alternatives = _repairs(T, seq.rhs, env, state, max_fresh, seed, cuts)
         used += 1
         if not alternatives:
             return ("stuck", None, used)
@@ -290,8 +279,9 @@ def _holds(model, state, phi, env) -> bool:
         return False
 
 
-def _repairs(T, phi, env, state, max_fresh, seed) -> list[_State]:
-    """All one-step ways to make phi hold, each as a successor state."""
+def _repairs(T, phi, env, state, max_fresh, seed, cuts) -> list[_State]:
+    """All one-step ways to make phi hold, each as a successor state; a way
+    that needs more than max_fresh elements is dropped and noted in cuts."""
     if isinstance(phi, Truth):
         return [state]
     if isinstance(phi, Falsity):
@@ -301,6 +291,7 @@ def _repairs(T, phi, env, state, max_fresh, seed) -> list[_State]:
         try:
             args = tuple(_eval_defining(st, t, env, max_fresh) for t in phi.args)
         except _Exhausted:
+            cuts.add("fresh-element")
             return []
         st.rels[phi.rel].add(args)
         return [st]
@@ -310,6 +301,7 @@ def _repairs(T, phi, env, state, max_fresh, seed) -> list[_State]:
             a = _eval_defining(st, phi.lhs, env, max_fresh)
             b = _eval_defining(st, phi.rhs, env, max_fresh)
         except _Exhausted:
+            cuts.add("fresh-element")
             return []
         _merge(st, a, b)
         return [st]
@@ -319,7 +311,7 @@ def _repairs(T, phi, env, state, max_fresh, seed) -> list[_State]:
             nxt = []
             for st in states:
                 env2 = dict(env)
-                nxt.extend(_repairs(T, part, env2, st, max_fresh, seed))
+                nxt.extend(_repairs(T, part, env2, st, max_fresh, seed, cuts))
             states = nxt
         return states
     if isinstance(phi, Or):
@@ -329,7 +321,7 @@ def _repairs(T, phi, env, state, max_fresh, seed) -> list[_State]:
             k = seed % len(parts)
             parts = parts[k:] + parts[:k]
         for part in parts:
-            out.extend(_repairs(T, part, env, state, max_fresh, seed))
+            out.extend(_repairs(T, part, env, state, max_fresh, seed, cuts))
         return out
     if isinstance(phi, Exists):
         out = []
@@ -343,8 +335,9 @@ def _repairs(T, phi, env, state, max_fresh, seed) -> list[_State]:
                         v if v is not None else _fresh(st, b.sort, max_fresh)
                     )
             except _Exhausted:
+                cuts.add("fresh-element")
                 continue
-            out.extend(_repairs(T, phi.body, env2, st, max_fresh, seed))
+            out.extend(_repairs(T, phi.body, env2, st, max_fresh, seed, cuts))
         return out
     raise TypeError(phi)
 

@@ -7,12 +7,15 @@ Down-closed families (downsets here, sieves in `sites`, subfunctors in
 `logic.models`) are the union closures of their principal members, and
 `union_closure` enumerates them without a search over all subsets.  Every
 finite map search (monotone maps, isomorphisms, homomorphisms, function
-tables) is one depth-first `assignments` that prunes as it assigns.
+tables) is one depth-first `assignments` that prunes as it assigns.  The
+canonical forms of posets and of models are one `canonical_form`, which
+permutes elements only within classes of equal invariant signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 from operator import or_
 
 
@@ -59,6 +62,21 @@ def assignments(keys, values, consistent):
         acc.pop(key, None)
 
     return extend(0)
+
+
+def canonical_form(elements, signature, encode):
+    """The least `encode(order)` over the orders that list `elements` by
+    class of equal `signature`, classes in sorted signature order, each
+    class in any order.  For an isomorphism-invariant `signature` and an
+    `encode` that reads the structure through positions in `order`, equal
+    values mean isomorphic structures."""
+    classes = {}
+    for a in elements:
+        classes.setdefault(signature(a), []).append(a)
+    return min(
+        encode([a for part in parts for a in part])
+        for parts in product(*(permutations(classes[s]) for s in sorted(classes)))
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,6 +131,19 @@ def test_budget_below_one_is_a_usage_error():
         assert f"--budget: must be an integer >= 1, not {budget}" in r.stderr
 
 
+def test_bounds_below_their_minimum_are_usage_errors():
+    chase = ["chase", fx("pointed.chr")]
+    cases = [
+        (chase, "--max-fresh", 0, "-1"),
+        (chase, "--rounds", 1, "0"),
+        (chase, "--rounds", 1, "-2"),
+    ] + [(["enumerate", kind], "--max", 0, "-1") for kind in ("dl", "cat", "hyp")]
+    for args, flag, least, value in cases:
+        r = run_cli(*args, flag, value)
+        assert r.returncode == 2 and r.stdout == ""
+        assert f"{flag}: must be an integer >= {least}, not {value}" in r.stderr
+
+
 def test_chase_command_reports_model():
     r = run_cli("chase", fx("pointed.chr"))
     assert r.returncode == 0

@@ -1,6 +1,6 @@
 """Parser, chase, and the model-family pipeline."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -150,9 +150,32 @@ def test_chase_budget_exhaustion_reports_partial():
     )
     start = FinModel(T, {"A": ("a0",)}, {"s": {}}, {"Lt": frozenset()})
     res = chase(T, start=start, max_fresh=3, max_rounds=40)
-    assert res.status in ("exhausted", "refuted")
-    if res.status == "exhausted":
-        assert res.model is not None
+    assert res.status == "exhausted" and res.model is not None
+    assert res.note == "fresh-element budget exhausted"
+
+
+def test_chase_cut_by_the_round_budget_is_not_refuted():
+    T = parse_theory(fixture_path("pointed.chr").read_text())
+    res = chase(T, max_rounds=1)
+    assert (res.status, res.note) == ("exhausted", "round budget exhausted")
+    assert chase(T, max_rounds=2).status == "model"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chase_branch_cut_before_a_contradiction_is_not_refuted(seed):
+    # Both theories have models that the budget keeps out of reach, and
+    # every branch it leaves fails.  The first has s(c) = c, but the chase
+    # names each new s(x) by a fresh element; the second has a 3-cycle of
+    # R, but two elements allow only the fresh witness.
+    theories = [
+        ("sort A\nfun c : -> A\nfun s : A -> A\nrel P : A\nrel Q : A\n"
+         "true |- P(c) or Q(c)\nx:A | P(x) |- P(s(x))\nx:A | Q(x) |- false\n", 4),
+        ("sort A\nfun c : -> A\nrel R : A, A\nx:A | true |- exists y:A. R(x, y)\n"
+         "x:A | R(x, x) |- false\nx:A, y:A | R(x, y) and R(y, x) |- false\n", 2),
+    ]
+    for text, max_fresh in theories:
+        res = chase(theory(text), max_fresh=max_fresh, seed=seed)
+        assert (res.status, res.note) == ("exhausted", "fresh-element budget exhausted")
 
 
 def test_chase_corpus_terminates():
@@ -236,6 +259,70 @@ def test_enumerate_models_dedupes_up_to_iso():
     assert len(classes) == 5 and len(all_models) == 6
 
 
+def canonical_key_oracle(M: FinModel):
+    """The least rename of M over every permutation of every carrier."""
+    best = None
+    per_sort = [list(permutations(range(len(xs)))) for xs in M.sorts.values()]
+    names = list(M.sorts)
+    for combo in product(*per_sort):
+        mapping = {}
+        for sname, perm in zip(names, combo):
+            xs = M.sorts[sname]
+            for i, j in enumerate(perm):
+                mapping[xs[i]] = f"{sname}#{j}"
+        key = (
+            tuple(sorted((s, len(xs)) for s, xs in M.sorts.items())),
+            tuple(
+                sorted(
+                    (f, tuple(sorted((tuple(mapping[a] for a in k), mapping[v])
+                                      for k, v in tab.items())))
+                    for f, tab in M.funcs.items()
+                )
+            ),
+            tuple(
+                sorted(
+                    (r, tuple(sorted(tuple(mapping[a] for a in t) for t in rows)))
+                    for r, rows in M.rels.items()
+                )
+            ),
+        )
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def iso_classes(models, key):
+    classes = {}
+    for i, M in enumerate(models):
+        classes.setdefault(key(M), []).append(i)
+    return sorted(classes.values())
+
+
+def test_canonical_key_splits_models_like_the_permutation_oracle():
+    models = classes = 0
+    for family in oracle_families(up_to_iso=False):
+        got = iso_classes(family, FinModel.canonical_key)
+        assert got == iso_classes(family, canonical_key_oracle)
+        models, classes = models + len(family), classes + len(got)
+    assert (models, classes) == (559, 143)
+
+
+def as_tables(models):
+    return [(M.sorts, M.funcs, M.rels) for M in models]
+
+
+def test_enumerate_models_matches_the_permutation_key_enumerator():
+    for name in CORPUS:
+        T = parse_theory(fixture_path(f"{name}.chr").read_text())
+        reduced, seen = [], set()
+        for M in enumerate_models(T, 5, up_to_iso=False):
+            key = canonical_key_oracle(M)
+            if key not in seen:
+                seen.add(key)
+                reduced.append(M)
+        assert as_tables(enumerate_models(T, 5)) == as_tables(reduced)
+
+
 def test_homomorphism_search_respects_structure():
     T = theory("sort A\nrel P : A\n")
     M = FinModel(T, {"A": ("a0",)}, {}, {"P": frozenset({("a0",)})})
@@ -276,9 +363,12 @@ def as_items(homs):
     return [[(s, list(h[s].items())) for s in h] for h in homs]
 
 
-def test_homomorphisms_match_product_filter_oracle():
+def oracle_families(up_to_iso=True):
     families = [
-        enumerate_models(parse_theory(fixture_path(f"{name}.chr").read_text()), 4)
+        enumerate_models(
+            parse_theory(fixture_path(f"{name}.chr").read_text()), 4,
+            up_to_iso=up_to_iso,
+        )
         for name in CORPUS
     ]
     # two sorts, a cross-sort function, a constant, a binary and a nullary
@@ -286,11 +376,17 @@ def test_homomorphisms_match_product_filter_oracle():
     sig = Signature(
         ("A", "B"), {"f": (("A",), "B"), "c": ((), "A")}, {"P": ("B", "A"), "R": ()}
     )
-    families.append(enumerate_models(Theory(sig, ()), 2))
+    families.append(enumerate_models(Theory(sig, ()), 2, up_to_iso=up_to_iso))
     # an empty carrier in the source
-    families.append(enumerate_models(theory("sort A\nsort B\nrel P : A\n"), 2, 0))
+    families.append(enumerate_models(
+        theory("sort A\nsort B\nrel P : A\n"), 2, 0, up_to_iso=up_to_iso
+    ))
+    return families
+
+
+def test_homomorphisms_match_product_filter_oracle():
     total = 0
-    for models in families:
+    for models in oracle_families():
         for M, N in product(models, repeat=2):
             got = homomorphisms(M, N)
             assert as_items(got) == as_items(homomorphisms_oracle(M, N))
@@ -316,8 +412,8 @@ def test_singleton_sort_unique_type():
 
 
 def test_conditions_pass_on_corpus():
-    for name in CORPUS:
-        C = corpus_category(name)
+    for name, size in product(CORPUS, (2, 5)):
+        C = corpus_category(name, size)
         assert check_m1(C).passed
         assert check_m2(C).passed
         assert check_m3(C).passed

@@ -14,6 +14,7 @@ from cohext.order import (
     OrderError,
     antichain,
     assignments,
+    canonical_form,
     chain,
     union_closure,
 )
@@ -141,6 +142,36 @@ def test_iso_to_matches_permutation_scan_on_all_posets_up_to_six():
     # the catalog lists one poset per class, so only a poset and its copy
     # (and the poset itself) are isomorphic
     assert found == 2 * len(posets)
+
+
+def test_canonical_form_is_the_brute_force_minimum_on_one_class():
+    for p in [p for n in range(6) for p in all_posets(n)]:
+        matrix = lambda o: tuple(p.leq(a, b) for a in o for b in o)
+        got = canonical_form(p.elements, lambda a: 0, matrix)
+        assert got == min(matrix(o) for o in permutations(p.elements))
+
+
+def test_canonical_form_of_no_elements_encodes_the_empty_order():
+    assert canonical_form((), lambda a: 0, lambda o: ("empty", o)) == ("empty", [])
+
+
+def test_canonical_form_is_invariant_under_relabelling():
+    # directed graphs, which need not be posets, classed by their degrees
+    def form(nodes, edges):
+        def degrees(a):
+            return (sum(x == a for x, _ in edges), sum(y == a for _, y in edges))
+
+        adjacency = lambda o: tuple((a, b) in edges for a in o for b in o)
+        return canonical_form(nodes, degrees, adjacency)
+
+    rng = random.Random(0)
+    for n in range(7):
+        nodes = [f"v{i}" for i in range(n)]
+        for _ in range(20):
+            edges = {(a, b) for a in nodes for b in nodes if rng.random() < 0.3}
+            name = dict(zip(nodes, rng.sample(nodes, n)))
+            moved = {(name[a], name[b]) for a, b in edges}
+            assert form(nodes, moved) == form(nodes, edges)
 
 
 def test_union_closure_is_every_union_of_generators():
