@@ -402,7 +402,7 @@ def cmd_models_check(args, report: Report):
 def cmd_models_sigma(args, report: Report):
     from .logic.models import sigma_bar_check
 
-    C, indices, n = _family_setup(args, report)
+    C, indices, _ = _family_setup(args, report)
     rep = sigma_bar_check(C, require_conditions=False, indices=indices)
     for r in (rep.naturality, rep.exists_preservation, rep.embedding, rep.surjectivity):
         report.check(r.name, r.passed, r.witness)

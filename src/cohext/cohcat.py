@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fincat import CategoryError, FinCategory, FinFunctor, Morphism
+from .fincat import CategoryError, FinCategory, FinFunctor, Morphism, composable_pairs
 from .lattice import FinLattice, LatticeHom, MonotoneMap, NamedSetLattice, set_lattice
 from .order import assignments, set_name, union_closure
 
@@ -40,6 +40,28 @@ class PullbackSquare:
     obj: str
     alpha_p: str
     beta_p: str
+
+
+def pairing(cat: FinCategory, cone: ProductCone, f: str, g: str) -> str:
+    """The unique mediating morphism into a chosen product cone."""
+    matches = cat.factorizations(
+        cat.src(f), cone.obj, ((cone.pi1, f), (cone.pi2, g))
+    )
+    if len(matches) != 1:
+        raise MissingLimitError(
+            f"pairing of ({f},{g}) has {len(matches)} candidates"
+        )
+    return matches[0]
+
+
+def is_product_cone(cat: FinCategory, A: str, B: str, cone: ProductCone) -> bool:
+    """Every pair Z -> A, Z -> B has exactly one mediating Z -> cone.obj."""
+    return all(
+        len(cat.factorizations(Z, cone.obj, ((cone.pi1, f), (cone.pi2, g)))) == 1
+        for Z in cat.objects
+        for f in cat.hom(Z, A)
+        for g in cat.hom(Z, B)
+    )
 
 
 class CohCategory:
@@ -90,20 +112,7 @@ class CohCategory:
     def pairing(self, f: str, g: str) -> str:
         """The unique h with pi1 o h = f and pi2 o h = g into the chosen
         product of the targets."""
-        A, B = self.cat.tgt(f), self.cat.tgt(g)
-        cone = self.product(A, B)
-        Z = self.cat.src(f)
-        matches = [
-            h
-            for h in self.cat.hom(Z, cone.obj)
-            if self.cat.compose(cone.pi1, h) == f
-            and self.cat.compose(cone.pi2, h) == g
-        ]
-        if len(matches) != 1:
-            raise MissingLimitError(
-                f"pairing of {f},{g} not unique ({len(matches)} candidates)"
-            )
-        return matches[0]
+        return pairing(self.cat, self.product(self.cat.tgt(f), self.cat.tgt(g)), f, g)
 
     def diagonal(self, A: str) -> str:
         i = self.cat.identity(A)
@@ -132,20 +141,6 @@ class CohCategory:
 
     def is_terminal(self, T: str) -> bool:
         return all(len(self.cat.hom(A, T)) == 1 for A in self.cat.objects)
-
-    def is_product_cone(self, A: str, B: str, cone: ProductCone) -> bool:
-        for Z in self.cat.objects:
-            for f in self.cat.hom(Z, A):
-                for g in self.cat.hom(Z, B):
-                    hs = [
-                        h
-                        for h in self.cat.hom(Z, cone.obj)
-                        if self.cat.compose(cone.pi1, h) == f
-                        and self.cat.compose(cone.pi2, h) == g
-                    ]
-                    if len(hs) != 1:
-                        return False
-        return True
 
     def all_pullback_squares(self) -> list[PullbackSquare]:
         """Exhaustive mode: every cospan that has a pullback cone among the
@@ -176,19 +171,13 @@ class CohCategory:
 
     def _is_pullback(self, alpha, beta, Q, pA, pB) -> bool:
         cat = self.cat
-        for Z in cat.objects:
-            for u in cat.hom(Z, cat.src(alpha)):
-                for v in cat.hom(Z, cat.src(beta)):
-                    if cat.compose(alpha, u) != cat.compose(beta, v):
-                        continue
-                    hs = [
-                        h
-                        for h in cat.hom(Z, Q)
-                        if cat.compose(pA, h) == u and cat.compose(pB, h) == v
-                    ]
-                    if len(hs) != 1:
-                        return False
-        return True
+        return all(
+            len(cat.factorizations(Z, Q, ((pA, u), (pB, v)))) == 1
+            for Z in cat.objects
+            for u in cat.hom(Z, cat.src(alpha))
+            for v in cat.hom(Z, cat.src(beta))
+            if cat.compose(alpha, u) == cat.compose(beta, v)
+        )
 
 
 # -- concrete fragments of finite sets ----------------------------------------
@@ -230,13 +219,10 @@ class ConcreteCohCategory(CohCategory):
                     if A == B and all(mapping[a] == a for a in A):
                         identities[set_name(A)] = n
         comp = {}
-        by_src = {}
-        for n, (A, B, m) in self._funs.items():
-            by_src.setdefault(set_name(A), []).append(n)
-        for f, (A, B, fm) in self._funs.items():
-            for g in by_src.get(set_name(B), []):
-                _, C, gm = self._funs[g]
-                comp[(g, f)] = fun_name(A, C, {a: gm[fm[a]] for a in A})
+        for f, g in composable_pairs(morphisms):
+            A, _, fm = self._funs[f.name]
+            _, C, gm = self._funs[g.name]
+            comp[(g.name, f.name)] = fun_name(A, C, {a: gm[fm[a]] for a in A})
         self.cat = FinCategory.trusted(
             tuple(set_name(s) for s in self.sets), morphisms, comp, identities
         )
@@ -377,21 +363,17 @@ class LatticeCategory(CohCategory):
 
         require_distributive(L)
         self.lattice = L
-        morphisms, identities, comp = {}, {}, {}
-        pairs = [
-            (a, b)
+        morphisms = {
+            le_name(a, b): Morphism(le_name(a, b), a, b)
             for a in L.elements
             for b in L.elements
             if L.leq(a, b)
-        ]
-        for a, b in pairs:
-            morphisms[le_name(a, b)] = Morphism(le_name(a, b), a, b)
-        for a in L.elements:
-            identities[a] = le_name(a, a)
-        for a, b in pairs:
-            for b2, c in pairs:
-                if b == b2:
-                    comp[(le_name(b, c), le_name(a, b))] = le_name(a, c)
+        }
+        identities = {a: le_name(a, a) for a in L.elements}
+        comp = {
+            (g.name, f.name): le_name(f.src, g.tgt)
+            for f, g in composable_pairs(morphisms)
+        }
         self.cat = FinCategory(tuple(L.elements), morphisms, comp, identities)
 
     @lru_cache(maxsize=None)
@@ -490,7 +472,7 @@ def coherent_functor_witness(F: FinFunctor, C: CohCategory, D: CohCategory):
             fcone = ProductCone(
                 F.on_obj(cone.obj), F.on_mor(cone.pi1), F.on_mor(cone.pi2)
             )
-            if not D.is_product_cone(F.on_obj(A), F.on_obj(B), fcone):
+            if not is_product_cone(D.cat, F.on_obj(A), F.on_obj(B), fcone):
                 return f"product of ({A},{B}) not preserved"
     for f in C.cat.morphisms:
         for g in C.cat.morphisms:
@@ -500,7 +482,7 @@ def coherent_functor_witness(F: FinFunctor, C: CohCategory, D: CohCategory):
                 or f > g
             ):
                 continue
-            eq_obj, eq_mono = C.equalizer(f, g)
+            _, eq_mono = C.equalizer(f, g)
             if not _is_equalizer(D, F.on_mor(f), F.on_mor(g), F.on_mor(eq_mono)):
                 return f"equalizer of ({f},{g}) not preserved"
     for A in C.cat.objects:
@@ -526,17 +508,13 @@ def coherent_functor_witness(F: FinFunctor, C: CohCategory, D: CohCategory):
 def _is_equalizer(D: CohCategory, f: str, g: str, mono: str) -> bool:
     if D.cat.compose(f, mono) != D.cat.compose(g, mono):
         return False
-    E = D.cat.src(mono)
-    for Z in D.cat.objects:
-        for z in D.cat.hom(Z, D.cat.src(f)):
-            if D.cat.compose(f, z) != D.cat.compose(g, z):
-                continue
-            lifts = [
-                h for h in D.cat.hom(Z, E) if D.cat.compose(mono, h) == z
-            ]
-            if len(lifts) != 1:
-                return False
-    return True
+    cat, E = D.cat, D.cat.src(mono)
+    return all(
+        len(cat.factorizations(Z, E, ((mono, z),))) == 1
+        for Z in cat.objects
+        for z in cat.hom(Z, cat.src(f))
+        if cat.compose(f, z) == cat.compose(g, z)
+    )
 
 
 def check_conservative(F: FinFunctor, C: CohCategory, D: CohCategory) -> bool:

@@ -3,6 +3,19 @@
 Categories are explicit tables: objects, morphisms with source/target, a
 composition table, and identities.  Everything is validated at
 construction.  compose(g, f) means g after f.
+
+Morphisms are found by their endpoints and composites here, not by the
+callers:
+- every category keeps a hom index `(A, B) -> sorted names` and an
+  into-index `B -> sorted names`, built once at construction, which
+  `hom` and `morphisms_into` read;
+- `composable_pairs(morphisms)` walks the pairs (f, g) with tgt f == src g
+  in the order of the nested loop over the morphism table, so constructors
+  can build a composition table before the category exists and the law
+  checks report the same first failure as that loop;
+- `FinCategory.factorizations(Z, Q, legs)` lists the h : Z -> Q with
+  p o h == u for every (p, u) in legs: the mediating morphisms of a
+  universal property and the lifts through a mono.
 """
 
 from __future__ import annotations
@@ -24,6 +37,23 @@ class Morphism:
     tgt: str
 
 
+def _out_of(morphisms: dict[str, Morphism]) -> dict[str, list[Morphism]]:
+    """The morphisms out of each object, in table order."""
+    out: dict[str, list[Morphism]] = {}
+    for m in morphisms.values():
+        out.setdefault(m.src, []).append(m)
+    return out
+
+
+def composable_pairs(morphisms: dict[str, Morphism]):
+    """Each (f, g) of Morphisms with tgt f == src g: f in table order, then
+    g in table order, as the nested loop over the table visits them."""
+    out_of = _out_of(morphisms)
+    for f in morphisms.values():
+        for g in out_of.get(f.tgt, ()):
+            yield f, g
+
+
 @dataclass(frozen=True, eq=False)
 class FinCategory:
     objects: tuple[str, ...]
@@ -43,37 +73,41 @@ class FinCategory:
             im = self.morphisms[i]
             if im.src != A or im.tgt != A:
                 raise CategoryError(f"identity of {A} not an endomorphism")
-        for f in self.morphisms.values():
-            for g in self.morphisms.values():
-                if f.tgt == g.src:
-                    h = self.comp.get((g.name, f.name))
-                    if h is None:
-                        raise CategoryError(
-                            f"missing composite {g.name} o {f.name}"
-                        )
-                    hm = self.morphisms[h]
-                    if hm.src != f.src or hm.tgt != g.tgt:
-                        raise CategoryError(
-                            f"composite {g.name} o {f.name} mistyped"
-                        )
+        for f, g in composable_pairs(self.morphisms):
+            h = self.comp.get((g.name, f.name))
+            if h is None:
+                raise CategoryError(f"missing composite {g.name} o {f.name}")
+            hm = self.morphisms[h]
+            if hm.src != f.src or hm.tgt != g.tgt:
+                raise CategoryError(f"composite {g.name} o {f.name} mistyped")
         for f in self.morphisms.values():
             if self.comp[(f.name, self.identities[f.src])] != f.name:
                 raise CategoryError(f"right identity fails for {f.name}")
             if self.comp[(self.identities[f.tgt], f.name)] != f.name:
                 raise CategoryError(f"left identity fails for {f.name}")
-        for f in self.morphisms.values():
-            for g in self.morphisms.values():
-                if f.tgt != g.src:
-                    continue
-                for h in self.morphisms.values():
-                    if g.tgt != h.src:
-                        continue
-                    left = self.comp[(h.name, self.comp[(g.name, f.name)])]
-                    right = self.comp[(self.comp[(h.name, g.name)], f.name)]
-                    if left != right:
-                        raise CategoryError(
-                            f"associativity fails on ({h.name},{g.name},{f.name})"
-                        )
+        out_of = _out_of(self.morphisms)
+        for f, g in composable_pairs(self.morphisms):
+            gf = self.comp[(g.name, f.name)]
+            for h in out_of.get(g.tgt, ()):
+                left = self.comp[(h.name, gf)]
+                right = self.comp[(self.comp[(h.name, g.name)], f.name)]
+                if left != right:
+                    raise CategoryError(
+                        f"associativity fails on ({h.name},{g.name},{f.name})"
+                    )
+        self._index()
+
+    def _index(self):
+        """Set the hom index (A, B) -> sorted names and the into-index
+        B -> sorted names that `hom` and `morphisms_into` read."""
+        hom, into = {}, {}
+        for m in self.morphisms.values():
+            hom.setdefault((m.src, m.tgt), []).append(m.name)
+            into.setdefault(m.tgt, []).append(m.name)
+        for name, index in (("_hom", hom), ("_into", into)):
+            object.__setattr__(
+                self, name, {k: tuple(sorted(v)) for k, v in index.items()}
+            )
 
     @classmethod
     def trusted(cls, objects, morphisms, comp, identities) -> FinCategory:
@@ -84,6 +118,7 @@ class FinCategory:
         object.__setattr__(obj, "morphisms", morphisms)
         object.__setattr__(obj, "comp", comp)
         object.__setattr__(obj, "identities", identities)
+        obj._index()
         return obj
 
     def src(self, f: str) -> str:
@@ -99,12 +134,17 @@ class FinCategory:
         return self.identities[A]
 
     def hom(self, A: str, B: str) -> list[str]:
-        return sorted(
-            m.name for m in self.morphisms.values() if m.src == A and m.tgt == B
-        )
+        return list(self._hom.get((A, B), ()))
 
     def morphisms_into(self, A: str) -> list[str]:
-        return sorted(m.name for m in self.morphisms.values() if m.tgt == A)
+        return list(self._into.get(A, ()))
+
+    def factorizations(self, Z: str, Q: str, legs) -> list[str]:
+        """The h : Z -> Q with p o h == u for each (p, u) in legs, sorted."""
+        return [
+            h for h in self._hom.get((Z, Q), ())
+            if all(self.comp[(p, h)] == u for p, u in legs)
+        ]
 
     def is_iso(self, f: str) -> str | None:
         """The name of an inverse of f, if one exists."""
@@ -162,14 +202,11 @@ class FinFunctor:
                 self.obj_map[A]
             ):
                 raise CategoryError(f"functor breaks identity of {A}")
-        for f in self.source.morphisms:
-            for g in self.source.morphisms:
-                if self.source.tgt(f) != self.source.src(g):
-                    continue
-                if self.mor_map[self.source.compose(g, f)] != self.target.compose(
-                    self.mor_map[g], self.mor_map[f]
-                ):
-                    raise CategoryError(f"functor breaks composition ({g},{f})")
+        for f, g in composable_pairs(self.source.morphisms):
+            if self.mor_map[self.source.compose(g.name, f.name)] != self.target.compose(
+                self.mor_map[g.name], self.mor_map[f.name]
+            ):
+                raise CategoryError(f"functor breaks composition ({g.name},{f.name})")
 
     def on_obj(self, A: str) -> str:
         return self.obj_map[A]

@@ -18,8 +18,9 @@ from .cohcat import (
     MissingLimitError,
     ProductCone,
     PullbackSquare,
+    is_product_cone,
 )
-from .fincat import FinCategory, FinFunctor
+from .fincat import FinCategory, FinFunctor, composable_pairs
 from .lattice import (
     FinLattice,
     LatticeHom,
@@ -63,21 +64,6 @@ class BaseLimits:
                     pass
         squares = C.all_pullback_squares() if exhaustive else C.chosen_squares()
         return cls(term, prods, tuple(squares))
-
-
-def base_pairing(cat: FinCategory, cone: ProductCone, f: str, g: str) -> str:
-    """The unique mediating morphism into a chosen product cone."""
-    Z = cat.src(f)
-    matches = [
-        h
-        for h in cat.hom(Z, cone.obj)
-        if cat.compose(cone.pi1, h) == f and cat.compose(cone.pi2, h) == g
-    ]
-    if len(matches) != 1:
-        raise MissingLimitError(
-            f"pairing of ({f},{g}) has {len(matches)} candidates"
-        )
-    return matches[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,19 +140,16 @@ def validate(P: CoherentHyperdoctrine) -> ValidationReport:
             w = f"subst at identity of {A} is not the identity"
             break
     if w is None:
-        for f, mf in P.base.morphisms.items():
-            for g, mg in P.base.morphisms.items():
-                if mf.tgt != mg.src:
-                    continue
-                gf = P.base.compose(g, f)
-                for c in P.fibers[mg.tgt].elements:
-                    if P.sub(gf)(c) != P.sub(f)(P.sub(g)(c)):
-                        w = f"functoriality fails on ({g},{f}) at {c}"
-                        break
-                if w:
-                    break
-            if w:
-                break
+        w = next(
+            (
+                f"functoriality fails on ({g.name},{f.name}) at {c}"
+                for f, g in composable_pairs(P.base.morphisms)
+                for c in P.fibers[g.tgt].elements
+                if P.sub(P.base.compose(g.name, f.name))(c)
+                != P.sub(f.name)(P.sub(g.name)(c))
+            ),
+            None,
+        )
     checks.append(LawCheck("subst-functorial", w is None, w))
     # adjunctions
     w = None
@@ -300,23 +283,8 @@ def validate_morphism(m: HypMorphism) -> ValidationReport:
             fc = ProductCone(
                 m.K.on_obj(cone.obj), m.K.on_mor(cone.pi1), m.K.on_mor(cone.pi2)
             )
-            for Z in P2.base.objects:
-                for u in P2.base.hom(Z, m.K.on_obj(A)):
-                    for v in P2.base.hom(Z, m.K.on_obj(B)):
-                        hs = [
-                            h
-                            for h in P2.base.hom(Z, fc.obj)
-                            if P2.base.compose(fc.pi1, h) == u
-                            and P2.base.compose(fc.pi2, h) == v
-                        ]
-                        if len(hs) != 1:
-                            w = f"product of ({A},{B}) not preserved"
-                            break
-                    if w:
-                        break
-                if w:
-                    break
-            if w:
+            if not is_product_cone(P2.base, m.K.on_obj(A), m.K.on_obj(B), fc):
+                w = f"product of ({A},{B}) not preserved"
                 break
     checks.append(LawCheck("limits-preserved", w is None, w))
     # naturality

@@ -61,8 +61,12 @@ def load_lattice(path) -> FinLattice:
 
 
 def category_from_json(data: dict) -> CohCategory:
+    if not isinstance(data, dict):
+        raise FormatError("category JSON must be an object with a 'kind'")
     kind = data.get("kind")
     if kind == "lattice":
+        if "lattice" not in data:
+            raise FormatError("lattice category needs a 'lattice' key")
         return LatticeCategory(lattice_from_json(data["lattice"]))
     if kind == "concrete":
         objects = data.get("objects")
@@ -70,8 +74,8 @@ def category_from_json(data: dict) -> CohCategory:
             raise FormatError("concrete category needs an 'objects' mapping")
         seeds = []
         for name, elems in objects.items():
-            if not all(isinstance(e, str) for e in elems):
-                raise FormatError(f"object {name} has non-string elements")
+            if not (isinstance(elems, list) and all(isinstance(e, str) for e in elems)):
+                raise FormatError(f"object {name} must be a list of strings")
             seeds.append(frozenset(elems))
         return ConcreteCohCategory(seeds)
     raise FormatError("category 'kind' must be 'lattice' or 'concrete'")
@@ -102,6 +106,8 @@ def category_to_json(C: CohCategory) -> dict:
 def hyperdoctrine_from_json(data: dict, base_dir: Path | None = None) -> CoherentHyperdoctrine:
     from .hyperdoctrine import sub_hyperdoctrine
 
+    if not isinstance(data, dict):
+        raise FormatError("hyperdoctrine JSON must be an object")
     if "subobjects_of" in data:
         ref = data["subobjects_of"]
         if isinstance(ref, str):
@@ -117,7 +123,8 @@ def hyperdoctrine_from_json(data: dict, base_dir: Path | None = None) -> Coheren
         if isinstance(data["base"], str)
         else category_from_json(data["base"])
     )
-    P = sub_hyperdoctrine(C)
+    if not isinstance(data["fibers"], dict):
+        raise FormatError("'fibers' must map objects to lattices")
     fibers = {}
     for A, ref in data["fibers"].items():
         fibers[A] = (
@@ -125,14 +132,22 @@ def hyperdoctrine_from_json(data: dict, base_dir: Path | None = None) -> Coheren
             if isinstance(ref, str)
             else lattice_from_json(ref)
         )
-    subst = {
-        f: LatticeHom(fibers[C.cat.tgt(f)], fibers[C.cat.src(f)], table)
-        for f, table in data["subst"].items()
-    }
-    exists = {
-        f: MonotoneMap(fibers[C.cat.src(f)], fibers[C.cat.tgt(f)], table)
-        for f, table in data["exists"].items()
-    }
+
+    def tables(key):
+        """(fiber at src, fiber at tgt, table) per morphism named in data[key]."""
+        given = data.get(key)
+        if not isinstance(given, dict):
+            raise FormatError(f"explicit hyperdoctrine needs a '{key}' mapping")
+        for f, table in given.items():
+            if f not in C.cat.morphisms:
+                raise FormatError(f"'{key}' names unknown morphism {f}")
+            m = C.cat.morphisms[f]
+            if m.src not in fibers or m.tgt not in fibers:
+                raise FormatError(f"'{key}' at {f}: no fiber at {m.src} or {m.tgt}")
+            yield f, fibers[m.src], fibers[m.tgt], table
+
+    subst = {f: LatticeHom(FB, FA, t) for f, FA, FB, t in tables("subst")}
+    exists = {f: MonotoneMap(FA, FB, t) for f, FA, FB, t in tables("exists")}
     return CoherentHyperdoctrine(
         C.cat, fibers, subst, exists, BaseLimits.from_cohcat(C)
     )

@@ -360,7 +360,7 @@ def _merge(state: _State, a: str, b: str):
         if x == y:
             continue
         keep, drop = sorted([x, y])
-        for s, xs in state.sorts.items():
+        for xs in state.sorts.values():
             if drop in xs:
                 xs.remove(drop)
         for r in state.rels:

@@ -13,11 +13,12 @@ explicit term-depth budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice, product as iproduct
 from operator import and_, le, or_
 
 from ..canext import canonical_extension, comjpm_decide, extend_hom
-from ..fincat import FinCategory, Morphism
+from ..fincat import FinCategory, Morphism, composable_pairs
 from ..lattice import (
     LatticeHom,
     MonotoneMap,
@@ -38,14 +39,19 @@ def enumerate_models(
     T: Theory, max_size: int, min_size: int = 1, up_to_iso: bool = True
 ) -> list[FinModel]:
     """All models of the theory with carriers of the given sizes, one per
-    isomorphism class when up_to_iso."""
+    isomorphism class when up_to_iso.  Elements are named by the lowercased
+    sort name and an index, so two sorts that would share an element name
+    are refused: models map elements by name."""
     sig = T.signature
+    names = {s: tuple(f"{s.lower()}{i}" for i in range(max_size)) for s in sig.sorts}
+    owner = {}
+    for s, xs in names.items():
+        for x in xs:
+            if owner.setdefault(x, s) != s:
+                raise ValueError(f"sorts {owner[x]} and {s} share the element name {x}")
     out, seen = [], set()
     for vec in iproduct(range(min_size, max_size + 1), repeat=len(sig.sorts)):
-        sorts = {
-            s: tuple(f"{s.lower()}{i}" for i in range(n))
-            for s, n in zip(sig.sorts, vec)
-        }
+        sorts = {s: names[s][:n] for s, n in zip(sig.sorts, vec)}
         for funcs in _all_func_tables(sig, sorts):
             for rels in _all_rel_tables(sig, sorts):
                 m = FinModel(T, sorts, funcs, rels)
@@ -210,24 +216,19 @@ class FamilyCategory:
                 )
             ]
             identities[s] = ident[0]
-        for n1, t1 in self._maps.items():
-            for n2, t2 in self._maps.items():
-                if t1.tgt != t2.src:
-                    continue
-                tables = tuple(
-                    {a: tb2[tb1[a]] for a in tb1}
-                    for tb1, tb2 in zip(t1.tables, t2.tables)
+        for f, g in composable_pairs(morphisms):
+            t1, t2 = self._maps[f.name], self._maps[g.name]
+            tables = tuple(
+                {a: tb2[tb1[a]] for a in tb1}
+                for tb1, tb2 in zip(t1.tables, t2.tables)
+            )
+            key = (t1.src, t2.tgt, tuple(tuple(sorted(tb.items())) for tb in tables))
+            if key not in self._by_key:
+                raise ValueError(
+                    "term-depth budget too small: "
+                    f"composite of {f.name};{g.name} missing"
                 )
-                key = (
-                    t1.src,
-                    t2.tgt,
-                    tuple(tuple(sorted(tb.items())) for tb in tables),
-                )
-                if key not in self._by_key:
-                    raise ValueError(
-                        f"term-depth budget too small: composite of {n1};{n2} missing"
-                    )
-                comp[(n2, n1)] = self._by_key[key]
+            comp[(g.name, f.name)] = self._by_key[key]
         self.cat = FinCategory(self.sorts, morphisms, comp, identities)
         self._subs: dict[str, NamedSetLattice] = {}
         self._build_subobjects()
@@ -271,7 +272,7 @@ class FamilyCategory:
                 if not new <= fams[s]:
                     fams[s] |= new
                     changed = True
-            for name, tm in self._maps.items():
+            for tm in self._maps.values():
                 for u in list(fams[tm.tgt]):
                     pre = _preimage(tm.tables, u)
                     if pre not in fams[tm.src]:
@@ -427,22 +428,22 @@ def _indices(C: FamilyCategory, indices) -> tuple[int, ...]:
     return tuple(range(len(C.family.models))) if indices is None else tuple(indices)
 
 
+def _meet_exchange(C: FamilyCategory, tm: TermMap, i: int, rho) -> bool:
+    """At family member i, the image along tm of the meet of the components
+    of the prime filter rho is the meet of their images."""
+    parts = [C.decode(tm.src, u)[i] for u in rho]
+    table = tm.tables[i]
+    image = lambda part: frozenset(table[a] for a in part)
+    return image(reduce(and_, parts)) == reduce(and_, map(image, parts))
+
+
 def check_m1(C: FamilyCategory, indices=None) -> ConditionReport:
     """Every family member commutes images with prime-filter meets."""
     for i in _indices(C, indices):
         for f, tm in C._maps.items():
             S = C.sub_lattice(tm.src)
             for rho in prime_filters(S):
-                meet = None
-                for u in rho:
-                    part = C.decode(tm.src, u)[i]
-                    meet = part if meet is None else meet & part
-                lhs = frozenset(tm.tables[i][a] for a in meet)
-                rhs = None
-                for u in rho:
-                    img = frozenset(tm.tables[i][a] for a in C.decode(tm.src, u)[i])
-                    rhs = img if rhs is None else rhs & img
-                if lhs != rhs:
+                if not _meet_exchange(C, tm, i, rho):
                     return ConditionReport(
                         "M1", False,
                         f"model {i}, map {f}, prime filter {sorted(rho)}",
@@ -631,18 +632,7 @@ class Evaluation:
             S = C.sub_lattice(tm.src)
             for rho in prime_filters(S):
                 for i in self.indices:
-                    meet = None
-                    for u in rho:
-                        part = C.decode(tm.src, u)[i]
-                        meet = part if meet is None else meet & part
-                    lhs = frozenset(tm.tables[i][a] for a in meet)
-                    rhs = None
-                    for u in rho:
-                        img = frozenset(
-                            tm.tables[i][a] for a in C.decode(tm.src, u)[i]
-                        )
-                        rhs = img if rhs is None else rhs & img
-                    if lhs != rhs:
+                    if not _meet_exchange(C, tm, i, rho):
                         return ConditionReport(
                             "ev-pmodel", False,
                             f"map {f}, prime filter {sorted(rho)}, model {i}",

@@ -14,7 +14,13 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cohcat import CohCategory, MissingLimitError, ProductCone, PullbackSquare
+from .cohcat import (
+    CohCategory,
+    MissingLimitError,
+    ProductCone,
+    PullbackSquare,
+    pairing,
+)
 from .fincat import (
     CategoryError,
     EquivalenceReport,
@@ -23,13 +29,13 @@ from .fincat import (
     Morphism,
     NaturalTransformation,
     check_equivalence,
+    composable_pairs,
     natural_iso,
 )
 from .hyperdoctrine import (
     CanextHyperdoctrine,
     CoherentHyperdoctrine,
     HyperdoctrineError,
-    base_pairing,
     canext_hyperdoctrine,
     sub_hyperdoctrine,
     validate,
@@ -112,21 +118,14 @@ class PredCategory:
                 )
             identities[pred_obj_name(A, a)] = n
         comp = {}
-        for nf, rf in self.rels.items():
-            for ng, rg in self.rels.items():
-                if (rf.tgt_obj, rf.tgt_elem) != (rg.src_obj, rg.src_elem):
-                    continue
-                h = self.compose_relations(rf, rg)
-                n = pred_mor_name(
-                    h,
-                    pred_obj_name(rf.src_obj, rf.src_elem),
-                    pred_obj_name(rg.tgt_obj, rg.tgt_elem),
+        for f, g in composable_pairs(morphisms):
+            h = self.compose_relations(self.rels[f.name], self.rels[g.name])
+            n = pred_mor_name(h, f.src, g.tgt)
+            if n not in morphisms:
+                raise HyperdoctrineError(
+                    f"composite of {f.name};{g.name} is not a functional relation"
                 )
-                if n not in morphisms:
-                    raise HyperdoctrineError(
-                        f"composite of {nf};{ng} is not a functional relation"
-                    )
-                comp[(ng, nf)] = n
+            comp[(g.name, f.name)] = n
         # FinCategory construction re-verifies identity and associativity laws
         self.cat = FinCategory(
             tuple(sorted(self.obj_data)), morphisms, comp, identities
@@ -162,9 +161,9 @@ class PredCategory:
         pi1 = base.compose(ab.pi1, t.pi1)
         pi2 = base.compose(ab.pi2, t.pi1)
         pi3 = t.pi2
-        pi13 = base_pairing(base, ab, pi1, pi3)
-        pi = base_pairing(base, bb, pi2, pi3)
-        diag = base_pairing(base, bb, base.identity(B), base.identity(B))
+        pi13 = pairing(base, ab, pi1, pi3)
+        pi = pairing(base, bb, pi2, pi3)
+        diag = pairing(base, bb, base.identity(B), base.identity(B))
         lhs = P.ex(pi)(
             P.fiber(t.obj).meet(P.sub(pi12)(f), P.sub(pi13)(f))
         )
@@ -173,7 +172,7 @@ class PredCategory:
 
     def identity_relation(self, A: str, a: str) -> str:
         P = self.P
-        diag = base_pairing(
+        diag = pairing(
             P.base, self._pi(A, A), P.base.identity(A), P.base.identity(A)
         )
         return P.ex(diag)(a)
@@ -188,8 +187,8 @@ class PredCategory:
         pi1 = base.compose(ab.pi1, t.pi1)
         pi2 = base.compose(ab.pi2, t.pi1)
         pi3 = t.pi2
-        pi13 = base_pairing(base, ac, pi1, pi3)
-        pi23 = base_pairing(base, bc, pi2, pi3)
+        pi13 = pairing(base, ac, pi1, pi3)
+        pi23 = pairing(base, bc, pi2, pi3)
         return P.ex(pi13)(
             P.fiber(t.obj).meet(P.sub(pi12)(rf.elem), P.sub(pi23)(rg.elem))
         )
@@ -226,7 +225,6 @@ class PredCohCategory(CohCategory):
     def pullback_map(self, f: str) -> LatticeHom:
         r = self.AP.relation_of(f)
         P = self.AP.P
-        base = P.base
         cone = P.limits.product(r.src_obj, r.tgt_obj)
         SA = self.sub_lattice(self.cat.src(f))
         SB = self.sub_lattice(self.cat.tgt(f))
@@ -283,7 +281,7 @@ class PredCohCategory(CohCategory):
         P = self.AP.P
         g = P.base
         pc = P.limits.product(cone.obj, B)
-        h = base_pairing(g, pc, g.identity(cone.obj), pi)
+        h = pairing(g, pc, g.identity(cone.obj), pi)
         elem = P.ex(h)(u)
         n = self.AP.find_morphism(cone.obj, u, B, b, elem)
         if n is None:
@@ -361,8 +359,6 @@ def counit_functor(C: CohCategory, AP: PredCategory) -> FinFunctor:
         )
         if m is None:
             raise CategoryError(f"relation {n} is not the graph of a unique morphism")
-        uo, um = C.subobject_object(r.src_obj, r.src_elem)
-        vo, vm = C.subobject_object(r.tgt_obj, r.tgt_elem)
         mor_map[n] = m
     return FinFunctor(AP.cat, C.cat, obj_map, mor_map)
 

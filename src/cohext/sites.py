@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .canext import CanonicalExtension, delta_extension
 from .cohcat import CohCategory
-from .fincat import CategoryError, FinCategory, FinFunctor, Morphism
+from .fincat import CategoryError, FinCategory, FinFunctor, Morphism, composable_pairs
 from .hyperdoctrine import (
     BaseLimits,
     CanextHyperdoctrine,
@@ -160,11 +160,9 @@ class FilterCategory:
                 X, X, LocalMap(S.top, C.cat.identity(A))
             )
         comp = {}
-        for n1, (X, Y, m1) in self.germ_data.items():
-            for n2, (Y2, Z, m2) in self.germ_data.items():
-                if Y != Y2:
-                    continue
-                comp[(n2, n1)] = self._compose_germs(X, Y, Z, m1, m2)
+        for f, g in composable_pairs(morphisms):
+            m1, m2 = self.germ_data[f.name][2], self.germ_data[g.name][2]
+            comp[(g.name, f.name)] = self._compose_germs(f.src, f.tgt, g.tgt, m1, m2)
         self.cat = FinCategory(
             tuple(sorted(self.objects)), morphisms, comp, identities
         )
@@ -186,7 +184,7 @@ class FilterCategory:
         C = self.C
         uo, um = C.subobject_object(A, U)
         do, dm = C.subobject_object(A, m.dom)
-        lifts = [h for h in C.cat.hom(uo, do) if C.cat.compose(dm, h) == um]
+        lifts = C.cat.factorizations(uo, do, ((dm, um),))
         if len(lifts) != 1:
             raise CategoryError(f"inclusion of {U} into {m.dom} not unique")
         return C.cat.compose(m.mor, lifts[0])
@@ -244,15 +242,13 @@ class FilterCategory:
         """Germ of m2 o m1 : X -> Z, restricting m1 to the preimage of the
         domain of m2."""
         C = self.C
-        A, F = self.objects[X]
-        B, G = self.objects[Y]
-        S = C.sub_lattice(A)
-        uo, um = C.subobject_object(A, m1.dom)
+        A, _ = self.objects[X]
+        B, _ = self.objects[Y]
+        _, um = C.subobject_object(A, m1.dom)
         dom = C.image_map(um)(C.pullback_map(m1.mor)(m2.dom))
         r = self._restrict_local(A, m1, dom)
         to, tm = C.subobject_object(B, m2.dom)
-        src = C.cat.src(r)
-        lifts = [h for h in C.cat.hom(src, to) if C.cat.compose(tm, h) == r]
+        lifts = C.cat.factorizations(C.cat.src(r), to, ((tm, r),))
         if len(lifts) != 1:
             raise CategoryError("restricted map does not factor through the domain")
         composed = C.cat.compose(m2.mor, lifts[0])
@@ -265,9 +261,9 @@ class FilterCategory:
         """The filter { V | the preimage of V is in F } on the target."""
         X, Y, m = self.germ_data[germ_name]
         A, F = self.objects[X]
-        B, G = self.objects[Y]
+        B, _ = self.objects[Y]
         C = self.C
-        uo, um = C.subobject_object(A, m.dom)
+        _, um = C.subobject_object(A, m.dom)
         pb = C.pullback_map(m.mor)
         io = C.image_map(um)
         SB = C.sub_lattice(B)
@@ -288,7 +284,7 @@ def jp_site(tau: FilterCategory) -> Site:
     covers (A, rho) when some member has full image."""
 
     def covers(X: str, sieve) -> bool:
-        A, rho = tau.objects[X]
+        _, rho = tau.objects[X]
         return any(tau.image_filter(f) == rho for f in sieve)
 
     gens = {}
@@ -323,19 +319,19 @@ def jp_cover_induced_oracle(tau: FilterCategory, X: str, sieve) -> bool:
 
 def _all_choices_land(C, S, F, datas) -> bool:
     def image_of(member, U):
-        (B, FB), m = member
+        (B, _), m = member
         SB = C.sub_lattice(B)
         rest = SB.meet(U, m.dom)
         ro, rm = C.subobject_object(B, rest)
         do, dm = C.subobject_object(B, m.dom)
-        lifts = [h for h in C.cat.hom(ro, do) if C.cat.compose(dm, h) == rm]
+        lifts = C.cat.factorizations(ro, do, ((dm, rm),))
         mor = C.cat.compose(m.mor, lifts[0])
         return C.image_map(mor)(C.sub_lattice(ro).top)
 
     def rec(i, acc):
         if i == len(datas):
             return S.join_all(acc) in F
-        (B, FB), m = datas[i]
+        (_, FB), _ = datas[i]
         return all(
             rec(i + 1, acc + [image_of(datas[i], U)]) for U in sorted(FB)
         )
@@ -432,13 +428,10 @@ def semidirect_site(C_like, X: CoherentHyperdoctrine) -> SemidirectSite:
                     mdata[n] = f
     for nx, (A, u) in omap.items():
         identities[nx] = mor_name(base.identity(A), nx, nx)
-    for n1, m1 in morphisms.items():
-        for n2, m2 in morphisms.items():
-            if m1.tgt != m2.src:
-                continue
-            comp[(n2, n1)] = mor_name(
-                base.compose(mdata[n2], mdata[n1]), m1.src, m2.tgt
-            )
+    for m1, m2 in composable_pairs(morphisms):
+        comp[(m2.name, m1.name)] = mor_name(
+            base.compose(mdata[m2.name], mdata[m1.name]), m1.src, m2.tgt
+        )
     cat = FinCategory(tuple(sorted(omap)), morphisms, comp, identities)
 
     adjoints = {
@@ -452,8 +445,7 @@ def semidirect_site(C_like, X: CoherentHyperdoctrine) -> SemidirectSite:
         FA = X.fiber(A)
         total = FA.bottom
         for n in sieve:
-            src = cat.src(n)
-            B, v = omap[src]
+            _, v = omap[cat.src(n)]
             total = FA.join(total, adjoints[mdata[n]](v))
         return total == u
 
@@ -720,11 +712,12 @@ def comparison_check(
                 f
                 for f in source.cat.morphisms_into(D)
                 if any(
-                    target.cat.compose(xi, h) == e.on_mor(f)
-                    for xi in s
-                    for h in target.cat.hom(
-                        e.on_obj(source.cat.src(f)), target.cat.src(xi)
+                    target.cat.factorizations(
+                        e.on_obj(source.cat.src(f)),
+                        target.cat.src(xi),
+                        ((xi, e.on_mor(f)),),
                     )
+                    for xi in s
                 )
             )
             if not source.covers(D, pulled):
@@ -807,9 +800,9 @@ def irreducible_site(C: CohCategory, X: CanextHyperdoctrine) -> SemidirectSite:
     mdata = {n: full.mor_data[n] for n in morphisms}
 
     def covers(nx, sieve) -> bool:
-        A, x = omap[nx]
+        _, x = omap[nx]
         for n in sieve:
-            B, z = omap[cat.src(n)]
+            _, z = omap[cat.src(n)]
             if adjoints[mdata[n]](z) == x:
                 return True
         return False

@@ -176,6 +176,14 @@ def test_model_flags_out_of_range_are_usage_errors():
     assert json.loads(r.stdout)["checks"][0]["data"]["dropped"] == 0
 
 
+def test_models_refuse_sorts_that_share_element_names(tmp_path):
+    theory = tmp_path / "clash.chr"
+    theory.write_text("sort A\nsort a\nfun f : A -> a\n")
+    r = run_cli("models", "check-m", str(theory), "--max-size", "2")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: sorts A and a share the element name a0")
+
+
 def test_chase_start_must_be_a_model_of_the_theory(tmp_path):
     r = run_cli("chase", fx("pointed.chr"), "--start", fx("two_chain.lat.json"))
     assert r.returncode == 2 and r.stdout == ""
@@ -209,6 +217,27 @@ def test_enumerate_emits_json_lines():
     assert len(lines) == 5
     for line in lines:
         json.loads(line)
+
+
+def test_malformed_category_and_hyperdoctrine_files_are_located_errors(tmp_path):
+    hyp = json.loads((FIXTURE_DIR / "broken_exists.hyp.json").read_text())
+    hyp["base"] = fx(hyp["base"])
+    no_subst = {k: v for k, v in hyp.items() if k != "subst"}
+    unknown = {**hyp, "subst": {**hyp["subst"], "zz": {}}}
+    cases = [
+        ("predcat", "build", {"kind": "lattice"}, "'lattice'"),
+        ("predcat", "build", [1, 2], "'kind'"),
+        ("predcat", "build", {"kind": "concrete", "objects": {"X": 5}}, "object X"),
+        ("hyper", "validate", no_subst, "'subst'"),
+        ("hyper", "validate", unknown, "unknown morphism zz"),
+    ]
+    for i, (cmd, sub, data, located) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(data))
+        r = run_cli(cmd, sub, str(path))
+        assert r.returncode == 2 and r.stdout == "", data
+        assert r.stderr.startswith("error:") and located in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_every_shipped_fixture_loads_and_validates():

@@ -24,10 +24,17 @@ from cohext.fincat import (
     FinFunctor,
     Morphism,
     check_equivalence,
+    composable_pairs,
     natural_iso,
 )
+from cohext.fixtures import FIXTURE_DIR
+from cohext.hyperdoctrine import sub_hyperdoctrine
+from cohext.jsonio import load_category
 from cohext.lattice import LatticeHom, boolean4, chain_lattice, lattice_homs
+from cohext.logic.models import FamilyCategory, ModelFamily, enumerate_models
+from cohext.logic.parser import parse_theory
 from cohext.order import set_name
+from cohext.sites import type_category
 
 
 def two_point_category():
@@ -292,3 +299,191 @@ def test_functions_are_the_product_in_order():
         expected = [dict(zip(items, v)) for v in product(sorted(B), repeat=len(items))]
         got = _functions(frozenset(A), frozenset(B))
         assert [list(f.items()) for f in got] == [list(f.items()) for f in expected]
+
+
+# -- the hom index, composable pairs and factorizations against the scans ------
+
+
+def hom_scan(cat, A, B):
+    return sorted(m.name for m in cat.morphisms.values() if m.src == A and m.tgt == B)
+
+
+def into_scan(cat, A):
+    return sorted(m.name for m in cat.morphisms.values() if m.tgt == A)
+
+
+def nested_loop_pairs(morphisms):
+    return [
+        (f, g) for f in morphisms.values() for g in morphisms.values() if f.tgt == g.src
+    ]
+
+
+def category_laws_oracle(objects, morphisms, comp, identities):
+    """The law loops `FinCategory` ran before it walked composable pairs."""
+    objs = set(objects)
+    for m in morphisms.values():
+        if m.src not in objs or m.tgt not in objs:
+            raise CategoryError(f"morphism {m.name} has unknown endpoints")
+    for A in objects:
+        i = identities.get(A)
+        if i is None or i not in morphisms:
+            raise CategoryError(f"missing identity for {A}")
+        im = morphisms[i]
+        if im.src != A or im.tgt != A:
+            raise CategoryError(f"identity of {A} not an endomorphism")
+    for f in morphisms.values():
+        for g in morphisms.values():
+            if f.tgt == g.src:
+                h = comp.get((g.name, f.name))
+                if h is None:
+                    raise CategoryError(f"missing composite {g.name} o {f.name}")
+                hm = morphisms[h]
+                if hm.src != f.src or hm.tgt != g.tgt:
+                    raise CategoryError(f"composite {g.name} o {f.name} mistyped")
+    for f in morphisms.values():
+        if comp[(f.name, identities[f.src])] != f.name:
+            raise CategoryError(f"right identity fails for {f.name}")
+        if comp[(identities[f.tgt], f.name)] != f.name:
+            raise CategoryError(f"left identity fails for {f.name}")
+    for f in morphisms.values():
+        for g in morphisms.values():
+            if f.tgt != g.src:
+                continue
+            for h in morphisms.values():
+                if g.tgt != h.src:
+                    continue
+                left = comp[(h.name, comp[(g.name, f.name)])]
+                right = comp[(comp[(h.name, g.name)], f.name)]
+                if left != right:
+                    raise CategoryError(
+                        f"associativity fails on ({h.name},{g.name},{f.name})"
+                    )
+
+
+def functor_laws_oracle(source, target, mor_map):
+    """The composition loop `FinFunctor` ran before it walked composable pairs."""
+    for f in source.morphisms:
+        for g in source.morphisms:
+            if source.tgt(f) != source.src(g):
+                continue
+            if mor_map[source.compose(g, f)] != target.compose(mor_map[g], mor_map[f]):
+                raise CategoryError(f"functor breaks composition ({g},{f})")
+
+
+def fixture_cohcats():
+    names = ["one_point.cat.json", "pair_fragment.cat.json", "two_objects.cat.json"]
+    return [load_category(FIXTURE_DIR / n) for n in names] + [
+        LatticeCategory(chain_lattice(3)), LatticeCategory(boolean4())
+    ]
+
+
+def indexed_categories():
+    cats = [LatticeCategory(L).cat for L in distributive_lattices(5)]
+    for C in fixture_cohcats():
+        cats += [C.cat, type_category(C).cat]
+        try:
+            cats.append(predcat.build_pred_category(sub_hyperdoctrine(C)).cat)
+        except MissingLimitError:  # pair_fragment lacks the product {x,y}^2
+            pass
+    T = parse_theory((FIXTURE_DIR / "pointed.chr").read_text())
+    cats.append(FamilyCategory(T, ModelFamily.build(enumerate_models(T, 2))).cat)
+    return cats
+
+
+def test_hom_index_matches_the_scans():
+    cats = indexed_categories()
+    # DL(<=5); each fixture, its type and its predicate category; the family
+    assert len(cats) == 8 + 5 * 3 - 1 + 1
+    for cat in cats:
+        for A in cat.objects:
+            assert cat.morphisms_into(A) == into_scan(cat, A)
+            for B in cat.objects:
+                assert cat.hom(A, B) == hom_scan(cat, A, B)
+
+
+def test_composable_pairs_follow_the_nested_loop():
+    for cat in indexed_categories():
+        assert list(composable_pairs(cat.morphisms)) == nested_loop_pairs(cat.morphisms)
+
+
+def raised(check):
+    with pytest.raises(CategoryError) as e:
+        check()
+    return str(e.value)
+
+
+def mutations(cat):
+    """Broken copies of the composition table: each composite of two
+    non-identities dropped, mistyped, and redirected to a parallel morphism."""
+    idents = set(cat.identities.values())
+    for f, g in composable_pairs(cat.morphisms):
+        if f.name in idents or g.name in idents:
+            continue
+        key = (g.name, f.name)
+        yield "missing composite", {k: v for k, v in cat.comp.items() if k != key}
+        for A, i in cat.identities.items():
+            if (A, A) != (f.src, g.tgt):
+                yield "mistyped", {**cat.comp, key: i}
+                break
+        for h in cat.hom(f.src, g.tgt):
+            if h != cat.comp[key]:
+                yield "associativity fails", {**cat.comp, key: h}
+
+
+def test_category_laws_report_the_oracle_witness_on_mutated_tables():
+    kinds = set()
+    for C in fixture_cohcats():
+        cat = C.cat
+        for kind, comp in mutations(cat):
+            args = (cat.objects, cat.morphisms, comp, cat.identities)
+            message = raised(lambda: FinCategory(*args))
+            assert message == raised(lambda: category_laws_oracle(*args))
+            assert kind in message
+            kinds.add(kind)
+    assert kinds == {"missing composite", "mistyped", "associativity fails"}
+
+
+def test_functor_law_reports_the_oracle_witness_on_a_broken_composite():
+    broken = 0
+    for C in fixture_cohcats():
+        cat, idents = C.cat, set(C.cat.identities.values())
+        objects = {A: A for A in cat.objects}
+        for f, m in cat.morphisms.items():
+            for g in cat.hom(m.src, m.tgt):
+                if f in idents or g == f:
+                    continue
+                mor_map = {**{h: h for h in cat.morphisms}, f: g}
+                message = raised(lambda: functor_laws_oracle(cat, cat, mor_map))
+                assert message == raised(lambda: FinFunctor(cat, cat, objects, mor_map))
+                broken += 1
+    assert broken > 0
+
+
+def test_factorizations_match_the_hom_filter():
+    """One leg: every lift through every morphism.  Two legs: the mediating
+    morphisms into every chosen product cone."""
+    for C in fixture_cohcats():
+        cat = C.cat
+        cases = [
+            (Z, cat.src(p), ((p, u),))
+            for Z in cat.objects
+            for p in cat.morphisms
+            for u in cat.hom(Z, cat.tgt(p))
+        ]
+        for A, B in product(cat.objects, repeat=2):
+            try:
+                cone = C.product(A, B)
+            except MissingLimitError:
+                continue
+            cases += [
+                (Z, cone.obj, ((cone.pi1, f), (cone.pi2, g)))
+                for Z in cat.objects
+                for f in cat.hom(Z, A)
+                for g in cat.hom(Z, B)
+            ]
+        assert any(len(legs) == 2 for _, _, legs in cases)
+        for Z, Q, legs in cases:
+            expected = [
+                h for h in cat.hom(Z, Q) if all(cat.compose(p, h) == u for p, u in legs)
+            ]
+            assert cat.factorizations(Z, Q, legs) == expected

@@ -1,4 +1,5 @@
-"""Every name a module under src/ imports is used in that module."""
+"""Every name a module under src/ imports is used in that module, and every
+local name a function under src/ binds is read in that function."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,46 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def own_nodes(fn):
+    """The nodes of a function body outside the functions and classes
+    nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, SCOPES):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source: str) -> list[str]:
+    """Local names a function body binds and never reads.  A name counts as
+    read when the function, or a function nested in it, loads it.  Names
+    starting with `_` and names declared global or nonlocal are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = set()
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, (ast.Global, ast.Nonlocal)):
+                read.update(n.names)
+        bound = {}
+        for n in own_nodes(fn):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                bound.setdefault(n.id, n.lineno)
+        out += [
+            f"line {line}: {name} in {fn.name}"
+            for name, line in sorted(bound.items(), key=lambda kv: (kv[1], kv[0]))
+            if not name.startswith("_") and name not in read
+        ]
+    return out
+
+
 def test_src_modules_are_found():
     names = {p.name for p in MODULES}
     assert {"order.py", "cli.py", "models.py"} <= names
@@ -58,3 +99,32 @@ def test_unused_import_detector_on_samples():
     assert unused_imports(
         "from itertools import combinations, permutations\npermutations([])\n"
     ) == ["line 1: combinations"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_function_reads_every_local_it_binds(path):
+    assert dead_locals(path.read_text()) == []
+
+
+def test_dead_local_detector_on_samples():
+    assert dead_locals("def f():\n    x = 1\n    return x\n") == []
+    assert dead_locals("def f():\n    x = 1\n") == ["line 2: x in f"]
+    assert dead_locals("def f(p):\n    a, b = p\n    return a\n") == [
+        "line 2: b in f"
+    ]
+    assert dead_locals("def f(p):\n    _, b = p\n    return b\n") == []
+    assert dead_locals("def f(xs):\n    for i, x in xs:\n        print(x)\n") == [
+        "line 2: i in f"
+    ]
+    assert dead_locals("def f(xs):\n    return [1 for x in xs]\n") == [
+        "line 2: x in f"
+    ]
+    # read by a nested function; bound by a nested function, reported there
+    assert dead_locals(
+        "def f():\n    x = 1\n    def g():\n        y = x\n    return g\n"
+    ) == ["line 4: y in g"]
+    assert dead_locals(
+        "def f():\n    n = 0\n    def g():\n        nonlocal n\n        n = 1\n"
+        "    return g, n\n"
+    ) == []
+    assert dead_locals("x = 1\n") == []

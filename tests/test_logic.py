@@ -259,6 +259,17 @@ def test_enumerate_models_dedupes_up_to_iso():
     assert len(classes) == 5 and len(all_models) == 6
 
 
+def test_enumerate_models_refuses_sorts_that_share_element_names():
+    T = theory("sort A\nsort a\nfun f : A -> a\n")
+    with pytest.raises(ValueError, match="sorts A and a share the element name a0"):
+        enumerate_models(T, 2)
+    # a1 + "0" == a + "10": refused before any model is built
+    T = theory("sort A1\nsort a\n")
+    with pytest.raises(ValueError, match="sorts A1 and a share the element name a10"):
+        enumerate_models(T, 11)
+    assert len(enumerate_models(T, 2)) == 4
+
+
 def canonical_key_oracle(M: FinModel):
     """The least rename of M over every permutation of every carrier."""
     best = None
