@@ -497,9 +497,9 @@ def product_lattice(L: FinLattice, K: FinLattice) -> FinLattice:
 
 def product_projections(L: FinLattice, K: FinLattice):
     P = product_lattice(L, K)
-    split = {e: e[1:-1].split("|", 1) for e in P.elements}
-    p1 = MonotoneMap(P, L, {e: split[e][0] for e in P.elements})
-    p2 = MonotoneMap(P, K, {e: split[e][1] for e in P.elements})
+    pairs = [(a, b) for a in L.elements for b in K.elements]
+    p1 = MonotoneMap(P, L, {pair_name(a, b): a for a, b in pairs})
+    p2 = MonotoneMap(P, K, {pair_name(a, b): b for a, b in pairs})
     return P, p1, p2
 
 

@@ -5,7 +5,10 @@ elements of the product that behave as functional relations (total on the
 source predicate, bounded by the product of the predicates, single-valued).
 Composition is relation composition through a triple product and the
 identity is the diagonal image; both are fixed formulas here and the
-category laws are verified by brute force rather than trusted.
+category laws are verified by brute force rather than trusted.  The triple
+product (A x B) x C and its three pair projections depend only on the base
+objects, so each is built once per triple; single-valuedness of a relation
+A -> B reads the same span at (A, B, B).
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class PredCategory:
     def __init__(self, P: CoherentHyperdoctrine, budget: int | None = None):
         budget = budget if budget is not None else search_budget()
         self.P = P
+        self._triples: dict[tuple[str, str, str], tuple[str, str, str, str]] = {}
         base = P.base
         objs = [
             (A, a) for A in base.objects for a in P.fiber(A).elements
@@ -126,6 +130,9 @@ class PredCategory:
                     f"composite of {f.name};{g.name} is not a functional relation"
                 )
             comp[(g.name, f.name)] = n
+        # the spans only serve the bulk composition above, and a built
+        # category can outlive its use (PredCohCategory's lru_cache keeps it)
+        self._triples.clear()
         # FinCategory construction re-verifies identity and associativity laws
         self.cat = FinCategory(
             tuple(sorted(self.obj_data)), morphisms, comp, identities
@@ -151,46 +158,42 @@ class PredCategory:
                 out.append(f)
         return out
 
+    def _triple(self, A: str, B: str, C: str) -> tuple[str, str, str, str]:
+        """(A x B) x C with its projections onto A x B, A x C and B x C."""
+        key = (A, B, C)
+        if key not in self._triples:
+            base = self.P.base
+            ab = self._pi(A, B)
+            t = self.P.limits.product(ab.obj, C)
+            pi1 = base.compose(ab.pi1, t.pi1)
+            pi2 = base.compose(ab.pi2, t.pi1)
+            self._triples[key] = (
+                t.obj,
+                t.pi1,
+                pairing(base, self._pi(A, C), pi1, t.pi2),
+                pairing(base, self._pi(B, C), pi2, t.pi2),
+            )
+        return self._triples[key]
+
     def _single_valued(self, A: str, B: str, f: str) -> bool:
         P = self.P
-        base = P.base
-        ab = self._pi(A, B)
-        bb = self._pi(B, B)
-        t = P.limits.product(ab.obj, B)  # A x B x B, coords ((a,b), b')
-        pi12 = t.pi1
-        pi1 = base.compose(ab.pi1, t.pi1)
-        pi2 = base.compose(ab.pi2, t.pi1)
-        pi3 = t.pi2
-        pi13 = pairing(base, ab, pi1, pi3)
-        pi = pairing(base, bb, pi2, pi3)
-        diag = pairing(base, bb, base.identity(B), base.identity(B))
-        lhs = P.ex(pi)(
-            P.fiber(t.obj).meet(P.sub(pi12)(f), P.sub(pi13)(f))
-        )
-        rhs = P.ex(diag)(P.fiber(B).top)
-        return P.fiber(bb.obj).leq(lhs, rhs)
+        t, pi12, pi13, pi23 = self._triple(A, B, B)
+        lhs = P.ex(pi23)(P.fiber(t).meet(P.sub(pi12)(f), P.sub(pi13)(f)))
+        rhs = P.ex(self._diagonal(B))(P.fiber(B).top)
+        return P.fiber(self._pi(B, B).obj).leq(lhs, rhs)
+
+    def _diagonal(self, A: str) -> str:
+        base = self.P.base
+        return pairing(base, self._pi(A, A), base.identity(A), base.identity(A))
 
     def identity_relation(self, A: str, a: str) -> str:
-        P = self.P
-        diag = pairing(
-            P.base, self._pi(A, A), P.base.identity(A), P.base.identity(A)
-        )
-        return P.ex(diag)(a)
+        return self.P.ex(self._diagonal(A))(a)
 
     def compose_relations(self, rf: RelData, rg: RelData) -> str:
         P = self.P
-        base = P.base
-        A, B, C = rf.src_obj, rf.tgt_obj, rg.tgt_obj
-        ab, bc, ac = self._pi(A, B), self._pi(B, C), self._pi(A, C)
-        t = P.limits.product(ab.obj, C)  # A x B x C as (A x B) x C
-        pi12 = t.pi1
-        pi1 = base.compose(ab.pi1, t.pi1)
-        pi2 = base.compose(ab.pi2, t.pi1)
-        pi3 = t.pi2
-        pi13 = pairing(base, ac, pi1, pi3)
-        pi23 = pairing(base, bc, pi2, pi3)
+        t, pi12, pi13, pi23 = self._triple(rf.src_obj, rf.tgt_obj, rg.tgt_obj)
         return P.ex(pi13)(
-            P.fiber(t.obj).meet(P.sub(pi12)(rf.elem), P.sub(pi23)(rg.elem))
+            P.fiber(t).meet(P.sub(pi12)(rf.elem), P.sub(pi23)(rg.elem))
         )
 
     def relation_of(self, name: str) -> RelData:

@@ -5,8 +5,9 @@ Coverages are stored as predicates on sieves plus generator enumeration.
 A sieve is the union of the principal sieves of its members, so the sieves
 on an object are enumerated as the union closure of its principal sieves,
 under the unchanged budget on 2^(morphisms into the object).  The filter
-category quotients local maps by germ equivalence computed as an explicit
-equivalence closure.
+category keys each germ by its restriction to the least member of the
+source filter, since every filter of a finite lattice is the up-set of
+that member.
 """
 
 from __future__ import annotations
@@ -131,34 +132,39 @@ class FilterCategory:
     """Objects (A, F) with F a filter in Sub(A); morphisms are germs of
     local maps.  A local map (A, F) -> (B, G) is a morphism from a domain
     in F whose preimages of members of G land in F; two are equivalent when
-    they agree on a common smaller domain in F."""
+    they agree on a common smaller domain in F.  F is the up-set of its
+    least member, so that is when they restrict to the same map on it: a
+    germ is keyed by that restriction and named by its least local map."""
 
     def __init__(self, C: CohCategory, prime_only: bool = False):
         self.C = C
-        self.prime_only = prime_only
         self.objects: dict[str, tuple[str, frozenset]] = {}
         for A in C.cat.objects:
             S = C.sub_lattice(A)
             fs = prime_filters(S) if prime_only else filters(S)
             for F in fs:
                 self.objects[filter_obj_name(A, F)] = (A, F)
-        self._classes: dict[tuple[str, str], list[list[LocalMap]]] = {}
+        self._least = {
+            X: C.sub_lattice(A).meet_all(F) for X, (A, F) in self.objects.items()
+        }
+        self._germs: dict[tuple[str, str], dict[str, str]] = {}
         self.germ_data: dict[str, tuple[str, str, LocalMap]] = {}
         morphisms: dict[str, Morphism] = {}
         for X, (A, F) in self.objects.items():
             for Y, (B, G) in self.objects.items():
-                classes = self._germ_classes(A, F, B, G)
-                self._classes[(X, Y)] = classes
-                for cls in classes:
-                    n = f"germ[{cls[0].dom};{cls[0].mor}]:{X}->{Y}"
-                    morphisms[n] = Morphism(n, X, Y)
-                    self.germ_data[n] = (X, Y, cls[0])
-        identities = {}
-        for X, (A, F) in self.objects.items():
-            S = C.sub_lattice(A)
-            identities[X] = self._class_name_of(
-                X, X, LocalMap(S.top, C.cat.identity(A))
-            )
+                index = self._germs[(X, Y)] = {}
+                # local maps come in (dom, mor) order: the first of each
+                # germ is its least, and germs come in the order of those
+                for m in self._local_maps(A, F, B, G):
+                    key = self._restrict_local(A, m, self._least[X])
+                    if key not in index:
+                        n = index[key] = f"germ[{m.dom};{m.mor}]:{X}->{Y}"
+                        morphisms[n] = Morphism(n, X, Y)
+                        self.germ_data[n] = (X, Y, m)
+        identities = {
+            X: self.germ_of(X, X, C.sub_lattice(A).top, C.cat.identity(A))
+            for X, (A, _) in self.objects.items()
+        }
         comp = {}
         for f, g in composable_pairs(morphisms):
             m1, m2 = self.germ_data[f.name][2], self.germ_data[g.name][2]
@@ -189,55 +195,6 @@ class FilterCategory:
             raise CategoryError(f"inclusion of {U} into {m.dom} not unique")
         return C.cat.compose(m.mor, lifts[0])
 
-    def _equivalent(self, A, F, m1: LocalMap, m2: LocalMap) -> bool:
-        S = self.C.sub_lattice(A)
-        meet = S.meet(m1.dom, m2.dom)
-        for U in sorted(F):
-            if not S.leq(U, meet):
-                continue
-            if self._restrict_local(A, m1, U) == self._restrict_local(A, m2, U):
-                return True
-        return False
-
-    def _germ_classes(self, A, F, B, G) -> list[list[LocalMap]]:
-        classes: list[list[LocalMap]] = []
-        for m in self._local_maps(A, F, B, G):
-            placed = False
-            for cls in classes:
-                if any(self._equivalent(A, F, x, m) for x in cls):
-                    cls.append(m)
-                    placed = True
-                    break
-            if not placed:
-                classes.append([m])
-        merged = True
-        while merged:
-            merged = False
-            for i in range(len(classes)):
-                for j in range(i + 1, len(classes)):
-                    if any(
-                        self._equivalent(A, F, x, y)
-                        for x in classes[i]
-                        for y in classes[j]
-                    ):
-                        classes[i].extend(classes[j])
-                        del classes[j]
-                        merged = True
-                        break
-                if merged:
-                    break
-        for cls in classes:
-            cls.sort(key=lambda m: (m.dom, m.mor))
-        classes.sort(key=lambda cls: (cls[0].dom, cls[0].mor))
-        return classes
-
-    def _class_name_of(self, X, Y, m: LocalMap) -> str:
-        A, F = self.objects[X]
-        for cls in self._classes[(X, Y)]:
-            if any(c == m or self._equivalent(A, F, c, m) for c in cls):
-                return f"germ[{cls[0].dom};{cls[0].mor}]:{X}->{Y}"
-        raise CategoryError(f"local map ({m.dom},{m.mor}) not a germ {X} -> {Y}")
-
     def _compose_germs(self, X, Y, Z, m1: LocalMap, m2: LocalMap) -> str:
         """Germ of m2 o m1 : X -> Z, restricting m1 to the preimage of the
         domain of m2."""
@@ -251,11 +208,18 @@ class FilterCategory:
         lifts = C.cat.factorizations(C.cat.src(r), to, ((tm, r),))
         if len(lifts) != 1:
             raise CategoryError("restricted map does not factor through the domain")
-        composed = C.cat.compose(m2.mor, lifts[0])
-        return self._class_name_of(X, Z, LocalMap(dom, composed))
+        return self.germ_of(X, Z, dom, C.cat.compose(m2.mor, lifts[0]))
 
     def germ_of(self, X: str, Y: str, dom: str, mor: str) -> str:
-        return self._class_name_of(X, Y, LocalMap(dom, mor))
+        """The germ X -> Y of the local map `mor` out of `dom`."""
+        A, F = self.objects[X]
+        n = None
+        if dom in F:
+            key = self._restrict_local(A, LocalMap(dom, mor), self._least[X])
+            n = self._germs[(X, Y)].get(key)
+        if n is None:
+            raise CategoryError(f"local map ({dom},{mor}) not a germ {X} -> {Y}")
+        return n
 
     def image_filter(self, germ_name: str) -> frozenset:
         """The filter { V | the preimage of V is in F } on the target."""
@@ -392,6 +356,10 @@ def semidirect_obj_name(A: str, u: str) -> str:
     return f"<{A};{u}>"
 
 
+def semidirect_mor_name(f: str, src: str, tgt: str) -> str:
+    return f"sd[{f}]:{src}->{tgt}"
+
+
 @dataclass(frozen=True, eq=False)
 class SemidirectSite(Site):
     """Site of an internal locale: objects pair a base object with a fiber
@@ -401,10 +369,13 @@ class SemidirectSite(Site):
     mor_data: dict[str, str] = field(default_factory=dict)  # name -> base morphism
 
 
-def semidirect_site(C_like, X: CoherentHyperdoctrine) -> SemidirectSite:
-    """Build C x| X over the hyperdoctrine's base; C_like supplies nothing
-    beyond its base category (the covers come from X's adjoints).  It has
-    no generating families: `generators` is empty, so a lookup fails."""
+def semidirect_site(
+    C_like, X: CoherentHyperdoctrine, keep=lambda A, u: True
+) -> SemidirectSite:
+    """Build C x| X over the hyperdoctrine's base, or its full subcategory
+    on the objects (A, u) with keep(A, u); C_like supplies nothing beyond
+    its base category (the covers come from X's adjoints).  It has no
+    generating families: `generators` is empty, so a lookup fails."""
     w = check_internal_locale(X)
     if w is not None:
         raise SiteError(w)
@@ -412,24 +383,21 @@ def semidirect_site(C_like, X: CoherentHyperdoctrine) -> SemidirectSite:
     omap: dict[str, tuple[str, str]] = {}
     for A in base.objects:
         for u in X.fiber(A).elements:
-            omap[semidirect_obj_name(A, u)] = (A, u)
+            if keep(A, u):
+                omap[semidirect_obj_name(A, u)] = (A, u)
     morphisms, identities, comp = {}, {}, {}
     mdata: dict[str, str] = {}
-
-    def mor_name(f, src, tgt):
-        return f"sd[{f}]:{src}->{tgt}"
-
     for nx, (A, u) in omap.items():
         for ny, (B, v) in omap.items():
             for f in base.hom(A, B):
                 if X.fiber(A).leq(u, X.sub(f)(v)):
-                    n = mor_name(f, nx, ny)
+                    n = semidirect_mor_name(f, nx, ny)
                     morphisms[n] = Morphism(n, nx, ny)
                     mdata[n] = f
     for nx, (A, u) in omap.items():
-        identities[nx] = mor_name(base.identity(A), nx, nx)
+        identities[nx] = semidirect_mor_name(base.identity(A), nx, nx)
     for m1, m2 in composable_pairs(morphisms):
-        comp[(m2.name, m1.name)] = mor_name(
+        comp[(m2.name, m1.name)] = semidirect_mor_name(
             base.compose(mdata[m2.name], mdata[m1.name]), m1.src, m2.tgt
         )
     cat = FinCategory(tuple(sorted(omap)), morphisms, comp, identities)
@@ -563,9 +531,10 @@ def topology_coincidence_check(
                             for gk in fam:
                                 Ck = C.cat.src(gk)
                                 wk = X.sub(gk)(w)
-                                member = (
-                                    f"sd[{C.cat.compose(gamma, gk)}]:"
-                                    f"{semidirect_obj_name(Ck, wk)}->{nx}"
+                                member = semidirect_mor_name(
+                                    C.cat.compose(gamma, gk),
+                                    semidirect_obj_name(Ck, wk),
+                                    nx,
                                 )
                                 if member not in sieve:
                                     ok = False
@@ -776,28 +745,9 @@ def irreducible_site(C: CohCategory, X: CanextHyperdoctrine) -> SemidirectSite:
     """Full subcategory of the semidirect site on (A, x) with x join
     irreducible in the fiber; topology generated by the singleton covers
     whose existential image hits the point exactly."""
-    full = semidirect_site(C, X)
-    keep = {
-        n
-        for n, (A, x) in full.obj_data.items()
-        if is_join_irreducible(X.fiber(A), x)
-    }
-    objects = tuple(sorted(keep))
-    morphisms = {
-        n: m
-        for n, m in full.cat.morphisms.items()
-        if m.src in keep and m.tgt in keep
-    }
-    comp = {
-        k: v
-        for k, v in full.cat.comp.items()
-        if k[0] in morphisms and k[1] in morphisms
-    }
-    identities = {A: full.cat.identities[A] for A in objects}
-    cat = FinCategory(objects, morphisms, comp, identities)
+    sd = semidirect_site(C, X, lambda A, x: is_join_irreducible(X.fiber(A), x))
+    cat, omap, mdata = sd.cat, sd.obj_data, sd.mor_data
     adjoints = {f: X.sub(f).left_adjoint() for f in X.base.morphisms}
-    omap = {n: full.obj_data[n] for n in objects}
-    mdata = {n: full.mor_data[n] for n in morphisms}
 
     def covers(nx, sieve) -> bool:
         _, x = omap[nx]
@@ -808,7 +758,7 @@ def irreducible_site(C: CohCategory, X: CanextHyperdoctrine) -> SemidirectSite:
         return False
 
     gens = {}
-    for nx in objects:
+    for nx in cat.objects:
         fams = [
             (n,) for n in cat.morphisms_into(nx) if covers(nx, (n,))
         ]

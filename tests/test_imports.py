@@ -1,13 +1,16 @@
-"""Every name a module under src/ imports is used in that module, and every
-local name a function under src/ binds is read in that function."""
+"""Every name a module under src/ imports is used in that module, every
+local name a function under src/ binds is read in that function, and every
+name the benchmark imports from cohext exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+BENCH = sorted((SRC.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -128,3 +131,39 @@ def test_dead_local_detector_on_samples():
         "    return g, n\n"
     ) == []
     assert dead_locals("x = 1\n") == []
+
+
+def cohext_imports(source: str) -> list[tuple[str, str, int]]:
+    """(module, name, line) for each `from cohext... import name` anywhere
+    in the source, function-level imports included."""
+    return [
+        (node.module, alias.name, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module == "cohext" or node.module.startswith("cohext."))
+        for alias in node.names
+    ]
+
+
+def test_benchmark_modules_are_found():
+    assert {"run.py", "site_sweep.py", "model_sweep.py"} <= {p.name for p in BENCH}
+
+
+@pytest.mark.parametrize("path", BENCH, ids=lambda p: p.name)
+def test_benchmark_imports_from_cohext_resolve(path):
+    missing = [
+        f"line {line}: {module}.{name}"
+        for module, name, line in cohext_imports(path.read_text())
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
+
+
+def test_cohext_import_finder_on_samples():
+    assert cohext_imports("import cohext\nfrom os import path\n") == []
+    assert cohext_imports(
+        "from cohext.sites import a, b as c\n"
+        "def f():\n    from cohext import d\n"
+    ) == [("cohext.sites", "a", 1), ("cohext.sites", "b", 1), ("cohext", "d", 3)]
+    assert cohext_imports("from . import cohext\n") == []

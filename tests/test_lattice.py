@@ -28,8 +28,10 @@ from cohext.lattice import (
     join_irreducibles,
     m3,
     monotone_maps,
+    pair_name,
     prime_filters,
     product_lattice,
+    product_projections,
     trivial_lattice,
 )
 from cohext.order import FinPoset, OrderError, antichain, chain, check_adjoint_pair
@@ -197,6 +199,18 @@ def test_lattice_table_validation_reports_bad_entry():
 def test_product_lattice_is_componentwise():
     P = product_lattice(chain_lattice(2), chain_lattice(2))
     assert P.iso_to(boolean4()) is not None
+
+
+def test_product_projections_accept_factors_named_by_pairs():
+    # a factor that is itself a product has element names containing "|"
+    L, K = chain_lattice(2), chain_lattice(3)
+    LK = product_lattice(L, K)
+    for A, B in [(LK, L), (L, LK), (LK, LK)]:
+        P, p1, p2 = product_projections(A, B)
+        assert p1.is_lattice_hom() and p2.is_lattice_hom()
+        for a in A.elements:
+            for b in B.elements:
+                assert p1(pair_name(a, b)) == a and p2(pair_name(a, b)) == b
 
 
 def test_hom_validation():

@@ -9,6 +9,7 @@ from cohext.cohcat import (
     ConcreteCohCategory,
     LatticeCategory,
     check_coherent_functor,
+    pairing,
 )
 from cohext.fincat import FinFunctor, check_equivalence
 from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
@@ -16,6 +17,7 @@ from cohext.lattice import boolean4, chain_lattice, trivial_lattice
 from cohext.predcat import (
     BudgetError,
     NotCoherentError,
+    PredCategory,
     PredCohCategory,
     build_pred_category,
     canonical_extension_category,
@@ -216,3 +218,55 @@ def test_universal_factorization_lattice_hom_case():
     F = lattice_hom_functor(h, CL, CK)
     fact = universal_factorization(F, CL, CK)
     assert fact.comparison.is_iso()
+
+
+class OraclePredCategory(PredCategory):
+    """The relation formulas as written before they shared one triple
+    span: each call builds (A x B) x C and pairs its projections anew."""
+
+    def _single_valued(self, A, B, f):
+        P = self.P
+        base = P.base
+        ab = self._pi(A, B)
+        bb = self._pi(B, B)
+        t = P.limits.product(ab.obj, B)
+        pi12 = t.pi1
+        pi1 = base.compose(ab.pi1, t.pi1)
+        pi2 = base.compose(ab.pi2, t.pi1)
+        pi3 = t.pi2
+        pi13 = pairing(base, ab, pi1, pi3)
+        pi = pairing(base, bb, pi2, pi3)
+        diag = pairing(base, bb, base.identity(B), base.identity(B))
+        lhs = P.ex(pi)(P.fiber(t.obj).meet(P.sub(pi12)(f), P.sub(pi13)(f)))
+        rhs = P.ex(diag)(P.fiber(B).top)
+        return P.fiber(bb.obj).leq(lhs, rhs)
+
+    def compose_relations(self, rf, rg):
+        P = self.P
+        base = P.base
+        A, B, C = rf.src_obj, rf.tgt_obj, rg.tgt_obj
+        ab, bc, ac = self._pi(A, B), self._pi(B, C), self._pi(A, C)
+        t = P.limits.product(ab.obj, C)
+        pi12 = t.pi1
+        pi1 = base.compose(ab.pi1, t.pi1)
+        pi2 = base.compose(ab.pi2, t.pi1)
+        pi3 = t.pi2
+        pi13 = pairing(base, ac, pi1, pi3)
+        pi23 = pairing(base, bc, pi2, pi3)
+        return P.ex(pi13)(
+            P.fiber(t.obj).meet(P.sub(pi12)(rf.elem), P.sub(pi23)(rg.elem))
+        )
+
+
+@pytest.mark.parametrize("extend", [False, True], ids=["sub", "canext"])
+def test_shared_triple_span_matches_the_per_call_formulas(extend):
+    for L in distributive_lattices(5):
+        P = sub_hyperdoctrine(LatticeCategory(L))
+        if extend:
+            P = canext_hyperdoctrine(P)
+        got, want = PredCategory(P), OraclePredCategory(P)
+        assert got.cat.objects == want.cat.objects
+        assert list(got.cat.morphisms.items()) == list(want.cat.morphisms.items())
+        assert list(got.cat.comp.items()) == list(want.cat.comp.items())
+        assert got.cat.identities == want.cat.identities
+        assert list(got.rels.items()) == list(want.rels.items())

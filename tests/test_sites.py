@@ -5,11 +5,22 @@ import pytest
 
 from cohext.catalog import distributive_lattices
 from cohext.cohcat import ConcreteCohCategory, LatticeCategory, lattice_hom_functor
-from cohext.fincat import FinFunctor
+from cohext.fincat import CategoryError, FinCategory, FinFunctor, Morphism, composable_pairs
 from cohext.fixtures import mutated_comparison_source
 from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
-from cohext.lattice import LatticeHom, boolean4, chain_lattice, trivial_lattice
+from cohext.lattice import (
+    LatticeHom,
+    boolean4,
+    chain_lattice,
+    filters,
+    is_join_irreducible,
+    prime_filters,
+    trivial_lattice,
+)
 from cohext.sites import (
+    FilterCategory,
+    LocalMap,
+    SemidirectSite,
     SiteError,
     _matching_families,
     coherent_topology,
@@ -151,14 +162,18 @@ def sieves_oracle(site, A):
     return out
 
 
+def concrete_fragments():
+    return [
+        ConcreteCohCategory([frozenset(s) for s in seeds])
+        for seeds in ((("x",),), (("x",), ("y",)), (("x", "y"),))
+    ]
+
+
 def oracle_sites():
     """The jp, semidirect and irreducible sites over DL(<=4) and the three
     concrete fragments."""
     cats = [LatticeCategory(L) for L in distributive_lattices(4)]
-    cats += [
-        ConcreteCohCategory([frozenset(s) for s in seeds])
-        for seeds in ((("x",),), (("x",), ("y",)), (("x", "y"),))
-    ]
+    cats += concrete_fragments()
     for C in cats:
         X = canext_hyperdoctrine(sub_hyperdoctrine(C))
         yield jp_site(type_category(C))
@@ -489,3 +504,187 @@ def test_exhaustive_pullback_square_mode():
         P_ex = CoherentHyperdoctrine(P.base, P.fibers, P.subst, P.exists, limits)
         rep = validate(P_ex)
         assert rep.passed, rep.failures()
+
+
+def assert_same_category(got, want):
+    assert got.objects == want.objects
+    assert list(got.morphisms.items()) == list(want.morphisms.items())
+    assert list(got.comp.items()) == list(want.comp.items())
+    assert got.identities == want.identities  # looked up by object only
+
+
+class OracleFilterCategory(FilterCategory):
+    """The filter category as built before germs were keyed by the least
+    filter member: local maps are placed into classes by pairwise germ
+    equivalence, classes are merged until no two hold equivalent maps, and
+    a local map is named by scanning the classes."""
+
+    def __init__(self, C, prime_only=False):
+        self.C = C
+        self.objects = {}
+        for A in C.cat.objects:
+            S = C.sub_lattice(A)
+            for F in prime_filters(S) if prime_only else filters(S):
+                self.objects[filter_obj_name(A, F)] = (A, F)
+        self._classes = {}
+        self.germ_data = {}
+        morphisms = {}
+        for X, (A, F) in self.objects.items():
+            for Y, (B, G) in self.objects.items():
+                classes = self._germ_classes(A, F, B, G)
+                self._classes[(X, Y)] = classes
+                for cls in classes:
+                    n = f"germ[{cls[0].dom};{cls[0].mor}]:{X}->{Y}"
+                    morphisms[n] = Morphism(n, X, Y)
+                    self.germ_data[n] = (X, Y, cls[0])
+        identities = {}
+        for X, (A, F) in self.objects.items():
+            S = C.sub_lattice(A)
+            identities[X] = self.germ_of(X, X, S.top, C.cat.identity(A))
+        comp = {}
+        for f, g in composable_pairs(morphisms):
+            m1, m2 = self.germ_data[f.name][2], self.germ_data[g.name][2]
+            comp[(g.name, f.name)] = self._compose_germs(f.src, f.tgt, g.tgt, m1, m2)
+        self.cat = FinCategory(tuple(sorted(self.objects)), morphisms, comp, identities)
+
+    def _equivalent(self, A, F, m1, m2):
+        S = self.C.sub_lattice(A)
+        meet = S.meet(m1.dom, m2.dom)
+        for U in sorted(F):
+            if not S.leq(U, meet):
+                continue
+            if self._restrict_local(A, m1, U) == self._restrict_local(A, m2, U):
+                return True
+        return False
+
+    def _germ_classes(self, A, F, B, G):
+        classes = []
+        for m in self._local_maps(A, F, B, G):
+            placed = False
+            for cls in classes:
+                if any(self._equivalent(A, F, x, m) for x in cls):
+                    cls.append(m)
+                    placed = True
+                    break
+            if not placed:
+                classes.append([m])
+        merged = True
+        while merged:
+            merged = False
+            for i in range(len(classes)):
+                for j in range(i + 1, len(classes)):
+                    if any(
+                        self._equivalent(A, F, x, y)
+                        for x in classes[i]
+                        for y in classes[j]
+                    ):
+                        classes[i].extend(classes[j])
+                        del classes[j]
+                        merged = True
+                        break
+                if merged:
+                    break
+        for cls in classes:
+            cls.sort(key=lambda m: (m.dom, m.mor))
+        classes.sort(key=lambda cls: (cls[0].dom, cls[0].mor))
+        return classes
+
+    def germ_of(self, X, Y, dom, mor):
+        m = LocalMap(dom, mor)
+        A, F = self.objects[X]
+        for cls in self._classes[(X, Y)]:
+            if any(c == m or self._equivalent(A, F, c, m) for c in cls):
+                return f"germ[{cls[0].dom};{cls[0].mor}]:{X}->{Y}"
+        raise CategoryError(f"local map ({m.dom},{m.mor}) not a germ {X} -> {Y}")
+
+
+def germ_oracle_cases():
+    """Lattice categories of DL(<=5) and the three concrete fragments."""
+    return [LatticeCategory(L) for L in distributive_lattices(5)] + concrete_fragments()
+
+
+@pytest.mark.parametrize("prime_only", [False, True], ids=["filter", "type"])
+def test_germs_keyed_by_least_member_match_equivalence_closure(prime_only):
+    for C in germ_oracle_cases():
+        got = FilterCategory(C, prime_only)
+        want = OracleFilterCategory(C, prime_only)
+        assert list(got.objects.items()) == list(want.objects.items())
+        assert_same_category(got.cat, want.cat)
+        assert list(got.germ_data.items()) == list(want.germ_data.items())
+
+
+def test_germ_of_refuses_a_domain_outside_the_source_filter():
+    C = LatticeCategory(chain_lattice(3))
+    tau = type_category(C)
+    oracle = OracleFilterCategory(C, prime_only=True)
+    refused = 0
+    for X, (A, F) in tau.objects.items():
+        for U in C.sub_lattice(A).elements:
+            if U in F:
+                continue
+            _, um = C.subobject_object(A, U)
+            with pytest.raises(CategoryError, match="not a germ") as e:
+                tau.germ_of(X, X, U, um)
+            with pytest.raises(CategoryError) as e_oracle:
+                oracle.germ_of(X, X, U, um)
+            assert str(e.value) == str(e_oracle.value)
+            refused += 1
+    assert refused > 0
+
+
+def irreducible_site_oracle(C, X):
+    """The irreducible site as built before `semidirect_site` took an
+    object filter: the full semidirect site cut down by hand."""
+    full = semidirect_site(C, X)
+    keep = {
+        n
+        for n, (A, x) in full.obj_data.items()
+        if is_join_irreducible(X.fiber(A), x)
+    }
+    objects = tuple(sorted(keep))
+    morphisms = {
+        n: m
+        for n, m in full.cat.morphisms.items()
+        if m.src in keep and m.tgt in keep
+    }
+    comp = {
+        k: v
+        for k, v in full.cat.comp.items()
+        if k[0] in morphisms and k[1] in morphisms
+    }
+    identities = {A: full.cat.identities[A] for A in objects}
+    cat = FinCategory(objects, morphisms, comp, identities)
+    adjoints = {f: X.sub(f).left_adjoint() for f in X.base.morphisms}
+    omap = {n: full.obj_data[n] for n in objects}
+    mdata = {n: full.mor_data[n] for n in morphisms}
+
+    def covers(nx, sieve) -> bool:
+        _, x = omap[nx]
+        for n in sieve:
+            _, z = omap[cat.src(n)]
+            if adjoints[mdata[n]](z) == x:
+                return True
+        return False
+
+    gens = {}
+    for nx in objects:
+        fams = [(n,) for n in cat.morphisms_into(nx) if covers(nx, (n,))]
+        gens[nx] = tuple(sorted(fams))
+    return SemidirectSite(cat, covers, gens, obj_data=omap, mor_data=mdata)
+
+
+def test_irreducible_site_matches_the_hand_restricted_semidirect_site():
+    for C in germ_oracle_cases():
+        X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+        got, want = irreducible_site(C, X), irreducible_site_oracle(C, X)
+        assert_same_category(got.cat, want.cat)
+        assert list(got.generators.items()) == list(want.generators.items())
+        # the object data follow the base order, not the name order; no
+        # report depends on their order
+        assert got.obj_data == want.obj_data
+        assert list(got.mor_data.items()) == list(want.mor_data.items())
+        for nx in got.cat.objects:
+            inc = got.cat.morphisms_into(nx)
+            sieves = [got.sieve_generated(nx, [f]) for f in inc] + [frozenset(inc)]
+            for sieve in sieves:
+                assert got.covers(nx, sieve) == want.covers(nx, sieve)
