@@ -27,7 +27,7 @@ from .lattice import (
     prime_filters,
     require_distributive,
 )
-from .order import set_name
+from .order import BudgetError, set_name
 
 
 class PreservationError(LatticeError):
@@ -185,7 +185,7 @@ def check_compact(ce: CanonicalExtension, budget: int = 1 << 22) -> bool:
     elems = base.elements
     n = len(elems)
     if (1 << (2 * n)) > budget:
-        raise LatticeError(f"compactness check over {n} elements exceeds budget")
+        raise BudgetError(f"compactness check over {n} elements exceeds budget")
     meets = [(ext.top, base.top)]
     joins = [(ext.bottom, base.bottom)]
     for mask in range(1, 1 << n):

@@ -2,23 +2,21 @@
 
 Exit codes: 0 when every check passes, 1 when a check fails (the report
 carries witnesses), 2 on usage errors.  Reports are JSON on stdout, or a
-file with --out.  COHEXT_BUDGET and COHEXT_SIEVE_BUDGET bound the searches.
+file with --out.  --budget bounds the predicate-category and sieve searches.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from .canext import canonical_extension, check_compact, check_dense
-from .catalog import EnumerationBound, concrete_universes, distributive_lattices
+from .catalog import concrete_universes, distributive_lattices
 from .cohcat import ConcreteCohCategory, LatticeCategory, lattice_hom_functor
 from .jsonio import (
-    FormatError,
     category_to_dot,
     lattice_to_json,
     load_category,
@@ -27,8 +25,8 @@ from .jsonio import (
     model_from_json,
     model_to_json,
 )
-from .lattice import LatticeError, LatticeHom
-from .predcat import BudgetError
+from .lattice import LatticeHom
+from .order import BudgetError
 from .report import Report
 
 
@@ -48,16 +46,11 @@ def main(argv=None) -> int:
     if not hasattr(args, "run"):
         parser.print_help()
         return 2
-    if args.budget is not None:
-        os.environ["COHEXT_BUDGET"] = str(args.budget)
-        os.environ["COHEXT_SIEVE_BUDGET"] = str(args.budget)
     report = Report(command=args.command, seed=getattr(args, "seed", None))
     t0 = time.monotonic()
     try:
         args.run(args, report)
-    except (
-        FormatError, LatticeError, EnumerationBound, BudgetError, OSError, ValueError
-    ) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if getattr(args, "timing", False):
@@ -198,7 +191,7 @@ def cmd_predcat_build(args, report: Report):
 
     report.add_input(args.category)
     C = load_category(args.category)
-    AP = build_pred_category(sub_hyperdoctrine(C))
+    AP = build_pred_category(sub_hyperdoctrine(C), args.budget)
     report.check(
         "category-laws", True,
         **{
@@ -215,7 +208,7 @@ def cmd_predcat_counit(args, report: Report):
 
     report.add_input(args.category)
     C = load_category(args.category)
-    rep = counit_equivalence_check(C)
+    rep = counit_equivalence_check(C, args.budget)
     if rep.error:
         report.check("counit-built", False, rep.error)
         return
@@ -235,7 +228,7 @@ def cmd_predcat_canext(args, report: Report):
 
     report.add_input(args.category)
     C = load_category(args.category)
-    ext = canonical_extension_category(C)
+    ext = canonical_extension_category(C, args.budget)
     report.check(
         "extension-built", True,
         **{
@@ -255,7 +248,7 @@ def cmd_predcat_pmodel(args, report: Report):
 
     report.add_input(args.category)
     C = load_category(args.category)
-    ext = canonical_extension_category(C)
+    ext = canonical_extension_category(C, args.budget)
     w = pmodel_witness(ext.embedding, C, ext.coh)
     report.check("embedding-pmodel", w is None, w)
 
@@ -305,24 +298,19 @@ def cmd_tot_compare(args, report: Report):
 
 def cmd_tot_sheaf(args, report: Report):
     from .hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
-    from .sites import (
-        SiteError,
-        sheaf_check,
-        topology_coincidence_check,
-        unique_glueing_check,
-    )
+    from .sites import sheaf_check, topology_coincidence_check, unique_glueing_check
 
     report.add_input(args.category)
     C = load_category(args.category)
     X = canext_hyperdoctrine(sub_hyperdoctrine(C))
-    for name, check in (("sheaf", sheaf_check), ("unique-glueing", unique_glueing_check)):
-        # a sieve-budget cut fails this check; the remaining checks still run
-        try:
-            ok, w = check(C, X)
-        except SiteError as e:
-            ok, w = False, str(e)
-        report.check(name, ok, w)
-    ok, n, note = topology_coincidence_check(C, X)
+    # a sieve-budget cut fails the sheaf check; the remaining checks still run
+    try:
+        ok, w = sheaf_check(C, X, args.budget)
+    except BudgetError as e:
+        ok, w = False, str(e)
+    report.check("sheaf", ok, w)
+    report.check("unique-glueing", *unique_glueing_check(C, X))
+    ok, n, note = topology_coincidence_check(C, X, args.budget)
     # a note on a passing run means the sieve budget cut the check short
     report.check("topology-coincidence", ok and note is None, note, sievesChecked=n)
 

@@ -11,7 +11,7 @@ operations that need a missing product raise MissingLimitError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 from .fincat import CategoryError, FinCategory, FinFunctor, Morphism, composable_pairs
 from .lattice import FinLattice, LatticeHom, MonotoneMap, NamedSetLattice, set_lattice
@@ -20,6 +20,23 @@ from .order import assignments, set_name, union_closure
 
 class MissingLimitError(CategoryError):
     """A chosen limit needed by a construction is absent from the fragment."""
+
+
+def cached_method(method):
+    """Memoize a method in a dict on the instance, freed with it; a
+    process-wide `functools.lru_cache` would keep every instance alive."""
+    slot = f"_{method.__name__}_cache"
+
+    @wraps(method)
+    def cached(self, *args):
+        try:
+            return self.__dict__[slot][args]
+        except KeyError:
+            value = method(self, *args)
+            self.__dict__.setdefault(slot, {})[args] = value
+            return value
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -233,7 +250,7 @@ class ConcreteCohCategory(CohCategory):
     def elements(self, A: str) -> frozenset:
         return self.of_name[A]
 
-    @lru_cache(maxsize=None)
+    @cached_method
     def sub_lattice(self, A: str) -> NamedSetLattice:
         return set_lattice(
             sorted(_subsets(self.of_name[A]), key=lambda s: (len(s), sorted(s)))
@@ -284,7 +301,7 @@ class ConcreteCohCategory(CohCategory):
                 return set_name(s)
         raise MissingLimitError("no one-point set in the fragment")
 
-    @lru_cache(maxsize=None)
+    @cached_method
     def product(self, A: str, B: str) -> ProductCone:
         sa, sb = self.of_name[A], self.of_name[B]
         want = len(sa) * len(sb)
@@ -376,7 +393,7 @@ class LatticeCategory(CohCategory):
         }
         self.cat = FinCategory(tuple(L.elements), morphisms, comp, identities)
 
-    @lru_cache(maxsize=None)
+    @cached_method
     def sub_lattice(self, A: str) -> FinLattice:
         return self.lattice.down_lattice(A)
 

@@ -27,7 +27,7 @@ from ..lattice import (
     prime_filters,
     set_lattice,
 )
-from ..order import assignments, set_name, union_closure
+from ..order import BudgetError, assignments, set_name, union_closure
 from .chase import FinModel
 from .syntax import App, RelAtom, Theory, Var, print_term
 
@@ -163,7 +163,7 @@ class TermMap:
     tables: tuple[dict, ...]  # one function per model
 
 
-class DistillationBudget(ValueError):
+class DistillationBudget(BudgetError):
     """The realized-subobject closure outgrew its budget; shrink the family
     or the signature."""
 
@@ -547,7 +547,7 @@ class Evaluation:
         )
         out = set(islice(union_closure(gens, _family_join, empty), budget + 1))
         if len(out) > budget:
-            raise ValueError(f"subfunctor lattice of ev({A}) exceeds {budget} elements")
+            raise BudgetError(f"subfunctor lattice of ev({A}) exceeds {budget} elements")
         return out
 
     def sub_lattice(self, A: str) -> NamedSetLattice:

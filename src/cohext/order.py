@@ -23,6 +23,11 @@ class OrderError(ValueError):
     """Relation data violates the poset axioms."""
 
 
+class BudgetError(ValueError):
+    """A bounded exhaustive search would exceed its budget.  Every search
+    that a budget cuts short raises this, so a cut never reads as a pass."""
+
+
 def set_name(s) -> str:
     """Canonical printable name for a finite set of strings."""
     return "{" + ",".join(sorted(s)) + "}"

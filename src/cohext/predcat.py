@@ -13,15 +13,14 @@ A -> B reads the same span at (A, B, B).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cohcat import (
     CohCategory,
     MissingLimitError,
     ProductCone,
     PullbackSquare,
+    cached_method,
     pairing,
 )
 from .fincat import (
@@ -44,6 +43,7 @@ from .hyperdoctrine import (
     validate,
 )
 from .lattice import FinLattice, LatticeHom, MonotoneMap, prime_filters
+from .order import BudgetError
 
 
 class NotCoherentError(CategoryError):
@@ -54,12 +54,8 @@ class NotPModelError(CategoryError):
     pass
 
 
-class BudgetError(RuntimeError):
-    pass
-
-
-def search_budget(default: int = 200_000) -> int:
-    return int(os.environ.get("COHEXT_BUDGET", default))
+def search_budget() -> int:
+    return 200_000
 
 
 def pred_obj_name(A: str, a: str) -> str:
@@ -99,7 +95,7 @@ class PredCategory:
         if total > budget:
             raise BudgetError(
                 f"predicate-category enumeration needs {total} candidate checks, "
-                f"budget is {budget}; raise COHEXT_BUDGET to proceed"
+                f"budget is {budget}; raise --budget to proceed"
             )
         self.rels: dict[str, RelData] = {}
         morphisms: dict[str, Morphism] = {}
@@ -130,9 +126,6 @@ class PredCategory:
                     f"composite of {f.name};{g.name} is not a functional relation"
                 )
             comp[(g.name, f.name)] = n
-        # the spans only serve the bulk composition above, and a built
-        # category can outlive its use (PredCohCategory's lru_cache keeps it)
-        self._triples.clear()
         # FinCategory construction re-verifies identity and associativity laws
         self.cat = FinCategory(
             tuple(sorted(self.obj_data)), morphisms, comp, identities
@@ -220,7 +213,7 @@ class PredCohCategory(CohCategory):
         self.AP = AP
         self.cat = AP.cat
 
-    @lru_cache(maxsize=None)
+    @cached_method
     def sub_lattice(self, X: str) -> FinLattice:
         A, a = self.AP.obj_data[X]
         return self.AP.P.fiber(A).down_lattice(a)

@@ -12,7 +12,6 @@ that member.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -37,15 +36,15 @@ from .lattice import (
     prime_filter_poset,
     prime_filters,
 )
-from .order import FinPoset, assignments, set_name, union_closure
+from .order import BudgetError, FinPoset, assignments, set_name, union_closure
 
 
-def sieve_budget(default: int = 4096) -> int:
-    return int(os.environ.get("COHEXT_SIEVE_BUDGET", default))
+def sieve_budget() -> int:
+    return 4096
 
 
 class SiteError(ValueError):
-    pass
+    """A site cannot be built from the given data."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +71,9 @@ class Site:
         budget = budget if budget is not None else sieve_budget()
         inc = self.cat.morphisms_into(A)
         if 1 << len(inc) > budget:
-            raise SiteError(
+            raise BudgetError(
                 f"sieve enumeration on {A} needs 2^{len(inc)} subsets; "
-                "raise COHEXT_SIEVE_BUDGET"
+                "raise --budget"
             )
         index = {f: i for i, f in enumerate(inc)}
         principal = [
@@ -456,7 +455,7 @@ def _matching_families(C, X, sieve, budget=None):
     for f in sieve:
         total *= len(X.fiber(C.cat.src(f)).elements)
         if total > budget:
-            raise SiteError("matching-family enumeration exceeds budget")
+            raise BudgetError("matching-family enumeration exceeds budget")
     links = {f: [] for f in sieve}
     for f in sieve:
         for g in C.cat.morphisms_into(C.cat.src(f)):
@@ -502,7 +501,6 @@ def topology_coincidence_check(
     admitting members that are covered into the sieve by coherent covers.
 
     Returns (ok, sieves_checked, note)."""
-    budget = budget if budget is not None else sieve_budget()
     if X is None:
         X = canext_hyperdoctrine(sub_hyperdoctrine(C))
     site = semidirect_site(C, X)
@@ -513,7 +511,7 @@ def topology_coincidence_check(
         FA = X.fiber(A)
         try:
             sieves = site.all_sieves(nx, budget)
-        except SiteError:
+        except BudgetError:
             return True, checked, f"sieve budget exhausted at {nx}"
         for sieve in sieves:
             plain = FA.join_all(
@@ -634,13 +632,16 @@ class ComparisonReport:
         )
 
 
-def comparison_check(
-    e: FinFunctor, source: Site, target: Site, budget: int | None = None
-) -> ComparisonReport:
+def comparison_check(e: FinFunctor, source: Site, target: Site) -> ComparisonReport:
+    """The comparison-lemma conditions for e : source -> target.  Each one
+    over covering sieves is monotone in the sieve, and every covering sieve
+    contains a covering sieve generated by a generator family, so the
+    generated covering sieves decide it exactly."""
+    covers = {A: _generated_covers(source, A) for A in source.cat.objects}
     witness = None
     cover_preserving = True
     for D in source.cat.objects:
-        for s in _covering_sieves_or_generated(source, D, budget):
+        for s in covers[D]:
             image = target.sieve_generated(e.on_obj(D), [e.on_mor(f) for f in s])
             if not target.covers(e.on_obj(D), image):
                 cover_preserving = False
@@ -649,7 +650,7 @@ def comparison_check(
     for CC in source.cat.objects:
         for D in source.cat.objects:
             for g in target.cat.hom(e.on_obj(CC), e.on_obj(D)):
-                if not _locally_full_at(e, source, CC, D, g, budget):
+                if not _locally_full_at(e, source, covers[CC], D, g):
                     locally_full = False
                     witness = witness or f"morphism {g} has no local lift"
     locally_faithful = True
@@ -660,7 +661,7 @@ def comparison_check(
                 for f2 in homs[i + 1:]:
                     if e.on_mor(f1) != e.on_mor(f2):
                         continue
-                    if not _locally_equalized(source, CC, f1, f2, budget):
+                    if not _locally_equalized(source, covers[CC], f1, f2):
                         locally_faithful = False
                         witness = witness or f"{f1},{f2} not locally equalized"
     locally_surjective = True
@@ -676,7 +677,7 @@ def comparison_check(
             witness = witness or f"object {X} has no cover from the image"
     co_continuous = True
     for D in source.cat.objects:
-        for s in _covering_sieves_or_generated(target, e.on_obj(D), budget):
+        for s in _generated_covers(target, e.on_obj(D)):
             pulled = frozenset(
                 f
                 for f in source.cat.morphisms_into(D)
@@ -704,19 +705,14 @@ def comparison_check(
     )
 
 
-def _covering_sieves_or_generated(site: Site, A: str, budget):
-    try:
-        return site.covering_sieves(A, budget)
-    except SiteError:
-        return [
-            site.sieve_generated(A, fam)
-            for fam in site.generators[A]
-            if site.covers(A, site.sieve_generated(A, fam))
-        ]
+def _generated_covers(site: Site, A: str) -> list[frozenset[str]]:
+    """The covering sieves on A generated by A's generator families."""
+    sieves = [site.sieve_generated(A, fam) for fam in site.generators[A]]
+    return [s for s in sieves if site.covers(A, s)]
 
 
-def _locally_full_at(e, source, CC, D, g, budget) -> bool:
-    for sieve in _covering_sieves_or_generated(source, CC, budget):
+def _locally_full_at(e, source, sieves, D, g) -> bool:
+    for sieve in sieves:
         if all(
             any(
                 e.target.compose(g, e.on_mor(xi)) == e.on_mor(fi)
@@ -728,8 +724,8 @@ def _locally_full_at(e, source, CC, D, g, budget) -> bool:
     return False
 
 
-def _locally_equalized(source, CC, f1, f2, budget) -> bool:
-    for sieve in _covering_sieves_or_generated(source, CC, budget):
+def _locally_equalized(source, sieves, f1, f2) -> bool:
+    for sieve in sieves:
         if all(
             source.cat.compose(f1, xi) == source.cat.compose(f2, xi)
             for xi in sieve

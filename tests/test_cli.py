@@ -1,21 +1,27 @@
 """CLI contract: subcommands, exit codes, report determinism, DOT export."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
+from cohext.cli import main
 from cohext.fixtures import FIXTURE_DIR
+from cohext.hyperdoctrine import sub_hyperdoctrine
+from cohext.jsonio import load_category
+from cohext.predcat import build_pred_category, search_budget
+from cohext.sites import sieve_budget
 
 PKG = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
+    """Run the CLI in a child process whose environment holds only its
+    import path, so no variable of the caller's can change its reports."""
     return subprocess.run(
         [sys.executable, "-m", "cohext.cli", *args],
         capture_output=True, text=True, cwd=PKG,
-        env={**os.environ, "PYTHONPATH": str(PKG / "src")},
+        env={"PYTHONPATH": str(PKG / "src")},
     )
 
 
@@ -120,7 +126,17 @@ def test_sieve_budget_cut_fails_sheaf_check_and_keeps_the_report():
     assert list(checks) == ["sheaf", "unique-glueing", "topology-coincidence"]
     assert not data["pass"] and not checks["sheaf"]["pass"]
     assert checks["sheaf"]["witness"].startswith("sieve enumeration on ")
-    assert "COHEXT_SIEVE_BUDGET" in checks["sheaf"]["witness"]
+    assert checks["sheaf"]["witness"].endswith("; raise --budget")
+
+
+def test_budget_flag_leaves_later_calls_in_the_process_unchanged(capsys):
+    three_chain = fx("three_chain.latcat.json")
+    assert main(["--budget", "3", "predcat", "build", three_chain]) == 2
+    assert main(["--budget", "3", "tot", "sheaf-check", fx("one_point.cat.json")]) == 1
+    capsys.readouterr()
+    assert (search_budget(), sieve_budget()) == (200_000, 4096)
+    AP = build_pred_category(sub_hyperdoctrine(load_category(three_chain)))
+    assert len(AP.cat.objects) > 3
 
 
 def test_budget_below_one_is_a_usage_error():

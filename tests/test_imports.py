@@ -1,6 +1,7 @@
 """Every name a module under src/ imports is used in that module, every
-local name a function under src/ binds is read in that function, and every
-name the benchmark imports from cohext exists."""
+local name a function under src/ binds is read in that function, no module
+under src/ reads the process environment, and every name the benchmark
+imports from cohext exists."""
 
 import ast
 import importlib
@@ -131,6 +132,56 @@ def test_dead_local_detector_on_samples():
         "    return g, n\n"
     ) == []
     assert dead_locals("x = 1\n") == []
+
+
+ENVIRONMENT = ("environ", "getenv")
+
+
+def environment_uses(source: str) -> list[str]:
+    """Each `os.environ` or `os.getenv` the source names, as an attribute
+    of the `os` module under any alias or imported by name."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "os"
+    }
+    uses = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            uses += [(node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT]
+    return [f"line {line}: os.{name}" for line, name in sorted(uses)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_reads_no_environment(path):
+    assert environment_uses(path.read_text()) == []
+
+
+def test_environment_use_detector_on_samples():
+    assert environment_uses("import os\nos.getcwd()\n") == []
+    assert environment_uses("environ = {}\nenviron.get('A')\n") == []
+    assert environment_uses("import os\nos.environ['A'] = '1'\n") == [
+        "line 2: os.environ"
+    ]
+    assert environment_uses("import os as o\nx = o.getenv('A')\n") == [
+        "line 2: os.getenv"
+    ]
+    assert environment_uses("from os import getenv as g, path\n") == [
+        "line 1: os.getenv"
+    ]
+    assert environment_uses(
+        "import os\ndef f():\n    return os.environ.get('B', os.getenv('A'))\n"
+    ) == ["line 3: os.environ", "line 3: os.getenv"]
 
 
 def cohext_imports(source: str) -> list[tuple[str, str, int]]:

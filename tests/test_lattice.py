@@ -1,6 +1,5 @@
 """Lattice substrate: downsets, filters, prime filters, Birkhoff duality."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -240,7 +239,7 @@ def test_rejected_map_names_first_offending_pair_in_product_order(hash_seed):
     src = Path(__file__).resolve().parents[1] / "src"
     r = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+        env={"PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout == "not order-preserving on (0,a)\n"

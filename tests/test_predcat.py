@@ -1,6 +1,9 @@
 """The predicate category, the counit, the categorical extension with its
 embedding, p-models, and the universal factorization."""
 
+import gc
+import weakref
+
 import pytest
 
 from cohext.canext import delta_extension
@@ -67,7 +70,26 @@ def test_budget_refusal_is_deterministic():
     Sd = canext_hyperdoctrine(sub_hyperdoctrine(LatticeCategory(boolean4())))
     with pytest.raises(BudgetError) as e:
         build_pred_category(Sd, budget=3)
-    assert "COHEXT_BUDGET" in str(e.value)
+    assert str(e.value) == (
+        "predicate-category enumeration needs 169 candidate checks, "
+        "budget is 3; raise --budget to proceed"
+    )
+
+
+def test_categories_are_freed_with_their_last_reference():
+    # the memoized sub_lattice and product calls must not keep them alive
+    refs = []
+    for C in (
+        LatticeCategory(chain_lattice(3)),
+        LatticeCategory(boolean4()),
+        ConcreteCohCategory([frozenset({"x"})]),
+    ):
+        ext = canonical_extension_category(C)
+        assert check_coh_plus(ext.coh) is None
+        refs += [weakref.ref(C), weakref.ref(ext.pred), weakref.ref(ext.coh)]
+    del C, ext
+    gc.collect()
+    assert [r() for r in refs] == [None] * 9
 
 
 def test_counit_equivalence_on_concrete_fixtures():

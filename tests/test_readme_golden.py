@@ -6,7 +6,6 @@ the NN-th README command; `NN.dot` holds the DOT file a `--dot` command
 writes (redirected into a temporary directory here).
 """
 
-import os
 import re
 import shlex
 import subprocess
@@ -33,14 +32,11 @@ def run_readme_command(line: str, tmp: Path) -> tuple[str, str | None]:
         i = args.index("--dot") + 1
         dot = tmp / Path(args[i]).name
         args[i] = str(dot)
-    env = {
-        k: v for k, v in os.environ.items()
-        if k not in ("COHEXT_BUDGET", "COHEXT_SIEVE_BUDGET")
-    }
-    env["PYTHONPATH"] = str(PKG / "src")
+    # only the import path, so no variable of the caller's changes a golden
     r = subprocess.run(
         [sys.executable, "-m", "cohext.cli", *args],
-        capture_output=True, text=True, cwd=PKG, env=env,
+        capture_output=True, text=True, cwd=PKG,
+        env={"PYTHONPATH": str(PKG / "src")},
     )
     text = f"$ {line}\nexit {r.returncode}\n{r.stdout}"
     return text, dot.read_text() if dot else None

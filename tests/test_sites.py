@@ -3,7 +3,7 @@ and locale-morphism analysis."""
 
 import pytest
 
-from cohext.catalog import distributive_lattices
+from cohext.catalog import concrete_universes, distributive_lattices
 from cohext.cohcat import ConcreteCohCategory, LatticeCategory, lattice_hom_functor
 from cohext.fincat import CategoryError, FinCategory, FinFunctor, Morphism, composable_pairs
 from cohext.fixtures import mutated_comparison_source
@@ -17,11 +17,12 @@ from cohext.lattice import (
     prime_filters,
     trivial_lattice,
 )
+from cohext.order import BudgetError
 from cohext.sites import (
     FilterCategory,
     LocalMap,
+    ComparisonReport,
     SemidirectSite,
-    SiteError,
     _matching_families,
     coherent_topology,
     comparison_check,
@@ -188,7 +189,7 @@ def test_all_sieves_match_subset_oracle_in_order():
             k = len(site.cat.morphisms_into(A))
             if k > 12:
                 # the default budget of 4096 refuses these up front
-                with pytest.raises(SiteError, match=f"needs 2\\^{k} subsets"):
+                with pytest.raises(BudgetError, match=f"needs 2\\^{k} subsets"):
                     site.all_sieves(A)
                 refused += 1
                 continue
@@ -205,11 +206,9 @@ def test_sieve_budget_refuses_up_front_at_the_same_bound():
     A = max(site.cat.objects, key=lambda A: len(site.cat.morphisms_into(A)))
     k = len(site.cat.morphisms_into(A))
     assert len(site.all_sieves(A, budget=1 << k)) < 1 << k
-    with pytest.raises(SiteError) as e:
+    with pytest.raises(BudgetError) as e:
         site.all_sieves(A, budget=(1 << k) - 1)
-    assert str(e.value) == (
-        f"sieve enumeration on {A} needs 2^{k} subsets; raise COHEXT_SIEVE_BUDGET"
-    )
+    assert str(e.value) == f"sieve enumeration on {A} needs 2^{k} subsets; raise --budget"
 
 
 def test_jp_cover_example_on_three_chain():
@@ -354,6 +353,101 @@ def test_mutated_site_fails_exactly_cover_preservation():
     assert rep.witness
     assert rep.locally_full and rep.locally_faithful
     assert rep.locally_surjective and rep.co_continuous
+
+
+def comparison_all_sieves_oracle(e, source, target):
+    """The comparison conditions quantified over every covering sieve,
+    not only the generated ones; no budget applies."""
+    def covering(site, A):
+        return site.covering_sieves(A, budget=1 << 64)
+
+    def locally_full_at(CC, D, g):
+        return any(
+            all(
+                any(
+                    e.target.compose(g, e.on_mor(xi)) == e.on_mor(fi)
+                    for fi in source.cat.hom(source.cat.src(xi), D)
+                )
+                for xi in sieve
+            )
+            for sieve in covering(source, CC)
+        )
+
+    def locally_equalized(CC, f1, f2):
+        return any(
+            all(source.cat.compose(f1, xi) == source.cat.compose(f2, xi) for xi in sieve)
+            for sieve in covering(source, CC)
+        )
+
+    witness = None
+    cover_preserving = True
+    for D in source.cat.objects:
+        for s in covering(source, D):
+            image = target.sieve_generated(e.on_obj(D), [e.on_mor(f) for f in s])
+            if not target.covers(e.on_obj(D), image):
+                cover_preserving = False
+                witness = witness or f"a cover of {D} is not preserved"
+    locally_full = True
+    for CC in source.cat.objects:
+        for D in source.cat.objects:
+            for g in target.cat.hom(e.on_obj(CC), e.on_obj(D)):
+                if not locally_full_at(CC, D, g):
+                    locally_full = False
+                    witness = witness or f"morphism {g} has no local lift"
+    locally_faithful = True
+    for CC in source.cat.objects:
+        for D in source.cat.objects:
+            homs = source.cat.hom(CC, D)
+            for i, f1 in enumerate(homs):
+                for f2 in homs[i + 1:]:
+                    if e.on_mor(f1) == e.on_mor(f2) and not locally_equalized(CC, f1, f2):
+                        locally_faithful = False
+                        witness = witness or f"{f1},{f2} not locally equalized"
+    locally_surjective = True
+    image_objs = {e.on_obj(A) for A in source.cat.objects}
+    for X in target.cat.objects:
+        inc = [f for f in target.cat.morphisms_into(X) if target.cat.src(f) in image_objs]
+        if not target.covers(X, target.sieve_generated(X, inc)):
+            locally_surjective = False
+            witness = witness or f"object {X} has no cover from the image"
+    co_continuous = True
+    for D in source.cat.objects:
+        for s in covering(target, e.on_obj(D)):
+            pulled = frozenset(
+                f
+                for f in source.cat.morphisms_into(D)
+                if any(
+                    target.cat.factorizations(
+                        e.on_obj(source.cat.src(f)), target.cat.src(xi),
+                        ((xi, e.on_mor(f)),),
+                    )
+                    for xi in s
+                )
+            )
+            if not source.covers(D, pulled):
+                co_continuous = False
+                witness = witness or f"a cover of {e.on_obj(D)} does not pull back to {D}"
+    return ComparisonReport(
+        cover_preserving, locally_full, locally_faithful, locally_surjective,
+        co_continuous, witness,
+    )
+
+
+def test_comparison_check_matches_the_all_sieves_oracle():
+    cats = [LatticeCategory(L) for L in distributive_lattices(6)]
+    cats += [ConcreteCohCategory(seeds) for seeds in concrete_universes(3)]
+    reports = failing = 0
+    for C in cats:
+        X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+        tau = type_category(C)
+        target = jp_site(tau)
+        for source in (irreducible_site(C, X), mutated_comparison_source(C, X)):
+            e = irreducible_to_types(C, X, source, tau)
+            rep = comparison_check(e, source, target)
+            assert rep == comparison_all_sieves_oracle(e, source, target)
+            reports += 1
+            failing += not rep.passed
+    assert (reports, failing) == (34, 15)
 
 
 def test_type_category_is_irreducible_part_of_pred_category():
