@@ -169,7 +169,7 @@ def check_dense(ce: CanonicalExtension) -> bool:
     )
 
 
-def check_compact(ce: CanonicalExtension, budget: int = 1 << 22) -> bool:
+def check_compact(ce: CanonicalExtension, budget: int | None = None) -> bool:
     """For all F, I subsets of the base with /\\ e[F] <= \\/ e[I] in ext,
     some finite F' <= F, I' <= I satisfy /\\ F' <= \\/ I' in the base.
 
@@ -179,13 +179,15 @@ def check_compact(ce: CanonicalExtension, budget: int = 1 << 22) -> bool:
     (\\/ e[I], \\/ I), so quantifying over the distinct meet and join
     values of all subsets is equivalent to quantifying over all subset
     pairs.  Each subset's meet and join come from the subset without its
-    highest element.
+    highest element; `budget` (default 2^11) bounds the 2^n subsets tabulated.
     """
+    budget = budget if budget is not None else 1 << 11
     base, ext = ce.base, ce.ext
     elems = base.elements
     n = len(elems)
-    if (1 << (2 * n)) > budget:
-        raise BudgetError(f"compactness check over {n} elements exceeds budget")
+    if 1 << n > budget:
+        raise BudgetError(f"compactness check tabulates 2^{n} subsets, over "
+                          f"{budget}; raise --budget")
     meets = [(ext.top, base.top)]
     joins = [(ext.bottom, base.bottom)]
     for mask in range(1, 1 << n):

@@ -397,11 +397,13 @@ class LatticeCategory(CohCategory):
     def sub_lattice(self, A: str) -> FinLattice:
         return self.lattice.down_lattice(A)
 
+    @cached_method
     def pullback_map(self, f: str) -> LatticeHom:
         a, b = self.cat.src(f), self.cat.tgt(f)
         SA, SB = self.sub_lattice(a), self.sub_lattice(b)
         return LatticeHom(SB, SA, {v: self.lattice.meet(v, a) for v in SB.elements})
 
+    @cached_method
     def image_map(self, f: str) -> MonotoneMap:
         a, b = self.cat.src(f), self.cat.tgt(f)
         SA, SB = self.sub_lattice(a), self.sub_lattice(b)

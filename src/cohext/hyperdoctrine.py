@@ -208,12 +208,6 @@ def sub_hyperdoctrine(C: CohCategory) -> CoherentHyperdoctrine:
     )
 
 
-def powerset_hyperdoctrine(C) -> CoherentHyperdoctrine:
-    """Subobject hyperdoctrine of a concrete set fragment; fibers are the
-    powersets, substitution is preimage, the adjoint is direct image."""
-    return sub_hyperdoctrine(C)
-
-
 @dataclass(frozen=True, eq=False)
 class CanextHyperdoctrine(CoherentHyperdoctrine):
     """Fiberwise canonical extension of a hyperdoctrine; remembers the

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice, product as iproduct
+from itertools import product as iproduct
 from operator import and_, le, or_
 
 from ..canext import canonical_extension, comjpm_decide, extend_hom
@@ -27,7 +27,7 @@ from ..lattice import (
     prime_filters,
     set_lattice,
 )
-from ..order import BudgetError, assignments, set_name, union_closure
+from ..order import BudgetError, assignments, bounded, set_name, union_closure
 from .chase import FinModel
 from .syntax import App, RelAtom, Theory, Var, print_term
 
@@ -545,10 +545,8 @@ class Evaluation:
             for i in self.indices
             for a in self.family.models[i].sorts[A]
         )
-        out = set(islice(union_closure(gens, _family_join, empty), budget + 1))
-        if len(out) > budget:
-            raise BudgetError(f"subfunctor lattice of ev({A}) exceeds {budget} elements")
-        return out
+        message = f"subfunctor lattice of ev({A}) exceeds {budget} elements"
+        return set(bounded(union_closure(gens, _family_join, empty), budget, message))
 
     def sub_lattice(self, A: str) -> NamedSetLattice:
         return self._sub[A]

@@ -48,6 +48,16 @@ def union_closure(gens, join=or_, empty=0):
                 yield u
 
 
+def bounded(items, budget: int, message: str) -> list:
+    """The items as a list; `BudgetError(message)` on the (budget + 1)-th."""
+    out = []
+    for x in items:
+        if len(out) == budget:
+            raise BudgetError(message)
+        out.append(x)
+    return out
+
+
 def assignments(keys, values, consistent):
     """Yield, in lexicographic order, each dict giving every key in turn a
     value from `values(key)` such that `consistent(key, acc)` held when the

@@ -81,7 +81,6 @@ class PredCategory:
     def __init__(self, P: CoherentHyperdoctrine, budget: int | None = None):
         budget = budget if budget is not None else search_budget()
         self.P = P
-        self._triples: dict[tuple[str, str, str], tuple[str, str, str, str]] = {}
         base = P.base
         objs = [
             (A, a) for A in base.objects for a in P.fiber(A).elements
@@ -151,22 +150,20 @@ class PredCategory:
                 out.append(f)
         return out
 
+    @cached_method
     def _triple(self, A: str, B: str, C: str) -> tuple[str, str, str, str]:
         """(A x B) x C with its projections onto A x B, A x C and B x C."""
-        key = (A, B, C)
-        if key not in self._triples:
-            base = self.P.base
-            ab = self._pi(A, B)
-            t = self.P.limits.product(ab.obj, C)
-            pi1 = base.compose(ab.pi1, t.pi1)
-            pi2 = base.compose(ab.pi2, t.pi1)
-            self._triples[key] = (
-                t.obj,
-                t.pi1,
-                pairing(base, self._pi(A, C), pi1, t.pi2),
-                pairing(base, self._pi(B, C), pi2, t.pi2),
-            )
-        return self._triples[key]
+        base = self.P.base
+        ab = self._pi(A, B)
+        t = self.P.limits.product(ab.obj, C)
+        pi1 = base.compose(ab.pi1, t.pi1)
+        pi2 = base.compose(ab.pi2, t.pi1)
+        return (
+            t.obj,
+            t.pi1,
+            pairing(base, self._pi(A, C), pi1, t.pi2),
+            pairing(base, self._pi(B, C), pi2, t.pi2),
+        )
 
     def _single_valued(self, A: str, B: str, f: str) -> bool:
         P = self.P
@@ -175,6 +172,7 @@ class PredCategory:
         rhs = P.ex(self._diagonal(B))(P.fiber(B).top)
         return P.fiber(self._pi(B, B).obj).leq(lhs, rhs)
 
+    @cached_method
     def _diagonal(self, A: str) -> str:
         base = self.P.base
         return pairing(base, self._pi(A, A), base.identity(A), base.identity(A))

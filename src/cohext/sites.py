@@ -4,7 +4,7 @@ locale-morphism analysis, all at finite scale.
 Coverages are stored as predicates on sieves plus generator enumeration.
 A sieve is the union of the principal sieves of its members, so the sieves
 on an object are enumerated as the union closure of its principal sieves,
-under the unchanged budget on 2^(morphisms into the object).  The filter
+and a budget bounds the number of sieves that closure yields.  The filter
 category keys each germ by its restriction to the least member of the
 source filter, since every filter of a finite lattice is the up-set of
 that member.
@@ -36,7 +36,7 @@ from .lattice import (
     prime_filter_poset,
     prime_filters,
 )
-from .order import BudgetError, FinPoset, assignments, set_name, union_closure
+from .order import BudgetError, FinPoset, assignments, bounded, set_name, union_closure
 
 
 def sieve_budget() -> int:
@@ -70,18 +70,14 @@ class Site:
         bitmasks over `morphisms_into(A)`: by the sum of 2^index."""
         budget = budget if budget is not None else sieve_budget()
         inc = self.cat.morphisms_into(A)
-        if 1 << len(inc) > budget:
-            raise BudgetError(
-                f"sieve enumeration on {A} needs 2^{len(inc)} subsets; "
-                "raise --budget"
-            )
         index = {f: i for i, f in enumerate(inc)}
         principal = [
             sum(1 << index[g] for g in self.sieve_generated(A, [f])) for f in inc
         ]
+        message = f"sieve enumeration on {A} exceeds {budget} sieves; raise --budget"
         return [
             frozenset(f for i, f in enumerate(inc) if mask >> i & 1)
-            for mask in sorted(union_closure(principal))
+            for mask in sorted(bounded(union_closure(principal), budget, message))
         ]
 
     def covering_sieves(self, A: str, budget: int | None = None):
@@ -455,7 +451,8 @@ def _matching_families(C, X, sieve, budget=None):
     for f in sieve:
         total *= len(X.fiber(C.cat.src(f)).elements)
         if total > budget:
-            raise BudgetError("matching-family enumeration exceeds budget")
+            raise BudgetError(f"matching-family enumeration on {C.cat.tgt(f)} "
+                              f"exceeds {budget}; raise --budget")
     links = {f: [] for f in sieve}
     for f in sieve:
         for g in C.cat.morphisms_into(C.cat.src(f)):
@@ -500,7 +497,8 @@ def topology_coincidence_check(
     the plain join of existential images equals the join over the closure
     admitting members that are covered into the sieve by coherent covers.
 
-    Returns (ok, sieves_checked, note)."""
+    Returns (ok, sieves_checked, witness); a budget cut raises
+    `BudgetError` naming the object and the sieves checked before it."""
     if X is None:
         X = canext_hyperdoctrine(sub_hyperdoctrine(C))
     site = semidirect_site(C, X)
@@ -511,8 +509,8 @@ def topology_coincidence_check(
         FA = X.fiber(A)
         try:
             sieves = site.all_sieves(nx, budget)
-        except BudgetError:
-            return True, checked, f"sieve budget exhausted at {nx}"
+        except BudgetError as e:
+            raise BudgetError(f"after {checked} sieves checked, {e}") from None
         for sieve in sieves:
             plain = FA.join_all(
                 adjoints[site.mor_data[n]](site.obj_data[site.cat.src(n)][1])

@@ -36,10 +36,7 @@ def sieve_search():
     C, X = extended_boolean4()
     site = sites.semidirect_site(C, X)
     A = max(site.cat.objects, key=lambda A: len(site.cat.morphisms_into(A)))
-    return (
-        lambda budget: site.all_sieves(A, budget),
-        1 << len(site.cat.morphisms_into(A)),
-    )
+    return lambda budget: site.all_sieves(A, budget), len(site.all_sieves(A))
 
 
 def matching_family_search():
@@ -52,7 +49,7 @@ def matching_family_search():
 
 def compactness_search():
     ce = canonical_extension(chain_lattice(3))
-    return lambda budget: check_compact(ce, budget), 1 << 6
+    return lambda budget: check_compact(ce, budget), 1 << 3
 
 
 def ordered_family():
@@ -89,6 +86,18 @@ def test_search_refuses_below_its_need_and_finishes_at_it(search):
     with pytest.raises(BudgetError):
         run(need - 1)
     run(need)
+
+
+@pytest.mark.parametrize(
+    "search",
+    (sieve_search, matching_family_search, compactness_search),
+    ids=lambda s: s.__name__,
+)
+def test_cut_message_tells_how_to_proceed(search):
+    run, need = search()
+    with pytest.raises(BudgetError) as e:
+        run(need - 1)
+    assert str(e.value).endswith("; raise --budget")
 
 
 def test_one_budget_error_class():

@@ -102,12 +102,15 @@ def test_tot_subcommands(tmp_path):
 
 
 def test_budget_exhausted_coincidence_check_is_not_a_pass():
-    r = run_cli("--budget", "4", "tot", "sheaf-check", fx("one_point.cat.json"))
+    r = run_cli("--budget", "3", "tot", "sheaf-check", fx("one_point.cat.json"))
     assert r.returncode == 1
     data = json.loads(r.stdout)
     check = {c["name"]: c for c in data["checks"]}["topology-coincidence"]
     assert not data["pass"] and not check["pass"]
-    assert check["witness"].startswith("sieve budget exhausted at")
+    assert check["witness"] == (
+        "after 5 sieves checked, sieve enumeration on <{x};{{{x}}}> exceeds 3 sieves; "
+        "raise --budget"
+    )
 
 
 def test_predcat_budget_cut_is_a_located_error():
@@ -125,8 +128,23 @@ def test_sieve_budget_cut_fails_sheaf_check_and_keeps_the_report():
     checks = {c["name"]: c for c in data["checks"]}
     assert list(checks) == ["sheaf", "unique-glueing", "topology-coincidence"]
     assert not data["pass"] and not checks["sheaf"]["pass"]
-    assert checks["sheaf"]["witness"].startswith("sieve enumeration on ")
-    assert checks["sheaf"]["witness"].endswith("; raise --budget")
+    assert checks["sheaf"]["witness"] == (
+        "matching-family enumeration on 1 exceeds 8; raise --budget"
+    )
+    assert not checks["topology-coincidence"]["pass"]
+    assert checks["topology-coincidence"]["witness"] == (
+        "after 22 sieves checked, sieve enumeration on <1;{{1,a}}> exceeds 8 sieves; "
+        "raise --budget"
+    )
+
+
+def test_budget_bounds_the_compactness_check():
+    r = run_cli("--budget", "3", "canext", fx("diamond.lat.json"))
+    assert r.returncode == 2
+    assert r.stderr == (
+        "error: compactness check tabulates 2^4 subsets, over 3; raise --budget\n"
+    )
+    assert run_cli("--budget", "16", "canext", fx("diamond.lat.json")).returncode == 0
 
 
 def test_budget_flag_leaves_later_calls_in_the_process_unchanged(capsys):

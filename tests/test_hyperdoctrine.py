@@ -13,7 +13,6 @@ from cohext.hyperdoctrine import (
     canext_morphism,
     compose_morphisms,
     fo_from_cohcat,
-    powerset_hyperdoctrine,
     sub_hyperdoctrine,
     unit_morphism,
     validate,
@@ -27,16 +26,14 @@ def all_fixture_hyperdoctrines():
     out = []
     for L in distributive_lattices(4):
         out.append(sub_hyperdoctrine(LatticeCategory(L)))
-    out.append(powerset_hyperdoctrine(ConcreteCohCategory([frozenset({"x"})])))
-    out.append(
-        powerset_hyperdoctrine(ConcreteCohCategory([frozenset({"x", "y"})]))
-    )
+    out.append(sub_hyperdoctrine(ConcreteCohCategory([frozenset({"x"})])))
+    out.append(sub_hyperdoctrine(ConcreteCohCategory([frozenset({"x", "y"})])))
     return out
 
 
 def test_powerset_hyperdoctrine_validates():
     C = ConcreteCohCategory([frozenset({"x", "y"})])
-    rep = validate(powerset_hyperdoctrine(C))
+    rep = validate(sub_hyperdoctrine(C))
     assert rep.passed, rep.failures()
 
 

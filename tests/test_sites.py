@@ -182,20 +182,37 @@ def oracle_sites():
         yield irreducible_site(C, X)
 
 
+def assert_every_sieve_once_in_order(site, A, sieves):
+    """Without walking all subsets: each member is closed under
+    precomposition, and the family holds the empty sieve and each principal
+    sieve and is closed under union, so it holds every sieve, each being the
+    union of the principal sieves of its members."""
+    cat = site.cat
+    inc = cat.morphisms_into(A)
+    masks = [sum(1 << i for i, f in enumerate(inc) if f in s) for s in sieves]
+    assert masks == sorted(set(masks))
+    family = set(sieves)
+    for s in family:
+        assert all(cat.compose(f, g) in s for f in s for g in cat.morphisms_into(cat.src(f)))
+    assert frozenset() in family
+    for f in inc:
+        principal = {f} | {cat.compose(f, g) for g in cat.morphisms_into(cat.src(f))}
+        assert principal in family
+    assert all(s | t in family for s in family for t in family)
+
+
 def test_all_sieves_match_subset_oracle_in_order():
-    checked = refused = 0
+    checked = characterized = 0
     for site in oracle_sites():
         for A in site.cat.objects:
-            k = len(site.cat.morphisms_into(A))
-            if k > 12:
-                # the default budget of 4096 refuses these up front
-                with pytest.raises(BudgetError, match=f"needs 2\\^{k} subsets"):
-                    site.all_sieves(A)
-                refused += 1
+            if len(site.cat.morphisms_into(A)) > 16:
+                # 2^25 subsets are too many for the oracle
+                assert_every_sieve_once_in_order(site, A, site.all_sieves(A))
+                characterized += 1
                 continue
             assert site.all_sieves(A) == sieves_oracle(site, A)
             checked += 1
-    assert checked == 85 and refused == 3
+    assert checked == 87 and characterized == 1
 
 
 def test_sieve_budget_refuses_up_front_at_the_same_bound():
@@ -204,11 +221,11 @@ def test_sieve_budget_refuses_up_front_at_the_same_bound():
         canext_hyperdoctrine(sub_hyperdoctrine(LatticeCategory(boolean4()))),
     )
     A = max(site.cat.objects, key=lambda A: len(site.cat.morphisms_into(A)))
-    k = len(site.cat.morphisms_into(A))
-    assert len(site.all_sieves(A, budget=1 << k)) < 1 << k
+    n = len(site.all_sieves(A))
+    assert len(site.all_sieves(A, budget=n)) == n
     with pytest.raises(BudgetError) as e:
-        site.all_sieves(A, budget=(1 << k) - 1)
-    assert str(e.value) == f"sieve enumeration on {A} needs 2^{k} subsets; raise --budget"
+        site.all_sieves(A, budget=n - 1)
+    assert str(e.value) == f"sieve enumeration on {A} exceeds {n - 1} sieves; raise --budget"
 
 
 def test_jp_cover_example_on_three_chain():
@@ -319,8 +336,19 @@ def test_topology_coincidence_on_fixtures():
 
 def test_topology_coincidence_budget_report():
     C = LatticeCategory(boolean4())
-    ok, checked, note = topology_coincidence_check(C, budget=2)
-    assert ok and note and "budget" in note
+    with pytest.raises(BudgetError) as e:
+        topology_coincidence_check(C, budget=2)
+    site = semidirect_site(C, canext_hyperdoctrine(sub_hyperdoctrine(C)))
+    checked = 0
+    for nx in site.obj_data:
+        n = len(site.all_sieves(nx))
+        if n > 2:
+            break
+        checked += n
+    assert str(e.value) == (
+        f"after {checked} sieves checked, sieve enumeration on {nx} exceeds 2 sieves; "
+        "raise --budget"
+    )
 
 
 def test_localic_tot_reports():
