@@ -38,7 +38,7 @@ class FilteredError(LatticeError):
     """Subset is not down-directed."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CanonicalExtension:
     """An embedding of a lattice into a complete (here: finite) lattice.
 
@@ -136,6 +136,9 @@ class CanonicalExtension:
     def __hash__(self):
         return hash((self.base, self.ext, tuple(sorted(self.embed.items()))))
 
+    def __repr__(self):
+        return f"CanonicalExtension({self.base!r} -> {self.ext!r})"
+
 
 _EXTENSION_CACHE: dict = {}
 
@@ -210,7 +213,7 @@ def check_compact(ce: CanonicalExtension, budget: int | None = None) -> bool:
 # -- sigma / pi / delta extensions --------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ExtendedMap:
     """A lifting of a monotone base map to the canonical extensions."""
 
@@ -229,12 +232,17 @@ class ExtendedMap:
             for a in self.base_map.source.elements
         )
 
+    def __repr__(self):
+        return f"ExtendedMap({self.kind}: {self.map.source!r} -> {self.map.target!r})"
+
 
 def sigma_extension(
     f: MonotoneMap, ce_s: CanonicalExtension, ce_t: CanonicalExtension
 ) -> ExtendedMap:
     """Two-stage formula: on a filter element x, the meet of f over the
-    filter of x; in general, the join over filter elements below."""
+    filter of x; in general, the join over filter elements below.  The
+    table is monotone by construction: u <= v puts the filter elements
+    below u among those below v."""
     _check_lift_typing(f, ce_s, ce_t)
     ext_s, ext_t = ce_s.ext, ce_t.ext
     on_filt = {
@@ -245,12 +253,15 @@ def sigma_extension(
         u: ext_t.join_all(on_filt[x] for x in ce_s.filt_below[u])
         for u in ext_s.elements
     }
-    return ExtendedMap("sigma", f, ce_s, ce_t, MonotoneMap(ext_s, ext_t, table))
+    table_map = MonotoneMap.trusted(ext_s, ext_t, table)
+    return ExtendedMap("sigma", f, ce_s, ce_t, table_map)
 
 
 def pi_extension(
     f: MonotoneMap, ce_s: CanonicalExtension, ce_t: CanonicalExtension
 ) -> ExtendedMap:
+    """The dual of `sigma_extension`: joins over ideals, then meets over
+    the ideal elements above (monotone by construction, dually)."""
     _check_lift_typing(f, ce_s, ce_t)
     ext_s, ext_t = ce_s.ext, ce_t.ext
     on_idl = {
@@ -261,7 +272,8 @@ def pi_extension(
         u: ext_t.meet_all(on_idl[y] for y in ce_s.ideal_above[u])
         for u in ext_s.elements
     }
-    return ExtendedMap("pi", f, ce_s, ce_t, MonotoneMap(ext_s, ext_t, table))
+    table_map = MonotoneMap.trusted(ext_s, ext_t, table)
+    return ExtendedMap("pi", f, ce_s, ce_t, table_map)
 
 
 def delta_extension(
@@ -287,7 +299,11 @@ def _check_lift_typing(f, ce_s, ce_t):
 
 def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
     """The unique complete homomorphism ext -> K agreeing with h on the
-    embedded base.  K is the codomain of h itself, not its extension."""
+    embedded base.  K is the codomain of h itself, not its extension.
+
+    On an extension built by `canonical_extension` the embedding is onto,
+    so the table is h read through it, a hom by construction; an
+    extension wrapping some other embedding is validated."""
     K = h.target
     on_filt = {
         x: K.meet_all(h(a) for a in ce_s.filter_of[x]) for x in ce_s.filt_elements
@@ -296,7 +312,8 @@ def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
         u: K.join_all(on_filt[x] for x in ce_s.filt_below[u])
         for u in ce_s.ext.elements
     }
-    return LatticeHom(ce_s.ext, K, table)
+    make = LatticeHom if ce_s.prime_filters is None else LatticeHom.trusted
+    return make(ce_s.ext, K, table)
 
 
 # -- composition, Esakia, square transfer -------------------------------------
@@ -400,17 +417,3 @@ def comjpm_decide(
     assert cond1 == cond2, "square-transfer conditions disagree"
     return cond1, cond2
 
-
-def restrict_extension(L: FinLattice, a: str) -> CanonicalExtension:
-    """The canonical extension of the downset of a, realized inside the
-    extension of L as the interval below the image of a."""
-    require_distributive(L)
-    ce = canonical_extension(L)
-    base = L.down_lattice(a)
-    ext = ce.ext.down_lattice(ce.e(a))
-    restricted = CanonicalExtension(
-        base, ext, {x: ce.e(x) for x in base.elements}
-    )
-    if not (check_dense(restricted) and check_compact(restricted)):
-        raise LatticeError("restricted embedding is not dense and compact")
-    return restricted

@@ -9,6 +9,27 @@ non-distributive counterexamples remain representable.
 Every lattice of sets (downsets, filters, ideals, subsets of a finite set,
 families of subsets) is built by `set_lattice`, the one place that names
 set elements and keeps the name <-> set maps (`decode` / `encode`).
+
+Map searches go through the irreducibles (Birkhoff duality; Davey &
+Priestley, *Introduction to Lattices and Order*, ch. 5) instead of
+filtering every monotone map.  Every element of a finite lattice is the
+join of the join-irreducibles below it, so a join-preserving map is fixed
+by its monotone restriction to them: `join_preserving_maps` extends each
+monotone map on the join-irreducibles by joins and keeps the candidates
+that preserve finite joins (all of them when the source is distributive;
+the check keeps non-distributive sources such as `m3` exact).
+`meet_preserving_maps` is the dual search over the meet-irreducibles.
+Between distributive lattices, `lattice_homs` enumerates the monotone maps
+J(K) -> J(L) of the dual posets, each giving exactly one hom; otherwise it
+keeps the join-preserving maps that preserve finite meets.
+
+`MonotoneMap.trusted` (and `LatticeHom.trusted`) skips validation, as
+`FinPoset.trusted` and `FinLattice.trusted` do.  It is used only where a
+map is correct by construction: the results of the map searches here
+(`monotone_maps` checks each pair b <= a as a is assigned), the sigma/pi
+lifting tables and `extend_hom` on an extension built by
+`canonical_extension` (see `canext`).  Maps built from outside data keep
+the validating constructor.
 """
 
 from __future__ import annotations
@@ -120,15 +141,15 @@ class FinLattice:
         return self.join_table[(a, b)]
 
     def meet_all(self, xs) -> str:
-        out = self.top
+        out, meet = self.top, self.meet_table
         for x in xs:
-            out = self.meet(out, x)
+            out = meet[out, x]
         return out
 
     def join_all(self, xs) -> str:
-        out = self.bottom
+        out, join = self.bottom, self.join_table
         for x in xs:
-            out = self.join(out, x)
+            out = join[out, x]
         return out
 
     def implies(self, a, b) -> str:
@@ -170,7 +191,7 @@ class FinLattice:
         return f"FinLattice({len(self.elements)} elements)"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class NamedSetLattice(FinLattice):
     """Lattice whose elements name sets (or families of sets): `decode`
     maps a name to its set and `encode` maps the set back."""
@@ -185,7 +206,7 @@ class NamedSetLattice(FinLattice):
             raise LatticeError(f"{set_name(s)} is not an element here") from None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DownsetLattice(NamedSetLattice):
     """Downset lattice of a poset; remembers the poset."""
 
@@ -225,10 +246,9 @@ def downset_lattice(p: FinPoset) -> DownsetLattice:
 
 
 def distributivity_witness(L: FinLattice) -> tuple[str, str, str] | None:
+    meet, join = L.meet_table, L.join_table
     for x, y, z in product(L.elements, repeat=3):
-        lhs = L.meet(x, L.join(y, z))
-        rhs = L.join(L.meet(x, y), L.meet(x, z))
-        if lhs != rhs:
+        if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]:
             return (x, y, z)
     return None
 
@@ -244,12 +264,15 @@ def require_distributive(L: FinLattice) -> None:
 
 
 def is_join_irreducible(L: FinLattice, a: str) -> bool:
-    if a == L.bottom:
-        return False
-    for x, y in product(L.elements, repeat=2):
-        if L.join(x, y) == a and x != a and y != a:
-            return False
-    return True
+    """a is not bottom and not the join of the elements strictly below it
+    (if a = x \\/ y with x, y < a, those are among them)."""
+    below = (x for x in L.elements if L.poset.lt(x, a))
+    return a != L.bottom and L.join_all(below) != a
+
+
+def is_meet_irreducible(L: FinLattice, a: str) -> bool:
+    above = (x for x in L.elements if L.poset.lt(a, x))
+    return a != L.top and L.meet_all(above) != a
 
 
 def join_irreducibles(L: FinLattice) -> FinPoset:
@@ -365,6 +388,16 @@ class MonotoneMap:
         for a, b in product(self.source.elements, repeat=2):
             if (a, b) in src and (m[a], m[b]) not in tgt:
                 raise LatticeError(f"not order-preserving on ({a},{b})")
+
+    @classmethod
+    def trusted(cls, source, target, mapping):
+        """Skip validation; for maps that are total, into the target and
+        order-preserving (homomorphisms, for `LatticeHom`) by construction."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "source", source)
+        object.__setattr__(obj, "target", target)
+        object.__setattr__(obj, "mapping", mapping)
+        return obj
 
     def __call__(self, a: str) -> str:
         return self.mapping[a]
@@ -511,40 +544,83 @@ def pairing(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
     )
 
 
-def monotone_maps(L: FinLattice, K: FinLattice):
-    """All order-preserving maps L -> K, sorted by their items.  Elements
-    are assigned along a linear extension, so each is checked only against
-    the earlier elements below it."""
-    order = L.poset.linear_extension()
-    below = {a: [b for b in order[:i] if L.leq(b, a)] for i, a in enumerate(order)}
-    target = K.poset.pairs
+def _monotone_tables(P: FinPoset, keys, values, target: frozenset):
+    """Each order-preserving map from `keys` (elements of P) to `values`
+    under the order pairs `target`.  Keys are assigned along a linear
+    extension of P, so each is checked only against the earlier keys
+    below it."""
+    keys = set(keys)
+    order = [a for a in P.linear_extension() if a in keys]
+    below = {a: [b for b in order[:i] if P.leq(b, a)] for i, a in enumerate(order)}
 
     def consistent(a, acc):
         k = acc[a]
         return all((acc[b], k) in target for b in below[a])
 
-    out = [
-        MonotoneMap(L, K, m)
-        for m in assignments(order, lambda a: K.elements, consistent)
-    ]
-    out.sort(key=lambda m: tuple(sorted(m.mapping.items())))
-    return out
+    return assignments(order, lambda a: values, consistent)
 
 
-def lattice_homs(L: FinLattice, K: FinLattice) -> list[LatticeHom]:
-    return [
-        LatticeHom(L, K, m.mapping)
-        for m in monotone_maps(L, K)
-        if m.is_lattice_hom()
-    ]
+def _by_items(maps: list) -> list:
+    maps.sort(key=lambda m: tuple(sorted(m.mapping.items())))
+    return maps
+
+
+def monotone_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
+    """All order-preserving maps L -> K, sorted by their items."""
+    return _by_items([
+        MonotoneMap.trusted(L, K, m)
+        for m in _monotone_tables(L.poset, L.elements, K.elements, K.poset.pairs)
+    ])
+
+
+def _irreducible_extensions(L: FinLattice, K: FinLattice, meets: bool):
+    """The maps L -> K preserving finite joins (meets, if `meets`), sorted
+    by their items: each monotone map on the join- (meet-) irreducibles of
+    L, extended by joins (meets), is kept if it preserves them."""
+    if meets:
+        irr = [a for a in L.elements if is_meet_irreducible(L, a)]
+        gens = {a: [m for m in irr if L.leq(a, m)] for a in L.elements}
+        close, keep = K.meet_all, MonotoneMap.preserves_finite_meets
+    else:
+        irr = [a for a in L.elements if is_join_irreducible(L, a)]
+        gens = {a: [j for j in irr if L.leq(j, a)] for a in L.elements}
+        close, keep = K.join_all, MonotoneMap.preserves_finite_joins
+    maps = (
+        MonotoneMap.trusted(
+            L, K, {a: close(g[x] for x in gens[a]) for a in L.elements}
+        )
+        for g in _monotone_tables(L.poset, irr, K.elements, K.poset.pairs)
+    )
+    return _by_items([f for f in maps if keep(f)])
 
 
 def join_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
-    return [m for m in monotone_maps(L, K) if m.preserves_finite_joins()]
+    return _irreducible_extensions(L, K, meets=False)
 
 
 def meet_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
-    return [m for m in monotone_maps(L, K) if m.preserves_finite_meets()]
+    return _irreducible_extensions(L, K, meets=True)
+
+
+def lattice_homs(L: FinLattice, K: FinLattice) -> list[LatticeHom]:
+    """All bounded homs L -> K, sorted by their items.  Between
+    distributive lattices, each monotone phi : J(K) -> J(L) gives the hom
+    a |-> \\/ {k in J(K) : phi(k) <= a}, and every hom arises once so."""
+    if not (check_distributive(L) and check_distributive(K)):
+        return [
+            LatticeHom.trusted(L, K, f.mapping)
+            for f in join_preserving_maps(L, K)
+            if f.preserves_finite_meets()
+        ]
+    jl = [a for a in L.elements if is_join_irreducible(L, a)]
+    jk = [k for k in K.elements if is_join_irreducible(K, k)]
+    return _by_items([
+        LatticeHom.trusted(
+            L, K,
+            {a: K.join_all(k for k in jk if L.leq(phi[k], a)) for a in L.elements},
+        )
+        for phi in _monotone_tables(K.poset, jk, jl, L.poset.pairs)
+    ])
 
 
 # -- Birkhoff duality ---------------------------------------------------------

@@ -161,8 +161,6 @@ class FinPoset:
 
     def downsets(self) -> list[frozenset[str]]:
         """All down-closed subsets (unions of principal downsets), sorted."""
-        if len(self.elements) > 16:
-            raise OrderError("downset enumeration capped at 16 elements")
         elems = self.elements
         principal = [
             sum(1 << i for i, x in enumerate(elems) if self.leq(x, a)) for a in elems

@@ -17,22 +17,27 @@ from cohext.canext import (
     extend_hom,
     is_filtered,
     pi_extension,
-    restrict_extension,
     sigma_extension,
 )
 from cohext.catalog import distributive_lattices
 from cohext.lattice import (
+    FinLattice,
+    LatticeError,
     LatticeHom,
     MonotoneMap,
     NotDistributiveError,
     boolean4,
     chain_lattice,
+    downset_lattice,
+    filter_lattice,
     join_preserving_maps,
     lattice_homs,
     m3,
     monotone_maps,
+    require_distributive,
     trivial_lattice,
 )
+from cohext.order import antichain
 
 
 def test_extension_shapes_on_small_lattices():
@@ -302,6 +307,21 @@ def test_comjpm_agreement_on_commuting_squares_sample():
                                     assert c1 == c2
 
 
+def restrict_extension(L: FinLattice, a: str) -> CanonicalExtension:
+    """The canonical extension of the downset of a, realized inside the
+    extension of L as the interval below the image of a."""
+    require_distributive(L)
+    ce = canonical_extension(L)
+    base = L.down_lattice(a)
+    ext = ce.ext.down_lattice(ce.e(a))
+    restricted = CanonicalExtension(
+        base, ext, {x: ce.e(x) for x in base.elements}
+    )
+    if not (check_dense(restricted) and check_compact(restricted)):
+        raise LatticeError("restricted embedding is not dense and compact")
+    return restricted
+
+
 def test_restrict_extension_edges_and_diamond():
     B = boolean4()
     full = restrict_extension(B, "1")
@@ -424,3 +444,39 @@ def test_sigma_pi_match_rescan_formula_small():
                 sigma, pi = rescan_tables(f, cs, ct)
                 assert sigma_extension(f, cs, ct).map.mapping == sigma
                 assert pi_extension(f, cs, ct).map.mapping == pi
+
+
+def test_trusted_lifts_pass_the_validating_constructor():
+    lats = distributive_lattices(5)
+    for L in lats:
+        for K in lats:
+            cs, ct = lift_pair(L, K)
+            for f in monotone_maps(L, K):
+                for lift in (sigma_extension, pi_extension):
+                    m = lift(f, cs, ct).map
+                    assert MonotoneMap(m.source, m.target, m.mapping) == m
+            for h in lattice_homs(L, K):
+                hbar = extend_hom(h, cs)
+                assert type(hbar) is LatticeHom
+                assert LatticeHom(cs.ext, K, hbar.mapping) == hbar
+
+
+def test_extend_hom_validates_a_wrapped_embedding():
+    # the two-chain sent to the bounds of the diamond is not dense: the
+    # extension formula sends 1 = a \/ b to c1 but a and b to c0, which
+    # the validating constructor refuses
+    two, B = chain_lattice(2), boolean4()
+    wrapped = CanonicalExtension(two, B, {"c0": "0", "c1": "1"})
+    with pytest.raises(LatticeError, match="not a lattice homomorphism"):
+        extend_hom(LatticeHom.identity(two), wrapped)
+
+
+def test_reprs_stay_short():
+    B8 = downset_lattice(antichain("abc"))
+    ce = canonical_extension(B8)
+    sig = sigma_extension(MonotoneMap.identity(B8), ce, ce)
+    for obj in (ce, ce.ext, filter_lattice(B8), B8, sig):
+        assert len(repr(obj)) < 200, repr(obj)
+    assert repr(ce) == (
+        "CanonicalExtension(FinLattice(8 elements) -> FinLattice(8 elements))"
+    )

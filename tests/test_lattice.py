@@ -25,7 +25,10 @@ from cohext.lattice import (
     is_ideal,
     is_prime_filter,
     join_irreducibles,
+    join_preserving_maps,
+    lattice_homs,
     m3,
+    meet_preserving_maps,
     monotone_maps,
     pair_name,
     prime_filters,
@@ -282,3 +285,76 @@ def test_monotone_maps_match_backtracking_oracle():
             assert got == expected
             total += len(got)
     assert total == 5089
+
+
+# The generate-and-filter searches that the dual enumeration replaced.
+
+
+def lattice_homs_oracle(L, K):
+    return [
+        LatticeHom(L, K, m.mapping) for m in monotone_maps(L, K) if m.is_lattice_hom()
+    ]
+
+
+def join_preserving_maps_oracle(L, K):
+    return [m for m in monotone_maps(L, K) if m.preserves_finite_joins()]
+
+
+def meet_preserving_maps_oracle(L, K):
+    return [m for m in monotone_maps(L, K) if m.preserves_finite_meets()]
+
+
+def listing(maps):
+    return [(type(m), list(m.mapping.items())) for m in maps]
+
+
+def test_dual_map_searches_match_the_filter_oracles():
+    lattices = distributive_lattices(6) + [m3(), boolean4(), chain_lattice(3)]
+    counts = [0, 0, 0]
+    for L in lattices:
+        for K in lattices:
+            for i, (search, oracle) in enumerate([
+                (lattice_homs, lattice_homs_oracle),
+                (join_preserving_maps, join_preserving_maps_oracle),
+                (meet_preserving_maps, meet_preserving_maps_oracle),
+            ]):
+                got = search(L, K)
+                assert listing(got) == listing(oracle(L, K))
+                assert all(m.source is L and m.target is K for m in got)
+                counts[i] += len(got)
+    assert counts == [3194, 10911, 10911]
+
+
+def test_dual_map_searches_on_boolean_lattices():
+    B8 = downset_lattice(antichain("abc"))
+    assert len(lattice_homs(B8, B8)) == 27
+    assert len(join_preserving_maps(B8, B8)) == 512
+    assert len(meet_preserving_maps(B8, B8)) == 512
+    # homs B16 -> B16 are the 4^4 maps between the 4-antichains of atoms;
+    # the filter oracle would walk every monotone self-map of B16
+    B16 = downset_lattice(antichain("abcd"))
+    homs = lattice_homs(B16, B16)
+    assert len(homs) == 256
+    assert all(h.is_lattice_hom() for h in homs)
+
+
+def test_map_searches_build_no_validated_map(monkeypatch):
+    from cohext.canext import canonical_extension, comjpm_decide
+
+    B8 = downset_lattice(antichain("abc"))
+    canonical_extension(B8)
+    ident = {a: a for a in B8.elements}
+    built = []
+    original = MonotoneMap.__post_init__
+
+    def counting(self):
+        built.append(type(self).__name__)
+        original(self)
+
+    monkeypatch.setattr(MonotoneMap, "__post_init__", counting)
+    h = next(h for h in lattice_homs(B8, B8) if h.mapping == ident)
+    f = next(f for f in join_preserving_maps(B8, B8) if f.mapping == ident)
+    assert comjpm_decide(h, h, f, f) == (True, True)
+    assert built == []
+    MonotoneMap(B8, B8, ident)
+    assert built == ["MonotoneMap"]

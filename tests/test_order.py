@@ -6,12 +6,11 @@ import random
 from itertools import combinations, permutations, product
 from operator import or_
 
-import pytest
-
+from cohext.canext import canonical_extension
 from cohext.catalog import _canonical_key, all_posets, distributive_lattices
+from cohext.lattice import chain_lattice
 from cohext.order import (
     FinPoset,
-    OrderError,
     antichain,
     assignments,
     canonical_form,
@@ -218,9 +217,12 @@ def test_downsets_of_chains_and_antichains():
     assert len(chain([f"c{i}" for i in range(16)]).downsets()) == 17
 
 
-def test_downset_cap_still_refuses_seventeen_elements():
-    with pytest.raises(OrderError, match="downset enumeration capped at 16 elements"):
-        chain([f"c{i}" for i in range(17)]).downsets()
+def test_downsets_have_no_size_cap():
+    # union_closure walks only the actual downsets, so size alone is no
+    # reason to refuse: a 17-chain has 18 downsets
+    assert len(chain([f"c{i}" for i in range(17)]).downsets()) == 18
+    ce = canonical_extension(chain_lattice(18))
+    assert len(ce.ext.elements) == 18 and ce.is_iso()
 
 
 def test_canonical_key_matches_brute_force_on_all_posets_up_to_six():
