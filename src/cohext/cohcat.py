@@ -159,43 +159,6 @@ class CohCategory:
     def is_terminal(self, T: str) -> bool:
         return all(len(self.cat.hom(A, T)) == 1 for A in self.cat.objects)
 
-    def all_pullback_squares(self) -> list[PullbackSquare]:
-        """Exhaustive mode: every cospan that has a pullback cone among the
-        objects, found by its universal property.  Quadratic in the
-        morphism count; intended for small fragments."""
-        cat = self.cat
-        out = []
-        for alpha in sorted(cat.morphisms):
-            C0 = cat.tgt(alpha)
-            A = cat.src(alpha)
-            for beta in cat.morphisms_into(C0):
-                found = None
-                for Q in cat.objects:
-                    for pA in cat.hom(Q, A):
-                        if found:
-                            break
-                        for pB in cat.hom(Q, cat.src(beta)):
-                            if cat.compose(alpha, pA) != cat.compose(beta, pB):
-                                continue
-                            if self._is_pullback(alpha, beta, Q, pA, pB):
-                                found = PullbackSquare(alpha, beta, Q, pB, pA)
-                                break
-                    if found:
-                        break
-                if found:
-                    out.append(found)
-        return out
-
-    def _is_pullback(self, alpha, beta, Q, pA, pB) -> bool:
-        cat = self.cat
-        return all(
-            len(cat.factorizations(Z, Q, ((pA, u), (pB, v)))) == 1
-            for Z in cat.objects
-            for u in cat.hom(Z, cat.src(alpha))
-            for v in cat.hom(Z, cat.src(beta))
-            if cat.compose(alpha, u) == cat.compose(beta, v)
-        )
-
 
 # -- concrete fragments of finite sets ----------------------------------------
 

@@ -48,9 +48,8 @@ class BaseLimits:
         return cone
 
     @classmethod
-    def from_cohcat(cls, C: CohCategory, exhaustive: bool = False) -> BaseLimits:
-        """Chosen squares by default; exhaustive mode searches out every
-        cospan with a realizable pullback and checks the condition there."""
+    def from_cohcat(cls, C: CohCategory) -> BaseLimits:
+        """The terminal object, the products and the chosen squares of C."""
         try:
             term = C.terminal()
         except MissingLimitError:
@@ -62,8 +61,7 @@ class BaseLimits:
                     prods[(A, B)] = C.product(A, B)
                 except MissingLimitError:
                     pass
-        squares = C.all_pullback_squares() if exhaustive else C.chosen_squares()
-        return cls(term, prods, tuple(squares))
+        return cls(term, prods, tuple(C.chosen_squares()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -294,18 +294,11 @@ class FamilyCategory:
 
     def pullback_map(self, f: str) -> LatticeHom:
         tm = self._maps[f]
-        SA, SB = self._subs[tm.src], self._subs[tm.tgt]
-        return LatticeHom(
-            SB, SA,
-            {v: SA.encode[_preimage(tm.tables, SB.decode[v])] for v in SB.elements},
-        )
+        return _preimage_map(tm.tables, self._subs[tm.src], self._subs[tm.tgt])
 
     def image_map(self, f: str) -> MonotoneMap:
         tm = self._maps[f]
-        SA, SB = self._subs[tm.src], self._subs[tm.tgt]
-        return MonotoneMap(
-            SA, SB, {u: SB.encode[_image(tm.tables, SA.decode[u])] for u in SA.elements}
-        )
+        return _image_map(tm.tables, self._subs[tm.src], self._subs[tm.tgt])
 
 
 # families of subsets, one per model, with componentwise operations
@@ -333,6 +326,21 @@ def _preimage(tables, fam) -> tuple:
 def _image(tables, fam) -> tuple:
     """Componentwise direct image of a family along per-model function tables."""
     return tuple(frozenset(tb[a] for a in part) for tb, part in zip(tables, fam))
+
+
+def _preimage_map(tables, SA, SB) -> LatticeHom:
+    """SB -> SA: the preimage of each family along the tables of a term map
+    from A to B, between lattices of families SA and SB."""
+    return LatticeHom(
+        SB, SA, {v: SA.encode[_preimage(tables, SB.decode[v])] for v in SB.elements}
+    )
+
+
+def _image_map(tables, SA, SB) -> MonotoneMap:
+    """SA -> SB: the direct image of each family along the same tables."""
+    return MonotoneMap(
+        SA, SB, {u: SB.encode[_image(tables, SA.decode[u])] for u in SA.elements}
+    )
 
 
 def _family_name(fam) -> str:
@@ -569,19 +577,11 @@ class Evaluation:
 
     def pullback_map(self, f: str) -> LatticeHom:
         tm = self.C.term_map(f)
-        SA, SB = self._sub[tm.src], self._sub[tm.tgt]
-        tables = self._tables(tm)
-        return LatticeHom(
-            SB, SA, {v: SA.encode[_preimage(tables, SB.decode[v])] for v in SB.elements}
-        )
+        return _preimage_map(self._tables(tm), self._sub[tm.src], self._sub[tm.tgt])
 
     def image_map(self, f: str) -> MonotoneMap:
         tm = self.C.term_map(f)
-        SA, SB = self._sub[tm.src], self._sub[tm.tgt]
-        tables = self._tables(tm)
-        return MonotoneMap(
-            SA, SB, {u: SB.encode[_image(tables, SA.decode[u])] for u in SA.elements}
-        )
+        return _image_map(self._tables(tm), self._sub[tm.src], self._sub[tm.tgt])
 
     def coherence_check(self) -> ConditionReport:
         """Degreewise: the subobject action preserves meets, joins, and
@@ -764,9 +764,3 @@ def _unrealized_prime_filter(C, ev, A):
         if frozenset(rho) not in realized:
             return rho
     return None
-
-
-def subfunctor_test(C: FamilyCategory, A: str, fam) -> bool:
-    """Direct form of the subfunctor criterion: closed under the action of
-    every family homomorphism."""
-    return Evaluation(C).is_subfunctor(A, fam)

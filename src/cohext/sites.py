@@ -257,47 +257,6 @@ def jp_site(tau: FilterCategory) -> Site:
     return Site(tau.cat, covers, gens)
 
 
-def jp_cover_induced_oracle(tau: FilterCategory, X: str, sieve) -> bool:
-    """Induced-coverage oracle: a finite subfamily such that, for every
-    choice of filter members on the sources, the join of their images lies
-    in the target filter.  Exponential; for tiny fixtures only."""
-    A, F = tau.objects[X]
-    C = tau.C
-    S = C.sub_lattice(A)
-    members = sorted(sieve)
-    for r in range(1, len(members) + 1):
-        for fam in combinations(members, r):
-            datas = []
-            for f in fam:
-                Xf, _, m = tau.germ_data[f]
-                datas.append((tau.objects[Xf], m))
-            if _all_choices_land(C, S, F, datas):
-                return True
-    return False
-
-
-def _all_choices_land(C, S, F, datas) -> bool:
-    def image_of(member, U):
-        (B, _), m = member
-        SB = C.sub_lattice(B)
-        rest = SB.meet(U, m.dom)
-        ro, rm = C.subobject_object(B, rest)
-        do, dm = C.subobject_object(B, m.dom)
-        lifts = C.cat.factorizations(ro, do, ((dm, rm),))
-        mor = C.cat.compose(m.mor, lifts[0])
-        return C.image_map(mor)(C.sub_lattice(ro).top)
-
-    def rec(i, acc):
-        if i == len(datas):
-            return S.join_all(acc) in F
-        (_, FB), _ = datas[i]
-        return all(
-            rec(i + 1, acc + [image_of(datas[i], U)]) for U in sorted(FB)
-        )
-
-    return rec(0, [])
-
-
 def filter_hyperdoctrine(C: CohCategory) -> CoherentHyperdoctrine:
     """Filter lattices of the subobject fibers, substitution pushing a
     filter forward to the up-closure of its image, adjoint taking preimage

@@ -70,6 +70,13 @@ def test_identity_embedding_dense_and_compact():
     assert check_compact(ce)
 
 
+def test_extension_axioms_up_to_ten():
+    # criterion 1 past the bound of its gated run
+    for L in distributive_lattices(10):
+        ce = canonical_extension(L)
+        assert check_dense(ce) and check_compact(ce)
+
+
 def test_filter_and_ideal_elements_cover_everything_in_finite_case():
     for L in distributive_lattices(5):
         ce = canonical_extension(L)

@@ -1,7 +1,7 @@
 """Every name a module under src/ imports is used in that module, every
 local name a function under src/ binds is read in that function, no module
-under src/ reads the process environment, and every name the benchmark
-imports from cohext exists."""
+under src/ reads the process environment or keeps a process-wide cache, and
+every name the benchmark imports from cohext exists."""
 
 import ast
 import importlib
@@ -134,32 +134,39 @@ def test_dead_local_detector_on_samples():
     assert dead_locals("x = 1\n") == []
 
 
-ENVIRONMENT = ("environ", "getenv")
-
-
-def environment_uses(source: str) -> list[str]:
-    """Each `os.environ` or `os.getenv` the source names, as an attribute
-    of the `os` module under any alias or imported by name."""
+def module_attribute_uses(source: str, module: str, names) -> list[str]:
+    """Each `module.name`, for a name in `names`, that the source names, as
+    an attribute of the module under any alias or imported by name."""
     tree = ast.parse(source)
     aliases = {
         alias.asname or alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.Import)
         for alias in node.names
-        if alias.name == "os"
+        if alias.name == module
     }
     uses = []
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
-            and node.attr in ENVIRONMENT
+            and node.attr in names
             and isinstance(node.value, ast.Name)
             and node.value.id in aliases
         ):
             uses.append((node.lineno, node.attr))
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
-            uses += [(node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT]
-    return [f"line {line}: os.{name}" for line, name in sorted(uses)]
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            uses += [(node.lineno, a.name) for a in node.names if a.name in names]
+    return [f"line {line}: {module}.{name}" for line, name in sorted(uses)]
+
+
+def environment_uses(source: str) -> list[str]:
+    return module_attribute_uses(source, "os", ("environ", "getenv"))
+
+
+def process_cache_uses(source: str) -> list[str]:
+    """Process-wide memoisation keeps every argument alive; per-instance
+    memoisation is `cohcat.cached_method`."""
+    return module_attribute_uses(source, "functools", ("lru_cache", "cache"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
@@ -182,6 +189,27 @@ def test_environment_use_detector_on_samples():
     assert environment_uses(
         "import os\ndef f():\n    return os.environ.get('B', os.getenv('A'))\n"
     ) == ["line 3: os.environ", "line 3: os.getenv"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_keeps_no_process_wide_cache(path):
+    assert process_cache_uses(path.read_text()) == []
+
+
+def test_process_cache_detector_on_samples():
+    assert process_cache_uses("from functools import reduce, wraps\n") == []
+    assert process_cache_uses("from functools import cached_property\n") == []
+    assert process_cache_uses("cache = {}\ncache.get(1)\n") == []
+    assert process_cache_uses("from functools import lru_cache\n") == [
+        "line 1: functools.lru_cache"
+    ]
+    assert process_cache_uses("from functools import cache as c, wraps\n") == [
+        "line 1: functools.cache"
+    ]
+    assert process_cache_uses(
+        "import functools as ft\n@ft.lru_cache(maxsize=None)\ndef f(n):\n"
+        "    return n\n@ft.cache\ndef g(n):\n    return n\n"
+    ) == ["line 2: functools.lru_cache", "line 5: functools.cache"]
 
 
 def cohext_imports(source: str) -> list[tuple[str, str, int]]:

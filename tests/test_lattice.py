@@ -146,14 +146,13 @@ def test_birkhoff_roundtrip_and_m3_refusal():
         birkhoff(m3())
 
 
-def test_prime_filter_join_irreducible_bijection():
+def assert_prime_filters_match_irreducibles(lattices):
     # The meet map rho |-> /\rho is an order iso from (PrFl(L), reverse
-    # inclusion) onto the induced poset of join-irreducibles, for every
-    # distributive lattice of at most eight elements.
+    # inclusion) onto the induced poset of join-irreducibles.
     from cohext.lattice import prime_filter_poset
     from cohext.order import set_name
 
-    for L in distributive_lattices(8):
+    for L in lattices:
         pf = prime_filters(L)
         J = join_irreducibles(L)
         assert len(pf) == len(J.elements)
@@ -165,6 +164,16 @@ def test_prime_filter_join_irreducible_bijection():
                 assert pfp.leq(set_name(s), set_name(t)) == J.leq(
                     mapping[set_name(s)], mapping[set_name(t)]
                 )
+
+
+def test_prime_filter_join_irreducible_bijection():
+    assert_prime_filters_match_irreducibles(distributive_lattices(8))
+
+
+def test_prime_filter_join_irreducible_bijection_up_to_ten():
+    assert_prime_filters_match_irreducibles(
+        L for L in distributive_lattices(10) if len(L.elements) > 8
+    )
 
 
 def test_adjoint_composition_law():

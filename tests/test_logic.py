@@ -20,7 +20,6 @@ from cohext.logic.models import (
     homomorphisms,
     primality_check,
     sigma_bar_check,
-    subfunctor_test,
     type_of,
     types,
 )
@@ -445,7 +444,7 @@ def test_subfunctor_criterion_direct():
     A = "A"
     for H in ev.sub_lattice(A).elements:
         fam = ev.sub_lattice(A).decode[H]
-        assert subfunctor_test(C, A, fam)
+        assert ev.is_subfunctor(A, fam)
     # a non-closed family is rejected: take a cyclic orbit and delete a point
     for i, M in enumerate(C.family.models):
         for a in M.sorts[A]:

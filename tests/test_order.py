@@ -6,8 +6,9 @@ import random
 from itertools import combinations, permutations, product
 from operator import or_
 
+from catalog_oracle import all_posets
 from cohext.canext import canonical_extension
-from cohext.catalog import _canonical_key, all_posets, distributive_lattices
+from cohext.catalog import _canonical_key, distributive_lattices
 from cohext.lattice import chain_lattice
 from cohext.order import (
     FinPoset,
