@@ -362,7 +362,7 @@ def _family_setup(args, report):
         last = len(models) - 1
         raise ValueError(f"argument --drop: must be in 0..{last}, not {args.drop}")
     fam = ModelFamily.build(models)
-    C = FamilyCategory(T, fam)
+    C = FamilyCategory(T, fam, sub_budget=args.budget)
     indices = None
     if args.drop is not None:
         indices = tuple(i for i in range(len(models)) if i != args.drop)
@@ -386,7 +386,9 @@ def cmd_models_sigma(args, report: Report):
     from .logic.models import sigma_bar_check
 
     C, indices, _ = _family_setup(args, report)
-    rep = sigma_bar_check(C, require_conditions=False, indices=indices)
+    rep = sigma_bar_check(
+        C, require_conditions=False, indices=indices, budget=args.budget
+    )
     for r in (rep.naturality, rep.exists_preservation, rep.embedding, rep.surjectivity):
         report.check(r.name, r.passed, r.witness)
 

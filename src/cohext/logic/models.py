@@ -8,6 +8,14 @@ families of realized coherent-definable subsets, closed under meets,
 joins, preimages, and images to a fixpoint.  The distillation is a
 semantic approximation of the syntactic category and is bounded by an
 explicit term-depth budget.
+
+A model family keeps, for each ordered pair of members, the reach relation
+of the homomorphisms between them: which elements the homomorphisms
+M_i -> M_j send each element of M_i to.  It does not keep the
+homomorphisms.  Condition M3, the subfunctor test and the cyclic
+subfunctors read only images of single elements, so the reach relation is
+all they need, and it is found with far fewer searches than listing every
+homomorphism takes.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .chase import FinModel
 from .syntax import App, RelAtom, Theory, Var, print_term
 
 
-# -- model enumeration and homomorphisms ------------------------------------------
+# -- model enumeration and the reach of homomorphisms -----------------------------
 
 
 def enumerate_models(
@@ -96,14 +104,20 @@ def _all_rel_tables(sig, sorts):
     yield from rec(0)
 
 
-def homomorphisms(M: FinModel, N: FinModel) -> list[dict[str, dict[str, str]]]:
-    """All structure homomorphisms M -> N: sort-indexed maps commuting with
-    the function tables and preserving the relations, in lexicographic
-    order.  A row of M's relations or function graphs is checked as soon as
-    its last element is assigned."""
+def _reach(M: FinModel, N: FinModel) -> dict[str, dict[str, frozenset[str]]]:
+    """reach[A][a] = {h(a) : h a structure homomorphism M -> N}, for each
+    sort A and element a of M, found from witnesses instead of listing every
+    homomorphism.  One unpinned search tells whether any homomorphism
+    exists; each pair (a, b) that no homomorphism found so far covers then
+    gets one depth-first search with a first in key order and pinned to b,
+    stopped at its first homomorphism.  Inside such a search values not yet
+    reached are tried first, so each homomorphism found covers new pairs.
+
+    A row of M's relations or function graphs is checked as soon as all its
+    cells are assigned, in whatever order the search assigns them."""
     sig = M.theory.signature
     keys = [(s, a) for s in sig.sorts for a in M.sorts[s]]
-    position = {k: i for i, k in enumerate(keys)}
+    reached = {k: set() for k in keys}
     tables = [
         (
             args + (res,),
@@ -113,41 +127,63 @@ def homomorphisms(M: FinModel, N: FinModel) -> list[dict[str, dict[str, str]]]:
         for f, (args, res) in sig.funcs.items()
     ] + [(args, M.rels[r], N.rels[r]) for r, args in sig.rels.items()]
     rows = {k: [] for k in keys}
+    hom_exists = True
     for sorts, m_rows, n_rows in tables:
         for row in m_rows:
             cells = tuple(zip(sorts, row))
-            if cells:
-                rows[max(cells, key=position.__getitem__)].append((cells, n_rows))
-            elif row not in n_rows:
-                return []
+            for cell in set(cells):
+                rows[cell].append((cells, n_rows))
+            if not cells and row not in n_rows:
+                hom_exists = False
 
     def consistent(key, acc):
-        return all(tuple(acc[c] for c in cells) in n for cells, n in rows[key])
+        for cells, n_rows in rows[key]:
+            image = tuple(map(acc.get, cells))  # None for an unassigned cell
+            if image not in n_rows and None not in image:
+                return False
+        return True
 
-    return [
-        {s: {a: h[s, a] for a in M.sorts[s]} for s in sig.sorts}
-        for h in assignments(keys, lambda key: N.sorts[key[0]], consistent)
-    ]
+    def first_hom(order, values) -> bool:
+        for h in assignments(order, values.__getitem__, consistent):
+            for k, b in h.items():
+                reached[k].add(b)
+            return True
+        return False
+
+    if hom_exists and first_hom(keys, {k: N.sorts[k[0]] for k in keys}):
+        for pin in keys:
+            rest = [k for k in keys if k != pin]
+            for b in N.sorts[pin[0]]:
+                if b not in reached[pin]:
+                    values = {
+                        k: sorted(N.sorts[k[0]], key=reached[k].__contains__)
+                        for k in rest
+                    }
+                    first_hom([pin, *rest], {**values, pin: (b,)})
+    return {s: {a: frozenset(reached[s, a]) for a in M.sorts[s]} for s in sig.sorts}
 
 
 @dataclass(frozen=True, eq=False)
 class ModelFamily:
+    """Finitely many models of one theory and, for each ordered pair (i, j)
+    of them, the reach relation of the homomorphisms M_i -> M_j:
+    reach[(i, j)][A][a] = {h(a) : h : M_i -> M_j}, for each sort A and each
+    element a of M_i(A).  The homomorphisms themselves are not kept.  Their
+    readers need no more: condition M3, the subfunctor test and the cyclic
+    subfunctors each ask only where homomorphisms send one element."""
+
     models: tuple[FinModel, ...]
-    homs: dict[tuple[int, int], list[dict]]
+    reach: dict[tuple[int, int], dict[str, dict[str, frozenset[str]]]]
 
     @classmethod
     def build(cls, models) -> ModelFamily:
         models = tuple(models)
-        homs = {
-            (i, j): homomorphisms(models[i], models[j])
-            for i in range(len(models))
-            for j in range(len(models))
+        reach = {
+            (i, j): _reach(M, N)
+            for i, M in enumerate(models)
+            for j, N in enumerate(models)
         }
-        return cls(models, homs)
-
-    def drop(self, index: int) -> ModelFamily:
-        keep = [m for i, m in enumerate(self.models) if i != index]
-        return ModelFamily.build(keep)
+        return cls(models, reach)
 
 
 # -- the distilled base category ----------------------------------------------------
@@ -161,6 +197,10 @@ class TermMap:
     src: str
     tgt: str
     tables: tuple[dict, ...]  # one function per model
+
+
+SUBOBJECT_BUDGET = 2048  # subobject families of a distilled category
+SUBFUNCTOR_BUDGET = 1 << 14  # subfunctors of one evaluated sort
 
 
 class DistillationBudget(BudgetError):
@@ -178,9 +218,9 @@ class FamilyCategory:
         T: Theory,
         family: ModelFamily,
         term_depth: int = 2,
-        sub_budget: int = 2048,
+        sub_budget: int | None = None,
     ):
-        self.sub_budget = sub_budget
+        self.sub_budget = SUBOBJECT_BUDGET if sub_budget is None else sub_budget
         self.theory = T
         self.family = family
         sig = T.signature
@@ -260,7 +300,8 @@ class FamilyCategory:
             changed = False
             if sum(len(v) for v in fams.values()) > self.sub_budget:
                 raise DistillationBudget(
-                    f"subobject closure exceeds {self.sub_budget} families"
+                    f"subobject closure exceeds {self.sub_budget} families; "
+                    "raise --budget"
                 )
             for s in self.sorts:
                 new = set()
@@ -364,20 +405,16 @@ def _unary_terms(sig, depth):
             for f, (args, res) in sorted(sig.funcs.items())
             if args == ()
         ]
-        out.extend((s, t, _sort_of(t)) for t in layer)
+        out.extend((s, t, t.sort) for t in layer)
         for _ in range(depth):
             nxt = []
             for t in layer:
                 for f, (args, res) in sorted(sig.funcs.items()):
-                    if len(args) == 1 and args[0] == _sort_of(t):
+                    if len(args) == 1 and args[0] == t.sort:
                         nxt.append(App(f, (t,), res))
-            out.extend((s, t, _sort_of(t)) for t in nxt)
+            out.extend((s, t, t.sort) for t in nxt)
             layer = nxt
     return out
-
-
-def _sort_of(t):
-    return t.sort
 
 
 def _argument_patterns(sig, rel, argsorts, s):
@@ -490,14 +527,13 @@ def check_m3(C: FamilyCategory, indices=None) -> ConditionReport:
                     meet = set(fam.models[j].sorts[A])
                     for u in t:
                         meet &= C.decode(A, u)[j]
-                    for b in sorted(meet):
-                        if not any(
-                            h[A][a] == b for h in fam.homs[(i, j)]
-                        ):
-                            return ConditionReport(
-                                "M3", False,
-                                f"no hom sends {a} (model {i}) to {b} (model {j}) at {A}",
-                            )
+                    missing = meet - fam.reach[(i, j)][A][a]
+                    if missing:
+                        return ConditionReport(
+                            "M3", False,
+                            f"no hom sends {a} (model {i}) to {min(missing)} "
+                            f"(model {j}) at {A}",
+                        )
     return ConditionReport("M3", True)
 
 
@@ -508,15 +544,15 @@ class Evaluation:
     """ev : C -> Set^S.  ev(A) is the family M |-> M(A) with homomorphisms
     acting componentwise; its subobjects are the subfunctors.  An index
     subset restricts the evaluation to a subfamily without re-distilling
-    the category."""
+    the category; `budget` bounds the subfunctors enumerated per sort."""
 
-    def __init__(self, C: FamilyCategory, indices=None):
+    def __init__(self, C: FamilyCategory, indices=None, budget: int | None = None):
         self.C = C
         self.family = C.family
         self.indices = _indices(C, indices)
         self._sub: dict[str, NamedSetLattice] = {}
         for A in C.sorts:
-            subs = sorted(self._subfunctors(A))
+            subs = sorted(self._subfunctors(A, budget))
             self._sub[A] = _family_lattice(subs)
 
     def project(self, fam_full) -> tuple:
@@ -528,32 +564,34 @@ class Evaluation:
         )
 
     def is_subfunctor(self, A: str, fam) -> bool:
-        for pi, i in enumerate(self.indices):
-            for pj, j in enumerate(self.indices):
-                for h in self.family.homs[(i, j)]:
-                    if not {h[A][a] for a in fam[pi]} <= set(fam[pj]):
-                        return False
-        return True
+        """Every homomorphism between the members keeps fam inside fam."""
+        reach = self.family.reach
+        return all(
+            reach[(i, j)][A][a].issubset(fam[pj])
+            for pi, i in enumerate(self.indices)
+            for a in fam[pi]
+            for pj, j in enumerate(self.indices)
+        )
 
     def cyclic_subfunctor(self, A: str, i: int, a: str) -> tuple:
         """The least subfunctor containing a at family member i: the orbit
         of a under all outgoing homomorphisms."""
-        return tuple(
-            frozenset(h[A][a] for h in self.family.homs[(i, j)])
-            for j in self.indices
-        )
+        return tuple(self.family.reach[(i, j)][A][a] for j in self.indices)
 
-    def _subfunctors(self, A: str, budget: int = 1 << 14):
+    def _subfunctors(self, A: str, budget: int | None = None):
         """Every subfunctor is the union of the cyclic ones below it, so
         the subfunctors are the componentwise union closure of the cyclic
         ones.  The search stops once it has found more than `budget`."""
+        budget = SUBFUNCTOR_BUDGET if budget is None else budget
         empty = tuple(frozenset() for _ in self.indices)
         gens = dict.fromkeys(
             self.cyclic_subfunctor(A, i, a)
             for i in self.indices
             for a in self.family.models[i].sorts[A]
         )
-        message = f"subfunctor lattice of ev({A}) exceeds {budget} elements"
+        message = (
+            f"subfunctor lattice of ev({A}) exceeds {budget} elements; raise --budget"
+        )
         return set(bounded(union_closure(gens, _family_join, empty), budget, message))
 
     def sub_lattice(self, A: str) -> NamedSetLattice:
@@ -666,16 +704,20 @@ class PreconditionError(ValueError):
 
 
 def sigma_bar_check(
-    C: FamilyCategory, require_conditions: bool = True, indices=None
+    C: FamilyCategory,
+    require_conditions: bool = True,
+    indices=None,
+    budget: int | None = None,
 ) -> SigmaBarReport:
     """Extend the subobject-to-subfunctor comparison to the fiber
     extensions and check it is an internal frame isomorphism: natural,
-    existential-preserving, an embedding, and surjective."""
+    existential-preserving, an embedding, and surjective.  `budget` bounds
+    each subfunctor lattice of the evaluation."""
     if require_conditions:
         for rep in (check_m1(C, indices), check_m2(C, indices), check_m3(C, indices)):
             if not rep.passed:
                 raise PreconditionError(f"{rep.name} fails: {rep.witness}")
-    ev = Evaluation(C, indices)
+    ev = Evaluation(C, indices, budget)
     exts = {A: canonical_extension(C.sub_lattice(A)) for A in C.sorts}
     sigma = {A: ev.sigma(A) for A in C.sorts}
     sigma_bar = {A: extend_hom(sigma[A], exts[A]) for A in C.sorts}

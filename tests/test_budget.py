@@ -90,7 +90,13 @@ def test_search_refuses_below_its_need_and_finishes_at_it(search):
 
 @pytest.mark.parametrize(
     "search",
-    (sieve_search, matching_family_search, compactness_search),
+    (
+        sieve_search,
+        matching_family_search,
+        compactness_search,
+        distillation_search,
+        subfunctor_search,
+    ),
     ids=lambda s: s.__name__,
 )
 def test_cut_message_tells_how_to_proceed(search):

@@ -193,6 +193,15 @@ def test_models_commands():
     assert r.returncode == 0
 
 
+def test_budget_cuts_the_models_commands_with_a_located_error():
+    for cmd in ("check-m", "sigma-bar"):
+        args = ("models", cmd, fx("pointed.chr"), "--max-size", "2")
+        r = run_cli("--budget", "3", *args)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: subobject closure exceeds 3 families; raise --budget\n"
+        assert run_cli("--budget", "4", *args).returncode == 0
+
+
 def test_model_flags_out_of_range_are_usage_errors():
     # pointed.chr has 3 models of size <= 2, so valid drops are 0..2
     for cmd in ("check-m", "sigma-bar"):

@@ -17,7 +17,6 @@ from cohext.logic.models import (
     check_m2,
     check_m3,
     enumerate_models,
-    homomorphisms,
     primality_check,
     sigma_bar_check,
     type_of,
@@ -33,6 +32,7 @@ from cohext.logic.syntax import (
     print_formula,
     print_theory,
 )
+from cohext.order import assignments
 
 CORPUS = ["pointed", "idempotent", "ordered"]
 
@@ -333,12 +333,49 @@ def test_enumerate_models_matches_the_permutation_key_enumerator():
         assert as_tables(enumerate_models(T, 5)) == as_tables(reduced)
 
 
+def homomorphisms(M: FinModel, N: FinModel) -> list[dict[str, dict[str, str]]]:
+    """The enumeration oracle for the reach relation: all structure
+    homomorphisms M -> N in lexicographic order, by one depth-first search
+    that checks each row of M's relations and function graphs as soon as
+    its last element is assigned."""
+    sig = M.theory.signature
+    keys = [(s, a) for s in sig.sorts for a in M.sorts[s]]
+    position = {k: i for i, k in enumerate(keys)}
+    tables = [
+        (
+            args + (res,),
+            [k + (v,) for k, v in M.funcs[f].items()],
+            {k + (v,) for k, v in N.funcs[f].items()},
+        )
+        for f, (args, res) in sig.funcs.items()
+    ] + [(args, M.rels[r], N.rels[r]) for r, args in sig.rels.items()]
+    rows = {k: [] for k in keys}
+    for sorts, m_rows, n_rows in tables:
+        for row in m_rows:
+            cells = tuple(zip(sorts, row))
+            if cells:
+                rows[max(cells, key=position.__getitem__)].append((cells, n_rows))
+            elif row not in n_rows:
+                return []
+
+    def consistent(key, acc):
+        return all(tuple(acc[c] for c in cells) in n for cells, n in rows[key])
+
+    return [
+        {s: {a: h[s, a] for a in M.sorts[s]} for s in sig.sorts}
+        for h in assignments(keys, lambda key: N.sorts[key[0]], consistent)
+    ]
+
+
 def test_homomorphism_search_respects_structure():
     T = theory("sort A\nrel P : A\n")
     M = FinModel(T, {"A": ("a0",)}, {}, {"P": frozenset({("a0",)})})
     N = FinModel(T, {"A": ("b0",)}, {}, {"P": frozenset()})
     assert homomorphisms(M, N) == []
     assert len(homomorphisms(N, M)) == 1
+    reach = ModelFamily.build([M, N]).reach
+    assert reach[(0, 1)] == {"A": {"a0": frozenset()}}
+    assert reach[(1, 0)] == {"A": {"b0": frozenset({"a0"})}}
 
 
 def homomorphisms_oracle(M: FinModel, N: FinModel) -> list[dict]:
@@ -404,6 +441,47 @@ def test_homomorphisms_match_product_filter_oracle():
     assert total == 13671
 
 
+def reach_oracle(M: FinModel, homs) -> dict:
+    """{h(a) : h in homs} for each sort and element of M."""
+    return {
+        s: {a: frozenset(h[s][a] for h in homs) for a in M.sorts[s]}
+        for s in M.theory.signature.sorts
+    }
+
+
+def test_reach_matches_every_hom_of_the_oracles():
+    pairs = empty = 0
+    for k, models in enumerate(oracle_families()):
+        fam = ModelFamily.build(models)
+        for (i, M), (j, N) in product(enumerate(models), repeat=2):
+            homs = homomorphisms_oracle(M, N)
+            assert fam.reach[(i, j)] == reach_oracle(M, homs)
+            if k < len(CORPUS):  # the fixtures at size 4
+                assert fam.reach[(i, j)] == reach_oracle(M, homomorphisms(M, N))
+            pairs, empty = pairs + 1, empty + (not homs)
+    assert (pairs, empty) == (8001, 3968)
+
+
+def test_model_family_completes_fewer_homs_than_it_has(monkeypatch):
+    import cohext.logic.models as models
+
+    T = parse_theory(fixture_path("ordered.chr").read_text())
+    family = enumerate_models(T, 5)
+    total = sum(len(homomorphisms(M, N)) for M, N in product(family, repeat=2))
+    completed = []
+    search = models.assignments
+
+    def counted(*args):
+        for h in search(*args):
+            completed.append(h)
+            yield h
+
+    monkeypatch.setattr(models, "assignments", counted)
+    ModelFamily.build(family)
+    assert total == 92715
+    assert len(completed) < total
+
+
 def test_types_are_prime_filters_on_all_corpus_fixtures():
     for name in CORPUS:
         C = corpus_category(name)
@@ -427,6 +505,16 @@ def test_conditions_pass_on_corpus():
         assert check_m1(C).passed
         assert check_m2(C).passed
         assert check_m3(C).passed
+
+
+def test_sigma_bar_passes_on_corpus_families_of_size_six():
+    # sigma_bar_check first requires M1-M3
+    counts = []
+    for name in CORPUS:
+        C = corpus_category(name, 6)
+        counts.append(len(C.family.models))
+        assert sigma_bar_check(C).passed
+    assert counts == [21, 29, 56]
 
 
 def test_evaluation_coherent_conservative_pmodel():
@@ -525,7 +613,9 @@ def test_subfunctor_bound_stops_the_search_once_passed(monkeypatch):
         pulled.clear()
         with pytest.raises(ValueError) as e:
             ev._subfunctors("A", budget=budget)
-        assert str(e.value) == f"subfunctor lattice of ev(A) exceeds {budget} elements"
+        assert str(e.value) == (
+            f"subfunctor lattice of ev(A) exceeds {budget} elements; raise --budget"
+        )
         assert len(pulled) == budget + 1
 
 
