@@ -361,7 +361,7 @@ def _family_setup(args, report):
     if args.drop is not None and not 0 <= args.drop < len(models):
         last = len(models) - 1
         raise ValueError(f"argument --drop: must be in 0..{last}, not {args.drop}")
-    fam = ModelFamily.build(models)
+    fam = ModelFamily.build(models, args.budget)
     C = FamilyCategory(T, fam, sub_budget=args.budget)
     indices = None
     if args.drop is not None:

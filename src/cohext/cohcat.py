@@ -131,10 +131,6 @@ class CohCategory:
         product of the targets."""
         return pairing(self.cat, self.product(self.cat.tgt(f), self.cat.tgt(g)), f, g)
 
-    def diagonal(self, A: str) -> str:
-        i = self.cat.identity(A)
-        return self.pairing(i, i)
-
     def graph(self, f: str) -> str:
         """graph(f : A -> B) as a subobject of the chosen product A x B."""
         A = self.cat.src(f)

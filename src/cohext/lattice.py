@@ -164,8 +164,18 @@ class FinLattice:
         return out
 
     def down_lattice(self, a: str) -> FinLattice:
-        """The interval [bottom, a] as a lattice with the induced order."""
-        return FinLattice.from_poset(self.poset.restricted(self.poset.down_set(a)))
+        """The interval [bottom, a] as a lattice with the induced order.  It
+        is a sublattice, so its tables are restrictions of this lattice's."""
+        down = self.poset.down_set(a)
+        elems = tuple(x for x in self.elements if x in down)
+        pairs = [(x, y) for x in elems for y in elems]
+        return FinLattice.trusted(
+            FinPoset.trusted(elems, (p for p in pairs if p in self.poset.pairs)),
+            {p: self.meet_table[p] for p in pairs},
+            {p: self.join_table[p] for p in pairs},
+            self.bottom,
+            a,
+        )
 
     def dual(self) -> FinLattice:
         return FinLattice(

@@ -250,27 +250,25 @@ def _find_violation(T, state):
         domains = [state.sorts[v.sort] for v in seq.context]
         for choice in iproduct(*domains):
             env = {v.name: x for v, x in zip(seq.context, choice)}
-            if _holds(model, state, seq.lhs, env) and not _holds(
-                model, state, seq.rhs, env
-            ):
+            if _holds(model, seq.lhs, env) and not _holds(model, seq.rhs, env):
                 return seq, env
     # implicit totality of function symbols
     for f, (args, res) in sorted(T.signature.funcs.items()):
         for tup in iproduct(*[state.sorts[s] for s in args]):
             if tup not in state.funcs[f]:
-                return _totality_sequent(T, f, args, res), dict(
+                return _totality_sequent(f, args, res), dict(
                     zip([f"x{i}" for i in range(len(args))], tup)
                 )
     return None
 
 
-def _totality_sequent(T, f, args, res) -> Sequent:
+def _totality_sequent(f, args, res) -> Sequent:
     xs = tuple(Var(f"x{i}", s) for i, s in enumerate(args))
     y = Var("y*", res)
     return Sequent(xs, Truth(), Exists((y,), Eq(App(f, xs, res), y)))
 
 
-def _holds(model, state, phi, env) -> bool:
+def _holds(model, phi, env) -> bool:
     """Satisfaction over possibly-partial function tables: an atom with an
     undefined subterm does not hold."""
     try:

@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import product as iproduct
 from operator import and_, le, or_
 
-from ..canext import canonical_extension, comjpm_decide, extend_hom
+from ..canext import canonical_extension, comjpm_decide, delta_extension, extend_hom
 from ..fincat import FinCategory, Morphism, composable_pairs
 from ..lattice import (
     LatticeHom,
@@ -176,8 +176,15 @@ class ModelFamily:
     reach: dict[tuple[int, int], dict[str, dict[str, frozenset[str]]]]
 
     @classmethod
-    def build(cls, models) -> ModelFamily:
+    def build(cls, models, budget: int | None = None) -> ModelFamily:
+        """`budget` bounds the ordered model pairs, one reach search each."""
         models = tuple(models)
+        budget = REACH_BUDGET if budget is None else budget
+        if len(models) ** 2 > budget:
+            raise BudgetError(
+                f"model family of {len(models)} models exceeds {budget} "
+                "model pairs; raise --budget"
+            )
         reach = {
             (i, j): _reach(M, N)
             for i, M in enumerate(models)
@@ -199,6 +206,7 @@ class TermMap:
     tables: tuple[dict, ...]  # one function per model
 
 
+REACH_BUDGET = 1 << 14  # ordered model pairs of a family
 SUBOBJECT_BUDGET = 2048  # subobject families of a distilled category
 SUBFUNCTOR_BUDGET = 1 << 14  # subfunctors of one evaluated sort
 
@@ -289,7 +297,7 @@ class FamilyCategory:
         for rel, argsorts in sig.rels.items():
             for s in set(argsorts):
                 var = Var("x", s)
-                patterns = _argument_patterns(sig, rel, argsorts, s)
+                patterns = _argument_patterns(sig, argsorts, s)
                 for args in patterns:
                     phi = RelAtom(rel, args)
                     fam = tuple(M.definable(phi, var) for M in models)
@@ -417,7 +425,7 @@ def _unary_terms(sig, depth):
     return out
 
 
-def _argument_patterns(sig, rel, argsorts, s):
+def _argument_patterns(sig, argsorts, s):
     """Tuples of unary terms in the variable x:s filling the argument
     positions; each position gets x (when sorts match) or a constant."""
     var = Var("x", s)
@@ -500,17 +508,11 @@ def check_m2(C: FamilyCategory, indices=None) -> ConditionReport:
     """Every prime filter of every subobject lattice is a realized type."""
     idx = _indices(C, indices)
     for A in C.sorts:
-        S = C.sub_lattice(A)
-        realized = {
-            type_of(C, A, i, a)
-            for i in idx
-            for a in C.family.models[i].sorts[A]
-        }
-        for rho in prime_filters(S):
-            if frozenset(rho) not in realized:
-                return ConditionReport(
-                    "M2", False, f"prime filter {sorted(rho)} of {A} unrealized"
-                )
+        rho = _unrealized_prime_filter(C, idx, A)
+        if rho is not None:
+            return ConditionReport(
+                "M2", False, f"prime filter {sorted(rho)} of {A} unrealized"
+            )
     return ConditionReport("M2", True)
 
 
@@ -723,8 +725,6 @@ def sigma_bar_check(
     sigma_bar = {A: extend_hom(sigma[A], exts[A]) for A in C.sorts}
     # naturality across substitution
     nat = ConditionReport("naturality", True)
-    from ..canext import delta_extension
-
     for f, tm in C._maps.items():
         subd = delta_extension(C.pullback_map(f), exts[tm.tgt], exts[tm.src]).map
         pbE = ev.pullback_map(f)
@@ -739,22 +739,14 @@ def sigma_bar_check(
     # existential preservation, via the square-transfer machinery
     exp = ConditionReport("exists-preservation", True)
     for f, tm in C._maps.items():
-        exd = delta_extension(
-            MonotoneMap(
-                C.sub_lattice(tm.src), C.sub_lattice(tm.tgt),
-                C.image_map(f).mapping,
-            ),
-            exts[tm.src],
-            exts[tm.tgt],
-        ).map
+        im = C.image_map(f)
+        exd = delta_extension(im, exts[tm.src], exts[tm.tgt]).map
         imE = ev.image_map(f)
         direct = all(
             sigma_bar[tm.tgt](exd(u)) == imE(sigma_bar[tm.src](u))
             for u in exts[tm.src].ext.elements
         )
-        c1, c2 = comjpm_decide(
-            sigma[tm.src], sigma[tm.tgt], C.image_map(f), imE
-        )
+        c1, c2 = comjpm_decide(sigma[tm.src], sigma[tm.tgt], im, imE)
         if not (direct and c1 and c2):
             exp = ConditionReport(
                 "exists-preservation", False, f"fails along {f}"
@@ -764,7 +756,7 @@ def sigma_bar_check(
     emb = ConditionReport("embedding", True)
     for A in C.sorts:
         if not sigma_bar[A].is_order_embedding():
-            rho = _unrealized_prime_filter(C, ev, A)
+            rho = _unrealized_prime_filter(C, ev.indices, A)
             emb = ConditionReport(
                 "embedding", False,
                 f"component at {A} not an embedding"
@@ -796,10 +788,12 @@ def sigma_bar_check(
     return SigmaBarReport(nat, exp, emb, sur)
 
 
-def _unrealized_prime_filter(C, ev, A):
+def _unrealized_prime_filter(C, indices, A):
+    """The first prime filter of Sub(A) that no element of the indexed
+    models realizes as its type, or None."""
     realized = {
         type_of(C, A, i, a)
-        for i in ev.indices
+        for i in indices
         for a in C.family.models[i].sorts[A]
     }
     for rho in prime_filters(C.sub_lattice(A)):

@@ -2,9 +2,13 @@
 locale-morphism analysis, all at finite scale.
 
 Coverages are stored as predicates on sieves plus generator enumeration.
-A sieve is the union of the principal sieves of its members, so the sieves
-on an object are enumerated as the union closure of its principal sieves,
-and a budget bounds the number of sieves that closure yields.  The filter
+Each site tabulates, when it is built, the one per-morphism datum its
+covering predicate reads (an image subobject, a full-image flag or an
+existential image), so deciding a sieve is a join or a lookup over that
+table.  A sieve is the union of the principal sieves of its members, so
+the sieves on an object are enumerated as the union closure of its
+principal sieves, and a budget bounds the number of sieves that closure
+yields.  The filter
 category keys each germ by its restriction to the least member of the
 source filter, since every filter of a finite lattice is the up-set of
 that member.
@@ -12,7 +16,7 @@ that member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .canext import CanonicalExtension, delta_extension
@@ -90,12 +94,11 @@ class Site:
 def coherent_topology(C: CohCategory) -> Site:
     """A sieve covers A when finitely many members' images join to the top
     subobject of A.  Generators: the minimal such families."""
+    image = {f: C.subobject_of_mono(f) for f in C.cat.morphisms}
 
     def covers(A: str, sieve) -> bool:
         S = C.sub_lattice(A)
-        return S.join_all(
-            C.image_map(f)(C.sub_lattice(C.cat.src(f)).top) for f in sieve
-        ) == S.top
+        return S.join_all(image[f] for f in sieve) == S.top
 
     gens = {}
     for A in C.cat.objects:
@@ -241,20 +244,25 @@ def type_category(C: CohCategory) -> FilterCategory:
 def jp_site(tau: FilterCategory) -> Site:
     """The singleton-generated topology on the type category: a sieve
     covers (A, rho) when some member has full image."""
+    full = {
+        f for f, m in tau.cat.morphisms.items()
+        if tau.image_filter(f) == tau.objects[m.tgt][1]
+    }
+    return Site(tau.cat, *_singleton_topology(tau.cat, full))
+
+
+def _singleton_topology(cat: FinCategory, hits: set[str]):
+    """Covers and generators of the topology generated by the singletons
+    of `hits`: a sieve covers when one of its members is in `hits`."""
 
     def covers(X: str, sieve) -> bool:
-        _, rho = tau.objects[X]
-        return any(tau.image_filter(f) == rho for f in sieve)
+        return any(f in hits for f in sieve)
 
-    gens = {}
-    for X in tau.cat.objects:
-        fams = [
-            (f,)
-            for f in tau.cat.morphisms_into(X)
-            if tau.image_filter(f) == tau.objects[X][1]
-        ]
-        gens[X] = tuple(sorted(fams))
-    return Site(tau.cat, covers, gens)
+    gens = {
+        X: tuple(sorted((f,) for f in cat.morphisms_into(X) if f in hits))
+        for X in cat.objects
+    }
+    return covers, gens
 
 
 def filter_hyperdoctrine(C: CohCategory) -> CoherentHyperdoctrine:
@@ -317,10 +325,13 @@ def semidirect_mor_name(f: str, src: str, tgt: str) -> str:
 @dataclass(frozen=True, eq=False)
 class SemidirectSite(Site):
     """Site of an internal locale: objects pair a base object with a fiber
-    element; covers are detected by the join of existential images."""
+    element; covers are detected by the join of existential images.
+    `image` maps each morphism (A, u) -> (B, v) along f to the existential
+    image of u along f, an element of the fiber over B."""
 
     obj_data: dict[str, tuple[str, str]] = field(default_factory=dict)
     mor_data: dict[str, str] = field(default_factory=dict)  # name -> base morphism
+    image: dict[str, str] = field(default_factory=dict)
 
 
 def semidirect_site(
@@ -361,17 +372,15 @@ def semidirect_site(
     }
     if any(a is None for a in adjoints.values()):
         raise SiteError("a substitution map lacks a left adjoint")
+    image = {n: adjoints[mdata[n]](omap[m.src][1]) for n, m in morphisms.items()}
 
     def covers(nx: str, sieve) -> bool:
         A, u = omap[nx]
-        FA = X.fiber(A)
-        total = FA.bottom
-        for n in sieve:
-            _, v = omap[cat.src(n)]
-            total = FA.join(total, adjoints[mdata[n]](v))
-        return total == u
+        return X.fiber(A).join_all(image[n] for n in sieve) == u
 
-    return SemidirectSite(cat, covers, {}, obj_data=omap, mor_data=mdata)
+    return SemidirectSite(
+        cat, covers, {}, obj_data=omap, mor_data=mdata, image=image
+    )
 
 
 # -- sheaf condition --------------------------------------------------------------
@@ -462,41 +471,37 @@ def topology_coincidence_check(
         X = canext_hyperdoctrine(sub_hyperdoctrine(C))
     site = semidirect_site(C, X)
     coh = coherent_topology(C)
-    adjoints = {f: X.sub(f).left_adjoint() for f in X.base.morphisms}
     checked = 0
-    for nx, (A, u) in site.obj_data.items():
+    for nx, (A, _) in site.obj_data.items():
         FA = X.fiber(A)
         try:
             sieves = site.all_sieves(nx, budget)
         except BudgetError as e:
             raise BudgetError(f"after {checked} sieves checked, {e}") from None
+        # each n : (B, w) -> nx along gamma with its image and, per coherent
+        # cover (g_k) of B, the members gamma o g_k : (C_k, g_k^* w) -> nx; a
+        # sieve holding all members of one such cover admits n's image
+        admitted = []
+        for n in site.cat.morphisms_into(nx):
+            B, w = site.obj_data[site.cat.src(n)]
+            gamma = site.mor_data[n]
+            admitted.append((site.image[n], [
+                frozenset(
+                    semidirect_mor_name(
+                        C.cat.compose(gamma, g),
+                        semidirect_obj_name(C.cat.src(g), X.sub(g)(w)),
+                        nx,
+                    )
+                    for g in fam
+                )
+                for fam in coh.generators[B]
+            ]))
         for sieve in sieves:
-            plain = FA.join_all(
-                adjoints[site.mor_data[n]](site.obj_data[site.cat.src(n)][1])
-                for n in sieve
+            plain = FA.join_all(site.image[n] for n in sieve)
+            closure = FA.join_all(
+                [plain]
+                + [x for x, fams in admitted if any(fam <= sieve for fam in fams)]
             )
-            closure = plain
-            for B in C.cat.objects:
-                for gamma in C.cat.hom(B, A):
-                    for w in X.fiber(B).elements:
-                        if not X.fiber(B).leq(w, X.sub(gamma)(u)):
-                            continue
-                        for fam in coh.generators[B]:
-                            ok = True
-                            for gk in fam:
-                                Ck = C.cat.src(gk)
-                                wk = X.sub(gk)(w)
-                                member = semidirect_mor_name(
-                                    C.cat.compose(gamma, gk),
-                                    semidirect_obj_name(Ck, wk),
-                                    nx,
-                                )
-                                if member not in sieve:
-                                    ok = False
-                                    break
-                            if ok:
-                                closure = FA.join(closure, adjoints[gamma](w))
-                                break
             checked += 1
             if closure != plain:
                 return False, checked, (
@@ -699,24 +704,11 @@ def irreducible_site(C: CohCategory, X: CanextHyperdoctrine) -> SemidirectSite:
     irreducible in the fiber; topology generated by the singleton covers
     whose existential image hits the point exactly."""
     sd = semidirect_site(C, X, lambda A, x: is_join_irreducible(X.fiber(A), x))
-    cat, omap, mdata = sd.cat, sd.obj_data, sd.mor_data
-    adjoints = {f: X.sub(f).left_adjoint() for f in X.base.morphisms}
-
-    def covers(nx, sieve) -> bool:
-        _, x = omap[nx]
-        for n in sieve:
-            _, z = omap[cat.src(n)]
-            if adjoints[mdata[n]](z) == x:
-                return True
-        return False
-
-    gens = {}
-    for nx in cat.objects:
-        fams = [
-            (n,) for n in cat.morphisms_into(nx) if covers(nx, (n,))
-        ]
-        gens[nx] = tuple(sorted(fams))
-    return SemidirectSite(cat, covers, gens, obj_data=omap, mor_data=mdata)
+    hits = {
+        n for n, m in sd.cat.morphisms.items() if sd.image[n] == sd.obj_data[m.tgt][1]
+    }
+    covers, gens = _singleton_topology(sd.cat, hits)
+    return replace(sd, covers=covers, generators=gens)
 
 
 def irreducible_to_types(

@@ -57,6 +57,11 @@ def ordered_family():
     return T, ModelFamily.build(enumerate_models(T, 2))
 
 
+def reach_search():
+    models = enumerate_models(parse_theory(fixture_path("ordered.chr").read_text()), 2)
+    return lambda budget: ModelFamily.build(models, budget), len(models) ** 2
+
+
 def distillation_search():
     T, fam = ordered_family()
     C = FamilyCategory(T, fam)
@@ -74,6 +79,7 @@ SEARCHES = (
     sieve_search,
     matching_family_search,
     compactness_search,
+    reach_search,
     distillation_search,
     subfunctor_search,
 )
@@ -94,6 +100,7 @@ def test_search_refuses_below_its_need_and_finishes_at_it(search):
         sieve_search,
         matching_family_search,
         compactness_search,
+        reach_search,
         distillation_search,
         subfunctor_search,
     ),

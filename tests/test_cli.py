@@ -194,12 +194,27 @@ def test_models_commands():
 
 
 def test_budget_cuts_the_models_commands_with_a_located_error():
+    # one model, so its one model pair is within every budget and the
+    # subobject closure (2 families) is the first search a budget cuts
     for cmd in ("check-m", "sigma-bar"):
-        args = ("models", cmd, fx("pointed.chr"), "--max-size", "2")
-        r = run_cli("--budget", "3", *args)
+        args = ("models", cmd, fx("pointed.chr"), "--max-size", "1")
+        r = run_cli("--budget", "1", *args)
         assert r.returncode == 2 and r.stdout == ""
-        assert r.stderr == "error: subobject closure exceeds 3 families; raise --budget\n"
-        assert run_cli("--budget", "4", *args).returncode == 0
+        assert r.stderr == "error: subobject closure exceeds 1 families; raise --budget\n"
+        assert run_cli("--budget", "2", *args).returncode == 0
+
+
+def test_budget_bounds_the_model_pairs_of_a_family():
+    # pointed.chr has 6 models of size <= 3, so 36 ordered pairs
+    args = ("models", "check-m", fx("pointed.chr"), "--max-size", "3")
+    for budget in ("8", "35"):
+        r = run_cli("--budget", budget, *args)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == (
+            f"error: model family of 6 models exceeds {budget} model pairs; "
+            "raise --budget\n"
+        )
+    assert run_cli("--budget", "36", *args).returncode == 0
 
 
 def test_model_flags_out_of_range_are_usage_errors():

@@ -1,5 +1,6 @@
 """Every name a module under src/ imports is used in that module, every
-local name a function under src/ binds is read in that function, no module
+local name a function under src/ binds is read in that function, every
+parameter of a private function or method under src/ is read, no module
 under src/ reads the process environment or keeps a process-wide cache, and
 every name the benchmark imports from cohext exists."""
 
@@ -132,6 +133,62 @@ def test_dead_local_detector_on_samples():
         "    return g, n\n"
     ) == []
     assert dead_locals("x = 1\n") == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of `_`-prefixed functions and methods that the body never
+    reads; a public name keeps its signature for its callers, and dunder
+    methods keep theirs for the protocol they implement.  Parameters
+    starting with `_` are exempt.  A read by a nested function counts."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not fn.name.startswith("_") or fn.name.endswith("__"):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        params += [p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {
+            n.id
+            for stmt in fn.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        out += [
+            f"line {fn.lineno}: {p.arg} of {fn.name}"
+            for p in params
+            if not p.arg.startswith("_") and p.arg not in read
+        ]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_private_function_reads_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_detector_on_samples():
+    assert unread_parameters("def _f(x):\n    return x\n") == []
+    assert unread_parameters("def _f(x, y):\n    return x\n") == ["line 1: y of _f"]
+    # public functions and dunder methods keep their signatures
+    assert unread_parameters("def f(x):\n    return 1\n") == []
+    assert unread_parameters(
+        "class A:\n    def __eq__(self, other):\n        return True\n"
+    ) == []
+    assert unread_parameters(
+        "class A:\n    def _g(self, n):\n        return n\n"
+    ) == ["line 2: self of _g"]
+    assert unread_parameters("def _f(_x, *args, k=1, **kw):\n    return k\n") == [
+        "line 1: args of _f", "line 1: kw of _f"
+    ]
+    # read by a nested function; a nested private function is checked too
+    assert unread_parameters(
+        "def _f(x):\n    def g():\n        return x\n    return g\n"
+    ) == []
+    assert unread_parameters(
+        "def f(x):\n    def _g(y):\n        return x\n    return _g\n"
+    ) == ["line 2: y of _g"]
 
 
 def module_attribute_uses(source: str, module: str, names) -> list[str]:

@@ -146,6 +146,22 @@ def test_birkhoff_roundtrip_and_m3_refusal():
         birkhoff(m3())
 
 
+def test_down_lattice_matches_the_derived_interval():
+    lattices = distributive_lattices(6) + [m3(), boolean4(), chain_lattice(5)]
+    compared = 0
+    for L in lattices:
+        for a in L.elements:
+            got = L.down_lattice(a)
+            want = FinLattice.from_poset(L.poset.restricted(L.poset.down_set(a)))
+            assert got.elements == want.elements
+            assert got.poset.pairs == want.poset.pairs
+            assert got.meet_table == want.meet_table
+            assert got.join_table == want.join_table
+            assert (got.bottom, got.top) == (want.bottom, want.top)
+            compared += 1
+    assert compared == 73
+
+
 def assert_prime_filters_match_irreducibles(lattices):
     # The meet map rho |-> /\rho is an order iso from (PrFl(L), reverse
     # inclusion) onto the induced poset of join-irreducibles.

@@ -38,6 +38,8 @@ from cohext.sites import (
     locale_morphism,
     localic_tot_for_lattice,
     open_check,
+    semidirect_mor_name,
+    semidirect_obj_name,
     semidirect_site,
     sheaf_check,
     surjection_check,
@@ -392,6 +394,111 @@ def test_topology_coincidence_budget_report():
         f"after {checked} sieves checked, sieve enumeration on {nx} exceeds 2 sieves; "
         "raise --budget"
     )
+
+
+def topology_coincidence_oracle(C, budget=None):
+    """The coincidence check as first written: for every sieve, a walk over
+    the base objects, their morphisms into A, the fiber elements below the
+    pulled-back u and the coherent covers, testing cover members one by one
+    against the sieve, with the left adjoints computed afresh."""
+    X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+    site = semidirect_site(C, X)
+    coh = coherent_topology(C)
+    adjoints = {f: X.sub(f).left_adjoint() for f in X.base.morphisms}
+    checked = 0
+    for nx, (A, u) in site.obj_data.items():
+        FA = X.fiber(A)
+        try:
+            sieves = site.all_sieves(nx, budget)
+        except BudgetError as e:
+            raise BudgetError(f"after {checked} sieves checked, {e}") from None
+        for sieve in sieves:
+            plain = FA.join_all(
+                adjoints[site.mor_data[n]](site.obj_data[site.cat.src(n)][1])
+                for n in sieve
+            )
+            closure = plain
+            for B in C.cat.objects:
+                for gamma in C.cat.hom(B, A):
+                    for w in X.fiber(B).elements:
+                        if not X.fiber(B).leq(w, X.sub(gamma)(u)):
+                            continue
+                        for fam in coh.generators[B]:
+                            ok = True
+                            for gk in fam:
+                                member = semidirect_mor_name(
+                                    C.cat.compose(gamma, gk),
+                                    semidirect_obj_name(C.cat.src(gk), X.sub(gk)(w)),
+                                    nx,
+                                )
+                                if member not in sieve:
+                                    ok = False
+                                    break
+                            if ok:
+                                closure = FA.join(closure, adjoints[gamma](w))
+                                break
+            checked += 1
+            if closure != plain:
+                return False, checked, (
+                    f"sieve on {nx}: closure join {closure} != plain {plain}"
+                )
+    return True, checked, None
+
+
+def coincidence_outcome(check, C, budget=None):
+    try:
+        return check(C, budget=budget)
+    except BudgetError as e:
+        return "cut", str(e)
+
+
+def test_topology_coincidence_matches_the_per_sieve_oracle():
+    cats = [LatticeCategory(L) for L in distributive_lattices(6)]
+    cats += concrete_fragments()
+    outcomes = set()
+    for C in cats:
+        for budget in (None, 2, 5):
+            got = coincidence_outcome(topology_coincidence_check, C, budget)
+            assert got == coincidence_outcome(topology_coincidence_oracle, C, budget)
+            outcomes.add(got[0])
+    assert outcomes == {True, "cut"}
+
+
+def test_site_covers_read_tables_built_with_the_site(monkeypatch):
+    from cohext.lattice import MonotoneMap
+
+    calls = []
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    sites = []
+    for C in [LatticeCategory(boolean4()), *concrete_fragments()]:
+        X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+        count(MonotoneMap, "left_adjoint")
+        irreducible_site(C, X)
+        # the irreducible site reuses the adjoints of its semidirect site
+        assert len(calls) == len(X.base.morphisms)
+        monkeypatch.undo()
+        calls.clear()
+        sites += [coherent_topology(C), jp_site(type_category(C)), irreducible_site(C, X)]
+    count(ConcreteCohCategory, "image_map")
+    count(LatticeCategory, "image_map")
+    count(FilterCategory, "image_filter")
+    count(MonotoneMap, "left_adjoint")
+    decided = 0
+    for site in sites:
+        for A in site.cat.objects:
+            for sieve in site.all_sieves(A):
+                site.covers(A, sieve)
+                decided += 1
+    assert calls == [] and decided > 0
 
 
 def test_localic_tot_reports():
@@ -870,7 +977,10 @@ def irreducible_site_oracle(C, X):
     for nx in objects:
         fams = [(n,) for n in cat.morphisms_into(nx) if covers(nx, (n,))]
         gens[nx] = tuple(sorted(fams))
-    return SemidirectSite(cat, covers, gens, obj_data=omap, mor_data=mdata)
+    image = {n: adjoints[mdata[n]](omap[m.src][1]) for n, m in morphisms.items()}
+    return SemidirectSite(
+        cat, covers, gens, obj_data=omap, mor_data=mdata, image=image
+    )
 
 
 def test_irreducible_site_matches_the_hand_restricted_semidirect_site():
@@ -883,6 +993,7 @@ def test_irreducible_site_matches_the_hand_restricted_semidirect_site():
         # report depends on their order
         assert got.obj_data == want.obj_data
         assert list(got.mor_data.items()) == list(want.mor_data.items())
+        assert got.image == want.image
         for nx in got.cat.objects:
             inc = got.cat.morphisms_into(nx)
             sieves = [got.sieve_generated(nx, [f]) for f in inc] + [frozenset(inc)]
