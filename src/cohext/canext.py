@@ -4,12 +4,18 @@ The extension of L is materialized as the downset lattice of the poset of
 prime filters of L under reverse inclusion, with the embedding
 a |-> {rho | a in rho}.  Even though the embedding is an isomorphism for
 finite L, the construction mirrors the general definitions: denseness and
-the two-stage sigma/pi lifting formulas are computed literally (over filter
-and ideal elements tabulated once per extension), and compactness is
-decided over the meets and joins of all subsets, which is equivalent to
-quantifying over all subset pairs.  So the code paths match the
-infinite-case definitions and the finite collapse is a theorem the test
-suite proves rather than a shortcut.
+the two-stage sigma lifting formula are computed literally (over filter
+elements tabulated once per extension), and compactness is decided over
+the meets and joins of all subsets, which is equivalent to quantifying
+over all subset pairs.  So the code paths match the infinite-case
+definitions and the finite collapse is a theorem the test suite proves
+rather than a shortcut.
+
+The meet side is read through the order dual.  `CanonicalExtension.dual`
+embeds `base.dual` into `ext.dual` by the same map, so its filter elements
+and tables are the ideal elements and tables of the extension itself:
+denseness checks the join half on both, and the pi extension reads the
+two-stage formula of the sigma extension on the duals.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .lattice import (
     prime_filters,
     require_distributive,
 )
-from .order import BudgetError, set_name
+from .order import BudgetError, set_name, trusted_instance
 
 
 class PreservationError(LatticeError):
@@ -80,15 +86,6 @@ class CanonicalExtension:
         }
 
     @cached_property
-    def ideal_of(self) -> dict[str, tuple[str, ...]]:
-        """For each y in ext, the base elements whose image lies below y."""
-        ext, e = self.ext, self.embed
-        return {
-            y: tuple(a for a in self.base.elements if ext.leq(e[a], y))
-            for y in ext.elements
-        }
-
-    @cached_property
     def filt_elements(self) -> frozenset[str]:
         """Meet closure of the embedded image in ext."""
         ext, e = self.ext, self.embed
@@ -99,16 +96,6 @@ class CanonicalExtension:
         )
 
     @cached_property
-    def ideal_elements(self) -> frozenset[str]:
-        """Join closure of the embedded image in ext."""
-        ext, e = self.ext, self.embed
-        return frozenset(
-            y
-            for y in ext.elements
-            if y == ext.join_all(e[a] for a in self.ideal_of[y])
-        )
-
-    @cached_property
     def filt_below(self) -> dict[str, tuple[str, ...]]:
         """For each u in ext, the filter elements below u, in ext order."""
         ext, filt = self.ext, self.filt_elements
@@ -116,11 +103,16 @@ class CanonicalExtension:
         return {u: tuple(x for x in below if ext.leq(x, u)) for u in ext.elements}
 
     @cached_property
-    def ideal_above(self) -> dict[str, tuple[str, ...]]:
-        """For each u in ext, the ideal elements above u, in ext order."""
-        ext, idl = self.ext, self.ideal_elements
-        above = [y for y in ext.elements if y in idl]
-        return {u: tuple(y for y in above if ext.leq(u, y)) for u in ext.elements}
+    def dual(self) -> CanonicalExtension:
+        """`base.dual` embedded into `ext.dual` by the same map: its filter
+        elements are the ideal elements here (the join closure of the
+        image), and `ce.dual.dual is ce`."""
+        d = trusted_instance(
+            CanonicalExtension, base=self.base.dual, ext=self.ext.dual,
+            embed=self.embed, prime_filters=None,
+        )
+        d.__dict__["dual"] = self
+        return d
 
     def is_iso(self) -> bool:
         return len(self.image) == len(self.ext.elements)
@@ -164,11 +156,11 @@ def canonical_extension(L: FinLattice) -> CanonicalExtension:
 def check_dense(ce: CanonicalExtension) -> bool:
     """Every element of ext is a join of filter elements and a meet of
     ideal elements (equivalently: a join of meets and meet of joins of
-    embedded elements)."""
-    ext = ce.ext
+    embedded elements); the meet half is the join half of `ce.dual`."""
     return all(
-        ext.join_all(ce.filt_below[u]) == u and ext.meet_all(ce.ideal_above[u]) == u
-        for u in ext.elements
+        c.ext.join_all(c.filt_below[u]) == u
+        for c in (ce, ce.dual)
+        for u in c.ext.elements
     )
 
 
@@ -236,43 +228,41 @@ class ExtendedMap:
         return f"ExtendedMap({self.kind}: {self.map.source!r} -> {self.map.target!r})"
 
 
+def _two_stage(ce: CanonicalExtension, T: FinLattice, value: dict) -> dict:
+    """The table on ce.ext of the two-stage formula for a map `value` from
+    the base into the complete lattice T: on a filter element x, the meet
+    of `value` over the filter of x; in general, the join of those meets
+    over the filter elements below.  It is monotone by construction: u <= v
+    puts the filter elements below u among those below v."""
+    on_filt = {
+        x: T.meet_all(value[a] for a in ce.filter_of[x]) for x in ce.filt_elements
+    }
+    return {
+        u: T.join_all(on_filt[x] for x in ce.filt_below[u]) for u in ce.ext.elements
+    }
+
+
 def sigma_extension(
     f: MonotoneMap, ce_s: CanonicalExtension, ce_t: CanonicalExtension
 ) -> ExtendedMap:
-    """Two-stage formula: on a filter element x, the meet of f over the
-    filter of x; in general, the join over filter elements below.  The
-    table is monotone by construction: u <= v puts the filter elements
-    below u among those below v."""
+    """The two-stage formula for f followed by the embedding of ce_t."""
     _check_lift_typing(f, ce_s, ce_t)
-    ext_s, ext_t = ce_s.ext, ce_t.ext
-    on_filt = {
-        x: ext_t.meet_all(ce_t.e(f(a)) for a in ce_s.filter_of[x])
-        for x in ce_s.filt_elements
-    }
-    table = {
-        u: ext_t.join_all(on_filt[x] for x in ce_s.filt_below[u])
-        for u in ext_s.elements
-    }
-    table_map = MonotoneMap.trusted(ext_s, ext_t, table)
+    value = {a: ce_t.embed[b] for a, b in f.mapping.items()}
+    table = _two_stage(ce_s, ce_t.ext, value)
+    table_map = MonotoneMap.trusted(ce_s.ext, ce_t.ext, table)
     return ExtendedMap("sigma", f, ce_s, ce_t, table_map)
 
 
 def pi_extension(
     f: MonotoneMap, ce_s: CanonicalExtension, ce_t: CanonicalExtension
 ) -> ExtendedMap:
-    """The dual of `sigma_extension`: joins over ideals, then meets over
-    the ideal elements above (monotone by construction, dually)."""
+    """The order dual of `sigma_extension`: its two-stage formula read on
+    `ce_s.dual` into `ce_t.ext.dual` (joins over ideals, then meets over
+    the ideal elements above); the table is the same on the extensions."""
     _check_lift_typing(f, ce_s, ce_t)
-    ext_s, ext_t = ce_s.ext, ce_t.ext
-    on_idl = {
-        y: ext_t.join_all(ce_t.e(f(a)) for a in ce_s.ideal_of[y])
-        for y in ce_s.ideal_elements
-    }
-    table = {
-        u: ext_t.meet_all(on_idl[y] for y in ce_s.ideal_above[u])
-        for u in ext_s.elements
-    }
-    table_map = MonotoneMap.trusted(ext_s, ext_t, table)
+    value = {a: ce_t.embed[b] for a, b in f.mapping.items()}
+    table = _two_stage(ce_s.dual, ce_t.ext.dual, value)
+    table_map = MonotoneMap.trusted(ce_s.ext, ce_t.ext, table)
     return ExtendedMap("pi", f, ce_s, ce_t, table_map)
 
 
@@ -304,16 +294,9 @@ def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
     On an extension built by `canonical_extension` the embedding is onto,
     so the table is h read through it, a hom by construction; an
     extension wrapping some other embedding is validated."""
-    K = h.target
-    on_filt = {
-        x: K.meet_all(h(a) for a in ce_s.filter_of[x]) for x in ce_s.filt_elements
-    }
-    table = {
-        u: K.join_all(on_filt[x] for x in ce_s.filt_below[u])
-        for u in ce_s.ext.elements
-    }
+    table = _two_stage(ce_s, h.target, h.mapping)
     make = LatticeHom if ce_s.prime_filters is None else LatticeHom.trusted
-    return make(ce_s.ext, K, table)
+    return make(ce_s.ext, h.target, table)
 
 
 # -- composition, Esakia, square transfer -------------------------------------

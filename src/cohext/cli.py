@@ -201,6 +201,13 @@ def cmd_predcat_build(args, report: Report):
         Path(args.dot).write_text(category_to_dot(AP.cat, "PredCategory"))
 
 
+def check_conditions(report: Report, rep) -> None:
+    """One check per condition of an equivalence or comparison report,
+    each with its own witness."""
+    for name in rep.CONDITIONS:
+        report.check(name, name not in rep.witnesses, rep.witnesses.get(name))
+
+
 def cmd_predcat_counit(args, report: Report):
     from .predcat import counit_equivalence_check
 
@@ -211,13 +218,7 @@ def cmd_predcat_counit(args, report: Report):
         report.check("counit-built", False, rep.error)
         return
     report.check("counit-built", True)
-    report.check("full", rep.equivalence.full, rep.equivalence.witness)
-    report.check("faithful", rep.equivalence.faithful, rep.equivalence.witness)
-    report.check(
-        "essentially-surjective",
-        rep.equivalence.essentially_surjective,
-        rep.equivalence.witness,
-    )
+    check_conditions(report, rep.equivalence)
 
 
 def cmd_predcat_canext(args, report: Report):
@@ -282,12 +283,7 @@ def cmd_tot_compare(args, report: Report):
     D = irreducible_site(C, X)
     tau = type_category(C)
     e = irreducible_to_types(C, X, D, tau)
-    rep = comparison_check(e, D, jp_site(tau))
-    report.check("cover-preserving", rep.cover_preserving, rep.witness)
-    report.check("locally-full", rep.locally_full, rep.witness)
-    report.check("locally-faithful", rep.locally_faithful, rep.witness)
-    report.check("locally-surjective", rep.locally_surjective, rep.witness)
-    report.check("co-continuous", rep.co_continuous, rep.witness)
+    check_conditions(report, comparison_check(e, D, jp_site(tau)))
 
 
 def cmd_tot_sheaf(args, report: Report):

@@ -6,6 +6,11 @@ as posetal categories (subobjects of a are the elements below a).  Chosen
 limits are explicit and possibly partial: a finite fragment of sets
 containing a two-point set cannot contain all its binary products, so
 operations that need a missing product raise MissingLimitError.
+
+Each implementation gives pullback and image maps; universal
+quantification is not implemented again per category but read as the
+right adjoint of pullback (`CohCategory.forall_map`), which on a finite
+lattice is the order dual of a left adjoint.
 """
 
 from __future__ import annotations
@@ -95,9 +100,6 @@ class CohCategory:
     def image_map(self, f: str) -> MonotoneMap:
         raise NotImplementedError
 
-    def forall_map(self, f: str) -> MonotoneMap:
-        raise NotImplementedError
-
     def terminal(self) -> str:
         raise NotImplementedError
 
@@ -120,6 +122,14 @@ class CohCategory:
         raise NotImplementedError
 
     # -- derived operations shared by all implementations ----------------
+
+    def forall_map(self, f: str) -> MonotoneMap:
+        """Universal quantification along f: the right adjoint of
+        pullback along f."""
+        adj = self.pullback_map(f).right_adjoint()
+        if adj is None:
+            raise CategoryError(f"pullback along {f} has no right adjoint")
+        return adj
 
     def subobject_of_mono(self, m: str) -> str:
         """The subobject of tgt(m) carved out by the morphism m."""
@@ -237,23 +247,6 @@ class ConcreteCohCategory(CohCategory):
             },
         )
 
-    def forall_map(self, f: str) -> MonotoneMap:
-        A, B, m = self._funs[f]
-        SA, SB = self.sub_lattice(set_name(A)), self.sub_lattice(set_name(B))
-        return MonotoneMap(
-            SA, SB,
-            {
-                u: SB.encode[
-                    frozenset(
-                        b
-                        for b in B
-                        if all(a in SA.decode[u] for a in A if m[a] == b)
-                    )
-                ]
-                for u in SA.elements
-            },
-        )
-
     def terminal(self) -> str:
         for s in self.sets:
             if len(s) == 1:
@@ -367,14 +360,6 @@ class LatticeCategory(CohCategory):
         a, b = self.cat.src(f), self.cat.tgt(f)
         SA, SB = self.sub_lattice(a), self.sub_lattice(b)
         return MonotoneMap(SA, SB, {u: u for u in SA.elements})
-
-    def forall_map(self, f: str) -> MonotoneMap:
-        a, b = self.cat.src(f), self.cat.tgt(f)
-        SA, SB = self.sub_lattice(a), self.sub_lattice(b)
-        return MonotoneMap(
-            SA, SB,
-            {u: self.lattice.meet(b, self.lattice.implies(a, u)) for u in SA.elements},
-        )
 
     def terminal(self) -> str:
         return self.lattice.top

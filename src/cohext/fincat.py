@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import ClassVar
 
-from .order import assignments
+from .order import assignments, trusted_instance
 
 
 class CategoryError(ValueError):
@@ -113,11 +114,10 @@ class FinCategory:
     def trusted(cls, objects, morphisms, comp, identities) -> FinCategory:
         """Skip law validation; for tables that form a category by
         construction, such as composition of functions."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "objects", objects)
-        object.__setattr__(obj, "morphisms", morphisms)
-        object.__setattr__(obj, "comp", comp)
-        object.__setattr__(obj, "identities", identities)
+        obj = trusted_instance(
+            cls, objects=objects, morphisms=morphisms, comp=comp,
+            identities=identities,
+        )
         obj._index()
         return obj
 
@@ -234,9 +234,20 @@ class EquivalenceReport:
     full: bool
     faithful: bool
     essentially_surjective: bool
-    witness: str | None = None
+    # condition name -> the first witness against it, for each failing
+    # condition, in the order the failures were found
+    witnesses: dict = field(default_factory=dict)
     # essential-surjectivity witnesses: target object -> (source object, iso)
     object_witnesses: dict = field(default_factory=dict)
+
+    CONDITIONS: ClassVar[tuple[str, ...]] = (
+        "full", "faithful", "essentially-surjective"
+    )
+
+    @property
+    def witness(self) -> str | None:
+        """The first witness found, against any condition."""
+        return next(iter(self.witnesses.values()), None)
 
     @property
     def is_equivalence(self) -> bool:
@@ -246,20 +257,20 @@ class EquivalenceReport:
 def check_equivalence(F: FinFunctor) -> EquivalenceReport:
     """Full, faithful, essentially surjective, with witnesses."""
     C, D = F.source, F.target
-    full, faithful, witness = True, True, None
+    witnesses = {}
     for A, B in product(C.objects, repeat=2):
         imgs = {}
         for f in C.hom(A, B):
             g = F.on_mor(f)
             if g in imgs:
-                faithful = False
-                witness = witness or f"morphisms {imgs[g]} and {f} collapse to {g}"
+                witnesses.setdefault(
+                    "faithful", f"morphisms {imgs[g]} and {f} collapse to {g}"
+                )
             imgs[g] = f
         for g in D.hom(F.on_obj(A), F.on_obj(B)):
             if g not in imgs:
-                full = False
-                witness = witness or f"{g} not in the image of Hom({A},{B})"
-    ess, obj_wit = True, {}
+                witnesses.setdefault("full", f"{g} not in the image of Hom({A},{B})")
+    obj_wit = {}
     for X in D.objects:
         found = None
         for A in C.objects:
@@ -268,11 +279,13 @@ def check_equivalence(F: FinFunctor) -> EquivalenceReport:
                 found = (A, pair[0])
                 break
         if found is None:
-            ess = False
-            witness = witness or f"object {X} not reached up to iso"
+            witnesses.setdefault(
+                "essentially-surjective", f"object {X} not reached up to iso"
+            )
         else:
             obj_wit[X] = found
-    return EquivalenceReport(full, faithful, ess, witness, obj_wit)
+    holds = (c not in witnesses for c in EquivalenceReport.CONDITIONS)
+    return EquivalenceReport(*holds, witnesses, obj_wit)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,17 @@ by its monotone restriction to them: `join_preserving_maps` extends each
 monotone map on the join-irreducibles by joins and keeps the candidates
 that preserve finite joins (all of them when the source is distributive;
 the check keeps non-distributive sources such as `m3` exact).
-`meet_preserving_maps` is the dual search over the meet-irreducibles.
 Between distributive lattices, `lattice_homs` enumerates the monotone maps
 J(K) -> J(L) of the dual posets, each giving exactly one hom; otherwise it
 keeps the join-preserving maps that preserve finite meets.
+
+The meet side is the join side read on the order dual: `FinLattice.dual`
+is a cached view with the flipped order and the swapped tables (and
+`L.dual.dual is L`), and `MonotoneMap.dual()` is the same mapping between
+the duals.  So ideals are the filters of `L.dual`, a map preserves finite
+meets when its dual preserves finite joins, its right adjoint is the dual
+of its dual's left adjoint, and `meet_preserving_maps` is
+`join_preserving_maps` between the duals.
 
 `MonotoneMap.trusted` (and `LatticeHom.trusted`) skips validation, as
 `FinPoset.trusted` and `FinLattice.trusted` do.  It is used only where a
@@ -39,7 +46,7 @@ from functools import reduce
 from itertools import product
 from operator import and_, ge, le, or_
 
-from .order import FinPoset, assignments, set_name
+from .order import FinPoset, assignments, set_name, trusted_instance
 
 
 class LatticeError(ValueError):
@@ -70,18 +77,10 @@ class FinLattice:
             j = self.join_table.get((a, b))
             if m is None or j is None:
                 raise LatticeError(f"missing table entry for ({a},{b})")
-            if not self._is_glb(m, a, b):
+            if not self.dual._is_lub(m, a, b):  # a glb is a lub of the dual
                 raise LatticeError(f"meet({a},{b})={m} is not the glb")
             if not self._is_lub(j, a, b):
                 raise LatticeError(f"join({a},{b})={j} is not the lub")
-
-    def _is_glb(self, m, a, b) -> bool:
-        p = self.poset
-        if not (p.leq(m, a) and p.leq(m, b)):
-            return False
-        return all(
-            p.leq(x, m) for x in p.elements if p.leq(x, a) and p.leq(x, b)
-        )
 
     def _is_lub(self, j, a, b) -> bool:
         p = self.poset
@@ -95,15 +94,10 @@ class FinLattice:
     def trusted(cls, poset, meet, join, bottom, top, **extra):
         """Skip table validation; for tables that are glb/lub tables by
         construction (set intersections/unions and the like)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "poset", poset)
-        object.__setattr__(obj, "meet_table", meet)
-        object.__setattr__(obj, "join_table", join)
-        object.__setattr__(obj, "bottom", bottom)
-        object.__setattr__(obj, "top", top)
-        for k, v in extra.items():
-            object.__setattr__(obj, k, v)
-        return obj
+        return trusted_instance(
+            cls, poset=poset, meet_table=meet, join_table=join,
+            bottom=bottom, top=top, **extra,
+        )
 
     @classmethod
     def from_poset(cls, poset: FinPoset) -> FinLattice:
@@ -177,11 +171,21 @@ class FinLattice:
             a,
         )
 
+    @property
     def dual(self) -> FinLattice:
-        return FinLattice(
-            self.poset.dual(), dict(self.join_table), dict(self.meet_table),
-            self.top, self.bottom,
-        )
+        """The order dual: the same elements, the flipped order and the
+        swapped tables.  Built once, and `L.dual.dual is L`.  Kept by
+        `object.__setattr__`, not in `__dict__` as `cached_property` does:
+        reading `__dict__` would slow every attribute load on the lattice."""
+        try:
+            return self._dual
+        except AttributeError:
+            d = FinLattice.trusted(
+                self.poset.dual(), self.join_table, self.meet_table,
+                self.top, self.bottom, _dual=self,
+            )
+            object.__setattr__(self, "_dual", d)
+            return d
 
     def iso_to(self, other: FinLattice) -> dict[str, str] | None:
         return self.poset.iso_to(other.poset)
@@ -280,11 +284,6 @@ def is_join_irreducible(L: FinLattice, a: str) -> bool:
     return a != L.bottom and L.join_all(below) != a
 
 
-def is_meet_irreducible(L: FinLattice, a: str) -> bool:
-    above = (x for x in L.elements if L.poset.lt(a, x))
-    return a != L.top and L.meet_all(above) != a
-
-
 def join_irreducibles(L: FinLattice) -> FinPoset:
     """The induced subposet of join-irreducible elements."""
     return L.poset.restricted(
@@ -309,12 +308,7 @@ def is_filter(L: FinLattice, s) -> bool:
 
 
 def is_ideal(L: FinLattice, s) -> bool:
-    s = set(s)
-    if not s:
-        return False
-    return all(L.meet(a, x) in s for a in s for x in L.elements) and all(
-        L.join(a, b) in s for a in s for b in s
-    )
+    return is_filter(L.dual, s)
 
 
 def is_prime_filter(L: FinLattice, s) -> bool:
@@ -337,9 +331,7 @@ def filters(L: FinLattice) -> list[frozenset[str]]:
 
 
 def ideals(L: FinLattice) -> list[frozenset[str]]:
-    return sorted(
-        (L.poset.down_set(a) for a in L.elements), key=lambda s: (len(s), sorted(s))
-    )
+    return filters(L.dual)
 
 
 def prime_filters(L: FinLattice) -> list[frozenset[str]]:
@@ -403,11 +395,11 @@ class MonotoneMap:
     def trusted(cls, source, target, mapping):
         """Skip validation; for maps that are total, into the target and
         order-preserving (homomorphisms, for `LatticeHom`) by construction."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "source", source)
-        object.__setattr__(obj, "target", target)
-        object.__setattr__(obj, "mapping", mapping)
-        return obj
+        return trusted_instance(cls, source=source, target=target, mapping=mapping)
+
+    def dual(self) -> MonotoneMap:
+        """The same mapping between the order duals (a hom stays a hom)."""
+        return type(self).trusted(self.source.dual, self.target.dual, self.mapping)
 
     def __call__(self, a: str) -> str:
         return self.mapping[a]
@@ -432,13 +424,7 @@ class MonotoneMap:
         )
 
     def preserves_finite_meets(self) -> bool:
-        L, K, m = self.source, self.target, self.mapping
-        if m[L.top] != K.top:
-            return False
-        lm, km = L.meet_table, K.meet_table
-        return all(
-            m[lm[a, b]] == km[m[a], m[b]] for a, b in product(L.elements, repeat=2)
-        )
+        return self.dual().preserves_finite_joins()
 
     def is_lattice_hom(self) -> bool:
         return self.preserves_finite_joins() and self.preserves_finite_meets()
@@ -466,14 +452,9 @@ class MonotoneMap:
         return MonotoneMap(self.target, self.source, g)
 
     def right_adjoint(self) -> MonotoneMap | None:
-        g = {}
-        for b in self.target.elements:
-            under = [a for a in self.source.elements if self.target.leq(self(a), b)]
-            cand = self.source.join_all(under)
-            if not self.target.leq(self(cand), b):
-                return None
-            g[b] = cand
-        return MonotoneMap(self.target, self.source, g)
+        """The map g with self(a) <= b iff a <= g(b), if it exists."""
+        g = self.dual().left_adjoint()
+        return None if g is None else g.dual()
 
     def __eq__(self, other):
         return (
@@ -583,33 +564,24 @@ def monotone_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
     ])
 
 
-def _irreducible_extensions(L: FinLattice, K: FinLattice, meets: bool):
-    """The maps L -> K preserving finite joins (meets, if `meets`), sorted
-    by their items: each monotone map on the join- (meet-) irreducibles of
-    L, extended by joins (meets), is kept if it preserves them."""
-    if meets:
-        irr = [a for a in L.elements if is_meet_irreducible(L, a)]
-        gens = {a: [m for m in irr if L.leq(a, m)] for a in L.elements}
-        close, keep = K.meet_all, MonotoneMap.preserves_finite_meets
-    else:
-        irr = [a for a in L.elements if is_join_irreducible(L, a)]
-        gens = {a: [j for j in irr if L.leq(j, a)] for a in L.elements}
-        close, keep = K.join_all, MonotoneMap.preserves_finite_joins
+def join_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
+    """The maps L -> K preserving finite joins, sorted by their items: each
+    monotone map on the join-irreducibles of L, extended by joins, is kept
+    if it preserves them."""
+    irr = [a for a in L.elements if is_join_irreducible(L, a)]
+    gens = {a: [j for j in irr if L.leq(j, a)] for a in L.elements}
     maps = (
         MonotoneMap.trusted(
-            L, K, {a: close(g[x] for x in gens[a]) for a in L.elements}
+            L, K, {a: K.join_all(g[x] for x in gens[a]) for a in L.elements}
         )
         for g in _monotone_tables(L.poset, irr, K.elements, K.poset.pairs)
     )
-    return _by_items([f for f in maps if keep(f)])
-
-
-def join_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
-    return _irreducible_extensions(L, K, meets=False)
+    return _by_items([f for f in maps if f.preserves_finite_joins()])
 
 
 def meet_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
-    return _irreducible_extensions(L, K, meets=True)
+    """The join-preserving maps between the order duals, read back."""
+    return [f.dual() for f in join_preserving_maps(L.dual, K.dual)]
 
 
 def lattice_homs(L: FinLattice, K: FinLattice) -> list[LatticeHom]:

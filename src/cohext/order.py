@@ -33,6 +33,16 @@ def set_name(s) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
+def trusted_instance(cls, **fields):
+    """An instance of the frozen dataclass `cls` with `fields` set as
+    given, skipping `__init__` and its validation; behind every `trusted`
+    constructor, for data that is valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def union_closure(gens, join=or_, empty=0):
     """Yield each union of members of `gens` once, the empty union first,
     in a deterministic order; a consumer may stop at any point.  `join` is
@@ -123,10 +133,9 @@ class FinPoset:
     def trusted(cls, elements, pairs) -> FinPoset:
         """Skip axiom validation; for relations that are reflexive,
         antisymmetric, and transitive by construction."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "elements", tuple(elements))
-        object.__setattr__(obj, "pairs", frozenset(pairs))
-        return obj
+        return trusted_instance(
+            cls, elements=tuple(elements), pairs=frozenset(pairs)
+        )
 
     @classmethod
     def from_pairs(cls, elements, pairs) -> FinPoset:
@@ -191,7 +200,8 @@ class FinPoset:
         return out
 
     def dual(self) -> FinPoset:
-        return FinPoset(self.elements, frozenset((b, a) for a, b in self.pairs))
+        """The reversed order; a poset whenever this one is."""
+        return FinPoset.trusted(self.elements, ((b, a) for a, b in self.pairs))
 
     def _signature(self, a: str) -> tuple[int, int]:
         return (len(self.down_set(a)), len(self.up_set(a)))

@@ -244,12 +244,6 @@ class PredCohCategory(CohCategory):
         }
         return MonotoneMap(SA, SB, table)
 
-    def forall_map(self, f: str) -> MonotoneMap:
-        adj = self.pullback_map(f).right_adjoint()
-        if adj is None:
-            raise HyperdoctrineError(f"pullback along {f} has no right adjoint")
-        return adj
-
     def terminal(self) -> str:
         P = self.AP.P
         if P.limits.terminal is None:
@@ -309,7 +303,7 @@ class PredCohCategory(CohCategory):
 
 def check_coh_plus(AC: PredCohCategory):
     """The completeness-side predicates on A(P): every subobject lattice
-    distributive (完备 at finite scale) and every pullback map preserving
+    distributive (complete at finite scale) and every pullback map preserving
     all joins.  Returns None or a witness string."""
     from .lattice import check_distributive
 

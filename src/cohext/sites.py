@@ -17,7 +17,7 @@ that member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from typing import ClassVar
 
 from .canext import CanonicalExtension, delta_extension
 from .cohcat import CohCategory
@@ -93,7 +93,8 @@ class Site:
 
 def coherent_topology(C: CohCategory) -> Site:
     """A sieve covers A when finitely many members' images join to the top
-    subobject of A.  Generators: the minimal such families."""
+    subobject of A.  Generators: the minimal such families, by size and
+    then by position in `morphisms_into(A)`."""
     image = {f: C.subobject_of_mono(f) for f in C.cat.morphisms}
 
     def covers(A: str, sieve) -> bool:
@@ -102,13 +103,33 @@ def coherent_topology(C: CohCategory) -> Site:
 
     gens = {}
     for A in C.cat.objects:
-        inc, found = C.cat.morphisms_into(A), []
-        for r in range(len(inc) + 1):
-            for fam in combinations(inc, r):
-                if covers(A, fam) and not any(set(p) <= set(fam) for p in found):
-                    found.append(fam)
-        gens[A] = tuple(found)
+        inc = C.cat.morphisms_into(A)
+        found = _minimal_joins_to_top(C.sub_lattice(A), [image[f] for f in inc])
+        gens[A] = tuple(tuple(inc[i] for i in fam) for fam in found)
     return Site(C.cat, covers, gens)
+
+
+def _minimal_joins_to_top(S: FinLattice, xs: list[str]) -> list[tuple[int, ...]]:
+    """The positions of each family of `xs` that joins to the top of S and
+    has no proper subfamily that does, sorted by size and then positions.
+    A family grows only while it does not cover and each member raises its
+    join: a member that does not stays redundant in every superset, so no
+    superset of a family failing either test is minimal."""
+    join, found = S.join_table, []
+
+    def grow(fam, joined, without, start):
+        # without[k]: the join of fam without its k-th member
+        if joined == S.top:
+            found.append(fam)
+            return
+        for i in range(start, len(xs)):
+            j = join[joined, xs[i]]
+            rest = [join[w, xs[i]] for w in without]
+            if j != joined and j not in rest:
+                grow(fam + (i,), j, rest + [joined], i + 1)
+
+    grow((), S.bottom, [], 0)
+    return sorted(found, key=lambda fam: (len(fam), fam))
 
 
 # -- filter and type categories --------------------------------------------------
@@ -579,7 +600,22 @@ class ComparisonReport:
     locally_faithful: bool
     locally_surjective: bool
     co_continuous: bool
-    witness: str | None = None
+    # condition name -> the first witness against it, for each failing
+    # condition, in the order the failures were found
+    witnesses: dict = field(default_factory=dict)
+
+    CONDITIONS: ClassVar[tuple[str, ...]] = (
+        "cover-preserving",
+        "locally-full",
+        "locally-faithful",
+        "locally-surjective",
+        "co-continuous",
+    )
+
+    @property
+    def witness(self) -> str | None:
+        """The first witness found, against any condition."""
+        return next(iter(self.witnesses.values()), None)
 
     @property
     def passed(self) -> bool:
@@ -600,22 +636,21 @@ def comparison_check(e: FinFunctor, source: Site, target: Site) -> ComparisonRep
     contains a covering sieve generated by a generator family, so the
     generated covering sieves decide it exactly."""
     covers = {A: _generated_covers(source, A) for A in source.cat.objects}
-    witness = None
-    cover_preserving = True
+    witnesses = {}
     for D in source.cat.objects:
         for s in covers[D]:
             image = target.sieve_generated(e.on_obj(D), [e.on_mor(f) for f in s])
             if not target.covers(e.on_obj(D), image):
-                cover_preserving = False
-                witness = witness or f"a cover of {D} is not preserved"
-    locally_full = True
+                witnesses.setdefault(
+                    "cover-preserving", f"a cover of {D} is not preserved"
+                )
     for CC in source.cat.objects:
         for D in source.cat.objects:
             for g in target.cat.hom(e.on_obj(CC), e.on_obj(D)):
                 if not _locally_full_at(e, source, covers[CC], D, g):
-                    locally_full = False
-                    witness = witness or f"morphism {g} has no local lift"
-    locally_faithful = True
+                    witnesses.setdefault(
+                        "locally-full", f"morphism {g} has no local lift"
+                    )
     for CC in source.cat.objects:
         for D in source.cat.objects:
             homs = source.cat.hom(CC, D)
@@ -624,9 +659,9 @@ def comparison_check(e: FinFunctor, source: Site, target: Site) -> ComparisonRep
                     if e.on_mor(f1) != e.on_mor(f2):
                         continue
                     if not _locally_equalized(source, covers[CC], f1, f2):
-                        locally_faithful = False
-                        witness = witness or f"{f1},{f2} not locally equalized"
-    locally_surjective = True
+                        witnesses.setdefault(
+                            "locally-faithful", f"{f1},{f2} not locally equalized"
+                        )
     image_objs = {e.on_obj(A) for A in source.cat.objects}
     for X in target.cat.objects:
         inc = [
@@ -635,9 +670,9 @@ def comparison_check(e: FinFunctor, source: Site, target: Site) -> ComparisonRep
             if target.cat.src(f) in image_objs
         ]
         if not target.covers(X, target.sieve_generated(X, inc)):
-            locally_surjective = False
-            witness = witness or f"object {X} has no cover from the image"
-    co_continuous = True
+            witnesses.setdefault(
+                "locally-surjective", f"object {X} has no cover from the image"
+            )
     for D in source.cat.objects:
         for s in _generated_covers(target, e.on_obj(D)):
             pulled = frozenset(
@@ -653,18 +688,12 @@ def comparison_check(e: FinFunctor, source: Site, target: Site) -> ComparisonRep
                 )
             )
             if not source.covers(D, pulled):
-                co_continuous = False
-                witness = witness or (
-                    f"a cover of {e.on_obj(D)} does not pull back to {D}"
+                witnesses.setdefault(
+                    "co-continuous",
+                    f"a cover of {e.on_obj(D)} does not pull back to {D}",
                 )
-    return ComparisonReport(
-        cover_preserving,
-        locally_full,
-        locally_faithful,
-        locally_surjective,
-        co_continuous,
-        witness,
-    )
+    holds = (c not in witnesses for c in ComparisonReport.CONDITIONS)
+    return ComparisonReport(*holds, witnesses)
 
 
 def _generated_covers(site: Site, A: str) -> list[frozenset[str]]:

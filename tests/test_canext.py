@@ -81,7 +81,7 @@ def test_filter_and_ideal_elements_cover_everything_in_finite_case():
     for L in distributive_lattices(5):
         ce = canonical_extension(L)
         assert ce.filt_elements == frozenset(ce.ext.elements)
-        assert ce.ideal_elements == frozenset(ce.ext.elements)
+        assert ce.dual.filt_elements == frozenset(ce.ext.elements)
 
 
 def lift_pair(L, K):
@@ -408,36 +408,43 @@ def test_cached_tables_match_their_definitions():
             x for x in ext.elements
             if x == ext.join_all(y for y in image if ext.leq(y, x))
         )
+        # the ideal-side tables are the filter-side tables of the dual
         assert ce.image == image
-        assert ce.filt_elements == filt and ce.ideal_elements == idl
+        assert ce.filt_elements == filt and ce.dual.filt_elements == idl
         for u in ext.elements:
             assert ce.filter_of[u] == tuple(
                 a for a in base.elements if ext.leq(u, ce.e(a))
             )
-            assert ce.ideal_of[u] == tuple(
+            assert ce.dual.filter_of[u] == tuple(
                 a for a in base.elements if ext.leq(ce.e(a), u)
             )
             assert set(ce.filt_below[u]) == {x for x in filt if ext.leq(x, u)}
-            assert set(ce.ideal_above[u]) == {y for y in idl if ext.leq(u, y)}
+            assert set(ce.dual.filt_below[u]) == {y for y in idl if ext.leq(u, y)}
 
 
 def rescan_tables(f, cs, ct):
-    """Sigma and pi by rescanning the filter and ideal elements with leq."""
+    """Sigma and pi by rescanning the filter and ideal elements with leq;
+    the ideal elements are the join closure of the embedded image."""
     ext_s, ext_t, base = cs.ext, ct.ext, cs.base.elements
+    image = [cs.e(a) for a in base]
+    ideal_elements = [
+        y for y in ext_s.elements
+        if y == ext_s.join_all(x for x in image if ext_s.leq(x, y))
+    ]
     on_filt = {
         x: ext_t.meet_all(ct.e(f(a)) for a in base if ext_s.leq(x, cs.e(a)))
         for x in cs.filt_elements
     }
     on_idl = {
         y: ext_t.join_all(ct.e(f(a)) for a in base if ext_s.leq(cs.e(a), y))
-        for y in cs.ideal_elements
+        for y in ideal_elements
     }
     sigma = {
         u: ext_t.join_all(on_filt[x] for x in cs.filt_elements if ext_s.leq(x, u))
         for u in ext_s.elements
     }
     pi = {
-        u: ext_t.meet_all(on_idl[y] for y in cs.ideal_elements if ext_s.leq(u, y))
+        u: ext_t.meet_all(on_idl[y] for y in ideal_elements if ext_s.leq(u, y))
         for u in ext_s.elements
     }
     return sigma, pi
@@ -487,3 +494,25 @@ def test_reprs_stay_short():
     assert repr(ce) == (
         "CanonicalExtension(FinLattice(8 elements) -> FinLattice(8 elements))"
     )
+
+
+def test_the_extension_of_the_dual_is_the_dual_of_the_extension():
+    for L in [*distributive_lattices(8), boolean4(), chain_lattice(5)]:
+        ce = canonical_extension(L)
+        d = ce.dual
+        assert d is ce.dual and d.dual is ce
+        assert d.base is ce.base.dual and d.ext is ce.ext.dual and d.embed == ce.embed
+        assert check_dense(d) and check_compact(d)
+        assert d.ext.iso_to(canonical_extension(L.dual).ext) is not None
+
+
+def test_dense_and_compact_are_self_dual_on_wrapped_embeddings():
+    # an embedding of m3 into itself has no canonical extension to compare
+    # with, but its dual is still an involution and dense and compact
+    M = m3()
+    extensions = hand_built_embeddings()
+    extensions.append(CanonicalExtension(M, M, {a: a for a in M.elements}))
+    for ce in extensions:
+        assert ce.dual.dual is ce
+        assert check_dense(ce.dual) == check_dense(ce)
+        assert check_compact(ce.dual) == check_compact(ce)

@@ -65,6 +65,21 @@ def test_check_failure_exits_1_with_witness():
     assert any("witness" in c for c in data["checks"] if not c["pass"])
 
 
+def test_each_comparison_check_carries_only_its_own_witness(monkeypatch, capsys):
+    import cohext.sites
+    from cohext.fixtures import mutated_comparison_source
+    from cohext.hyperdoctrine import canext_hyperdoctrine
+
+    # a non-covering generator breaks cover preservation and nothing else
+    C = load_category(fx("three_chain.latcat.json"))
+    mutated = mutated_comparison_source(C, canext_hyperdoctrine(sub_hyperdoctrine(C)))
+    monkeypatch.setattr(cohext.sites, "irreducible_site", lambda C, X: mutated)
+    assert main(["tot", "compare", fx("three_chain.latcat.json")]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == ["cover-preserving"]
+    assert [c["name"] for c in checks if "witness" in c] == ["cover-preserving"]
+
+
 def test_hyper_validate_and_canext_pass():
     r = run_cli("hyper", "validate", fx("three_chain.hyp.json"))
     assert r.returncode == 0

@@ -5,7 +5,7 @@ from itertools import permutations, product
 import pytest
 
 from cohext import predcat
-from cohext.catalog import distributive_lattices
+from cohext.catalog import concrete_universes, distributive_lattices
 from cohext.cohcat import (
     ConcreteCohCategory,
     LatticeCategory,
@@ -89,6 +89,33 @@ def test_forall_right_adjoint_and_pointwise_formula():
                 if all(a in SA.decode[u] for a in A if m[a] == b)
             )
             assert C.sub_lattice(C.cat.tgt(f)).decode[fa(u)] == pointwise
+
+
+def forall_closed_form(C, f):
+    """Universal image along f in closed form: in a fragment of sets, the
+    points of the target all of whose preimages lie in u; in a lattice,
+    b /\\ (a -> u) along a <= b."""
+    SA, SB = C.sub_lattice(C.cat.src(f)), C.sub_lattice(C.cat.tgt(f))
+    if isinstance(C, LatticeCategory):
+        L, a, b = C.lattice, C.cat.src(f), C.cat.tgt(f)
+        return {u: L.meet(b, L.implies(a, u)) for u in SA.elements}
+    A, B, m = C._funs[f]
+    return {
+        u: SB.encode[
+            frozenset(b for b in B if all(a in SA.decode[u] for a in A if m[a] == b))
+        ]
+        for u in SA.elements
+    }
+
+
+def test_forall_as_right_adjoint_matches_the_closed_forms():
+    cats = [LatticeCategory(L) for L in distributive_lattices(6)]
+    cats += [ConcreteCohCategory(seeds) for seeds in concrete_universes(3)]
+    for C in cats:
+        for f in C.cat.morphisms:
+            fa = C.forall_map(f)
+            assert fa.source is C.sub_lattice(C.cat.src(f))
+            assert fa.mapping == forall_closed_form(C, f)
 
 
 def test_heyting_implication_agrees_with_pointwise():
@@ -194,6 +221,28 @@ def test_equivalence_checker_with_witnesses():
     )
     rep = check_equivalence(emb)
     assert not rep.essentially_surjective and rep.witness
+
+
+def test_equivalence_report_keeps_one_witness_per_condition():
+    # two discrete objects onto the two-chain: faithful and essentially
+    # surjective, but the morphism c0 <= c1 has no preimage
+    C2 = LatticeCategory(chain_lattice(2)).cat
+    ids = {"a": "id_a", "b": "id_b"}
+    discrete = FinCategory(
+        ("a", "b"),
+        {i: Morphism(i, A, A) for A, i in ids.items()},
+        {(i, i): i for i in ids.values()},
+        ids,
+    )
+    F = FinFunctor(
+        discrete, C2, {"a": "c0", "b": "c1"},
+        {"id_a": C2.identity("c0"), "id_b": C2.identity("c1")},
+    )
+    rep = check_equivalence(F)
+    assert (rep.full, rep.faithful, rep.essentially_surjective) == (False, True, True)
+    assert rep.witnesses == {"full": "le(c0,c1) not in the image of Hom(a,b)"}
+    assert rep.witness == rep.witnesses["full"]
+    assert check_equivalence(FinFunctor.identity(C2)).witnesses == {}
 
 
 def test_natural_iso_search():

@@ -98,8 +98,18 @@ def test_filters_match_subset_oracle_on_small_lattices():
     for L in [chain_lattice(2), chain_lattice(3), boolean4(), m3()]:
         oracle = {s for s in all_subsets(L.elements) if is_filter(L, s)}
         assert set(filters(L)) == oracle
-        oracle_i = {s for s in all_subsets(L.elements) if is_ideal(L, s)}
+        oracle_i = {s for s in all_subsets(L.elements) if ideal_definition(L, s)}
         assert set(ideals_of(L)) == oracle_i
+        assert {s for s in all_subsets(L.elements) if is_ideal(L, s)} == oracle_i
+
+
+def ideal_definition(L, s):
+    """Nonempty, down-closed (closed under meets with anything) and closed
+    under binary joins, read off L's own tables."""
+    s = set(s)
+    return bool(s) and all(
+        L.meet(a, x) in s for a in s for x in L.elements
+    ) and all(L.join(a, b) in s for a in s for b in s)
 
 
 def ideals_of(L):
@@ -383,3 +393,53 @@ def test_map_searches_build_no_validated_map(monkeypatch):
     assert built == []
     MonotoneMap(B8, B8, ident)
     assert built == ["MonotoneMap"]
+
+
+def duality_lattices():
+    return [*distributive_lattices(8), m3(), boolean4(), chain_lattice(5)]
+
+
+def test_dual_is_a_cached_involution_with_the_reversed_order():
+    for L in duality_lattices():
+        D = L.dual
+        assert D is L.dual and D.dual is L
+        assert D.elements == L.elements and (D.bottom, D.top) == (L.top, L.bottom)
+        assert all(
+            D.leq(a, b) == L.leq(b, a) for a in L.elements for b in L.elements
+        )
+        # the swapped tables are the glb and lub of the reversed order
+        poset = FinPoset(D.poset.elements, D.poset.pairs)
+        assert FinLattice(poset, D.meet_table, D.join_table, D.bottom, D.top) == D
+
+
+def meets_preserved(f):
+    L, K, m = f.source, f.target, f.mapping
+    return m[L.top] == K.top and all(
+        m[L.meet(a, b)] == K.meet(m[a], m[b]) for a in L.elements for b in L.elements
+    )
+
+
+def right_adjoint_table(f):
+    """g(b) = the join of the a with f(a) <= b, if f of it is <= b."""
+    g = {}
+    for b in f.target.elements:
+        cand = f.source.join_all(
+            a for a in f.source.elements if f.target.leq(f(a), b)
+        )
+        if not f.target.leq(f(cand), b):
+            return None
+        g[b] = cand
+    return g
+
+
+def test_meet_side_through_the_dual_matches_its_closed_forms():
+    lats = [*distributive_lattices(4), m3()]
+    for L in lats:
+        for K in lats:
+            for f in monotone_maps(L, K):
+                assert f.dual().dual().mapping is f.mapping
+                assert f.preserves_finite_meets() == meets_preserved(f)
+                g, table = f.right_adjoint(), right_adjoint_table(f)
+                assert (None if g is None else g.mapping) == table
+                if g is not None:
+                    assert g.source is K and g.target is L

@@ -72,6 +72,44 @@ def test_coherent_topology_trivial_base():
     assert tsite.covers("*", frozenset())
 
 
+def minimal_covers_by_subset_scan(site, A):
+    """Every family of morphisms into A, by size and then position in
+    `morphisms_into(A)`, kept when it covers and contains no family kept
+    before: the minimal covering families, found without pruning."""
+    inc, found = site.cat.morphisms_into(A), []
+    for r in range(len(inc) + 1):
+        for fam in combinations(inc, r):
+            if site.covers(A, fam) and not any(set(p) <= set(fam) for p in found):
+                found.append(fam)
+    return tuple(found)
+
+
+# the concrete fragments of the site sweep in perfbench
+SITE_SWEEP_FRAGMENTS = ((("x",),), (("x",), ("y",)), (("x", "y"),))
+
+
+def test_coherent_topology_generators_match_the_subset_scan():
+    cats = [LatticeCategory(L) for L in distributive_lattices(8)]
+    cats += [
+        ConcreteCohCategory([frozenset(s) for s in seeds])
+        for seeds in SITE_SWEEP_FRAGMENTS
+    ]
+    for C in cats:
+        site = coherent_topology(C)
+        for A in C.cat.objects:
+            assert site.generators[A] == minimal_covers_by_subset_scan(site, A)
+
+
+def test_coherent_topology_of_a_long_chain_is_generated_by_identities():
+    # a subset scan walks 2^18 families into the top; the pruned search
+    # stops each family at its first redundant member
+    C = LatticeCategory(chain_lattice(18))
+    site = coherent_topology(C)
+    assert site.generators["c0"] == ((),)
+    for A in C.cat.objects[1:]:
+        assert site.generators[A] == ((C.cat.identity(A),),)
+
+
 def test_coherent_topology_point_inclusions_cover():
     C = ConcreteCohCategory([frozenset({"x", "y"})])
     site = coherent_topology(C)
@@ -557,21 +595,21 @@ def comparison_all_sieves_oracle(e, source, target):
             for sieve in covering(source, CC)
         )
 
-    witness = None
+    witnesses = {}
     cover_preserving = True
     for D in source.cat.objects:
         for s in covering(source, D):
             image = target.sieve_generated(e.on_obj(D), [e.on_mor(f) for f in s])
             if not target.covers(e.on_obj(D), image):
                 cover_preserving = False
-                witness = witness or f"a cover of {D} is not preserved"
+                witnesses.setdefault("cover-preserving", f"a cover of {D} is not preserved")
     locally_full = True
     for CC in source.cat.objects:
         for D in source.cat.objects:
             for g in target.cat.hom(e.on_obj(CC), e.on_obj(D)):
                 if not locally_full_at(CC, D, g):
                     locally_full = False
-                    witness = witness or f"morphism {g} has no local lift"
+                    witnesses.setdefault("locally-full", f"morphism {g} has no local lift")
     locally_faithful = True
     for CC in source.cat.objects:
         for D in source.cat.objects:
@@ -580,14 +618,18 @@ def comparison_all_sieves_oracle(e, source, target):
                 for f2 in homs[i + 1:]:
                     if e.on_mor(f1) == e.on_mor(f2) and not locally_equalized(CC, f1, f2):
                         locally_faithful = False
-                        witness = witness or f"{f1},{f2} not locally equalized"
+                        witnesses.setdefault(
+                            "locally-faithful", f"{f1},{f2} not locally equalized"
+                        )
     locally_surjective = True
     image_objs = {e.on_obj(A) for A in source.cat.objects}
     for X in target.cat.objects:
         inc = [f for f in target.cat.morphisms_into(X) if target.cat.src(f) in image_objs]
         if not target.covers(X, target.sieve_generated(X, inc)):
             locally_surjective = False
-            witness = witness or f"object {X} has no cover from the image"
+            witnesses.setdefault(
+                "locally-surjective", f"object {X} has no cover from the image"
+            )
     co_continuous = True
     for D in source.cat.objects:
         for s in covering(target, e.on_obj(D)):
@@ -604,11 +646,24 @@ def comparison_all_sieves_oracle(e, source, target):
             )
             if not source.covers(D, pulled):
                 co_continuous = False
-                witness = witness or f"a cover of {e.on_obj(D)} does not pull back to {D}"
+                witnesses.setdefault(
+                    "co-continuous", f"a cover of {e.on_obj(D)} does not pull back to {D}"
+                )
     return ComparisonReport(
         cover_preserving, locally_full, locally_faithful, locally_surjective,
-        co_continuous, witness,
+        co_continuous, witnesses,
     )
+
+
+def test_comparison_report_keeps_one_witness_per_condition():
+    C = LatticeCategory(chain_lattice(3))
+    X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+    tau = type_category(C)
+    source = mutated_comparison_source(C, X)
+    rep = comparison_check(irreducible_to_types(C, X, source, tau), source, jp_site(tau))
+    assert list(rep.witnesses) == ["cover-preserving"]
+    assert rep.witness == rep.witnesses["cover-preserving"]
+    assert not rep.cover_preserving and rep.locally_full and rep.co_continuous
 
 
 def test_comparison_check_matches_the_all_sieves_oracle():
