@@ -21,7 +21,6 @@ two-stage formula of the sigma extension on the duals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .lattice import (
     FinLattice,
@@ -33,7 +32,7 @@ from .lattice import (
     prime_filters,
     require_distributive,
 )
-from .order import BudgetError, set_name, trusted_instance
+from .order import BudgetError, cached, set_name, trusted_instance
 
 
 class PreservationError(LatticeError):
@@ -69,14 +68,13 @@ class CanonicalExtension:
     def e(self, a: str) -> str:
         return self.embed[a]
 
-    # Derived tables, computed once per extension: cached_property writes
-    # to the instance __dict__, which a frozen (non-slots) dataclass allows.
+    # Derived tables, computed once per extension by `order.cached`.
 
-    @cached_property
+    @cached
     def image(self) -> frozenset[str]:
         return frozenset(self.embed.values())
 
-    @cached_property
+    @cached
     def filter_of(self) -> dict[str, tuple[str, ...]]:
         """For each x in ext, the base elements whose image lies above x."""
         ext, e = self.ext, self.embed
@@ -85,7 +83,7 @@ class CanonicalExtension:
             for x in ext.elements
         }
 
-    @cached_property
+    @cached
     def filt_elements(self) -> frozenset[str]:
         """Meet closure of the embedded image in ext."""
         ext, e = self.ext, self.embed
@@ -95,24 +93,22 @@ class CanonicalExtension:
             if x == ext.meet_all(e[a] for a in self.filter_of[x])
         )
 
-    @cached_property
+    @cached
     def filt_below(self) -> dict[str, tuple[str, ...]]:
         """For each u in ext, the filter elements below u, in ext order."""
         ext, filt = self.ext, self.filt_elements
         below = [x for x in ext.elements if x in filt]
         return {u: tuple(x for x in below if ext.leq(x, u)) for u in ext.elements}
 
-    @cached_property
+    @cached
     def dual(self) -> CanonicalExtension:
         """`base.dual` embedded into `ext.dual` by the same map: its filter
         elements are the ideal elements here (the join closure of the
         image), and `ce.dual.dual is ce`."""
-        d = trusted_instance(
+        return trusted_instance(
             CanonicalExtension, base=self.base.dual, ext=self.ext.dual,
-            embed=self.embed, prime_filters=None,
+            embed=self.embed, prime_filters=None, dual=self,
         )
-        d.__dict__["dual"] = self
-        return d
 
     def is_iso(self) -> bool:
         return len(self.image) == len(self.ext.elements)
@@ -283,8 +279,10 @@ def delta_extension(
 
 
 def _check_lift_typing(f, ce_s, ce_t):
-    if f.source != ce_s.base or f.target != ce_t.base:
-        raise LatticeError("map endpoints do not match the given extensions")
+    """Identity first: structural equality is the slow path."""
+    for end, base in ((f.source, ce_s.base), (f.target, ce_t.base)):
+        if end is not base and end != base:
+            raise LatticeError("map endpoints do not match the given extensions")
 
 
 def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:

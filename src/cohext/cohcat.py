@@ -16,32 +16,14 @@ lattice is the order dual of a left adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
 
 from .fincat import CategoryError, FinCategory, FinFunctor, Morphism, composable_pairs
 from .lattice import FinLattice, LatticeHom, MonotoneMap, NamedSetLattice, set_lattice
-from .order import assignments, set_name, union_closure
+from .order import assignments, cached_method, set_name, union_closure
 
 
 class MissingLimitError(CategoryError):
     """A chosen limit needed by a construction is absent from the fragment."""
-
-
-def cached_method(method):
-    """Memoize a method in a dict on the instance, freed with it; a
-    process-wide `functools.lru_cache` would keep every instance alive."""
-    slot = f"_{method.__name__}_cache"
-
-    @wraps(method)
-    def cached(self, *args):
-        try:
-            return self.__dict__[slot][args]
-        except KeyError:
-            value = method(self, *args)
-            self.__dict__.setdefault(slot, {})[args] = value
-            return value
-
-    return cached
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,16 @@ Priestley, *Introduction to Lattices and Order*, ch. 5) instead of
 filtering every monotone map.  Every element of a finite lattice is the
 join of the join-irreducibles below it, so a join-preserving map is fixed
 by its monotone restriction to them: `join_preserving_maps` extends each
-monotone map on the join-irreducibles by joins and keeps the candidates
-that preserve finite joins (all of them when the source is distributive;
-the check keeps non-distributive sources such as `m3` exact).
+monotone map on the join-irreducibles by joins.  On a distributive source
+every extension preserves finite joins and is built with that verdict; on
+others, such as `m3`, the candidates are checked.
 Between distributive lattices, `lattice_homs` enumerates the monotone maps
 J(K) -> J(L) of the dual posets, each giving exactly one hom; otherwise it
 keeps the join-preserving maps that preserve finite meets.
 
 The meet side is the join side read on the order dual: `FinLattice.dual`
-is a cached view with the flipped order and the swapped tables (and
-`L.dual.dual is L`), and `MonotoneMap.dual()` is the same mapping between
+is a view with the flipped order and the swapped tables (and
+`L.dual.dual is L`), and `MonotoneMap.dual` is the same mapping between
 the duals.  So ideals are the filters of `L.dual`, a map preserves finite
 meets when its dual preserves finite joins, its right adjoint is the dual
 of its dual's left adjoint, and `meet_preserving_maps` is
@@ -37,6 +37,10 @@ map is correct by construction: the results of the map searches here
 lifting tables and `extend_hom` on an extension built by
 `canonical_extension` (see `canext`).  Maps built from outside data keep
 the validating constructor.
+
+Lattices and maps are immutable, so what they determine is computed once
+per instance by `order.cached`: the duals, the distributivity witness, the
+join-irreducibles and a map's join-preservation verdict.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from functools import reduce
 from itertools import product
 from operator import and_, ge, le, or_
 
-from .order import FinPoset, assignments, set_name, trusted_instance
+from .order import FinPoset, assignments, cached, set_name, trusted_instance
 
 
 class LatticeError(ValueError):
@@ -93,7 +97,9 @@ class FinLattice:
     @classmethod
     def trusted(cls, poset, meet, join, bottom, top, **extra):
         """Skip table validation; for tables that are glb/lub tables by
-        construction (set intersections/unions and the like)."""
+        construction (set intersections/unions and the like).  `extra` sets
+        further fields of `cls` and `cached` attributes whose values are
+        known."""
         return trusted_instance(
             cls, poset=poset, meet_table=meet, join_table=join,
             bottom=bottom, top=top, **extra,
@@ -171,21 +177,31 @@ class FinLattice:
             a,
         )
 
-    @property
+    # Derived data, computed once per lattice by the one `order.cached`.
+
+    @cached
     def dual(self) -> FinLattice:
         """The order dual: the same elements, the flipped order and the
-        swapped tables.  Built once, and `L.dual.dual is L`.  Kept by
-        `object.__setattr__`, not in `__dict__` as `cached_property` does:
-        reading `__dict__` would slow every attribute load on the lattice."""
-        try:
-            return self._dual
-        except AttributeError:
-            d = FinLattice.trusted(
-                self.poset.dual(), self.join_table, self.meet_table,
-                self.top, self.bottom, _dual=self,
-            )
-            object.__setattr__(self, "_dual", d)
-            return d
+        swapped tables; `L.dual.dual is L`."""
+        return FinLattice.trusted(
+            self.poset.dual, self.join_table, self.meet_table,
+            self.top, self.bottom, dual=self,
+        )
+
+    @cached
+    def distributivity_witness(self) -> tuple[str, str, str] | None:
+        """The first triple (x, y, z) in product order with
+        x /\\ (y \\/ z) != (x /\\ y) \\/ (x /\\ z), or None if distributive."""
+        meet, join = self.meet_table, self.join_table
+        for x, y, z in product(self.elements, repeat=3):
+            if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]:
+                return (x, y, z)
+        return None
+
+    @cached
+    def irreducibles(self) -> tuple[str, ...]:
+        """The join-irreducible elements, in element order."""
+        return tuple(a for a in self.elements if is_join_irreducible(self, a))
 
     def iso_to(self, other: FinLattice) -> dict[str, str] | None:
         return self.poset.iso_to(other.poset)
@@ -259,20 +275,12 @@ def downset_lattice(p: FinPoset) -> DownsetLattice:
     return set_lattice(p.downsets(), cls=DownsetLattice, base_poset=p)
 
 
-def distributivity_witness(L: FinLattice) -> tuple[str, str, str] | None:
-    meet, join = L.meet_table, L.join_table
-    for x, y, z in product(L.elements, repeat=3):
-        if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]:
-            return (x, y, z)
-    return None
-
-
 def check_distributive(L: FinLattice) -> bool:
-    return distributivity_witness(L) is None
+    return L.distributivity_witness is None
 
 
 def require_distributive(L: FinLattice) -> None:
-    w = distributivity_witness(L)
+    w = L.distributivity_witness
     if w is not None:
         raise NotDistributiveError(f"distributivity fails on triple {w}")
 
@@ -286,9 +294,7 @@ def is_join_irreducible(L: FinLattice, a: str) -> bool:
 
 def join_irreducibles(L: FinLattice) -> FinPoset:
     """The induced subposet of join-irreducible elements."""
-    return L.poset.restricted(
-        [a for a in L.elements if is_join_irreducible(L, a)]
-    )
+    return L.poset.restricted(L.irreducibles)
 
 
 # -- filters and ideals -----------------------------------------------------
@@ -392,14 +398,22 @@ class MonotoneMap:
                 raise LatticeError(f"not order-preserving on ({a},{b})")
 
     @classmethod
-    def trusted(cls, source, target, mapping):
+    def trusted(cls, source, target, mapping, **extra):
         """Skip validation; for maps that are total, into the target and
-        order-preserving (homomorphisms, for `LatticeHom`) by construction."""
-        return trusted_instance(cls, source=source, target=target, mapping=mapping)
+        order-preserving (homomorphisms, for `LatticeHom`) by construction.
+        `extra` sets `cached` attributes whose values are known, such as
+        the verdict of a map built join-preserving."""
+        return trusted_instance(
+            cls, source=source, target=target, mapping=mapping, **extra
+        )
 
+    @cached
     def dual(self) -> MonotoneMap:
-        """The same mapping between the order duals (a hom stays a hom)."""
-        return type(self).trusted(self.source.dual, self.target.dual, self.mapping)
+        """The same mapping between the order duals (a hom stays a hom);
+        `f.dual.dual is f`."""
+        return type(self).trusted(
+            self.source.dual, self.target.dual, self.mapping, dual=self
+        )
 
     def __call__(self, a: str) -> str:
         return self.mapping[a]
@@ -413,8 +427,8 @@ class MonotoneMap:
     def identity(cls, L: FinLattice):
         return cls(L, L, {a: a for a in L.elements})
 
-    def preserves_finite_joins(self) -> bool:
-        """Binary joins and bottom."""
+    @cached
+    def _preserves_finite_joins(self) -> bool:
         L, K, m = self.source, self.target, self.mapping
         if m[L.bottom] != K.bottom:
             return False
@@ -423,8 +437,12 @@ class MonotoneMap:
             m[lj[a, b]] == kj[m[a], m[b]] for a, b in product(L.elements, repeat=2)
         )
 
+    def preserves_finite_joins(self) -> bool:
+        """Binary joins and bottom; decided once per map."""
+        return self._preserves_finite_joins
+
     def preserves_finite_meets(self) -> bool:
-        return self.dual().preserves_finite_joins()
+        return self.dual._preserves_finite_joins
 
     def is_lattice_hom(self) -> bool:
         return self.preserves_finite_joins() and self.preserves_finite_meets()
@@ -453,8 +471,8 @@ class MonotoneMap:
 
     def right_adjoint(self) -> MonotoneMap | None:
         """The map g with self(a) <= b iff a <= g(b), if it exists."""
-        g = self.dual().left_adjoint()
-        return None if g is None else g.dual()
+        g = self.dual.left_adjoint()
+        return None if g is None else g.dual
 
     def __eq__(self, other):
         return (
@@ -541,7 +559,7 @@ def _monotone_tables(P: FinPoset, keys, values, target: frozenset):
     extension of P, so each is checked only against the earlier keys
     below it."""
     keys = set(keys)
-    order = [a for a in P.linear_extension() if a in keys]
+    order = [a for a in P.linear_extension if a in keys]
     below = {a: [b for b in order[:i] if P.leq(b, a)] for i, a in enumerate(order)}
 
     def consistent(a, acc):
@@ -567,12 +585,16 @@ def monotone_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
 def join_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
     """The maps L -> K preserving finite joins, sorted by their items: each
     monotone map on the join-irreducibles of L, extended by joins, is kept
-    if it preserves them."""
-    irr = [a for a in L.elements if is_join_irreducible(L, a)]
+    if it preserves them.  On a distributive L every one does, since its
+    join-irreducibles are join-prime (j <= a \\/ b puts j below a or b), so
+    each is built with that verdict instead of checked."""
+    irr = L.irreducibles
     gens = {a: [j for j in irr if L.leq(j, a)] for a in L.elements}
+    known = {"_preserves_finite_joins": True} if check_distributive(L) else {}
     maps = (
         MonotoneMap.trusted(
-            L, K, {a: K.join_all(g[x] for x in gens[a]) for a in L.elements}
+            L, K, {a: K.join_all(g[x] for x in gens[a]) for a in L.elements},
+            **known,
         )
         for g in _monotone_tables(L.poset, irr, K.elements, K.poset.pairs)
     )
@@ -581,7 +603,7 @@ def join_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
 
 def meet_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
     """The join-preserving maps between the order duals, read back."""
-    return [f.dual() for f in join_preserving_maps(L.dual, K.dual)]
+    return [f.dual for f in join_preserving_maps(L.dual, K.dual)]
 
 
 def lattice_homs(L: FinLattice, K: FinLattice) -> list[LatticeHom]:
@@ -590,16 +612,16 @@ def lattice_homs(L: FinLattice, K: FinLattice) -> list[LatticeHom]:
     a |-> \\/ {k in J(K) : phi(k) <= a}, and every hom arises once so."""
     if not (check_distributive(L) and check_distributive(K)):
         return [
-            LatticeHom.trusted(L, K, f.mapping)
+            LatticeHom.trusted(L, K, f.mapping, _preserves_finite_joins=True)
             for f in join_preserving_maps(L, K)
             if f.preserves_finite_meets()
         ]
-    jl = [a for a in L.elements if is_join_irreducible(L, a)]
-    jk = [k for k in K.elements if is_join_irreducible(K, k)]
+    jl, jk = L.irreducibles, K.irreducibles
     return _by_items([
         LatticeHom.trusted(
             L, K,
             {a: K.join_all(k for k in jk if L.leq(phi[k], a)) for a in L.elements},
+            _preserves_finite_joins=True,
         )
         for phi in _monotone_tables(K.poset, jk, jl, L.poset.pairs)
     ])

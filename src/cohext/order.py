@@ -15,6 +15,7 @@ permutes elements only within classes of equal invariant signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import permutations, product
 from operator import or_
 
@@ -41,6 +42,56 @@ def trusted_instance(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+class cached:
+    """A derived attribute of an immutable object, computed from it on the
+    first read and kept on it under the attribute's own name, where every
+    later read finds it as a plain attribute and this descriptor is not
+    consulted again.  It is kept by `object.__setattr__`, which frozen
+    dataclasses allow, and never through the instance `__dict__`: on
+    CPython 3.11, materializing `__dict__` slows every later attribute load
+    on the object.  A constructor that knows the value may set it the same
+    way (`trusted_instance`); `func` recomputes it."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
+def cached_method(method):
+    """The per-argument form of `cached`: the results are kept by argument
+    tuple in a dict kept on the instance the same way.  Nothing it keeps
+    refers back to the instance, so an instance that is dropped is freed at
+    once and not left to the cyclic collector, and the results live and die
+    with it, where a process-wide `functools.lru_cache` would keep every
+    instance alive."""
+    name = f"_{method.__name__}_results"
+
+    @wraps(method)
+    def call(self, *args):
+        try:
+            table = getattr(self, name)
+        except AttributeError:
+            table = {}
+            object.__setattr__(self, name, table)
+        try:
+            return table[args]
+        except KeyError:
+            value = table[args] = method(self, *args)
+            return value
+
+    return call
 
 
 def union_closure(gens, join=or_, empty=0):
@@ -130,11 +181,12 @@ class FinPoset:
                     raise OrderError(f"not transitive on ({a},{b},{c})")
 
     @classmethod
-    def trusted(cls, elements, pairs) -> FinPoset:
+    def trusted(cls, elements, pairs, **extra) -> FinPoset:
         """Skip axiom validation; for relations that are reflexive,
-        antisymmetric, and transitive by construction."""
+        antisymmetric, and transitive by construction.  `extra` sets
+        `cached` attributes whose values are known."""
         return trusted_instance(
-            cls, elements=tuple(elements), pairs=frozenset(pairs)
+            cls, elements=tuple(elements), pairs=frozenset(pairs), **extra
         )
 
     @classmethod
@@ -188,7 +240,9 @@ class FinPoset:
             frozenset(p for p in self.pairs if p[0] in keep and p[1] in keep),
         )
 
-    def linear_extension(self) -> list[str]:
+    @cached
+    def linear_extension(self) -> tuple[str, ...]:
+        """The elements, each after every element below it."""
         rest = list(self.elements)
         out = []
         while rest:
@@ -197,11 +251,15 @@ class FinPoset:
                     out.append(a)
                     rest.remove(a)
                     break
-        return out
+        return tuple(out)
 
+    @cached
     def dual(self) -> FinPoset:
-        """The reversed order; a poset whenever this one is."""
-        return FinPoset.trusted(self.elements, ((b, a) for a, b in self.pairs))
+        """The reversed order, a poset whenever this one is; `P.dual.dual
+        is P`."""
+        return FinPoset.trusted(
+            self.elements, ((b, a) for a, b in self.pairs), dual=self
+        )
 
     def _signature(self, a: str) -> tuple[int, int]:
         return (len(self.down_set(a)), len(self.up_set(a)))

@@ -20,7 +20,6 @@ from .cohcat import (
     MissingLimitError,
     ProductCone,
     PullbackSquare,
-    cached_method,
     pairing,
 )
 from .fincat import (
@@ -43,7 +42,7 @@ from .hyperdoctrine import (
     validate,
 )
 from .lattice import FinLattice, LatticeHom, MonotoneMap, prime_filters
-from .order import BudgetError
+from .order import BudgetError, cached_method
 
 
 class NotCoherentError(CategoryError):

@@ -433,15 +433,12 @@ def sheaf_check(
 
 def _matching_families(C, X, sieve, budget=None):
     """Every family of fiber elements on the sieve's members that agrees
-    along precomposition, in lexicographic order over the sorted sieve."""
+    along precomposition, in lexicographic order over the sorted sieve;
+    `BudgetError` when there are more than `budget` of them."""
     budget = budget if budget is not None else sieve_budget()
     sieve = sorted(sieve)
-    total = 1
-    for f in sieve:
-        total *= len(X.fiber(C.cat.src(f)).elements)
-        if total > budget:
-            raise BudgetError(f"matching-family enumeration on {C.cat.tgt(f)} "
-                              f"exceeds {budget}; raise --budget")
+    # the members of a sieve on A all end at A; the empty sieve has one family
+    where = C.cat.tgt(sieve[0]) if sieve else "the empty sieve"
     links = {f: [] for f in sieve}
     for f in sieve:
         for g in C.cat.morphisms_into(C.cat.src(f)):
@@ -457,8 +454,10 @@ def _matching_families(C, X, sieve, budget=None):
             if h in fam and hg in fam
         )
 
-    return list(
-        assignments(sieve, lambda f: X.fiber(C.cat.src(f)).elements, consistent)
+    return bounded(
+        assignments(sieve, lambda f: X.fiber(C.cat.src(f)).elements, consistent),
+        budget,
+        f"matching-family enumeration on {where} exceeds {budget}; raise --budget",
     )
 
 

@@ -126,15 +126,23 @@ def test_criterion_01_extension_axioms():
             assert ce.is_iso()
 
 
+def assert_filter_dualities(lattices):
+    for L in lattices:
+        FL = filter_lattice(L)
+        iso = MonotoneMap(FL, L, {n: L.meet_all(FL.decode[n]) for n in FL.elements})
+        assert iso.is_iso()
+        assert len(prime_filters(L)) == len(join_irreducibles(L).elements)
+
+
 def test_criterion_02_filter_dualities():
     with criterion(2, "filter and prime-filter dualities <=6", 10):
-        for L in distributive_lattices(6):
-            FL = filter_lattice(L)
-            iso = MonotoneMap(
-                FL, L, {n: L.meet_all(FL.decode[n]) for n in FL.elements}
-            )
-            assert iso.is_iso()
-            assert len(prime_filters(L)) == len(join_irreducibles(L).elements)
+        assert_filter_dualities(distributive_lattices(6))
+
+
+def test_filter_dualities_on_the_lattices_of_seven_to_ten_elements():
+    lats = [L for L in distributive_lattices(10) if len(L.elements) > 6]
+    assert len(lats) == 96
+    assert_filter_dualities(lats)
 
 
 def test_criterion_03_sigma_pi_laws():
@@ -200,6 +208,20 @@ def test_criterion_03_sigma_pi_laws():
                                 )
                                 rep = check_composition(g, f, "sigma", cm, cp, ck)
                                 assert rep.holds, rep.witness
+
+
+def test_sigma_below_pi_on_every_monotone_map_up_to_five():
+    lats = distributive_lattices(5)
+    ces = {L: canonical_extension(L) for L in lats}
+    checked = 0
+    for L in lats:
+        for K in lats:
+            cs, ct = ces[L], ces[K]
+            for f in monotone_maps(L, K):
+                s, p = sigma_extension(f, cs, ct), pi_extension(f, cs, ct)
+                assert all(ct.ext.leq(s(u), p(u)) for u in cs.ext.elements)
+                checked += 1
+    assert checked == 2536
 
 
 def test_criterion_04_square_transfer():

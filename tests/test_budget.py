@@ -1,8 +1,6 @@
 """Every bounded search raises the one `order.BudgetError` when its budget
 runs out: each refuses one below its exact need and finishes at it."""
 
-from math import prod
-
 import pytest
 
 from cohext import predcat, sites
@@ -43,7 +41,7 @@ def matching_family_search():
     C, X = extended_boolean4()
     top = C.lattice.top
     sieve = sites.coherent_topology(C).covering_sieves(top)[-1]
-    need = prod(len(X.fiber(C.cat.src(f)).elements) for f in sieve)
+    need = len(sites._matching_families(C, X, sieve))
     return lambda budget: sites._matching_families(C, X, sieve, budget), need
 
 

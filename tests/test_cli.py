@@ -137,18 +137,18 @@ def test_predcat_budget_cut_is_a_located_error():
 
 
 def test_sieve_budget_cut_fails_sheaf_check_and_keeps_the_report():
-    r = run_cli("--budget", "8", "tot", "sheaf-check", fx("diamond.latcat.json"))
+    r = run_cli("--budget", "4", "tot", "sheaf-check", fx("diamond.latcat.json"))
     assert r.returncode == 1
     data = json.loads(r.stdout)
     checks = {c["name"]: c for c in data["checks"]}
     assert list(checks) == ["sheaf", "unique-glueing", "topology-coincidence"]
     assert not data["pass"] and not checks["sheaf"]["pass"]
     assert checks["sheaf"]["witness"] == (
-        "matching-family enumeration on 1 exceeds 8; raise --budget"
+        "sieve enumeration on 1 exceeds 4 sieves; raise --budget"
     )
     assert not checks["topology-coincidence"]["pass"]
     assert checks["topology-coincidence"]["witness"] == (
-        "after 22 sieves checked, sieve enumeration on <1;{{1,a}}> exceeds 8 sieves; "
+        "after 16 sieves checked, sieve enumeration on <1;{}> exceeds 4 sieves; "
         "raise --budget"
     )
 

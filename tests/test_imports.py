@@ -1,8 +1,9 @@
 """Every name a module under src/ imports is used in that module, every
 local name a function under src/ binds is read in that function, every
 parameter of a private function or method under src/ is read, no module
-under src/ reads the process environment or keeps a process-wide cache, and
-every name the benchmark imports from cohext exists."""
+under src/ reads the process environment, keeps a process-wide cache or
+touches an instance `__dict__`, and every name the benchmark imports from
+cohext exists."""
 
 import ast
 import importlib
@@ -222,8 +223,22 @@ def environment_uses(source: str) -> list[str]:
 
 def process_cache_uses(source: str) -> list[str]:
     """Process-wide memoisation keeps every argument alive; per-instance
-    memoisation is `cohcat.cached_method`."""
+    memoisation is `order.cached` and `order.cached_method`."""
     return module_attribute_uses(source, "functools", ("lru_cache", "cache"))
+
+
+def instance_dict_uses(source: str) -> list[str]:
+    """`functools.cached_property` and every `.__dict__` read or write: on
+    CPython 3.11 a materialized instance `__dict__` slows every later
+    attribute load on the object, so derived data is kept by `order.cached`."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    )
+    return module_attribute_uses(source, "functools", ("cached_property",)) + [
+        f"line {line}: .__dict__" for line in lines
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
@@ -267,6 +282,26 @@ def test_process_cache_detector_on_samples():
         "import functools as ft\n@ft.lru_cache(maxsize=None)\ndef f(n):\n"
         "    return n\n@ft.cache\ndef g(n):\n    return n\n"
     ) == ["line 2: functools.lru_cache", "line 5: functools.cache"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_keeps_derived_data_out_of_the_instance_dict(path):
+    assert instance_dict_uses(path.read_text()) == []
+
+
+def test_instance_dict_detector_on_samples():
+    assert instance_dict_uses("from functools import reduce, wraps\n") == []
+    assert instance_dict_uses("d = {}\nd['__dict__'] = 1\nvars\n") == []
+    assert instance_dict_uses("from functools import cached_property as cp\n") == [
+        "line 1: functools.cached_property"
+    ]
+    assert instance_dict_uses(
+        "import functools\nclass A:\n    @functools.cached_property\n"
+        "    def x(self):\n        return 1\n"
+    ) == ["line 3: functools.cached_property"]
+    assert instance_dict_uses(
+        "def f(o):\n    o.__dict__['x'] = 1\n    return type(o).__dict__\n"
+    ) == ["line 2: .__dict__", "line 3: .__dict__"]
 
 
 def cohext_imports(source: str) -> list[tuple[str, str, int]]:

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from cohext.lattice import (
     ideal_lattice,
     is_filter,
     is_ideal,
+    is_join_irreducible,
     is_prime_filter,
     join_irreducibles,
     join_preserving_maps,
@@ -35,6 +37,8 @@ from cohext.lattice import (
     product_lattice,
     product_projections,
     trivial_lattice,
+    _by_items,
+    _monotone_tables,
 )
 from cohext.order import FinPoset, OrderError, antichain, chain, check_adjoint_pair
 
@@ -286,7 +290,7 @@ def test_rejected_map_names_first_offending_pair_in_product_order(hash_seed):
 def monotone_maps_oracle(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
     """Backtracking along a linear extension, checking each new element
     against every element assigned before it in both directions."""
-    order = L.poset.linear_extension()
+    order = L.poset.linear_extension
     out = []
 
     def extend(i, acc):
@@ -412,6 +416,67 @@ def test_dual_is_a_cached_involution_with_the_reversed_order():
         assert FinLattice(poset, D.meet_table, D.join_table, D.bottom, D.top) == D
 
 
+def test_cached_lattice_data_equals_a_fresh_recomputation():
+    for L in duality_lattices():
+        for M in (L, L.dual):
+            w = M.distributivity_witness
+            assert w is M.distributivity_witness
+            assert w == FinLattice.distributivity_witness.func(M)
+            # None exactly when every triple distributes; else a failing one
+            triples = list(product(M.elements, repeat=3))
+            fails = [
+                (x, y, z) for x, y, z in triples
+                if M.meet(x, M.join(y, z)) != M.join(M.meet(x, y), M.meet(x, z))
+            ]
+            assert w == (fails[0] if fails else None)
+            assert M.irreducibles is M.irreducibles
+            assert M.irreducibles == tuple(
+                a for a in M.elements if is_join_irreducible(M, a)
+            )
+            assert M.poset.linear_extension == FinPoset.linear_extension.func(M.poset)
+        # m3 is the one non-distributive lattice among them
+        assert check_distributive(L) == (L.iso_to(m3()) is None)
+
+
+# The filtered search that the distributive case of `join_preserving_maps`
+# no longer runs: every candidate is checked, whatever the source.
+
+
+def join_preserving_maps_filtered(L, K):
+    irr = [a for a in L.elements if is_join_irreducible(L, a)]
+    gens = {a: [j for j in irr if L.leq(j, a)] for a in L.elements}
+    maps = (
+        MonotoneMap.trusted(
+            L, K, {a: K.join_all(g[x] for x in gens[a]) for a in L.elements}
+        )
+        for g in _monotone_tables(L.poset, irr, K.elements, K.poset.pairs)
+    )
+    return _by_items([f for f in maps if MonotoneMap._preserves_finite_joins.func(f)])
+
+
+def test_map_verdicts_recorded_at_build_equal_a_fresh_check():
+    lattices = [*distributive_lattices(5), m3()]
+    fresh = MonotoneMap._preserves_finite_joins.func
+    counts = [0, 0, 0]
+    for L in lattices:
+        for K in lattices:
+            got = join_preserving_maps(L, K)
+            assert listing(got) == listing(join_preserving_maps_filtered(L, K))
+            homs = lattice_homs(L, K)
+            meets = meet_preserving_maps(L, K)
+            for f in got + homs:
+                assert f.preserves_finite_joins() and fresh(f)
+                assert f.preserves_finite_meets() == fresh(f.dual)
+            assert all(fresh(f.dual) for f in homs)
+            for f in meets:
+                assert f.preserves_finite_meets() and fresh(f.dual)
+                assert f.preserves_finite_joins() == fresh(f)
+                assert f.dual.dual is f
+            for i, maps in enumerate((got, homs, meets)):
+                counts[i] += len(maps)
+    assert counts == [1495, 466, 1495]
+
+
 def meets_preserved(f):
     L, K, m = f.source, f.target, f.mapping
     return m[L.top] == K.top and all(
@@ -437,7 +502,7 @@ def test_meet_side_through_the_dual_matches_its_closed_forms():
     for L in lats:
         for K in lats:
             for f in monotone_maps(L, K):
-                assert f.dual().dual().mapping is f.mapping
+                assert f.dual.dual is f
                 assert f.preserves_finite_meets() == meets_preserved(f)
                 g, table = f.right_adjoint(), right_adjoint_table(f)
                 assert (None if g is None else g.mapping) == table

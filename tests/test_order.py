@@ -2,9 +2,14 @@
 order isomorphisms and the poset catalog key, each against the brute-force
 path it replaced."""
 
+import gc
 import random
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import combinations, permutations, product
 from operator import or_
+
+import pytest
 
 from catalog_oracle import all_posets
 from cohext.canext import canonical_extension
@@ -14,8 +19,11 @@ from cohext.order import (
     FinPoset,
     antichain,
     assignments,
+    cached,
+    cached_method,
     canonical_form,
     chain,
+    trusted_instance,
     union_closure,
 )
 
@@ -237,3 +245,62 @@ def test_canonical_key_matches_brute_force_on_all_posets_up_to_six():
         names = dict(zip(p.elements, reversed(p.elements)))
         q = FinPoset(p.elements, frozenset((names[a], names[b]) for a, b in p.pairs))
         assert _canonical_key(q) == _canonical_key(p)
+
+
+@dataclass(frozen=True, eq=False)
+class Counted:
+    n: int
+    calls: list
+
+    @cached
+    def square(self):
+        self.calls.append("square")
+        return self.n * self.n
+
+    @cached_method
+    def plus(self, k):
+        self.calls.append(("plus", k))
+        return self.n + k
+
+
+def test_cached_computes_once_per_instance_on_a_frozen_dataclass():
+    a, b = Counted(3, []), Counted(4, [])
+    assert (a.square, a.square, b.square) == (9, 9, 16)
+    assert (a.calls, b.calls) == (["square"], ["square"])
+    assert Counted.square.func(a) == 9 and a.calls == ["square", "square"]
+    # still frozen, and a value known at construction is never computed
+    with pytest.raises(FrozenInstanceError):
+        a.n = 5
+    c = trusted_instance(Counted, n=2, calls=[], square=-1)
+    assert c.square == -1 and c.calls == []
+
+
+def test_cached_method_keeps_each_argument_tuple_per_instance():
+    a, b = Counted(3, []), Counted(10, [])
+    assert [a.plus(1), a.plus(2), a.plus(1), b.plus(1)] == [4, 5, 4, 11]
+    assert a.calls == [("plus", 1), ("plus", 2)] and b.calls == [("plus", 1)]
+
+
+def test_cached_data_leaves_no_reference_cycle():
+    # a dropped instance is freed by reference counting, not left to the
+    # cyclic collector
+    gc.disable()
+    try:
+        a = Counted(3, [])
+        assert (a.square, a.plus(1)) == (9, 4)
+        ref = weakref.ref(a)
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_linear_extension_is_a_cached_tuple_listing_lower_elements_first():
+    for p in all_small_posets():
+        order = p.linear_extension
+        assert order is p.linear_extension and isinstance(order, tuple)
+        assert sorted(order) == sorted(p.elements)
+        pos = {a: i for i, a in enumerate(order)}
+        assert all(pos[a] <= pos[b] for a, b in p.pairs)
+        assert order == FinPoset.linear_extension.func(p)
+        assert p.dual.dual is p

@@ -390,6 +390,16 @@ def test_matching_families_match_product_filter_oracle():
     assert compared == 84
 
 
+def test_sheaf_check_is_conclusive_on_every_lattice_of_eight_elements():
+    # the budget counts the matching families found, not the product of
+    # the fiber sizes along the sieve, which passes 4,096 on 14 of them
+    lats = [L for L in distributive_lattices(8) if len(L.elements) == 8]
+    assert len(lats) == 15
+    for L in lats:
+        C = LatticeCategory(L)
+        assert sheaf_check(C, canext_hyperdoctrine(sub_hyperdoctrine(C))) == (True, None)
+
+
 def test_sheaf_check_fails_on_doctored_presheaf():
     # flattening one substitution map to constant top creates multiple
     # amalgamations for the two-atom cover of the diamond's top object
