@@ -1,16 +1,26 @@
-"""Recursive-descent parser for the theory file format.
+"""Scanner and recursive-descent parser for the theory file format.
 
-Layout: declarations (sort / fun / rel) followed by sequents; '//' starts a
-comment.  'and' binds tighter than 'or'; a quantifier body extends as far
-right as possible.  Sequent contexts are optional: missing variable sorts
-are inferred from their first constraining use, and a variable with no
-constraining use is a sort error carrying its location.
+Layout: declarations (sort / fun / rel) followed by sequents.  'and' binds
+tighter than 'or'; a quantifier body extends as far right as possible.
+Sequent contexts are optional: missing variable sorts are inferred from
+their first constraining use, and a variable with no constraining use is a
+sort error carrying its location.  Binders are renamed apart as they are
+read, so each sequent is elaborated in one flat environment.
+
+Lexical rules (docs/grammar.md, "Lexical structure"): one compiled regex
+scans the whole text.  Tokens are identifiers `[A-Za-z_][A-Za-z0-9_']*`,
+the keywords among them, and the punctuation `|- -> ( ) , : . = |`; '//'
+starts a comment that runs to the end of its line; any other character
+that is not whitespace is an error.  Lines are numbered as `str.splitlines`
+splits them and columns count characters from 1.  Declared names must be
+identifiers, and no sort, function or relation is declared twice.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from .syntax import (
     And,
@@ -37,64 +47,77 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident / keyword / punct / break / eof
+class Token(NamedTuple):
+    kind: str  # ident / keyword / punct / eof
     text: str
     line: int
     col: int
 
     @property
-    def span(self):
+    def span(self) -> tuple[int, int]:
         return (self.line, self.col)
 
 
 KEYWORDS = {"sort", "fun", "rel", "true", "false", "and", "or", "exists"}
 PUNCT = ["|-", "->", "(", ")", ",", ":", ".", "=", "|"]
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_KIND = dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(PUNCT, "punct")
+# The characters at which str.splitlines ends a line; '\r\n' ends one line.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# One match per token: the blanks and comment before it, then the token, a
+# line break, a stray character or the end of the text.  Every alternative
+# succeeds once the blanks and comment are consumed greedily, so no match
+# backtracks into them and no character is skipped.
+_TOKEN = re.compile(
+    rf"([^\S{_BREAKS}]*(?://[^{_BREAKS}]*)?)"  # 1: blanks and a comment
+    r"(?:([A-Za-z_][A-Za-z0-9_']*|\|-|->|[(),:.=|])"  # 2: token
+    rf"|(\r\n|[{_BREAKS}])"  # 3: line break
+    r"|(\S)"  # 4: stray character
+    r"|\Z)"
+)
+# Token from a (kind, text, line, col) tuple, without NamedTuple's
+# Python-level __new__ (as `_raw_term` below, for the parser's terms).
+_token = partial(tuple.__new__, Token)
 
 
 def tokenize(text: str) -> list[Token]:
     out = []
-    lines = text.splitlines()
-    for ln, line in enumerate(lines, start=1):
-        if "//" in line:
-            line = line[: line.index("//")]
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            m = _IDENT.match(line, col)
-            if m:
-                word = m.group(0)
-                kind = "keyword" if word in KEYWORDS else "ident"
-                out.append(Token(kind, word, ln, col + 1))
-                col = m.end()
-                continue
-            for p in PUNCT:
-                if line.startswith(p, col):
-                    out.append(Token("punct", p, ln, col + 1))
-                    col += len(p)
-                    break
-            else:
-                raise ParseError(f"unexpected character {ch!r}", (ln, col + 1))
-    out.append(Token("eof", "", len(lines) + 1, 1))
+    line, start, at = 1, 0, 0  # line number, offset it starts at, offset read
+    for skip, word, brk, stray in _TOKEN.findall(text):
+        at += len(skip)
+        if word:
+            out.append(_token((_KIND.get(word, "ident"), word, line, at - start + 1)))
+            at += len(word)
+        elif brk:
+            at += len(brk)
+            line, start = line + 1, at
+        elif stray:
+            raise ParseError(f"unexpected character {stray!r}", (line, at - start + 1))
+    # EOF sits on the line after the last one; a text that ends in a line
+    # break (or is empty) has no unterminated last line.
+    if text and text[-1] not in _BREAKS:
+        line += 1
+    out.append(Token("eof", "", line, 1))
     return out
 
 
-@dataclass(frozen=True)
-class RawTerm:
+class RawTerm(NamedTuple):
     head: str
     args: tuple
     span: tuple[int, int]
+
+
+_raw_term = partial(tuple.__new__, RawTerm)
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
+        # the sequent being read: names its binders may not take, the
+        # renaming in scope, and each binder's declared sort and span
+        self.taken: set[str] = set()
+        self.renaming: dict[str, str] = {}
+        self.bound: dict[str, tuple[str | None, tuple[int, int]]] = {}
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -111,127 +134,157 @@ class Parser:
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.span)
         return t
 
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is `text` (never EOF's)."""
+        if self.toks[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
+
+    def name(self, what: str) -> str:
+        """Read an identifier and return it; `what` says what it names when
+        the next token is not one."""
+        t = self.next()
+        if t.kind != "ident":
+            found = "end of input" if t.kind == "eof" else repr(t.text)
+            raise ParseError(f"expected {what}, found {found}", t.span)
+        return t.text
+
     # -- declarations ----------------------------------------------------
 
     def parse_theory(self) -> Theory:
         sorts: list[str] = []
         funcs: dict = {}
         rels: dict = {}
+        declared: dict = {}  # (kind, name) -> where the name was declared
         sequents = []
+        # The declarations so far, built when a sequent follows new ones.  It
+        # shares the dicts: a sequent is elaborated before the next
+        # declaration is read, so it sees only the declarations above it.
+        sig = None
         while self.peek().kind != "eof":
-            t = self.peek()
-            if t.text == "sort":
-                self.next()
-                sorts.append(self.next().text)
-            elif t.text == "fun":
-                self.next()
-                name = self.next().text
+            if self.accept("sort"):
+                sorts.append(self._declare("sort", declared))
+            elif self.accept("fun"):
+                name = self._declare("function", declared)
                 self.expect(":")
                 args = []
                 while self.peek().text != "->":
-                    args.append(self.next().text)
-                    if self.peek().text == ",":
-                        self.next()
+                    args.append(self.name("a sort name"))
+                    self.accept(",")
                 self.expect("->")
-                funcs[name] = (tuple(args), self.next().text)
-            elif t.text == "rel":
-                self.next()
-                name = self.next().text
+                funcs[name] = (tuple(args), self.name("a sort name"))
+            elif self.accept("rel"):
+                name = self._declare("relation", declared)
                 self.expect(":")
-                args = [self.next().text]
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.next().text)
+                args = [self.name("a sort name")]
+                while self.accept(","):
+                    args.append(self.name("a sort name"))
                 rels[name] = tuple(args)
             else:
-                sig = Signature(tuple(sorts), dict(funcs), dict(rels))
+                if sig is None:
+                    sig = Signature(tuple(sorts), funcs, rels)
                 sequents.append(self.parse_sequent(sig))
-        sig = Signature(tuple(sorts), funcs, rels)
-        sig.check()
+                continue
+            sig = None
+        if sig is None:
+            sig = Signature(tuple(sorts), funcs, rels)
+        sig.check(declared)
         return Theory(sig, tuple(sequents))
+
+    def _declare(self, kind: str, declared: dict) -> str:
+        span = self.peek().span
+        name = self.name(f"a {kind} name")
+        if (kind, name) in declared:
+            raise ParseError(f"{kind} {name} is already declared", span)
+        declared[kind, name] = span
+        return name
 
     # -- sequents ----------------------------------------------------------
 
     def parse_sequent(self, sig: Signature) -> Sequent:
         start = self.peek().span
         context = self._try_context()
+        self.taken = {name for name, _ in context} | set(sig.funcs)
+        self.bound = {}
         lhs = self.parse_formula()
         self.expect("|-")
         rhs = self.parse_formula()
-        return elaborate_sequent(sig, context, lhs, rhs, start)
+        return elaborate_sequent(sig, context, lhs, rhs, start, self.bound)
 
     def _try_context(self):
+        """`x:A, y:B |` if the sequent starts with one, else () and no
+        token consumed."""
         save = self.pos
         binds = []
-        try:
-            while True:
-                t = self.next()
-                if t.kind != "ident":
-                    raise ParseError("not a context", t.span)
-                self.expect(":")
-                binds.append((t.text, self.next().text))
-                sep = self.next()
-                if sep.text == "|":
-                    return tuple(binds)
-                if sep.text != ",":
-                    raise ParseError("not a context", sep.span)
-        except ParseError:
-            self.pos = save
-            return tuple()
+        while True:
+            t = self.next()
+            if t.kind != "ident" or not self.accept(":"):
+                break
+            binds.append((t.text, self.next().text))
+            if self.accept("|"):
+                return tuple(binds)
+            if not self.accept(","):
+                break
+        self.pos = save
+        return ()
 
     # -- formulas -----------------------------------------------------------
 
     def parse_formula(self):
         parts = [self.parse_conjunct()]
-        while self.peek().text == "or":
-            self.next()
+        while self.accept("or"):
             parts.append(self.parse_conjunct())
         return parts[0] if len(parts) == 1 else ("or", tuple(parts))
 
     def parse_conjunct(self):
         parts = [self.parse_quantified()]
-        while self.peek().text == "and":
-            self.next()
+        while self.accept("and"):
             parts.append(self.parse_quantified())
         return parts[0] if len(parts) == 1 else ("and", tuple(parts))
 
     def parse_quantified(self):
-        if self.peek().text == "exists":
-            self.next()
-            binders = []
-            while True:
-                t = self.next()
-                if t.kind != "ident":
-                    raise ParseError("expected a bound variable", t.span)
-                sort = None
-                if self.peek().text == ":":
-                    self.next()
-                    sort = self.next().text
-                binders.append((t.text, sort, t.span))
-                if self.peek().text == ",":
-                    self.next()
-                    continue
+        if not self.accept("exists"):
+            return self.parse_atom()
+        # Each binder is renamed apart from every name taken so far in the
+        # sequent, so one flat environment covers the whole sequent.  A
+        # name kept as it is was never taken, so it shadows no entry of the
+        # outer renaming and needs none of its own.
+        outer = self.renaming
+        self.renaming = dict(outer)
+        binders = []
+        while True:
+            t = self.next()
+            if t.kind != "ident":
+                raise ParseError("expected a bound variable", t.span)
+            sort = self.next().text if self.accept(":") else None
+            fresh = t.text
+            while fresh in self.taken:
+                fresh += "'"
+            self.taken.add(fresh)
+            if fresh != t.text:
+                self.renaming[t.text] = fresh
+            self.bound[fresh] = (sort, t.span)
+            binders.append((fresh, sort, t.span))
+            if not self.accept(","):
                 break
-            self.expect(".")
-            return ("exists", tuple(binders), self.parse_formula())
-        return self.parse_atom()
+        self.expect(".")
+        body = self.parse_formula()
+        self.renaming = outer
+        return ("exists", tuple(binders), body)
 
     def parse_atom(self):
-        t = self.peek()
-        if t.text == "true":
-            self.next()
-            return ("true",)
-        if t.text == "false":
-            self.next()
-            return ("false",)
-        if t.text == "(":
-            self.next()
+        text = self.peek().text
+        if text == "true" or text == "false":
+            self.pos += 1
+            return (text,)
+        if text == "(":
+            self.pos += 1
             phi = self.parse_formula()
             self.expect(")")
             return phi
         term = self.parse_term()
-        if self.peek().text == "=":
-            self.next()
+        if self.accept("="):
             return ("eq", term, self.parse_term())
         return ("atomT", term)
 
@@ -239,27 +292,26 @@ class Parser:
         t = self.next()
         if t.kind != "ident":
             raise ParseError(f"expected a term, found {t.text!r}", t.span)
-        if self.peek().text == "(":
-            self.next()
-            args = []
+        args = []
+        if self.accept("("):
             if self.peek().text != ")":
                 args.append(self.parse_term())
-                while self.peek().text == ",":
-                    self.next()
+                while self.accept(","):
                     args.append(self.parse_term())
             self.expect(")")
-            return RawTerm(t.text, tuple(args), t.span)
-        return RawTerm(t.text, (), t.span)
+        return _raw_term((self.renaming.get(t.text, t.text), tuple(args), t.span))
 
 
 # -- elaboration ------------------------------------------------------------------
 #
-# Binders are renamed apart first, so one flat environment covers the whole
-# sequent; sorts then propagate to a fixpoint from relation and function
-# argument positions and across equations.
+# The parser has renamed binders apart, so one flat environment covers the
+# whole sequent; sorts then propagate to a fixpoint from relation and
+# function argument positions and across equations.
 
 
-def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span) -> Sequent:
+def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
+    """`bound` maps each binder of the two sides to its declared sort (or
+    None) and its span."""
     explicit = bool(context)
     env: dict[str, str | None] = {}
     spans: dict[str, tuple[int, int]] = {}
@@ -271,11 +323,11 @@ def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span) -> Sequent:
             raise SortError(f"variable {name} collides with a declared symbol", span)
         env[name] = sort
         order.append(name)
-    taken = set(env) | set(sig.funcs)
-    raw_lhs = _alpha(raw_lhs, taken, {}, env, spans)
-    raw_rhs = _alpha(raw_rhs, taken, {}, env, spans)
-    _collect_free(sig, raw_lhs, env, spans, order, explicit, frozenset(env))
-    _collect_free(sig, raw_rhs, env, spans, order, explicit, frozenset(env))
+    for name, (sort, sp) in bound.items():
+        env[name] = sort
+        spans[name] = sp
+    _collect_free(sig, raw_lhs, env, spans, order, explicit)
+    _collect_free(sig, raw_rhs, env, spans, order, explicit)
     for _ in range(1 + len(env)):
         if not (_infer(sig, raw_lhs, env) | _infer(sig, raw_rhs, env)):
             break
@@ -286,53 +338,19 @@ def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span) -> Sequent:
             )
         if sort not in sig.sorts:
             raise SortError(f"unknown sort {sort}", spans.get(name, span))
-    lhs = _elab_formula(sig, raw_lhs, env)
-    rhs = _elab_formula(sig, raw_rhs, env)
-    ctx = tuple(Var(n, env[n]) for n in order)
-    return Sequent(ctx, lhs, rhs, span)
+    var = {name: Var(name, sort) for name, sort in env.items()}
+    lhs = _elab_formula(sig, raw_lhs, var)
+    rhs = _elab_formula(sig, raw_rhs, var)
+    return Sequent(tuple([var[n] for n in order]), lhs, rhs, span)
 
 
-def _alpha(raw, taken: set, renaming: dict, env, spans):
-    """Rename binders apart from everything seen so far; the returned tree
-    has globally unique binder names registered in env with their declared
-    sorts (or None)."""
-    kind = raw[0]
-    if kind in ("true", "false"):
-        return raw
-    if kind == "eq":
-        return ("eq", _rename_term(raw[1], renaming), _rename_term(raw[2], renaming))
-    if kind == "atomT":
-        return ("atomT", _rename_term(raw[1], renaming))
-    if kind in ("and", "or"):
-        return (kind, tuple(_alpha(p, taken, renaming, env, spans) for p in raw[1]))
-    if kind == "exists":
-        inner = dict(renaming)
-        binders = []
-        for name, sort, sp in raw[1]:
-            fresh = name
-            while fresh in taken:
-                fresh += "'"
-            taken.add(fresh)
-            inner[name] = fresh
-            env[fresh] = sort
-            spans[fresh] = sp
-            binders.append((fresh, sort, sp))
-        return ("exists", tuple(binders), _alpha(raw[2], taken, inner, env, spans))
-    raise ParseError(f"malformed formula fragment {raw!r}")
-
-
-def _rename_term(t: RawTerm, renaming: dict) -> RawTerm:
-    head = renaming.get(t.head, t.head)
-    return RawTerm(head, tuple(_rename_term(a, renaming) for a in t.args), t.span)
-
-
-def _collect_free(sig, raw, env, spans, order, explicit, declared):
+def _collect_free(sig, raw, env, spans, order, explicit):
     kind = raw[0]
     if kind in ("true", "false"):
         return
     if kind == "eq":
-        _collect_term(sig, raw[1], env, spans, order, explicit, declared)
-        _collect_term(sig, raw[2], env, spans, order, explicit, declared)
+        _collect_term(sig, raw[1], env, spans, order, explicit)
+        _collect_term(sig, raw[2], env, spans, order, explicit)
     elif kind == "atomT":
         t = raw[1]
         if t.head not in sig.rels:
@@ -342,15 +360,15 @@ def _collect_free(sig, raw, env, spans, order, explicit, declared):
                 f"relation {t.head} expects {len(sig.rels[t.head])} arguments", t.span
             )
         for a in t.args:
-            _collect_term(sig, a, env, spans, order, explicit, declared)
+            _collect_term(sig, a, env, spans, order, explicit)
     elif kind in ("and", "or"):
         for p in raw[1]:
-            _collect_free(sig, p, env, spans, order, explicit, declared)
+            _collect_free(sig, p, env, spans, order, explicit)
     elif kind == "exists":
-        _collect_free(sig, raw[2], env, spans, order, explicit, declared)
+        _collect_free(sig, raw[2], env, spans, order, explicit)
 
 
-def _collect_term(sig, t: RawTerm, env, spans, order, explicit, declared):
+def _collect_term(sig, t: RawTerm, env, spans, order, explicit):
     if t.head in sig.funcs:
         if len(sig.funcs[t.head][0]) != len(t.args):
             raise SortError(
@@ -358,7 +376,7 @@ def _collect_term(sig, t: RawTerm, env, spans, order, explicit, declared):
                 t.span,
             )
         for a in t.args:
-            _collect_term(sig, a, env, spans, order, explicit, declared)
+            _collect_term(sig, a, env, spans, order, explicit)
         return
     if t.args:
         raise SortError(f"unknown function {t.head}", t.span)
@@ -415,14 +433,14 @@ def _push(sig, t: RawTerm, sort, env) -> bool:
     return False
 
 
-def _elab_formula(sig, raw, env):
+def _elab_formula(sig, raw, var):
     kind = raw[0]
     if kind == "true":
         return Truth()
     if kind == "false":
         return Falsity()
     if kind == "eq":
-        lhs, rhs = _elab_term(sig, raw[1], env), _elab_term(sig, raw[2], env)
+        lhs, rhs = _elab_term(sig, raw[1], var), _elab_term(sig, raw[2], var)
         if lhs.sort != rhs.sort:
             raise SortError(
                 f"equality between sorts {lhs.sort} and {rhs.sort}", raw[1].span
@@ -430,7 +448,7 @@ def _elab_formula(sig, raw, env):
         return Eq(lhs, rhs)
     if kind == "atomT":
         t = raw[1]
-        terms = tuple(_elab_term(sig, a, env) for a in t.args)
+        terms = tuple([_elab_term(sig, a, var) for a in t.args])
         for tm, s, rt in zip(terms, sig.rels[t.head], t.args):
             if tm.sort != s:
                 raise SortError(
@@ -438,26 +456,26 @@ def _elab_formula(sig, raw, env):
                 )
         return RelAtom(t.head, terms)
     if kind == "and":
-        return And(tuple(_elab_formula(sig, p, env) for p in raw[1]))
+        return And(tuple([_elab_formula(sig, p, var) for p in raw[1]]))
     if kind == "or":
-        return Or(tuple(_elab_formula(sig, p, env) for p in raw[1]))
+        return Or(tuple([_elab_formula(sig, p, var) for p in raw[1]]))
     if kind == "exists":
-        binders = tuple(Var(name, env[name]) for name, _, _ in raw[1])
-        return Exists(binders, _elab_formula(sig, raw[2], env))
+        binders = tuple(var[name] for name, _, _ in raw[1])
+        return Exists(binders, _elab_formula(sig, raw[2], var))
     raise ParseError(f"malformed formula {raw!r}")
 
 
-def _elab_term(sig, t: RawTerm, env):
+def _elab_term(sig, t: RawTerm, var):
     if t.head in sig.funcs:
         args, res = sig.funcs[t.head]
-        terms = tuple(_elab_term(sig, a, env) for a in t.args)
+        terms = tuple([_elab_term(sig, a, var) for a in t.args])
         for tm, s in zip(terms, args):
             if tm.sort != s:
                 raise SortError(
                     f"argument of {t.head} has sort {tm.sort}, expected {s}", t.span
                 )
         return App(t.head, terms, res)
-    return Var(t.head, env[t.head])
+    return var[t.head]
 
 
 def parse_theory(text: str) -> Theory:

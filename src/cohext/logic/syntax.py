@@ -23,15 +23,24 @@ class Signature:
     funcs: dict[str, tuple[tuple[str, ...], str]]  # name -> (arg sorts, result)
     rels: dict[str, tuple[str, ...]]  # name -> arg sorts
 
-    def check(self):
+    def check(self, spans: dict | None = None):
+        """Every symbol's sorts are declared.  `spans` maps ("function", name)
+        and ("relation", name) to where the symbol was declared."""
+        spans = spans or {}
         for name, (args, res) in self.funcs.items():
             for s in args + (res,):
                 if s not in self.sorts:
-                    raise SortError(f"function {name} uses undeclared sort {s}")
+                    raise SortError(
+                        f"function {name} uses undeclared sort {s}",
+                        spans.get(("function", name)),
+                    )
         for name, args in self.rels.items():
             for s in args:
                 if s not in self.sorts:
-                    raise SortError(f"relation {name} uses undeclared sort {s}")
+                    raise SortError(
+                        f"relation {name} uses undeclared sort {s}",
+                        spans.get(("relation", name)),
+                    )
 
 
 # -- terms ---------------------------------------------------------------------

@@ -15,13 +15,13 @@ from cohext.sites import sieve_budget
 PKG = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     """Run the CLI in a child process whose environment holds only its
     import path, so no variable of the caller's can change its reports."""
     return subprocess.run(
         [sys.executable, "-m", "cohext.cli", *args],
         capture_output=True, text=True, cwd=PKG,
-        env={"PYTHONPATH": str(PKG / "src")},
+        env={"PYTHONPATH": str(PKG / "src")}, timeout=timeout,
     )
 
 
@@ -312,6 +312,16 @@ def test_malformed_category_and_hyperdoctrine_files_are_located_errors(tmp_path)
         assert r.returncode == 2 and r.stdout == "", data
         assert r.stderr.startswith("error:") and located in r.stderr
         assert "Traceback" not in r.stderr
+
+
+def test_truncated_theory_is_a_located_error_not_a_hang(tmp_path):
+    path = tmp_path / "truncated.chr"
+    path.write_text("fun f : A")  # cut before the arrow
+    r = run_cli("chase", str(path), timeout=30)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (
+        "error: expected a sort name, found end of input (line 2, column 1)\n"
+    )
 
 
 def test_every_shipped_fixture_loads_and_validates():

@@ -1,0 +1,204 @@
+"""The regex scanner against the per-character scanner it replaced, and the
+parser's checks on declarations."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scanner_oracle import tokenize_oracle
+
+from cohext.fixtures import fixture_path
+from cohext.logic.parser import ParseError, Token, parse_theory, tokenize
+from cohext.logic.syntax import SortError
+
+CORPUS = ["pointed", "idempotent", "ordered"]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BLANKS = [" ", "  ", "\t", "\xa0", "\x1f", "\u3000"]
+
+
+def scan(tokenizer, text):
+    """The tokens as (kind, text, line, col), or the error's message and span."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenizer(text)]
+    except ParseError as e:
+        return ("error", str(e), e.span)
+
+
+def assert_same_scan(text):
+    assert scan(tokenize, text) == scan(tokenize_oracle, text), repr(text)
+
+
+# -- the scanner against its oracle ---------------------------------------------
+
+
+def test_scanner_matches_the_oracle_on_the_fixtures():
+    for name in CORPUS:
+        assert_same_scan(fixture_path(f"{name}.chr").read_text())
+        assert_same_scan(fixture_path(f"golden/{name}.chr.golden").read_text())
+
+
+def generated_theory(rng: random.Random) -> str:
+    """Theory text over one signature, with its tokens joined by a random mix
+    of blanks, line breaks and comments, and now and then a stray character."""
+    words = ["sort", "A", "fun", "f", ":", "A", "->", "A", "rel", "R", ":", "A", ",", "A"]
+    for _ in range(rng.randint(1, 4)):
+        words += ["x", ":", "A", "|"] if rng.random() < 0.5 else []
+        words += rng.choice([["R", "(", "x", ",", "f", "(", "x", ")", ")"], ["true"], ["x", "=", "x'"]])
+        words += ["|-", "exists", "y", ".", "R", "(", "x", ",", "y", ")", "or", "false"]
+    out = []
+    for w in words:
+        out.append(w)
+        k = rng.random()
+        if k < 0.1:
+            out.append(rng.choice(BLANKS) + "// note |- (" + rng.choice(BREAKS))
+        elif k < 0.3:
+            out.append(rng.choice(BREAKS))
+        elif k < 0.95:
+            out.append(rng.choice(BLANKS))
+    if rng.random() < 0.1:
+        out.insert(rng.randrange(len(out) + 1), rng.choice(["-", "/", "é", "?", "$"]))
+    return "".join(out)
+
+
+def test_scanner_matches_the_oracle_on_generated_theories():
+    rng = random.Random(17)
+    for _ in range(400):
+        assert_same_scan(generated_theory(rng))
+
+
+EDGE_CASES = [
+    "",
+    "sort A",
+    "sort A\n",
+    "sort A\n\n",
+    "sort A\r\nrel P : A\r\n",
+    "sort A\rrel P : A",
+    "sort A\x0brel P\x0b: A",
+    "sort A\x1c\x1d\x1erel P : A",
+    "sort A\x0c\x85\u2028\u2029rel P : A",
+    "\tsort\tA\t\n\t\trel P :\tA",
+    "sort A // a comment |- (\nrel P : A//x",
+    "x // y // z",
+    "//only a comment",
+    "\n\n\n",
+    "-",
+    "a - b",
+    "|--",
+    "|-|->->|",
+    "sort Á",
+    "rel é : A",
+    "x\xa0=\u3000y\x1f",
+    "f(x')' = _a_1",
+    "x:A | P(x) |- Q(x)\r",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
+def test_scanner_matches_the_oracle_on_edge_cases(text):
+    assert_same_scan(text)
+
+
+ALPHABET = [
+    "sort", "and", "x", "x'", "A1", "_", "(", ")", ",", ":", ".", "=", "|", "|-",
+    "->", "-", ">", "/", "//", " ", "\t", "\xa0", "é", "?", *BREAKS,
+]
+
+
+@given(st.lists(st.sampled_from(ALPHABET), max_size=30).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_scanner_matches_the_oracle_on_token_and_junk_strings(text):
+    assert_same_scan(text)
+
+
+def test_tokens_are_light_records_with_a_span():
+    toks = tokenize("sort A\n  fun")
+    assert [tuple(t) for t in toks] == [
+        ("keyword", "sort", 1, 1),
+        ("ident", "A", 1, 6),
+        ("keyword", "fun", 2, 3),
+        ("eof", "", 3, 1),
+    ]
+    assert all(type(t) is Token for t in toks)
+    assert toks[2].span == (2, 3)
+    assert tokenize("")[0].span == (1, 1)
+
+
+# -- declarations -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sort A\nfun f : A", "expected a sort name, found end of input (line 3, column 1)"),
+        ("sort", "expected a sort name, found end of input (line 2, column 1)"),
+        ("sort (", "expected a sort name, found '(' (line 1, column 6)"),
+        ("sort A\nrel P : A,", "expected a sort name, found end of input (line 3, column 1)"),
+        ("sort and", "expected a sort name, found 'and' (line 1, column 6)"),
+        ("sort A\nfun -> : A", "expected a function name, found '->' (line 2, column 5)"),
+        ("sort A\nfun f : A rel P : A", "expected a sort name, found 'rel' (line 2, column 11)"),
+        ("sort A\nrel exists : A", "expected a relation name, found 'exists' (line 2, column 5)"),
+    ],
+)
+def test_a_declared_name_must_be_an_identifier(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_theory(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sort A\nsort A", "sort A is already declared (line 2, column 6)"),
+        ("sort A\nfun f : A -> A\nfun f : -> A", "function f is already declared (line 3, column 5)"),
+        ("sort A\nrel P : A\nrel P : A, A", "relation P is already declared (line 3, column 5)"),
+    ],
+)
+def test_a_name_is_declared_once(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_theory(text)
+    assert str(e.value) == message
+
+
+def test_a_function_and_a_relation_may_share_a_name():
+    T = parse_theory("sort A\nfun P : -> A\nrel P : A\ntrue |- P(P)\n")
+    assert T.signature.funcs == {"P": ((), "A")}
+    assert T.signature.rels == {"P": ("A",)}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sort A\nfun f : B -> A", "function f uses undeclared sort B (line 2, column 5)"),
+        ("sort A\n\nrel P : A, C", "relation P uses undeclared sort C (line 3, column 5)"),
+    ],
+)
+def test_an_undeclared_sort_is_located_at_its_declaration(text, message):
+    with pytest.raises(SortError) as e:
+        parse_theory(text)
+    assert str(e.value) == message
+
+
+def test_a_sort_may_be_declared_after_its_use_in_a_declaration():
+    T = parse_theory("fun f : A -> A\nsort A\n")
+    assert T.signature.sorts == ("A",)
+
+
+def test_each_sequent_sees_only_the_declarations_above_it():
+    T = parse_theory("sort A\nrel P : A\nx:A | P(x) |- P(x)\nrel Q : A\n")
+    assert set(T.signature.rels) == {"P", "Q"}
+    with pytest.raises(SortError) as e:
+        parse_theory("sort A\nrel P : A\nx:A | P(x) |- Q(x)\nrel Q : A\n")
+    assert str(e.value) == "unknown relation Q (line 3, column 15)"
+
+
+def test_binders_are_renamed_apart_from_every_name_taken_before_them():
+    T = parse_theory(
+        "sort A\nfun f : A -> A\nrel P : A\nrel R : A, A\n"
+        "x:A | exists x:A, x:A. R(x, x) and (exists f:A. P(f)) "
+        "|- exists y:A. exists y:A. P(y) and P(x)\n"
+    )
+    assert str(T.sequents[0]) == (
+        "x:A | exists x':A, x'':A. R(x'', x'') and exists f':A. P(f') "
+        "|- exists y:A. exists y':A. P(y') and P(x)"
+    )
