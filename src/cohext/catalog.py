@@ -29,10 +29,6 @@ from .lattice import DownsetLattice, FinLattice, set_lattice
 from .order import FinPoset, canonical_form
 
 
-class EnumerationBound(ValueError):
-    """Requested bound is above the supported range."""
-
-
 def _canonical_key(p: FinPoset) -> tuple:
     """Isomorphism-invariant-first canonical form: the size, then the
     lexicographically least relation matrix over the orderings that sort
@@ -82,7 +78,7 @@ def concrete_universes(max_size: int) -> list[tuple[frozenset[str], ...]]:
     documented family of subset-closed fragments over at most max_size
     points."""
     if max_size > 3:
-        raise EnumerationBound("concrete fragments supported up to 3 points")
+        raise ValueError("concrete fragments supported up to 3 points")
     points = ["x", "y", "z"][:max_size]
     seeds = [tuple()]
     for k in range(1, max_size + 1):

@@ -17,11 +17,11 @@ from .canext import canonical_extension, check_compact, check_dense
 from .catalog import concrete_universes, distributive_lattices
 from .cohcat import ConcreteCohCategory, LatticeCategory, lattice_hom_functor
 from .jsonio import (
+    category_from_json,
     category_to_dot,
+    hyperdoctrine_from_json,
+    lattice_from_json,
     lattice_to_json,
-    load_category,
-    load_hyperdoctrine,
-    load_lattice,
     model_from_json,
     model_to_json,
 )
@@ -153,9 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command bodies -----------------------------------------------------------
 
 
+def read_json(report: Report, path):
+    """The JSON in the file, read once: parsed from the bytes it hashed."""
+    return json.loads(report.add_input(path))
+
+
+def read_hyperdoctrine(report: Report, path):
+    return hyperdoctrine_from_json(read_json(report, path), Path(path).parent)
+
+
 def cmd_canext(args, report: Report):
-    report.add_input(args.lattice)
-    L = load_lattice(args.lattice)
+    L = lattice_from_json(read_json(report, args.lattice))
     ce = canonical_extension(L)
     report.check("iso", ce.is_iso())
     report.check("dense", check_dense(ce))
@@ -169,28 +177,24 @@ def cmd_canext(args, report: Report):
 def cmd_hyper_validate(args, report: Report):
     from .hyperdoctrine import validate
 
-    report.add_input(args.hyperdoctrine)
-    P = load_hyperdoctrine(args.hyperdoctrine)
+    P = read_hyperdoctrine(report, args.hyperdoctrine)
     for c in validate(P).checks:
-        report.check(c.law, c.passed, c.witness)
+        report.check(c.name, c.passed, c.witness)
 
 
 def cmd_hyper_canext(args, report: Report):
     from .hyperdoctrine import canext_hyperdoctrine, validate
 
-    report.add_input(args.hyperdoctrine)
-    P = load_hyperdoctrine(args.hyperdoctrine)
-    Pd = canext_hyperdoctrine(P)
+    Pd = canext_hyperdoctrine(read_hyperdoctrine(report, args.hyperdoctrine))
     for c in validate(Pd).checks:
-        report.check(f"extension-{c.law}", c.passed, c.witness)
+        report.check(f"extension-{c.name}", c.passed, c.witness)
 
 
 def cmd_predcat_build(args, report: Report):
     from .hyperdoctrine import sub_hyperdoctrine
     from .predcat import build_pred_category
 
-    report.add_input(args.category)
-    C = load_category(args.category)
+    C = category_from_json(read_json(report, args.category))
     AP = build_pred_category(sub_hyperdoctrine(C), args.budget)
     report.check(
         "category-laws", True,
@@ -211,8 +215,7 @@ def check_conditions(report: Report, rep) -> None:
 def cmd_predcat_counit(args, report: Report):
     from .predcat import counit_equivalence_check
 
-    report.add_input(args.category)
-    C = load_category(args.category)
+    C = category_from_json(read_json(report, args.category))
     rep = counit_equivalence_check(C, args.budget)
     if rep.error:
         report.check("counit-built", False, rep.error)
@@ -225,8 +228,7 @@ def cmd_predcat_canext(args, report: Report):
     from .cohcat import check_coherent_functor
     from .predcat import canonical_extension_category, check_coh_plus
 
-    report.add_input(args.category)
-    C = load_category(args.category)
+    C = category_from_json(read_json(report, args.category))
     ext = canonical_extension_category(C, args.budget)
     report.check(
         "extension-built", True,
@@ -243,8 +245,7 @@ def cmd_predcat_canext(args, report: Report):
 def cmd_predcat_pmodel(args, report: Report):
     from .predcat import canonical_extension_category, pmodel_witness
 
-    report.add_input(args.category)
-    C = load_category(args.category)
+    C = category_from_json(read_json(report, args.category))
     ext = canonical_extension_category(C, args.budget)
     w = pmodel_witness(ext.embedding, C, ext.coh)
     report.check("embedding-pmodel", w is None, w)
@@ -253,8 +254,7 @@ def cmd_predcat_pmodel(args, report: Report):
 def cmd_tot_site(args, report: Report):
     from .sites import jp_site, type_category
 
-    report.add_input(args.category)
-    C = load_category(args.category)
+    C = category_from_json(read_json(report, args.category))
     tau = type_category(C)
     site = jp_site(tau)
     report.check(
@@ -277,8 +277,7 @@ def cmd_tot_compare(args, report: Report):
         type_category,
     )
 
-    report.add_input(args.category)
-    C = load_category(args.category)
+    C = category_from_json(read_json(report, args.category))
     X = canext_hyperdoctrine(sub_hyperdoctrine(C))
     D = irreducible_site(C, X)
     tau = type_category(C)
@@ -290,8 +289,7 @@ def cmd_tot_sheaf(args, report: Report):
     from .hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
     from .sites import sheaf_check, topology_coincidence_check, unique_glueing_check
 
-    report.add_input(args.category)
-    C = load_category(args.category)
+    C = category_from_json(read_json(report, args.category))
     X = canext_hyperdoctrine(sub_hyperdoctrine(C))
     # a budget cut fails its check with the cut as witness; the rest still run
     try:
@@ -309,11 +307,9 @@ def cmd_tot_sheaf(args, report: Report):
 def cmd_tot_locale(args, report: Report):
     from .sites import factorization_data, locale_morphism, open_check, surjection_check
 
-    for f in (args.source, args.target, args.hom):
-        report.add_input(f)
-    L = load_lattice(args.source)
-    K = load_lattice(args.target)
-    table = json.loads(Path(args.hom).read_text())
+    L = lattice_from_json(read_json(report, args.source))
+    K = lattice_from_json(read_json(report, args.target))
+    table = read_json(report, args.hom)
     CL, CK = LatticeCategory(L), LatticeCategory(K)
     F = lattice_hom_functor(LatticeHom(L, K, table), CL, CK)
     m = locale_morphism(F, CL, CK)
@@ -329,12 +325,10 @@ def cmd_chase(args, report: Report):
     from .logic.chase import chase
     from .logic.parser import parse_theory
 
-    report.add_input(args.theory)
-    T = parse_theory(Path(args.theory).read_text())
+    T = parse_theory(report.add_input(args.theory).decode())
     start = None
     if args.start:
-        report.add_input(args.start)
-        start = model_from_json(T, json.loads(Path(args.start).read_text()))
+        start = model_from_json(T, read_json(report, args.start))
     res = chase(
         T, max_fresh=args.max_fresh, max_rounds=args.rounds,
         seed=args.seed, start=start,
@@ -351,8 +345,7 @@ def _family_setup(args, report):
     from .logic.models import FamilyCategory, ModelFamily, enumerate_models
     from .logic.parser import parse_theory
 
-    report.add_input(args.theory)
-    T = parse_theory(Path(args.theory).read_text())
+    T = parse_theory(report.add_input(args.theory).decode())
     models = enumerate_models(T, args.max_size)
     if args.drop is not None and not 0 <= args.drop < len(models):
         last = len(models) - 1

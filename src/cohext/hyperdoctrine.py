@@ -25,8 +25,11 @@ from .lattice import (
     FinLattice,
     LatticeHom,
     MonotoneMap,
+    adjunction_failures,
     check_distributive,
+    frobenius_failures,
 )
+from .report import LawCheck
 
 
 class HyperdoctrineError(ValueError):
@@ -83,13 +86,6 @@ class CoherentHyperdoctrine:
 
 
 @dataclass(frozen=True)
-class LawCheck:
-    law: str
-    passed: bool
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[LawCheck, ...]
 
@@ -102,97 +98,77 @@ class ValidationReport:
 
 
 def validate(P: CoherentHyperdoctrine) -> ValidationReport:
-    checks = []
-    # fibers
-    w = None
+    """One check per law, each failed with the first witness in a fixed
+    order; the laws after a mistyped table are not checked."""
+    checks = [
+        LawCheck.first("fibers-distributive", _fiber_failures(P)),
+        LawCheck.first("tables-typed", _typing_failures(P)),
+    ]
+    if not checks[-1].passed:
+        return ValidationReport(tuple(checks))
+    mors = P.base.morphisms.items()
+    checks += [
+        LawCheck.first("subst-functorial", _functoriality_failures(P)),
+        LawCheck.first("exists-left-adjoint", (
+            f"adjunction fails at {f} on ({a},{b})"
+            for f, m in mors
+            for a, b in adjunction_failures(
+                P.ex(f), P.sub(f), P.fibers[m.src], P.fibers[m.tgt]
+            )
+        )),
+        LawCheck.first("frobenius", (
+            f"Frobenius fails at {f} on ({a},{b})"
+            for f, m in mors
+            for a, b in frobenius_failures(
+                P.ex(f), P.sub(f), P.fibers[m.src], P.fibers[m.tgt]
+            )
+        )),
+        LawCheck.first("beck-chevalley", _beck_chevalley_failures(P)),
+    ]
+    return ValidationReport(tuple(checks))
+
+
+def _fiber_failures(P: CoherentHyperdoctrine):
     for A in P.base.objects:
         if A not in P.fibers:
-            w = f"missing fiber at {A}"
-            break
-        if not check_distributive(P.fibers[A]):
-            w = f"fiber at {A} is not distributive"
-            break
-    checks.append(LawCheck("fibers-distributive", w is None, w))
-    # typing of subst/exists
-    w = None
+            yield f"missing fiber at {A}"
+        elif not check_distributive(P.fibers[A]):
+            yield f"fiber at {A} is not distributive"
+
+
+def _typing_failures(P: CoherentHyperdoctrine):
     for f, m in P.base.morphisms.items():
-        s = P.subst.get(f)
-        e = P.exists.get(f)
+        s, e = P.subst.get(f), P.exists.get(f)
         if s is None or e is None:
-            w = f"missing subst/exists at {f}"
-            break
-        if s.source != P.fibers[m.tgt] or s.target != P.fibers[m.src]:
-            w = f"subst at {f} mistyped"
-            break
-        if e.source != P.fibers[m.src] or e.target != P.fibers[m.tgt]:
-            w = f"exists at {f} mistyped"
-            break
-    checks.append(LawCheck("tables-typed", w is None, w))
-    if w is not None:
-        return ValidationReport(tuple(checks))
-    # contravariant functoriality
-    w = None
+            yield f"missing subst/exists at {f}"
+        elif s.source != P.fibers[m.tgt] or s.target != P.fibers[m.src]:
+            yield f"subst at {f} mistyped"
+        elif e.source != P.fibers[m.src] or e.target != P.fibers[m.tgt]:
+            yield f"exists at {f} mistyped"
+
+
+def _functoriality_failures(P: CoherentHyperdoctrine):
+    """Contravariant functoriality: identities, then composable pairs."""
     for A in P.base.objects:
-        i = P.base.identity(A)
-        if any(P.sub(i)(a) != a for a in P.fibers[A].elements):
-            w = f"subst at identity of {A} is not the identity"
-            break
-    if w is None:
-        w = next(
-            (
-                f"functoriality fails on ({g.name},{f.name}) at {c}"
-                for f, g in composable_pairs(P.base.morphisms)
-                for c in P.fibers[g.tgt].elements
-                if P.sub(P.base.compose(g.name, f.name))(c)
-                != P.sub(f.name)(P.sub(g.name)(c))
-            ),
-            None,
-        )
-    checks.append(LawCheck("subst-functorial", w is None, w))
-    # adjunctions
-    w = None
-    for f, m in P.base.morphisms.items():
-        FA, FB = P.fibers[m.src], P.fibers[m.tgt]
-        for a in FA.elements:
-            for b in FB.elements:
-                if FB.leq(P.ex(f)(a), b) != FA.leq(a, P.sub(f)(b)):
-                    w = f"adjunction fails at {f} on ({a},{b})"
-                    break
-            if w:
-                break
-        if w:
-            break
-    checks.append(LawCheck("exists-left-adjoint", w is None, w))
-    # Frobenius
-    w = None
-    for f, m in P.base.morphisms.items():
-        FA, FB = P.fibers[m.src], P.fibers[m.tgt]
-        for a in FA.elements:
-            for b in FB.elements:
-                lhs = P.ex(f)(FA.meet(a, P.sub(f)(b)))
-                rhs = FB.meet(P.ex(f)(a), b)
-                if lhs != rhs:
-                    w = f"Frobenius fails at {f} on ({a},{b})"
-                    break
-            if w:
-                break
-        if w:
-            break
-    checks.append(LawCheck("frobenius", w is None, w))
-    # Beck-Chevalley on the chosen squares
-    w = None
+        s = P.sub(P.base.identity(A)).mapping
+        if any(s[a] != a for a in P.fibers[A].elements):
+            yield f"subst at identity of {A} is not the identity"
+    for f, g in composable_pairs(P.base.morphisms):
+        gf = P.sub(P.base.compose(g.name, f.name)).mapping
+        sf, sg = P.sub(f.name).mapping, P.sub(g.name).mapping
+        for c in P.fibers[g.tgt].elements:
+            if gf[c] != sf[sg[c]]:
+                yield f"functoriality fails on ({g.name},{f.name}) at {c}"
+
+
+def _beck_chevalley_failures(P: CoherentHyperdoctrine):
+    """Beck-Chevalley on the chosen pullback squares."""
     for sq in P.limits.squares:
-        A = P.base.src(sq.alpha)
-        for a in P.fibers[A].elements:
-            lhs = P.sub(sq.beta)(P.ex(sq.alpha)(a))
-            rhs = P.ex(sq.alpha_p)(P.sub(sq.beta_p)(a))
-            if lhs != rhs:
-                w = f"Beck-Chevalley fails on square ({sq.alpha},{sq.beta}) at {a}"
-                break
-        if w:
-            break
-    checks.append(LawCheck("beck-chevalley", w is None, w))
-    return ValidationReport(tuple(checks))
+        sb, ea = P.sub(sq.beta).mapping, P.ex(sq.alpha).mapping
+        ep, sp = P.ex(sq.alpha_p).mapping, P.sub(sq.beta_p).mapping
+        for a in P.fibers[P.base.src(sq.alpha)].elements:
+            if sb[ea[a]] != ep[sp[a]]:
+                yield f"Beck-Chevalley fails on square ({sq.alpha},{sq.beta}) at {a}"
 
 
 def sub_hyperdoctrine(C: CohCategory) -> CoherentHyperdoctrine:
@@ -251,57 +227,60 @@ class HypMorphism:
 
 
 def validate_morphism(m: HypMorphism) -> ValidationReport:
-    checks = []
+    checks = [LawCheck.first("components-typed", _component_failures(m))]
+    if not checks[-1].passed:
+        return ValidationReport(tuple(checks))
+    checks += [
+        LawCheck.first("limits-preserved", _limit_failures(m)),
+        LawCheck.first("naturality", _naturality_failures(m)),
+        LawCheck.first("exists-preserved", _exists_preservation_failures(m)),
+    ]
+    return ValidationReport(tuple(checks))
+
+
+def _component_failures(m: HypMorphism):
     P1, P2 = m.source, m.target
-    w = None
     for A in P1.base.objects:
         t = m.tau.get(A)
-        if t is None or t.source != P1.fibers[A] or t.target != P2.fibers[
-            m.K.on_obj(A)
-        ]:
-            w = f"component at {A} missing or mistyped"
-            break
-    checks.append(LawCheck("components-typed", w is None, w))
-    if w is not None:
-        return ValidationReport(tuple(checks))
-    # K preserves the chosen limits present on both sides
-    w = None
+        if t is None or t.source != P1.fibers[A] or (
+            t.target != P2.fibers[m.K.on_obj(A)]
+        ):
+            yield f"component at {A} missing or mistyped"
+
+
+def _limit_failures(m: HypMorphism):
+    """K preserves the chosen limits present on both sides."""
+    P1, P2 = m.source, m.target
     if P1.limits.terminal is not None:
         T2 = m.K.on_obj(P1.limits.terminal)
         if any(len(P2.base.hom(X, T2)) != 1 for X in P2.base.objects):
-            w = "terminal not preserved"
-    if w is None:
-        for (A, B), cone in P1.limits.products.items():
-            fc = ProductCone(
-                m.K.on_obj(cone.obj), m.K.on_mor(cone.pi1), m.K.on_mor(cone.pi2)
-            )
-            if not is_product_cone(P2.base, m.K.on_obj(A), m.K.on_obj(B), fc):
-                w = f"product of ({A},{B}) not preserved"
-                break
-    checks.append(LawCheck("limits-preserved", w is None, w))
-    # naturality
-    w = None
+            yield "terminal not preserved"
+    for (A, B), cone in P1.limits.products.items():
+        fc = ProductCone(
+            m.K.on_obj(cone.obj), m.K.on_mor(cone.pi1), m.K.on_mor(cone.pi2)
+        )
+        if not is_product_cone(P2.base, m.K.on_obj(A), m.K.on_obj(B), fc):
+            yield f"product of ({A},{B}) not preserved"
+
+
+def _naturality_failures(m: HypMorphism):
+    P1, P2 = m.source, m.target
     for f, mor in P1.base.morphisms.items():
-        tA, tB = m.tau[mor.src], m.tau[mor.tgt]
+        tA, tB = m.tau[mor.src].mapping, m.tau[mor.tgt].mapping
+        s1, s2 = P1.sub(f).mapping, P2.sub(m.K.on_mor(f)).mapping
         for b in P1.fibers[mor.tgt].elements:
-            if tA(P1.sub(f)(b)) != P2.sub(m.K.on_mor(f))(tB(b)):
-                w = f"naturality fails at {f} on {b}"
-                break
-        if w:
-            break
-    checks.append(LawCheck("naturality", w is None, w))
-    # existential preservation
-    w = None
+            if tA[s1[b]] != s2[tB[b]]:
+                yield f"naturality fails at {f} on {b}"
+
+
+def _exists_preservation_failures(m: HypMorphism):
+    P1, P2 = m.source, m.target
     for f, mor in P1.base.morphisms.items():
-        tA, tB = m.tau[mor.src], m.tau[mor.tgt]
+        tA, tB = m.tau[mor.src].mapping, m.tau[mor.tgt].mapping
+        e1, e2 = P1.ex(f).mapping, P2.ex(m.K.on_mor(f)).mapping
         for a in P1.fibers[mor.src].elements:
-            if P2.ex(m.K.on_mor(f))(tA(a)) != tB(P1.ex(f)(a)):
-                w = f"exists-preservation fails at {f} on {a}"
-                break
-        if w:
-            break
-    checks.append(LawCheck("exists-preserved", w is None, w))
-    return ValidationReport(tuple(checks))
+            if e2[tA[a]] != tB[e1[a]]:
+                yield f"exists-preservation fails at {f} on {a}"
 
 
 def unit_morphism(P: CoherentHyperdoctrine, Pd: CanextHyperdoctrine) -> HypMorphism:
@@ -372,62 +351,54 @@ def fo_from_cohcat(C: CohCategory) -> FirstOrderHyperdoctrine:
 
 
 def validate_fo(P: FirstOrderHyperdoctrine) -> ValidationReport:
+    """The coherent laws, then the Heyting fibers, forall right adjoint to
+    substitution (the left adjoint between the order duals) and
+    substitution preserving implication."""
     checks = list(validate(P).checks)
-    # Heyting law per fiber
-    w = None
+    checks += [
+        LawCheck.first("heyting-fibers", _heyting_failures(P)),
+        LawCheck.first("forall-right-adjoint", _forall_failures(P)),
+        LawCheck.first("subst-preserves-implication", _implication_failures(P)),
+    ]
+    return ValidationReport(tuple(checks))
+
+
+def _heyting_failures(P: FirstOrderHyperdoctrine):
     for A in P.base.objects:
         L = P.fibers[A]
         imp = P.implication.get(A)
         if imp is None:
-            w = f"missing implication table at {A}"
-            break
+            yield f"missing implication table at {A}"
+            continue
         for a, b in iproduct(L.elements, repeat=2):
             r = imp.get((a, b))
             if r is None:
-                w = f"implication undefined on ({a},{b}) at {A}"
-                break
+                yield f"implication undefined on ({a},{b}) at {A}"
+                continue
             for x in L.elements:
                 if L.leq(x, r) != L.leq(L.meet(x, a), b):
-                    w = f"Heyting law fails at {A} on ({x},{a},{b})"
-                    break
-            if w:
-                break
-        if w:
-            break
-    checks.append(LawCheck("heyting-fibers", w is None, w))
-    # forall right adjoint to subst
-    w = None
+                    yield f"Heyting law fails at {A} on ({x},{a},{b})"
+
+
+def _forall_failures(P: FirstOrderHyperdoctrine):
     for f, m in P.base.morphisms.items():
         fa = P.forall.get(f)
         if fa is None:
-            w = f"missing forall at {f}"
-            break
+            yield f"missing forall at {f}"
+            continue
         FA, FB = P.fibers[m.src], P.fibers[m.tgt]
-        for u in FA.elements:
-            for v in FB.elements:
-                if FB.leq(v, fa(u)) != FA.leq(P.sub(f)(v), u):
-                    w = f"forall adjunction fails at {f} on ({u},{v})"
-                    break
-            if w:
-                break
-        if w:
-            break
-    checks.append(LawCheck("forall-right-adjoint", w is None, w))
-    # substitution preserves implication
-    w = None
+        for u, v in adjunction_failures(fa, P.sub(f), FA.dual, FB.dual):
+            yield f"forall adjunction fails at {f} on ({u},{v})"
+
+
+def _implication_failures(P: FirstOrderHyperdoctrine):
     for f, m in P.base.morphisms.items():
         impB = P.implication.get(m.tgt, {})
         impA = P.implication.get(m.src, {})
+        s = P.sub(f).mapping
         for a, b in iproduct(P.fibers[m.tgt].elements, repeat=2):
-            lhs = P.sub(f)(impB[(a, b)])
-            rhs = impA[(P.sub(f)(a), P.sub(f)(b))]
-            if lhs != rhs:
-                w = f"subst at {f} breaks implication on ({a},{b})"
-                break
-        if w:
-            break
-    checks.append(LawCheck("subst-preserves-implication", w is None, w))
-    return ValidationReport(tuple(checks))
+            if s[impB[(a, b)]] != impA[(s[a], s[b])]:
+                yield f"subst at {f} breaks implication on ({a},{b})"
 
 
 def canext_fo(P: FirstOrderHyperdoctrine) -> FirstOrderHyperdoctrine:

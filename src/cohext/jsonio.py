@@ -153,11 +153,6 @@ def hyperdoctrine_from_json(data: dict, base_dir: Path | None = None) -> Coheren
     )
 
 
-def load_hyperdoctrine(path) -> CoherentHyperdoctrine:
-    p = Path(path)
-    return hyperdoctrine_from_json(json.loads(p.read_text()), p.parent)
-
-
 # -- models ------------------------------------------------------------------------
 
 

@@ -499,6 +499,42 @@ class LatticeHom(MonotoneMap):
             raise LatticeError("not a lattice homomorphism")
 
 
+# -- the laws between a pair of maps, as generators of failing pairs ----------
+
+
+def adjunction_failures(
+    lower: MonotoneMap, upper: MonotoneMap, L: FinLattice, M: FinLattice
+):
+    """Each pair (a, b), a in L and b in M in product order, at which
+    lower(a) <= b and a <= upper(b) disagree; lower : L -> M is left
+    adjoint to upper : M -> L exactly when there is none.  That g : L -> M
+    is right adjoint to f : M -> L is `adjunction_failures(g, f, L.dual,
+    M.dual)`, still in L x M order."""
+    lo, up = lower.mapping, upper.mapping
+    lp, mp = L.poset.pairs, M.poset.pairs
+    return (
+        (a, b)
+        for a in L.elements
+        for b in M.elements
+        if ((lo[a], b) in mp) != ((a, up[b]) in lp)
+    )
+
+
+def frobenius_failures(
+    ex: MonotoneMap, sub: MonotoneMap, L: FinLattice, M: FinLattice
+):
+    """Each pair (a, b), a in L and b in M in product order, at which
+    ex(a /\\ sub(b)) != ex(a) /\\ b, for ex : L -> M and sub : M -> L."""
+    e, s = ex.mapping, sub.mapping
+    lm, mm = L.meet_table, M.meet_table
+    return (
+        (a, b)
+        for a in L.elements
+        for b in M.elements
+        if e[lm[a, s[b]]] != mm[e[a], b]
+    )
+
+
 # -- products and enumeration ------------------------------------------------
 
 

@@ -36,6 +36,7 @@ from ..lattice import (
     set_lattice,
 )
 from ..order import BudgetError, assignments, bounded, set_name, union_closure
+from ..report import LawCheck
 from .chase import FinModel
 from .syntax import App, RelAtom, Theory, Var, print_term
 
@@ -470,13 +471,6 @@ def primality_check(C: FamilyCategory, A: str, t: frozenset) -> bool:
 # -- the family conditions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    name: str
-    passed: bool
-    witness: str | None = None
-
-
 def _indices(C: FamilyCategory, indices) -> tuple[int, ...]:
     return tuple(range(len(C.family.models))) if indices is None else tuple(indices)
 
@@ -490,37 +484,35 @@ def _meet_exchange(C: FamilyCategory, tm: TermMap, i: int, rho) -> bool:
     return image(reduce(and_, parts)) == reduce(and_, map(image, parts))
 
 
-def check_m1(C: FamilyCategory, indices=None) -> ConditionReport:
+def check_m1(C: FamilyCategory, indices=None) -> LawCheck:
     """Every family member commutes images with prime-filter meets."""
-    for i in _indices(C, indices):
-        for f, tm in C._maps.items():
-            S = C.sub_lattice(tm.src)
-            for rho in prime_filters(S):
-                if not _meet_exchange(C, tm, i, rho):
-                    return ConditionReport(
-                        "M1", False,
-                        f"model {i}, map {f}, prime filter {sorted(rho)}",
-                    )
-    return ConditionReport("M1", True)
+    return LawCheck.first("M1", (
+        f"model {i}, map {f}, prime filter {sorted(rho)}"
+        for i in _indices(C, indices)
+        for f, tm in C._maps.items()
+        for rho in prime_filters(C.sub_lattice(tm.src))
+        if not _meet_exchange(C, tm, i, rho)
+    ))
 
 
-def check_m2(C: FamilyCategory, indices=None) -> ConditionReport:
+def check_m2(C: FamilyCategory, indices=None) -> LawCheck:
     """Every prime filter of every subobject lattice is a realized type."""
     idx = _indices(C, indices)
-    for A in C.sorts:
-        rho = _unrealized_prime_filter(C, idx, A)
-        if rho is not None:
-            return ConditionReport(
-                "M2", False, f"prime filter {sorted(rho)} of {A} unrealized"
-            )
-    return ConditionReport("M2", True)
+    return LawCheck.first("M2", (
+        f"prime filter {sorted(rho)} of {A} unrealized"
+        for A in C.sorts
+        if (rho := _unrealized_prime_filter(C, idx, A)) is not None
+    ))
 
 
-def check_m3(C: FamilyCategory, indices=None) -> ConditionReport:
+def check_m3(C: FamilyCategory, indices=None) -> LawCheck:
     """Whenever b lies in every N-component of the type of a, some family
     homomorphism carries a to b."""
+    return LawCheck.first("M3", _m3_failures(C, _indices(C, indices)))
+
+
+def _m3_failures(C: FamilyCategory, idx):
     fam = C.family
-    idx = _indices(C, indices)
     for A in C.sorts:
         for i in idx:
             for a in fam.models[i].sorts[A]:
@@ -531,12 +523,10 @@ def check_m3(C: FamilyCategory, indices=None) -> ConditionReport:
                         meet &= C.decode(A, u)[j]
                     missing = meet - fam.reach[(i, j)][A][a]
                     if missing:
-                        return ConditionReport(
-                            "M3", False,
+                        yield (
                             f"no hom sends {a} (model {i}) to {min(missing)} "
-                            f"(model {j}) at {A}",
+                            f"(model {j}) at {A}"
                         )
-    return ConditionReport("M3", True)
 
 
 # -- the evaluation functor -----------------------------------------------------------
@@ -623,29 +613,27 @@ class Evaluation:
         tm = self.C.term_map(f)
         return _image_map(self._tables(tm), self._sub[tm.src], self._sub[tm.tgt])
 
-    def coherence_check(self) -> ConditionReport:
+    def coherence_check(self) -> LawCheck:
         """Degreewise: the subobject action preserves meets, joins, and
         images, i.e. sigma commutes with the structure maps."""
+        return LawCheck.first("ev-coherent", self._coherence_failures())
+
+    def _coherence_failures(self):
         C = self.C
         for A in C.sorts:
-            s = self.sigma(A)
-            if not s.is_lattice_hom():
-                return ConditionReport("ev-coherent", False, f"sigma at {A} not a hom")
+            if not self.sigma(A).is_lattice_hom():
+                yield f"sigma at {A} not a hom"
         for f, tm in C._maps.items():
             sA, sB = self.sigma(tm.src), self.sigma(tm.tgt)
             imC, imE = C.image_map(f), self.image_map(f)
             pbC, pbE = C.pullback_map(f), self.pullback_map(f)
             for u in sA.source.elements:
                 if sB(imC(u)) != imE(sA(u)):
-                    return ConditionReport(
-                        "ev-coherent", False, f"image along {f} at {u}"
-                    )
+                    yield f"image along {f} at {u}"
             for v in sB.source.elements:
                 if sA(pbC(v)) != pbE(sB(v)):
-                    return ConditionReport(
-                        "ev-coherent", False, f"preimage along {f} at {v}"
-                    )
-        return ConditionReport("ev-coherent", True)
+                    yield f"preimage along {f} at {v}"
+
 
     def conservativity_check(self) -> bool:
         """Jointly order-reflecting: subobject order agrees with the
@@ -662,20 +650,16 @@ class Evaluation:
                         return False
         return True
 
-    def pmodel_check(self) -> ConditionReport:
+    def pmodel_check(self) -> LawCheck:
         """The componentwise-direct-image identity over prime filters, per
         family member."""
-        C = self.C
-        for f, tm in C._maps.items():
-            S = C.sub_lattice(tm.src)
-            for rho in prime_filters(S):
-                for i in self.indices:
-                    if not _meet_exchange(C, tm, i, rho):
-                        return ConditionReport(
-                            "ev-pmodel", False,
-                            f"map {f}, prime filter {sorted(rho)}, model {i}",
-                        )
-        return ConditionReport("ev-pmodel", True)
+        return LawCheck.first("ev-pmodel", (
+            f"map {f}, prime filter {sorted(rho)}, model {i}"
+            for f, tm in self.C._maps.items()
+            for rho in prime_filters(self.C.sub_lattice(tm.src))
+            for i in self.indices
+            if not _meet_exchange(self.C, tm, i, rho)
+        ))
 
 
 # -- the sigma-bar frame isomorphism -----------------------------------------------
@@ -683,10 +667,10 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class SigmaBarReport:
-    naturality: ConditionReport
-    exists_preservation: ConditionReport
-    embedding: ConditionReport
-    surjectivity: ConditionReport
+    naturality: LawCheck
+    exists_preservation: LawCheck
+    embedding: LawCheck
+    surjectivity: LawCheck
 
     @property
     def passed(self) -> bool:
@@ -723,69 +707,59 @@ def sigma_bar_check(
     exts = {A: canonical_extension(C.sub_lattice(A)) for A in C.sorts}
     sigma = {A: ev.sigma(A) for A in C.sorts}
     sigma_bar = {A: extend_hom(sigma[A], exts[A]) for A in C.sorts}
-    # naturality across substitution
-    nat = ConditionReport("naturality", True)
-    for f, tm in C._maps.items():
-        subd = delta_extension(C.pullback_map(f), exts[tm.tgt], exts[tm.src]).map
-        pbE = ev.pullback_map(f)
-        for v in exts[tm.tgt].ext.elements:
-            if sigma_bar[tm.src](subd(v)) != pbE(sigma_bar[tm.tgt](v)):
-                nat = ConditionReport(
-                    "naturality", False, f"fails along {f} at {v}"
-                )
-                break
-        if not nat.passed:
-            break
-    # existential preservation, via the square-transfer machinery
-    exp = ConditionReport("exists-preservation", True)
-    for f, tm in C._maps.items():
-        im = C.image_map(f)
-        exd = delta_extension(im, exts[tm.src], exts[tm.tgt]).map
-        imE = ev.image_map(f)
-        direct = all(
-            sigma_bar[tm.tgt](exd(u)) == imE(sigma_bar[tm.src](u))
-            for u in exts[tm.src].ext.elements
-        )
-        c1, c2 = comjpm_decide(sigma[tm.src], sigma[tm.tgt], im, imE)
-        if not (direct and c1 and c2):
-            exp = ConditionReport(
-                "exists-preservation", False, f"fails along {f}"
+
+    def naturality():
+        """Across substitution."""
+        for f, tm in C._maps.items():
+            subd = delta_extension(C.pullback_map(f), exts[tm.tgt], exts[tm.src]).map
+            pbE = ev.pullback_map(f)
+            for v in exts[tm.tgt].ext.elements:
+                if sigma_bar[tm.src](subd(v)) != pbE(sigma_bar[tm.tgt](v)):
+                    yield f"fails along {f} at {v}"
+
+    def exists_preservation():
+        """Pointwise, and by the square-transfer machinery."""
+        for f, tm in C._maps.items():
+            im = C.image_map(f)
+            exd = delta_extension(im, exts[tm.src], exts[tm.tgt]).map
+            imE = ev.image_map(f)
+            direct = all(
+                sigma_bar[tm.tgt](exd(u)) == imE(sigma_bar[tm.src](u))
+                for u in exts[tm.src].ext.elements
             )
-            break
-    # embedding
-    emb = ConditionReport("embedding", True)
-    for A in C.sorts:
-        if not sigma_bar[A].is_order_embedding():
-            rho = _unrealized_prime_filter(C, ev.indices, A)
-            emb = ConditionReport(
-                "embedding", False,
-                f"component at {A} not an embedding"
-                + (f"; unrealized prime filter {sorted(rho)}" if rho else ""),
-            )
-            break
-    # surjectivity via the join of type points
-    sur = ConditionReport("surjectivity", True)
-    for A in C.sorts:
-        SE = ev.sub_lattice(A)
-        ext = exts[A]
-        for H in SE.elements:
-            fam = SE.decode[H]
-            points = []
-            for pj, j in enumerate(ev.indices):
-                for a in sorted(fam[pj]):
-                    rho = type_of(C, A, j, a)
-                    points.append(
-                        ext.ext.meet_all(ext.e(u) for u in rho)
-                    )
-            u = ext.ext.join_all(points)
-            if sigma_bar[A](u) != H:
-                sur = ConditionReport(
-                    "surjectivity", False, f"subfunctor {H} of ev({A}) not reached"
+            c1, c2 = comjpm_decide(sigma[tm.src], sigma[tm.tgt], im, imE)
+            if not (direct and c1 and c2):
+                yield f"fails along {f}"
+
+    def embedding():
+        for A in C.sorts:
+            if not sigma_bar[A].is_order_embedding():
+                rho = _unrealized_prime_filter(C, ev.indices, A)
+                yield (
+                    f"component at {A} not an embedding"
+                    + (f"; unrealized prime filter {sorted(rho)}" if rho else "")
                 )
-                break
-        if not sur.passed:
-            break
-    return SigmaBarReport(nat, exp, emb, sur)
+
+    def surjectivity():
+        """Every subfunctor is reached by the join of its type points."""
+        for A in C.sorts:
+            SE, ext = ev.sub_lattice(A), exts[A]
+            for H in SE.elements:
+                fam = SE.decode[H]
+                points = [
+                    ext.ext.meet_all(ext.e(u) for u in type_of(C, A, j, a))
+                    for pj, j in enumerate(ev.indices)
+                    for a in sorted(fam[pj])
+                ]
+                if sigma_bar[A](ext.ext.join_all(points)) != H:
+                    yield f"subfunctor {H} of ev({A}) not reached"
+
+    return SigmaBarReport(
+        LawCheck.first("naturality", naturality()),
+        LawCheck.first("exists-preservation", exists_preservation()),
+        LawCheck.first("embedding", embedding()),
+        LawCheck.first("surjectivity", surjectivity()),
+    )
 
 
 def _unrealized_prime_filter(C, indices, A):

@@ -4,8 +4,9 @@ Layout: declarations (sort / fun / rel) followed by sequents.  'and' binds
 tighter than 'or'; a quantifier body extends as far right as possible.
 Sequent contexts are optional: missing variable sorts are inferred from
 their first constraining use, and a variable with no constraining use is a
-sort error carrying its location.  Binders are renamed apart as they are
-read, so each sequent is elaborated in one flat environment.
+sort error carrying its location.  Binders are renamed apart from the
+free variables and from each other as they are read, so each sequent is
+elaborated in one flat environment.
 
 Lexical rules (docs/grammar.md, "Lexical structure"): one compiled regex
 scans the whole text.  Tokens are identifiers `[A-Za-z_][A-Za-z0-9_']*`,
@@ -114,10 +115,12 @@ class Parser:
         self.toks = tokens
         self.pos = 0
         # the sequent being read: names its binders may not take, the
-        # renaming in scope, and each binder's declared sort and span
+        # binders in scope (by name as written, to the name given), each
+        # binder's declared sort and span, and the free names a binder took
         self.taken: set[str] = set()
         self.renaming: dict[str, str] = {}
         self.bound: dict[str, tuple[str | None, tuple[int, int]]] = {}
+        self.clashes: set[str] = set()
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -169,10 +172,14 @@ class Parser:
                 name = self._declare("function", declared)
                 self.expect(":")
                 args = []
-                while self.peek().text != "->":
+                while not self.accept("->"):
+                    # sorts are separated by commas: a sort name right
+                    # after a sort is refused here, any other token by `name`
+                    t = self.peek()
+                    if args and not self.accept(",") and t.kind == "ident":
+                        found = f"found {t.text!r}"
+                        raise ParseError(f"expected ',' or '->', {found}", t.span)
                     args.append(self.name("a sort name"))
-                    self.accept(",")
-                self.expect("->")
                 funcs[name] = (tuple(args), self.name("a sort name"))
             elif self.accept("rel"):
                 name = self._declare("relation", declared)
@@ -203,14 +210,22 @@ class Parser:
     # -- sequents ----------------------------------------------------------
 
     def parse_sequent(self, sig: Signature) -> Sequent:
+        """A free name is taken from the binders read after it; one that
+        occurs only after a binder of its name is found when it is read,
+        and the sequent is read again with it taken."""
         start = self.peek().span
         context = self._try_context()
-        self.taken = {name for name, _ in context} | set(sig.funcs)
-        self.bound = {}
-        lhs = self.parse_formula()
-        self.expect("|-")
-        rhs = self.parse_formula()
-        return elaborate_sequent(sig, context, lhs, rhs, start, self.bound)
+        begin = self.pos
+        avoid = {name for name, _ in context} | set(sig.funcs)
+        while True:
+            self.taken, self.bound, self.clashes = set(avoid), {}, set()
+            lhs = self.parse_formula()
+            self.expect("|-")
+            rhs = self.parse_formula()
+            if not self.clashes:
+                return elaborate_sequent(sig, context, lhs, rhs, start, self.bound)
+            avoid |= self.clashes
+            self.pos = begin
 
     def _try_context(self):
         """`x:A, y:B |` if the sequent starts with one, else () and no
@@ -247,9 +262,8 @@ class Parser:
         if not self.accept("exists"):
             return self.parse_atom()
         # Each binder is renamed apart from every name taken so far in the
-        # sequent, so one flat environment covers the whole sequent.  A
-        # name kept as it is was never taken, so it shadows no entry of the
-        # outer renaming and needs none of its own.
+        # sequent, so one flat environment covers the whole sequent.  It
+        # names that binder inside its body only.
         outer = self.renaming
         self.renaming = dict(outer)
         binders = []
@@ -262,8 +276,7 @@ class Parser:
             while fresh in self.taken:
                 fresh += "'"
             self.taken.add(fresh)
-            if fresh != t.text:
-                self.renaming[t.text] = fresh
+            self.renaming[t.text] = fresh
             self.bound[fresh] = (sort, t.span)
             binders.append((fresh, sort, t.span))
             if not self.accept(","):
@@ -299,7 +312,14 @@ class Parser:
                 while self.accept(","):
                     args.append(self.parse_term())
             self.expect(")")
-        return _raw_term((self.renaming.get(t.text, t.text), tuple(args), t.span))
+        name = self.renaming.get(t.text)
+        if name is None:
+            name = t.text
+            if not args:  # a free variable: no binder may take its name
+                self.taken.add(name)
+                if name in self.bound:
+                    self.clashes.add(name)
+        return _raw_term((name, tuple(args), t.span))
 
 
 # -- elaboration ------------------------------------------------------------------

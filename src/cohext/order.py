@@ -311,14 +311,3 @@ def chain(names) -> FinPoset:
     }
     return FinPoset(names, frozenset(pairs))
 
-
-def check_adjoint_pair(
-    lower: FinPoset, upper: FinPoset, left: dict, right: dict
-) -> bool:
-    """left : lower -> upper is left adjoint to right : upper -> lower,
-    i.e. left(a) <= b iff a <= right(b) for all a, b."""
-    return all(
-        upper.leq(left[a], b) == lower.leq(a, right[b])
-        for a in lower.elements
-        for b in upper.elements
-    )

@@ -1,6 +1,7 @@
-"""Machine-readable run reports: command, input hashes, per-check outcomes
-with witnesses.  Reports are byte-identical across runs with the same
-inputs and seed; wall-clock timing is opt-in because it would break that."""
+"""Check outcomes and machine-readable run reports: command, input hashes,
+per-check outcomes with witnesses.  Reports are byte-identical across runs
+with the same inputs and seed; wall-clock timing is opt-in because it would
+break that."""
 
 from __future__ import annotations
 
@@ -10,12 +11,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
-@dataclass
-class Check:
+@dataclass(frozen=True)
+class LawCheck:
+    """The outcome of one named check: a law, a condition or a report line,
+    with the witness of its first failure and any counts it reports."""
+
     name: str
     passed: bool
     witness: str | None = None
     data: dict | None = None
+
+    @classmethod
+    def first(cls, name: str, witnesses) -> LawCheck:
+        """The check `name`, failed with the first of `witnesses` (strings,
+        lazily produced in check order) if there is one."""
+        w = next(iter(witnesses), None)
+        return cls(name, w is None, w)
 
 
 @dataclass
@@ -26,12 +37,16 @@ class Report:
     seed: int | None = None
     timing_ms: float | None = None
 
-    def add_input(self, path):
+    def add_input(self, path) -> bytes:
+        """Record the file's hash and return the bytes hashed, so the
+        command reads what the report names (a pipe can be read once)."""
         p = Path(path)
-        self.inputs[str(p)] = hashlib.sha256(p.read_bytes()).hexdigest()
+        data = p.read_bytes()
+        self.inputs[str(p)] = hashlib.sha256(data).hexdigest()
+        return data
 
     def check(self, name, passed, witness=None, **data):
-        self.checks.append(Check(name, bool(passed), witness, data or None))
+        self.checks.append(LawCheck(name, bool(passed), witness, data or None))
         return passed
 
     @property

@@ -36,6 +36,7 @@ from .lattice import (
     downset_lattice,
     filter_lattice,
     filters,
+    frobenius_failures,
     is_join_irreducible,
     prime_filter_poset,
     prime_filters,
@@ -810,12 +811,17 @@ def open_check(m: LocaleMorphism) -> tuple[bool, str | None]:
     """Open locale map: componentwise left adjoints exist (always, at
     finite scale), are natural in the base, and satisfy Frobenius.
     Naturality is derived by checking it, not assumed."""
+    w = next(_openness_failures(m), None)
+    return w is None, w
+
+
+def _openness_failures(m: LocaleMorphism):
     sigma = {}
     for A, comp in m.components.items():
-        adj = comp.left_adjoint()
-        if adj is None:
-            return False, f"component at {A} has no left adjoint"
-        sigma[A] = adj
+        sigma[A] = comp.left_adjoint()
+        if sigma[A] is None:
+            yield f"component at {A} has no left adjoint"
+            return
     C, D, F = m.C, m.D, m.F
     for f, mor in C.cat.morphisms.items():
         A, B = mor.src, mor.tgt
@@ -827,14 +833,11 @@ def open_check(m: LocaleMorphism) -> tuple[bool, str | None]:
         ).map
         for w in m.target_ext[B].ext.elements:
             if sigma[A](subD(w)) != subC(sigma[B](w)):
-                return False, f"adjoints not natural along {f} at {w}"
+                yield f"adjoints not natural along {f} at {w}"
     for A, comp in m.components.items():
         E_t, E_s = m.target_ext[A].ext, m.source_ext[A].ext
-        for w in E_t.elements:
-            for v in E_s.elements:
-                if sigma[A](E_t.meet(w, comp(v))) != E_s.meet(sigma[A](w), v):
-                    return False, f"Frobenius fails at {A} on ({w},{v})"
-    return True, None
+        for w, v in frobenius_failures(sigma[A], comp, E_t, E_s):
+            yield f"Frobenius fails at {A} on ({w},{v})"
 
 
 @dataclass(frozen=True)
@@ -866,19 +869,18 @@ def factorization_data(F: FinFunctor, C: CohCategory, D: CohCategory) -> Factori
         n: semidirect_obj_name(F.on_obj(A), w)
         for n, (A, w) in inter.obj_data.items()
     }
-    omega_ok, witness = True, None
-    for n, (A, w) in inter.obj_data.items():
-        if site_morphism[n] not in target_site.cat.objects:
-            omega_ok, witness = False, f"image object of {n} missing"
-            break
-        FA = fibers[A]
-        FB = SDd.fiber(F.on_obj(A))
-        down_src = {x for x in FA.elements if FA.leq(x, w)}
-        down_tgt = {x for x in FB.elements if FB.leq(x, w)}
-        if down_src != down_tgt:
-            omega_ok, witness = False, f"classifier fibers differ at {n}"
-            break
-    if omega_ok:
+
+    def failures():
+        for n, (A, w) in inter.obj_data.items():
+            if site_morphism[n] not in target_site.cat.objects:
+                yield f"image object of {n} missing"
+                continue
+            FA = fibers[A]
+            FB = SDd.fiber(F.on_obj(A))
+            down_src = {x for x in FA.elements if FA.leq(x, w)}
+            down_tgt = {x for x in FB.elements if FB.leq(x, w)}
+            if down_src != down_tgt:
+                yield f"classifier fibers differ at {n}"
         for n1, m1 in inter.cat.morphisms.items():
             f = inter.mor_data[n1]
             A, u = inter.obj_data[m1.src]
@@ -889,8 +891,7 @@ def factorization_data(F: FinFunctor, C: CohCategory, D: CohCategory) -> Factori
                 lhs = fibers[A].meet(subst[f](w), u)
                 rhs = SDd.fiber(F.on_obj(A)).meet(SDd.sub(F.on_mor(f))(w), u)
                 if lhs != rhs:
-                    omega_ok, witness = False, f"classifier action differs along {n1}"
-                    break
-            if not omega_ok:
-                break
-    return FactorizationData(inter, site_morphism, loc, omega_ok, witness)
+                    yield f"classifier action differs along {n1}"
+
+    witness = next(failures(), None)
+    return FactorizationData(inter, site_morphism, loc, witness is None, witness)

@@ -5,7 +5,7 @@ are the only larger posets within 8 downsets."""
 
 from functools import lru_cache
 
-from cohext.catalog import EnumerationBound, _canonical_key
+from cohext.catalog import _canonical_key
 from cohext.lattice import FinLattice, downset_lattice
 from cohext.order import FinPoset, chain
 
@@ -18,7 +18,7 @@ def all_posets(n: int) -> tuple[FinPoset, ...]:
     each smaller poset, deduplicating by canonical form.
     """
     if n > 6:
-        raise EnumerationBound("poset enumeration supported up to 6 elements")
+        raise ValueError("poset enumeration supported up to 6 elements")
     if n == 0:
         return (FinPoset((), frozenset()),)
     out, seen = [], set()
@@ -45,7 +45,7 @@ def distributive_lattices_oracle(max_size: int) -> list[FinLattice]:
     beyond the enumerated poset range only chains can stay within bound 8.
     """
     if max_size > 8:
-        raise EnumerationBound(f"oracle supports lattice bounds up to 8, not {max_size}")
+        raise ValueError(f"oracle supports lattice bounds up to 8, not {max_size}")
     out = []
     for k in range(0, 7):
         if k + 1 > max_size:

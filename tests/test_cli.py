@@ -15,12 +15,13 @@ from cohext.sites import sieve_budget
 PKG = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args, timeout=None):
+def run_cli(*args, timeout=None, stdin=None):
     """Run the CLI in a child process whose environment holds only its
-    import path, so no variable of the caller's can change its reports."""
+    import path, so no variable of the caller's can change its reports;
+    `stdin` is the text piped to it."""
     return subprocess.run(
         [sys.executable, "-m", "cohext.cli", *args],
-        capture_output=True, text=True, cwd=PKG,
+        capture_output=True, text=True, cwd=PKG, input=stdin,
         env={"PYTHONPATH": str(PKG / "src")}, timeout=timeout,
     )
 
@@ -285,6 +286,34 @@ def test_enumerate_counts_and_refusal():
     assert r.returncode == 0
 
 
+def test_enumerate_refuses_fragments_over_more_than_three_points():
+    r = run_cli("enumerate", "cat", "--max", "4")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: concrete fragments supported up to 3 points\n"
+
+
+def test_a_piped_theory_is_read_once_and_parsed(tmp_path):
+    # c is a free variable here, so the theory holds in the empty model of
+    # its one sort; a second read of the pipe would parse an empty theory
+    text = "sort A\nrel P : A\ntrue |- P(c)\n"
+    piped = run_cli("chase", "/dev/stdin", stdin=text, timeout=30)
+    assert piped.returncode == 0
+    model = json.loads(piped.stdout)["checks"][0]["data"]["model"]
+    assert model == {"sorts": {"A": []}, "functions": {}, "relations": {"P": []}}
+    path = tmp_path / "t.chr"
+    path.write_text(text)
+    from_file = json.loads(run_cli("chase", str(path)).stdout)
+    assert from_file["checks"] == json.loads(piped.stdout)["checks"]
+
+
+def test_a_piped_theory_with_an_error_is_a_located_error():
+    r = run_cli("chase", "/dev/stdin", stdin="sort A\nrel P : A\ntrue |- P(g(c))\n", timeout=30)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: unknown function g (line 3, column 11)\n"
+    r = run_cli("canext", "/dev/stdin", stdin=(FIXTURE_DIR / "diamond.lat.json").read_text())
+    assert r.returncode == 0 and json.loads(r.stdout)["pass"]
+
+
 def test_enumerate_emits_json_lines():
     r = run_cli("enumerate", "dl", "--max", "4", "--emit")
     lines = [l for l in r.stdout.splitlines() if l.startswith("{\"elements\"")]
@@ -326,7 +355,7 @@ def test_truncated_theory_is_a_located_error_not_a_hang(tmp_path):
 
 def test_every_shipped_fixture_loads_and_validates():
     from cohext.hyperdoctrine import validate
-    from cohext.jsonio import load_category, load_hyperdoctrine, load_lattice
+    from cohext.jsonio import hyperdoctrine_from_json, load_category, load_lattice
     from cohext.logic.parser import parse_theory
 
     for p in sorted(FIXTURE_DIR.glob("*.lat.json")):
@@ -336,7 +365,10 @@ def test_every_shipped_fixture_loads_and_validates():
             load_category(p)
     for p in sorted(FIXTURE_DIR.glob("*.chr")):
         parse_theory(p.read_text())
-    assert validate(load_hyperdoctrine(FIXTURE_DIR / "three_chain.hyp.json")).passed
+    def load_hyperdoctrine(name):
+        return hyperdoctrine_from_json(json.loads((FIXTURE_DIR / name).read_text()), FIXTURE_DIR)
+
+    assert validate(load_hyperdoctrine("three_chain.hyp.json")).passed
     # the deliberately broken fixture loads but fails validation, by design
-    rep = validate(load_hyperdoctrine(FIXTURE_DIR / "broken_exists.hyp.json"))
+    rep = validate(load_hyperdoctrine("broken_exists.hyp.json"))
     assert not rep.passed

@@ -46,7 +46,7 @@ def test_mutated_exists_fails_with_witness():
     P = broken_exists_hyperdoctrine()
     rep = validate(P)
     assert not rep.passed
-    failed = {c.law for c in rep.failures()}
+    failed = {c.name for c in rep.failures()}
     assert "exists-left-adjoint" in failed
     assert all(c.witness for c in rep.failures())
 
@@ -162,7 +162,7 @@ def test_fo_frobenius_derivable_and_checked():
     # the validated laws and holds
     P = fo_from_cohcat(LatticeCategory(boolean4()))
     rep = validate_fo(P)
-    assert any(c.law == "frobenius" and c.passed for c in rep.checks)
+    assert any(c.name == "frobenius" and c.passed for c in rep.checks)
 
 
 def test_one_object_base_heyting_only():

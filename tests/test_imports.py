@@ -1,9 +1,10 @@
 """Every name a module under src/ imports is used in that module, every
 local name a function under src/ binds is read in that function, every
 parameter of a private function or method under src/ is read, no module
-under src/ reads the process environment, keeps a process-wide cache or
-touches an instance `__dict__`, and every name the benchmark imports from
-cohext exists."""
+under src/ reads the process environment, keeps a process-wide cache (a
+`functools` cache, or a module-level container a function writes) other
+than the one allowed or touches an instance `__dict__`, and every name the
+benchmark imports from cohext exists."""
 
 import ast
 import importlib
@@ -221,10 +222,64 @@ def environment_uses(source: str) -> list[str]:
     return module_attribute_uses(source, "os", ("environ", "getenv"))
 
 
+CONTAINERS = ("dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque")
+MUTATORS = (
+    "add", "append", "appendleft", "clear", "discard", "extend", "insert", "pop",
+    "popitem", "remove", "setdefault", "update",
+)
+
+
+def module_containers_written(source: str) -> list[str]:
+    """Each write, inside a function, to a container bound at module level:
+    an item assignment or deletion, or a call of a mutating method.  A
+    function that binds the name itself writes its own local instead."""
+    tree = ast.parse(source)
+    containers = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) and node.value else []
+        )
+        value = getattr(node, "value", None)
+        if isinstance(value, (ast.Dict, ast.List, ast.Set)) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in CONTAINERS
+        ):
+            containers.update(t.id for t in targets if isinstance(t, ast.Name))
+    writes = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = {
+            n.id for n in own_nodes(fn)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        for n in own_nodes(fn):
+            if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)):
+                target = n.value
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and (
+                n.func.attr in MUTATORS
+            ):
+                target = n.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in containers - local:
+                writes.add((n.lineno, target.id))
+    return [f"line {line}: {name}" for line, name in sorted(writes)]
+
+
 def process_cache_uses(source: str) -> list[str]:
     """Process-wide memoisation keeps every argument alive; per-instance
-    memoisation is `order.cached` and `order.cached_method`."""
-    return module_attribute_uses(source, "functools", ("lru_cache", "cache"))
+    memoisation is `order.cached` and `order.cached_method`.  Both
+    `functools` caches and module-level containers that a function writes
+    count."""
+    return module_attribute_uses(
+        source, "functools", ("lru_cache", "cache")
+    ) + module_containers_written(source)
+
+
+# The one process-wide cache kept on purpose; canext.py says why.
+ALLOWED_PROCESS_CACHES = {"cohext/canext.py": "_EXTENSION_CACHE"}
 
 
 def instance_dict_uses(source: str) -> list[str]:
@@ -265,7 +320,15 @@ def test_environment_use_detector_on_samples():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_module_keeps_no_process_wide_cache(path):
-    assert process_cache_uses(path.read_text()) == []
+    allowed = ALLOWED_PROCESS_CACHES.get(path.relative_to(SRC).as_posix())
+    uses = process_cache_uses(path.read_text())
+    assert [u for u in uses if u.split(": ")[1] != allowed] == []
+
+
+def test_the_allowed_process_wide_cache_is_still_there():
+    for module, name in ALLOWED_PROCESS_CACHES.items():
+        uses = process_cache_uses((SRC / module).read_text())
+        assert [u.split(": ")[1] for u in uses] == [name]
 
 
 def test_process_cache_detector_on_samples():
@@ -282,6 +345,30 @@ def test_process_cache_detector_on_samples():
         "import functools as ft\n@ft.lru_cache(maxsize=None)\ndef f(n):\n"
         "    return n\n@ft.cache\ndef g(n):\n    return n\n"
     ) == ["line 2: functools.lru_cache", "line 5: functools.cache"]
+
+
+
+def test_module_container_write_detector_on_samples():
+    # read only, or written at module level: not a cache
+    assert module_containers_written("TABLE = {1: 2}\ndef f(k):\n    return TABLE[k]\n") == []
+    assert module_containers_written("seen = set()\nseen.add(1)\n") == []
+    # a function's own container, even one named like a module-level one
+    assert module_containers_written("def f():\n    c = {}\n    c[1] = 2\n") == []
+    assert module_containers_written(
+        "c = {}\ndef f():\n    c = {}\n    c[1] = 2\n    return c\n"
+    ) == []
+    # item assignment and deletion, and mutating methods
+    assert module_containers_written("c = {}\ndef f(k):\n    c[k] = 1\n") == ["line 3: c"]
+    assert module_containers_written("c: dict = {}\ndef f(k):\n    del c[k]\n") == ["line 3: c"]
+    assert module_containers_written(
+        "seen = set()\nmemo = dict()\ndef f(x):\n    seen.add(x)\n"
+        "    return memo.setdefault(x, [])\n"
+    ) == ["line 4: seen", "line 5: memo"]
+    assert module_containers_written(
+        "from collections import defaultdict\nd = defaultdict(list)\n"
+        "class A:\n    def m(self, k):\n        d.update({k: 1})\n"
+    ) == ["line 5: d"]
+    assert process_cache_uses("cache = {}\ndef f(k):\n    cache[k] = 1\n") == ["line 3: cache"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))

@@ -149,6 +149,21 @@ def test_a_declared_name_must_be_an_identifier(text, message):
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("sort A\nfun f : A A -> A", "expected ',' or '->', found 'A' (line 2, column 11)"),
+        ("sort A\nfun g : A, -> A", "expected a sort name, found '->' (line 2, column 12)"),
+    ],
+)
+def test_function_argument_sorts_are_separated_by_single_commas(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_theory(text)
+    assert str(e.value) == message
+    T = parse_theory("sort A\nsort B\nfun f : A, B -> A\nfun c : -> B\n")
+    assert T.signature.funcs == {"f": (("A", "B"), "A"), "c": ((), "B")}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
         ("sort A\nsort A", "sort A is already declared (line 2, column 6)"),
         ("sort A\nfun f : A -> A\nfun f : -> A", "function f is already declared (line 3, column 5)"),
         ("sort A\nrel P : A\nrel P : A, A", "relation P is already declared (line 3, column 5)"),
@@ -202,3 +217,23 @@ def test_binders_are_renamed_apart_from_every_name_taken_before_them():
         "x:A | exists x':A, x'':A. R(x'', x'') and exists f':A. P(f') "
         "|- exists y:A. exists y':A. P(y') and P(x)"
     )
+
+
+def test_a_binder_binds_its_name_only_inside_its_body():
+    # y after the body is free, so it joins the implicit context and the
+    # binder is renamed apart from it, wherever the free y occurs
+    for text in ("exists y:A. P(y) |- P(y)", "P(y) and exists y:A. P(y) |- true"):
+        T = parse_theory(f"sort A\nrel P : A\n{text}\n")
+        seq = T.sequents[0]
+        assert [v.name for v in seq.context] == ["y"]
+        assert "exists y':A. P(y')" in str(seq)
+    T = parse_theory("sort A\nrel P : A\nexists y:A. P(y) |- P(y)\n")
+    assert str(T.sequents[0]) == "y:A | exists y':A. P(y') |- P(y)"
+
+
+def test_a_free_name_shared_with_a_binder_must_be_in_the_given_context():
+    with pytest.raises(SortError) as e:
+        parse_theory("sort A\nrel P : A\nx:A | exists y:A. P(y) |- P(y)\n")
+    assert str(e.value) == "variable y not in context (line 3, column 29)"
+    T = parse_theory("sort A\nrel P : A\nx:A, y:A | exists y:A. P(y) |- P(y)\n")
+    assert str(T.sequents[0]) == "x:A, y:A | exists y':A. P(y') |- P(y)"
