@@ -32,7 +32,7 @@ from .lattice import (
     prime_filters,
     require_distributive,
 )
-from .order import BudgetError, cached, set_name, trusted_instance
+from .order import BudgetError, cached, cached_method, set_name, trusted_instance
 
 
 class PreservationError(LatticeError):
@@ -290,13 +290,15 @@ def _check_lift_typing(f, ce_s, ce_t):
             raise LatticeError("map endpoints do not match the given extensions")
 
 
+@cached_method
 def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
     """The unique complete homomorphism ext -> K agreeing with h on the
     embedded base.  K is the codomain of h itself, not its extension.
 
     On an extension built by `canonical_extension` the embedding is onto,
     so the table is h read through it, a hom by construction; an
-    extension wrapping some other embedding is validated."""
+    extension wrapping some other embedding is validated.  Computed once
+    per extension and kept on h; the result does not refer to h."""
     table = _two_stage(ce_s, h.target, h.mapping)
     make = LatticeHom if ce_s.prime_filters is None else LatticeHom.trusted
     return make(ce_s.ext, h.target, table)

@@ -40,7 +40,14 @@ the validating constructor.
 
 Lattices and maps are immutable, so what they determine is computed once
 per instance by `order.cached`: the duals, the distributivity witness, the
-join-irreducibles and a map's join-preservation verdict.
+join-irreducibles and a map's join-preservation verdict.  The map
+enumerations are kept per lattice pair by `order.cached_method`: on the
+source lattice, keyed by the target, so every later search between the same
+pair returns a fresh list over the same map objects, and
+`meet_preserving_maps` reads them on the duals.  Keys compare lattices by
+equality, as `canext.canonical_extension` does, so a target rebuilt equal to
+one already searched gets the maps into the one first searched.
+`monotone_maps` is not kept: no caller searches the same pair twice.
 """
 
 from __future__ import annotations
@@ -50,7 +57,14 @@ from functools import reduce
 from itertools import product
 from operator import and_, ge, le, or_
 
-from .order import FinPoset, assignments, cached, set_name, trusted_instance
+from .order import (
+    FinPoset,
+    assignments,
+    cached,
+    cached_method,
+    set_name,
+    trusted_instance,
+)
 
 
 class LatticeError(ValueError):
@@ -202,6 +216,12 @@ class FinLattice:
     def irreducibles(self) -> tuple[str, ...]:
         """The join-irreducible elements, in element order."""
         return tuple(a for a in self.elements if is_join_irreducible(self, a))
+
+    @cached_method
+    def _maps_to(self, K: FinLattice, search) -> tuple:
+        """The maps from here to K that `search` enumerates, kept per
+        (K, search); the map searches below read them through this."""
+        return tuple(search(self, K))
 
     def iso_to(self, other: FinLattice) -> dict[str, str] | None:
         return self.poset.iso_to(other.poset)
@@ -619,11 +639,27 @@ def monotone_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
 
 
 def join_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
-    """The maps L -> K preserving finite joins, sorted by their items: each
-    monotone map on the join-irreducibles of L, extended by joins, is kept
-    if it preserves them.  On a distributive L every one does, since its
-    join-irreducibles are join-prime (j <= a \\/ b puts j below a or b), so
-    each is built with that verdict instead of checked."""
+    """The maps L -> K preserving finite joins, sorted by their items;
+    enumerated once per pair (see `_join_preserving_maps`)."""
+    return list(L._maps_to(K, _join_preserving_maps))
+
+
+def meet_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
+    """The join-preserving maps between the order duals, read back."""
+    return [f.dual for f in join_preserving_maps(L.dual, K.dual)]
+
+
+def lattice_homs(L: FinLattice, K: FinLattice) -> list[LatticeHom]:
+    """All bounded homs L -> K, sorted by their items; enumerated once per
+    pair (see `_lattice_homs`)."""
+    return list(L._maps_to(K, _lattice_homs))
+
+
+def _join_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
+    """Each monotone map on the join-irreducibles of L, extended by joins,
+    kept if it preserves them.  On a distributive L every one does, since
+    its join-irreducibles are join-prime (j <= a \\/ b puts j below a or
+    b), so each is built with that verdict instead of checked."""
     irr = L.irreducibles
     gens = {a: [j for j in irr if L.leq(j, a)] for a in L.elements}
     known = {"_preserves_finite_joins": True} if check_distributive(L) else {}
@@ -637,15 +673,10 @@ def join_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
     return _by_items([f for f in maps if f.preserves_finite_joins()])
 
 
-def meet_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
-    """The join-preserving maps between the order duals, read back."""
-    return [f.dual for f in join_preserving_maps(L.dual, K.dual)]
-
-
-def lattice_homs(L: FinLattice, K: FinLattice) -> list[LatticeHom]:
-    """All bounded homs L -> K, sorted by their items.  Between
-    distributive lattices, each monotone phi : J(K) -> J(L) gives the hom
-    a |-> \\/ {k in J(K) : phi(k) <= a}, and every hom arises once so."""
+def _lattice_homs(L: FinLattice, K: FinLattice) -> list[LatticeHom]:
+    """Between distributive lattices, each monotone phi : J(K) -> J(L) gives
+    the hom a |-> \\/ {k in J(K) : phi(k) <= a}, and every hom arises once
+    so; otherwise the join-preserving maps that preserve finite meets."""
     if not (check_distributive(L) and check_distributive(K)):
         return [
             LatticeHom.trusted(L, K, f.mapping, _preserves_finite_joins=True)

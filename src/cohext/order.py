@@ -71,11 +71,15 @@ class cached:
 
 def cached_method(method):
     """The per-argument form of `cached`: the results are kept by argument
-    tuple in a dict kept on the instance the same way.  Nothing it keeps
-    refers back to the instance, so an instance that is dropped is freed at
-    once and not left to the cyclic collector, and the results live and die
+    tuple in a dict kept on the instance the same way, so they live and die
     with it, where a process-wide `functools.lru_cache` would keep every
-    instance alive."""
+    instance alive.  A call that raises keeps nothing.  Most results do not
+    refer back to the instance, which is then freed at once when dropped.
+    The one kind that does is an enumeration of maps kept on their source
+    lattice (`lattice.FinLattice._maps_to`): each map names the lattice.
+    That cycle holds nothing from outside, so the cyclic collector frees the
+    lattice and its maps together; a lattice that has read its `dual` is in
+    such a cycle anyway."""
     name = f"_{method.__name__}_results"
 
     @wraps(method)

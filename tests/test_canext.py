@@ -18,6 +18,7 @@ from cohext.canext import (
     is_filtered,
     pi_extension,
     sigma_extension,
+    _two_stage,
 )
 from cohext.catalog import distributive_lattices
 from cohext.lattice import (
@@ -481,8 +482,22 @@ def test_extend_hom_validates_a_wrapped_embedding():
     # the validating constructor refuses
     two, B = chain_lattice(2), boolean4()
     wrapped = CanonicalExtension(two, B, {"c0": "0", "c1": "1"})
-    with pytest.raises(LatticeError, match="not a lattice homomorphism"):
-        extend_hom(LatticeHom.identity(two), wrapped)
+    h = LatticeHom.identity(two)
+    for _ in range(2):  # a refusal is not kept
+        with pytest.raises(LatticeError, match="not a lattice homomorphism"):
+            extend_hom(h, wrapped)
+
+
+def test_extend_hom_is_kept_per_extension_and_equals_the_formula():
+    lats = distributive_lattices(4)
+    for L in lats:
+        ce = canonical_extension(L)
+        for K in lats:
+            for h in lattice_homs(L, K):
+                hbar = extend_hom(h, ce)
+                assert extend_hom(h, ce) is hbar
+                assert hbar.source is ce.ext and hbar.target is K
+                assert hbar.mapping == _two_stage(ce, K, h.mapping)
 
 
 def test_reprs_stay_short():

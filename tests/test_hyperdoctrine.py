@@ -1,6 +1,8 @@
 """Hyperdoctrine validators, the subobject and powerset constructions, and
 fiberwise canonical extension."""
 
+from dataclasses import replace
+
 import pytest
 
 from cohext.catalog import distributive_lattices
@@ -19,7 +21,7 @@ from cohext.hyperdoctrine import (
     validate_fo,
     validate_morphism,
 )
-from cohext.lattice import boolean4, chain_lattice, trivial_lattice
+from cohext.lattice import boolean4, chain_lattice, m3, trivial_lattice
 
 
 def all_fixture_hyperdoctrines():
@@ -169,3 +171,39 @@ def test_one_object_base_heyting_only():
     P = fo_from_cohcat(LatticeCategory(trivial_lattice()))
     rep = validate_fo(P)
     assert rep.passed
+
+
+def fo_mutations():
+    """The first-order hyperdoctrine of the three-chain with c0's
+    implication table removed, with one subst table removed and with the
+    fiber at c1 swapped for m3, each with the checks `validate_fo` gives."""
+    P = fo_from_cohcat(LatticeCategory(chain_lattice(3)))
+    f = next(iter(P.base.morphisms))
+    coherent = [
+        ("fibers-distributive", True, None), ("tables-typed", True, None),
+        ("subst-functorial", True, None), ("exists-left-adjoint", True, None),
+        ("frobenius", True, None), ("beck-chevalley", True, None),
+    ]
+    no_imp = {A: t for A, t in P.implication.items() if A != "c0"}
+    yield replace(P, implication=no_imp), coherent + [
+        ("heyting-fibers", False, "missing implication table at c0"),
+        ("forall-right-adjoint", True, None),
+        ("subst-preserves-implication", True, None),
+    ]
+    no_subst = {g: s for g, s in P.subst.items() if g != f}
+    yield replace(P, subst=no_subst), [
+        ("fibers-distributive", True, None),
+        ("tables-typed", False, f"missing subst/exists at {f}"),
+    ]
+    yield replace(P, fibers={**P.fibers, "c1": m3()}), [
+        ("fibers-distributive", False, "fiber at c1 is not distributive"),
+        ("tables-typed", False, "subst at le(c0,c1) mistyped"),
+    ]
+
+
+def test_fo_validation_reports_missing_and_mistyped_tables():
+    # no first-order law is checked after a mistyped table, and a missing
+    # implication table is the heyting-fibers witness, not a KeyError
+    for Q, expected in fo_mutations():
+        rep = validate_fo(Q)
+        assert [(c.name, c.passed, c.witness) for c in rep.checks] == expected

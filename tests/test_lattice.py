@@ -1,7 +1,10 @@
 """Lattice substrate: downsets, filters, prime filters, Birkhoff duality."""
 
+import gc
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -39,6 +42,8 @@ from cohext.lattice import (
     product_projections,
     trivial_lattice,
     _by_items,
+    _join_preserving_maps,
+    _lattice_homs,
     _monotone_tables,
 )
 from cohext.order import FinPoset, OrderError, antichain, chain
@@ -396,6 +401,84 @@ def test_map_searches_build_no_validated_map(monkeypatch):
     assert built == []
     MonotoneMap(B8, B8, ident)
     assert built == ["MonotoneMap"]
+
+
+# The uncached enumerators behind the kept map searches, as oracles.
+
+
+def uncached_searches():
+    return [
+        (join_preserving_maps, _join_preserving_maps),
+        (
+            meet_preserving_maps,
+            lambda L, K: [f.dual for f in _join_preserving_maps(L.dual, K.dual)],
+        ),
+        (lattice_homs, _lattice_homs),
+    ]
+
+
+def test_kept_map_searches_match_the_uncached_enumerators():
+    lattices = [*distributive_lattices(5), m3()]
+    for L, K in product(lattices, repeat=2):
+        rebuilt = FinLattice(
+            FinPoset(K.elements, K.poset.pairs), K.meet_table, K.join_table,
+            K.bottom, K.top,
+        )
+        assert rebuilt == K and rebuilt is not K
+        for search, uncached in uncached_searches():
+            got = search(L, K)
+            assert listing(got) == listing(uncached(L, K))
+            assert all(m.source is L and m.target is K for m in got)
+            # every call is a fresh list over the same map objects
+            again = search(L, K)
+            assert again is not got and list(map(id, again)) == list(map(id, got))
+            got.clear()
+            assert list(map(id, search(L, K))) == list(map(id, again))
+            # an equal target reads the maps kept for K
+            equal = search(L, rebuilt)
+            assert listing(equal) == listing(uncached(L, rebuilt))
+            assert list(map(id, equal)) == list(map(id, again))
+
+
+def test_the_criterion_4_loop_enumerates_each_lattice_pair_once(monkeypatch):
+    from cohext import lattice
+    from cohext.canext import comjpm_decide
+
+    calls = Counter()
+    for name in ("_join_preserving_maps", "_lattice_homs"):
+        def counting(L, K, search=getattr(lattice, name), name=name):
+            calls[name] += 1
+            return search(L, K)
+
+        monkeypatch.setattr(lattice, name, counting)
+    lats = distributive_lattices(3)
+    squares = 0
+    for L1, K1, L2, K2 in product(lats, repeat=4):
+        h1s, fs = lattice_homs(L1, K1), join_preserving_maps(L1, L2)
+        h2s, gs = lattice_homs(L2, K2), join_preserving_maps(K1, K2)
+        for h1, h2, f, g in product(h1s, h2s, fs, gs):
+            if all(g(h1(a)) == h2(f(a)) for a in L1.elements):
+                c1, c2 = comjpm_decide(h1, h2, f, g)
+                assert c1 == c2
+                squares += 1
+    assert squares == 325
+    pairs = len(lats) ** 2
+    assert calls == {"_join_preserving_maps": pairs, "_lattice_homs": pairs}
+
+
+def test_a_lattice_pair_with_kept_maps_is_collected():
+    # each kept map names its source, a cycle the collector frees
+    from cohext.canext import CanonicalExtension, extend_hom
+
+    L, K = chain_lattice(3), boolean4()
+    homs = lattice_homs(L, K)
+    assert homs and join_preserving_maps(L, K) and meet_preserving_maps(L, K)
+    ce = CanonicalExtension(L, L, {a: a for a in L.elements})
+    assert all(extend_hom(h, ce).mapping == h.mapping for h in homs)
+    refs = [weakref.ref(x) for x in (L, K, ce, homs[0])]
+    del L, K, ce, homs
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
 
 
 def duality_lattices():

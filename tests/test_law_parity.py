@@ -167,17 +167,18 @@ def test_every_law_fails_with_the_oracle_witness_on_mutated_tables():
         for Q in [*mutations(P), no_forall]:
             seen |= failed(assert_fo_parity(Q))
     seen |= failed(assert_validate_parity(broken_exists_hyperdoctrine()))
-    # a fiber swapped for a non-distributive lattice, and a missing subst
-    # table; `validate_fo` reads the tables they mistype, so only the
-    # coherent laws are compared
-    P = sub_hyperdoctrine(LatticeCategory(chain_lattice(3)))
+    # a fiber swapped for a non-distributive lattice, a missing subst
+    # table and a missing implication table
+    P = fo_from_cohcat(LatticeCategory(chain_lattice(3)))
     f = next(iter(P.base.morphisms))
-    for fibers, subst in (
-        ({**P.fibers, "c1": m3()}, P.subst),
-        (P.fibers, {k: v for k, v in P.subst.items() if k != f}),
+    for Q in (
+        _replace(P, fibers={**P.fibers, "c1": m3()}),
+        _replace(P, subst={k: v for k, v in P.subst.items() if k != f}),
+        _replace(P, implication={
+            k: v for k, v in P.implication.items() if k != "c0"
+        }),
     ):
-        Q = CoherentHyperdoctrine(P.base, fibers, subst, P.exists, P.limits)
-        seen |= failed(assert_validate_parity(Q))
+        seen |= failed(assert_fo_parity(Q))
     assert seen == {
         "fibers-distributive", "tables-typed", "subst-functorial",
         "exists-left-adjoint", "frobenius", "beck-chevalley",
