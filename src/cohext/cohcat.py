@@ -191,7 +191,7 @@ class ConcreteCohCategory(CohCategory):
             A, _, fm = self._funs[f.name]
             _, C, gm = self._funs[g.name]
             comp[(g.name, f.name)] = fun_name(A, C, {a: gm[fm[a]] for a in A})
-        self.cat = FinCategory.trusted(
+        self.cat = FinCategory(
             tuple(set_name(s) for s in self.sets), morphisms, comp, identities
         )
 

@@ -1,8 +1,13 @@
 """Finite categories, functors, and equivalence checking.
 
 Categories are explicit tables: objects, morphisms with source/target, a
-composition table, and identities.  Everything is validated at
-construction.  compose(g, f) means g after f.
+composition table, and identities.  compose(g, f) means g after f.  Every
+category here is built by a construction that makes it a category by
+theorem, so construction does not re-prove the laws: they are stated once,
+in `category_law_failures`, and checked where a category is claimed (the
+CLI report lines that build one and the tests of every construction).
+Functors are validated at construction, since each one the program builds
+is itself a claim.
 
 Morphisms are found by their endpoints and composites here, not by the
 callers:
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import ClassVar
 
-from .order import assignments, trusted_instance
+from .order import assignments
 
 
 class CategoryError(ValueError):
@@ -63,42 +68,6 @@ class FinCategory:
     identities: dict[str, str]
 
     def __post_init__(self):
-        objs = set(self.objects)
-        for m in self.morphisms.values():
-            if m.src not in objs or m.tgt not in objs:
-                raise CategoryError(f"morphism {m.name} has unknown endpoints")
-        for A in self.objects:
-            i = self.identities.get(A)
-            if i is None or i not in self.morphisms:
-                raise CategoryError(f"missing identity for {A}")
-            im = self.morphisms[i]
-            if im.src != A or im.tgt != A:
-                raise CategoryError(f"identity of {A} not an endomorphism")
-        for f, g in composable_pairs(self.morphisms):
-            h = self.comp.get((g.name, f.name))
-            if h is None:
-                raise CategoryError(f"missing composite {g.name} o {f.name}")
-            hm = self.morphisms[h]
-            if hm.src != f.src or hm.tgt != g.tgt:
-                raise CategoryError(f"composite {g.name} o {f.name} mistyped")
-        for f in self.morphisms.values():
-            if self.comp[(f.name, self.identities[f.src])] != f.name:
-                raise CategoryError(f"right identity fails for {f.name}")
-            if self.comp[(self.identities[f.tgt], f.name)] != f.name:
-                raise CategoryError(f"left identity fails for {f.name}")
-        out_of = _out_of(self.morphisms)
-        for f, g in composable_pairs(self.morphisms):
-            gf = self.comp[(g.name, f.name)]
-            for h in out_of.get(g.tgt, ()):
-                left = self.comp[(h.name, gf)]
-                right = self.comp[(self.comp[(h.name, g.name)], f.name)]
-                if left != right:
-                    raise CategoryError(
-                        f"associativity fails on ({h.name},{g.name},{f.name})"
-                    )
-        self._index()
-
-    def _index(self):
         """Set the hom index (A, B) -> sorted names and the into-index
         B -> sorted names that `hom` and `morphisms_into` read."""
         hom, into = {}, {}
@@ -109,17 +78,6 @@ class FinCategory:
             object.__setattr__(
                 self, name, {k: tuple(sorted(v)) for k, v in index.items()}
             )
-
-    @classmethod
-    def trusted(cls, objects, morphisms, comp, identities) -> FinCategory:
-        """Skip law validation; for tables that form a category by
-        construction, such as composition of functions."""
-        obj = trusted_instance(
-            cls, objects=objects, morphisms=morphisms, comp=comp,
-            identities=identities,
-        )
-        obj._index()
-        return obj
 
     def src(self, f: str) -> str:
         return self.morphisms[f].src
@@ -177,6 +135,48 @@ class FinCategory:
 
     def __repr__(self):
         return f"FinCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
+
+
+def category_law_failures(cat: FinCategory):
+    """The witnesses against the category laws, in check order: the
+    tables (endpoints, identities, composites), then the identity laws and
+    associativity.  The laws are not checked after a failing table."""
+    tables = list(_table_failures(cat))
+    yield from tables
+    if tables:
+        return
+    comp, ids = cat.comp, cat.identities
+    for f in cat.morphisms.values():
+        if comp[(f.name, ids[f.src])] != f.name:
+            yield f"right identity fails for {f.name}"
+        if comp[(ids[f.tgt], f.name)] != f.name:
+            yield f"left identity fails for {f.name}"
+    out_of = _out_of(cat.morphisms)
+    for f, g in composable_pairs(cat.morphisms):
+        gf = comp[(g.name, f.name)]
+        for h in out_of.get(g.tgt, ()):
+            if comp[(h.name, gf)] != comp[(comp[(h.name, g.name)], f.name)]:
+                yield f"associativity fails on ({h.name},{g.name},{f.name})"
+
+
+def _table_failures(cat: FinCategory):
+    objs = set(cat.objects)
+    for m in cat.morphisms.values():
+        if m.src not in objs or m.tgt not in objs:
+            yield f"morphism {m.name} has unknown endpoints"
+    for A in cat.objects:
+        i = cat.identities.get(A)
+        if i is None or i not in cat.morphisms:
+            yield f"missing identity for {A}"
+        elif (cat.morphisms[i].src, cat.morphisms[i].tgt) != (A, A):
+            yield f"identity of {A} not an endomorphism"
+    for f, g in composable_pairs(cat.morphisms):
+        h = cat.comp.get((g.name, f.name))
+        if h is None:
+            yield f"missing composite {g.name} o {f.name}"
+        elif (h not in cat.morphisms
+              or (cat.morphisms[h].src, cat.morphisms[h].tgt) != (f.src, g.tgt)):
+            yield f"composite {g.name} o {f.name} mistyped"
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,12 +99,13 @@ class ValidationReport:
 
 def validate(P: CoherentHyperdoctrine) -> ValidationReport:
     """One check per law, each failed with the first witness in a fixed
-    order; the laws after a mistyped table are not checked."""
+    order; the laws after a missing fiber or a mistyped table are not
+    checked."""
     checks = [
         LawCheck.first("fibers-distributive", _fiber_failures(P)),
         LawCheck.first("tables-typed", _typing_failures(P)),
     ]
-    if not checks[-1].passed:
+    if not _tables_typed(P, checks):
         return ValidationReport(tuple(checks))
     mors = P.base.morphisms.items()
     checks += [
@@ -136,8 +137,18 @@ def _fiber_failures(P: CoherentHyperdoctrine):
             yield f"fiber at {A} is not distributive"
 
 
+def _tables_typed(P: CoherentHyperdoctrine, checks) -> bool:
+    """Every fiber present and "tables-typed" passed: the laws read the
+    tables only then."""
+    return checks[1].passed and all(A in P.fibers for A in P.base.objects)
+
+
 def _typing_failures(P: CoherentHyperdoctrine):
+    """Morphisms at a missing fiber are skipped: the fiber is the witness
+    of "fibers-distributive"."""
     for f, m in P.base.morphisms.items():
+        if m.src not in P.fibers or m.tgt not in P.fibers:
+            continue
         s, e = P.subst.get(f), P.exists.get(f)
         if s is None or e is None:
             yield f"missing subst/exists at {f}"
@@ -354,9 +365,9 @@ def validate_fo(P: FirstOrderHyperdoctrine) -> ValidationReport:
     """The coherent laws, then the Heyting fibers, forall right adjoint to
     substitution (the left adjoint between the order duals) and
     substitution preserving implication.  Like `validate`, it checks no
-    law after a mistyped table."""
+    law after a missing fiber or a mistyped table."""
     checks = list(validate(P).checks)
-    if any(c.name == "tables-typed" and not c.passed for c in checks):
+    if not _tables_typed(P, checks):
         return ValidationReport(tuple(checks))
     checks += [
         LawCheck.first("heyting-fibers", _heyting_failures(P)),
@@ -395,15 +406,15 @@ def _forall_failures(P: FirstOrderHyperdoctrine):
 
 
 def _implication_failures(P: FirstOrderHyperdoctrine):
-    """Pairs whose implication entries are missing are skipped: they are
-    the witnesses of "heyting-fibers"."""
+    """Pairs whose implication entries are missing or not fiber elements
+    are skipped: they are the witnesses of "heyting-fibers"."""
     for f, m in P.base.morphisms.items():
         impB = P.implication.get(m.tgt, {})
         impA = P.implication.get(m.src, {})
-        s = P.sub(f).mapping
+        s, FA = P.sub(f).mapping, set(P.fibers[m.src].elements)
         for a, b in iproduct(P.fibers[m.tgt].elements, repeat=2):
             r, r_s = impB.get((a, b)), impA.get((s[a], s[b]))
-            if r is not None and r_s is not None and s[r] != r_s:
+            if r in s and r_s in FA and s[r] != r_s:
                 yield f"subst at {f} breaks implication on ({a},{b})"
 
 

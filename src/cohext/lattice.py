@@ -36,7 +36,10 @@ map is correct by construction: the results of the map searches here
 (`monotone_maps` checks each pair b <= a as a is assigned), the sigma/pi
 lifting tables and `extend_hom` on an extension built by
 `canonical_extension` (see `canext`).  Maps built from outside data keep
-the validating constructor.
+the validating constructor.  A finite category is never built from
+outside data, so `fincat.FinCategory` has only the trusting constructor;
+its laws are checked where a category is claimed, by
+`fincat.category_law_failures`.
 
 Lattices and maps are immutable, so what they determine is computed once
 per instance by `order.cached`: the duals, the distributivity witness, the
@@ -599,14 +602,6 @@ def product_projections(L: FinLattice, K: FinLattice):
     p1 = MonotoneMap(P, L, {pair_name(a, b): a for a, b in pairs})
     p2 = MonotoneMap(P, K, {pair_name(a, b): b for a, b in pairs})
     return P, p1, p2
-
-
-def pairing(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
-    """<f, g> : Z -> product of the targets."""
-    P = product_lattice(f.target, g.target)
-    return MonotoneMap(
-        f.source, P, {z: pair_name(f(z), g(z)) for z in f.source.elements}
-    )
 
 
 def _monotone_tables(P: FinPoset, keys, values, target: frozenset):

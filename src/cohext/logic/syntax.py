@@ -59,12 +59,6 @@ class App:
     sort: str
 
 
-def term_vars(t) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    return set().union(*(term_vars(a) for a in t.args)) if t.args else set()
-
-
 def print_term(t) -> str:
     if isinstance(t, Var):
         return t.name
@@ -112,20 +106,6 @@ class Or:
 class Exists:
     binders: tuple[Var, ...]
     body: object
-
-
-def formula_free_vars(phi) -> set[str]:
-    if isinstance(phi, (Truth, Falsity)):
-        return set()
-    if isinstance(phi, RelAtom):
-        return set().union(*(term_vars(t) for t in phi.args)) if phi.args else set()
-    if isinstance(phi, Eq):
-        return term_vars(phi.lhs) | term_vars(phi.rhs)
-    if isinstance(phi, (And, Or)):
-        return set().union(*(formula_free_vars(p) for p in phi.parts))
-    if isinstance(phi, Exists):
-        return formula_free_vars(phi.body) - {b.name for b in phi.binders}
-    raise TypeError(phi)
 
 
 def print_formula(phi) -> str:

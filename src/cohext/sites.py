@@ -845,53 +845,24 @@ class FactorizationData:
     intermediate: SemidirectSite
     site_morphism: dict  # intermediate object name -> target-site object name
     locale: LocaleMorphism
-    omega_ok: bool
-    witness: str | None
 
 
 def factorization_data(F: FinFunctor, C: CohCategory, D: CohCategory) -> FactorizationData:
     """The two legs of the hyperconnected-localic splitting: the semidirect
     site over C with fibers pulled back along F, the object map into the
-    target semidirect site, the locale morphism, and the check that the
-    classifier fibers (downsets of the fiber element) and their actions
-    agree across the site map."""
+    target semidirect site, and the locale morphism."""
     loc = locale_morphism(F, C, D)
     SDd = canext_hyperdoctrine(sub_hyperdoctrine(D))
-    fibers = {A: SDd.fiber(F.on_obj(A)) for A in C.cat.objects}
-    subst = {f: SDd.sub(F.on_mor(f)) for f in C.cat.morphisms}
-    exists = {f: SDd.ex(F.on_mor(f)) for f in C.cat.morphisms}
     pulled = CoherentHyperdoctrine(
-        C.cat, fibers, subst, exists, BaseLimits.from_cohcat(C)
+        C.cat,
+        {A: SDd.fiber(F.on_obj(A)) for A in C.cat.objects},
+        {f: SDd.sub(F.on_mor(f)) for f in C.cat.morphisms},
+        {f: SDd.ex(F.on_mor(f)) for f in C.cat.morphisms},
+        BaseLimits.from_cohcat(C),
     )
     inter = semidirect_site(C, pulled)
-    target_site = semidirect_site(D, SDd)
     site_morphism = {
         n: semidirect_obj_name(F.on_obj(A), w)
         for n, (A, w) in inter.obj_data.items()
     }
-
-    def failures():
-        for n, (A, w) in inter.obj_data.items():
-            if site_morphism[n] not in target_site.cat.objects:
-                yield f"image object of {n} missing"
-                continue
-            FA = fibers[A]
-            FB = SDd.fiber(F.on_obj(A))
-            down_src = {x for x in FA.elements if FA.leq(x, w)}
-            down_tgt = {x for x in FB.elements if FB.leq(x, w)}
-            if down_src != down_tgt:
-                yield f"classifier fibers differ at {n}"
-        for n1, m1 in inter.cat.morphisms.items():
-            f = inter.mor_data[n1]
-            A, u = inter.obj_data[m1.src]
-            B, v = inter.obj_data[m1.tgt]
-            for w in fibers[B].elements:
-                if not fibers[B].leq(w, v):
-                    continue
-                lhs = fibers[A].meet(subst[f](w), u)
-                rhs = SDd.fiber(F.on_obj(A)).meet(SDd.sub(F.on_mor(f))(w), u)
-                if lhs != rhs:
-                    yield f"classifier action differs along {n1}"
-
-    witness = next(failures(), None)
-    return FactorizationData(inter, site_morphism, loc, witness is None, witness)
+    return FactorizationData(inter, site_morphism, loc)

@@ -39,6 +39,8 @@ def validate_oracle(P):
     # typing of subst/exists
     w = None
     for f, m in P.base.morphisms.items():
+        if m.src not in P.fibers or m.tgt not in P.fibers:
+            continue  # a missing fiber is a fibers-distributive witness
         s = P.subst.get(f)
         e = P.exists.get(f)
         if s is None or e is None:
@@ -51,7 +53,7 @@ def validate_oracle(P):
             w = f"exists at {f} mistyped"
             break
     checks.append(LawCheck("tables-typed", w is None, w))
-    if w is not None:
+    if w is not None or any(A not in P.fibers for A in P.base.objects):
         return ValidationReport(tuple(checks))
     # contravariant functoriality
     w = None
@@ -174,7 +176,8 @@ def validate_morphism_oracle(m):
 
 def validate_fo_oracle(P):
     checks = list(validate_oracle(P).checks)
-    if not checks[1].passed:  # tables-typed: no law is checked after it
+    # no law is checked after a missing fiber or a tables-typed failure
+    if not checks[1].passed or any(A not in P.fibers for A in P.base.objects):
         return ValidationReport(tuple(checks))
     # Heyting law per fiber
     w = None
@@ -224,6 +227,10 @@ def validate_fo_oracle(P):
         for a, b in iproduct(P.fibers[m.tgt].elements, repeat=2):
             if (a, b) not in impB or (P.sub(f)(a), P.sub(f)(b)) not in impA:
                 continue  # a missing entry is a heyting-fibers witness
+            if impB[(a, b)] not in P.fibers[m.tgt].elements or (
+                impA[(P.sub(f)(a), P.sub(f)(b))] not in P.fibers[m.src].elements
+            ):
+                continue  # so is an entry outside its fiber
             lhs = P.sub(f)(impB[(a, b)])
             rhs = impA[(P.sub(f)(a), P.sub(f)(b))]
             if lhs != rhs:

@@ -24,7 +24,7 @@ from cohext.cohcat import (
     check_coherent_functor,
     lattice_hom_functor,
 )
-from cohext.fincat import FinFunctor, check_equivalence
+from cohext.fincat import FinFunctor, category_law_failures, check_equivalence
 from cohext.fixtures import (
     designated_model_index,
     fixture_path,
@@ -305,9 +305,12 @@ def test_criterion_07_counit_equivalence():
         for C in concrete_fixtures():
             rep = counit_equivalence_check(C)
             assert rep.passed, rep.error
+            assert next(category_law_failures(rep.functor.source), None) is None
         # posetal instances of the same counit
         for C in lattice_fixtures():
-            assert counit_equivalence_check(C).passed
+            rep = counit_equivalence_check(C)
+            assert rep.passed
+            assert next(category_law_failures(rep.functor.source), None) is None
 
 
 def test_criterion_08_embedding_universal_property():
@@ -315,6 +318,7 @@ def test_criterion_08_embedding_universal_property():
         targets = lattice_fixtures() + [concrete_fixtures()[0]]
         for C in targets:
             ext = canonical_extension_category(C)
+            assert next(category_law_failures(ext.pred.cat), None) is None
             assert check_coherent_functor(ext.embedding, C, ext.coh)
             assert pmodel_check(ext.embedding, C, ext.coh)
             assert check_coh_plus(ext.coh) is None

@@ -1,11 +1,15 @@
 """CLI contract: subcommands, exit codes, report determinism, DOT export."""
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cohext.cli import main
+from cohext.fincat import FinCategory, category_law_failures, composable_pairs
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import sub_hyperdoctrine
 from cohext.jsonio import load_category
@@ -79,6 +83,37 @@ def test_each_comparison_check_carries_only_its_own_witness(monkeypatch, capsys)
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["name"] for c in checks if not c["pass"]] == ["cover-preserving"]
     assert [c["name"] for c in checks if "witness" in c] == ["cover-preserving"]
+
+
+@pytest.mark.parametrize("module, args, line", [
+    ("predcat", ["predcat", "build", "three_chain.latcat.json"], "category-laws"),
+    ("predcat", ["predcat", "counit-check", "one_point.cat.json"], "counit-built"),
+    ("predcat", ["predcat", "canext", "three_chain.latcat.json"], "extension-built"),
+    ("sites", ["tot", "site", "three_chain.latcat.json"], "site-built"),
+])
+def test_a_broken_category_fails_its_report_line_with_the_first_witness(
+    monkeypatch, capsys, module, args, line
+):
+    """The category a command builds loses the composite of its first
+    composable pair of non-identities."""
+    built = []
+
+    def breaking(objects, morphisms, comp, identities):
+        ids = set(identities.values())
+        f, g = next(
+            (f, g) for f, g in composable_pairs(morphisms)
+            if f.name not in ids and g.name not in ids
+        )
+        comp = {k: v for k, v in comp.items() if k != (g.name, f.name)}
+        built.append(FinCategory(objects, morphisms, comp, identities))
+        return built[-1]
+
+    monkeypatch.setattr(importlib.import_module(f"cohext.{module}"), "FinCategory", breaking)
+    assert main([*args[:-1], fx(args[-1])]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks[line]["pass"]
+    assert checks[line]["witness"] == next(category_law_failures(built[-1]))
+    assert checks[line]["witness"].startswith("missing composite")
 
 
 def test_hyper_validate_and_canext_pass():

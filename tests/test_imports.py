@@ -1,10 +1,11 @@
 """Every name a module under src/ imports is used in that module, every
 local name a function under src/ binds is read in that function, every
-parameter of a private function or method under src/ is read, no module
-under src/ reads the process environment, keeps a process-wide cache (a
-`functools` cache, or a module-level container a function writes) other
-than the one allowed or touches an instance `__dict__`, and every name the
-benchmark imports from cohext exists."""
+parameter of a private function or method under src/ is read, every
+top-level function and class under src/ is named outside its own
+definition, no module under src/ reads the process environment, keeps a
+process-wide cache (a `functools` cache, or a module-level container a
+function writes) other than the one allowed or touches an instance
+`__dict__`, and every name the benchmark imports from cohext exists."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 BENCH = sorted((SRC.parent / "perfbench").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -191,6 +193,96 @@ def test_unread_parameter_detector_on_samples():
     assert unread_parameters(
         "def f(x):\n    def _g(y):\n        return x\n    return _g\n"
     ) == ["line 2: y of _g"]
+
+
+def module_refs(source: str, module: str = "") -> set[tuple[str, str]]:
+    """(module, name) for each name the source reads from a module: each
+    `from module import name`, with relative imports resolved against the
+    source's own dotted `module`, and each `module.name` read through an
+    imported module under any alias."""
+    tree = ast.parse(source)
+    refs, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                root = a.name.split(".")[0]
+                aliases[a.asname or root] = a.name if a.asname else root
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = ".".join(module.split(".")[: -node.level])
+                base = ".".join(p for p in (package, node.module) if p)
+            for a in node.names:
+                refs.add((base, a.name))
+                aliases[a.asname or a.name] = f"{base}.{a.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute):
+            root = dotted(node.value)
+            return root and f"{root}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (root := dotted(node.value)):
+            refs.add((root, node.attr))
+    return refs
+
+
+def unnamed_definitions(modules: dict[str, str], readers=()) -> list[str]:
+    """The top-level functions and classes of `modules` (dotted name ->
+    source) that nothing names outside their own definition: not their own
+    module by a bare name, and no other module or reader by an import or
+    as an attribute of their module."""
+    refs = set()
+    for name, source in [*modules.items(), *(("", r) for r in readers)]:
+        refs |= module_refs(source, name)
+    out = []
+    for name, source in modules.items():
+        body = ast.parse(source).body
+        for d in body:
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = {
+                n.id for other in body if other is not d
+                for n in ast.walk(other) if isinstance(n, ast.Name)
+            }
+            if d.name not in own and (name.removesuffix(".__init__"), d.name) not in refs:
+                out.append(f"{name} line {d.lineno}: {d.name}")
+    return out
+
+
+def test_every_top_level_definition_is_named_outside_itself():
+    modules = {
+        ".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text()
+        for p in MODULES
+    }
+    readers = [p.read_text() for p in TESTS + BENCH]
+    assert unnamed_definitions(modules, readers) == []
+
+
+def test_unnamed_definition_detector_on_samples():
+    f = "def f():\n    return 1\n"
+    assert unnamed_definitions({"m": f}) == ["m line 1: f"]
+    # a recursive call is inside the definition; a call from g names f
+    assert unnamed_definitions({"m": "def f():\n    return f()\n"}) == ["m line 1: f"]
+    assert unnamed_definitions({"m": f + "def g():\n    return f()\n"}) == [
+        "m line 3: g"
+    ]
+    assert unnamed_definitions({"m": "class A:\n    pass\nA()\n"}) == []
+    # imports, absolute and relative, and attributes of an imported module
+    assert unnamed_definitions({"p.m": f, "p.n": "from .m import f\n"}) == []
+    assert unnamed_definitions({"p.m": f, "p.q.n": "from ..m import f\n"}) == []
+    assert unnamed_definitions({"p.m": f}, ["from p.m import f as g\n"]) == []
+    for reader in ("import p.m\np.m.f\n", "import p.m as k\nk.f\n",
+                   "from p import m\nm.f()\n"):
+        assert unnamed_definitions({"p.m": f}, [reader]) == []
+    # the same name elsewhere does not name f
+    assert unnamed_definitions({"a": f, "b": f + "f()\n"}) == ["a line 1: f"]
+    assert unnamed_definitions({"p.m": f}, ["x.f()\n", "from p.n import f\n"]) == [
+        "p.m line 1: f"
+    ]
 
 
 def module_attribute_uses(source: str, module: str, names) -> list[str]:

@@ -167,15 +167,21 @@ def test_every_law_fails_with_the_oracle_witness_on_mutated_tables():
         for Q in [*mutations(P), no_forall]:
             seen |= failed(assert_fo_parity(Q))
     seen |= failed(assert_validate_parity(broken_exists_hyperdoctrine()))
-    # a fiber swapped for a non-distributive lattice, a missing subst
-    # table and a missing implication table
+    # a fiber swapped for a non-distributive lattice, a missing fiber, a
+    # missing subst table, a missing implication table and an implication
+    # entry outside its fiber
     P = fo_from_cohcat(LatticeCategory(chain_lattice(3)))
     f = next(iter(P.base.morphisms))
+    key = next(iter(P.implication["c1"]))
     for Q in (
         _replace(P, fibers={**P.fibers, "c1": m3()}),
+        _replace(P, fibers={k: v for k, v in P.fibers.items() if k != "c1"}),
         _replace(P, subst={k: v for k, v in P.subst.items() if k != f}),
         _replace(P, implication={
             k: v for k, v in P.implication.items() if k != "c0"
+        }),
+        _replace(P, implication={
+            **P.implication, "c1": {**P.implication["c1"], key: "zzz"}
         }),
     ):
         seen |= failed(assert_fo_parity(Q))

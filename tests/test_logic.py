@@ -523,7 +523,19 @@ def test_evaluation_coherent_conservative_pmodel():
         ev = Evaluation(C)
         assert ev.coherence_check().passed
         assert ev.conservativity_check()
-        assert ev.pmodel_check().passed
+        assert check_m1(C).passed
+
+
+def test_conservativity_reads_only_the_indexed_members():
+    C = corpus_category("pointed")
+    n = len(C.family.models)
+    drop = designated_model_index(C)
+    assert drop == 2
+    assert Evaluation(C).conservativity_check()
+    # without the designated model, [{a0}|{a0}|{a0,a1}] and [{a0}|{a0}|{a0}]
+    # of Sub(A) agree on every remaining member but are not equal
+    keep = tuple(i for i in range(n) if i != drop)
+    assert not Evaluation(C, keep).conservativity_check()
 
 
 def test_subfunctor_criterion_direct():
