@@ -202,14 +202,16 @@ def cmd_predcat_build(args, report: Report):
         Path(args.dot).write_text(category_to_dot(AP.cat, "PredCategory"))
 
 
-def check_category(report: Report, name: str, cat, **data) -> None:
+def check_category(report: Report, name: str, cat, **data) -> bool:
     """The report line of a category a command builds, with its size:
-    failed with the first witness against the category laws."""
+    failed with the first witness against the category laws.  Returns
+    whether the laws hold."""
     w = next(category_law_failures(cat), None)
     report.check(
         name, w is None, w,
         objects=len(cat.objects), morphisms=len(cat.morphisms), **data,
     )
+    return w is None
 
 
 def check_conditions(report: Report, rep) -> None:
@@ -237,7 +239,8 @@ def cmd_predcat_canext(args, report: Report):
 
     C = category_from_json(read_json(report, args.category))
     ext = canonical_extension_category(C, args.budget)
-    check_category(report, "extension-built", ext.pred.cat)
+    if not check_category(report, "extension-built", ext.pred.cat):
+        return
     report.check(
         "embedding-coherent", check_coherent_functor(ext.embedding, C, ext.coh)
     )

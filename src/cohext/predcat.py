@@ -3,19 +3,23 @@
 Objects pair a base object with a fiber element; morphisms are the fiber
 elements of the product that behave as functional relations (total on the
 source predicate, bounded by the product of the predicates, single-valued).
-Composition is relation composition through a triple product and the
-identity is the diagonal image; both are fixed formulas here, so A(P) is
-a category by theorem and is built without re-proving the laws: the CLI
-and the tests check them with `fincat.category_law_failures`, and
-`counit_equivalence_check` does before it builds the counit.  The triple
-product (A x B) x C and its three pair projections depend only on the base
-objects, so each is built once per triple; single-valuedness of a relation
-A -> B reads the same span at (A, B, B).
+Since exists is left adjoint to substitution, which `build_pred_category`
+validates, a relation f in P(A x B) is total and bounded exactly when its
+source predicate is a = ex_pi1(f) and its target predicate b satisfies
+b >= ex_pi2(f).  So the build reads each fiber P(A x B) once per pair of
+base objects, tests single-valuedness once per relation, and emits it at
+every such b.  Composition is relation composition through the triple
+product (A x B) x C, computed once per pair of composable relations, and
+the identity is the diagonal image; both are fixed formulas here, so A(P)
+is a category by theorem and is built without re-proving the laws: the
+CLI and the tests check them with `fincat.category_law_failures`, and
+`counit_equivalence_check` does before it builds the counit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohcat import (
     CohCategory,
@@ -33,7 +37,6 @@ from .fincat import (
     NaturalTransformation,
     category_law_failures,
     check_equivalence,
-    composable_pairs,
     natural_iso,
 )
 from .hyperdoctrine import (
@@ -77,8 +80,29 @@ class RelData:
     elem: str  # element of fiber(product(src_obj, tgt_obj))
 
 
+class _Span(NamedTuple):
+    """The tables of the triple product (A x B) x C: substitution along its
+    projections onto A x B, A x C and B x C, its meet, and the existential
+    adjoints along the last two."""
+
+    sub12: dict[str, str]
+    sub13: dict[str, str]
+    sub23: dict[str, str]
+    meet: dict[tuple[str, str], str]
+    ex13: dict[str, str]
+    ex23: dict[str, str]
+
+
 class PredCategory:
-    """A(P): the predicate category, with decode tables back to the fibers."""
+    """A(P): the predicate category, with decode tables back to the fibers.
+
+    The build relies on exists being left adjoint to substitution, which
+    `build_pred_category` validates: a single-valued f in P(A x B) is then
+    a morphism (A, ex_pi1(f)) -> (B, b) exactly when b >= ex_pi2(f).  One
+    pass over each fiber P(A x B) finds every morphism; they are listed by
+    source, then target, then f in fiber order.  Each pair of composable
+    relations is composed once, and the composite is entered for every
+    target predicate of the second."""
 
     def __init__(self, P: CoherentHyperdoctrine, budget: int | None = None):
         budget = budget if budget is not None else search_budget()
@@ -88,25 +112,49 @@ class PredCategory:
             (A, a) for A in base.objects for a in P.fiber(A).elements
         ]
         self.obj_data = {pred_obj_name(A, a): (A, a) for A, a in objs}
+        pairs = [(A, B) for A in base.objects for B in base.objects]
         # candidate count drives the enumeration budget
-        total = 0
-        for A, a in objs:
-            for B, b in objs:
-                total += len(P.fiber(P.limits.product(A, B).obj).elements)
+        total = sum(len(P.fiber(self._pi(A, B).obj).elements) for A, B in pairs)
         if total > budget:
             raise BudgetError(
                 f"predicate-category enumeration needs {total} candidate checks, "
                 f"budget is {budget}; raise --budget to proceed"
             )
+        rank = {X: i for i, X in enumerate(objs)}
+        above = {
+            A: {b: P.fiber(A).poset.up_set(b) for b in P.fiber(A).elements}
+            for A in base.objects
+        }
+        found = []
+        for A, B in pairs:
+            cone = self._pi(A, B)
+            ex1, ex2 = P.ex(cone.pi1).mapping, P.ex(cone.pi2).mapping
+            s = self._span(A, B, B)
+            below_diagonal = P.fiber(self._pi(B, B).obj).poset.down_set(
+                self.identity_relation(B, P.fiber(B).top)
+            )
+            for i, f in enumerate(P.fiber(cone.obj).elements):
+                if s.ex23[s.meet[(s.sub12[f], s.sub13[f])]] in below_diagonal:
+                    a = ex1[f]
+                    found += [
+                        (rank[(A, a)], rank[(B, b)], i, A, a, B, b, f)
+                        for b in above[B][ex2[f]]
+                    ]
         self.rels: dict[str, RelData] = {}
         morphisms: dict[str, Morphism] = {}
-        for A, a in objs:
-            for B, b in objs:
-                for f in self._functional_relations(A, a, B, b):
-                    src, tgt = pred_obj_name(A, a), pred_obj_name(B, b)
-                    n = pred_mor_name(f, src, tgt)
-                    morphisms[n] = Morphism(n, src, tgt)
-                    self.rels[n] = RelData(A, a, B, b, f)
+        # (A, a, B, f) -> {b: name}, and the relations leaving each (A, a)
+        targets: dict[tuple[str, str, str, str], dict[str, str]] = {}
+        leaving: dict[tuple[str, str], list] = {}
+        for *_, A, a, B, b, f in sorted(found):
+            src, tgt = pred_obj_name(A, a), pred_obj_name(B, b)
+            n = pred_mor_name(f, src, tgt)
+            morphisms[n] = Morphism(n, src, tgt)
+            self.rels[n] = RelData(A, a, B, b, f)
+            f_at = targets.get((A, a, B, f))
+            if f_at is None:
+                f_at = targets[(A, a, B, f)] = {}
+                leaving.setdefault((A, a), []).append((B, f, f_at))
+            f_at[b] = n
         identities = {}
         for A, a in objs:
             ident = self.identity_relation(A, a)
@@ -119,14 +167,19 @@ class PredCategory:
                 )
             identities[pred_obj_name(A, a)] = n
         comp = {}
-        for f, g in composable_pairs(morphisms):
-            h = self.compose_relations(self.rels[f.name], self.rels[g.name])
-            n = pred_mor_name(h, f.src, g.tgt)
-            if n not in morphisms:
-                raise HyperdoctrineError(
-                    f"composite of {f.name};{g.name} is not a functional relation"
-                )
-            comp[(g.name, f.name)] = n
+        for (A, a, B, f), f_at in targets.items():
+            for b, fn in f_at.items():
+                for C, g, g_at in leaving.get((B, b), ()):
+                    s = self._span(A, B, C)
+                    h_at = targets.get(
+                        (A, a, C, s.ex13[s.meet[(s.sub12[f], s.sub23[g])]]), {}
+                    )
+                    for c, gn in g_at.items():
+                        if c not in h_at:
+                            raise HyperdoctrineError(
+                                f"composite of {fn};{gn} is not a functional relation"
+                            )
+                        comp[(gn, fn)] = h_at[c]
         self.cat = FinCategory(
             tuple(sorted(self.obj_data)), morphisms, comp, identities
         )
@@ -136,42 +189,23 @@ class PredCategory:
     def _pi(self, A: str, B: str) -> ProductCone:
         return self.P.limits.product(A, B)
 
-    def _functional_relations(self, A, a, B, b) -> list[str]:
-        P = self.P
-        cone = self._pi(A, B)
-        FP = P.fiber(cone.obj)
-        out = []
-        for f in FP.elements:
-            if not P.fiber(A).leq(a, P.ex(cone.pi1)(f)):
-                continue
-            bound = FP.meet(P.sub(cone.pi1)(a), P.sub(cone.pi2)(b))
-            if not FP.leq(f, bound):
-                continue
-            if self._single_valued(A, B, f):
-                out.append(f)
-        return out
-
     @cached_method
-    def _triple(self, A: str, B: str, C: str) -> tuple[str, str, str, str]:
-        """(A x B) x C with its projections onto A x B, A x C and B x C."""
-        base = self.P.base
+    def _span(self, A: str, B: str, C: str) -> _Span:
+        base, P = self.P.base, self.P
         ab = self._pi(A, B)
-        t = self.P.limits.product(ab.obj, C)
+        t = P.limits.product(ab.obj, C)
         pi1 = base.compose(ab.pi1, t.pi1)
         pi2 = base.compose(ab.pi2, t.pi1)
-        return (
-            t.obj,
-            t.pi1,
-            pairing(base, self._pi(A, C), pi1, t.pi2),
-            pairing(base, self._pi(B, C), pi2, t.pi2),
+        pi13 = pairing(base, self._pi(A, C), pi1, t.pi2)
+        pi23 = pairing(base, self._pi(B, C), pi2, t.pi2)
+        return _Span(
+            P.sub(t.pi1).mapping,
+            P.sub(pi13).mapping,
+            P.sub(pi23).mapping,
+            P.fiber(t.obj).meet_table,
+            P.ex(pi13).mapping,
+            P.ex(pi23).mapping,
         )
-
-    def _single_valued(self, A: str, B: str, f: str) -> bool:
-        P = self.P
-        t, pi12, pi13, pi23 = self._triple(A, B, B)
-        lhs = P.ex(pi23)(P.fiber(t).meet(P.sub(pi12)(f), P.sub(pi13)(f)))
-        rhs = P.ex(self._diagonal(B))(P.fiber(B).top)
-        return P.fiber(self._pi(B, B).obj).leq(lhs, rhs)
 
     @cached_method
     def _diagonal(self, A: str) -> str:
@@ -180,13 +214,6 @@ class PredCategory:
 
     def identity_relation(self, A: str, a: str) -> str:
         return self.P.ex(self._diagonal(A))(a)
-
-    def compose_relations(self, rf: RelData, rg: RelData) -> str:
-        P = self.P
-        t, pi12, pi13, pi23 = self._triple(rf.src_obj, rf.tgt_obj, rg.tgt_obj)
-        return P.ex(pi13)(
-            P.fiber(t).meet(P.sub(pi12)(rf.elem), P.sub(pi23)(rg.elem))
-        )
 
     def relation_of(self, name: str) -> RelData:
         return self.rels[name]

@@ -838,31 +838,3 @@ def _openness_failures(m: LocaleMorphism):
         E_t, E_s = m.target_ext[A].ext, m.source_ext[A].ext
         for w, v in frobenius_failures(sigma[A], comp, E_t, E_s):
             yield f"Frobenius fails at {A} on ({w},{v})"
-
-
-@dataclass(frozen=True)
-class FactorizationData:
-    intermediate: SemidirectSite
-    site_morphism: dict  # intermediate object name -> target-site object name
-    locale: LocaleMorphism
-
-
-def factorization_data(F: FinFunctor, C: CohCategory, D: CohCategory) -> FactorizationData:
-    """The two legs of the hyperconnected-localic splitting: the semidirect
-    site over C with fibers pulled back along F, the object map into the
-    target semidirect site, and the locale morphism."""
-    loc = locale_morphism(F, C, D)
-    SDd = canext_hyperdoctrine(sub_hyperdoctrine(D))
-    pulled = CoherentHyperdoctrine(
-        C.cat,
-        {A: SDd.fiber(F.on_obj(A)) for A in C.cat.objects},
-        {f: SDd.sub(F.on_mor(f)) for f in C.cat.morphisms},
-        {f: SDd.ex(F.on_mor(f)) for f in C.cat.morphisms},
-        BaseLimits.from_cohcat(C),
-    )
-    inter = semidirect_site(C, pulled)
-    site_morphism = {
-        n: semidirect_obj_name(F.on_obj(A), w)
-        for n, (A, w) in inter.obj_data.items()
-    }
-    return FactorizationData(inter, site_morphism, loc)

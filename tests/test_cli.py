@@ -85,6 +85,24 @@ def test_each_comparison_check_carries_only_its_own_witness(monkeypatch, capsys)
     assert [c["name"] for c in checks if "witness" in c] == ["cover-preserving"]
 
 
+def dropping_a_composite(built, pick):
+    """A stand-in for `FinCategory` that drops the composite of the
+    composable pair of non-identities `pick` chooses from them, in table
+    order, and appends each category it builds to `built`."""
+
+    def breaking(objects, morphisms, comp, identities):
+        ids = set(identities.values())
+        f, g = pick(
+            (f, g) for f, g in composable_pairs(morphisms)
+            if f.name not in ids and g.name not in ids
+        )
+        comp = {k: v for k, v in comp.items() if k != (g.name, f.name)}
+        built.append(FinCategory(objects, morphisms, comp, identities))
+        return built[-1]
+
+    return breaking
+
+
 @pytest.mark.parametrize("module, args, line", [
     ("predcat", ["predcat", "build", "three_chain.latcat.json"], "category-laws"),
     ("predcat", ["predcat", "counit-check", "one_point.cat.json"], "counit-built"),
@@ -97,23 +115,28 @@ def test_a_broken_category_fails_its_report_line_with_the_first_witness(
     """The category a command builds loses the composite of its first
     composable pair of non-identities."""
     built = []
-
-    def breaking(objects, morphisms, comp, identities):
-        ids = set(identities.values())
-        f, g = next(
-            (f, g) for f, g in composable_pairs(morphisms)
-            if f.name not in ids and g.name not in ids
-        )
-        comp = {k: v for k, v in comp.items() if k != (g.name, f.name)}
-        built.append(FinCategory(objects, morphisms, comp, identities))
-        return built[-1]
-
+    breaking = dropping_a_composite(built, next)
     monkeypatch.setattr(importlib.import_module(f"cohext.{module}"), "FinCategory", breaking)
     assert main([*args[:-1], fx(args[-1])]) == 1
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert not checks[line]["pass"]
     assert checks[line]["witness"] == next(category_law_failures(built[-1]))
     assert checks[line]["witness"].startswith("missing composite")
+
+
+def test_a_broken_extension_ends_the_canext_report(monkeypatch, capsys):
+    """A(S^delta) loses the composite of its last composable pair of
+    non-identities, which the checks after `extension-built` would read."""
+    import cohext.predcat
+
+    built = []
+    breaking = dropping_a_composite(built, lambda pairs: list(pairs)[-1])
+    monkeypatch.setattr(cohext.predcat, "FinCategory", breaking)
+    assert main(["predcat", "canext", fx("three_chain.latcat.json")]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == ["extension-built"]
+    assert not checks[0]["pass"]
+    assert checks[0]["witness"] == next(category_law_failures(built[-1]))
 
 
 def test_hyper_validate_and_canext_pass():

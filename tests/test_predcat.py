@@ -2,6 +2,7 @@
 embedding, p-models, and the universal factorization."""
 
 import gc
+import json
 import weakref
 
 import pytest
@@ -11,23 +12,29 @@ from cohext.catalog import distributive_lattices
 from cohext.cohcat import (
     ConcreteCohCategory,
     LatticeCategory,
+    MissingLimitError,
     check_coherent_functor,
     pairing,
 )
-from cohext.fincat import FinFunctor, check_equivalence
+from cohext.fincat import FinFunctor, Morphism, check_equivalence, composable_pairs
+from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
+from cohext.jsonio import hyperdoctrine_from_json
 from cohext.lattice import boolean4, chain_lattice, trivial_lattice
 from cohext.predcat import (
     BudgetError,
     NotCoherentError,
     PredCategory,
     PredCohCategory,
+    RelData,
     build_pred_category,
     canonical_extension_category,
     check_coh_plus,
     counit_equivalence_check,
     pmodel_check,
     pmodel_witness,
+    pred_mor_name,
+    pred_obj_name,
     universal_factorization,
 )
 
@@ -71,9 +78,11 @@ def test_budget_refusal_is_deterministic():
     with pytest.raises(BudgetError) as e:
         build_pred_category(Sd, budget=3)
     assert str(e.value) == (
-        "predicate-category enumeration needs 169 candidate checks, "
+        "predicate-category enumeration needs 25 candidate checks, "
         "budget is 3; raise --budget to proceed"
     )
+    # one fiber P(A x B) per base pair: 16 pairs of boolean4's objects
+    assert len(build_pred_category(Sd, budget=25).cat.objects) == 9
 
 
 def test_categories_are_freed_with_their_last_reference():
@@ -242,53 +251,109 @@ def test_universal_factorization_lattice_hom_case():
     assert fact.comparison.is_iso()
 
 
-class OraclePredCategory(PredCategory):
-    """The relation formulas as written before they shared one triple
-    span: each call builds (A x B) x C and pairs its projections anew."""
+def oracle_pred_category(P):
+    """A(P) by the candidate search: every f in P(A x B) is tested against
+    every pair of predicates (A, a), (B, b) for totality (a <= ex_pi1(f)),
+    the bound pi1^*(a) meet pi2^*(b) and single-valuedness, and every
+    composable pair of morphisms is composed through the triple product.
+    Returns the objects, morphisms, composites, identities and relations."""
+    base = P.base
+    triples = {}
 
-    def _single_valued(self, A, B, f):
-        P = self.P
-        base = P.base
-        ab = self._pi(A, B)
-        bb = self._pi(B, B)
-        t = P.limits.product(ab.obj, B)
-        pi12 = t.pi1
-        pi1 = base.compose(ab.pi1, t.pi1)
-        pi2 = base.compose(ab.pi2, t.pi1)
-        pi3 = t.pi2
-        pi13 = pairing(base, ab, pi1, pi3)
-        pi = pairing(base, bb, pi2, pi3)
-        diag = pairing(base, bb, base.identity(B), base.identity(B))
-        lhs = P.ex(pi)(P.fiber(t.obj).meet(P.sub(pi12)(f), P.sub(pi13)(f)))
-        rhs = P.ex(diag)(P.fiber(B).top)
-        return P.fiber(bb.obj).leq(lhs, rhs)
+    def triple(A, B, C):
+        if (A, B, C) not in triples:
+            ab = P.limits.product(A, B)
+            t = P.limits.product(ab.obj, C)
+            pi1 = base.compose(ab.pi1, t.pi1)
+            pi2 = base.compose(ab.pi2, t.pi1)
+            triples[(A, B, C)] = (
+                t.obj,
+                t.pi1,
+                pairing(base, P.limits.product(A, C), pi1, t.pi2),
+                pairing(base, P.limits.product(B, C), pi2, t.pi2),
+            )
+        return triples[(A, B, C)]
 
-    def compose_relations(self, rf, rg):
-        P = self.P
-        base = P.base
-        A, B, C = rf.src_obj, rf.tgt_obj, rg.tgt_obj
-        ab, bc, ac = self._pi(A, B), self._pi(B, C), self._pi(A, C)
-        t = P.limits.product(ab.obj, C)
-        pi12 = t.pi1
-        pi1 = base.compose(ab.pi1, t.pi1)
-        pi2 = base.compose(ab.pi2, t.pi1)
-        pi3 = t.pi2
-        pi13 = pairing(base, ac, pi1, pi3)
-        pi23 = pairing(base, bc, pi2, pi3)
-        return P.ex(pi13)(
-            P.fiber(t.obj).meet(P.sub(pi12)(rf.elem), P.sub(pi23)(rg.elem))
+    def diagonal_image(A, a):
+        d = pairing(base, P.limits.product(A, A), base.identity(A), base.identity(A))
+        return P.ex(d)(a)
+
+    def single_valued(A, B, f):
+        t, pi12, pi13, pi23 = triple(A, B, B)
+        lhs = P.ex(pi23)(P.fiber(t).meet(P.sub(pi12)(f), P.sub(pi13)(f)))
+        rhs = diagonal_image(B, P.fiber(B).top)
+        return P.fiber(P.limits.product(B, B).obj).leq(lhs, rhs)
+
+    objs = [(A, a) for A in base.objects for a in P.fiber(A).elements]
+    morphisms, rels = {}, {}
+    for A, a in objs:
+        for B, b in objs:
+            cone = P.limits.product(A, B)
+            FP = P.fiber(cone.obj)
+            bound = FP.meet(P.sub(cone.pi1)(a), P.sub(cone.pi2)(b))
+            for f in FP.elements:
+                if (
+                    P.fiber(A).leq(a, P.ex(cone.pi1)(f))
+                    and FP.leq(f, bound)
+                    and single_valued(A, B, f)
+                ):
+                    src, tgt = pred_obj_name(A, a), pred_obj_name(B, b)
+                    n = pred_mor_name(f, src, tgt)
+                    morphisms[n] = Morphism(n, src, tgt)
+                    rels[n] = RelData(A, a, B, b, f)
+    identities = {}
+    for A, a in objs:
+        X = pred_obj_name(A, a)
+        identities[X] = pred_mor_name(diagonal_image(A, a), X, X)
+    comp = {}
+    for f, g in composable_pairs(morphisms):
+        rf, rg = rels[f.name], rels[g.name]
+        t, pi12, pi13, pi23 = triple(rf.src_obj, rf.tgt_obj, rg.tgt_obj)
+        h = P.ex(pi13)(
+            P.fiber(t).meet(P.sub(pi12)(rf.elem), P.sub(pi23)(rg.elem))
         )
+        comp[(g.name, f.name)] = pred_mor_name(h, f.src, g.tgt)
+    objects = tuple(sorted(pred_obj_name(A, a) for A, a in objs))
+    return objects, morphisms, comp, identities, rels
 
 
-@pytest.mark.parametrize("extend", [False, True], ids=["sub", "canext"])
-def test_shared_triple_span_matches_the_per_call_formulas(extend):
-    for L in distributive_lattices(5):
-        P = sub_hyperdoctrine(LatticeCategory(L))
-        if extend:
-            P = canext_hyperdoctrine(P)
-        got, want = PredCategory(P), OraclePredCategory(P)
-        assert got.cat.objects == want.cat.objects
-        assert list(got.cat.morphisms.items()) == list(want.cat.morphisms.items())
-        assert list(got.cat.comp.items()) == list(want.cat.comp.items())
-        assert got.cat.identities == want.cat.identities
-        assert list(got.rels.items()) == list(want.rels.items())
+def oracle_inputs():
+    """(id, hyperdoctrine) for the subobject and canext hyperdoctrines of
+    DL(<=7) and of the one- and two-point fragments, and the three-chain
+    fixture."""
+    bases = [(f"L{i}", LatticeCategory(L)) for i, L in enumerate(distributive_lattices(7))]
+    bases += [
+        (f"fragment-{'-'.join(seeds)}", ConcreteCohCategory([frozenset(s) for s in seeds]))
+        for seeds in (("x",), ("x", "y"))
+    ]
+    for label, C in bases:
+        S = sub_hyperdoctrine(C)
+        yield f"{label}-sub", S
+        yield f"{label}-canext", canext_hyperdoctrine(S)
+    yield "three_chain.hyp", hyperdoctrine_from_json(
+        json.loads((FIXTURE_DIR / "three_chain.hyp.json").read_text()), FIXTURE_DIR
+    )
+
+
+def test_relations_first_build_matches_the_candidate_search():
+    built = 0
+    for label, P in oracle_inputs():
+        got = build_pred_category(P)
+        objects, morphisms, comp, identities, rels = oracle_pred_category(P)
+        assert got.cat.objects == objects, label
+        assert list(got.cat.morphisms.items()) == list(morphisms.items()), label
+        assert got.cat.identities == identities, label
+        assert list(got.rels.items()) == list(rels.items()), label
+        # composites are compared as a table: no reader depends on their order
+        assert got.cat.comp == comp, label
+        built += 1
+    assert built == 2 * (21 + 2) + 1
+
+
+def test_a_base_without_products_fails_as_the_candidate_search_does():
+    S = sub_hyperdoctrine(ConcreteCohCategory([frozenset({"x", "y"})]))
+    with pytest.raises(MissingLimitError) as want:
+        oracle_pred_category(S)
+    with pytest.raises(MissingLimitError) as got:
+        PredCategory(S)
+    assert str(got.value) == str(want.value)

@@ -29,7 +29,6 @@ from cohext.sites import (
     _matching_families,
     coherent_topology,
     comparison_check,
-    factorization_data,
     filter_category,
     filter_obj_name,
     irreducible_site,
@@ -767,24 +766,9 @@ def test_locale_checks_fail_for_collapse():
     assert not ok and w
 
 
-def test_factorization_data_identity_and_fixture():
-    L3 = chain_lattice(3)
-    C3 = LatticeCategory(L3)
-    fd = factorization_data(FinFunctor.identity(C3.cat), C3, C3)
-    assert fd.site_morphism == {n: n for n in fd.intermediate.cat.objects}
-    L2 = chain_lattice(2)
-    F = lattice_hom_functor(
-        LatticeHom(L2, L3, {"c0": "c0", "c1": "c2"}),
-        LatticeCategory(L2), C3,
-    )
-    fd = factorization_data(F, LatticeCategory(L2), C3)
-    ok, _ = surjection_check(fd.locale)
-    assert ok
-
-
 def test_factorization_rejects_non_coherent():
-    from cohext.fincat import CategoryError
-
+    """The locale morphism, the localic leg of the factorization, refuses a
+    functor that is not coherent."""
     C2 = LatticeCategory(chain_lattice(2))
     const = FinFunctor(
         C2.cat, C2.cat,
@@ -792,7 +776,7 @@ def test_factorization_rejects_non_coherent():
         {f: C2.cat.identity("c1") for f in C2.cat.morphisms},
     )
     with pytest.raises(CategoryError):
-        factorization_data(const, C2, C2)
+        locale_morphism(const, C2, C2)
 
 
 def test_filter_category_matches_pred_of_filter_hyperdoctrine():
