@@ -184,19 +184,24 @@ def cmd_hyper_validate(args, report: Report):
 
 
 def cmd_hyper_canext(args, report: Report):
-    from .hyperdoctrine import canext_hyperdoctrine, validate
+    """The builders trust their input: tables that fail a law are refused."""
+    from .hyperdoctrine import HyperdoctrineError, canext_hyperdoctrine, validate
 
-    Pd = canext_hyperdoctrine(read_hyperdoctrine(report, args.hyperdoctrine))
-    for c in validate(Pd).checks:
+    P = read_hyperdoctrine(report, args.hyperdoctrine)
+    failed = validate(P).failures()
+    if failed:
+        c = failed[0]
+        raise HyperdoctrineError(f"hyperdoctrine does not validate: {c.name}: {c.witness}")
+    for c in validate(canext_hyperdoctrine(P)).checks:
         report.check(f"extension-{c.name}", c.passed, c.witness)
 
 
 def cmd_predcat_build(args, report: Report):
     from .hyperdoctrine import sub_hyperdoctrine
-    from .predcat import build_pred_category
+    from .predcat import PredCategory
 
     C = category_from_json(read_json(report, args.category))
-    AP = build_pred_category(sub_hyperdoctrine(C), args.budget)
+    AP = PredCategory(sub_hyperdoctrine(C), args.budget)
     check_category(report, "category-laws", AP.cat)
     if args.dot:
         Path(args.dot).write_text(category_to_dot(AP.cat, "PredCategory"))

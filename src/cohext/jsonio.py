@@ -103,6 +103,14 @@ def category_to_json(C: CohCategory) -> dict:
 # reach the validator.
 
 
+def located(where: str, build, *args):
+    """build(*args), with an error in the data prefixed by the key at fault."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise FormatError(f"{where}: {e}") from e
+
+
 def hyperdoctrine_from_json(data: dict, base_dir: Path | None = None) -> CoherentHyperdoctrine:
     from .hyperdoctrine import sub_hyperdoctrine
 
@@ -127,27 +135,31 @@ def hyperdoctrine_from_json(data: dict, base_dir: Path | None = None) -> Coheren
         raise FormatError("'fibers' must map objects to lattices")
     fibers = {}
     for A, ref in data["fibers"].items():
-        fibers[A] = (
-            load_lattice((base_dir or Path(".")) / ref)
-            if isinstance(ref, str)
-            else lattice_from_json(ref)
+        fibers[A] = located(
+            f"fiber at {A}",
+            load_lattice if isinstance(ref, str) else lattice_from_json,
+            (base_dir or Path(".")) / ref if isinstance(ref, str) else ref,
         )
 
-    def tables(key):
-        """(fiber at src, fiber at tgt, table) per morphism named in data[key]."""
+    def tables(key, make):
+        """make(fiber at src, fiber at tgt, table) per morphism in data[key]."""
         given = data.get(key)
         if not isinstance(given, dict):
             raise FormatError(f"explicit hyperdoctrine needs a '{key}' mapping")
+        out = {}
         for f, table in given.items():
             if f not in C.cat.morphisms:
                 raise FormatError(f"'{key}' names unknown morphism {f}")
             m = C.cat.morphisms[f]
             if m.src not in fibers or m.tgt not in fibers:
                 raise FormatError(f"'{key}' at {f}: no fiber at {m.src} or {m.tgt}")
-            yield f, fibers[m.src], fibers[m.tgt], table
+            if not isinstance(table, dict):
+                raise FormatError(f"'{key}' at {f} must map elements to elements")
+            out[f] = located(f"'{key}' at {f}", make, fibers[m.src], fibers[m.tgt], table)
+        return out
 
-    subst = {f: LatticeHom(FB, FA, t) for f, FA, FB, t in tables("subst")}
-    exists = {f: MonotoneMap(FA, FB, t) for f, FA, FB, t in tables("exists")}
+    subst = tables("subst", lambda FA, FB, t: LatticeHom(FB, FA, t))
+    exists = tables("exists", MonotoneMap)
     return CoherentHyperdoctrine(
         C.cat, fibers, subst, exists, BaseLimits.from_cohcat(C)
     )

@@ -3,17 +3,18 @@
 Objects pair a base object with a fiber element; morphisms are the fiber
 elements of the product that behave as functional relations (total on the
 source predicate, bounded by the product of the predicates, single-valued).
-Since exists is left adjoint to substitution, which `build_pred_category`
-validates, a relation f in P(A x B) is total and bounded exactly when its
-source predicate is a = ex_pi1(f) and its target predicate b satisfies
-b >= ex_pi2(f).  So the build reads each fiber P(A x B) once per pair of
-base objects, tests single-valuedness once per relation, and emits it at
-every such b.  Composition is relation composition through the triple
-product (A x B) x C, computed once per pair of composable relations, and
-the identity is the diagonal image; both are fixed formulas here, so A(P)
-is a category by theorem and is built without re-proving the laws: the
-CLI and the tests check them with `fincat.category_law_failures`, and
-`counit_equivalence_check` does before it builds the counit.
+Exists is left adjoint to substitution, by theorem, in every hyperdoctrine
+the program builds (see `hyperdoctrine`), so a relation f in P(A x B) is
+total and bounded exactly when its source predicate is a = ex_pi1(f) and
+its target predicate b satisfies b >= ex_pi2(f).  So the build reads each
+fiber P(A x B) once per pair of base objects, tests single-valuedness once
+per relation, and emits it at every such b.  Composition is relation
+composition through the triple product (A x B) x C, computed once per pair
+of composable relations, and the identity is the diagonal image; both are
+fixed formulas here, so A(P) is a category by theorem and is built without
+re-proving the laws: the CLI and the tests check them with
+`fincat.category_law_failures`, and `counit_equivalence_check` does before
+it builds the counit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .hyperdoctrine import (
     HyperdoctrineError,
     canext_hyperdoctrine,
     sub_hyperdoctrine,
-    validate,
 )
 from .lattice import FinLattice, LatticeHom, MonotoneMap, prime_filters
 from .order import BudgetError, cached_method
@@ -97,10 +97,10 @@ class PredCategory:
     """A(P): the predicate category, with decode tables back to the fibers.
 
     The build relies on exists being left adjoint to substitution, which
-    `build_pred_category` validates: a single-valued f in P(A x B) is then
-    a morphism (A, ex_pi1(f)) -> (B, b) exactly when b >= ex_pi2(f).  One
-    pass over each fiber P(A x B) finds every morphism; they are listed by
-    source, then target, then f in fiber order.  Each pair of composable
+    holds by theorem and is not checked: a single-valued f in P(A x B) is
+    then a morphism (A, ex_pi1(f)) -> (B, b) exactly when b >= ex_pi2(f).
+    One pass over each fiber P(A x B) finds every morphism; they are listed
+    by source, then target, then f in fiber order.  Each pair of composable
     relations is composed once, and the composite is entered for every
     target predicate of the second."""
 
@@ -221,13 +221,6 @@ class PredCategory:
     def find_morphism(self, A, a, B, b, elem) -> str | None:
         n = pred_mor_name(elem, pred_obj_name(A, a), pred_obj_name(B, b))
         return n if n in self.rels else None
-
-
-def build_pred_category(P: CoherentHyperdoctrine, budget: int | None = None) -> PredCategory:
-    rep = validate(P)
-    if not rep.passed:
-        raise HyperdoctrineError(f"hyperdoctrine does not validate: {rep.failures()[0]}")
-    return PredCategory(P, budget)
 
 
 class PredCohCategory(CohCategory):
@@ -383,7 +376,7 @@ def counit_equivalence_check(C: CohCategory, budget: int | None = None) -> Couni
     """The counit built on A(S(C)), once its category laws hold, and its
     equivalence report; a failed build carries its first witness."""
     try:
-        AP = build_pred_category(sub_hyperdoctrine(C), budget)
+        AP = PredCategory(sub_hyperdoctrine(C), budget)
         w = next(category_law_failures(AP.cat), None)
         if w is not None:
             return CounitReport(None, None, w)
@@ -409,7 +402,7 @@ def canonical_extension_category(C: CohCategory, budget: int | None = None) -> C
     morphism to the embedded image of its graph."""
     S = sub_hyperdoctrine(C)
     Sd = canext_hyperdoctrine(S)
-    AP = build_pred_category(Sd, budget)
+    AP = PredCategory(Sd, budget)
     coh = PredCohCategory(AP)
     obj_map = {
         A: pred_obj_name(A, Sd.fiber(A).top) for A in C.cat.objects

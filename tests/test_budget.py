@@ -27,7 +27,7 @@ def extended_boolean4():
 
 def pred_category_search():
     _, X = extended_boolean4()
-    return lambda budget: predcat.build_pred_category(X, budget), 25
+    return lambda budget: predcat.PredCategory(X, budget), 25
 
 
 def sieve_search():

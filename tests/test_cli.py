@@ -13,7 +13,7 @@ from cohext.fincat import FinCategory, category_law_failures, composable_pairs
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import sub_hyperdoctrine
 from cohext.jsonio import load_category
-from cohext.predcat import build_pred_category, search_budget
+from cohext.predcat import PredCategory, search_budget
 from cohext.sites import sieve_budget
 
 PKG = Path(__file__).resolve().parents[1]
@@ -146,6 +146,16 @@ def test_hyper_validate_and_canext_pass():
     assert r.returncode == 0
 
 
+def test_hyper_canext_refuses_an_input_that_fails_a_law():
+    # the library trusts its input, so the command validates what it read
+    r = run_cli("hyper", "canext", fx("broken_exists.hyp.json"))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (
+        "error: hyperdoctrine does not validate: exists-left-adjoint: "
+        "adjunction fails at le(c0,c2) on (c0,c0)\n"
+    )
+
+
 def test_predcat_subcommands():
     assert run_cli("predcat", "build", fx("three_chain.latcat.json")).returncode == 0
     assert run_cli("predcat", "counit-check", fx("one_point.cat.json")).returncode == 0
@@ -227,7 +237,7 @@ def test_budget_flag_leaves_later_calls_in_the_process_unchanged(capsys):
     assert main(["--budget", "3", "tot", "sheaf-check", fx("one_point.cat.json")]) == 1
     capsys.readouterr()
     assert (search_budget(), sieve_budget()) == (200_000, 4096)
-    AP = build_pred_category(sub_hyperdoctrine(load_category(three_chain)))
+    AP = PredCategory(sub_hyperdoctrine(load_category(three_chain)))
     assert len(AP.cat.objects) > 3
 
 
@@ -385,12 +395,24 @@ def test_malformed_category_and_hyperdoctrine_files_are_located_errors(tmp_path)
     hyp["base"] = fx(hyp["base"])
     no_subst = {k: v for k, v in hyp.items() if k != "subst"}
     unknown = {**hyp, "subst": {**hyp["subst"], "zz": {}}}
+    swapped = {"c0": "c1", "c1": "c0", "c2": "c2"}
+    not_monotone = {**hyp, "subst": {**hyp["subst"], "le(c2,c2)": swapped}}
+    partial = {**hyp, "exists": {**hyp["exists"], "le(c1,c1)": {"c0": "c0"}}}
+    antichain = {"elements": ["a", "b"], "leq": [["a", "a"], ["b", "b"]]}
+    no_meet = {**hyp, "fibers": {**hyp["fibers"], "c2": antichain}}
+    not_a_table = {**hyp, "exists": {**hyp["exists"], "le(c1,c1)": 5}}
     cases = [
         ("predcat", "build", {"kind": "lattice"}, "'lattice'"),
         ("predcat", "build", [1, 2], "'kind'"),
         ("predcat", "build", {"kind": "concrete", "objects": {"X": 5}}, "object X"),
         ("hyper", "validate", no_subst, "'subst'"),
         ("hyper", "validate", unknown, "unknown morphism zz"),
+        ("hyper", "validate", not_monotone,
+         "'subst' at le(c2,c2): not order-preserving on (c0,c1)"),
+        ("hyper", "canext", partial, "'exists' at le(c1,c1): map undefined on c1"),
+        ("hyper", "validate", no_meet, "fiber at c2: pair (a,b) has no meet"),
+        ("hyper", "validate", not_a_table,
+         "'exists' at le(c1,c1) must map elements to elements"),
     ]
     for i, (cmd, sub, data, located) in enumerate(cases):
         path = tmp_path / f"case{i}.json"

@@ -435,7 +435,7 @@ def indexed_categories():
     for C in fixture_cohcats():
         cats += [C.cat, type_category(C).cat]
         try:
-            cats.append(predcat.build_pred_category(sub_hyperdoctrine(C)).cat)
+            cats.append(predcat.PredCategory(sub_hyperdoctrine(C)).cat)
         except MissingLimitError:  # pair_fragment lacks the product {x,y}^2
             pass
     T = parse_theory((FIXTURE_DIR / "pointed.chr").read_text())
@@ -568,7 +568,7 @@ def constructed_categories():
         yield "irreducible", irreducible_site(C, X).cat
         for label, P in (("pred-sub", S), ("pred-canext", X)):
             try:
-                yield label, predcat.build_pred_category(P).cat
+                yield label, predcat.PredCategory(P).cat
             except MissingLimitError:
                 pass
     for name in ("pointed", "idempotent", "ordered"):

@@ -5,7 +5,8 @@ top-level function and class under src/ is named outside its own
 definition, no module under src/ reads the process environment, keeps a
 process-wide cache (a `functools` cache, or a module-level container a
 function writes) other than the one allowed or touches an instance
-`__dict__`, and every name the benchmark imports from cohext exists."""
+`__dict__`, no module under src/ but the CLI runs a hyperdoctrine
+validator, and every name the benchmark imports from cohext exists."""
 
 import ast
 import importlib
@@ -481,6 +482,52 @@ def test_instance_dict_detector_on_samples():
     assert instance_dict_uses(
         "def f(o):\n    o.__dict__['x'] = 1\n    return type(o).__dict__\n"
     ) == ["line 2: .__dict__", "line 3: .__dict__"]
+
+
+VALIDATORS = ("validate", "validate_fo", "validate_morphism")
+
+
+def validator_uses(source: str) -> list[str]:
+    """Each read of a hyperdoctrine validator, by bare name or as an
+    attribute (a call, or the function passed on), with the top-level
+    function or class it is read in."""
+    uses = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        for n in ast.walk(node):
+            name = (
+                n.id if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                else n.attr if isinstance(n, ast.Attribute) else None
+            )
+            if name in VALIDATORS:
+                uses.append((n.lineno, f"{owner} reads {name}"))
+    return [f"line {line}: {use}" for line, use in sorted(uses)]
+
+
+def test_hyperdoctrines_are_validated_only_where_a_file_is_read():
+    """Every hyperdoctrine the program builds is one by theorem, so only
+    the CLI, which reads them from files, runs a validator; `validate_fo`
+    extends `validate`."""
+    uses = [
+        f"{path.relative_to(SRC).as_posix()} {use.split(': ')[1]}"
+        for path in MODULES
+        if path.name != "cli.py"
+        for use in validator_uses(path.read_text())
+    ]
+    assert uses == ["cohext/hyperdoctrine.py validate_fo reads validate"]
+    assert validator_uses((SRC / "cohext" / "cli.py").read_text())
+
+
+def test_validator_use_detector_on_samples():
+    assert validator_uses("def validate(P):\n    return P\nvalidated = 1\n") == []
+    assert validator_uses("from .hyperdoctrine import validate_fo\n") == []
+    assert validator_uses(
+        "def f(P):\n    return validate(P).passed\n"
+        "class A:\n    def m(self, P):\n        return h.validate_morphism(P)\n"
+    ) == ["line 2: f reads validate", "line 5: A reads validate_morphism"]
+    assert validator_uses("run(validate_fo, P)\n") == [
+        "line 1: <module> reads validate_fo"
+    ]
 
 
 def cohext_imports(source: str) -> list[tuple[str, str, int]]:

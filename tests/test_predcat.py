@@ -27,7 +27,6 @@ from cohext.predcat import (
     PredCategory,
     PredCohCategory,
     RelData,
-    build_pred_category,
     canonical_extension_category,
     check_coh_plus,
     counit_equivalence_check,
@@ -41,7 +40,7 @@ from cohext.predcat import (
 
 def test_pred_category_over_trivial_base_is_fiber_preorder():
     P = sub_hyperdoctrine(LatticeCategory(trivial_lattice()))
-    AP = build_pred_category(P)
+    AP = PredCategory(P)
     # fiber is the one-element lattice: a single object with its identity
     assert len(AP.cat.objects) == 1
     assert len(AP.cat.morphisms) == 1
@@ -51,7 +50,7 @@ def test_pred_category_posetal_morphisms_follow_fiber_order():
     # morphisms (a,u) -> (b,v) exist uniquely exactly when u <= v
     L = chain_lattice(3)
     Sd = canext_hyperdoctrine(sub_hyperdoctrine(LatticeCategory(L)))
-    AP = build_pred_category(Sd)
+    AP = PredCategory(Sd)
     for X, (A, u) in AP.obj_data.items():
         for Y, (B, v) in AP.obj_data.items():
             hom = AP.cat.hom(X, Y)
@@ -67,7 +66,7 @@ def test_identity_composition_laws_hold():
     # FinCategory construction inside the builder asserts the laws; touch a
     # composite to witness the tables are populated
     Sd = canext_hyperdoctrine(sub_hyperdoctrine(LatticeCategory(boolean4())))
-    AP = build_pred_category(Sd)
+    AP = PredCategory(Sd)
     for f, m in AP.cat.morphisms.items():
         i = AP.cat.identity(m.src)
         assert AP.cat.compose(f, i) == f
@@ -76,13 +75,13 @@ def test_identity_composition_laws_hold():
 def test_budget_refusal_is_deterministic():
     Sd = canext_hyperdoctrine(sub_hyperdoctrine(LatticeCategory(boolean4())))
     with pytest.raises(BudgetError) as e:
-        build_pred_category(Sd, budget=3)
+        PredCategory(Sd, budget=3)
     assert str(e.value) == (
         "predicate-category enumeration needs 25 candidate checks, "
         "budget is 3; raise --budget to proceed"
     )
     # one fiber P(A x B) per base pair: 16 pairs of boolean4's objects
-    assert len(build_pred_category(Sd, budget=25).cat.objects) == 9
+    assert len(PredCategory(Sd, budget=25).cat.objects) == 9
 
 
 def test_categories_are_freed_with_their_last_reference():
@@ -116,7 +115,7 @@ def test_counit_equivalence_on_posetal_fixtures():
 
 def test_pred_sub_lattice_is_downset_of_fiber():
     Sd = canext_hyperdoctrine(sub_hyperdoctrine(LatticeCategory(chain_lattice(3))))
-    AP = build_pred_category(Sd)
+    AP = PredCategory(Sd)
     coh = PredCohCategory(AP)
     for X, (A, u) in AP.obj_data.items():
         S = coh.sub_lattice(X)
@@ -126,7 +125,7 @@ def test_pred_sub_lattice_is_downset_of_fiber():
 
 def test_pred_pullback_formula_agrees_with_adjoint_of_image():
     Sd = canext_hyperdoctrine(sub_hyperdoctrine(LatticeCategory(boolean4())))
-    AP = build_pred_category(Sd)
+    AP = PredCategory(Sd)
     coh = PredCohCategory(AP)
     for f in AP.cat.morphisms:
         pb = coh.pullback_map(f)
@@ -323,7 +322,7 @@ def oracle_bases():
 
 
 def assert_matches_oracle(label, P):
-    got = build_pred_category(P)
+    got = PredCategory(P)
     objects, morphisms, comp, identities, rels = oracle_pred_category(P)
     assert got.cat.objects == objects, label
     assert list(got.cat.morphisms.items()) == list(morphisms.items()), label

@@ -697,12 +697,12 @@ def test_type_category_is_irreducible_part_of_pred_category():
     # subcategory of the predicate category of the extended fibers on the
     # pairs (A, x) with x join irreducible
     from cohext.lattice import is_join_irreducible
-    from cohext.predcat import build_pred_category
+    from cohext.predcat import PredCategory
 
     for L in [chain_lattice(3), boolean4()]:
         C = LatticeCategory(L)
         Sd = canext_hyperdoctrine(sub_hyperdoctrine(C))
-        AP = build_pred_category(Sd)
+        AP = PredCategory(Sd)
         tau = type_category(C)
         keep = {
             X: (A, x)
@@ -783,14 +783,14 @@ def test_filter_category_matches_pred_of_filter_hyperdoctrine():
     # the germ construction agrees with the predicate category of the
     # filter-lattice hyperdoctrine, object- and hom-count-wise
     from cohext.hyperdoctrine import validate
-    from cohext.predcat import build_pred_category
+    from cohext.predcat import PredCategory
     from cohext.sites import filter_hyperdoctrine
 
     for L in [chain_lattice(2), chain_lattice(3), boolean4()]:
         C = LatticeCategory(L)
         FlS = filter_hyperdoctrine(C)
         assert validate(FlS).passed, validate(FlS).failures()
-        AP = build_pred_category(FlS)
+        AP = PredCategory(FlS)
         lam = filter_category(C)
         assert len(AP.cat.objects) == len(lam.objects)
         # object correspondence: (A, filter-name) vs (A, filter set)
