@@ -383,9 +383,11 @@ class LatticeCategory(CohCategory):
 # -- functor property checks ---------------------------------------------------
 
 
+@cached_method
 def functor_sub_map(F: FinFunctor, C: CohCategory, D: CohCategory, A: str) -> MonotoneMap:
     """The restriction of F to a map Sub_C(A) -> Sub_D(FA), carrying a
-    subobject to the image of F applied to its mono."""
+    subobject to the image of F applied to its mono.  Built once per
+    (C, D, A) and kept on F, so every check on F reads the same table."""
     SA = C.sub_lattice(A)
     SD = D.sub_lattice(F.on_obj(A))
     table = {}

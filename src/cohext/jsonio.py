@@ -32,25 +32,34 @@ def lattice_from_json(data: dict) -> FinLattice:
     if not isinstance(data, dict) or "elements" not in data or "leq" not in data:
         raise FormatError("lattice JSON needs 'elements' and 'leq'")
     elements = data["elements"]
-    if not all(isinstance(e, str) for e in elements):
-        raise FormatError("lattice elements must be strings")
+    if not _is_str_list(elements):
+        raise FormatError("lattice 'elements' must be a list of strings")
     pairs = set()
-    for p in data["leq"]:
-        if not (isinstance(p, list) and len(p) == 2):
+    for p in _lattice_entries(data, "leq"):
+        if not (_is_str_list(p) and len(p) == 2):
             raise FormatError(f"bad leq pair {p!r}")
         pairs.add((p[0], p[1]))
     poset = FinPoset.from_pairs(elements, pairs)
     L = FinLattice.from_poset(poset)
-    if "meet" in data or "join" in data:
-        meet = {(a, b): c for a, b, c in data.get("meet", [])}
-        join = {(a, b): c for a, b, c in data.get("join", [])}
-        for (a, b), c in meet.items():
-            if L.meet(a, b) != c:
-                raise FormatError(f"declared meet({a},{b})={c} is not the glb")
-        for (a, b), c in join.items():
-            if L.join(a, b) != c:
-                raise FormatError(f"declared join({a},{b})={c} is not the lub")
+    for key, op, bound in (("meet", L.meet, "glb"), ("join", L.join, "lub")):
+        for t in _lattice_entries(data, key):
+            if not (_is_str_list(t) and len(t) == 3 and set(t) <= set(elements)):
+                raise FormatError(f"bad {key} entry {t!r}: not a triple of elements")
+            a, b, c = t
+            if op(a, b) != c:
+                raise FormatError(f"declared {key}({a},{b})={c} is not the {bound}")
     return L
+
+
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(e, str) for e in x)
+
+
+def _lattice_entries(data: dict, key: str) -> list:
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise FormatError(f"lattice '{key}' must be a list")
+    return entries
 
 
 def load_lattice(path) -> FinLattice:

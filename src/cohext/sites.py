@@ -8,10 +8,12 @@ existential image), so deciding a sieve is a join or a lookup over that
 table.  A sieve is the union of the principal sieves of its members, so
 the sieves on an object are enumerated as the union closure of its
 principal sieves, and a budget bounds the number of sieves that closure
-yields.  The filter
-category keys each germ by its restriction to the least member of the
-source filter, since every filter of a finite lattice is the up-set of
-that member.
+yields.
+
+Every filter of a finite lattice is the up-set of its least member, so a
+germ (A, F) -> (B, G) of the filter category is one morphism out of the
+object realizing the least member of F that lands inside the least member
+of G, and germs compose by lifting through the inclusion of that member.
 """
 
 from __future__ import annotations
@@ -153,8 +155,9 @@ class FilterCategory:
     local maps.  A local map (A, F) -> (B, G) is a morphism from a domain
     in F whose preimages of members of G land in F; two are equivalent when
     they agree on a common smaller domain in F.  F is the up-set of its
-    least member, so that is when they restrict to the same map on it: a
-    germ is keyed by that restriction and named by its least local map."""
+    least member u, realized by U, and G that of v, so a germ is its one
+    representative on u: a morphism m : U -> B whose pullback of v is all
+    of U.  The germ is keyed by m and named germ[u;m]."""
 
     def __init__(self, C: CohCategory, prime_only: bool = False):
         self.C = C
@@ -170,40 +173,42 @@ class FilterCategory:
         self._germs: dict[tuple[str, str], dict[str, str]] = {}
         self.germ_data: dict[str, tuple[str, str, LocalMap]] = {}
         morphisms: dict[str, Morphism] = {}
-        for X, (A, F) in self.objects.items():
-            for Y, (B, G) in self.objects.items():
+        for X, (A, _) in self.objects.items():
+            u = self._least[X]
+            U = C.subobject_object(A, u)[0]
+            for Y, (B, _) in self.objects.items():
+                v = self._least[Y]
                 index = self._germs[(X, Y)] = {}
-                # local maps come in (dom, mor) order: the first of each
-                # germ is its least, and germs come in the order of those
-                for m in self._local_maps(A, F, B, G):
-                    key = self._restrict_local(A, m, self._least[X])
-                    if key not in index:
-                        n = index[key] = f"germ[{m.dom};{m.mor}]:{X}->{Y}"
+                for m in C.cat.hom(U, B):
+                    pb = C.pullback_map(m)
+                    if pb(v) == pb.target.top:
+                        n = index[m] = f"germ[{u};{m}]:{X}->{Y}"
                         morphisms[n] = Morphism(n, X, Y)
-                        self.germ_data[n] = (X, Y, m)
+                        self.germ_data[n] = (X, Y, LocalMap(u, m))
         identities = {
-            X: self.germ_of(X, X, C.sub_lattice(A).top, C.cat.identity(A))
+            X: self._germs[(X, X)][C.subobject_object(A, self._least[X])[1]]
             for X, (A, _) in self.objects.items()
         }
-        comp = {}
-        for f, g in composable_pairs(morphisms):
-            m1, m2 = self.germ_data[f.name][2], self.germ_data[g.name][2]
-            comp[(g.name, f.name)] = self._compose_germs(f.src, f.tgt, g.tgt, m1, m2)
+        comp = {
+            (g.name, f.name): self._compose(f, g)
+            for f, g in composable_pairs(morphisms)
+        }
         self.cat = FinCategory(
             tuple(sorted(self.objects)), morphisms, comp, identities
         )
 
-    def _local_maps(self, A, F, B, G) -> list[LocalMap]:
+    def _compose(self, f: Morphism, g: Morphism) -> str:
+        """g o f: f's representative lands inside the least member v of
+        its target's filter, so it lifts along the inclusion of v, and
+        g's representative follows the lift."""
         C = self.C
-        out = []
-        for U in sorted(F):
-            uo, um = C.subobject_object(A, U)
-            io = C.image_map(um)
-            for mor in C.cat.hom(uo, B):
-                pb = C.pullback_map(mor)
-                if all(io(pb(V)) in F for V in G):
-                    out.append(LocalMap(U, mor))
-        return out
+        m1, m2 = self.germ_data[f.name][2].mor, self.germ_data[g.name][2].mor
+        v = self._least[f.tgt]
+        vo, vm = C.subobject_object(self.objects[f.tgt][0], v)
+        lifts = C.cat.factorizations(C.cat.src(m1), vo, ((vm, m1),))
+        if len(lifts) != 1:
+            raise CategoryError(f"germ {f.name} does not factor uniquely through {v}")
+        return self._germs[(f.src, g.tgt)][C.cat.compose(m2, lifts[0])]
 
     def _restrict_local(self, A, m: LocalMap, U) -> str:
         """m.mor restricted along the inclusion of U into dom(m)."""
@@ -214,21 +219,6 @@ class FilterCategory:
         if len(lifts) != 1:
             raise CategoryError(f"inclusion of {U} into {m.dom} not unique")
         return C.cat.compose(m.mor, lifts[0])
-
-    def _compose_germs(self, X, Y, Z, m1: LocalMap, m2: LocalMap) -> str:
-        """Germ of m2 o m1 : X -> Z, restricting m1 to the preimage of the
-        domain of m2."""
-        C = self.C
-        A, _ = self.objects[X]
-        B, _ = self.objects[Y]
-        _, um = C.subobject_object(A, m1.dom)
-        dom = C.image_map(um)(C.pullback_map(m1.mor)(m2.dom))
-        r = self._restrict_local(A, m1, dom)
-        to, tm = C.subobject_object(B, m2.dom)
-        lifts = C.cat.factorizations(C.cat.src(r), to, ((tm, r),))
-        if len(lifts) != 1:
-            raise CategoryError("restricted map does not factor through the domain")
-        return self.germ_of(X, Z, dom, C.cat.compose(m2.mor, lifts[0]))
 
     def germ_of(self, X: str, Y: str, dom: str, mor: str) -> str:
         """The germ X -> Y of the local map `mor` out of `dom`."""
@@ -242,20 +232,10 @@ class FilterCategory:
         return n
 
     def image_filter(self, germ_name: str) -> frozenset:
-        """The filter { V | the preimage of V is in F } on the target."""
-        X, Y, m = self.germ_data[germ_name]
-        A, F = self.objects[X]
-        B, _ = self.objects[Y]
-        C = self.C
-        _, um = C.subobject_object(A, m.dom)
-        pb = C.pullback_map(m.mor)
-        io = C.image_map(um)
-        SB = C.sub_lattice(B)
-        return frozenset(V for V in SB.elements if io(pb(V)) in F)
-
-
-def filter_category(C: CohCategory) -> FilterCategory:
-    return FilterCategory(C, prime_only=False)
+        """The filter { V | the preimage of V is in F } on the target: the
+        V whose pullback along the germ's representative is all of U."""
+        pb = self.C.pullback_map(self.germ_data[germ_name][2].mor)
+        return frozenset(V for V in pb.source.elements if pb(V) == pb.target.top)
 
 
 def type_category(C: CohCategory) -> FilterCategory:

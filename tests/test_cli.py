@@ -402,22 +402,26 @@ def test_malformed_category_and_hyperdoctrine_files_are_located_errors(tmp_path)
     no_meet = {**hyp, "fibers": {**hyp["fibers"], "c2": antichain}}
     not_a_table = {**hyp, "exists": {**hyp["exists"], "le(c1,c1)": 5}}
     cases = [
-        ("predcat", "build", {"kind": "lattice"}, "'lattice'"),
-        ("predcat", "build", [1, 2], "'kind'"),
-        ("predcat", "build", {"kind": "concrete", "objects": {"X": 5}}, "object X"),
-        ("hyper", "validate", no_subst, "'subst'"),
-        ("hyper", "validate", unknown, "unknown morphism zz"),
-        ("hyper", "validate", not_monotone,
+        (("predcat", "build"), {"kind": "lattice"}, "'lattice'"),
+        (("predcat", "build"), [1, 2], "'kind'"),
+        (("predcat", "build"), {"kind": "concrete", "objects": {"X": 5}}, "object X"),
+        (("hyper", "validate"), no_subst, "'subst'"),
+        (("hyper", "validate"), unknown, "unknown morphism zz"),
+        (("hyper", "validate"), not_monotone,
          "'subst' at le(c2,c2): not order-preserving on (c0,c1)"),
-        ("hyper", "canext", partial, "'exists' at le(c1,c1): map undefined on c1"),
-        ("hyper", "validate", no_meet, "fiber at c2: pair (a,b) has no meet"),
-        ("hyper", "validate", not_a_table,
+        (("hyper", "canext"), partial, "'exists' at le(c1,c1): map undefined on c1"),
+        (("hyper", "validate"), no_meet, "fiber at c2: pair (a,b) has no meet"),
+        (("hyper", "validate"), not_a_table,
          "'exists' at le(c1,c1) must map elements to elements"),
+        (("canext",), {"elements": 5, "leq": []}, "'elements' must be a list"),
+        (("canext",), {"elements": ["a"], "leq": 5}, "'leq' must be a list"),
+        (("canext",), {"elements": ["a"], "leq": [["a", "a"]], "meet": [1]},
+         "bad meet entry 1: not a triple"),
     ]
-    for i, (cmd, sub, data, located) in enumerate(cases):
+    for i, (command, data, located) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
         path.write_text(json.dumps(data))
-        r = run_cli(cmd, sub, str(path))
+        r = run_cli(*command, str(path))
         assert r.returncode == 2 and r.stdout == "", data
         assert r.stderr.startswith("error:") and located in r.stderr
         assert "Traceback" not in r.stderr

@@ -36,7 +36,7 @@ from cohext.logic.models import FamilyCategory, ModelFamily, enumerate_models
 from cohext.logic.parser import parse_theory
 from cohext.order import set_name
 from cohext.sites import (
-    filter_category,
+    FilterCategory,
     irreducible_site,
     semidirect_site,
     type_category,
@@ -563,7 +563,7 @@ def constructed_categories():
         X = canext_hyperdoctrine(S)
         yield "base", C.cat
         yield "types", type_category(C).cat
-        yield "filters", filter_category(C).cat
+        yield "filters", FilterCategory(C).cat
         yield "semidirect", semidirect_site(C, X).cat
         yield "irreducible", irreducible_site(C, X).cat
         for label, P in (("pred-sub", S), ("pred-canext", X)):
