@@ -89,46 +89,35 @@ class FinModel:
             if self.satisfies_formula(phi, {var.name: x})
         )
 
-    def rename(self, mapping: dict[str, str]) -> FinModel:
-        return FinModel(
-            self.theory,
-            {s: tuple(mapping[x] for x in xs) for s, xs in self.sorts.items()},
-            {
-                f: {
-                    tuple(mapping[a] for a in args): mapping[v]
-                    for args, v in table.items()
-                }
-                for f, table in self.funcs.items()
-            },
-            {
-                r: frozenset(tuple(mapping[a] for a in tup) for tup in rows)
-                for r, rows in self.rels.items()
-            },
-        )
-
     def canonical_key(self):
-        """Isomorphism-invariant key: the least rename of the tables by
-        position within each sort, over the orders that permute only
-        elements of one sort with the same (symbol, position) incidences
-        in function graph and relation rows (`order.canonical_form`)."""
+        """Isomorphism-invariant key: the carrier sizes, the symbols, and
+        the least encoding of the function graphs and then the relation rows
+        by each element's position within its sort, over the orders that
+        permute only elements of one sort with the same (symbol, position)
+        incidences in function graph and relation rows
+        (`order.canonical_form`)."""
         sort_of = {x: s for s, xs in self.sorts.items() for x in xs}
+        funcs, rels = sorted(self.funcs), sorted(self.rels)
+        tables = [[k + (v,) for k, v in self.funcs[f].items()] for f in funcs]
+        tables += [self.rels[r] for r in rels]
         incidences = {x: [] for x in sort_of}
-        graphs = [(f, k + (v,)) for f, tab in self.funcs.items() for k, v in tab.items()]
-        for name, row in graphs + [(r, t) for r, ts in self.rels.items() for t in ts]:
-            for i, x in enumerate(row):
-                incidences[x].append((name, i))
+        for name, rows in zip(funcs + rels, tables):
+            for row in rows:
+                for i, x in enumerate(row):
+                    incidences[x].append((name, i))
+        # the signature leads with the sort, so every order lists the sorts
+        # in sorted order and gives the same positions within them
+        positions = [j for s in sorted(self.sorts) for j in range(len(self.sorts[s]))]
 
         def encode(order):
-            m = self.rename({x: f"{s}#{j}" for s in self.sorts
-                             for j, x in enumerate(y for y in order if sort_of[y] == s)})
-            return (
-                tuple(sorted((s, len(xs)) for s, xs in m.sorts.items())),
-                tuple(sorted((f, tuple(sorted(t.items()))) for f, t in m.funcs.items())),
-                tuple(sorted((r, tuple(sorted(ts))) for r, ts in m.rels.items())),
+            pos = dict(zip(order, positions)).__getitem__
+            return tuple(
+                tuple(sorted([tuple(map(pos, row)) for row in rows])) for rows in tables
             )
 
         signature = lambda x: (sort_of[x], tuple(sorted(incidences[x])))
-        return canonical_form(sort_of, signature, encode)
+        sizes = tuple(sorted((s, len(xs)) for s, xs in self.sorts.items()))
+        return sizes, tuple(funcs), tuple(rels), canonical_form(sort_of, signature, encode)
 
 
 @dataclass

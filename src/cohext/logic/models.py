@@ -9,6 +9,13 @@ joins, preimages, and images to a fixpoint.  The distillation is a
 semantic approximation of the syntactic category and is bounded by an
 explicit term-depth budget.
 
+Models are enumerated by propagation: one depth-first search per vector of
+carrier sizes assigns the cells of the function and relation tables, and
+each sequent instance (a sequent with one assignment of its context) is
+evaluated, by `FinModel`'s own evaluator over the partial tables, whenever
+a cell it may read is assigned.  A definite violation cuts the branch, so
+every leaf of the search is a model.
+
 A model family keeps, for each ordered pair of members, the reach relation
 of the homomorphisms between them: which elements the homomorphisms
 M_i -> M_j send each element of M_i to.  It does not keep the
@@ -31,14 +38,13 @@ from ..lattice import (
     LatticeHom,
     MonotoneMap,
     NamedSetLattice,
-    is_prime_filter,
     prime_filters,
     set_lattice,
 )
 from ..order import BudgetError, assignments, bounded, set_name, union_closure
 from ..report import LawCheck
 from .chase import FinModel
-from .syntax import App, RelAtom, Theory, Var, print_term
+from .syntax import And, App, Eq, Exists, Or, RelAtom, Theory, Var, print_term
 
 
 # -- model enumeration and the reach of homomorphisms -----------------------------
@@ -50,7 +56,16 @@ def enumerate_models(
     """All models of the theory with carriers of the given sizes, one per
     isomorphism class when up_to_iso.  Elements are named by the lowercased
     sort name and an index, so two sorts that would share an element name
-    are refused: models map elements by name."""
+    are refused: models map elements by name.
+
+    Each size vector is one search that assigns the function cells and then
+    the relation cells, and evaluates each sequent instance whenever a cell
+    it may read is assigned (`_models`), so every leaf is a model.  Models
+    come out in the order of their tables: the function tables vary
+    slowest, the first function fastest and within a table the last
+    argument tuple fastest; then the relations, the first fastest, each
+    counting up its rows as a bitmask with the first row lowest.  Of each
+    isomorphism class the first model in that order is kept."""
     sig = T.signature
     names = {s: tuple(f"{s.lower()}{i}" for i in range(max_size)) for s in sig.sorts}
     owner = {}
@@ -60,49 +75,134 @@ def enumerate_models(
                 raise ValueError(f"sorts {owner[x]} and {s} share the element name {x}")
     out, seen = [], set()
     for vec in iproduct(range(min_size, max_size + 1), repeat=len(sig.sorts)):
-        sorts = {s: names[s][:n] for s, n in zip(sig.sorts, vec)}
-        for funcs in _all_func_tables(sig, sorts):
-            for rels in _all_rel_tables(sig, sorts):
-                m = FinModel(T, sorts, funcs, rels)
-                if not m.satisfies_theory():
+        for m in _models(T, {s: names[s][:n] for s, n in zip(sig.sorts, vec)}):
+            if up_to_iso:
+                key = m.canonical_key()
+                if key in seen:
                     continue
-                if up_to_iso:
-                    key = m.canonical_key()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                out.append(m)
+                seen.add(key)
+            out.append(m)
     return out
 
 
-def _all_func_tables(sig, sorts):
-    """Every choice of function tables; the first function varies fastest
-    and each table runs through its values in lexicographic order."""
-    items = sorted(sig.funcs.items())
-    domains = {f: list(iproduct(*[sorts[s] for s in args])) for f, (args, _) in items}
-    keys = [(f, d) for f, _ in reversed(items) for d in domains[f]]
-    codomain = lambda key: sorts[sig.funcs[key[0]][1]]
-    for acc in assignments(keys, codomain, lambda key, acc: True):
-        yield {f: {d: acc[f, d] for d in domains[f]} for f, _ in items}
+def _models(T: Theory, sorts: dict[str, tuple[str, ...]]):
+    """The models of T on the given carriers, by one `order.assignments`
+    search over the cells ("fun", f, args) and ("rel", r, args); a relation
+    cell takes False, then True.  A sequent instance, a sequent with one
+    assignment of its context, is indexed under every cell it may read and
+    evaluated whenever one of them is assigned.  Reading an unassigned cell
+    leaves it undecided; a holding lhs with a failing rhs cuts the branch.
+    An instance that reads no cell is decided before the search."""
+    sig = T.signature
+    funcs, rels = sorted(sig.funcs.items()), sorted(sig.rels.items())
+    fdom = {f: list(iproduct(*[sorts[s] for s in args])) for f, (args, _) in funcs}
+    rdom = {r: list(iproduct(*[sorts[s] for s in args])) for r, args in rels}
+    keys = [("fun", f, d) for f, _ in reversed(funcs) for d in fdom[f]]
+    keys += [("rel", r, d) for r, _ in reversed(rels) for d in reversed(rdom[r])]
+    index = {k: [] for k in keys}
+    ground = []
+    for seq in T.sequents:
+        for choice in iproduct(*[sorts[v.sort] for v in seq.context]):
+            env = {v.name: x for v, x in zip(seq.context, choice)}
+            cells = _cells_read(seq, env, sorts)
+            for c in cells:
+                index[c].append((seq, env))
+            if not cells:
+                ground.append((seq, env))
+    unassigned = _partial_model(T, sorts, {})
+    if any(_violated(unassigned, seq, env) for seq, env in ground):
+        return
+    partial = None
+
+    def consistent(key, acc):
+        nonlocal partial
+        if partial is None:  # the search assigns into this one dict throughout
+            partial = _partial_model(T, sorts, acc)
+        return not any(_violated(partial, seq, env) for seq, env in index[key])
+
+    def values(key):
+        return sorts[sig.funcs[key[1]][1]] if key[0] == "fun" else (False, True)
+
+    for acc in assignments(keys, values, consistent):
+        yield FinModel(
+            T,
+            sorts,
+            {f: {d: acc["fun", f, d] for d in fdom[f]} for f, _ in funcs},
+            {r: frozenset(d for d in rdom[r] if acc["rel", r, d]) for r, _ in rels},
+        )
 
 
-def _all_rel_tables(sig, sorts):
-    items = sorted(sig.rels.items())
+class _Unassigned(Exception):
+    """A read of a cell that the search has not assigned yet."""
 
-    def rec(i):
-        if i == len(items):
-            yield {}
-            return
-        name, args = items[i]
-        domain = list(iproduct(*[sorts[s] for s in args]))
-        for rest in rec(i + 1):
-            for mask in range(1 << len(domain)):
-                rows = frozenset(
-                    domain[j] for j in range(len(domain)) if mask >> j & 1
-                )
-                yield {name: rows, **rest}
 
-    yield from rec(0)
+class _Cells:
+    """One symbol's cells in a partial assignment, read as a function table
+    (`cells[args]`) or as a relation (`args in cells`)."""
+
+    __slots__ = ("acc", "kind", "name")
+
+    def __init__(self, acc: dict, kind: str, name: str):
+        self.acc, self.kind, self.name = acc, kind, name
+
+    def __getitem__(self, args):
+        value = self.acc.get((self.kind, self.name, args))
+        if value is None:
+            raise _Unassigned
+        return value
+
+    __contains__ = __getitem__
+
+
+def _partial_model(T: Theory, sorts, acc: dict) -> FinModel:
+    sig = T.signature
+    return FinModel(
+        T,
+        sorts,
+        {f: _Cells(acc, "fun", f) for f in sig.funcs},
+        {r: _Cells(acc, "rel", r) for r in sig.rels},
+    )
+
+
+def _violated(M: FinModel, seq, env) -> bool:
+    """The instance's lhs holds in M and its rhs fails, read from assigned
+    cells only."""
+    try:
+        return M.satisfies_formula(seq.lhs, env) and not M.satisfies_formula(seq.rhs, env)
+    except _Unassigned:
+        return False
+
+
+def _cells_read(seq, env: dict, sorts) -> set[tuple]:
+    """The cells that evaluating the sequent under env may read.  A variable
+    bound in it, and a term with a function at its head, may take any value
+    of its sort: f(f(x)) may read every cell of f."""
+    cells = set()
+
+    def values(t, env):
+        if isinstance(t, Var):
+            return (env[t.name],) if t.name in env else sorts[t.sort]
+        args = [values(a, env) for a in t.args]
+        cells.update(("fun", t.func, d) for d in iproduct(*args))
+        return sorts[t.sort]
+
+    def visit(phi, env):
+        if isinstance(phi, RelAtom):
+            args = [values(a, env) for a in phi.args]
+            cells.update(("rel", phi.rel, d) for d in iproduct(*args))
+        elif isinstance(phi, Eq):
+            values(phi.lhs, env)
+            values(phi.rhs, env)
+        elif isinstance(phi, (And, Or)):
+            for p in phi.parts:
+                visit(p, env)
+        elif isinstance(phi, Exists):
+            bound = {b.name for b in phi.binders}
+            visit(phi.body, {k: v for k, v in env.items() if k not in bound})
+
+    visit(seq.lhs, env)
+    visit(seq.rhs, env)
+    return cells
 
 
 def _reach(M: FinModel, N: FinModel) -> dict[str, dict[str, frozenset[str]]]:
@@ -462,10 +562,6 @@ def types(C: FamilyCategory, A: str) -> list[tuple[int, str, frozenset]]:
         for a in M.sorts[A]:
             out.append((i, a, type_of(C, A, i, a)))
     return out
-
-
-def primality_check(C: FamilyCategory, A: str, t: frozenset) -> bool:
-    return is_prime_filter(C.sub_lattice(A), t)
 
 
 # -- the family conditions ----------------------------------------------------------

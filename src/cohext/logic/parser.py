@@ -501,10 +501,3 @@ def _elab_term(sig, t: RawTerm, var):
 def parse_theory(text: str) -> Theory:
     return Parser(tokenize(text)).parse_theory()
 
-
-def parse_sequent_text(sig: Signature, text: str) -> Sequent:
-    p = Parser(tokenize(text))
-    seq = p.parse_sequent(sig)
-    if p.peek().kind != "eof":
-        raise ParseError("trailing input after sequent", p.peek().span)
-    return seq

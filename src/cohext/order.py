@@ -126,7 +126,9 @@ def bounded(items, budget: int, message: str) -> list:
 def assignments(keys, values, consistent):
     """Yield, in lexicographic order, each dict giving every key in turn a
     value from `values(key)` such that `consistent(key, acc)` held when the
-    key was added to `acc`; a rejected value cuts its whole branch."""
+    key was added to `acc`; a rejected value cuts its whole branch.  `acc`
+    is one dict for the whole search and holds exactly the keys assigned so
+    far."""
     keys = tuple(keys)
     acc = {}
 

@@ -443,6 +443,32 @@ def test_criterion_13_models_pipeline():
         assert rep.surjectivity.passed
 
 
+def test_criterion_13_family_checks_at_size_seven():
+    with criterion(13, "family checks at size 7", 20):
+        from cohext.logic.models import (
+            FamilyCategory,
+            ModelFamily,
+            check_m1,
+            check_m2,
+            check_m3,
+            enumerate_models,
+            sigma_bar_check,
+        )
+        from cohext.logic.parser import parse_theory
+
+        counts = []
+        for name in ["pointed", "idempotent", "ordered"]:
+            T = parse_theory(fixture_path(f"{name}.chr").read_text())
+            C = FamilyCategory(T, ModelFamily.build(enumerate_models(T, 7)))
+            counts.append(len(C.family.models))
+            assert check_m1(C).passed
+            assert check_m2(C).passed
+            assert check_m3(C).passed
+            rep = sigma_bar_check(C)
+            assert rep.passed, (name, rep)
+        assert counts == [28, 44, 84]
+
+
 def test_criterion_14_parser_golden():
     with criterion(14, "parser golden round-trip", 5):
         from cohext.logic.parser import parse_theory

@@ -1,5 +1,6 @@
 """Parser, chase, and the model-family pipeline."""
 
+import random
 from itertools import permutations, product
 
 import pytest
@@ -17,18 +18,23 @@ from cohext.logic.models import (
     check_m2,
     check_m3,
     enumerate_models,
-    primality_check,
     sigma_bar_check,
     type_of,
     types,
 )
-from cohext.logic.parser import ParseError, parse_sequent_text, parse_theory
+from cohext.lattice import is_prime_filter
+from cohext.logic.parser import Parser, ParseError, parse_theory, tokenize
 from cohext.logic.syntax import (
+    App,
     Exists,
     Or,
+    RelAtom,
+    Sequent,
     Signature,
     SortError,
     Theory,
+    Truth,
+    Var,
     print_formula,
     print_theory,
 )
@@ -38,6 +44,14 @@ CORPUS = ["pointed", "idempotent", "ordered"]
 
 
 # -- parser ---------------------------------------------------------------------
+
+
+def parse_sequent_text(sig: Signature, text: str) -> Sequent:
+    p = Parser(tokenize(text))
+    seq = p.parse_sequent(sig)
+    if p.peek().kind != "eof":
+        raise ParseError("trailing input after sequent", p.peek().span)
+    return seq
 
 
 def test_parse_simple_sequent_with_inferred_context():
@@ -324,13 +338,157 @@ def as_tables(models):
 def test_enumerate_models_matches_the_permutation_key_enumerator():
     for name in CORPUS:
         T = parse_theory(fixture_path(f"{name}.chr").read_text())
-        reduced, seen = [], set()
-        for M in enumerate_models(T, 5, up_to_iso=False):
-            key = canonical_key_oracle(M)
-            if key not in seen:
-                seen.add(key)
-                reduced.append(M)
+        reduced = first_of_each_class(
+            enumerate_models(T, 5, up_to_iso=False), canonical_key_oracle
+        )
         assert as_tables(enumerate_models(T, 5)) == as_tables(reduced)
+
+
+def all_func_tables(sig, sorts):
+    """Every choice of function tables; the first function varies fastest
+    and each table runs through its values in lexicographic order."""
+    items = sorted(sig.funcs.items())
+    domains = {f: list(product(*[sorts[s] for s in args])) for f, (args, _) in items}
+    keys = [(f, d) for f, _ in reversed(items) for d in domains[f]]
+    codomain = lambda key: sorts[sig.funcs[key[0]][1]]
+    for acc in assignments(keys, codomain, lambda key, acc: True):
+        yield {f: {d: acc[f, d] for d in domains[f]} for f, _ in items}
+
+
+def all_rel_tables(sig, sorts):
+    """Every choice of relation tables; the first relation varies fastest
+    and each counts up its rows as a bitmask, the first row lowest."""
+    items = sorted(sig.rels.items())
+
+    def rec(i):
+        if i == len(items):
+            yield {}
+            return
+        name, args = items[i]
+        domain = list(product(*[sorts[s] for s in args]))
+        for rest in rec(i + 1):
+            for mask in range(1 << len(domain)):
+                rows = frozenset(
+                    domain[j] for j in range(len(domain)) if mask >> j & 1
+                )
+                yield {name: rows, **rest}
+
+    yield from rec(0)
+
+
+def enumerate_models_oracle(T, max_size, min_size=1):
+    """The generate-and-filter enumerator: every choice of tables on every
+    size vector, kept when it satisfies the theory."""
+    sig = T.signature
+    out = []
+    for vec in product(range(min_size, max_size + 1), repeat=len(sig.sorts)):
+        sorts = {s: tuple(f"{s.lower()}{i}" for i in range(n)) for s, n in zip(sig.sorts, vec)}
+        for funcs in all_func_tables(sig, sorts):
+            for rels in all_rel_tables(sig, sorts):
+                m = FinModel(T, sorts, funcs, rels)
+                if m.satisfies_theory():
+                    out.append(m)
+    return out
+
+
+def first_of_each_class(models, key):
+    out, seen = [], set()
+    for M in models:
+        k = key(M)
+        if k not in seen:
+            seen.add(k)
+            out.append(M)
+    return out
+
+
+def two_sorted_theory():
+    """Two sorts, a cross-sort function, a constant, a binary and a nullary
+    relation (the parser has no nullary relations, so built directly)."""
+    sig = Signature(
+        ("A", "B"), {"f": (("A",), "B"), "c": ((), "A")}, {"P": ("B", "A"), "R": ()}
+    )
+    x, y, c = Var("x", "A"), Var("y", "B"), App("c", (), "A")
+    fx = App("f", (x,), "B")
+    R = RelAtom("R", ())
+    return Theory(sig, (
+        Sequent((x,), R, RelAtom("P", (fx, x))),
+        Sequent((), Truth(), Or((R, Exists((y,), RelAtom("P", (y, c)))))),
+    ))
+
+
+def generated_theory(rng):
+    """A theory shaped like those of the model-sweep benchmark, with one
+    unary relation fewer: a constant c, a function f and relations P and R
+    over one sort; sequents with existentials, disjunctions, f(c) and
+    equations."""
+
+    def term(vs):
+        base = rng.choice(vs + ["c"])
+        return f"f({base})" if rng.random() < 0.3 else base
+
+    def atom(vs, first=None):
+        k = rng.random()
+        if k < 0.45:
+            return f"P({first or term(vs)})"
+        if k < 0.85:
+            return f"R({first or term(vs)}, {term(vs)})"
+        return f"{first or term(vs)} = {term(vs)}"
+
+    lines = ["sort A", "fun c : -> A", "fun f : A -> A", "rel P : A", "rel R : A, A", ""]
+    for _ in range(rng.randint(2, 4)):
+        vs = ["x", "y"][: rng.choice([0, 1, 1, 2])]
+        lhs = " and ".join(atom(vs) for _ in range(rng.choice([1, 2]))) if vs else "true"
+        kind = rng.choice(["atom", "or", "exists"])
+        if kind == "or":
+            rhs = f"{atom(vs)} or {atom(vs)}"
+        elif kind == "exists":
+            rhs = f"exists z:A. {atom(vs + ['z'], first='z')}"
+        else:
+            rhs = atom(vs)
+        ctx = ", ".join(f"{v}:A" for v in vs)
+        lines.append(f"{ctx} | {lhs} |- {rhs}" if vs else f"{lhs} |- {rhs}")
+    return parse_theory("\n".join(lines) + "\n")
+
+
+def oracle_cases():
+    for name in CORPUS:
+        yield name, parse_theory(fixture_path(f"{name}.chr").read_text()), 5, 1
+    yield "two sorts", two_sorted_theory(), 2, 1
+    yield "empty carriers", theory(
+        "sort A\nsort B\nfun g : A -> B\nrel P : A\n"
+        "x:A | P(x) |- exists y:A. g(y) = g(x) and P(y)\n"
+    ), 2, 0
+    yield "shared name", theory(
+        "sort A\nfun f : A -> A\nrel f : A\nx:A | f(x) |- f(f(x))\n"
+    ), 3, 1
+    yield "no cell: false", theory("sort A\nrel P : A\ntrue |- false\n"), 3, 0
+    yield "no cell: true", theory("sort A\nrel P : A\nx:A | x = x |- true\n"), 3, 0
+    rng = random.Random(7)
+    for i in range(50):
+        yield f"generated {i}", generated_theory(rng), 2, 1
+
+
+def test_enumerate_models_matches_the_generate_and_filter_oracle():
+    counts = {}
+    for name, T, max_size, min_size in oracle_cases():
+        want = enumerate_models_oracle(T, max_size, min_size)
+        got = enumerate_models(T, max_size, min_size, up_to_iso=False)
+        assert as_tables(got) == as_tables(want), name
+        reduced = first_of_each_class(want, FinModel.canonical_key)
+        got = enumerate_models(T, max_size, min_size)
+        assert as_tables(got) == as_tables(reduced), name
+        counts[name] = (len(reduced), len(want))
+    assert counts["no cell: false"] == (0, 0)
+    assert counts["no cell: true"] == (1 + 2 + 3 + 4, 1 + 2 + 4 + 8)
+    assert len(counts) == 58
+
+
+def test_canonical_key_splits_the_shared_name_family_like_the_permutation_oracle():
+    T = theory("sort A\nfun f : A -> A\nrel f : A\n")
+    family = enumerate_models(T, 3, up_to_iso=False)
+    got = iso_classes(family, FinModel.canonical_key)
+    assert got == iso_classes(family, canonical_key_oracle)
+    assert (len(family), len(got)) == (2 + 16 + 216, len(enumerate_models(T, 3)))
 
 
 def homomorphisms(M: FinModel, N: FinModel) -> list[dict[str, dict[str, str]]]:
@@ -418,11 +576,7 @@ def oracle_families(up_to_iso=True):
         )
         for name in CORPUS
     ]
-    # two sorts, a cross-sort function, a constant, a binary and a nullary
-    # relation (the parser has no nullary relations, so built directly)
-    sig = Signature(
-        ("A", "B"), {"f": (("A",), "B"), "c": ((), "A")}, {"P": ("B", "A"), "R": ()}
-    )
+    sig = two_sorted_theory().signature
     families.append(enumerate_models(Theory(sig, ()), 2, up_to_iso=up_to_iso))
     # an empty carrier in the source
     families.append(enumerate_models(
@@ -487,7 +641,7 @@ def test_types_are_prime_filters_on_all_corpus_fixtures():
         C = corpus_category(name)
         for A in C.sorts:
             for _, _, t in types(C, A):
-                assert primality_check(C, A, t)
+                assert is_prime_filter(C.sub_lattice(A), t)
 
 
 def test_singleton_sort_unique_type():
@@ -496,7 +650,7 @@ def test_singleton_sort_unique_type():
     for i in M1:
         a = C.family.models[i].sorts["A"][0]
         t = type_of(C, "A", i, a)
-        assert primality_check(C, "A", t)
+        assert is_prime_filter(C.sub_lattice("A"), t)
 
 
 def test_conditions_pass_on_corpus():
