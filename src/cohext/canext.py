@@ -45,11 +45,12 @@ class FilteredError(LatticeError):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class CanonicalExtension:
-    """An embedding of a lattice into a complete (here: finite) lattice.
+    """An injective lattice hom `embed` of `base` into the complete (here:
+    finite) lattice `ext`, trusted as given.
 
-    `canonical_extension` produces the dense and compact one; arbitrary
-    embeddings can be wrapped too, so the denseness/compactness predicates
-    stay honest checks instead of constructor postconditions.
+    `canonical_extension` builds the dense and compact one; other
+    embeddings can be wrapped too, so denseness and compactness stay
+    checks, not postconditions.
     """
 
     base: FinLattice
@@ -57,13 +58,6 @@ class CanonicalExtension:
     embed: dict[str, str]
     # the prime filters of base, set by `canonical_extension`
     prime_filters: tuple[frozenset[str], ...] | None = None
-
-    def __post_init__(self):
-        m = MonotoneMap(self.base, self.ext, self.embed)
-        if not m.is_lattice_hom():
-            raise LatticeError("embedding is not a lattice homomorphism")
-        if len(set(self.embed.values())) != len(self.base.elements):
-            raise LatticeError("embedding is not injective")
 
     def e(self, a: str) -> str:
         return self.embed[a]
@@ -250,7 +244,7 @@ def sigma_extension(
     _check_lift_typing(f, ce_s, ce_t)
     value = {a: ce_t.embed[b] for a, b in f.mapping.items()}
     table = _two_stage(ce_s, ce_t.ext, value)
-    table_map = MonotoneMap.trusted(ce_s.ext, ce_t.ext, table)
+    table_map = MonotoneMap(ce_s.ext, ce_t.ext, table)
     return ExtendedMap("sigma", f, ce_s, ce_t, table_map)
 
 
@@ -263,7 +257,7 @@ def pi_extension(
     _check_lift_typing(f, ce_s, ce_t)
     value = {a: ce_t.embed[b] for a, b in f.mapping.items()}
     table = _two_stage(ce_s.dual, ce_t.ext.dual, value)
-    table_map = MonotoneMap.trusted(ce_s.ext, ce_t.ext, table)
+    table_map = MonotoneMap(ce_s.ext, ce_t.ext, table)
     return ExtendedMap("pi", f, ce_s, ce_t, table_map)
 
 
@@ -296,12 +290,14 @@ def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
     embedded base.  K is the codomain of h itself, not its extension.
 
     On an extension built by `canonical_extension` the embedding is onto,
-    so the table is h read through it, a hom by construction; an
-    extension wrapping some other embedding is validated.  Computed once
-    per extension and kept on h; the result does not refer to h."""
-    table = _two_stage(ce_s, h.target, h.mapping)
-    make = LatticeHom if ce_s.prime_filters is None else LatticeHom.trusted
-    return make(ce_s.ext, h.target, table)
+    so the table is h read through it, a hom by construction; through
+    some other embedding the table is monotone, and refused unless it is
+    a hom.  Computed once per extension and kept on h; the result does
+    not refer to h."""
+    hbar = LatticeHom(ce_s.ext, h.target, _two_stage(ce_s, h.target, h.mapping))
+    if ce_s.prime_filters is None and not hbar.is_lattice_hom():
+        raise LatticeError("not a lattice homomorphism")
+    return hbar
 
 
 # -- composition, Esakia, square transfer -------------------------------------

@@ -49,7 +49,7 @@ def _grow(level, max_size: int) -> list:
                 continue
             # reflexive, antisymmetric and transitive by construction: the
             # new element is maximal and `down` is down-closed
-            q = FinPoset.trusted(
+            q = FinPoset(
                 p.elements + (new,),
                 p.pairs | {(new, new)} | {(d, new) for d in down},
             )

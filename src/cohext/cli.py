@@ -20,13 +20,13 @@ from .fincat import category_law_failures
 from .jsonio import (
     category_from_json,
     category_to_dot,
+    hom_from_json,
     hyperdoctrine_from_json,
     lattice_from_json,
     lattice_to_json,
     model_from_json,
     model_to_json,
 )
-from .lattice import LatticeHom
 from .order import BudgetError
 from .report import Report
 
@@ -318,9 +318,9 @@ def cmd_tot_locale(args, report: Report):
 
     L = lattice_from_json(read_json(report, args.source))
     K = lattice_from_json(read_json(report, args.target))
-    table = read_json(report, args.hom)
+    h = hom_from_json(read_json(report, args.hom), L, K)
     CL, CK = LatticeCategory(L), LatticeCategory(K)
-    F = lattice_hom_functor(LatticeHom(L, K, table), CL, CK)
+    F = lattice_hom_functor(h, CL, CK)
     m = locale_morphism(F, CL, CK)
     ok, w = surjection_check(m)
     report.check("surjection", ok, w)

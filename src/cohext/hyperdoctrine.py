@@ -216,7 +216,7 @@ def canext_hyperdoctrine(P: CoherentHyperdoctrine) -> CanextHyperdoctrine:
     subst, exists = {}, {}
     for f, m in P.base.morphisms.items():
         s = sigma_extension(P.sub(f), exts[m.tgt], exts[m.src]).map
-        subst[f] = LatticeHom.trusted(s.source, s.target, s.mapping)
+        subst[f] = LatticeHom(s.source, s.target, s.mapping)
         exists[f] = sigma_extension(P.ex(f), exts[m.src], exts[m.tgt]).map
     return CanextHyperdoctrine(
         P.base, fibers, subst, exists, P.limits, fiber_ext=exts
@@ -307,14 +307,14 @@ def canext_morphism(
     tau = {}
     for A in m.source.base.objects:
         s = sigma_extension(m.tau[A], Pd1.fiber_ext[A], Pd2.fiber_ext[m.K.on_obj(A)]).map
-        tau[A] = LatticeHom.trusted(s.source, s.target, s.mapping)
+        tau[A] = LatticeHom(s.source, s.target, s.mapping)
     return HypMorphism(Pd1, Pd2, m.K, tau)
 
 
 def compose_morphisms(m1: HypMorphism, m2: HypMorphism) -> HypMorphism:
     """m2 o m1 : P1 -> P3."""
     tau = {
-        A: LatticeHom.trusted(
+        A: LatticeHom(
             m1.tau[A].source,
             m2.tau[m1.K.on_obj(A)].target,
             {

@@ -1,6 +1,7 @@
-"""JSON formats for lattices, categories, hyperdoctrines, and models, plus
-DOT export.  Validation is strict: malformed structure raises with the
-offending key."""
+"""JSON formats for lattices, lattice homs, categories, hyperdoctrines and
+models, plus DOT export.  Validation is strict: malformed structure raises
+with the offending key, and orders and maps, the only ones not built by
+theorem, are refused with their first `poset_failures` or `map_failures`."""
 
 from __future__ import annotations
 
@@ -10,12 +11,20 @@ from pathlib import Path
 from .cohcat import CohCategory, ConcreteCohCategory, LatticeCategory
 from .fincat import FinCategory
 from .hyperdoctrine import BaseLimits, CoherentHyperdoctrine
-from .lattice import FinLattice, LatticeHom, MonotoneMap
-from .order import FinPoset
+from .lattice import FinLattice, LatticeHom, MonotoneMap, map_failures
+from .order import FinPoset, poset_failures
 
 
 class FormatError(ValueError):
     pass
+
+
+def checked(x, failures):
+    """x, refused with the first witness that `failures(x)` yields."""
+    w = next(failures(x), None)
+    if w is not None:
+        raise FormatError(w)
+    return x
 
 
 # -- lattices -------------------------------------------------------------------
@@ -34,13 +43,14 @@ def lattice_from_json(data: dict) -> FinLattice:
     elements = data["elements"]
     if not _is_str_list(elements):
         raise FormatError("lattice 'elements' must be a list of strings")
-    pairs = set()
+    pairs, known = [], set(elements)
     for p in _lattice_entries(data, "leq"):
         if not (_is_str_list(p) and len(p) == 2):
             raise FormatError(f"bad leq pair {p!r}")
-        pairs.add((p[0], p[1]))
-    poset = FinPoset.from_pairs(elements, pairs)
-    L = FinLattice.from_poset(poset)
+        if not set(p) <= known:
+            raise FormatError(f"relation pair ({p[0]},{p[1]}) uses unknown element")
+        pairs.append((p[0], p[1]))
+    L = FinLattice.from_poset(checked(FinPoset.from_pairs(elements, pairs), poset_failures))
     for key, op, bound in (("meet", L.meet, "glb"), ("join", L.join, "lub")):
         for t in _lattice_entries(data, key):
             if not (_is_str_list(t) and len(t) == 3 and set(t) <= set(elements)):
@@ -64,6 +74,13 @@ def _lattice_entries(data: dict, key: str) -> list:
 
 def load_lattice(path) -> FinLattice:
     return lattice_from_json(json.loads(Path(path).read_text()))
+
+
+def hom_from_json(data: dict, source: FinLattice, target: FinLattice) -> LatticeHom:
+    """The hom source -> target given as an {element: image} object."""
+    if not isinstance(data, dict):
+        raise FormatError("hom JSON must be an object mapping elements to elements")
+    return checked(LatticeHom(source, target, data), map_failures)
 
 
 # -- categories -----------------------------------------------------------------
@@ -167,8 +184,8 @@ def hyperdoctrine_from_json(data: dict, base_dir: Path | None = None) -> Coheren
             out[f] = located(f"'{key}' at {f}", make, fibers[m.src], fibers[m.tgt], table)
         return out
 
-    subst = tables("subst", lambda FA, FB, t: LatticeHom(FB, FA, t))
-    exists = tables("exists", MonotoneMap)
+    subst = tables("subst", lambda FA, FB, t: hom_from_json(t, FB, FA))
+    exists = tables("exists", lambda FA, FB, t: checked(MonotoneMap(FA, FB, t), map_failures))
     return CoherentHyperdoctrine(
         C.cat, fibers, subst, exists, BaseLimits.from_cohcat(C)
     )

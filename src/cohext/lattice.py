@@ -1,10 +1,11 @@
 """Finite bounded lattices: tables, filters, ideals, prime filters, duality.
 
-A lattice is stored as a poset plus meet/join tables.  The tables are
-validated against the order at construction: meet(a,b) must be the greatest
-lower bound and join(a,b) the least upper bound, which forces all the
-lattice identities.  Distributivity is a separate predicate so that
-non-distributive counterexamples remain representable.
+A lattice is stored as a poset plus meet/join tables: meet(a,b) is the
+greatest lower bound and join(a,b) the least upper bound, which forces all
+the lattice identities.  `FinLattice.from_poset` derives the tables from
+an order; every other construction knows them by theorem.  Distributivity
+is a separate predicate so that non-distributive counterexamples remain
+representable.
 
 Every lattice of sets (downsets, filters, ideals, subsets of a finite set,
 families of subsets) is built by `set_lattice`, the one place that names
@@ -30,16 +31,13 @@ meets when its dual preserves finite joins, its right adjoint is the dual
 of its dual's left adjoint, and `meet_preserving_maps` is
 `join_preserving_maps` between the duals.
 
-`MonotoneMap.trusted` (and `LatticeHom.trusted`) skips validation, as
-`FinPoset.trusted` and `FinLattice.trusted` do.  It is used only where a
-map is correct by construction: the results of the map searches here
-(`monotone_maps` checks each pair b <= a as a is assigned), the sigma/pi
-lifting tables and `extend_hom` on an extension built by
-`canonical_extension` (see `canext`).  Maps built from outside data keep
-the validating constructor.  A finite category is never built from
-outside data, so `fincat.FinCategory` has only the trusting constructor;
-its laws are checked where a category is claimed, by
-`fincat.category_law_failures`.
+Lattices and maps trust their data, as posets do (see `order`): each one
+the program builds is one by theorem, such as the results of the map
+searches here (`monotone_maps` checks each pair b <= a as a is assigned),
+the pullback and image maps of the categories and the sigma/pi lifts.
+`lattice_failures` and `map_failures` (the hom law included for a
+`LatticeHom`) state the axioms; `jsonio` runs the map check on what it
+reads, and the tests run both on every construction.
 
 Lattices and maps are immutable, so what they determine is computed once
 per instance by `order.cached`: the duals, the distributivity witness, the
@@ -56,7 +54,7 @@ one already searched gets the maps into the one first searched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from operator import and_, ge, le, or_
 
@@ -65,6 +63,7 @@ from .order import (
     assignments,
     cached,
     cached_method,
+    poset_failures,
     set_name,
     trusted_instance,
 )
@@ -86,42 +85,6 @@ class FinLattice:
     bottom: str
     top: str
 
-    def __post_init__(self):
-        elems = self.poset.elements
-        for a in elems:
-            if not self.poset.leq(self.bottom, a):
-                raise LatticeError(f"bottom not below {a}")
-            if not self.poset.leq(a, self.top):
-                raise LatticeError(f"top not above {a}")
-        for a, b in product(elems, repeat=2):
-            m = self.meet_table.get((a, b))
-            j = self.join_table.get((a, b))
-            if m is None or j is None:
-                raise LatticeError(f"missing table entry for ({a},{b})")
-            if not self.dual._is_lub(m, a, b):  # a glb is a lub of the dual
-                raise LatticeError(f"meet({a},{b})={m} is not the glb")
-            if not self._is_lub(j, a, b):
-                raise LatticeError(f"join({a},{b})={j} is not the lub")
-
-    def _is_lub(self, j, a, b) -> bool:
-        p = self.poset
-        if not (p.leq(a, j) and p.leq(b, j)):
-            return False
-        return all(
-            p.leq(j, x) for x in p.elements if p.leq(a, x) and p.leq(b, x)
-        )
-
-    @classmethod
-    def trusted(cls, poset, meet, join, bottom, top, **extra):
-        """Skip table validation; for tables that are glb/lub tables by
-        construction (set intersections/unions and the like).  `extra` sets
-        further fields of `cls` and `cached` attributes whose values are
-        known."""
-        return trusted_instance(
-            cls, poset=poset, meet_table=meet, join_table=join,
-            bottom=bottom, top=top, **extra,
-        )
-
     @classmethod
     def from_poset(cls, poset: FinPoset) -> FinLattice:
         """Derive meet/join from the order; raise with a witness pair if absent."""
@@ -138,11 +101,10 @@ class FinLattice:
             if len(lub) != 1:
                 raise LatticeError(f"pair ({a},{b}) has no join")
             meet[(a, b)], join[(a, b)] = glb[0], lub[0]
-        bots = [a for a in poset.elements if all(poset.leq(a, x) for x in poset.elements)]
-        tops = [a for a in poset.elements if all(poset.leq(x, a) for x in poset.elements)]
-        if not bots or not tops:
-            raise LatticeError("missing bottom or top")
-        return cls(poset, meet, join, bots[0], tops[0])
+        # a finite lattice is bounded by the meet and the join of all
+        bottom = reduce(lambda x, y: meet[x, y], poset.elements)
+        top = reduce(lambda x, y: join[x, y], poset.elements)
+        return cls(poset, meet, join, bottom, top)
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -186,8 +148,8 @@ class FinLattice:
         down = self.poset.down_set(a)
         elems = tuple(x for x in self.elements if x in down)
         pairs = [(x, y) for x in elems for y in elems]
-        return FinLattice.trusted(
-            FinPoset.trusted(elems, (p for p in pairs if p in self.poset.pairs)),
+        return FinLattice(
+            FinPoset(elems, frozenset(p for p in pairs if p in self.poset.pairs)),
             {p: self.meet_table[p] for p in pairs},
             {p: self.join_table[p] for p in pairs},
             self.bottom,
@@ -200,9 +162,9 @@ class FinLattice:
     def dual(self) -> FinLattice:
         """The order dual: the same elements, the flipped order and the
         swapped tables; `L.dual.dual is L`."""
-        return FinLattice.trusted(
-            self.poset.dual, self.join_table, self.meet_table,
-            self.top, self.bottom, dual=self,
+        return trusted_instance(
+            FinLattice, poset=self.poset.dual, meet_table=self.join_table,
+            join_table=self.meet_table, bottom=self.top, top=self.bottom, dual=self,
         )
 
     @cached
@@ -272,11 +234,11 @@ def set_lattice(
     """The lattice on `items` (kept in the given order) ordered by `leq`.
 
     `meet` and `join` must map pairs of items to items that are their glb
-    and lub under `leq`; the tables are trusted, not validated.  Elements
-    are named by `name`; `extra` sets further fields of `cls`."""
+    and lub under `leq`.  Elements are named by `name`; `extra` sets
+    further fields of `cls`."""
     items = list(items)
     encode = {s: name(s) for s in items}
-    poset = FinPoset.trusted(
+    poset = FinPoset(
         tuple(encode[s] for s in items),
         frozenset((encode[s], encode[t]) for s in items for t in items if leq(s, t)),
     )
@@ -286,7 +248,7 @@ def set_lattice(
     join_table = {
         (encode[s], encode[t]): encode[join(s, t)] for s in items for t in items
     }
-    return cls.trusted(
+    return cls(
         poset, meet_table, join_table,
         encode[reduce(meet, items)], encode[reduce(join, items)],
         decode={n: s for s, n in encode.items()}, encode=encode, **extra,
@@ -407,35 +369,13 @@ class MonotoneMap:
     target: FinLattice
     mapping: dict[str, str]
 
-    def __post_init__(self):
-        for a in self.source.elements:
-            if a not in self.mapping:
-                raise LatticeError(f"map undefined on {a}")
-            if self.mapping[a] not in self.target.elements:
-                raise LatticeError(f"map sends {a} outside the target")
-        # Product order, not the pair set's, so the witness is the first
-        # offending pair whatever the hash seed.
-        m, src, tgt = self.mapping, self.source.poset.pairs, self.target.poset.pairs
-        for a, b in product(self.source.elements, repeat=2):
-            if (a, b) in src and (m[a], m[b]) not in tgt:
-                raise LatticeError(f"not order-preserving on ({a},{b})")
-
-    @classmethod
-    def trusted(cls, source, target, mapping, **extra):
-        """Skip validation; for maps that are total, into the target and
-        order-preserving (homomorphisms, for `LatticeHom`) by construction.
-        `extra` sets `cached` attributes whose values are known, such as
-        the verdict of a map built join-preserving."""
-        return trusted_instance(
-            cls, source=source, target=target, mapping=mapping, **extra
-        )
-
     @cached
     def dual(self) -> MonotoneMap:
         """The same mapping between the order duals (a hom stays a hom);
         `f.dual.dual is f`."""
-        return type(self).trusted(
-            self.source.dual, self.target.dual, self.mapping, dual=self
+        return trusted_instance(
+            type(self), source=self.source.dual, target=self.target.dual,
+            mapping=self.mapping, dual=self,
         )
 
     def __call__(self, a: str) -> str:
@@ -516,10 +456,55 @@ class LatticeHom(MonotoneMap):
     """Bounded-lattice homomorphism; for finite lattices this is the same
     thing as a complete homomorphism."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.is_lattice_hom():
-            raise LatticeError("not a lattice homomorphism")
+
+# -- the axioms, as generators of witnesses -----------------------------------
+
+
+def lattice_failures(L: FinLattice):
+    """Each way L fails to be a bounded lattice, as a message naming its
+    witness: the poset failures of its order, the bounds in element order,
+    then each table entry that is missing or not the glb or lub, in
+    product order."""
+    yield from poset_failures(L.poset)
+    leq, elems = L.poset.leq, L.elements
+    for a in elems:
+        if not leq(L.bottom, a):
+            yield f"bottom not below {a}"
+        if not leq(a, L.top):
+            yield f"top not above {a}"
+
+    def is_lub(j, a, b, le):
+        uppers = [x for x in elems if le(a, x) and le(b, x)]
+        return j in uppers and all(le(j, x) for x in uppers)
+
+    for a, b in product(elems, repeat=2):
+        m, j = L.meet_table.get((a, b)), L.join_table.get((a, b))
+        if m is None or j is None:
+            yield f"missing table entry for ({a},{b})"
+            continue
+        if not is_lub(m, a, b, L.poset.dual.leq):  # a glb is a lub of the dual
+            yield f"meet({a},{b})={m} is not the glb"
+        if not is_lub(j, a, b, leq):
+            yield f"join({a},{b})={j} is not the lub"
+
+
+def map_failures(f: MonotoneMap):
+    """Each way f fails to be a map of its class, as a message naming its
+    witness: each element it leaves undefined or sends outside the target;
+    else each pair it fails to keep in order, in product order, and for a
+    `LatticeHom` the hom law."""
+    m = f.mapping
+    stray = [a for a in f.source.elements if m.get(a) not in f.target.elements]
+    for a in stray:
+        yield f"map undefined on {a}" if a not in m else f"map sends {a} outside the target"
+    if stray:
+        return
+    src, tgt = f.source.poset.pairs, f.target.poset.pairs
+    for a, b in product(f.source.elements, repeat=2):
+        if (a, b) in src and (m[a], m[b]) not in tgt:
+            yield f"not order-preserving on ({a},{b})"
+    if isinstance(f, LatticeHom) and not f.is_lattice_hom():
+        yield "not a lattice homomorphism"
 
 
 # -- the laws between a pair of maps, as generators of failing pairs ----------
@@ -575,7 +560,7 @@ def product_lattice(L: FinLattice, K: FinLattice) -> FinLattice:
         for y in elems
         if L.leq(split[x][0], split[y][0]) and K.leq(split[x][1], split[y][1])
     )
-    poset = FinPoset.trusted(elems, pairs)
+    poset = FinPoset(elems, pairs)
     meet = {
         (x, y): pair_name(
             L.meet(split[x][0], split[y][0]), K.meet(split[x][1], split[y][1])
@@ -590,7 +575,7 @@ def product_lattice(L: FinLattice, K: FinLattice) -> FinLattice:
         for x in elems
         for y in elems
     }
-    return FinLattice.trusted(
+    return FinLattice(
         poset, meet, join,
         pair_name(L.bottom, K.bottom), pair_name(L.top, K.top),
     )
@@ -628,7 +613,7 @@ def _by_items(maps: list) -> list:
 def monotone_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
     """All order-preserving maps L -> K, sorted by their items."""
     return _by_items([
-        MonotoneMap.trusted(L, K, m)
+        MonotoneMap(L, K, m)
         for m in _monotone_tables(L.poset, L.elements, K.elements, K.poset.pairs)
     ])
 
@@ -659,8 +644,9 @@ def _join_preserving_maps(L: FinLattice, K: FinLattice) -> list[MonotoneMap]:
     gens = {a: [j for j in irr if L.leq(j, a)] for a in L.elements}
     known = {"_preserves_finite_joins": True} if check_distributive(L) else {}
     maps = (
-        MonotoneMap.trusted(
-            L, K, {a: K.join_all(g[x] for x in gens[a]) for a in L.elements},
+        trusted_instance(
+            MonotoneMap, source=L, target=K,
+            mapping={a: K.join_all(g[x] for x in gens[a]) for a in L.elements},
             **known,
         )
         for g in _monotone_tables(L.poset, irr, K.elements, K.poset.pairs)
@@ -672,19 +658,20 @@ def _lattice_homs(L: FinLattice, K: FinLattice) -> list[LatticeHom]:
     """Between distributive lattices, each monotone phi : J(K) -> J(L) gives
     the hom a |-> \\/ {k in J(K) : phi(k) <= a}, and every hom arises once
     so; otherwise the join-preserving maps that preserve finite meets."""
+    hom = partial(
+        trusted_instance, LatticeHom, source=L, target=K, _preserves_finite_joins=True
+    )
     if not (check_distributive(L) and check_distributive(K)):
         return [
-            LatticeHom.trusted(L, K, f.mapping, _preserves_finite_joins=True)
+            hom(mapping=f.mapping)
             for f in join_preserving_maps(L, K)
             if f.preserves_finite_meets()
         ]
     jl, jk = L.irreducibles, K.irreducibles
     return _by_items([
-        LatticeHom.trusted(
-            L, K,
-            {a: K.join_all(k for k in jk if L.leq(phi[k], a)) for a in L.elements},
-            _preserves_finite_joins=True,
-        )
+        hom(mapping={
+            a: K.join_all(k for k in jk if L.leq(phi[k], a)) for a in L.elements
+        })
         for phi in _monotone_tables(K.poset, jk, jl, L.poset.pairs)
     ])
 

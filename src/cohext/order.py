@@ -3,6 +3,13 @@
 Elements are opaque strings; the order is an explicit set of pairs.  All
 structure downstream (lattices, categories, sites) is built on these.
 
+Every poset, lattice and map the program builds is one by theorem, so
+`FinPoset`, `FinLattice`, `MonotoneMap` and `CanonicalExtension` each have
+one constructor, which trusts its data; `trusted_instance` also seeds the
+values a construction already knows, such as a dual.  The axioms are
+generators of witnesses (`poset_failures` here, `lattice.lattice_failures`
+and `lattice.map_failures`), run where `jsonio` reads a file.
+
 Down-closed families (downsets here, sieves in `sites`, subfunctors in
 `logic.models`) are the union closures of their principal members, and
 `union_closure` enumerates them without a search over all subsets.  Every
@@ -20,10 +27,6 @@ from itertools import permutations, product
 from operator import or_
 
 
-class OrderError(ValueError):
-    """Relation data violates the poset axioms."""
-
-
 class BudgetError(ValueError):
     """A bounded exhaustive search would exceed its budget.  Every search
     that a budget cuts short raises this, so a cut never reads as a pass."""
@@ -36,8 +39,8 @@ def set_name(s) -> str:
 
 def trusted_instance(cls, **fields):
     """An instance of the frozen dataclass `cls` with `fields` set as
-    given, skipping `__init__` and its validation; behind every `trusted`
-    constructor, for data that is valid by construction."""
+    given, skipping `__init__`; a field may be a `cached` attribute whose
+    value the caller already knows."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
@@ -168,39 +171,11 @@ class FinPoset:
     elements: tuple[str, ...]
     pairs: frozenset[tuple[str, str]]
 
-    def __post_init__(self):
-        elems = set(self.elements)
-        if len(self.elements) != len(elems):
-            raise OrderError("duplicate elements")
-        for a, b in self.pairs:
-            if a not in elems or b not in elems:
-                raise OrderError(f"relation pair ({a},{b}) uses unknown element")
-        for a in elems:
-            if (a, a) not in self.pairs:
-                raise OrderError(f"not reflexive at {a}")
-        for a, b in self.pairs:
-            if a != b and (b, a) in self.pairs:
-                raise OrderError(f"not antisymmetric on ({a},{b})")
-        for a, b in self.pairs:
-            for c in elems:
-                if (b, c) in self.pairs and (a, c) not in self.pairs:
-                    raise OrderError(f"not transitive on ({a},{b},{c})")
-
-    @classmethod
-    def trusted(cls, elements, pairs, **extra) -> FinPoset:
-        """Skip axiom validation; for relations that are reflexive,
-        antisymmetric, and transitive by construction.  `extra` sets
-        `cached` attributes whose values are known."""
-        return trusted_instance(
-            cls, elements=tuple(elements), pairs=frozenset(pairs), **extra
-        )
-
     @classmethod
     def from_pairs(cls, elements, pairs) -> FinPoset:
-        """Build from a relation given as covering or partial pairs.
-
-        Reflexive-transitive closure is taken; antisymmetry must hold.
-        """
+        """Build from a relation given as covering or partial pairs: its
+        reflexive-transitive closure, a poset when that is antisymmetric
+        and names only `elements`."""
         elems = tuple(elements)
         rel = {(a, a) for a in elems}
         rel.update((a, b) for a, b in pairs)
@@ -263,8 +238,9 @@ class FinPoset:
     def dual(self) -> FinPoset:
         """The reversed order, a poset whenever this one is; `P.dual.dual
         is P`."""
-        return FinPoset.trusted(
-            self.elements, ((b, a) for a, b in self.pairs), dual=self
+        return trusted_instance(
+            FinPoset, elements=self.elements,
+            pairs=frozenset((b, a) for a, b in self.pairs), dual=self,
         )
 
     def _signature(self, a: str) -> tuple[int, int]:
@@ -303,6 +279,28 @@ class FinPoset:
 
     def __repr__(self):
         return f"FinPoset({len(self.elements)} elements)"
+
+
+def poset_failures(P: FinPoset):
+    """Each way P fails the poset axioms, as a message naming its witness:
+    a repeated element, each pair naming an unknown element in sorted
+    order, then reflexivity, antisymmetry and transitivity in element order."""
+    elems, pairs = P.elements, P.pairs
+    known = set(elems)
+    if len(known) != len(elems):
+        yield "duplicate elements"
+    for a, b in sorted(pairs):
+        if a not in known or b not in known:
+            yield f"relation pair ({a},{b}) uses unknown element"
+    for a in elems:
+        if (a, a) not in pairs:
+            yield f"not reflexive at {a}"
+    for a, b in product(elems, repeat=2):
+        if a != b and (a, b) in pairs and (b, a) in pairs:
+            yield f"not antisymmetric on ({a},{b})"
+    for a, b, c in product(elems, repeat=3):
+        if (a, b) in pairs and (b, c) in pairs and (a, c) not in pairs:
+            yield f"not transitive on ({a},{b},{c})"
 
 
 def antichain(names) -> FinPoset:

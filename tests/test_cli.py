@@ -19,14 +19,18 @@ from cohext.sites import sieve_budget
 PKG = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args, timeout=None, stdin=None):
+def run_cli(*args, timeout=None, stdin=None, hash_seed=None):
     """Run the CLI in a child process whose environment holds only its
-    import path, so no variable of the caller's can change its reports;
-    `stdin` is the text piped to it."""
+    import path (and `PYTHONHASHSEED`, if `hash_seed` is given), so no
+    variable of the caller's can change its reports; `stdin` is the text
+    piped to it."""
+    env = {"PYTHONPATH": str(PKG / "src")}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-m", "cohext.cli", *args],
         capture_output=True, text=True, cwd=PKG, input=stdin,
-        env={"PYTHONPATH": str(PKG / "src")}, timeout=timeout,
+        env=env, timeout=timeout,
     )
 
 
@@ -401,6 +405,9 @@ def test_malformed_category_and_hyperdoctrine_files_are_located_errors(tmp_path)
     antichain = {"elements": ["a", "b"], "leq": [["a", "a"], ["b", "b"]]}
     no_meet = {**hyp, "fibers": {**hyp["fibers"], "c2": antichain}}
     not_a_table = {**hyp, "exists": {**hyp["exists"], "le(c1,c1)": 5}}
+    monotone = {"c0": "c1", "c1": "c1", "c2": "c2"}
+    not_a_hom = {**hyp, "subst": {**hyp["subst"], "le(c2,c2)": monotone}}
+    locale = ("tot", "locale-check", fx("two_chain.lat.json"), fx("three_chain.lat.json"))
     cases = [
         (("predcat", "build"), {"kind": "lattice"}, "'lattice'"),
         (("predcat", "build"), [1, 2], "'kind'"),
@@ -417,6 +424,15 @@ def test_malformed_category_and_hyperdoctrine_files_are_located_errors(tmp_path)
         (("canext",), {"elements": ["a"], "leq": 5}, "'leq' must be a list"),
         (("canext",), {"elements": ["a"], "leq": [["a", "a"]], "meet": [1]},
          "bad meet entry 1: not a triple"),
+        (("canext",), {"elements": ["a", "a"], "leq": []}, "duplicate elements"),
+        (("canext",), {"elements": ["a"], "leq": [["a", "b"]]},
+         "relation pair (a,b) uses unknown element"),
+        (("canext",), {"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]},
+         "not antisymmetric"),
+        (("hyper", "validate"), not_a_hom,
+         "'subst' at le(c2,c2): not a lattice homomorphism"),
+        (locale, 5, "hom JSON must be an object"),
+        (locale, [], "hom JSON must be an object"),
     ]
     for i, (command, data, located) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
@@ -425,6 +441,27 @@ def test_malformed_category_and_hyperdoctrine_files_are_located_errors(tmp_path)
         assert r.returncode == 2 and r.stdout == "", data
         assert r.stderr.startswith("error:") and located in r.stderr
         assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_rejected_order_names_its_first_witness_whatever_the_hash_seed(
+    tmp_path, hash_seed
+):
+    # antisymmetry fails on (a,b) and (b,a); an unknown element is named at
+    # the first pair listed with one, never at a pair the closure adds
+    cases = [
+        ({"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "a"], ["b", "c"]]},
+         "not antisymmetric on (a,b)"),
+        ({"elements": ["a"], "leq": [["a", "b"], ["c", "a"]]},
+         "relation pair (a,b) uses unknown element"),
+        ({"elements": ["a"], "leq": [["c", "a"], ["a", "b"]]},
+         "relation pair (c,a) uses unknown element"),
+    ]
+    for i, (data, message) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(data))
+        r = run_cli("canext", str(path), hash_seed=hash_seed)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_truncated_theory_is_a_located_error_not_a_hang(tmp_path):

@@ -6,7 +6,8 @@ definition, no module under src/ reads the process environment, keeps a
 process-wide cache (a `functools` cache, or a module-level container a
 function writes) other than the one allowed or touches an instance
 `__dict__`, no module under src/ but the CLI runs a hyperdoctrine
-validator, and every name the benchmark imports from cohext exists."""
+validator, none but jsonio runs an order or map check, and every name the
+benchmark imports from cohext exists."""
 
 import ast
 import importlib
@@ -485,12 +486,14 @@ def test_instance_dict_detector_on_samples():
 
 
 VALIDATORS = ("validate", "validate_fo", "validate_morphism")
+ORDER_CHECKS = ("poset_failures", "lattice_failures", "map_failures")
 
 
-def validator_uses(source: str) -> list[str]:
-    """Each read of a hyperdoctrine validator, by bare name or as an
-    attribute (a call, or the function passed on), with the top-level
-    function or class it is read in."""
+def validator_uses(source: str, validators=VALIDATORS) -> list[str]:
+    """Each read of a validator named in `validators` (by default the
+    hyperdoctrine ones), by bare name or as an attribute (a call, or the
+    function passed on), with the top-level function or class it is read
+    in."""
     uses = []
     for node in ast.parse(source).body:
         owner = getattr(node, "name", "<module>")
@@ -499,7 +502,7 @@ def validator_uses(source: str) -> list[str]:
                 n.id if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
                 else n.attr if isinstance(n, ast.Attribute) else None
             )
-            if name in VALIDATORS:
+            if name in validators:
                 uses.append((n.lineno, f"{owner} reads {name}"))
     return [f"line {line}: {use}" for line, use in sorted(uses)]
 
@@ -527,6 +530,36 @@ def test_validator_use_detector_on_samples():
     ) == ["line 2: f reads validate", "line 5: A reads validate_morphism"]
     assert validator_uses("run(validate_fo, P)\n") == [
         "line 1: <module> reads validate_fo"
+    ]
+
+
+def test_orders_and_maps_are_validated_only_where_a_file_is_read():
+    """Every poset, lattice and map the program builds is one by theorem,
+    so only jsonio, which reads them from files, runs the order and map
+    checks; `lattice_failures` extends `poset_failures`."""
+    uses = [
+        f"{path.relative_to(SRC).as_posix()} {use.split(': ')[1]}"
+        for path in MODULES
+        if path.name != "jsonio.py"
+        for use in validator_uses(path.read_text(), ORDER_CHECKS)
+    ]
+    assert uses == ["cohext/lattice.py lattice_failures reads poset_failures"]
+    assert validator_uses((SRC / "cohext" / "jsonio.py").read_text(), ORDER_CHECKS)
+
+
+def test_order_check_use_detector_on_samples():
+    assert validator_uses("from .order import poset_failures\n", ORDER_CHECKS) == []
+    assert validator_uses("def f(P):\n    return validate(P)\n", ORDER_CHECKS) == []
+    assert validator_uses("next(map_failures(f))\n") == []
+    assert validator_uses(
+        "def f(L):\n    return next(lattice.lattice_failures(L), None)\n"
+        "class A:\n    def m(self, h):\n        return list(map_failures(h))\n"
+        "checks = [poset_failures]\n",
+        ORDER_CHECKS,
+    ) == [
+        "line 2: f reads lattice_failures",
+        "line 5: A reads map_failures",
+        "line 6: <module> reads poset_failures",
     ]
 
 

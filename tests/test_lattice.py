@@ -1,4 +1,5 @@
-"""Lattice substrate: downsets, filters, prime filters, Birkhoff duality."""
+"""Lattice substrate: downsets, filters, prime filters, Birkhoff duality,
+and the order and map checks run on every construction."""
 
 import gc
 import subprocess
@@ -10,10 +11,25 @@ from pathlib import Path
 
 import pytest
 
+from cohext.canext import (
+    canonical_extension,
+    delta_extension,
+    extend_hom,
+    pi_extension,
+    sigma_extension,
+)
 from cohext.catalog import distributive_lattices
+from cohext.cohcat import (
+    ConcreteCohCategory,
+    LatticeCategory,
+    MissingLimitError,
+    functor_sub_map,
+    lattice_hom_functor,
+)
+from cohext.fixtures import FIXTURE_DIR
+from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine, unit_morphism
 from cohext.lattice import (
     FinLattice,
-    LatticeError,
     LatticeHom,
     MonotoneMap,
     NotDistributiveError,
@@ -32,11 +48,14 @@ from cohext.lattice import (
     is_prime_filter,
     join_irreducibles,
     join_preserving_maps,
+    lattice_failures,
     lattice_homs,
     m3,
+    map_failures,
     meet_preserving_maps,
     monotone_maps,
     pair_name,
+    prime_filter_poset,
     prime_filters,
     product_lattice,
     product_projections,
@@ -46,7 +65,11 @@ from cohext.lattice import (
     _lattice_homs,
     _monotone_tables,
 )
-from cohext.order import FinPoset, OrderError, antichain, chain
+from cohext.logic.models import Evaluation, FamilyCategory, ModelFamily, enumerate_models
+from cohext.logic.parser import parse_theory
+from cohext.order import FinPoset, antichain, chain, poset_failures
+from cohext.predcat import PredCategory, PredCohCategory
+from cohext.sites import filter_hyperdoctrine, locale_morphism, type_category
 
 
 def all_subsets(elems):
@@ -57,10 +80,11 @@ def all_subsets(elems):
 
 
 def test_poset_validation_rejects_bad_relations():
-    with pytest.raises(OrderError):
-        FinPoset(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}))
-    with pytest.raises(OrderError):
-        FinPoset(("a",), frozenset())
+    cycle = FinPoset(
+        ("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")})
+    )
+    assert next(poset_failures(cycle)) == "not antisymmetric on (a,b)"
+    assert next(poset_failures(FinPoset(("a",), frozenset()))) == "not reflexive at a"
 
 
 def test_downset_lattice_of_empty_poset_is_trivial():
@@ -231,14 +255,14 @@ def test_adjoint_composition_law():
 
 def test_lattice_table_validation_reports_bad_entry():
     p = chain(["0", "1"])
-    with pytest.raises(LatticeError):
-        FinLattice(
-            p,
-            {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "0", ("1", "1"): "1"},
-            {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "1"},
-            "0",
-            "1",
-        )
+    L = FinLattice(
+        p,
+        {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "0", ("1", "1"): "1"},
+        {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "1"},
+        "0",
+        "1",
+    )
+    assert next(lattice_failures(L)) == "meet(0,1)=1 is not the glb"
 
 
 def test_product_lattice_is_componentwise():
@@ -260,10 +284,10 @@ def test_product_projections_accept_factors_named_by_pairs():
 
 def test_hom_validation():
     L, K = chain_lattice(3), boolean4()
-    with pytest.raises(LatticeError):
-        LatticeHom(L, K, {"c0": "0", "c1": "a", "c2": "b"})
+    bad = LatticeHom(L, K, {"c0": "0", "c1": "a", "c2": "b"})
+    assert next(map_failures(bad)) == "not order-preserving on (c1,c2)"
     h = LatticeHom(L, K, {"c0": "0", "c1": "a", "c2": "1"})
-    assert h.is_lattice_hom()
+    assert next(map_failures(h), None) is None and h.is_lattice_hom()
 
 
 def test_trivial_lattice_has_no_prime_filters():
@@ -275,12 +299,10 @@ def test_rejected_map_names_first_offending_pair_in_product_order(hash_seed):
     # Offending pairs are (0,a), (0,b), (0,1) and (b,1); the witness must be
     # the first of them in product order whatever the hash seed.
     code = (
-        "from cohext.lattice import LatticeError, MonotoneMap, boolean4\n"
+        "from cohext.lattice import MonotoneMap, boolean4, map_failures\n"
         "B = boolean4()\n"
-        "try:\n"
-        "    MonotoneMap(B, B, {'0': '1', 'a': '0', 'b': 'b', '1': 'a'})\n"
-        "except LatticeError as e:\n"
-        "    print(e)\n"
+        "f = MonotoneMap(B, B, {'0': '1', 'a': '0', 'b': 'b', '1': 'a'})\n"
+        "print(next(map_failures(f)))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     r = subprocess.run(
@@ -381,28 +403,6 @@ def test_dual_map_searches_on_boolean_lattices():
     assert all(h.is_lattice_hom() for h in homs)
 
 
-def test_map_searches_build_no_validated_map(monkeypatch):
-    from cohext.canext import canonical_extension, comjpm_decide
-
-    B8 = downset_lattice(antichain("abc"))
-    canonical_extension(B8)
-    ident = {a: a for a in B8.elements}
-    built = []
-    original = MonotoneMap.__post_init__
-
-    def counting(self):
-        built.append(type(self).__name__)
-        original(self)
-
-    monkeypatch.setattr(MonotoneMap, "__post_init__", counting)
-    h = next(h for h in lattice_homs(B8, B8) if h.mapping == ident)
-    f = next(f for f in join_preserving_maps(B8, B8) if f.mapping == ident)
-    assert comjpm_decide(h, h, f, f) == (True, True)
-    assert built == []
-    MonotoneMap(B8, B8, ident)
-    assert built == ["MonotoneMap"]
-
-
 # The uncached enumerators behind the kept map searches, as oracles.
 
 
@@ -494,8 +494,7 @@ def test_dual_is_a_cached_involution_with_the_reversed_order():
             D.leq(a, b) == L.leq(b, a) for a in L.elements for b in L.elements
         )
         # the swapped tables are the glb and lub of the reversed order
-        poset = FinPoset(D.poset.elements, D.poset.pairs)
-        assert FinLattice(poset, D.meet_table, D.join_table, D.bottom, D.top) == D
+        assert next(lattice_failures(D), None) is None
 
 
 def test_cached_lattice_data_equals_a_fresh_recomputation():
@@ -528,7 +527,7 @@ def join_preserving_maps_filtered(L, K):
     irr = [a for a in L.elements if is_join_irreducible(L, a)]
     gens = {a: [j for j in irr if L.leq(j, a)] for a in L.elements}
     maps = (
-        MonotoneMap.trusted(
+        MonotoneMap(
             L, K, {a: K.join_all(g[x] for x in gens[a]) for a in L.elements}
         )
         for g in _monotone_tables(L.poset, irr, K.elements, K.poset.pairs)
@@ -590,3 +589,147 @@ def test_meet_side_through_the_dual_matches_its_closed_forms():
                 assert (None if g is None else g.mapping) == table
                 if g is not None:
                     assert g.source is K and g.target is L
+
+
+# -- every construction is a valid order or map --------------------------------
+
+
+def category_parts(C):
+    """The subobject lattices of C with its pullback, image and universal
+    maps, per object and per morphism."""
+    for A in C.cat.objects:
+        yield "sub", C.sub_lattice(A)
+    for f in C.cat.morphisms:
+        yield "pullback", C.pullback_map(f)
+        yield "image", C.image_map(f)
+        yield "forall", C.forall_map(f)
+
+
+def hyperdoctrine_parts(label, P):
+    for A in P.base.objects:
+        yield label, P.fiber(A)
+    for f in P.base.morphisms:
+        yield label, P.sub(f)
+        yield label, P.ex(f)
+
+
+def constructed_orders_and_maps():
+    """(label, poset, lattice or map) for each construction the program
+    trusts: the lattice builders on DL(<=8), products, the categories of
+    the site sweep and their hyperdoctrines, the family categories of the
+    theory fixtures, the locale morphisms and the map searches and lifts
+    between DL(<=4) lattices."""
+    for L in [*distributive_lattices(8), m3()]:
+        yield "lattice", L
+        yield "dual", L.dual
+        for a in L.elements:
+            yield "down", L.down_lattice(a)
+        yield "filters", filter_lattice(L)
+        yield "ideals", ideal_lattice(L)
+        yield "downsets", downset_lattice(L.poset)
+        if not check_distributive(L):
+            continue
+        yield "prime-filters", prime_filter_poset(L)
+        yield from (("birkhoff", h) for h in birkhoff(L))
+        ce = canonical_extension(L)
+        for c in (ce, ce.dual):
+            yield "canext", c.ext
+            assert len(set(c.embed.values())) == len(c.base.elements)
+            yield "embedding", LatticeHom(c.base, c.ext, c.embed)
+    small = distributive_lattices(4)
+    for L in small:
+        for K in small:
+            yield "product", product_lattice(L, K)
+            yield from (("projection", p) for p in product_projections(L, K)[1:])
+    bases = [LatticeCategory(L) for L in distributive_lattices(6)]
+    bases += [
+        ConcreteCohCategory([frozenset(s) for s in seeds])
+        for seeds in (("x",), ("x", "y"), ("xy",))
+    ]
+    for C in bases:
+        yield from category_parts(C)
+        if isinstance(C, LatticeCategory):
+            # the top-anchored types of `sites.localic_tot_for_lattice`
+            tau, top = type_category(C), C.lattice.top
+            e = sorted(X for X, (A, _) in tau.objects.items() if A == top)
+            pairs = {(x, y) for x in e for y in e if tau.cat.hom(x, y)}
+            yield "types", FinPoset.from_pairs(e, pairs)
+        S = sub_hyperdoctrine(C)
+        Sd = canext_hyperdoctrine(S)
+        yield from hyperdoctrine_parts("canext-hyp", Sd)
+        yield from hyperdoctrine_parts("filter-hyp", filter_hyperdoctrine(C))
+        yield from (("unit", t) for t in unit_morphism(S, Sd).tau.values())
+        for P in (S, Sd):
+            try:
+                yield from category_parts(PredCohCategory(PredCategory(P)))
+            except MissingLimitError:
+                pass
+    for name in ("pointed", "idempotent", "ordered"):
+        T = parse_theory((FIXTURE_DIR / f"{name}.chr").read_text())
+        C = FamilyCategory(T, ModelFamily.build(enumerate_models(T, 4)))
+        ev = Evaluation(C)
+        for A in C.sorts:
+            yield "family", C.sub_lattice(A)
+            yield "evaluation", ev.sub_lattice(A)
+            yield "ev-sigma", ev.sigma(A)
+        for f in C.cat.morphisms:
+            for D in (C, ev):
+                yield "family", D.pullback_map(f)
+                yield "family", D.image_map(f)
+    for L in small:
+        CL, cs = LatticeCategory(L), canonical_extension(L)
+        for K in small:
+            CK, ct = LatticeCategory(K), canonical_extension(K)
+            for h in lattice_homs(L, K):
+                F = lattice_hom_functor(h, CL, CK)
+                for A in CL.cat.objects:
+                    yield "functor-sub", functor_sub_map(F, CL, CK, A)
+                for c in locale_morphism(F, CL, CK).components.values():
+                    yield "locale", c
+                yield "extend-hom", extend_hom(h, cs)
+            yield from (("search", f) for f in join_preserving_maps(L, K))
+            yield from (("search", f) for f in meet_preserving_maps(L, K))
+            yield from (("search", h) for h in lattice_homs(L, K))
+            for f in monotone_maps(L, K):
+                yield "search", f
+                yield "sigma", sigma_extension(f, cs, ct).map
+                yield "pi", pi_extension(f, cs, ct).map
+                if f.preserves_finite_joins() or f.preserves_finite_meets():
+                    yield "delta", delta_extension(f, cs, ct).map
+                for g in (f.left_adjoint(), f.right_adjoint()):
+                    if g is not None:
+                        yield "adjoint", g
+
+
+def test_every_construction_builds_valid_orders_and_maps():
+    """The constructors trust their data, since each construction is
+    correct by theorem; this is where the theorem is checked."""
+    checked = {}  # by id, holding each object so that no id is reused
+
+    def failures(x):
+        if id(x) in checked:
+            return
+        checked[id(x)] = x
+        if isinstance(x, FinPoset):
+            yield from poset_failures(x)
+        elif isinstance(x, FinLattice):
+            yield from lattice_failures(x)
+        else:
+            yield from map_failures(x)
+            yield from failures(x.source)
+            yield from failures(x.target)
+
+    labels = Counter()
+    for label, x in constructed_orders_and_maps():
+        assert next(failures(x), None) is None, (label, x)
+        labels[label] += 1
+    assert labels == {
+        "lattice": 37, "dual": 37, "down": 240, "filters": 37, "ideals": 37,
+        "downsets": 37, "prime-filters": 36, "birkhoff": 72, "canext": 72,
+        "embedding": 72, "product": 25, "projection": 50, "types": 13,
+        "sub": 426, "pullback": 3565, "image": 3565, "forall": 3565,
+        "canext-hyp": 466, "filter-hyp": 466, "unit": 68, "family": 27,
+        "evaluation": 3, "ev-sigma": 3, "functor-sub": 213, "locale": 213,
+        "extend-hom": 60, "search": 638, "sigma": 288, "pi": 288,
+        "delta": 230, "adjoint": 290,
+    }

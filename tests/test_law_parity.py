@@ -135,11 +135,11 @@ def mutations(P: FirstOrderHyperdoctrine):
     for f, m in P.base.morphisms.items():
         FA, FB = P.fibers[m.src], P.fibers[m.tgt]
         for s in changed(P.subst[f].mapping, FA, FA.top):
-            yield _replace(P, subst={**P.subst, f: LatticeHom.trusted(FB, FA, s)})
+            yield _replace(P, subst={**P.subst, f: LatticeHom(FB, FA, s)})
         for e in changed(P.exists[f].mapping, FB, FB.top):
-            yield _replace(P, exists={**P.exists, f: MonotoneMap.trusted(FA, FB, e)})
+            yield _replace(P, exists={**P.exists, f: MonotoneMap(FA, FB, e)})
         for a in changed(P.forall[f].mapping, FB, FB.bottom):
-            yield _replace(P, forall={**P.forall, f: MonotoneMap.trusted(FA, FB, a)})
+            yield _replace(P, forall={**P.forall, f: MonotoneMap(FA, FB, a)})
     for A, table in P.implication.items():
         L = P.fibers[A]
         for imp in changed(table, L, L.bottom):
@@ -225,7 +225,7 @@ def test_morphism_laws_fail_with_the_oracle_witness():
             top = t.target.top
             u = next((u for u in t.source.elements if t(u) != top), None)
             if u is not None:
-                wrong = MonotoneMap.trusted(t.source, t.target, {**t.mapping, u: top})
+                wrong = MonotoneMap(t.source, t.target, {**t.mapping, u: top})
                 seen |= failed(assert_morphism_parity(
                     HypMorphism(m.source, m.target, m.K, {**m.tau, a: wrong})
                 ))
