@@ -24,6 +24,7 @@ from .jsonio import (
     hyperdoctrine_from_json,
     lattice_from_json,
     lattice_to_json,
+    located,
     model_from_json,
     model_to_json,
 )
@@ -316,9 +317,13 @@ def cmd_tot_sheaf(args, report: Report):
 def cmd_tot_locale(args, report: Report):
     from .sites import locale_morphism, open_check, surjection_check
 
-    L = lattice_from_json(read_json(report, args.source))
-    K = lattice_from_json(read_json(report, args.target))
-    h = hom_from_json(read_json(report, args.hom), L, K)
+    def read(path, build, *context):
+        # an error in the data of one of the three files names that file
+        return located(path, lambda: build(read_json(report, path), *context))
+
+    L = read(args.source, lattice_from_json)
+    K = read(args.target, lattice_from_json)
+    h = read(args.hom, hom_from_json, L, K)
     CL, CK = LatticeCategory(L), LatticeCategory(K)
     F = lattice_hom_functor(h, CL, CK)
     m = locale_morphism(F, CL, CK)

@@ -76,7 +76,9 @@ def cached_method(method):
     """The per-argument form of `cached`: the results are kept by argument
     tuple in a dict kept on the instance the same way, so they live and die
     with it, where a process-wide `functools.lru_cache` would keep every
-    instance alive.  A call that raises keeps nothing.  Most results do not
+    instance alive.  A function defined outside the class keeps its results
+    the same way on its first argument (`predcat.triple_projections` on a
+    base category).  A call that raises keeps nothing.  Most results do not
     refer back to the instance, which is then freed at once when dropped.
     The one kind that does is an enumeration of maps kept on their source
     lattice (`lattice.FinLattice._maps_to`): each map names the lattice.

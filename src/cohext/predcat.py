@@ -93,6 +93,23 @@ class _Span(NamedTuple):
     ex23: dict[str, str]
 
 
+@cached_method
+def triple_projections(
+    base: FinCategory, ab: ProductCone, t: ProductCone, ac: ProductCone, bc: ProductCone
+) -> tuple[str, str]:
+    """The projections pi13 and pi23 of the triple product t = ab x C onto
+    A x C and B x C, paired into the cones ac and bc.  They depend on the
+    base and the cones alone, so they are kept on the base category: the
+    predicate categories of S and S^delta over one base, which share its
+    chosen limits, pair each of them once."""
+    pi1 = base.compose(ab.pi1, t.pi1)
+    pi2 = base.compose(ab.pi2, t.pi1)
+    return (
+        pairing(base, ac, pi1, t.pi2),
+        pairing(base, bc, pi2, t.pi2),
+    )
+
+
 class PredCategory:
     """A(P): the predicate category, with decode tables back to the fibers.
 
@@ -191,13 +208,10 @@ class PredCategory:
 
     @cached_method
     def _span(self, A: str, B: str, C: str) -> _Span:
-        base, P = self.P.base, self.P
+        P = self.P
         ab = self._pi(A, B)
         t = P.limits.product(ab.obj, C)
-        pi1 = base.compose(ab.pi1, t.pi1)
-        pi2 = base.compose(ab.pi2, t.pi1)
-        pi13 = pairing(base, self._pi(A, C), pi1, t.pi2)
-        pi23 = pairing(base, self._pi(B, C), pi2, t.pi2)
+        pi13, pi23 = triple_projections(P.base, ab, t, self._pi(A, C), self._pi(B, C))
         return _Span(
             P.sub(t.pi1).mapping,
             P.sub(pi13).mapping,

@@ -375,6 +375,31 @@ def test_criterion_11_sheaf_and_coincidence():
             assert checked > 0 or note
 
 
+def test_criteria_07_and_11_on_every_lattice_up_to_eight():
+    """The lattice instances of criteria 7 and 11 over the whole catalogue
+    DL(<=8).  Gates: 4x the 0.7 s and 1.15 s measured on a 2-vCPU host."""
+    lats = distributive_lattices(8)
+    assert len(lats) == 36
+    with criterion(7, "counit equivalence on DL(<=8)", 3):
+        for L in lats:
+            rep = counit_equivalence_check(LatticeCategory(L))
+            assert rep.passed, rep.error
+            assert next(category_law_failures(rep.functor.source), None) is None
+    with criterion(11, "sheaf and topology coincidence on DL(<=8)", 5):
+        sieves = 0
+        for L in lats:
+            C = LatticeCategory(L)
+            X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+            ok, w = sheaf_check(C, X)
+            assert ok, w
+            ok, w = unique_glueing_check(C, X)
+            assert ok, w
+            ok, checked, note = topology_coincidence_check(C, X)
+            assert ok and note is None, note
+            sieves += checked
+        assert sieves == 53_158
+
+
 def test_criterion_12_morphism_theorems():
     with criterion(12, "locale morphism theorems + mutations", 60):
         from cohext.sites import locale_morphism, open_check, surjection_check

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_fincat import category_law_failures_oracle
 
 from cohext.cli import main
 from cohext.fincat import FinCategory, category_law_failures, composable_pairs
@@ -125,6 +126,7 @@ def test_a_broken_category_fails_its_report_line_with_the_first_witness(
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert not checks[line]["pass"]
     assert checks[line]["witness"] == next(category_law_failures(built[-1]))
+    assert checks[line]["witness"] == next(category_law_failures_oracle(built[-1]))
     assert checks[line]["witness"].startswith("missing composite")
 
 
@@ -441,6 +443,29 @@ def test_malformed_category_and_hyperdoctrine_files_are_located_errors(tmp_path)
         assert r.returncode == 2 and r.stdout == "", data
         assert r.stderr.startswith("error:") and located in r.stderr
         assert "Traceback" not in r.stderr
+
+
+def test_locale_check_names_the_file_at_fault(tmp_path):
+    antichain = {"elements": ["a", "b"], "leq": [["a", "a"], ["b", "b"]]}
+    cases = [
+        # a monotone map that is no hom, and a partial one
+        ("hom", {"c0": "c0", "c1": "c1"}, "not a lattice homomorphism"),
+        ("hom", {"c0": "c0"}, "map undefined on c1"),
+        # a lattice with no meet of a and b, as the source and as the target
+        ("source", antichain, "pair (a,b) has no meet"),
+        ("target", antichain, "pair (a,b) has no meet"),
+    ]
+    for i, (role, data, message) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(data))
+        files = {
+            "source": fx("two_chain.lat.json"),
+            "target": fx("three_chain.lat.json"),
+            "hom": fx("embed_2_3.hom.json"),
+            role: str(path),
+        }
+        r = run_cli("tot", "locale-check", files["source"], files["target"], files["hom"])
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])

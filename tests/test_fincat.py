@@ -23,6 +23,7 @@ from cohext.fincat import (
     FinCategory,
     FinFunctor,
     Morphism,
+    _table_failures,
     category_law_failures,
     check_equivalence,
     composable_pairs,
@@ -413,6 +414,34 @@ def category_laws_oracle(objects, morphisms, comp, identities):
                     )
 
 
+def category_law_failures_oracle(cat):
+    """The witness generator `category_law_failures` was before it returned
+    after the table check on thin categories: the full identity and
+    associativity loops run on every category whose table is well typed."""
+    tables = list(_table_failures(cat))
+    yield from tables
+    if tables:
+        return
+    comp, ids = cat.comp, cat.identities
+    for f in cat.morphisms.values():
+        if comp[(f.name, ids[f.src])] != f.name:
+            yield f"right identity fails for {f.name}"
+        if comp[(ids[f.tgt], f.name)] != f.name:
+            yield f"left identity fails for {f.name}"
+    out_of = {}
+    for m in cat.morphisms.values():
+        out_of.setdefault(m.src, []).append(m)
+    for f, g in composable_pairs(cat.morphisms):
+        gf = comp[(g.name, f.name)]
+        for h in out_of.get(g.tgt, ()):
+            if comp[(h.name, gf)] != comp[(comp[(h.name, g.name)], f.name)]:
+                yield f"associativity fails on ({h.name},{g.name},{f.name})"
+
+
+def is_thin(cat):
+    return all(len(cat.hom(A, B)) <= 1 for A in cat.objects for B in cat.objects)
+
+
 def functor_laws_oracle(source, target, mor_map):
     """The composition loop `FinFunctor` ran before it walked composable pairs."""
     for f in source.morphisms:
@@ -468,33 +497,65 @@ def raised(check):
 def mutations(cat):
     """Broken copies of the composition table: each composite of two
     non-identities dropped, mistyped, and redirected to a parallel morphism."""
+    for f, g in non_identity_pairs(cat):
+        yield from pair_mutations(cat, f, g)
+
+
+def non_identity_pairs(cat):
     idents = set(cat.identities.values())
-    for f, g in composable_pairs(cat.morphisms):
-        if f.name in idents or g.name in idents:
-            continue
-        key = (g.name, f.name)
-        yield "missing composite", {k: v for k, v in cat.comp.items() if k != key}
-        for A, i in cat.identities.items():
-            if (A, A) != (f.src, g.tgt):
-                yield "mistyped", {**cat.comp, key: i}
-                break
-        for h in cat.hom(f.src, g.tgt):
-            if h != cat.comp[key]:
-                yield "associativity fails", {**cat.comp, key: h}
+    return [
+        (f, g) for f, g in composable_pairs(cat.morphisms)
+        if f.name not in idents and g.name not in idents
+    ]
+
+
+def pair_mutations(cat, f, g):
+    """The broken tables of `mutations` at the composite g o f."""
+    key = (g.name, f.name)
+    yield "missing composite", {k: v for k, v in cat.comp.items() if k != key}
+    for A, i in cat.identities.items():
+        if (A, A) != (f.src, g.tgt):
+            yield "mistyped", {**cat.comp, key: i}
+            break
+    for h in cat.hom(f.src, g.tgt):
+        if h != cat.comp[key]:
+            yield "associativity fails", {**cat.comp, key: h}
+
+
+def doubled_path_category():
+    """The free category on A -> B -> C -> D with two arrows A -> B: not
+    thin, yet no hom-set has more than two members.  A composite is named
+    by its arrows, so composition concatenates the names of non-identities."""
+    ends = {
+        "1A": "AA", "1B": "BB", "1C": "CC", "1D": "DD", "f1": "AB", "f2": "AB",
+        "g": "BC", "k": "CD", "gf1": "AC", "gf2": "AC", "kg": "BD",
+        "kgf1": "AD", "kgf2": "AD",
+    }
+    morphisms = {n: Morphism(n, *st) for n, st in ends.items()}
+    arrows = {n: "" if n.startswith("1") else n for n in ends}
+    comp = {
+        (g.name, f.name): arrows[g.name] + arrows[f.name] or f.name
+        for f, g in composable_pairs(morphisms)
+    }
+    return FinCategory(tuple("ABCD"), morphisms, comp, {X: f"1{X}" for X in "ABCD"})
 
 
 def test_category_laws_report_the_oracle_witness_on_mutated_tables():
-    kinds = set()
-    for C in fixture_cohcats():
-        cat = C.cat
+    kinds, thin = set(), set()
+    for cat in [C.cat for C in fixture_cohcats()] + [doubled_path_category()]:
         assert list(category_law_failures(cat)) == []
+        thin.add(is_thin(cat))
         for kind, comp in mutations(cat):
             args = (cat.objects, cat.morphisms, comp, cat.identities)
             witnesses = list(category_law_failures(FinCategory(*args)))
             assert witnesses[0] == raised(lambda: category_laws_oracle(*args))
+            assert witnesses == list(category_law_failures_oracle(FinCategory(*args)))
             assert kind in witnesses[0]
             kinds.add(kind)
     assert kinds == {"missing composite", "mistyped", "associativity fails"}
+    # a redirected composite needs a parallel morphism: a category that is
+    # not thin, on which the laws are checked by the full loop
+    assert thin == {True, False}
 
 
 def test_functor_law_reports_the_oracle_witness_on_a_broken_composite():
@@ -585,3 +646,42 @@ def test_every_construction_satisfies_the_category_laws():
     assert [labels.count(k) for k in ("base", "pred-sub", "pred-canext", "family")] == [
         16, 15, 15, 3
     ]
+
+
+def constructed_with_thinness():
+    """(label, category, thin) for each of `constructed_categories()`."""
+    return [(label, cat, is_thin(cat)) for label, cat in constructed_categories()]
+
+
+def test_law_check_of_every_construction_matches_the_full_loop():
+    built = constructed_with_thinness()
+    for label, cat, _ in built:
+        assert list(category_law_failures(cat)) == list(
+            category_law_failures_oracle(cat)
+        ) == [], label
+    # as the fincat docstring states, every construction over one of the 13
+    # lattices (listed first, each base's list opening with "base") is thin;
+    # the concrete fragments are not, nor are the families
+    bases_seen = 0
+    for label, _, thin in built:
+        bases_seen += label == "base"
+        assert thin or bases_seen > 13, label
+    assert {label for label, _, t in built if not t} >= {"base", "family"}
+
+
+def test_law_check_of_a_broken_thin_construction_matches_the_full_loop():
+    """Drop and mistype the composite of the first and the last composable
+    pair of non-identities of each thin construction."""
+    kinds = set()
+    for label, cat, thin in constructed_with_thinness():
+        if not thin:
+            continue
+        pairs = non_identity_pairs(cat)
+        for f, g in pairs[:1] + pairs[-1:]:
+            for kind, comp in pair_mutations(cat, f, g):
+                mutant = FinCategory(cat.objects, cat.morphisms, comp, cat.identities)
+                witnesses = list(category_law_failures(mutant))
+                assert witnesses == list(category_law_failures_oracle(mutant)), label
+                assert kind in witnesses[0], label
+                kinds.add(kind)
+    assert kinds == {"missing composite", "mistyped"}

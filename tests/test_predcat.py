@@ -4,6 +4,8 @@ embedding, p-models, and the universal factorization."""
 import gc
 import json
 import weakref
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -16,7 +18,13 @@ from cohext.cohcat import (
     check_coherent_functor,
     pairing,
 )
-from cohext.fincat import FinFunctor, Morphism, check_equivalence, composable_pairs
+from cohext.fincat import (
+    FinCategory,
+    FinFunctor,
+    Morphism,
+    check_equivalence,
+    composable_pairs,
+)
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
 from cohext.jsonio import hyperdoctrine_from_json
@@ -34,6 +42,7 @@ from cohext.predcat import (
     pmodel_witness,
     pred_mor_name,
     pred_obj_name,
+    triple_projections,
     universal_factorization,
 )
 
@@ -358,3 +367,88 @@ def test_a_base_without_products_fails_as_the_candidate_search_does():
     with pytest.raises(MissingLimitError) as got:
         PredCategory(S)
     assert str(got.value) == str(want.value)
+
+
+# -- triple-product projections kept on the base ----------------------------------
+
+
+def triple_cones(P):
+    """(ab, t, ac, bc) for each triple (A, B, C) of base objects: the chosen
+    products A x B, (A x B) x C, A x C and B x C."""
+    lim = P.limits
+    for A, B, C in product(P.base.objects, repeat=3):
+        ab = lim.product(A, B)
+        yield ab, lim.product(ab.obj, C), lim.product(A, C), lim.product(B, C)
+
+
+def uncached_triple_projections(base, ab, t, ac, bc):
+    pi1 = base.compose(ab.pi1, t.pi1)
+    pi2 = base.compose(ab.pi2, t.pi1)
+    return pairing(base, ac, pi1, t.pi2), pairing(base, bc, pi2, t.pi2)
+
+
+def pairing_bases():
+    """DL(<=5) and the one-point fragment."""
+    return [LatticeCategory(L) for L in distributive_lattices(5)] + [
+        ConcreteCohCategory([frozenset({"x"})])
+    ]
+
+
+def test_kept_triple_projections_equal_an_uncached_pairing():
+    for C in pairing_bases():
+        canonical_extension_category(C)
+        kept = C.cat._triple_projections_results
+        cones = list(triple_cones(sub_hyperdoctrine(C)))
+        assert kept and set(kept) <= set(cones)
+        for key in cones:
+            assert triple_projections(C.cat, *key) == uncached_triple_projections(
+                C.cat, *key
+            )
+
+
+def test_the_s_and_s_delta_builds_over_one_base_pair_each_projection_once(
+    monkeypatch,
+):
+    """Every factorizations scan of the two builds, counted by its
+    arguments: each triple product's two pairings once, and each diagonal
+    once per build (`PredCategory._diagonal` is kept per category)."""
+    real = FinCategory.factorizations
+    for C in pairing_bases():
+        S = sub_hyperdoctrine(C)
+        Sd = canext_hyperdoctrine(sub_hyperdoctrine(C))
+        scans = Counter()
+
+        def counted(cat, Z, Q, legs):
+            scans[(Z, Q, legs)] += 1
+            return real(cat, Z, Q, legs)
+
+        with monkeypatch.context() as m:
+            m.setattr(FinCategory, "factorizations", counted)
+            PredCategory(S)
+            PredCategory(Sd)
+        base, expected = C.cat, Counter()
+        for ab, t, ac, bc in base._triple_projections_results:
+            for cone, p in ((ac, ab.pi1), (bc, ab.pi2)):
+                legs = ((cone.pi1, base.compose(p, t.pi1)), (cone.pi2, t.pi2))
+                expected[(t.obj, cone.obj, legs)] += 1
+        for A in base.objects:
+            cone, i = S.limits.product(A, A), base.identity(A)
+            expected[(A, cone.obj, ((cone.pi1, i), (cone.pi2, i)))] += 2
+        assert scans == expected
+
+
+def test_a_base_that_kept_triple_projections_leaves_no_reference_cycle():
+    # as `test_cached_data_leaves_no_reference_cycle`: a dropped base is
+    # freed by reference counting, not left to the cyclic collector
+    C = LatticeCategory(chain_lattice(3))
+    key = next(triple_cones(sub_hyperdoctrine(C)))
+    gc.disable()
+    try:
+        base = FinCategory(C.cat.objects, C.cat.morphisms, C.cat.comp, C.cat.identities)
+        assert triple_projections(base, *key) == uncached_triple_projections(C.cat, *key)
+        assert list(base._triple_projections_results) == [key]
+        ref = weakref.ref(base)
+        del base
+        assert ref() is None
+    finally:
+        gc.enable()

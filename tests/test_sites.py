@@ -3,9 +3,11 @@ and locale-morphism analysis."""
 
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from cohext import sites
 from cohext.catalog import concrete_universes, distributive_lattices
 from cohext.cohcat import ConcreteCohCategory, LatticeCategory, lattice_hom_functor
 from cohext.fincat import CategoryError, FinCategory, FinFunctor, Morphism, composable_pairs
@@ -425,6 +427,71 @@ def test_topology_coincidence_on_fixtures():
         assert checked > 0
 
 
+def coincidence_closure_oracle(C, X=None, budget=None):
+    """`topology_coincidence_check` as it was before it skipped the admitted
+    images below the plain join: every admitted image enters the closure."""
+    if X is None:
+        X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+    site = semidirect_site(C, X)
+    coh = sites.coherent_topology(C)
+    checked = 0
+    for nx, (A, _) in site.obj_data.items():
+        FA = X.fiber(A)
+        try:
+            sieves = site.all_sieves(nx, budget)
+        except BudgetError as e:
+            raise BudgetError(f"after {checked} sieves checked, {e}") from None
+        admitted = []
+        for n in site.cat.morphisms_into(nx):
+            B, w = site.obj_data[site.cat.src(n)]
+            gamma = site.mor_data[n]
+            admitted.append((site.image[n], [
+                frozenset(
+                    semidirect_mor_name(
+                        C.cat.compose(gamma, g),
+                        semidirect_obj_name(C.cat.src(g), X.sub(g)(w)),
+                        nx,
+                    )
+                    for g in fam
+                )
+                for fam in coh.generators[B]
+            ]))
+        for sieve in sieves:
+            plain = FA.join_all(site.image[n] for n in sieve)
+            closure = FA.join_all(
+                [plain]
+                + [x for x, fams in admitted if any(fam <= sieve for fam in fams)]
+            )
+            checked += 1
+            if closure != plain:
+                return False, checked, (
+                    f"sieve on {nx}: closure join {closure} != plain {plain}"
+                )
+    return True, checked, None
+
+
+def test_topology_coincidence_fails_with_the_full_closure_witness(monkeypatch):
+    """With the empty family added to every object's covers, each sieve
+    admits every image into its object, so the closure overshoots the plain
+    join of the empty sieve."""
+    real = sites.coherent_topology
+
+    def covered_by_nothing(C):
+        return SimpleNamespace(
+            generators={B: [()] + list(fams) for B, fams in real(C).generators.items()}
+        )
+
+    monkeypatch.setattr(sites, "coherent_topology", covered_by_nothing)
+    failures = 0
+    for C in [LatticeCategory(L) for L in distributive_lattices(6)] + concrete_fragments():
+        X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+        got = topology_coincidence_check(C, X)
+        assert got == coincidence_closure_oracle(C, X)
+        failures += not got[0]
+    # all but the one-element lattice, whose fibers have one element
+    assert failures == 13 + 3 - 1
+
+
 def test_topology_coincidence_budget_report():
     C = LatticeCategory(boolean4())
     with pytest.raises(BudgetError) as e:
@@ -506,6 +573,7 @@ def test_topology_coincidence_matches_the_per_sieve_oracle():
         for budget in (None, 2, 5):
             got = coincidence_outcome(topology_coincidence_check, C, budget)
             assert got == coincidence_outcome(topology_coincidence_oracle, C, budget)
+            assert got == coincidence_outcome(coincidence_closure_oracle, C, budget)
             outcomes.add(got[0])
     assert outcomes == {True, "cut"}
 
