@@ -1,34 +1,13 @@
-"""Procedural fixtures shared by the test suites and the acceptance runs:
-deliberately broken inputs for the validators, and the designated corpus
-data for the model-family checks."""
+"""Procedural fixtures shared by the test suites and the benchmark: the
+directory of shipped fixtures, a deliberately broken site for the
+comparison check, and the designated corpus model for the model-family
+checks."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .cohcat import LatticeCategory
-from .hyperdoctrine import CoherentHyperdoctrine, sub_hyperdoctrine
-from .lattice import MonotoneMap, chain_lattice
-
 FIXTURE_DIR = Path(__file__).resolve().parents[2] / "fixtures"
-
-
-def fixture_path(name: str) -> Path:
-    return FIXTURE_DIR / name
-
-
-def broken_exists_hyperdoctrine() -> CoherentHyperdoctrine:
-    """The subobject hyperdoctrine of the 3-chain with one existential
-    table entry bumped, so the adjunction law fails with a witness."""
-    C = LatticeCategory(chain_lattice(3))
-    P = sub_hyperdoctrine(C)
-    exists = dict(P.exists)
-    f = "le(c0,c2)"
-    old = exists[f]
-    table = dict(old.mapping)
-    table["c0"] = "c2"  # image of the bottom subobject jumps to the top
-    exists[f] = MonotoneMap(old.source, old.target, table)
-    return CoherentHyperdoctrine(P.base, P.fibers, P.subst, exists, P.limits)
 
 
 def mutated_comparison_source(C_like, X):

@@ -18,7 +18,7 @@ join of the join-irreducibles below it, so a join-preserving map is fixed
 by its monotone restriction to them: `join_preserving_maps` extends each
 monotone map on the join-irreducibles by joins.  On a distributive source
 every extension preserves finite joins and is built with that verdict; on
-others, such as `m3`, the candidates are checked.
+others, such as M3, the candidates are checked.
 Between distributive lattices, `lattice_homs` enumerates the monotone maps
 J(K) -> J(L) of the dual posets, each giving exactly one hom; otherwise it
 keeps the join-preserving maps that preserve finite meets.
@@ -296,10 +296,6 @@ def is_filter(L: FinLattice, s) -> bool:
     return all(L.join(a, x) in s for a in s for x in L.elements) and all(
         L.meet(a, b) in s for a in s for b in s
     )
-
-
-def is_ideal(L: FinLattice, s) -> bool:
-    return is_filter(L.dual, s)
 
 
 def is_prime_filter(L: FinLattice, s) -> bool:
@@ -694,34 +690,3 @@ def birkhoff(L: FinLattice) -> tuple[LatticeHom, LatticeHom]:
     )
     fro = LatticeHom(D, L, {d: L.join_all(D.decode[d]) for d in D.elements})
     return to, fro
-
-
-# -- convenience constructors -------------------------------------------------
-
-
-def chain_lattice(n: int, prefix: str = "c") -> FinLattice:
-    """The n-element chain c0 < c1 < ... ."""
-    from .order import chain
-
-    return FinLattice.from_poset(chain([f"{prefix}{i}" for i in range(n)]))
-
-
-def boolean4() -> FinLattice:
-    """The four-element Boolean lattice (the diamond) 0 < a,b < 1."""
-    return FinLattice.from_poset(
-        FinPoset.from_pairs("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    )
-
-
-def m3() -> FinLattice:
-    """The non-distributive lattice with three incomparable atoms."""
-    return FinLattice.from_poset(
-        FinPoset.from_pairs(
-            "0abc1",
-            [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
-        )
-    )
-
-
-def trivial_lattice() -> FinLattice:
-    return FinLattice.from_poset(FinPoset(("*",), frozenset({("*", "*")})))

@@ -22,7 +22,13 @@ M_i -> M_j send each element of M_i to.  It does not keep the
 homomorphisms.  Condition M3, the subfunctor test and the cyclic
 subfunctors read only images of single elements, so the reach relation is
 all they need, and it is found with far fewer searches than listing every
-homomorphism takes.
+homomorphism takes.  Each model's row tables are built once for all the
+pairs it is in, and each search runs over node-consistent domains
+(Mackworth, "Consistency in networks of relations", 1977): a row whose
+cells are all one element, such as P(a), R(a, a) or a constant's value,
+keeps in that element's domain only the targets that satisfy it.  Every
+homomorphism satisfies such a row, so the pruning is exact; what it saves
+is each pinned search whose pin lies outside its domain, which must fail.
 """
 
 from __future__ import annotations
@@ -205,7 +211,42 @@ def _cells_read(seq, env: dict, sorts) -> set[tuple]:
     return cells
 
 
-def _reach(M: FinModel, N: FinModel) -> dict[str, dict[str, frozenset[str]]]:
+class _RowTables:
+    """One model's side of every reach search it takes part in, built once.
+
+    As a source M: its keys (sort, element); each row of its relations and
+    function graphs whose cells name two or more keys, listed under each of
+    them with its table's index; its rows with no cell (a nullary relation);
+    and its loops, the rows whose cells all name one key k, as (k, arity,
+    table index).  As a target N: the row set of each table, by index."""
+
+    __slots__ = ("model", "keys", "rows", "ground", "loops", "sets")
+
+    def __init__(self, M: FinModel):
+        sig = M.theory.signature
+        tables = [
+            (args + (res,), {k + (v,) for k, v in M.funcs[f].items()})
+            for f, (args, res) in sig.funcs.items()
+        ] + [(args, M.rels[r]) for r, args in sig.rels.items()]
+        self.model = M
+        self.keys = [(s, a) for s in sig.sorts for a in M.sorts[s]]
+        self.sets = [m_rows for _, m_rows in tables]
+        self.rows = {k: [] for k in self.keys}
+        self.ground, self.loops = [], []
+        for t, (sorts, m_rows) in enumerate(tables):
+            for row in m_rows:
+                cells = tuple(zip(sorts, row))
+                distinct = set(cells)
+                if not cells:
+                    self.ground.append((row, t))
+                elif len(distinct) == 1:
+                    self.loops.append((cells[0], len(cells), t))
+                else:
+                    for cell in distinct:
+                        self.rows[cell].append((cells, t))
+
+
+def _reach(m: _RowTables, n: _RowTables) -> dict[str, dict[str, frozenset[str]]]:
     """reach[A][a] = {h(a) : h a structure homomorphism M -> N}, for each
     sort A and element a of M, found from witnesses instead of listing every
     homomorphism.  One unpinned search tells whether any homomorphism
@@ -214,33 +255,28 @@ def _reach(M: FinModel, N: FinModel) -> dict[str, dict[str, frozenset[str]]]:
     stopped at its first homomorphism.  Inside such a search values not yet
     reached are tried first, so each homomorphism found covers new pairs.
 
-    A row of M's relations or function graphs is checked as soon as all its
-    cells are assigned, in whatever order the search assigns them."""
+    Both models' tables are built once per model (`_RowTables`).  Each key
+    searches a node-consistent domain: a loop of M, a row whose cells are
+    all one key k, keeps in k's domain only the b whose row (b, ..., b) lies
+    in N's table.  That is exact: every homomorphism satisfies the loop,
+    and a search that checked it would reject each pruned value as soon as
+    k is assigned, so every search finds the homomorphism it would find
+    unpruned.  The loops are not checked again: an empty domain means that
+    no homomorphism exists, and a pin outside its domain gets no search.
+    Any other row is checked as soon as all its cells are assigned, in
+    whatever order the search assigns them."""
+    M, N = m.model, n.model
     sig = M.theory.signature
-    keys = [(s, a) for s in sig.sorts for a in M.sorts[s]]
-    reached = {k: set() for k in keys}
-    tables = [
-        (
-            args + (res,),
-            [k + (v,) for k, v in M.funcs[f].items()],
-            {k + (v,) for k, v in N.funcs[f].items()},
-        )
-        for f, (args, res) in sig.funcs.items()
-    ] + [(args, M.rels[r], N.rels[r]) for r, args in sig.rels.items()]
-    rows = {k: [] for k in keys}
-    hom_exists = True
-    for sorts, m_rows, n_rows in tables:
-        for row in m_rows:
-            cells = tuple(zip(sorts, row))
-            for cell in set(cells):
-                rows[cell].append((cells, n_rows))
-            if not cells and row not in n_rows:
-                hom_exists = False
+    reached = {k: set() for k in m.keys}
+    domain = {k: N.sorts[k[0]] for k in m.keys}
+    for k, arity, t in m.loops:
+        domain[k] = [b for b in domain[k] if (b,) * arity in n.sets[t]]
+    rows, sets = m.rows, n.sets
 
     def consistent(key, acc):
-        for cells, n_rows in rows[key]:
+        for cells, t in rows[key]:
             image = tuple(map(acc.get, cells))  # None for an unassigned cell
-            if image not in n_rows and None not in image:
+            if image not in sets[t] and None not in image:
                 return False
         return True
 
@@ -251,13 +287,14 @@ def _reach(M: FinModel, N: FinModel) -> dict[str, dict[str, frozenset[str]]]:
             return True
         return False
 
-    if hom_exists and first_hom(keys, {k: N.sorts[k[0]] for k in keys}):
-        for pin in keys:
-            rest = [k for k in keys if k != pin]
-            for b in N.sorts[pin[0]]:
+    hom_exists = all(row in sets[t] for row, t in m.ground) and all(domain.values())
+    if hom_exists and first_hom(m.keys, domain):
+        for pin in m.keys:
+            rest = [k for k in m.keys if k != pin]
+            for b in domain[pin]:
                 if b not in reached[pin]:
                     values = {
-                        k: sorted(N.sorts[k[0]], key=reached[k].__contains__)
+                        k: sorted(domain[k], key=reached[k].__contains__)
                         for k in rest
                     }
                     first_hom([pin, *rest], {**values, pin: (b,)})
@@ -278,7 +315,10 @@ class ModelFamily:
 
     @classmethod
     def build(cls, models, budget: int | None = None) -> ModelFamily:
-        """`budget` bounds the ordered model pairs, one reach search each."""
+        """`budget` bounds the ordered model pairs, one reach search each.
+        Each model's row tables are built once (`_RowTables`) and serve
+        every pair it is in, as source and as target; each pair's search
+        runs over node-consistent domains (see `_reach`)."""
         models = tuple(models)
         budget = REACH_BUDGET if budget is None else budget
         if len(models) ** 2 > budget:
@@ -286,10 +326,11 @@ class ModelFamily:
                 f"model family of {len(models)} models exceeds {budget} "
                 "model pairs; raise --budget"
             )
+        tables = [_RowTables(M) for M in models]
         reach = {
-            (i, j): _reach(M, N)
-            for i, M in enumerate(models)
-            for j, N in enumerate(models)
+            (i, j): _reach(m, n)
+            for i, m in enumerate(tables)
+            for j, n in enumerate(tables)
         }
         return cls(models, reach)
 
@@ -307,7 +348,7 @@ class TermMap:
     tables: tuple[dict, ...]  # one function per model
 
 
-REACH_BUDGET = 1 << 14  # ordered model pairs of a family
+REACH_BUDGET = 1 << 14  # ordered model pairs of a family, one reach search each
 SUBOBJECT_BUDGET = 2048  # subobject families of a distilled category
 SUBFUNCTOR_BUDGET = 1 << 14  # subfunctors of one evaluated sort
 

@@ -303,17 +303,3 @@ def poset_failures(P: FinPoset):
     for a, b, c in product(elems, repeat=3):
         if (a, b) in pairs and (b, c) in pairs and (a, c) not in pairs:
             yield f"not transitive on ({a},{b},{c})"
-
-
-def antichain(names) -> FinPoset:
-    names = tuple(names)
-    return FinPoset(names, frozenset((a, a) for a in names))
-
-
-def chain(names) -> FinPoset:
-    names = tuple(names)
-    pairs = {
-        (names[i], names[j]) for i in range(len(names)) for j in range(i, len(names))
-    }
-    return FinPoset(names, frozenset(pairs))
-

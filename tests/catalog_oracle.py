@@ -7,7 +7,8 @@ from functools import lru_cache
 
 from cohext.catalog import _canonical_key
 from cohext.lattice import FinLattice, downset_lattice
-from cohext.order import FinPoset, chain
+from cohext.order import FinPoset
+from helpers import chain
 
 
 @lru_cache(maxsize=None)

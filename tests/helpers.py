@@ -1,0 +1,75 @@
+"""Small structures and fixture access that only the suites use: chain
+and antichain posets, the chain, one-element, four-element Boolean and M3
+lattices, the ideal test, the path of a shipped fixture, and a
+hyperdoctrine whose existential table breaks the adjunction law."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from cohext.cohcat import LatticeCategory
+from cohext.fixtures import FIXTURE_DIR
+from cohext.hyperdoctrine import CoherentHyperdoctrine, sub_hyperdoctrine
+from cohext.lattice import FinLattice, MonotoneMap, is_filter
+from cohext.order import FinPoset
+
+
+def chain(names) -> FinPoset:
+    names = tuple(names)
+    pairs = {
+        (names[i], names[j]) for i in range(len(names)) for j in range(i, len(names))
+    }
+    return FinPoset(names, frozenset(pairs))
+
+
+def antichain(names) -> FinPoset:
+    names = tuple(names)
+    return FinPoset(names, frozenset((a, a) for a in names))
+
+
+def trivial_lattice() -> FinLattice:
+    return FinLattice.from_poset(FinPoset(("*",), frozenset({("*", "*")})))
+
+
+def boolean4() -> FinLattice:
+    """The four-element Boolean lattice (the diamond) 0 < a,b < 1."""
+    return FinLattice.from_poset(
+        FinPoset.from_pairs("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    )
+
+
+def chain_lattice(n: int, prefix: str = "c") -> FinLattice:
+    """The n-element chain c0 < c1 < ... ."""
+    return FinLattice.from_poset(chain([f"{prefix}{i}" for i in range(n)]))
+
+
+def m3() -> FinLattice:
+    """The non-distributive lattice with three incomparable atoms."""
+    return FinLattice.from_poset(
+        FinPoset.from_pairs(
+            "0abc1",
+            [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
+        )
+    )
+
+
+def is_ideal(L: FinLattice, s) -> bool:
+    return is_filter(L.dual, s)
+
+
+def fixture_path(name: str) -> Path:
+    return FIXTURE_DIR / name
+
+
+def broken_exists_hyperdoctrine() -> CoherentHyperdoctrine:
+    """The subobject hyperdoctrine of the 3-chain with one existential
+    table entry bumped, so the adjunction law fails with a witness."""
+    C = LatticeCategory(chain_lattice(3))
+    P = sub_hyperdoctrine(C)
+    exists = dict(P.exists)
+    f = "le(c0,c2)"
+    old = exists[f]
+    table = dict(old.mapping)
+    table["c0"] = "c2"  # image of the bottom subobject jumps to the top
+    exists[f] = MonotoneMap(old.source, old.target, table)
+    return CoherentHyperdoctrine(P.base, P.fibers, P.subst, exists, P.limits)

@@ -6,9 +6,7 @@ import pytest
 from cohext import predcat, sites
 from cohext.canext import canonical_extension, check_compact
 from cohext.cohcat import LatticeCategory
-from cohext.fixtures import fixture_path
 from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
-from cohext.lattice import boolean4, chain_lattice
 from cohext.logic.models import (
     DistillationBudget,
     Evaluation,
@@ -18,6 +16,7 @@ from cohext.logic.models import (
 )
 from cohext.logic.parser import parse_theory
 from cohext.order import BudgetError
+from helpers import boolean4, chain_lattice, fixture_path
 
 
 def extended_boolean4():

@@ -27,19 +27,21 @@ from cohext.lattice import (
     LatticeHom,
     MonotoneMap,
     NotDistributiveError,
-    boolean4,
-    chain_lattice,
     downset_lattice,
     filter_lattice,
     join_preserving_maps,
     lattice_homs,
-    m3,
     map_failures,
     monotone_maps,
     require_distributive,
+)
+from helpers import (
+    antichain,
+    boolean4,
+    chain_lattice,
+    m3,
     trivial_lattice,
 )
-from cohext.order import antichain
 
 
 def test_extension_shapes_on_small_lattices():

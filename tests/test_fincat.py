@@ -32,7 +32,7 @@ from cohext.fincat import (
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
 from cohext.jsonio import load_category
-from cohext.lattice import LatticeHom, boolean4, chain_lattice, lattice_homs
+from cohext.lattice import LatticeHom, lattice_homs
 from cohext.logic.models import FamilyCategory, ModelFamily, enumerate_models
 from cohext.logic.parser import parse_theory
 from cohext.order import set_name
@@ -42,6 +42,7 @@ from cohext.sites import (
     semidirect_site,
     type_category,
 )
+from helpers import boolean4, chain_lattice
 
 
 def two_point_category():

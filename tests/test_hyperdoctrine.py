@@ -6,7 +6,6 @@ from dataclasses import replace
 from cohext.canext import canonical_extension, delta_extension
 from cohext.catalog import distributive_lattices
 from cohext.cohcat import ConcreteCohCategory, LatticeCategory
-from cohext.fixtures import broken_exists_hyperdoctrine
 from cohext.hyperdoctrine import (
     canext_fo,
     canext_hyperdoctrine,
@@ -19,8 +18,14 @@ from cohext.hyperdoctrine import (
     validate_fo,
     validate_morphism,
 )
-from cohext.lattice import boolean4, chain_lattice, m3, trivial_lattice
 from cohext.sites import filter_hyperdoctrine
+from helpers import (
+    boolean4,
+    broken_exists_hyperdoctrine,
+    chain_lattice,
+    m3,
+    trivial_lattice,
+)
 
 
 def all_fixture_hyperdoctrines():

@@ -2,12 +2,13 @@
 local name a function under src/ binds is read in that function, every
 parameter of a private function or method under src/ is read, every
 top-level function and class under src/ is named outside its own
-definition, no module under src/ reads the process environment, keeps a
-process-wide cache (a `functools` cache, or a module-level container a
-function writes) other than the one allowed or touches an instance
-`__dict__`, no module under src/ but the CLI runs a hyperdoctrine
-validator, none but jsonio runs an order or map check, and every name the
-benchmark imports from cohext exists."""
+definition and, unless it is kept for the paper, outside the tests, no
+module under src/ reads the process environment, keeps a process-wide
+cache (a `functools` cache, or a module-level container a function
+writes) other than the one allowed or touches an instance `__dict__`, no
+module under src/ but the CLI runs a hyperdoctrine validator, none but
+jsonio runs an order or map check, and every name the benchmark imports
+from cohext exists."""
 
 import ast
 import importlib
@@ -262,6 +263,92 @@ def test_every_top_level_definition_is_named_outside_itself():
     }
     readers = [p.read_text() for p in TESTS + BENCH]
     assert unnamed_definitions(modules, readers) == []
+
+
+# The top-level definitions under src/ that only the suites name, each kept
+# because it states a claim of the paper or a law its constructions rest on.
+# A test helper goes to tests/helpers.py instead.
+KEPT_FOR_THE_PAPER = {
+    "cohext.canext.check_composition":
+        "the composition laws of sigma and pi lifts (criterion 3)",
+    "cohext.canext.esakia_check":
+        "Esakia's lemma: delta lifts of join-preserving maps keep filtered meets",
+    "cohext.cohcat.check_conservative":
+        "a coherent functor is conservative (criterion 12)",
+    "cohext.cohcat.check_heyting_functor":
+        "a coherent functor is Heyting, the open-map side of criterion 12",
+    "cohext.hyperdoctrine.validate_morphism":
+        "the laws of a hyperdoctrine morphism",
+    "cohext.hyperdoctrine.unit_morphism":
+        "the unit P -> P^delta is a hyperdoctrine morphism",
+    "cohext.hyperdoctrine.canext_morphism":
+        "canonical extension acts on hyperdoctrine morphisms",
+    "cohext.hyperdoctrine.compose_morphisms":
+        "that action respects composition",
+    "cohext.hyperdoctrine.fo_from_cohcat":
+        "the first-order hyperdoctrine of a Heyting category",
+    "cohext.hyperdoctrine.validate_fo":
+        "the first-order laws: Heyting fibers, forall right adjoint to substitution",
+    "cohext.hyperdoctrine.canext_fo":
+        "canonicity of first-order hyperdoctrines (criterion 5)",
+    "cohext.lattice.ideal_lattice":
+        "the ideal lattice, dual to the filter lattice (criterion 2)",
+    "cohext.lattice.lattice_failures":
+        "the bounded-lattice laws, stated with a witness like poset_failures",
+    "cohext.lattice.product_projections":
+        "the product projections the square-transfer criterion lifts (criterion 4)",
+    "cohext.lattice.meet_preserving_maps":
+        "the maps the pi extension lifts",
+    "cohext.lattice.birkhoff":
+        "Birkhoff duality: a finite distributive lattice is the downsets of J(L)",
+    "cohext.logic.models.types":
+        "the types realized in a model family are prime filters",
+    "cohext.predcat.universal_factorization":
+        "every p-model factors through E_C (criterion 8)",
+    "cohext.sites.filter_hyperdoctrine":
+        "the filter hyperdoctrine whose predicate category is the filter category",
+    "cohext.sites.localic_tot_for_lattice":
+        "the localic topos of types of a lattice (criterion 9)",
+}
+
+
+def named_only_by_tests(modules: dict[str, str], readers=(), kept=()) -> list[str]:
+    """The top-level definitions of `modules` that neither the modules nor
+    the non-test `readers` name, unless `kept` lists them by dotted name;
+    then each entry of `kept` that is named there or gone."""
+    found = {}
+    for line in unnamed_definitions(modules, readers):
+        found[f"{line.split(' line ')[0]}.{line.rsplit(': ', 1)[1]}"] = line
+    return [line for dotted, line in found.items() if dotted not in kept] + [
+        f"{dotted}: kept but named outside the tests, or gone"
+        for dotted in kept if dotted not in found
+    ]
+
+
+def test_no_definition_under_src_is_named_only_by_tests():
+    modules = {
+        ".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text()
+        for p in MODULES
+    }
+    readers = [p.read_text() for p in BENCH]
+    assert named_only_by_tests(modules, readers, KEPT_FOR_THE_PAPER) == []
+
+
+def test_test_only_definition_detector_on_samples():
+    f = "def f():\n    return 1\n"
+    assert named_only_by_tests({"p.m": f}) == ["p.m line 1: f"]
+    # named by the program: another module, its own module, a benchmark
+    assert named_only_by_tests({"p.m": f, "p.n": "from .m import f\n"}) == []
+    assert named_only_by_tests({"p.m": f + "g = f\n"}) == []
+    assert named_only_by_tests({"p.m": f}, ["from p.m import f\n"]) == []
+    # kept by name, and a kept entry that the program names or that is gone
+    assert named_only_by_tests({"p.m": f}, kept={"p.m.f": "a claim"}) == []
+    assert named_only_by_tests({"p.m": f}, ["import p.m\np.m.f()\n"], ["p.m.f"]) == [
+        "p.m.f: kept but named outside the tests, or gone"
+    ]
+    assert named_only_by_tests({"p.m": "x = 1\n"}, kept=["p.m.f"]) == [
+        "p.m.f: kept but named outside the tests, or gone"
+    ]
 
 
 def test_unnamed_definition_detector_on_samples():

@@ -2,6 +2,7 @@
 and the order and map checks run on every construction."""
 
 import gc
+import os
 import subprocess
 import sys
 import weakref
@@ -35,22 +36,18 @@ from cohext.lattice import (
     NotDistributiveError,
     adjunction_failures,
     birkhoff,
-    boolean4,
-    chain_lattice,
     check_distributive,
     downset_lattice,
     filter_lattice,
     filters,
     ideal_lattice,
     is_filter,
-    is_ideal,
     is_join_irreducible,
     is_prime_filter,
     join_irreducibles,
     join_preserving_maps,
     lattice_failures,
     lattice_homs,
-    m3,
     map_failures,
     meet_preserving_maps,
     monotone_maps,
@@ -59,7 +56,6 @@ from cohext.lattice import (
     prime_filters,
     product_lattice,
     product_projections,
-    trivial_lattice,
     _by_items,
     _join_preserving_maps,
     _lattice_homs,
@@ -67,9 +63,18 @@ from cohext.lattice import (
 )
 from cohext.logic.models import Evaluation, FamilyCategory, ModelFamily, enumerate_models
 from cohext.logic.parser import parse_theory
-from cohext.order import FinPoset, antichain, chain, poset_failures
+from cohext.order import FinPoset, poset_failures
 from cohext.predcat import PredCategory, PredCohCategory
 from cohext.sites import filter_hyperdoctrine, locale_morphism, type_category
+from helpers import (
+    antichain,
+    boolean4,
+    chain,
+    chain_lattice,
+    is_ideal,
+    m3,
+    trivial_lattice,
+)
 
 
 def all_subsets(elems):
@@ -299,15 +304,19 @@ def test_rejected_map_names_first_offending_pair_in_product_order(hash_seed):
     # Offending pairs are (0,a), (0,b), (0,1) and (b,1); the witness must be
     # the first of them in product order whatever the hash seed.
     code = (
-        "from cohext.lattice import MonotoneMap, boolean4, map_failures\n"
+        "from cohext.lattice import MonotoneMap, map_failures\n"
+        "from helpers import boolean4\n"
         "B = boolean4()\n"
         "f = MonotoneMap(B, B, {'0': '1', 'a': '0', 'b': 'b', '1': 'a'})\n"
         "print(next(map_failures(f)))\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
+    tests = Path(__file__).resolve().parent
     r = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env={"PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+        env={
+            "PYTHONPATH": os.pathsep.join(map(str, (tests.parent / "src", tests))),
+            "PYTHONHASHSEED": hash_seed,
+        },
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout == "not order-preserving on (0,a)\n"

@@ -15,11 +15,7 @@ import pytest
 from cohext.catalog import concrete_universes, distributive_lattices
 from cohext.cohcat import ConcreteCohCategory, LatticeCategory, lattice_hom_functor
 from cohext.fincat import FinFunctor
-from cohext.fixtures import (
-    FIXTURE_DIR,
-    broken_exists_hyperdoctrine,
-    designated_model_index,
-)
+from cohext.fixtures import FIXTURE_DIR, designated_model_index
 from cohext.hyperdoctrine import (
     CoherentHyperdoctrine,
     FirstOrderHyperdoctrine,
@@ -34,7 +30,7 @@ from cohext.hyperdoctrine import (
     validate_morphism,
 )
 from cohext.jsonio import lattice_from_json
-from cohext.lattice import LatticeHom, MonotoneMap, chain_lattice, m3
+from cohext.lattice import LatticeHom, MonotoneMap
 from cohext.logic.models import (
     Evaluation,
     FamilyCategory,
@@ -59,6 +55,7 @@ from law_oracle import (
     validate_morphism_oracle,
     validate_oracle,
 )
+from helpers import broken_exists_hyperdoctrine, chain_lattice, m3
 
 
 def triples(checks):

@@ -5,7 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
-from cohext.fixtures import designated_model_index, fixture_path
+from cohext.fixtures import designated_model_index
 from cohext.jsonio import FormatError, model_from_json, model_to_json
 from cohext.logic.chase import FinModel, chase
 from cohext.logic.models import (
@@ -39,6 +39,7 @@ from cohext.logic.syntax import (
     print_theory,
 )
 from cohext.order import assignments
+from helpers import fixture_path
 
 CORPUS = ["pointed", "idempotent", "ordered"]
 
@@ -634,6 +635,147 @@ def test_model_family_completes_fewer_homs_than_it_has(monkeypatch):
     ModelFamily.build(family)
     assert total == 92715
     assert len(completed) < total
+
+
+def reach_search_oracle(M: FinModel, N: FinModel) -> dict:
+    """The reach relation by the witness search without per-model tables
+    or node-consistent domains: M's rows and N's row sets are built for
+    this one pair, every key searches all of its sort in N, and every pair
+    (a, b) not yet covered gets its pinned search."""
+    sig = M.theory.signature
+    keys = [(s, a) for s in sig.sorts for a in M.sorts[s]]
+    reached = {k: set() for k in keys}
+    tables = [
+        (
+            args + (res,),
+            [k + (v,) for k, v in M.funcs[f].items()],
+            {k + (v,) for k, v in N.funcs[f].items()},
+        )
+        for f, (args, res) in sig.funcs.items()
+    ] + [(args, M.rels[r], N.rels[r]) for r, args in sig.rels.items()]
+    rows = {k: [] for k in keys}
+    hom_exists = True
+    for sorts, m_rows, n_rows in tables:
+        for row in m_rows:
+            cells = tuple(zip(sorts, row))
+            for cell in set(cells):
+                rows[cell].append((cells, n_rows))
+            if not cells and row not in n_rows:
+                hom_exists = False
+
+    def consistent(key, acc):
+        for cells, n_rows in rows[key]:
+            image = tuple(map(acc.get, cells))  # None for an unassigned cell
+            if image not in n_rows and None not in image:
+                return False
+        return True
+
+    def first_hom(order, values) -> bool:
+        for h in assignments(order, values.__getitem__, consistent):
+            for k, b in h.items():
+                reached[k].add(b)
+            return True
+        return False
+
+    if hom_exists and first_hom(keys, {k: N.sorts[k[0]] for k in keys}):
+        for pin in keys:
+            rest = [k for k in keys if k != pin]
+            for b in N.sorts[pin[0]]:
+                if b not in reached[pin]:
+                    values = {
+                        k: sorted(N.sorts[k[0]], key=reached[k].__contains__)
+                        for k in rest
+                    }
+                    first_hom([pin, *rest], {**values, pin: (b,)})
+    return {s: {a: frozenset(reached[s, a]) for a in M.sorts[s]} for s in sig.sorts}
+
+
+def assert_reach_matches_the_search_oracle(models) -> int:
+    """The family's reach equals the oracle's on every ordered pair; the
+    number of pairs with no homomorphism."""
+    fam = ModelFamily.build(models)
+    empty = 0
+    for (i, M), (j, N) in product(enumerate(models), repeat=2):
+        want = reach_search_oracle(M, N)
+        assert fam.reach[(i, j)] == want, (i, j)
+        empty += not any(want[s][a] for s in want for a in want[s])
+    return empty
+
+
+def test_reach_matches_the_search_oracle_on_the_benchmark_families():
+    for name in CORPUS:
+        T = parse_theory(fixture_path(f"{name}.chr").read_text())
+        for size in (4, 5):
+            assert_reach_matches_the_search_oracle(enumerate_models(T, size))
+
+
+# Each theory exercises one way a domain is pruned or left alone: a constant
+# whose value a target's unary relation misses (an empty domain), a diagonal
+# row R(a, a), a binary function's fixed point f(a, a) = a, a function into a
+# second sort (never a loop), and an empty carrier.
+PRUNING_THEORIES = {
+    "constant missed": ("sort A\nfun c : -> A\nrel P : A\n", 1),
+    "diagonal row": ("sort A\nrel R : A, A\n", 1),
+    "binary fixed point": ("sort A\nfun f : A, A -> A\n", 1),
+    "second sort": ("sort A\nsort B\nfun g : A -> B\nrel P : B\n", 1),
+    "empty carrier": ("sort A\nsort B\nfun g : A -> B\nrel P : A\n", 0),
+}
+
+
+@pytest.mark.parametrize("name", PRUNING_THEORIES)
+def test_reach_matches_the_search_oracle_on_each_pruning_path(name):
+    text, min_size = PRUNING_THEORIES[name]
+    models = enumerate_models(theory(text), 2, min_size, up_to_iso=False)
+    assert assert_reach_matches_the_search_oracle(models) > 0
+
+
+def test_an_empty_domain_runs_no_search_and_a_shared_name_is_no_loop(monkeypatch):
+    import cohext.logic.models as models
+
+    searches = []
+    search = models.assignments
+    monkeypatch.setattr(
+        models, "assignments", lambda *args: searches.append(args) or search(*args)
+    )
+    # P(c) holds in M but misses N's constant: c's domain is empty
+    T = theory("sort A\nfun c : -> A\nrel P : A\n")
+    M = FinModel(T, {"A": ("a0",)}, {"c": {(): "a0"}}, {"P": frozenset({("a0",)})})
+    N = FinModel(T, {"A": ("a0", "a1")}, {"c": {(): "a0"}}, {"P": frozenset({("a1",)})})
+    assert ModelFamily.build([M, N]).reach[(0, 1)] == {"A": {"a0": frozenset()}}
+    # (0, 0), (1, 1) and (1, 0) each take one search; (0, 1) takes none
+    assert len(searches) == 3
+    # g(x) = x across two sorts names two keys, so it prunes nothing
+    T = theory("sort A\nsort B\nfun g : A -> B\n")
+    M = FinModel(T, {"A": ("x",), "B": ("x",)}, {"g": {("x",): "x"}}, {})
+    N = FinModel(
+        T, {"A": ("x", "y"), "B": ("x", "y")}, {"g": {("x",): "y", ("y",): "x"}}, {}
+    )
+    reach = ModelFamily.build([M, N]).reach
+    assert reach[(0, 1)] == reach_search_oracle(M, N)
+    assert reach[(0, 1)] == {"A": {"x": frozenset("xy")}, "B": {"x": frozenset("xy")}}
+
+
+def test_node_consistent_domains_skip_the_pinned_searches_that_must_fail(monkeypatch):
+    import cohext.logic.models as models
+
+    family = enumerate_models(parse_theory(fixture_path("ordered.chr").read_text()), 5)
+    counts = []
+
+    def counting(search):
+        def counted(*args):
+            counts[-1] += 1
+            return search(*args)
+
+        return counted
+
+    counts.append(0)
+    monkeypatch.setattr(models, "assignments", counting(models.assignments))
+    ModelFamily.build(family)
+    counts.append(0)
+    monkeypatch.setitem(globals(), "assignments", counting(assignments))
+    for M, N in product(family, repeat=2):
+        reach_search_oracle(M, N)
+    assert (len(family), counts) == (35, [4165, 11515])
 
 
 def test_types_are_prime_filters_on_all_corpus_fixtures():

@@ -14,18 +14,16 @@ import pytest
 from catalog_oracle import all_posets
 from cohext.canext import canonical_extension
 from cohext.catalog import _canonical_key, distributive_lattices
-from cohext.lattice import chain_lattice
 from cohext.order import (
     FinPoset,
-    antichain,
     assignments,
     cached,
     cached_method,
     canonical_form,
-    chain,
     trusted_instance,
     union_closure,
 )
+from helpers import antichain, chain, chain_lattice
 
 
 def all_small_posets():

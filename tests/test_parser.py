@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scanner_oracle import tokenize_oracle
 
-from cohext.fixtures import fixture_path
 from cohext.logic.parser import ParseError, Token, parse_theory, tokenize
 from cohext.logic.syntax import SortError
+from helpers import fixture_path
 
 CORPUS = ["pointed", "idempotent", "ordered"]
 BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]

@@ -28,7 +28,6 @@ from cohext.fincat import (
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
 from cohext.jsonio import hyperdoctrine_from_json
-from cohext.lattice import boolean4, chain_lattice, trivial_lattice
 from cohext.predcat import (
     BudgetError,
     NotCoherentError,
@@ -45,6 +44,7 @@ from cohext.predcat import (
     triple_projections,
     universal_factorization,
 )
+from helpers import boolean4, chain_lattice, trivial_lattice
 
 
 def test_pred_category_over_trivial_base_is_fiber_preorder():

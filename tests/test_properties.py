@@ -12,17 +12,16 @@ from cohext.lattice import (
     FinLattice,
     MonotoneMap,
     birkhoff,
-    boolean4,
     check_distributive,
     downset_lattice,
     filter_lattice,
     ideal_lattice,
     join_irreducibles,
     lattice_failures,
-    m3,
     prime_filters,
 )
 from cohext.order import FinPoset
+from helpers import boolean4, m3
 
 
 @st.composite

@@ -13,15 +13,7 @@ from cohext.cohcat import ConcreteCohCategory, LatticeCategory, lattice_hom_func
 from cohext.fincat import CategoryError, FinCategory, FinFunctor, Morphism, composable_pairs
 from cohext.fixtures import mutated_comparison_source
 from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
-from cohext.lattice import (
-    LatticeHom,
-    boolean4,
-    chain_lattice,
-    filters,
-    is_join_irreducible,
-    prime_filters,
-    trivial_lattice,
-)
+from cohext.lattice import LatticeHom, filters, is_join_irreducible, prime_filters
 from cohext.order import BudgetError
 from cohext.sites import (
     FilterCategory,
@@ -47,6 +39,7 @@ from cohext.sites import (
     type_category,
     unique_glueing_check,
 )
+from helpers import boolean4, chain_lattice, trivial_lattice
 
 
 def fixture_categories():
