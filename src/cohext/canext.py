@@ -11,6 +11,14 @@ over all subset pairs.  So the code paths match the infinite-case
 definitions and the finite collapse is a theorem the test suite proves
 rather than a shortcut.
 
+A map that preserves finite joins or finite meets has sigma = pi = delta
+(Gehrke & Jonsson, "Bounded distributive lattice expansions", 2004), so
+every program lift of a map that preserves finite joins is its sigma
+lift.  `delta_extension`, the checked form, computes both lifts and
+refuses them unless they agree; only `esakia_check`, which states
+Esakia's lemma for delta, takes it.  The tests check sigma = pi by running
+it on every map between lattices of DL(<=4) that preserves either.
+
 The meet side is read through the order dual.  `CanonicalExtension.dual`
 embeds `base.dual` into `ext.dual` by the same map, so its filter elements
 and tables are the ideal elements and tables of the extension itself:
@@ -56,8 +64,6 @@ class CanonicalExtension:
     base: FinLattice
     ext: FinLattice
     embed: dict[str, str]
-    # the prime filters of base, set by `canonical_extension`
-    prime_filters: tuple[frozenset[str], ...] | None = None
 
     def e(self, a: str) -> str:
         return self.embed[a]
@@ -101,7 +107,7 @@ class CanonicalExtension:
         image), and `ce.dual.dual is ce`."""
         return trusted_instance(
             CanonicalExtension, base=self.base.dual, ext=self.ext.dual,
-            embed=self.embed, prime_filters=None, dual=self,
+            embed=self.embed, dual=self,
         )
 
     def is_iso(self) -> bool:
@@ -137,13 +143,12 @@ def canonical_extension(L: FinLattice) -> CanonicalExtension:
     if cached is not None:
         return cached
     require_distributive(L)
-    pf = tuple(prime_filters(L))
-    ext = downset_lattice(prime_filter_poset(L, pf))
+    ext = downset_lattice(prime_filter_poset(L))
     embed = {
-        a: ext.encode[frozenset(set_name(s) for s in pf if a in s)]
+        a: ext.encode[frozenset(set_name(s) for s in L.prime_filter_sets if a in s)]
         for a in L.elements
     }
-    ce = CanonicalExtension(L, ext, embed, pf)
+    ce = CanonicalExtension(L, ext, embed)
     _EXTENSION_CACHE[L] = ce
     return ce
 
@@ -289,13 +294,13 @@ def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
     """The unique complete homomorphism ext -> K agreeing with h on the
     embedded base.  K is the codomain of h itself, not its extension.
 
-    On an extension built by `canonical_extension` the embedding is onto,
-    so the table is h read through it, a hom by construction; through
-    some other embedding the table is monotone, and refused unless it is
-    a hom.  Computed once per extension and kept on h; the result does
-    not refer to h."""
+    When the embedding is onto, as on every extension `canonical_extension`
+    builds, the table is h read through it, a hom by construction; through
+    an embedding that is not onto the table is monotone, and refused
+    unless it is a hom.  Computed once per extension and kept on h; the
+    result does not refer to h."""
     hbar = LatticeHom(ce_s.ext, h.target, _two_stage(ce_s, h.target, h.mapping))
-    if ce_s.prime_filters is None and not hbar.is_lattice_hom():
+    if not ce_s.is_iso() and not hbar.is_lattice_hom():
         raise LatticeError("not a lattice homomorphism")
     return hbar
 
@@ -373,7 +378,8 @@ def comjpm_decide(
       (2) g o ext(h1) = ext(h2) o delta(f) on the extension of L1,
 
     which are equivalent; both booleans are computed independently and the
-    equality is asserted.
+    equality is asserted.  f preserves finite joins, checked first, so its
+    delta lift is its sigma lift, which (2) reads.
     """
     if not f.preserves_finite_joins():
         raise PreservationError("f must preserve finite joins")
@@ -386,14 +392,14 @@ def comjpm_decide(
     ce1 = canonical_extension(L1)
     cond1 = all(
         g(K1.meet_all(h1(a) for a in rho)) == K2.meet_all(g(h1(a)) for a in rho)
-        for rho in ce1.prime_filters
+        for rho in prime_filters(ce1.base)
     )
     ce2 = canonical_extension(f.target)
     h1bar = extend_hom(h1, ce1)
     h2bar = extend_hom(h2, ce2)
-    fdelta = delta_extension(f, ce1, ce2)
+    fsigma = sigma_extension(f, ce1, ce2)
     cond2 = all(
-        g(h1bar(u)) == h2bar(fdelta(u)) for u in ce1.ext.elements
+        g(h1bar(u)) == h2bar(fsigma(u)) for u in ce1.ext.elements
     )
     assert cond1 == cond2, "square-transfer conditions disagree"
     return cond1, cond2

@@ -28,6 +28,7 @@ from .jsonio import (
     model_from_json,
     model_to_json,
 )
+from .lattice import prime_filters
 from .order import BudgetError
 from .report import Report
 
@@ -172,7 +173,7 @@ def cmd_canext(args, report: Report):
     report.check("compact", check_compact(ce, args.budget))
     report.check(
         "primeFilterCount", True,
-        count=len(ce.prime_filters), extSize=len(ce.ext.elements),
+        count=len(prime_filters(ce.base)), extSize=len(ce.ext.elements),
     )
 
 
@@ -240,16 +241,15 @@ def cmd_predcat_counit(args, report: Report):
 
 
 def cmd_predcat_canext(args, report: Report):
-    from .cohcat import check_coherent_functor
+    from .cohcat import coherent_functor_witness
     from .predcat import canonical_extension_category, check_coh_plus
 
     C = category_from_json(read_json(report, args.category))
     ext = canonical_extension_category(C, args.budget)
     if not check_category(report, "extension-built", ext.pred.cat):
         return
-    report.check(
-        "embedding-coherent", check_coherent_functor(ext.embedding, C, ext.coh)
-    )
+    w = coherent_functor_witness(ext.embedding, C, ext.coh)
+    report.check("embedding-coherent", w is None, w)
     w = check_coh_plus(ext.coh)
     report.check("coh-plus", w is None, w)
 
@@ -321,10 +321,12 @@ def cmd_tot_locale(args, report: Report):
         # an error in the data of one of the three files names that file
         return located(path, lambda: build(read_json(report, path), *context))
 
-    L = read(args.source, lattice_from_json)
-    K = read(args.target, lattice_from_json)
-    h = read(args.hom, hom_from_json, L, K)
-    CL, CK = LatticeCategory(L), LatticeCategory(K)
+    def lattice_category(data):
+        return LatticeCategory(lattice_from_json(data))
+
+    CL = read(args.source, lattice_category)
+    CK = read(args.target, lattice_category)
+    h = read(args.hom, hom_from_json, CL.lattice, CK.lattice)
     F = lattice_hom_functor(h, CL, CK)
     m = locale_morphism(F, CL, CK)
     ok, w = surjection_check(m)
@@ -371,12 +373,12 @@ def _family_setup(args, report):
 
 
 def cmd_models_check(args, report: Report):
-    from .logic.models import check_m1, check_m2, check_m3
+    from .logic.models import TERM_DEPTH, check_m1, check_m2, check_m3
 
     C, indices, n = _family_setup(args, report)
     report.check(
         "family-size", True, models=n, dropped=args.drop,
-        note="base category is a semantic distillation (term depth 2), "
+        note=f"base category is a semantic distillation (term depth {TERM_DEPTH}), "
         "an approximation of the syntactic category",
     )
     for rep in (check_m1(C, indices), check_m2(C, indices), check_m3(C, indices)):

@@ -401,9 +401,11 @@ def check_coherent_functor(F: FinFunctor, C: CohCategory, D: CohCategory) -> boo
     return coherent_functor_witness(F, C, D) is None
 
 
+@cached_method
 def coherent_functor_witness(F: FinFunctor, C: CohCategory, D: CohCategory):
     """None if F preserves the chosen finite limits, images, and finite
-    joins of subobjects; otherwise a human-readable witness."""
+    joins of subobjects; otherwise a human-readable witness.  Decided once
+    per (C, D) and kept on F, so every check on F reads the same verdict."""
     try:
         T = C.terminal()
         if not D.is_terminal(F.on_obj(T)):

@@ -142,21 +142,21 @@ def hyperdoctrine_from_json(data: dict, base_dir: Path | None = None) -> Coheren
 
     if not isinstance(data, dict):
         raise FormatError("hyperdoctrine JSON must be an object")
-    if "subobjects_of" in data:
-        ref = data["subobjects_of"]
+
+    def category(key):
+        """The category data[key] names, a file or inline; an error in its
+        data names the file or the key."""
+        ref = data[key]
         if isinstance(ref, str):
             path = (base_dir or Path(".")) / ref
-            C = load_category(path)
-        else:
-            C = category_from_json(ref)
-        return sub_hyperdoctrine(C)
+            return located(str(path), load_category, path)
+        return located(f"'{key}'", category_from_json, ref)
+
+    if "subobjects_of" in data:
+        return sub_hyperdoctrine(category("subobjects_of"))
     if "base" not in data or "fibers" not in data:
         raise FormatError("hyperdoctrine JSON needs 'subobjects_of' or explicit tables")
-    C = (
-        load_category((base_dir or Path(".")) / data["base"])
-        if isinstance(data["base"], str)
-        else category_from_json(data["base"])
-    )
+    C = category("base")
     if not isinstance(data["fibers"], dict):
         raise FormatError("'fibers' must map objects to lattices")
     fibers = {}

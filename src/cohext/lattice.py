@@ -39,15 +39,20 @@ the pullback and image maps of the categories and the sigma/pi lifts.
 `LatticeHom`) state the axioms; `jsonio` runs the map check on what it
 reads, and the tests run both on every construction.
 
+The prime filters are the up-sets of the join-prime elements (Davey &
+Priestley, ch. 5), which are the join-irreducibles only on a distributive
+lattice: in N5 a join-irreducible is not join-prime.
+
 Lattices and maps are immutable, so what they determine is computed once
 per instance by `order.cached`: the duals, the distributivity witness, the
-join-irreducibles and a map's join-preservation verdict.  The map
-enumerations are kept per lattice pair by `order.cached_method`: on the
-source lattice, keyed by the target, so every later search between the same
-pair returns a fresh list over the same map objects, and
-`meet_preserving_maps` reads them on the duals.  Keys compare lattices by
-equality, as `canext.canonical_extension` does, so a target rebuilt equal to
-one already searched gets the maps into the one first searched.
+join-irreducibles, the prime filters and a map's join-preservation
+verdict.  The map enumerations are kept per lattice pair by
+`order.cached_method`: on the source lattice, keyed by the target, so every
+later search between the same pair returns a fresh list over the same map
+objects, and `meet_preserving_maps` reads them on the duals.  Keys compare
+lattices by equality, as `canext.canonical_extension` does, so a target
+rebuilt equal to one already searched gets the maps into the one first
+searched.
 `monotone_maps` is not kept: no caller searches the same pair twice.
 """
 
@@ -182,6 +187,17 @@ class FinLattice:
         """The join-irreducible elements, in element order."""
         return tuple(a for a in self.elements if is_join_irreducible(self, a))
 
+    @cached
+    def prime_filter_sets(self) -> tuple[frozenset[str], ...]:
+        """The prime filters, in the order of `filters`: the up-sets of the
+        join-prime elements.  j is join-prime when the elements not above
+        it, a down-set, are closed under joins, so when their join is not
+        above j; for j = bottom that is the empty join, bottom itself."""
+        return tuple(
+            up for up in filters(self)
+            if self.join_all(x for x in self.elements if x not in up) not in up
+        )
+
     @cached_method
     def _maps_to(self, K: FinLattice, search) -> tuple:
         """The maps from here to K that `search` enumerates, kept per
@@ -267,7 +283,7 @@ def check_distributive(L: FinLattice) -> bool:
 def require_distributive(L: FinLattice) -> None:
     w = L.distributivity_witness
     if w is not None:
-        raise NotDistributiveError(f"distributivity fails on triple {w}")
+        raise NotDistributiveError(f"distributivity fails on triple ({','.join(w)})")
 
 
 def is_join_irreducible(L: FinLattice, a: str) -> bool:
@@ -286,28 +302,7 @@ def join_irreducibles(L: FinLattice) -> FinPoset:
 #
 # In a finite lattice every filter is principal (the meet of a finite
 # meet-closed up-closed set is its least member), so filters are enumerated
-# as up-sets.  The definitional predicates below stay available as oracles.
-
-
-def is_filter(L: FinLattice, s) -> bool:
-    s = set(s)
-    if not s:
-        return False
-    return all(L.join(a, x) in s for a in s for x in L.elements) and all(
-        L.meet(a, b) in s for a in s for b in s
-    )
-
-
-def is_prime_filter(L: FinLattice, s) -> bool:
-    s = set(s)
-    if not is_filter(L, s) or len(s) == len(L.elements):
-        return False
-    return all(
-        a in s or b in s
-        for a in L.elements
-        for b in L.elements
-        if L.join(a, b) in s
-    )
+# as up-sets.
 
 
 def filters(L: FinLattice) -> list[frozenset[str]]:
@@ -322,13 +317,14 @@ def ideals(L: FinLattice) -> list[frozenset[str]]:
 
 
 def prime_filters(L: FinLattice) -> list[frozenset[str]]:
-    """All proper filters F with a \\/ b in F implying a in F or b in F."""
-    return [s for s in filters(L) if is_prime_filter(L, s)]
+    """All proper filters F with a \\/ b in F implying a in F or b in F,
+    derived once per lattice (`FinLattice.prime_filter_sets`)."""
+    return list(L.prime_filter_sets)
 
 
-def prime_filter_poset(L: FinLattice, pf=None) -> FinPoset:
-    """Prime filters (`pf`, if already computed) under reverse inclusion."""
-    pf = prime_filters(L) if pf is None else pf
+def prime_filter_poset(L: FinLattice) -> FinPoset:
+    """Prime filters under reverse inclusion."""
+    pf = L.prime_filter_sets
     names = {s: set_name(s) for s in pf}
     return FinPoset(
         tuple(names[s] for s in pf),

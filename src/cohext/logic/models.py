@@ -6,8 +6,8 @@ family: objects are the sorts, morphisms are term-definable maps modulo
 agreement on every family member, and subobjects of a sort are the
 families of realized coherent-definable subsets, closed under meets,
 joins, preimages, and images to a fixpoint.  The distillation is a
-semantic approximation of the syntactic category and is bounded by an
-explicit term-depth budget.
+semantic approximation of the syntactic category, read from the unary
+terms up to the depth `TERM_DEPTH`.
 
 Models are enumerated by propagation: one depth-first search per vector of
 carrier sizes assigns the cells of the function and relation tables, and
@@ -38,7 +38,7 @@ from functools import reduce
 from itertools import product as iproduct
 from operator import and_, le, or_
 
-from ..canext import canonical_extension, comjpm_decide, delta_extension, extend_hom
+from ..canext import canonical_extension, comjpm_decide, extend_hom, sigma_extension
 from ..fincat import FinCategory, Morphism, composable_pairs
 from ..lattice import (
     LatticeHom,
@@ -264,7 +264,9 @@ def _reach(m: _RowTables, n: _RowTables) -> dict[str, dict[str, frozenset[str]]]
     unpruned.  The loops are not checked again: an empty domain means that
     no homomorphism exists, and a pin outside its domain gets no search.
     Any other row is checked as soon as all its cells are assigned, in
-    whatever order the search assigns them."""
+    whatever order the search assigns them.  When M has no such row, every
+    assignment from the domains is a homomorphism, so the reach is the
+    domains themselves and no search runs."""
     M, N = m.model, n.model
     sig = M.theory.signature
     reached = {k: set() for k in m.keys}
@@ -288,7 +290,9 @@ def _reach(m: _RowTables, n: _RowTables) -> dict[str, dict[str, frozenset[str]]]
         return False
 
     hom_exists = all(row in sets[t] for row, t in m.ground) and all(domain.values())
-    if hom_exists and first_hom(m.keys, domain):
+    if hom_exists and not any(rows.values()):
+        reached = domain
+    elif hom_exists and first_hom(m.keys, domain):
         for pin in m.keys:
             rest = [k for k in m.keys if k != pin]
             for b in domain[pin]:
@@ -348,6 +352,7 @@ class TermMap:
     tables: tuple[dict, ...]  # one function per model
 
 
+TERM_DEPTH = 2  # nesting depth of the unary terms a distilled category reads
 REACH_BUDGET = 1 << 14  # ordered model pairs of a family, one reach search each
 SUBOBJECT_BUDGET = 2048  # subobject families of a distilled category
 SUBFUNCTOR_BUDGET = 1 << 14  # subfunctors of one evaluated sort
@@ -367,7 +372,6 @@ class FamilyCategory:
         self,
         T: Theory,
         family: ModelFamily,
-        term_depth: int = 2,
         sub_budget: int | None = None,
     ):
         self.sub_budget = SUBOBJECT_BUDGET if sub_budget is None else sub_budget
@@ -375,7 +379,7 @@ class FamilyCategory:
         self.family = family
         sig = T.signature
         self.sorts = tuple(sig.sorts)
-        terms = _unary_terms(sig, term_depth)
+        terms = _unary_terms(sig, TERM_DEPTH)
         self._maps: dict[str, TermMap] = {}
         morphisms, identities, comp = {}, {}, {}
         canon: dict[tuple, str] = {}
@@ -837,9 +841,10 @@ def sigma_bar_check(
     sigma_bar = {A: extend_hom(sigma[A], exts[A]) for A in C.sorts}
 
     def naturality():
-        """Across substitution."""
+        """Across substitution; a pullback map is a hom, so its lift is
+        sigma."""
         for f, tm in C._maps.items():
-            subd = delta_extension(C.pullback_map(f), exts[tm.tgt], exts[tm.src]).map
+            subd = sigma_extension(C.pullback_map(f), exts[tm.tgt], exts[tm.src]).map
             pbE = ev.pullback_map(f)
             for v in exts[tm.tgt].ext.elements:
                 if sigma_bar[tm.src](subd(v)) != pbE(sigma_bar[tm.tgt](v)):

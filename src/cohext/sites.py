@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
-from .canext import CanonicalExtension, delta_extension
+from .canext import CanonicalExtension, sigma_extension
 from .cohcat import CohCategory
 from .fincat import CategoryError, FinCategory, FinFunctor, Morphism, composable_pairs
 from .hyperdoctrine import (
@@ -776,8 +776,9 @@ def locale_morphism(F: FinFunctor, C: CohCategory, D: CohCategory) -> LocaleMorp
     }
     comps = {}
     for A in C.cat.objects:
+        # F is coherent, so FA preserves finite joins: its lift is sigma
         FA = functor_sub_map(F, C, D, A)
-        d = delta_extension(FA, source_ext[A], target_ext[A])
+        d = sigma_extension(FA, source_ext[A], target_ext[A])
         comps[A] = LatticeHom(d.map.source, d.map.target, d.map.mapping)
     return LocaleMorphism(C, D, F, comps, source_ext, target_ext)
 
@@ -807,11 +808,12 @@ def _openness_failures(m: LocaleMorphism):
             return
     C, D, F = m.C, m.D, m.F
     for f, mor in C.cat.morphisms.items():
+        # pullback maps are lattice homs, so each lift is sigma
         A, B = mor.src, mor.tgt
-        subC = delta_extension(
+        subC = sigma_extension(
             C.pullback_map(f), m.source_ext[B], m.source_ext[A]
         ).map
-        subD = delta_extension(
+        subD = sigma_extension(
             D.pullback_map(F.on_mor(f)), m.target_ext[B], m.target_ext[A]
         ).map
         for w in m.target_ext[B].ext.elements:

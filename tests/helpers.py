@@ -1,7 +1,9 @@
 """Small structures and fixture access that only the suites use: chain
 and antichain posets, the chain, one-element, four-element Boolean and M3
-lattices, the ideal test, the path of a shipped fixture, and a
-hyperdoctrine whose existential table breaks the adjunction law."""
+lattices, the N5 pentagon, the definitional filter, prime-filter and
+ideal tests (the oracles of the up-set enumerations), the path of a
+shipped fixture, and a hyperdoctrine whose existential table breaks the
+adjunction law."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from pathlib import Path
 from cohext.cohcat import LatticeCategory
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import CoherentHyperdoctrine, sub_hyperdoctrine
-from cohext.lattice import FinLattice, MonotoneMap, is_filter
+from cohext.lattice import FinLattice, MonotoneMap
 from cohext.order import FinPoset
 
 
@@ -50,6 +52,38 @@ def m3() -> FinLattice:
             "0abc1",
             [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
         )
+    )
+
+
+def n5() -> FinLattice:
+    """The non-distributive pentagon 0 < a < c < 1, 0 < b < 1: c is
+    join-irreducible but not join-prime (c <= a \\/ b, yet c is below
+    neither)."""
+    return FinLattice.from_poset(
+        FinPoset.from_pairs(
+            "0acb1", [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]
+        )
+    )
+
+
+def is_filter(L: FinLattice, s) -> bool:
+    s = set(s)
+    if not s:
+        return False
+    return all(L.join(a, x) in s for a in s for x in L.elements) and all(
+        L.meet(a, b) in s for a in s for b in s
+    )
+
+
+def is_prime_filter(L: FinLattice, s) -> bool:
+    s = set(s)
+    if not is_filter(L, s) or len(s) == len(L.elements):
+        return False
+    return all(
+        a in s or b in s
+        for a in L.elements
+        for b in L.elements
+        if L.join(a, b) in s
     )
 
 

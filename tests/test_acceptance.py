@@ -38,7 +38,6 @@ from cohext.lattice import (
     LatticeHom,
     MonotoneMap,
     filter_lattice,
-    is_prime_filter,
     join_irreducibles,
     join_preserving_maps,
     lattice_homs,
@@ -66,7 +65,7 @@ from cohext.sites import (
     type_category,
     unique_glueing_check,
 )
-from helpers import boolean4, chain_lattice, fixture_path
+from helpers import boolean4, chain_lattice, fixture_path, is_prime_filter
 
 
 @contextmanager

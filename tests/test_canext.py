@@ -272,27 +272,27 @@ def test_comjpm_identity_square():
 
 
 def test_extension_keeps_the_prime_filters_of_its_base():
-    from cohext.lattice import prime_filter_poset, prime_filters
+    from cohext.lattice import prime_filter_poset
 
     for L in distributive_lattices(6) + [boolean4()]:
         ce = canonical_extension(L)
-        assert ce.prime_filters == tuple(prime_filters(L))
         assert ce.ext.base_poset == prime_filter_poset(L)
 
 
 def test_comjpm_reads_the_extension_prime_filters(monkeypatch):
-    import cohext.canext as canext
+    # the prime filters are derived once per lattice, however often the
+    # extension, its report line and the square transfer read them
+    from cohext.lattice import prime_filters
 
-    B = boolean4()
-    h = LatticeHom.identity(B)
-    f = MonotoneMap.identity(B)
-    canonical_extension(B)
-
-    def refuse(L):
-        raise AssertionError("prime filters recomputed")
-
-    monkeypatch.setattr(canext, "prime_filters", refuse)
-    assert comjpm_decide(h, h, f, f) == (True, True)
+    derive = FinLattice.__dict__["prime_filter_sets"]
+    derived, original = [], derive.func
+    monkeypatch.setattr(derive, "func", lambda L: derived.append(L) or original(L))
+    L = chain_lattice(4, prefix="once")  # equal to no lattice extended before
+    h, f = LatticeHom.identity(L), MonotoneMap.identity(L)
+    for _ in range(2):
+        assert comjpm_decide(h, h, f, f) == (True, True)
+        assert len(prime_filters(canonical_extension(L).base)) == 3
+    assert len(derived) == 1 and derived[0] is L
 
 
 def test_comjpm_agreement_on_commuting_squares_sample():

@@ -10,7 +10,7 @@ import pytest
 from test_fincat import category_law_failures_oracle
 
 from cohext.cli import main
-from cohext.fincat import FinCategory, category_law_failures, composable_pairs
+from cohext.fincat import FinCategory, FinFunctor, category_law_failures, composable_pairs
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import sub_hyperdoctrine
 from cohext.jsonio import load_category
@@ -143,6 +143,36 @@ def test_a_broken_extension_ends_the_canext_report(monkeypatch, capsys):
     assert [c["name"] for c in checks] == ["extension-built"]
     assert not checks[0]["pass"]
     assert checks[0]["witness"] == next(category_law_failures(built[-1]))
+
+
+def test_a_non_coherent_embedding_is_reported_with_its_witness(monkeypatch, capsys):
+    """E_C is replaced by the functor constant at the image of the top, which
+    sends every subobject to the top and so fails coherence."""
+    from dataclasses import replace
+
+    import cohext.predcat
+    from cohext.cohcat import coherent_functor_witness
+
+    build = cohext.predcat.canonical_extension_category
+    broken = []
+
+    def constant_embedding(C, budget=None):
+        ext = build(C, budget)
+        E = ext.embedding
+        T = E.on_obj(C.terminal())
+        F = FinFunctor(
+            C.cat, E.target, {A: T for A in C.cat.objects},
+            {f: E.target.identity(T) for f in C.cat.morphisms},
+        )
+        broken.append((F, C, ext.coh))
+        return replace(ext, embedding=F)
+
+    monkeypatch.setattr(cohext.predcat, "canonical_extension_category", constant_embedding)
+    assert main(["predcat", "canext", fx("three_chain.latcat.json")]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    w = coherent_functor_witness(*broken[0])
+    assert w is not None
+    assert checks["embedding-coherent"] == {"name": "embedding-coherent", "pass": False, "witness": w}
 
 
 def test_hyper_validate_and_canext_pass():
@@ -466,6 +496,42 @@ def test_locale_check_names_the_file_at_fault(tmp_path):
         }
         r = run_cli("tot", "locale-check", files["source"], files["target"], files["hom"])
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_a_non_distributive_input_is_refused_naming_its_file(tmp_path):
+    m3 = {
+        "elements": ["0", "a", "b", "c", "1"],
+        "leq": [["0", "a"], ["0", "b"], ["0", "c"], ["a", "1"], ["b", "1"], ["c", "1"]],
+    }
+    files = {
+        "m3.lat.json": m3,
+        "id.json": {x: x for x in m3["elements"]},
+        "m3.latcat.json": {"kind": "lattice", "lattice": m3},
+        "sub.hyp.json": {"subobjects_of": "m3.latcat.json"},
+        "inline.hyp.json": {"subobjects_of": {"kind": "lattice", "lattice": m3}},
+        "base.hyp.json": {"base": "m3.latcat.json", "fibers": {}},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    lat, cat, hom = (str(tmp_path / n) for n in ("m3.lat.json", "m3.latcat.json", "id.json"))
+    hyper = lambda name: ("hyper", "validate", str(tmp_path / name))
+    cases = [
+        (("tot", "locale-check", lat, lat, hom), lat),
+        # M3 as the source of a valid target, and as the target of a valid
+        # source: the file at fault is named, before the hom is read
+        (("tot", "locale-check", lat, fx("two_chain.lat.json"), hom), lat),
+        (("tot", "locale-check", fx("two_chain.lat.json"), lat, hom), lat),
+        (hyper("sub.hyp.json"), cat),
+        (hyper("inline.hyp.json"), "'subobjects_of'"),
+        (hyper("base.hyp.json"), cat),
+        # a command that reads one file names no file
+        (("canext", lat), None),
+    ]
+    for args, at_fault in cases:
+        r = run_cli(*args)
+        where = "" if at_fault is None else f"{at_fault}: "
+        refusal = f"error: {where}distributivity fails on triple (a,b,c)\n"
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", refusal), args
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])

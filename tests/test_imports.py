@@ -608,6 +608,19 @@ def test_hyperdoctrines_are_validated_only_where_a_file_is_read():
     assert validator_uses((SRC / "cohext" / "cli.py").read_text())
 
 
+def test_delta_lifts_are_taken_only_by_the_esakia_check():
+    """A map that preserves finite joins has sigma = pi = delta, so every
+    program lift of one is its sigma lift; the checked form, which
+    computes both and compares them, is read only where Esakia's lemma is
+    stated for delta."""
+    uses = [
+        f"{path.relative_to(SRC).as_posix()} {use.split(': ')[1]}"
+        for path in MODULES
+        for use in validator_uses(path.read_text(), ("delta_extension",))
+    ]
+    assert uses == ["cohext/canext.py esakia_check reads delta_extension"]
+
+
 def test_validator_use_detector_on_samples():
     assert validator_uses("def validate(P):\n    return P\nvalidated = 1\n") == []
     assert validator_uses("from .hyperdoctrine import validate_fo\n") == []

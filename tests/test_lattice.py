@@ -41,9 +41,7 @@ from cohext.lattice import (
     filter_lattice,
     filters,
     ideal_lattice,
-    is_filter,
     is_join_irreducible,
-    is_prime_filter,
     join_irreducibles,
     join_preserving_maps,
     lattice_failures,
@@ -71,8 +69,11 @@ from helpers import (
     boolean4,
     chain,
     chain_lattice,
+    is_filter,
     is_ideal,
+    is_prime_filter,
     m3,
+    n5,
     trivial_lattice,
 )
 
@@ -131,6 +132,23 @@ def test_prime_filters_of_three_chain_exhaustive():
     oracle = [s for s in all_subsets(L.elements) if is_prime_filter(L, s)]
     assert sorted(map(sorted, oracle)) == sorted(map(sorted, prime_filters(L)))
     assert len(oracle) == 2
+
+
+def test_prime_filters_match_the_subset_oracle_on_dl6_m3_and_n5():
+    # every lattice of DL(<=6), and two non-distributive ones: M3 has no
+    # join-prime element, and N5's join-irreducible c is not join-prime
+    lattices = [*distributive_lattices(6), m3(), n5()]
+    for L in lattices:
+        oracle = sorted(
+            (s for s in all_subsets(L.elements) if is_prime_filter(L, s)),
+            key=lambda s: (len(s), sorted(s)),
+        )
+        assert prime_filters(L) == oracle, L
+    assert len(lattices) == 15
+    assert prime_filters(m3()) == []
+    N = n5()
+    assert "c" in N.irreducibles
+    assert prime_filters(N) == [frozenset("b1"), frozenset("ac1")]
 
 
 def test_filters_match_subset_oracle_on_small_lattices():
@@ -627,7 +645,8 @@ def constructed_orders_and_maps():
     trusts: the lattice builders on DL(<=8), products, the categories of
     the site sweep and their hyperdoctrines, the family categories of the
     theory fixtures, the locale morphisms and the map searches and lifts
-    between DL(<=4) lattices."""
+    between DL(<=4) lattices.  Each locale component, a sigma lift, is
+    also checked against the delta lift of its subobject map."""
     for L in [*distributive_lattices(8), m3()]:
         yield "lattice", L
         yield "dual", L.dual
@@ -693,7 +712,13 @@ def constructed_orders_and_maps():
                 F = lattice_hom_functor(h, CL, CK)
                 for A in CL.cat.objects:
                     yield "functor-sub", functor_sub_map(F, CL, CK, A)
-                for c in locale_morphism(F, CL, CK).components.values():
+                m = locale_morphism(F, CL, CK)
+                for A, c in m.components.items():
+                    # the component is the sigma lift of a coherent
+                    # functor's subobject map, so its delta lift
+                    FA = functor_sub_map(F, CL, CK, A)
+                    d = delta_extension(FA, m.source_ext[A], m.target_ext[A])
+                    assert c.mapping == d.map.mapping, (h, A)
                     yield "locale", c
                 yield "extend-hom", extend_hom(h, cs)
             yield from (("search", f) for f in join_preserving_maps(L, K))

@@ -22,7 +22,6 @@ from cohext.logic.models import (
     type_of,
     types,
 )
-from cohext.lattice import is_prime_filter
 from cohext.logic.parser import Parser, ParseError, parse_theory, tokenize
 from cohext.logic.syntax import (
     App,
@@ -39,7 +38,7 @@ from cohext.logic.syntax import (
     print_theory,
 )
 from cohext.order import assignments
-from helpers import fixture_path
+from helpers import fixture_path, is_prime_filter
 
 CORPUS = ["pointed", "idempotent", "ordered"]
 
@@ -737,13 +736,25 @@ def test_an_empty_domain_runs_no_search_and_a_shared_name_is_no_loop(monkeypatch
     monkeypatch.setattr(
         models, "assignments", lambda *args: searches.append(args) or search(*args)
     )
-    # P(c) holds in M but misses N's constant: c's domain is empty
-    T = theory("sort A\nfun c : -> A\nrel P : A\n")
-    M = FinModel(T, {"A": ("a0",)}, {"c": {(): "a0"}}, {"P": frozenset({("a0",)})})
-    N = FinModel(T, {"A": ("a0", "a1")}, {"c": {(): "a0"}}, {"P": frozenset({("a1",)})})
-    assert ModelFamily.build([M, N]).reach[(0, 1)] == {"A": {"a0": frozenset()}}
-    # (0, 0), (1, 1) and (1, 0) each take one search; (0, 1) takes none
-    assert len(searches) == 3
+    # P(c) holds in M but misses N's constant: c's domain is empty; the row
+    # R(a0, a1) names two keys, so M's reach is searched, not read off
+    T = theory("sort A\nfun c : -> A\nrel P : A\nrel R : A, A\n")
+    R = frozenset({("a0", "a1")})
+    M = FinModel(
+        T, {"A": ("a0", "a1")}, {"c": {(): "a0"}}, {"P": frozenset({("a0",)}), "R": R}
+    )
+    N = FinModel(
+        T, {"A": ("a0", "a1")}, {"c": {(): "a0"}}, {"P": frozenset({("a1",)}), "R": R}
+    )
+    reach = ModelFamily.build([M, N]).reach
+    assert reach[(0, 1)] == {"A": {"a0": frozenset(), "a1": frozenset()}}
+    assert reach == {
+        (i, j): reach_search_oracle(P, Q)
+        for (i, P), (j, Q) in product(enumerate([M, N]), repeat=2)
+    }
+    # (0, 0) takes a search and a pinned one for a1 -> a0, (1, 1) and (1, 0)
+    # take one search each; (0, 1) takes none
+    assert len(searches) == 4
     # g(x) = x across two sorts names two keys, so it prunes nothing
     T = theory("sort A\nsort B\nfun g : A -> B\n")
     M = FinModel(T, {"A": ("x",), "B": ("x",)}, {"g": {("x",): "x"}}, {})
@@ -756,9 +767,15 @@ def test_an_empty_domain_runs_no_search_and_a_shared_name_is_no_loop(monkeypatch
 
 
 def test_node_consistent_domains_skip_the_pinned_searches_that_must_fail(monkeypatch):
+    # per fixture at size 5: its models, the reach searches of the family
+    # and those of the oracle.  Every model of `ordered` has only loops, so
+    # each of its reaches is its domains, read off with no search.
     import cohext.logic.models as models
 
-    family = enumerate_models(parse_theory(fixture_path("ordered.chr").read_text()), 5)
+    families = {
+        name: enumerate_models(parse_theory(fixture_path(f"{name}.chr").read_text()), 5)
+        for name in ("ordered", "idempotent")
+    }
     counts = []
 
     def counting(search):
@@ -768,14 +785,17 @@ def test_node_consistent_domains_skip_the_pinned_searches_that_must_fail(monkeyp
 
         return counted
 
-    counts.append(0)
     monkeypatch.setattr(models, "assignments", counting(models.assignments))
-    ModelFamily.build(family)
-    counts.append(0)
     monkeypatch.setitem(globals(), "assignments", counting(assignments))
-    for M, N in product(family, repeat=2):
-        reach_search_oracle(M, N)
-    assert (len(family), counts) == (35, [4165, 11515])
+    found = {}
+    for name, family in families.items():
+        counts.append(0)
+        ModelFamily.build(family)
+        counts.append(0)
+        for M, N in product(family, repeat=2):
+            reach_search_oracle(M, N)
+        found[name] = (len(family), counts[-2:])
+    assert found == {"ordered": (35, [0, 11515]), "idempotent": (18, [906, 2250])}
 
 
 def test_types_are_prime_filters_on_all_corpus_fixtures():

@@ -842,6 +842,36 @@ def test_functor_checks_share_one_build_of_each_subobject_map(monkeypatch):
     assert functor_sub_map(F, C, D, "c1") is functor_sub_map(F, C, D, "c1")
 
 
+def test_functor_checks_share_one_coherence_check(monkeypatch):
+    # the locale morphism, the Heyting check, the p-model check and the
+    # universal factorization each need F coherent: it is decided once, on F
+    import cohext.cohcat as cohcat
+    from cohext.cohcat import check_heyting_functor
+    from cohext.predcat import pmodel_witness, universal_factorization
+
+    C, D = LatticeCategory(chain_lattice(2)), LatticeCategory(chain_lattice(3))
+    F = lattice_hom_functor(
+        LatticeHom(C.lattice, D.lattice, {"c0": "c0", "c1": "c2"}), C, D
+    )
+    calls = []
+    original = cohcat._is_equalizer
+    monkeypatch.setattr(
+        cohcat, "_is_equalizer", lambda *args: calls.append(args) or original(*args)
+    )
+    locale_morphism(F, C, D)
+    assert check_heyting_functor(F, C, D)
+    assert pmodel_witness(F, C, D) is None
+    universal_factorization(F, C, D)
+    # one equalizer test per parallel pair f <= g of C, in the one check
+    pairs = [
+        (f, g)
+        for f, m in C.cat.morphisms.items()
+        for g, n in C.cat.morphisms.items()
+        if (m.src, m.tgt) == (n.src, n.tgt) and f <= g
+    ]
+    assert len(calls) == len(pairs) > 0
+
+
 def test_locale_checks_fail_for_collapse():
     L2, L3 = chain_lattice(2), chain_lattice(3)
     G = lattice_hom_functor(
