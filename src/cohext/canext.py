@@ -305,6 +305,14 @@ def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
     return hbar
 
 
+@cached_method
+def _kept_sigma_extension(
+    f: MonotoneMap, ce_s: CanonicalExtension, ce_t: CanonicalExtension
+) -> ExtendedMap:
+    """`sigma_extension`, kept on f for the squares that share it."""
+    return sigma_extension(f, ce_s, ce_t)
+
+
 # -- composition, Esakia, square transfer -------------------------------------
 
 
@@ -379,7 +387,8 @@ def comjpm_decide(
 
     which are equivalent; both booleans are computed independently and the
     equality is asserted.  f preserves finite joins, checked first, so its
-    delta lift is its sigma lift, which (2) reads.
+    delta lift is its sigma lift, which (2) reads; the lift is kept on f,
+    so the squares that share f share it.
     """
     if not f.preserves_finite_joins():
         raise PreservationError("f must preserve finite joins")
@@ -397,7 +406,7 @@ def comjpm_decide(
     ce2 = canonical_extension(f.target)
     h1bar = extend_hom(h1, ce1)
     h2bar = extend_hom(h2, ce2)
-    fsigma = sigma_extension(f, ce1, ce2)
+    fsigma = _kept_sigma_extension(f, ce1, ce2)
     cond2 = all(
         g(h1bar(u)) == h2bar(fsigma(u)) for u in ce1.ext.elements
     )

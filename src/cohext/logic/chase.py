@@ -213,14 +213,15 @@ def _search(T, state, max_fresh, max_rounds, seed) -> ChaseResult:
 
 
 def _run_rounds(T, state, max_fresh, rounds_left, seed, cuts):
+    """Repair rounds on one branch.  A state with no violation is returned
+    as a model unchecked: no instance is violated, and every function is
+    total on the same tables, so no term is undefined and `_holds` is
+    `satisfies_formula` there; the model satisfies its theory."""
     used = 0
     while used < rounds_left:
         violation = _find_violation(T, state)
         if violation is None:
-            model = _to_model(T, state)
-            if model.satisfies_theory():
-                return ("model", model, used)
-            return ("stuck", None, used)
+            return ("model", _to_model(T, state), used)
         seq, env = violation
         alternatives = _repairs(T, seq.rhs, env, state, max_fresh, seed, cuts)
         used += 1
@@ -234,7 +235,8 @@ def _run_rounds(T, state, max_fresh, rounds_left, seed, cuts):
 
 
 def _find_violation(T, state):
-    model = _to_model(T, state)
+    # a view of the state's own tables, read only while no repair runs
+    model = FinModel(T, state.sorts, state.funcs, state.rels)
     for seq in T.sequents:
         domains = [state.sorts[v.sort] for v in seq.context]
         for choice in iproduct(*domains):

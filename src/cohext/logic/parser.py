@@ -8,19 +8,27 @@ sort error carrying its location.  Binders are renamed apart from the
 free variables and from each other as they are read, so each sequent is
 elaborated in one flat environment.
 
-Lexical rules (docs/grammar.md, "Lexical structure"): one compiled regex
-scans the whole text.  Tokens are identifiers `[A-Za-z_][A-Za-z0-9_']*`,
-the keywords among them, and the punctuation `|- -> ( ) , : . = |`; '//'
-starts a comment that runs to the end of its line; any other character
-that is not whitespace is an error.  Lines are numbered as `str.splitlines`
-splits them and columns count characters from 1.  Declared names must be
-identifiers, and no sort, function or relation is declared twice.
+Lexical rules (docs/grammar.md, "Lexical structure"): tokens are
+identifiers `[A-Za-z_][A-Za-z0-9_']*`, the keywords among them, and the
+punctuation `|- -> ( ) , : . = |`; '//' starts a comment that runs to the
+end of its line; any other character that is not whitespace is an error.
+Lines are numbered as `str.splitlines` splits them and columns count
+characters from 1.  Declared names must be identifiers, and no sort,
+function or relation is declared twice.
+
+`scan` reads the text one line at a time, with no Python loop over
+characters or tokens: each line is cut at its first '//', one regex match
+finds where its first stray character would be, and one `findall` lists
+its tokens.  A token is kept as its text, its line and its place on the
+line; its column is found only when a span is read, for an error or for a
+sequent's start, so the parser and elaboration pass token indices around.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial
+from itertools import islice
 from typing import NamedTuple
 
 from .syntax import (
@@ -48,98 +56,110 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class Token(NamedTuple):
-    kind: str  # ident / keyword / punct / eof
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.line, self.col)
-
-
 KEYWORDS = {"sort", "fun", "rel", "true", "false", "and", "or", "exists"}
 PUNCT = ["|-", "->", "(", ")", ",", ":", ".", "=", "|"]
-_KIND = dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(PUNCT, "punct")
-# The characters at which str.splitlines ends a line; '\r\n' ends one line.
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# One match per token: the blanks and comment before it, then the token, a
-# line break, a stray character or the end of the text.  Every alternative
-# succeeds once the blanks and comment are consumed greedily, so no match
-# backtracks into them and no character is skipped.
-_TOKEN = re.compile(
-    rf"([^\S{_BREAKS}]*(?://[^{_BREAKS}]*)?)"  # 1: blanks and a comment
-    r"(?:([A-Za-z_][A-Za-z0-9_']*|\|-|->|[(),:.=|])"  # 2: token
-    rf"|(\r\n|[{_BREAKS}])"  # 3: line break
-    r"|(\S)"  # 4: stray character
-    r"|\Z)"
-)
-# Token from a (kind, text, line, col) tuple, without NamedTuple's
-# Python-level __new__ (as `_raw_term` below, for the parser's terms).
-_token = partial(tuple.__new__, Token)
+# A token's kind by its text; EOF's text is "", and any other text not
+# listed is an identifier.
+_KIND = dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(PUNCT, "punct") | {"": "eof"}
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\|-|->|[(),:.=|]")
+# The longest run of tokens and blanks that starts a line.  The repetition
+# is possessive, so it never gives back a token it read: where it stops is
+# where a left-to-right scan meets its first stray character.
+_CLEAN = re.compile(rf"(?:{_TOKEN.pattern}|\s)*+").match
 
 
-def tokenize(text: str) -> list[Token]:
-    out = []
-    line, start, at = 1, 0, 0  # line number, offset it starts at, offset read
-    for skip, word, brk, stray in _TOKEN.findall(text):
-        at += len(skip)
-        if word:
-            out.append(_token((_KIND.get(word, "ident"), word, line, at - start + 1)))
-            at += len(word)
-        elif brk:
-            at += len(brk)
-            line, start = line + 1, at
-        elif stray:
-            raise ParseError(f"unexpected character {stray!r}", (line, at - start + 1))
-    # EOF sits on the line after the last one; a text that ends in a line
-    # break (or is empty) has no unterminated last line.
-    if text and text[-1] not in _BREAKS:
-        line += 1
-    out.append(Token("eof", "", line, 1))
-    return out
+class Scan(NamedTuple):
+    """A text's tokens, read one line at a time.  Token i has text
+    `texts[i]` and is the `place[i]`-th token of line `line_of[i]`; the last
+    token is EOF, with text "", on the line after the last one.  Columns are
+    found only when `locate` asks for one."""
+
+    lines: list[str]  # as str.splitlines splits the text, comments kept
+    texts: list[str]
+    line_of: list[int]
+    place: list[int]
+
+    def locate(self, i: int) -> tuple[int, int]:
+        """Token i's (line, column).  A token first on its line follows
+        only blanks (`\\s` and `str.lstrip` agree on every code point); any
+        other is found by scanning its line again.  No token contains '/',
+        so the tokens before a line's comment are found the same with the
+        comment kept."""
+        ln, k = self.line_of[i], self.place[i]
+        if ln > len(self.lines):  # EOF
+            return (ln, 1)
+        line = self.lines[ln - 1]
+        if k == 0:
+            return (ln, len(line) - len(line.lstrip()) + 1)
+        return (ln, next(islice(_TOKEN.finditer(line), k, None)).start() + 1)
+
+
+def scan(text: str) -> Scan:
+    """The tokens of `text`, or a ParseError at its first stray character.
+    A line's tokens and blanks are checked by one match and its tokens
+    listed by one `findall`, before and without its comment."""
+    lines = text.splitlines()
+    texts: list[str] = []
+    line_of: list[int] = []
+    place: list[int] = []
+    for ln, line in enumerate(lines, start=1):
+        cut = line.find("//")
+        if cut >= 0:
+            line = line[:cut]
+        end = _CLEAN(line).end()
+        if end < len(line):
+            raise ParseError(f"unexpected character {line[end]!r}", (ln, end + 1))
+        words = _TOKEN.findall(line)
+        texts += words
+        line_of += [ln] * len(words)
+        place += range(len(words))
+    texts.append("")
+    line_of.append(len(lines) + 1)
+    place.append(0)
+    return Scan(lines, texts, line_of, place)
 
 
 class RawTerm(NamedTuple):
     head: str
     args: tuple
-    span: tuple[int, int]
+    at: int  # the index of its head token
 
 
 _raw_term = partial(tuple.__new__, RawTerm)
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    """Reads token texts; a token is named by its index in the scan, and
+    its (line, column) is found only for an error or a sequent's span."""
+
+    def __init__(self, tokens: Scan):
+        self.locate = tokens.locate
+        self.texts = tokens.texts
+        self.eof = len(tokens.texts) - 1
         self.pos = 0
         # the sequent being read: names its binders may not take, the
         # binders in scope (by name as written, to the name given), each
-        # binder's declared sort and span, and the free names a binder took
+        # binder's declared sort and token, and the free names a binder took
         self.taken: set[str] = set()
         self.renaming: dict[str, str] = {}
-        self.bound: dict[str, tuple[str | None, tuple[int, int]]] = {}
+        self.bound: dict[str, tuple[str | None, int]] = {}
         self.clashes: set[str] = set()
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def next(self) -> int:
+        """The next token's index; it is consumed unless it is EOF."""
+        i = self.pos
+        if i < self.eof:
+            self.pos = i + 1
+        return i
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.span)
-        return t
+    def expect(self, text: str):
+        i = self.next()
+        if self.texts[i] != text:
+            raise ParseError(f"expected {text!r}, found {self.texts[i]!r}", self.locate(i))
 
     def accept(self, text: str) -> bool:
         """Consume the next token if its text is `text` (never EOF's)."""
-        if self.toks[self.pos].text == text:
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
@@ -147,11 +167,12 @@ class Parser:
     def name(self, what: str) -> str:
         """Read an identifier and return it; `what` says what it names when
         the next token is not one."""
-        t = self.next()
-        if t.kind != "ident":
-            found = "end of input" if t.kind == "eof" else repr(t.text)
-            raise ParseError(f"expected {what}, found {found}", t.span)
-        return t.text
+        i = self.next()
+        t = self.texts[i]
+        if t in _KIND:
+            found = repr(t) if t else "end of input"
+            raise ParseError(f"expected {what}, found {found}", self.locate(i))
+        return t
 
     # -- declarations ----------------------------------------------------
 
@@ -159,13 +180,13 @@ class Parser:
         sorts: list[str] = []
         funcs: dict = {}
         rels: dict = {}
-        declared: dict = {}  # (kind, name) -> where the name was declared
+        declared: dict = {}  # (kind, name) -> the token of the name declared
         sequents = []
         # The declarations so far, built when a sequent follows new ones.  It
         # shares the dicts: a sequent is elaborated before the next
         # declaration is read, so it sees only the declarations above it.
         sig = None
-        while self.peek().kind != "eof":
+        while self.pos < self.eof:
             if self.accept("sort"):
                 sorts.append(self._declare("sort", declared))
             elif self.accept("fun"):
@@ -175,10 +196,11 @@ class Parser:
                 while not self.accept("->"):
                     # sorts are separated by commas: a sort name right
                     # after a sort is refused here, any other token by `name`
-                    t = self.peek()
-                    if args and not self.accept(",") and t.kind == "ident":
-                        found = f"found {t.text!r}"
-                        raise ParseError(f"expected ',' or '->', {found}", t.span)
+                    at = self.pos
+                    t = self.texts[at]
+                    if args and not self.accept(",") and t not in _KIND:
+                        found = f"found {t!r}"
+                        raise ParseError(f"expected ',' or '->', {found}", self.locate(at))
                     args.append(self.name("a sort name"))
                 funcs[name] = (tuple(args), self.name("a sort name"))
             elif self.accept("rel"):
@@ -196,15 +218,15 @@ class Parser:
             sig = None
         if sig is None:
             sig = Signature(tuple(sorts), funcs, rels)
-        sig.check(declared)
+        sig.check(lambda kind, name: self.locate(declared[kind, name]))
         return Theory(sig, tuple(sequents))
 
     def _declare(self, kind: str, declared: dict) -> str:
-        span = self.peek().span
+        at = self.pos
         name = self.name(f"a {kind} name")
         if (kind, name) in declared:
-            raise ParseError(f"{kind} {name} is already declared", span)
-        declared[kind, name] = span
+            raise ParseError(f"{kind} {name} is already declared", self.locate(at))
+        declared[kind, name] = at
         return name
 
     # -- sequents ----------------------------------------------------------
@@ -213,7 +235,7 @@ class Parser:
         """A free name is taken from the binders read after it; one that
         occurs only after a binder of its name is found when it is read,
         and the sequent is read again with it taken."""
-        start = self.peek().span
+        start = self.pos
         context = self._try_context()
         begin = self.pos
         avoid = {name for name, _ in context} | set(sig.funcs)
@@ -223,7 +245,13 @@ class Parser:
             self.expect("|-")
             rhs = self.parse_formula()
             if not self.clashes:
-                return elaborate_sequent(sig, context, lhs, rhs, start, self.bound)
+                try:
+                    return elaborate_sequent(
+                        sig, context, lhs, rhs, self.locate(start), self.bound
+                    )
+                except _Misplaced as e:
+                    message, at = e.args
+                    raise SortError(message, self.locate(at)) from None
             avoid |= self.clashes
             self.pos = begin
 
@@ -233,10 +261,10 @@ class Parser:
         save = self.pos
         binds = []
         while True:
-            t = self.next()
-            if t.kind != "ident" or not self.accept(":"):
+            t = self.texts[self.next()]
+            if t in _KIND or not self.accept(":"):
                 break
-            binds.append((t.text, self.next().text))
+            binds.append((t, self.texts[self.next()]))
             if self.accept("|"):
                 return tuple(binds)
             if not self.accept(","):
@@ -268,17 +296,18 @@ class Parser:
         self.renaming = dict(outer)
         binders = []
         while True:
-            t = self.next()
-            if t.kind != "ident":
-                raise ParseError("expected a bound variable", t.span)
-            sort = self.next().text if self.accept(":") else None
-            fresh = t.text
+            i = self.next()
+            t = self.texts[i]
+            if t in _KIND:
+                raise ParseError("expected a bound variable", self.locate(i))
+            sort = self.texts[self.next()] if self.accept(":") else None
+            fresh = t
             while fresh in self.taken:
                 fresh += "'"
             self.taken.add(fresh)
-            self.renaming[t.text] = fresh
-            self.bound[fresh] = (sort, t.span)
-            binders.append((fresh, sort, t.span))
+            self.renaming[t] = fresh
+            self.bound[fresh] = (sort, i)
+            binders.append((fresh, sort, i))
             if not self.accept(","):
                 break
         self.expect(".")
@@ -287,7 +316,7 @@ class Parser:
         return ("exists", tuple(binders), body)
 
     def parse_atom(self):
-        text = self.peek().text
+        text = self.texts[self.pos]
         if text == "true" or text == "false":
             self.pos += 1
             return (text,)
@@ -302,39 +331,46 @@ class Parser:
         return ("atomT", term)
 
     def parse_term(self) -> RawTerm:
-        t = self.next()
-        if t.kind != "ident":
-            raise ParseError(f"expected a term, found {t.text!r}", t.span)
+        i = self.next()
+        t = self.texts[i]
+        if t in _KIND:
+            raise ParseError(f"expected a term, found {t!r}", self.locate(i))
         args = []
         if self.accept("("):
-            if self.peek().text != ")":
+            if self.texts[self.pos] != ")":
                 args.append(self.parse_term())
                 while self.accept(","):
                     args.append(self.parse_term())
             self.expect(")")
-        name = self.renaming.get(t.text)
+        name = self.renaming.get(t)
         if name is None:
-            name = t.text
+            name = t
             if not args:  # a free variable: no binder may take its name
                 self.taken.add(name)
                 if name in self.bound:
                     self.clashes.add(name)
-        return _raw_term((name, tuple(args), t.span))
+        return _raw_term((name, tuple(args), i))
 
 
 # -- elaboration ------------------------------------------------------------------
 #
 # The parser has renamed binders apart, so one flat environment covers the
 # whole sequent; sorts then propagate to a fixpoint from relation and
-# function argument positions and across equations.
+# function argument positions and across equations.  A term names its
+# head token by index; an error raises `_Misplaced` with that index, and
+# the parser, which alone can locate the token, raises it as a SortError.
+
+
+class _Misplaced(Exception):
+    """A sort error's message and the index of the token it is at."""
 
 
 def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
-    """`bound` maps each binder of the two sides to its declared sort (or
-    None) and its span."""
+    """`span` is where the sequent starts; `bound` maps each binder of the
+    two sides to its declared sort (or None) and its token."""
     explicit = bool(context)
     env: dict[str, str | None] = {}
-    spans: dict[str, tuple[int, int]] = {}
+    tokens: dict[str, int] = {}
     order: list[str] = []
     for name, sort in context:
         if sort not in sig.sorts:
@@ -343,68 +379,68 @@ def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
             raise SortError(f"variable {name} collides with a declared symbol", span)
         env[name] = sort
         order.append(name)
-    for name, (sort, sp) in bound.items():
+    for name, (sort, at) in bound.items():
         env[name] = sort
-        spans[name] = sp
-    _collect_free(sig, raw_lhs, env, spans, order, explicit)
-    _collect_free(sig, raw_rhs, env, spans, order, explicit)
+        tokens[name] = at
+    _collect_free(sig, raw_lhs, env, tokens, order, explicit)
+    _collect_free(sig, raw_rhs, env, tokens, order, explicit)
     for _ in range(1 + len(env)):
         if not (_infer(sig, raw_lhs, env) | _infer(sig, raw_rhs, env)):
             break
     for name, sort in env.items():
+        # a context variable's sort was checked above; every other name has
+        # a token
         if sort is None:
-            raise SortError(
-                f"cannot infer a sort for variable {name}", spans.get(name, span)
-            )
+            raise _Misplaced(f"cannot infer a sort for variable {name}", tokens[name])
         if sort not in sig.sorts:
-            raise SortError(f"unknown sort {sort}", spans.get(name, span))
+            raise _Misplaced(f"unknown sort {sort}", tokens[name])
     var = {name: Var(name, sort) for name, sort in env.items()}
     lhs = _elab_formula(sig, raw_lhs, var)
     rhs = _elab_formula(sig, raw_rhs, var)
     return Sequent(tuple([var[n] for n in order]), lhs, rhs, span)
 
 
-def _collect_free(sig, raw, env, spans, order, explicit):
+def _collect_free(sig, raw, env, tokens, order, explicit):
     kind = raw[0]
     if kind in ("true", "false"):
         return
     if kind == "eq":
-        _collect_term(sig, raw[1], env, spans, order, explicit)
-        _collect_term(sig, raw[2], env, spans, order, explicit)
+        _collect_term(sig, raw[1], env, tokens, order, explicit)
+        _collect_term(sig, raw[2], env, tokens, order, explicit)
     elif kind == "atomT":
         t = raw[1]
         if t.head not in sig.rels:
-            raise SortError(f"unknown relation {t.head}", t.span)
+            raise _Misplaced(f"unknown relation {t.head}", t.at)
         if len(sig.rels[t.head]) != len(t.args):
-            raise SortError(
-                f"relation {t.head} expects {len(sig.rels[t.head])} arguments", t.span
+            raise _Misplaced(
+                f"relation {t.head} expects {len(sig.rels[t.head])} arguments", t.at
             )
         for a in t.args:
-            _collect_term(sig, a, env, spans, order, explicit)
+            _collect_term(sig, a, env, tokens, order, explicit)
     elif kind in ("and", "or"):
         for p in raw[1]:
-            _collect_free(sig, p, env, spans, order, explicit)
+            _collect_free(sig, p, env, tokens, order, explicit)
     elif kind == "exists":
-        _collect_free(sig, raw[2], env, spans, order, explicit)
+        _collect_free(sig, raw[2], env, tokens, order, explicit)
 
 
-def _collect_term(sig, t: RawTerm, env, spans, order, explicit):
+def _collect_term(sig, t: RawTerm, env, tokens, order, explicit):
     if t.head in sig.funcs:
         if len(sig.funcs[t.head][0]) != len(t.args):
-            raise SortError(
+            raise _Misplaced(
                 f"function {t.head} expects {len(sig.funcs[t.head][0])} arguments",
-                t.span,
+                t.at,
             )
         for a in t.args:
-            _collect_term(sig, a, env, spans, order, explicit)
+            _collect_term(sig, a, env, tokens, order, explicit)
         return
     if t.args:
-        raise SortError(f"unknown function {t.head}", t.span)
+        raise _Misplaced(f"unknown function {t.head}", t.at)
     if t.head not in env:
         if explicit:
-            raise SortError(f"variable {t.head} not in context", t.span)
+            raise _Misplaced(f"variable {t.head} not in context", t.at)
         env[t.head] = None
-        spans[t.head] = t.span
+        tokens[t.head] = t.at
         order.append(t.head)
 
 
@@ -438,7 +474,7 @@ def _push(sig, t: RawTerm, sort, env) -> bool:
     if t.head in sig.funcs:
         args, res = sig.funcs[t.head]
         if res != sort:
-            raise SortError(f"term {t.head} has sort {res}, expected {sort}", t.span)
+            raise _Misplaced(f"term {t.head} has sort {res}, expected {sort}", t.at)
         changed = False
         for a, s in zip(t.args, args):
             changed |= _push(sig, a, s, env)
@@ -447,8 +483,8 @@ def _push(sig, t: RawTerm, sort, env) -> bool:
         env[t.head] = sort
         return True
     if env[t.head] != sort:
-        raise SortError(
-            f"variable {t.head} used at sorts {env[t.head]} and {sort}", t.span
+        raise _Misplaced(
+            f"variable {t.head} used at sorts {env[t.head]} and {sort}", t.at
         )
     return False
 
@@ -462,8 +498,8 @@ def _elab_formula(sig, raw, var):
     if kind == "eq":
         lhs, rhs = _elab_term(sig, raw[1], var), _elab_term(sig, raw[2], var)
         if lhs.sort != rhs.sort:
-            raise SortError(
-                f"equality between sorts {lhs.sort} and {rhs.sort}", raw[1].span
+            raise _Misplaced(
+                f"equality between sorts {lhs.sort} and {rhs.sort}", raw[1].at
             )
         return Eq(lhs, rhs)
     if kind == "atomT":
@@ -471,8 +507,8 @@ def _elab_formula(sig, raw, var):
         terms = tuple([_elab_term(sig, a, var) for a in t.args])
         for tm, s, rt in zip(terms, sig.rels[t.head], t.args):
             if tm.sort != s:
-                raise SortError(
-                    f"argument of {t.head} has sort {tm.sort}, expected {s}", rt.span
+                raise _Misplaced(
+                    f"argument of {t.head} has sort {tm.sort}, expected {s}", rt.at
                 )
         return RelAtom(t.head, terms)
     if kind == "and":
@@ -491,13 +527,13 @@ def _elab_term(sig, t: RawTerm, var):
         terms = tuple([_elab_term(sig, a, var) for a in t.args])
         for tm, s in zip(terms, args):
             if tm.sort != s:
-                raise SortError(
-                    f"argument of {t.head} has sort {tm.sort}, expected {s}", t.span
+                raise _Misplaced(
+                    f"argument of {t.head} has sort {tm.sort}, expected {s}", t.at
                 )
         return App(t.head, terms, res)
     return var[t.head]
 
 
 def parse_theory(text: str) -> Theory:
-    return Parser(tokenize(text)).parse_theory()
+    return Parser(scan(text)).parse_theory()
 

@@ -23,23 +23,23 @@ class Signature:
     funcs: dict[str, tuple[tuple[str, ...], str]]  # name -> (arg sorts, result)
     rels: dict[str, tuple[str, ...]]  # name -> arg sorts
 
-    def check(self, spans: dict | None = None):
-        """Every symbol's sorts are declared.  `spans` maps ("function", name)
-        and ("relation", name) to where the symbol was declared."""
-        spans = spans or {}
+    def check(self, where):
+        """Every symbol's sorts are declared.  `where(kind, name)` is where
+        the "function" or "relation" was declared; it is asked only for the
+        symbol at fault."""
         for name, (args, res) in self.funcs.items():
             for s in args + (res,):
                 if s not in self.sorts:
                     raise SortError(
                         f"function {name} uses undeclared sort {s}",
-                        spans.get(("function", name)),
+                        where("function", name),
                     )
         for name, args in self.rels.items():
             for s in args:
                 if s not in self.sorts:
                     raise SortError(
                         f"relation {name} uses undeclared sort {s}",
-                        spans.get(("relation", name)),
+                        where("relation", name),
                     )
 
 

@@ -80,11 +80,12 @@ def cached_method(method):
     the same way on its first argument (`predcat.triple_projections` on a
     base category).  A call that raises keeps nothing.  Most results do not
     refer back to the instance, which is then freed at once when dropped.
-    The one kind that does is an enumeration of maps kept on their source
-    lattice (`lattice.FinLattice._maps_to`): each map names the lattice.
-    That cycle holds nothing from outside, so the cyclic collector frees the
-    lattice and its maps together; a lattice that has read its `dual` is in
-    such a cycle anyway."""
+    Two kinds do.  An enumeration of maps kept on their source lattice
+    (`lattice.FinLattice._maps_to`): each map names the lattice.  A lift
+    kept on the map it lifts (`canext._kept_sigma_extension`): the
+    `ExtendedMap` names f.  Such a cycle holds nothing from outside, so the
+    cyclic collector frees the instance and its results together; a
+    lattice that has read its `dual` is in such a cycle anyway."""
     name = f"_{method.__name__}_results"
 
     @wraps(method)

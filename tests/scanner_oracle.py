@@ -1,7 +1,7 @@
-"""The per-character scanner that `parser.tokenize` replaced, kept as a test
-oracle: each line of `str.splitlines` is cut at its first '//' and read one
-character at a time, with an `isspace` test and a `startswith` loop over the
-punctuation."""
+"""The per-character scanner that the regex scanners of `cohext.logic.parser`
+replaced, kept as a test oracle: each line of `str.splitlines` is cut at its
+first '//' and read one character at a time, with an `isspace` test and a
+`startswith` loop over the punctuation."""
 
 import re
 from dataclasses import dataclass

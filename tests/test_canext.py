@@ -318,6 +318,61 @@ def test_comjpm_agreement_on_commuting_squares_sample():
                                     assert c1 == c2
 
 
+def counting_sigma_lifts(monkeypatch) -> list:
+    """The maps `comjpm_decide` lifts from now on, one entry per lift."""
+    import cohext.canext as canext
+
+    lifted, original = [], canext.sigma_extension
+    monkeypatch.setattr(
+        canext, "sigma_extension", lambda f, *ces: lifted.append(f) or original(f, *ces)
+    )
+    return lifted
+
+
+def test_squares_that_share_f_share_its_lift(monkeypatch):
+    from cohext.canext import _kept_sigma_extension
+
+    lifted = counting_sigma_lifts(monkeypatch)
+    L = chain_lattice(3, prefix="shared")  # equal to no lattice lifted before
+    ce = canonical_extension(L)
+    f = MonotoneMap.identity(L)
+    homs = lattice_homs(L, L)
+    assert len(homs) == 3
+    for h in homs:  # id o h = h o id: three squares over f
+        assert comjpm_decide(h, h, f, f) == (True, True)
+    assert lifted == [f]
+    lift = _kept_sigma_extension(f, ce, ce)
+    assert lift.base_map is f and _kept_sigma_extension(f, ce, ce) is lift
+    assert lifted == [f]
+
+
+def test_the_square_transfer_lifts_each_f_once(monkeypatch):
+    # the criterion-4 loop over DL(<=3), on fresh copies of its three chains
+    # so that no map was lifted before
+    lats = [chain_lattice(n, prefix="once_per_f") for n in (1, 2, 3)]
+    assert len(lats) == len(distributive_lattices(3))
+    lifted = counting_sigma_lifts(monkeypatch)
+    squares, shared = 0, set()
+    for L1 in lats:
+        for K1 in lats:
+            h1s = lattice_homs(L1, K1)
+            for L2 in lats:
+                fs = join_preserving_maps(L1, L2)
+                for K2 in lats:
+                    h2s = lattice_homs(L2, K2)
+                    gs = join_preserving_maps(K1, K2)
+                    for f in fs:
+                        for h1 in h1s:
+                            for h2 in h2s:
+                                for g in gs:
+                                    if any(g(h1(a)) != h2(f(a)) for a in L1.elements):
+                                        continue
+                                    assert comjpm_decide(h1, h2, f, g) in ((True, True), (False, False))
+                                    squares += 1
+                                    shared.add(id(f))
+    assert len(lifted) == len({id(f) for f in lifted}) == len(shared) < squares
+
+
 def restrict_extension(L: FinLattice, a: str) -> CanonicalExtension:
     """The canonical extension of the downset of a, realized inside the
     extension of L as the interval below the image of a."""

@@ -1,23 +1,42 @@
-"""The regex scanner against the per-character scanner it replaced, and the
+"""The line scanner against the per-character scanner it replaced, and the
 parser's checks on declarations."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scanner_oracle import tokenize_oracle
 
-from cohext.logic.parser import ParseError, Token, parse_theory, tokenize
-from cohext.logic.syntax import SortError
+from cohext.logic.parser import _KIND, ParseError, parse_theory, scan
+from cohext.logic.syntax import SortError, print_theory
 from helpers import fixture_path
+
+
+class Token(NamedTuple):
+    kind: str  # ident / keyword / punct / eof
+    text: str
+    line: int
+    col: int
+
+    @property
+    def span(self) -> tuple[int, int]:
+        return (self.line, self.col)
+
+
+def tokenize(text: str) -> list[Token]:
+    """The scan as a token list, each token located as a span read locates
+    it."""
+    s = scan(text)
+    return [Token(_KIND.get(t, "ident"), t, *s.locate(i)) for i, t in enumerate(s.texts)]
 
 CORPUS = ["pointed", "idempotent", "ordered"]
 BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 BLANKS = [" ", "  ", "\t", "\xa0", "\x1f", "\u3000"]
 
 
-def scan(tokenizer, text):
+def read_tokens(tokenizer, text):
     """The tokens as (kind, text, line, col), or the error's message and span."""
     try:
         return [(t.kind, t.text, t.line, t.col) for t in tokenizer(text)]
@@ -26,7 +45,7 @@ def scan(tokenizer, text):
 
 
 def assert_same_scan(text):
-    assert scan(tokenize, text) == scan(tokenize_oracle, text), repr(text)
+    assert read_tokens(tokenize, text) == read_tokens(tokenize_oracle, text), repr(text)
 
 
 # -- the scanner against its oracle ---------------------------------------------
@@ -112,16 +131,73 @@ def test_scanner_matches_the_oracle_on_token_and_junk_strings(text):
 
 
 def test_tokens_are_light_records_with_a_span():
-    toks = tokenize("sort A\n  fun")
-    assert [tuple(t) for t in toks] == [
-        ("keyword", "sort", 1, 1),
-        ("ident", "A", 1, 6),
-        ("keyword", "fun", 2, 3),
-        ("eof", "", 3, 1),
-    ]
-    assert all(type(t) is Token for t in toks)
-    assert toks[2].span == (2, 3)
-    assert tokenize("")[0].span == (1, 1)
+    # the scan keeps each token's text, line and place on its line in three
+    # lists; a column is found only when asked for
+    s = scan("sort A\n  fun // f\n")
+    assert (s.texts, s.line_of, s.place) == (["sort", "A", "fun", ""], [1, 1, 2, 3], [0, 1, 0, 0])
+    assert [s.locate(i) for i in range(4)] == [(1, 1), (1, 6), (2, 3), (3, 1)]
+    assert scan("").locate(0) == (1, 1)
+
+
+# -- spans, located only when read --------------------------------------------
+
+SIG = "sort A\nfun c : -> A\nrel P : A\n"
+
+
+@pytest.mark.parametrize(
+    "sequents, spans",
+    [
+        ("P(c) |- P(c)  true |- P(c)\n", [(4, 1), (4, 15)]),  # one line, rescanned
+        ("\t\tP(c) |- P(c)\n\xa0true |- P(c)\n", [(4, 3), (5, 2)]),
+        ("// a comment\ntrue |- P(c)\n", [(5, 1)]),
+        ("true |- P(c)\r\n true |- P(c)\r\n", [(4, 1), (5, 2)]),
+        (" x:A | P(x) |- P(c)", [(4, 2)]),
+        ("P(c) |- P(c) x:A | P(x) |- P(c)", [(4, 1), (4, 14)]),
+    ],
+)
+def test_a_sequent_span_is_where_its_first_token_is(sequents, spans):
+    T = parse_theory(SIG + sequents)
+    assert [seq.span for seq in T.sequents] == spans
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sort A sort  A", "sort A is already declared (line 1, column 14)"),
+        ("sort A rel P : C", "relation P uses undeclared sort C (line 1, column 12)"),
+        (SIG + "true |- P(g(c))", "unknown function g (line 4, column 11)"),
+        (SIG + "true |- P(c) and exists y. true", "cannot infer a sort for variable y (line 4, column 25)"),
+        (SIG + "true |- true  true |- x = x", "cannot infer a sort for variable x (line 4, column 23)"),
+    ],
+)
+def test_an_error_at_a_token_not_first_on_its_line_is_located(text, message):
+    with pytest.raises((ParseError, SortError)) as e:
+        parse_theory(text)
+    assert str(e.value) == message
+
+
+def sequent_starts(text: str) -> list[tuple[int, int]]:
+    """Where `generated_theory`'s sequents start, by the oracle scanner: each
+    follows the 14 tokens of its declarations or a sequent's last token,
+    `false`, which no other place of the text has."""
+    toks = tokenize_oracle(text)
+    starts = [14] + [i + 1 for i, t in enumerate(toks[:-2]) if t.text == "false"]
+    return [(toks[i].line, toks[i].col) for i in starts]
+
+
+def test_sequent_spans_match_the_oracle_on_generated_theories():
+    rng, parsed = random.Random(17), 0
+    for _ in range(400):
+        text = generated_theory(rng)
+        try:
+            T = parse_theory(text)
+        except (ParseError, SortError):
+            continue
+        parsed += 1
+        for form in (text, print_theory(T)):
+            spans = [seq.span for seq in parse_theory(form).sequents]
+            assert spans == sequent_starts(form), repr(form)
+    assert parsed == 140
 
 
 # -- declarations -------------------------------------------------------------
