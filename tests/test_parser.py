@@ -20,16 +20,13 @@ class Token(NamedTuple):
     line: int
     col: int
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.line, self.col)
-
 
 def tokenize(text: str) -> list[Token]:
     """The scan as a token list, each token located as a span read locates
     it."""
     s = scan(text)
     return [Token(_KIND.get(t, "ident"), t, *s.locate(i)) for i, t in enumerate(s.texts)]
+
 
 CORPUS = ["pointed", "idempotent", "ordered"]
 BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -177,9 +174,9 @@ def test_an_error_at_a_token_not_first_on_its_line_is_located(text, message):
 
 
 def sequent_starts(text: str) -> list[tuple[int, int]]:
-    """Where `generated_theory`'s sequents start, by the oracle scanner: each
-    follows the 14 tokens of its declarations or a sequent's last token,
-    `false`, which no other place of the text has."""
+    """Where `generated_theory`'s sequents start, by the oracle scanner: the
+    first after the 14 tokens of the declarations, each other after the last
+    token of the sequent before it, `false`, which occurs nowhere else."""
     toks = tokenize_oracle(text)
     starts = [14] + [i + 1 for i, t in enumerate(toks[:-2]) if t.text == "false"]
     return [(toks[i].line, toks[i].col) for i in starts]
