@@ -306,11 +306,12 @@ def extend_hom(h: LatticeHom, ce_s: CanonicalExtension) -> LatticeHom:
 
 
 @cached_method
-def _kept_sigma_extension(
-    f: MonotoneMap, ce_s: CanonicalExtension, ce_t: CanonicalExtension
-) -> ExtendedMap:
-    """`sigma_extension`, kept on f for the squares that share it."""
-    return sigma_extension(f, ce_s, ce_t)
+def _kept_sigma_extension(f: MonotoneMap) -> ExtendedMap:
+    """f's `sigma_extension` between the canonical extensions of its ends,
+    kept on f for the squares that share it."""
+    return sigma_extension(
+        f, canonical_extension(f.source), canonical_extension(f.target)
+    )
 
 
 # -- composition, Esakia, square transfer -------------------------------------
@@ -394,6 +395,8 @@ def comjpm_decide(
         raise PreservationError("f must preserve finite joins")
     if not g.preserves_finite_joins():
         raise PreservationError("g must preserve all joins")
+    if f.source is not h1.source and f.source != h1.source:
+        raise LatticeError("f and h1 must start at the same lattice")
     for a in h1.source.elements:
         if g(h1(a)) != h2(f(a)):
             raise LatticeError(f"base square does not commute at {a}")
@@ -406,7 +409,7 @@ def comjpm_decide(
     ce2 = canonical_extension(f.target)
     h1bar = extend_hom(h1, ce1)
     h2bar = extend_hom(h2, ce2)
-    fsigma = _kept_sigma_extension(f, ce1, ce2)
+    fsigma = _kept_sigma_extension(f)
     cond2 = all(
         g(h1bar(u)) == h2bar(fsigma(u)) for u in ce1.ext.elements
     )

@@ -62,10 +62,10 @@ PUNCT = ["|-", "->", "(", ")", ",", ":", ".", "=", "|"]
 # listed is an identifier.
 _KIND = dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(PUNCT, "punct") | {"": "eof"}
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\|-|->|[(),:.=|]")
-# The longest run of tokens and blanks that starts a line.  The repetition
-# is possessive, so it never gives back a token it read: where it stops is
-# where a left-to-right scan meets its first stray character.
-_CLEAN = re.compile(rf"(?:{_TOKEN.pattern}|\s)*+").match
+# The longest run of tokens and blanks that starts a line: nothing follows
+# the repetition, so a match never gives back a token it read, and where it
+# stops is where a left-to-right scan meets its first stray character.
+_CLEAN = re.compile(rf"(?:{_TOKEN.pattern}|\s)*").match
 
 
 class Scan(NamedTuple):
@@ -80,18 +80,14 @@ class Scan(NamedTuple):
     place: list[int]
 
     def locate(self, i: int) -> tuple[int, int]:
-        """Token i's (line, column).  A token first on its line follows
-        only blanks (`\\s` and `str.lstrip` agree on every code point); any
-        other is found by scanning its line again.  No token contains '/',
-        so the tokens before a line's comment are found the same with the
-        comment kept."""
-        ln, k = self.line_of[i], self.place[i]
+        """Token i's (line, column), found by scanning its line again.  No
+        token contains '/', so the tokens before a line's comment are found
+        the same with the comment kept."""
+        ln = self.line_of[i]
         if ln > len(self.lines):  # EOF
             return (ln, 1)
         line = self.lines[ln - 1]
-        if k == 0:
-            return (ln, len(line) - len(line.lstrip()) + 1)
-        return (ln, next(islice(_TOKEN.finditer(line), k, None)).start() + 1)
+        return (ln, next(islice(_TOKEN.finditer(line), self.place[i], None)).start() + 1)
 
 
 def scan(text: str) -> Scan:

@@ -271,6 +271,13 @@ def test_comjpm_identity_square():
     assert comjpm_decide(h, h, f, f) == (True, True)
 
 
+def test_comjpm_refuses_f_that_starts_elsewhere():
+    L, M = chain_lattice(3), chain_lattice(2)
+    h, g = LatticeHom.identity(L), MonotoneMap.identity(L)
+    with pytest.raises(LatticeError, match="same lattice"):
+        comjpm_decide(h, h, MonotoneMap.identity(M), g)
+
+
 def test_extension_keeps_the_prime_filters_of_its_base():
     from cohext.lattice import prime_filter_poset
 
@@ -341,8 +348,9 @@ def test_squares_that_share_f_share_its_lift(monkeypatch):
     for h in homs:  # id o h = h o id: three squares over f
         assert comjpm_decide(h, h, f, f) == (True, True)
     assert lifted == [f]
-    lift = _kept_sigma_extension(f, ce, ce)
-    assert lift.base_map is f and _kept_sigma_extension(f, ce, ce) is lift
+    lift = _kept_sigma_extension(f)
+    assert lift.base_map is f and lift.source is ce and lift.target is ce
+    assert _kept_sigma_extension(f) is lift
     assert lifted == [f]
 
 
