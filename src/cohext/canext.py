@@ -4,12 +4,22 @@ The extension of L is materialized as the downset lattice of the poset of
 prime filters of L under reverse inclusion, with the embedding
 a |-> {rho | a in rho}.  Even though the embedding is an isomorphism for
 finite L, the construction mirrors the general definitions: denseness and
-the two-stage sigma lifting formula are computed literally (over filter
-elements tabulated once per extension), and compactness is decided over
-the meets and joins of all subsets, which is equivalent to quantifying
-over all subset pairs.  So the code paths match the infinite-case
-definitions and the finite collapse is a theorem the test suite proves
-rather than a shortcut.
+the two-stage sigma lifting formula are computed literally, and
+compactness is decided over the meets and joins of all subsets, which is
+equivalent to quantifying over all subset pairs.  So the code paths match
+the infinite-case definitions and the finite collapse is a theorem the
+test suite proves rather than a shortcut.
+
+Each extension keeps, by `order.cached`, the tables the formula reads:
+each filter element paired with its filter (`filt_filters`) and the filter
+elements below each element (`filt_below`).  `_two_stage` reads them with
+two plain loops over the target's meet and join tables: meets over each
+filter, then joins over the filter elements below.  The finite-collapse
+shortcuts are still not taken: a filter's meet is not read off its least
+member, and the table is not read off an embedding that is onto.  An
+extension, like its lattices, also keeps its structural hash, so the
+lookups keyed by it (`extend_hom`) or by its base (`_EXTENSION_CACHE`)
+hash each instance once.
 
 A map that preserves finite joins or finite meets has sigma = pi = delta
 (Gehrke & Jonsson, "Bounded distributive lattice expansions", 2004), so
@@ -94,11 +104,19 @@ class CanonicalExtension:
         )
 
     @cached
+    def filt_filters(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """Each filter element, in ext order, paired with its filter."""
+        filt, filter_of = self.filt_elements, self.filter_of
+        return tuple((x, filter_of[x]) for x in self.ext.elements if x in filt)
+
+    @cached
     def filt_below(self) -> dict[str, tuple[str, ...]]:
         """For each u in ext, the filter elements below u, in ext order."""
-        ext, filt = self.ext, self.filt_elements
-        below = [x for x in ext.elements if x in filt]
-        return {u: tuple(x for x in below if ext.leq(x, u)) for u in ext.elements}
+        ext = self.ext
+        return {
+            u: tuple(x for x, _ in self.filt_filters if ext.leq(x, u))
+            for u in ext.elements
+        }
 
     @cached
     def dual(self) -> CanonicalExtension:
@@ -121,8 +139,12 @@ class CanonicalExtension:
             and self.embed == other.embed
         )
 
-    def __hash__(self):
+    @cached
+    def _hash(self) -> int:
         return hash((self.base, self.ext, tuple(sorted(self.embed.items()))))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"CanonicalExtension({self.base!r} -> {self.ext!r})"
@@ -233,13 +255,26 @@ def _two_stage(ce: CanonicalExtension, T: FinLattice, value: dict) -> dict:
     the base into the complete lattice T: on a filter element x, the meet
     of `value` over the filter of x; in general, the join of those meets
     over the filter elements below.  It is monotone by construction: u <= v
-    puts the filter elements below u among those below v."""
-    on_filt = {
-        x: T.meet_all(value[a] for a in ce.filter_of[x]) for x in ce.filt_elements
-    }
-    return {
-        u: T.join_all(on_filt[x] for x in ce.filt_below[u]) for u in ce.ext.elements
-    }
+    puts the filter elements below u among those below v.
+
+    Both stages read the tables kept on the extension (`filt_filters`,
+    `filt_below`) with plain loops over T's meet and join tables.  The
+    finite collapse is not used: a filter is not read off its least
+    member, nor the table off an embedding that is onto."""
+    meet, join = T.meet_table, T.join_table
+    on_filt = {}
+    for x, filt in ce.filt_filters:
+        m = T.top
+        for a in filt:
+            m = meet[m, value[a]]
+        on_filt[x] = m
+    table = {}
+    for u, below in ce.filt_below.items():
+        j = T.bottom
+        for x in below:
+            j = join[j, on_filt[x]]
+        table[u] = j
+    return table
 
 
 def sigma_extension(

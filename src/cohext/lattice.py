@@ -45,14 +45,14 @@ lattice: in N5 a join-irreducible is not join-prime.
 
 Lattices and maps are immutable, so what they determine is computed once
 per instance by `order.cached`: the duals, the distributivity witness, the
-join-irreducibles, the prime filters and a map's join-preservation
-verdict.  The map enumerations are kept per lattice pair by
-`order.cached_method`: on the source lattice, keyed by the target, so every
-later search between the same pair returns a fresh list over the same map
-objects, and `meet_preserving_maps` reads them on the duals.  Keys compare
-lattices by equality, as `canext.canonical_extension` does, so a target
-rebuilt equal to one already searched gets the maps into the one first
-searched.
+join-irreducibles, the prime filters, the structural hash and a map's
+join-preservation verdict.  The map enumerations are kept per lattice
+pair by `order.cached_method`: on the source lattice, keyed by the target,
+so every later search between the same pair returns a fresh list over the
+same map objects, and `meet_preserving_maps` reads them on the duals.
+Keys compare lattices by equality, as `canext.canonical_extension` does,
+so a target rebuilt equal to one already searched gets the maps into the
+one first searched.
 `monotone_maps` is not kept: no caller searches the same pair twice.
 """
 
@@ -215,8 +215,12 @@ class FinLattice:
             and self.top == other.top
         )
 
-    def __hash__(self):
+    @cached
+    def _hash(self) -> int:
         return hash((self.poset, self.bottom, self.top))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"FinLattice({len(self.elements)} elements)"

@@ -55,7 +55,10 @@ class cached:
     dataclasses allow, and never through the instance `__dict__`: on
     CPython 3.11, materializing `__dict__` slows every later attribute load
     on the object.  A constructor that knows the value may set it the same
-    way (`trusted_instance`); `func` recomputes it."""
+    way (`trusted_instance`); `func` recomputes it.  A structure's hash is
+    one more such value: `FinPoset`, `lattice.FinLattice` and
+    `canext.CanonicalExtension` keep theirs as `_hash`, which `__hash__`
+    returns, while equality stays structural."""
 
     def __init__(self, func):
         self.func = func
@@ -277,8 +280,12 @@ class FinPoset:
             and self.pairs == other.pairs
         )
 
-    def __hash__(self):
+    @cached
+    def _hash(self) -> int:
         return hash((frozenset(self.elements), self.pairs))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"FinPoset({len(self.elements)} elements)"

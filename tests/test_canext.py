@@ -1,6 +1,8 @@
 """Canonical extension: denseness, compactness, sigma/pi/delta liftings,
 unique complete extensions, Esakia identity, and square transfer."""
 
+from collections import Counter
+
 import pytest
 
 from cohext.canext import (
@@ -21,6 +23,7 @@ from cohext.canext import (
     _two_stage,
 )
 from cohext.catalog import distributive_lattices
+from cohext.jsonio import lattice_from_json, lattice_to_json
 from cohext.lattice import (
     FinLattice,
     LatticeError,
@@ -35,6 +38,7 @@ from cohext.lattice import (
     monotone_maps,
     require_distributive,
 )
+from cohext.order import FinPoset
 from helpers import (
     antichain,
     boolean4,
@@ -487,6 +491,12 @@ def test_cached_tables_match_their_definitions():
             )
             assert set(ce.filt_below[u]) == {x for x in filt if ext.leq(x, u)}
             assert set(ce.dual.filt_below[u]) == {y for y in idl if ext.leq(u, y)}
+        assert ce.filt_filters == tuple(
+            (x, ce.filter_of[x]) for x in ext.elements if x in filt
+        )
+        assert ce.dual.filt_filters == tuple(
+            (y, ce.dual.filter_of[y]) for y in ext.elements if y in idl
+        )
 
 
 def rescan_tables(f, cs, ct):
@@ -563,6 +573,145 @@ def test_extend_hom_is_kept_per_extension_and_equals_the_formula():
                 assert extend_hom(h, ce) is hbar
                 assert hbar.source is ce.ext and hbar.target is K
                 assert hbar.mapping == _two_stage(ce, K, h.mapping)
+
+
+def two_stage_oracle(ce, T, value):
+    """The two-stage formula as `_two_stage` read it with generators: meets
+    over each filter by `meet_all`, then joins over the filter elements
+    below by `join_all`."""
+    on_filt = {
+        x: T.meet_all(value[a] for a in ce.filter_of[x]) for x in ce.filt_elements
+    }
+    return {
+        u: T.join_all(on_filt[x] for x in ce.filt_below[u]) for u in ce.ext.elements
+    }
+
+
+def test_two_stage_matches_the_generator_oracle():
+    lats = distributive_lattices(4)
+    for L in lats:
+        for K in lats:
+            cs, ct = lift_pair(L, K)
+            for f in monotone_maps(L, K):
+                value = {a: ct.e(b) for a, b in f.mapping.items()}
+                assert sigma_extension(f, cs, ct).map.mapping == two_stage_oracle(
+                    cs, ct.ext, value
+                )
+                assert pi_extension(f, cs, ct).map.mapping == two_stage_oracle(
+                    cs.dual, ct.ext.dual, value
+                )
+            for h in lattice_homs(L, K):
+                assert extend_hom(h, cs).mapping == two_stage_oracle(cs, K, h.mapping)
+    # an embedding that is not onto: the two-chain sent to the bounds of
+    # the diamond, whose extension of a hom is refused unless it is one
+    two, B = chain_lattice(2), boolean4()
+    wrapped = CanonicalExtension(two, B, {"c0": "0", "c1": "1"})
+    for K in lats:
+        ct = canonical_extension(K)
+        for f in monotone_maps(two, K):
+            value = {a: ct.e(b) for a, b in f.mapping.items()}
+            assert sigma_extension(f, wrapped, ct).map.mapping == two_stage_oracle(
+                wrapped, ct.ext, value
+            )
+            assert pi_extension(f, wrapped, ct).map.mapping == two_stage_oracle(
+                wrapped.dual, ct.ext.dual, value
+            )
+        for h in lattice_homs(two, K):
+            table = two_stage_oracle(wrapped, K, h.mapping)
+            assert _two_stage(wrapped, K, h.mapping) == table
+            if LatticeHom(B, K, table).is_lattice_hom():
+                assert extend_hom(h, wrapped).mapping == table
+            else:
+                with pytest.raises(LatticeError, match="not a lattice homomorphism"):
+                    extend_hom(h, wrapped)
+
+
+class HashAs:
+    """Stands for a member of a tuple by its hash alone."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def per_call_hash(x):
+    """The structural hash by the formulas `__hash__` evaluated on every
+    call before it was kept; a tuple's hash reads only its members'
+    hashes, so the kept values do not enter."""
+    if isinstance(x, FinPoset):
+        return hash((frozenset(x.elements), x.pairs))
+    if isinstance(x, FinLattice):
+        return hash((HashAs(per_call_hash(x.poset)), x.bottom, x.top))
+    return hash((
+        HashAs(per_call_hash(x.base)), HashAs(per_call_hash(x.ext)),
+        tuple(sorted(x.embed.items())),
+    ))
+
+
+def rebuilt(L):
+    """A lattice equal to L, built anew from its JSON form."""
+    return lattice_from_json(lattice_to_json(L))
+
+
+def rebuilt_extension(ce):
+    """An extension equal to ce, its base and extension rebuilt anew."""
+    return CanonicalExtension(rebuilt(ce.base), rebuilt(ce.ext), dict(ce.embed))
+
+
+def test_kept_hashes_equal_the_per_call_formulas():
+    for L in distributive_lattices(5):
+        ce = canonical_extension(L)
+        for x in (L, L.dual, ce, ce.dual, ce.ext, ce.ext.dual):
+            assert hash(x) == per_call_hash(x)
+        for P in (L.poset, L.dual.poset):
+            assert hash(P) == per_call_hash(P)
+
+
+def test_structures_rebuilt_equal_hit_the_kept_extensions_and_maps():
+    lats = distributive_lattices(5)
+    for L in lats:
+        for M in (L, L.dual):
+            M2 = rebuilt(M)
+            assert M2 is not M and M2 == M and hash(M2) == hash(M)
+            assert canonical_extension(M2) is canonical_extension(M)
+        ce = canonical_extension(L)
+        ce2 = rebuilt_extension(ce)
+        assert ce2 is not ce and ce2 == ce and hash(ce2) == hash(ce)
+        assert ce2.dual == ce.dual and hash(ce2.dual) == hash(ce.dual)
+        for K in lats:
+            homs = lattice_homs(L, K)
+            assert all(
+                h2 is h for h2, h in zip(lattice_homs(L, rebuilt(K)), homs, strict=True)
+            )
+            for h in homs:
+                assert extend_hom(h, ce2) is extend_hom(h, ce)
+                assert extend_hom(h.dual, ce2.dual) is extend_hom(h.dual, ce.dual)
+
+
+def test_each_structure_computes_its_hash_once(monkeypatch):
+    # fresh instances, none hashed yet: the extensions are built from a
+    # second catalogue and rebuilt through jsonio
+    lats = distributive_lattices(5)
+    exts = [rebuilt_extension(canonical_extension(L)) for L in distributive_lattices(5)]
+    structures = []
+    for L, ce in zip(lats, exts):
+        structures += [L, L.dual, ce, ce.dual, ce.base, ce.ext, ce.ext.dual]
+    structures += [x.poset for x in structures if isinstance(x, FinLattice)]
+    calls = Counter()
+    for cls in (FinPoset, FinLattice, CanonicalExtension):
+        kept = cls._hash
+
+        def counted(x, func=kept.func):
+            calls[id(x)] += 1
+            return func(x)
+
+        monkeypatch.setattr(kept, "func", counted)
+    for _ in range(3):
+        for x in structures:
+            assert hash(x) == per_call_hash(x)
+    assert [calls[id(x)] for x in structures] == [1] * len(structures)
 
 
 def test_reprs_stay_short():

@@ -7,11 +7,16 @@ module under src/ reads the process environment, keeps a process-wide
 cache (a `functools` cache, or a module-level container a function
 writes) other than the one allowed or touches an instance `__dict__`, no
 module under src/ but the CLI runs a hyperdoctrine validator, none but
-jsonio runs an order or map check, and every name the benchmark imports
-from cohext exists."""
+jsonio runs an order or map check, every name the benchmark imports
+from cohext exists, and every module imports and the fixture theories
+parse under the oldest Python that `requires-python` admits."""
 
 import ast
 import importlib
+import os
+import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -697,3 +702,53 @@ def test_cohext_import_finder_on_samples():
         "def f():\n    from cohext import d\n"
     ) == [("cohext.sites", "a", 1), ("cohext.sites", "b", 1), ("cohext", "d", 3)]
     assert cohext_imports("from . import cohext\n") == []
+
+
+PYPROJECT = SRC.parent / "pyproject.toml"
+
+# Imports every cohext module and parses each fixture theory.
+IMPORT_AND_PARSE = """
+import importlib, pkgutil
+import cohext
+from cohext.fixtures import FIXTURE_DIR
+from cohext.logic.parser import parse_theory
+for m in pkgutil.walk_packages(cohext.__path__, "cohext."):
+    importlib.import_module(m.name)
+theories = sorted(FIXTURE_DIR.glob("*.chr"))
+assert len(theories) == 3, theories
+for path in theories:
+    parse_theory(path.read_text())
+"""
+
+
+def oldest_python() -> str:
+    """The "3.x" that `requires-python` names as its floor."""
+    spec = re.search(r'^requires-python = ">=(3\.\d+)"$', PYPROJECT.read_text(), re.M)
+    return spec.group(1)
+
+
+def interpreter(version: str) -> str | None:
+    """A `python<version>` that runs and reports that version: the one on
+    PATH (a pyenv shim that exits with an error counts as absent), else one
+    installed under `$PYENV_ROOT/versions/<version>.*`."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    candidates = [shutil.which(f"python{version}")]
+    candidates += sorted(root.glob(f"versions/{version}.*/bin/python{version}"))
+    check = f"import sys; assert '%d.%d' % sys.version_info[:2] == '{version}'"
+    for exe in filter(None, candidates):
+        ran = subprocess.run([exe, "-c", check], capture_output=True, timeout=60)
+        if ran.returncode == 0:
+            return str(exe)
+    return None
+
+
+def test_modules_import_and_theories_parse_on_the_oldest_python():
+    version = oldest_python()
+    exe = interpreter(version)
+    if exe is None:
+        pytest.skip(f"no Python {version} interpreter runs here")
+    ran = subprocess.run(
+        [exe, "-c", IMPORT_AND_PARSE], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert ran.returncode == 0, ran.stderr
