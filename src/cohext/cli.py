@@ -309,7 +309,7 @@ def cmd_tot_sheaf(args, report: Report):
     report.check("unique-glueing", *unique_glueing_check(C, X))
     try:
         ok, n, w = topology_coincidence_check(C, X, args.budget)
-        report.check("topology-coincidence", ok, w, sievesChecked=n)
+        report.check("topology-coincidence", ok, w, generatedSievesChecked=n)
     except BudgetError as e:
         report.check("topology-coincidence", False, str(e))
 

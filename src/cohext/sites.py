@@ -8,7 +8,10 @@ existential image), so deciding a sieve is a join or a lookup over that
 table.  A sieve is the union of the principal sieves of its members, so
 the sieves on an object are enumerated as the union closure of its
 principal sieves, and a budget bounds the number of sieves that closure
-yields.
+yields.  The topology coincidence check walks no such enumeration: it
+tests only the sieves that coherent cover families generate, each the
+union of its members' principal sieves, and its budget bounds those
+generated sieves per object.
 
 Every filter of a finite lattice is the up-set of its least member, so a
 germ (A, F) -> (B, G) of the filter category is one morphism out of the
@@ -464,33 +467,40 @@ def topology_coincidence_check(
 ):
     """On the semidirect site of the fiberwise extension: for every sieve,
     the plain join of existential images equals the join over the closure
-    admitting members that are covered into the sieve by coherent covers.
-    An admitted image x <= plain cannot raise that join, so the sieve is
-    tested only for the images not below plain: the closure, and with it
-    the verdict and witness, equal the join over every admitted image.
+    admitting each n : (B, w) -> nx whose source has a coherent cover (g_k)
+    of B with every member n o g_k in the sieve.
 
-    Returns (ok, sieves_checked, witness); a budget cut raises
-    `BudgetError` naming the object and the sieves checked before it."""
+    Only the sieves that such members generate are tested.  The plain join
+    is monotone in the sieve, and a sieve holding the members holds the
+    sieve S they generate, so some sieve fails exactly when some admitted n
+    and cover of its source have image[n] not below the plain join of S.
+    S is the union of its members' principal sieves, kept as bitmasks over
+    `morphisms_into(nx)` as in `all_sieves`, and each distinct S is joined
+    once per object.  The witness is the failing S first in `all_sieves`
+    order, with its closure join: every failing sieve holds a failing S,
+    which comes no later, so that S is the first failing sieve of all.
+
+    Returns (ok, generated sieves checked, witness); `budget` bounds the
+    distinct generated sieves per object, and a cut raises `BudgetError`
+    naming the object and the generated sieves checked before it."""
     if X is None:
         X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+    budget = budget if budget is not None else sieve_budget()
     site = semidirect_site(C, X)
     coh = coherent_topology(C)
     checked = 0
     for nx, (A, _) in site.obj_data.items():
         FA = X.fiber(A)
-        try:
-            sieves = site.all_sieves(nx, budget)
-        except BudgetError as e:
-            raise BudgetError(f"after {checked} sieves checked, {e}") from None
+        inc = site.cat.morphisms_into(nx)
+        index = {f: i for i, f in enumerate(inc)}
         # each n : (B, w) -> nx along gamma with its image and, per coherent
-        # cover (g_k) of B, the members gamma o g_k : (C_k, g_k^* w) -> nx; a
-        # sieve holding all members of one such cover admits n's image
+        # cover (g_k) of B, the members gamma o g_k : (C_k, g_k^* w) -> nx
         admitted = []
-        for n in site.cat.morphisms_into(nx):
+        for n in inc:
             B, w = site.obj_data[site.cat.src(n)]
             gamma = site.mor_data[n]
             admitted.append((site.image[n], [
-                frozenset(
+                tuple(
                     semidirect_mor_name(
                         C.cat.compose(gamma, g),
                         semidirect_obj_name(C.cat.src(g), X.sub(g)(w)),
@@ -500,17 +510,39 @@ def topology_coincidence_check(
                 )
                 for fam in coh.generators[B]
             ]))
-        for sieve in sieves:
-            plain = FA.join_all(site.image[n] for n in sieve)
-            closure = FA.join_all([plain] + [
+        principal = {}  # member -> (its principal sieve's bitmask, plain join)
+        for f in {f for _, fams in admitted for fam in fams for f in fam}:
+            S = site.sieve_generated(nx, [f])
+            principal[f] = (
+                sum(1 << index[g] for g in S), FA.join_all(site.image[g] for g in S)
+            )
+        plain: dict[int, str] = {}  # generated sieve's bitmask -> plain join
+        failing = []
+        for x, fams in admitted:
+            for fam in fams:
+                S, p = 0, FA.bottom
+                for f in fam:
+                    mask, j = principal[f]
+                    S, p = S | mask, FA.join(p, j)
+                if S not in plain:
+                    if len(plain) == budget:
+                        raise BudgetError(
+                            f"after {checked} generated sieves checked, generated "
+                            f"sieves on {nx} exceed {budget}; raise --budget"
+                        )
+                    plain[S] = p
+                if not FA.leq(x, p):
+                    failing.append(S)
+        checked += len(plain)
+        if failing:
+            sieve = min(failing)
+            p = plain[sieve]
+            closure = FA.join_all([p] + [
                 x for x, fams in admitted
-                if not FA.leq(x, plain) and any(fam <= sieve for fam in fams)
+                if not FA.leq(x, p)
+                and any(all(sieve >> index[f] & 1 for f in fam) for fam in fams)
             ])
-            checked += 1
-            if closure != plain:
-                return False, checked, (
-                    f"sieve on {nx}: closure join {closure} != plain {plain}"
-                )
+            return False, checked, f"sieve on {nx}: closure join {closure} != plain {p}"
     return True, checked, None
 
 

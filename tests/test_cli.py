@@ -222,13 +222,13 @@ def test_tot_subcommands(tmp_path):
 
 
 def test_budget_exhausted_coincidence_check_is_not_a_pass():
-    r = run_cli("--budget", "3", "tot", "sheaf-check", fx("one_point.cat.json"))
+    r = run_cli("--budget", "2", "tot", "sheaf-check", fx("one_point.cat.json"))
     assert r.returncode == 1
     data = json.loads(r.stdout)
     check = {c["name"]: c for c in data["checks"]}["topology-coincidence"]
     assert not data["pass"] and not check["pass"]
     assert check["witness"] == (
-        "after 5 sieves checked, sieve enumeration on <{x};{{{x}}}> exceeds 3 sieves; "
+        "after 3 generated sieves checked, generated sieves on <{x};{{{x}}}> exceed 2; "
         "raise --budget"
     )
 
@@ -253,7 +253,7 @@ def test_sieve_budget_cut_fails_sheaf_check_and_keeps_the_report():
     )
     assert not checks["topology-coincidence"]["pass"]
     assert checks["topology-coincidence"]["witness"] == (
-        "after 16 sieves checked, sieve enumeration on <1;{}> exceeds 4 sieves; "
+        "after 11 generated sieves checked, generated sieves on <1;{}> exceed 4; "
         "raise --budget"
     )
 
@@ -270,7 +270,7 @@ def test_budget_bounds_the_compactness_check():
 def test_budget_flag_leaves_later_calls_in_the_process_unchanged(capsys):
     three_chain = fx("three_chain.latcat.json")
     assert main(["--budget", "3", "predcat", "build", three_chain]) == 2
-    assert main(["--budget", "3", "tot", "sheaf-check", fx("one_point.cat.json")]) == 1
+    assert main(["--budget", "2", "tot", "sheaf-check", fx("one_point.cat.json")]) == 1
     capsys.readouterr()
     assert (search_budget(), sieve_budget()) == (200_000, 4096)
     AP = PredCategory(sub_hyperdoctrine(load_category(three_chain)))

@@ -420,9 +420,9 @@ def test_topology_coincidence_on_fixtures():
         assert checked > 0
 
 
-def coincidence_closure_oracle(C, X=None, budget=None):
-    """`topology_coincidence_check` as it was before it skipped the admitted
-    images below the plain join: every admitted image enters the closure."""
+def coincidence_closure_oracle(C, X=None):
+    """The coincidence check as a walk over every sieve of every object, in
+    `all_sieves` order, where every admitted image enters the closure."""
     if X is None:
         X = canext_hyperdoctrine(sub_hyperdoctrine(C))
     site = semidirect_site(C, X)
@@ -430,10 +430,6 @@ def coincidence_closure_oracle(C, X=None, budget=None):
     checked = 0
     for nx, (A, _) in site.obj_data.items():
         FA = X.fiber(A)
-        try:
-            sieves = site.all_sieves(nx, budget)
-        except BudgetError as e:
-            raise BudgetError(f"after {checked} sieves checked, {e}") from None
         admitted = []
         for n in site.cat.morphisms_into(nx):
             B, w = site.obj_data[site.cat.src(n)]
@@ -449,7 +445,7 @@ def coincidence_closure_oracle(C, X=None, budget=None):
                 )
                 for fam in coh.generators[B]
             ]))
-        for sieve in sieves:
+        for sieve in site.all_sieves(nx):
             plain = FA.join_all(site.image[n] for n in sieve)
             closure = FA.join_all(
                 [plain]
@@ -463,46 +459,110 @@ def coincidence_closure_oracle(C, X=None, budget=None):
     return True, checked, None
 
 
-def test_topology_coincidence_fails_with_the_full_closure_witness(monkeypatch):
-    """With the empty family added to every object's covers, each sieve
-    admits every image into its object, so the closure overshoots the plain
-    join of the empty sieve."""
-    real = sites.coherent_topology
+def covered_by_nothing(real):
+    """Mutant covers: `real`'s generators with the empty family added first
+    to every object's covers, so each sieve admits every image into its
+    object and the closure overshoots the plain join of the empty sieve."""
 
-    def covered_by_nothing(C):
+    def topology(C):
         return SimpleNamespace(
             generators={B: [()] + list(fams) for B, fams in real(C).generators.items()}
         )
 
-    monkeypatch.setattr(sites, "coherent_topology", covered_by_nothing)
+    return topology
+
+
+def test_topology_coincidence_fails_with_the_full_closure_witness(monkeypatch):
+    monkeypatch.setattr(sites, "coherent_topology", covered_by_nothing(sites.coherent_topology))
     failures = 0
     for C in [LatticeCategory(L) for L in distributive_lattices(6)] + concrete_fragments():
         X = canext_hyperdoctrine(sub_hyperdoctrine(C))
-        got = topology_coincidence_check(C, X)
-        assert got == coincidence_closure_oracle(C, X)
-        failures += not got[0]
+        ok, _, witness = topology_coincidence_check(C, X)
+        want_ok, _, want_witness = coincidence_closure_oracle(C, X)
+        assert (ok, witness) == (want_ok, want_witness)
+        failures += not ok
     # all but the one-element lattice, whose fibers have one element
     assert failures == 13 + 3 - 1
 
 
+def generated_sieves_per_object(C, X):
+    """For each object nx of the semidirect site, in order, the distinct
+    sieves generated by the composites n o g~_k, for each n : (B, w) -> nx
+    and each cover (g_k) of B, where g~_k : (C_k, g_k^* w) -> (B, w) is
+    g_k's lift; the composites and their sieves are taken in the site's own
+    composition table."""
+    site = semidirect_site(C, X)
+    cat, coh = site.cat, sites.coherent_topology(C)
+    out = {}
+    for nx in site.obj_data:
+        generated = set()
+        for n in cat.morphisms_into(nx):
+            src = cat.src(n)
+            B, w = site.obj_data[src]
+            for fam in coh.generators[B]:
+                members = [
+                    cat.compose(n, semidirect_mor_name(
+                        g, semidirect_obj_name(C.cat.src(g), X.sub(g)(w)), src
+                    ))
+                    for g in fam
+                ]
+                generated.add(frozenset(
+                    cat.compose(f, h) for f in members for h in cat.morphisms_into(cat.src(f))
+                ))
+        out[nx] = len(generated)
+    return out
+
+
+def test_topology_coincidence_on_generated_sieves_matches_the_closure_walk(monkeypatch):
+    """The check tests only the sieves that cover families generate.  Over
+    DL(<=8) and the three fragments, as built and under the mutant covers:
+    the verdict and witness are the all-sieves walk's, and the count is the
+    distinct generated sieves of the objects up to the failing one."""
+    cats = [LatticeCategory(L) for L in distributive_lattices(8)] + concrete_fragments()
+    Xs = [canext_hyperdoctrine(sub_hyperdoctrine(C)) for C in cats]
+    outcomes = []
+    for mutate in (False, True):
+        if mutate:
+            monkeypatch.setattr(
+                sites, "coherent_topology", covered_by_nothing(sites.coherent_topology)
+            )
+        for C, X in zip(cats, Xs):
+            ok, checked, witness = topology_coincidence_check(C, X)
+            want_ok, _, want_witness = coincidence_closure_oracle(C, X)
+            assert (ok, witness) == (want_ok, want_witness)
+            counts, want = generated_sieves_per_object(C, X), 0
+            for nx, count in counts.items():
+                want += count
+                if not ok and witness.startswith(f"sieve on {nx}:"):
+                    break
+            assert checked == want
+            outcomes.append(ok)
+    assert len(outcomes) == 78
+    assert outcomes[:39] == [True] * 39
+    # the one-element lattice passes: its fibers have one element
+    assert outcomes[39:].count(True) == 1
+
+
 def test_topology_coincidence_budget_report():
+    """A cut names the first object with more generated sieves than the
+    budget, and the generated sieves of the objects before it."""
     C = LatticeCategory(boolean4())
     with pytest.raises(BudgetError) as e:
         topology_coincidence_check(C, budget=2)
-    site = semidirect_site(C, canext_hyperdoctrine(sub_hyperdoctrine(C)))
     checked = 0
-    for nx in site.obj_data:
-        n = len(site.all_sieves(nx))
+    for nx, n in generated_sieves_per_object(
+        C, canext_hyperdoctrine(sub_hyperdoctrine(C))
+    ).items():
         if n > 2:
             break
         checked += n
     assert str(e.value) == (
-        f"after {checked} sieves checked, sieve enumeration on {nx} exceeds 2 sieves; "
-        "raise --budget"
+        f"after {checked} generated sieves checked, generated sieves on {nx} "
+        "exceed 2; raise --budget"
     )
 
 
-def topology_coincidence_oracle(C, budget=None):
+def topology_coincidence_oracle(C):
     """The coincidence check as first written: for every sieve, a walk over
     the base objects, their morphisms into A, the fiber elements below the
     pulled-back u and the coherent covers, testing cover members one by one
@@ -514,11 +574,7 @@ def topology_coincidence_oracle(C, budget=None):
     checked = 0
     for nx, (A, u) in site.obj_data.items():
         FA = X.fiber(A)
-        try:
-            sieves = site.all_sieves(nx, budget)
-        except BudgetError as e:
-            raise BudgetError(f"after {checked} sieves checked, {e}") from None
-        for sieve in sieves:
+        for sieve in site.all_sieves(nx):
             plain = FA.join_all(
                 adjoints[site.mor_data[n]](site.obj_data[site.cat.src(n)][1])
                 for n in sieve
@@ -551,24 +607,13 @@ def topology_coincidence_oracle(C, budget=None):
     return True, checked, None
 
 
-def coincidence_outcome(check, C, budget=None):
-    try:
-        return check(C, budget=budget)
-    except BudgetError as e:
-        return "cut", str(e)
-
-
 def test_topology_coincidence_matches_the_per_sieve_oracle():
     cats = [LatticeCategory(L) for L in distributive_lattices(6)]
     cats += concrete_fragments()
-    outcomes = set()
     for C in cats:
-        for budget in (None, 2, 5):
-            got = coincidence_outcome(topology_coincidence_check, C, budget)
-            assert got == coincidence_outcome(topology_coincidence_oracle, C, budget)
-            assert got == coincidence_outcome(coincidence_closure_oracle, C, budget)
-            outcomes.add(got[0])
-    assert outcomes == {True, "cut"}
+        ok, _, witness = topology_coincidence_check(C)
+        assert (ok, witness) == topology_coincidence_oracle(C)[::2]
+        assert (ok, witness) == coincidence_closure_oracle(C)[::2]
 
 
 def test_site_covers_read_tables_built_with_the_site(monkeypatch):
