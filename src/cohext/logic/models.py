@@ -14,7 +14,12 @@ carrier sizes assigns the cells of the function and relation tables, and
 each sequent instance (a sequent with one assignment of its context) is
 evaluated, by `FinModel`'s own evaluator over the partial tables, whenever
 a cell it may read is assigned.  A definite violation cuts the branch, so
-every leaf of the search is a model.
+every leaf of the search is a model.  When models are wanted one per
+isomorphism class, the search also cuts a branch once some transposition
+of two elements of one sort provably sends its models to models the search
+yields earlier (a lex-leader check).  Those are never the first of their
+class, which is the one kept, so the cut is exact and the lists are
+unchanged; the labelled enumeration (`up_to_iso=False`) does not cut.
 
 A model family keeps, for each ordered pair of members, the reach relation
 of the homomorphisms between them: which elements the homomorphisms
@@ -71,7 +76,14 @@ def enumerate_models(
     slowest, the first function fastest and within a table the last
     argument tuple fastest; then the relations, the first fastest, each
     counting up its rows as a bitmask with the first row lowest.  Of each
-    isomorphism class the first model in that order is kept."""
+    isomorphism class the first model in that order is kept.
+
+    When up_to_iso, the search also cuts every branch whose models some
+    transposition of two elements of one sort maps to a model earlier in
+    that order (`_models`' lex-leader cut).  Such a model is not the first
+    of its class, so the cut drops only models that would be dropped
+    anyway, and `canonical_key` removes the repeats it misses.  Without
+    up_to_iso the search does not cut and visits every labelled model."""
     sig = T.signature
     names = {s: tuple(f"{s.lower()}{i}" for i in range(max_size)) for s in sig.sorts}
     owner = {}
@@ -81,7 +93,8 @@ def enumerate_models(
                 raise ValueError(f"sorts {owner[x]} and {s} share the element name {x}")
     out, seen = [], set()
     for vec in iproduct(range(min_size, max_size + 1), repeat=len(sig.sorts)):
-        for m in _models(T, {s: names[s][:n] for s, n in zip(sig.sorts, vec)}):
+        sorts = {s: names[s][:n] for s, n in zip(sig.sorts, vec)}
+        for m in _models(T, sorts, lex_leader=up_to_iso):
             if up_to_iso:
                 key = m.canonical_key()
                 if key in seen:
@@ -91,14 +104,28 @@ def enumerate_models(
     return out
 
 
-def _models(T: Theory, sorts: dict[str, tuple[str, ...]]):
+def _models(T: Theory, sorts: dict[str, tuple[str, ...]], lex_leader: bool = False):
     """The models of T on the given carriers, by one `order.assignments`
     search over the cells ("fun", f, args) and ("rel", r, args); a relation
     cell takes False, then True.  A sequent instance, a sequent with one
     assignment of its context, is indexed under every cell it may read and
     evaluated whenever one of them is assigned.  Reading an unassigned cell
     leaves it undecided; a holding lhs with a failing rhs cuts the branch.
-    An instance that reads no cell is decided before the search."""
+    An instance that reads no cell is decided before the search.
+
+    With lex_leader, a branch is also cut when some transposition sigma of
+    two elements of one sort provably sends each of its models M to a
+    smaller assignment sigma M (Crawford, Ginsberg, Luks and Roy,
+    "Symmetry-breaking predicates for search problems", 1996): positions in
+    `keys` order, function values in carrier order, False before True.
+    sigma M's cell at a position is sigma applied to the value of its
+    partner cell, the cell at sigma's image of the arguments.  The check
+    reads the assigned positions in order and cuts at the first where the
+    two differ with sigma M smaller; it gives up at the first partner cell
+    not yet assigned.  The cut is exact: sigma M is a model on the same
+    carriers exactly when M is, and the search yields its models in this
+    order, so each model cut has an isomorphic model before it and is not
+    the first of its class."""
     sig = T.signature
     funcs, rels = sorted(sig.funcs.items()), sorted(sig.rels.items())
     fdom = {f: list(iproduct(*[sorts[s] for s in args])) for f, (args, _) in funcs}
@@ -119,11 +146,32 @@ def _models(T: Theory, sorts: dict[str, tuple[str, ...]]):
     if any(_violated(unassigned, seq, env) for seq, env in ground):
         return
     partial = None
+    position = {k: i for i, k in enumerate(keys)}
+    carrier_index = {x: j for xs in sorts.values() for j, x in enumerate(xs)}
+    rank = [0] * len(keys)  # rank[i]: the order of the value at keys[i]
+    swaps = _transposition_tables(T, sorts, keys, position) if lex_leader else ()
+
+    def smaller_image(table, i):
+        for k, p, perm in table:
+            if p > i:
+                return False
+            v, w = rank[p], rank[k]
+            if perm is not None:
+                v = perm[v]
+            if v != w:
+                return v < w
+        return False
 
     def consistent(key, acc):
         nonlocal partial
         if partial is None:  # the search assigns into this one dict throughout
             partial = _partial_model(T, sorts, acc)
+        if swaps:
+            i = position[key]
+            v = acc[key]
+            rank[i] = carrier_index[v] if key[0] == "fun" else v
+            if any(smaller_image(table, i) for table in swaps):
+                return False
         return not any(_violated(partial, seq, env) for seq, env in index[key])
 
     def values(key):
@@ -136,6 +184,33 @@ def _models(T: Theory, sorts: dict[str, tuple[str, ...]]):
             {f: {d: acc["fun", f, d] for d in fdom[f]} for f, _ in funcs},
             {r: frozenset(d for d in rdom[r] if acc["rel", r, d]) for r, _ in rels},
         )
+
+
+def _transposition_tables(T: Theory, sorts, keys, position) -> list[list[tuple]]:
+    """For each transposition sigma of two elements of one sort, the key
+    positions k at which sigma M may differ from M, in order, each as
+    (k, p, perm): p is the position of k's partner cell and perm, for a
+    function into sigma's sort, swaps the two value ranks (None otherwise).
+    A position whose partner lies before it is left out: when the check
+    reaches it, the partner's position compared equal, and sigma being an
+    involution makes this one equal too."""
+    sig = T.signature
+    tables = []
+    for s, xs in sorts.items():
+        for a in range(len(xs)):
+            for b in range(a + 1, len(xs)):
+                swap = {xs[a]: xs[b], xs[b]: xs[a]}
+                perm = list(range(len(xs)))
+                perm[a], perm[b] = b, a
+                perm = tuple(perm)
+                table = []
+                for k, (kind, name, d) in enumerate(keys):
+                    p = position[kind, name, tuple(swap.get(x, x) for x in d)]
+                    moves = kind == "fun" and sig.funcs[name][1] == s
+                    if p > k or (p == k and moves):
+                        table.append((k, p, perm if moves else None))
+                tables.append(table)
+    return tables
 
 
 class _Unassigned(Exception):

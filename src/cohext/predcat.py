@@ -265,6 +265,7 @@ class PredCohCategory(CohCategory):
         }
         return LatticeHom(SB, SA, table)
 
+    @cached_method
     def image_map(self, f: str) -> MonotoneMap:
         r = self.AP.relation_of(f)
         P = self.AP.P
@@ -288,6 +289,7 @@ class PredCohCategory(CohCategory):
             raise MissingLimitError("top predicate on the base terminal is not terminal")
         return T
 
+    @cached_method
     def product(self, X: str, Y: str) -> ProductCone:
         A, a = self.AP.obj_data[X]
         B, b = self.AP.obj_data[Y]
@@ -314,6 +316,7 @@ class PredCohCategory(CohCategory):
     def equalizer(self, f: str, g: str):
         raise MissingLimitError("equalizers of relations are not materialized")
 
+    @cached_method
     def subobject_object(self, X: str, w: str) -> tuple[str, str]:
         A, a = self.AP.obj_data[X]
         mono_elem = self.AP.identity_relation(A, w)
