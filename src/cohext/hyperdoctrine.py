@@ -2,7 +2,9 @@
 
 A hyperdoctrine is table data: a lattice per object, a substitution hom per
 morphism, and a chosen existential adjoint per morphism.  Beck-Chevalley
-is checked over the base's chosen pullback squares.  Every hyperdoctrine
+is checked over the base's chosen pullback squares, which are built on
+their first read, so a hyperdoctrine that is never validated builds none
+and one validated with its extension builds them once.  Every hyperdoctrine
 the program builds is one by theorem and is not validated: the subobject
 and first-order ones of a coherent category, `sites.filter_hyperdoctrine`
 and the fiberwise canonical extension (Coumans, arXiv:1204.3745).  Only
@@ -32,6 +34,7 @@ from .lattice import (
     check_distributive,
     frobenius_failures,
 )
+from .order import trusted_instance
 from .report import LawCheck
 
 
@@ -41,7 +44,12 @@ class HyperdoctrineError(ValueError):
 
 @dataclass(frozen=True)
 class BaseLimits:
-    """Chosen finite-limit structure on a base category; possibly partial."""
+    """Chosen finite-limit structure on a base category; possibly partial.
+
+    From `from_cohcat`, `squares` is built on the first read and kept,
+    like an `order.cached` value: only Beck-Chevalley reads the squares,
+    and a hyperdoctrine and its extension share one `BaseLimits`.  It is a
+    field, not a `cached` attribute, so `dataclasses.replace` can set it."""
 
     terminal: str | None
     products: dict[tuple[str, str], ProductCone]
@@ -55,7 +63,8 @@ class BaseLimits:
 
     @classmethod
     def from_cohcat(cls, C: CohCategory) -> BaseLimits:
-        """The terminal object, the products and the chosen squares of C."""
+        """The terminal object and the products of C; its chosen squares
+        when first read."""
         try:
             term = C.terminal()
         except MissingLimitError:
@@ -67,7 +76,16 @@ class BaseLimits:
                     prods[(A, B)] = C.product(A, B)
                 except MissingLimitError:
                     pass
-        return cls(term, prods, tuple(C.chosen_squares()))
+        return trusted_instance(cls, terminal=term, products=prods, cohcat=C)
+
+    def __getattr__(self, name):
+        """Build and keep `squares` on its first read, which is the only
+        attribute a `from_cohcat` instance leaves unset."""
+        if name != "squares":
+            raise AttributeError(name)
+        squares = tuple(self.cohcat.chosen_squares())
+        object.__setattr__(self, "squares", squares)
+        return squares
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,13 @@
 A lattice is stored as a poset plus meet/join tables: meet(a,b) is the
 greatest lower bound and join(a,b) the least upper bound, which forces all
 the lattice identities.  `FinLattice.from_poset` derives the tables from
-an order; every other construction knows them by theorem.  Distributivity
-is a separate predicate so that non-distributive counterexamples remain
-representable.
+an order; every other construction knows them by theorem.  It keeps each
+principal down-set and up-set as an int bitmask and reads meet(a,b) as
+the element whose down-set is down(a) & down(b), since the down-set of
+a /\\ b is the intersection of those of a and b (Davey & Priestley,
+ch. 2), and joins dually; no element has that down-set exactly when the
+pair has no meet.  Distributivity is a separate predicate so that
+non-distributive counterexamples remain representable.
 
 Every lattice of sets (downsets, filters, ideals, subsets of a finite set,
 families of subsets) is built by `set_lattice`, the one place that names
@@ -92,23 +96,37 @@ class FinLattice:
 
     @classmethod
     def from_poset(cls, poset: FinPoset) -> FinLattice:
-        """Derive meet/join from the order; raise with a witness pair if absent."""
-        if not poset.elements:
+        """Derive meet/join from the order; raise with a witness pair if absent.
+
+        Each element's principal down-set and up-set are int bitmasks, and
+        meet(a, b) is the one element whose down-set is down(a) & down(b):
+        x is the greatest lower bound of a and b exactly when
+        down(x) = down(a) & down(b), and in a poset no two elements have the
+        same down-set.  Joins are read dually from the up-sets.  The witness
+        is the first pair in product order with no meet or no join, the
+        meet checked first."""
+        elems = poset.elements
+        if not elems:
             raise LatticeError("a lattice needs at least one element")
+        bit = {x: 1 << i for i, x in enumerate(elems)}
+        down, up = dict.fromkeys(elems, 0), dict.fromkeys(elems, 0)
+        for x, y in poset.pairs:
+            down[y] |= bit[x]
+            up[x] |= bit[y]
+        by_down = {mask: x for x, mask in down.items()}
+        by_up = {mask: x for x, mask in up.items()}
         meet, join = {}, {}
-        for a, b in product(poset.elements, repeat=2):
-            lows = [x for x in poset.elements if poset.leq(x, a) and poset.leq(x, b)]
-            glb = [x for x in lows if all(poset.leq(y, x) for y in lows)]
-            ups = [x for x in poset.elements if poset.leq(a, x) and poset.leq(b, x)]
-            lub = [x for x in ups if all(poset.leq(x, y) for y in ups)]
-            if len(glb) != 1:
+        for a, b in product(elems, repeat=2):
+            glb = by_down.get(down[a] & down[b])
+            if glb is None:
                 raise LatticeError(f"pair ({a},{b}) has no meet")
-            if len(lub) != 1:
+            lub = by_up.get(up[a] & up[b])
+            if lub is None:
                 raise LatticeError(f"pair ({a},{b}) has no join")
-            meet[(a, b)], join[(a, b)] = glb[0], lub[0]
+            meet[a, b], join[a, b] = glb, lub
         # a finite lattice is bounded by the meet and the join of all
-        bottom = reduce(lambda x, y: meet[x, y], poset.elements)
-        top = reduce(lambda x, y: join[x, y], poset.elements)
+        bottom = reduce(lambda x, y: meet[x, y], elems)
+        top = reduce(lambda x, y: join[x, y], elems)
         return cls(poset, meet, join, bottom, top)
 
     @property

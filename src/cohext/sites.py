@@ -345,7 +345,13 @@ def semidirect_site(
     """Build C x| X over the hyperdoctrine's base, or its full subcategory
     on the objects (A, u) with keep(A, u); C_like supplies nothing beyond
     its base category (the covers come from X's adjoints).  It has no
-    generating families: `generators` is empty, so a lookup fails."""
+    generating families: `generators` is empty, so a lookup fails.
+
+    A base morphism f : A -> B gives (A, u) -> (B, v) when u <= f^*(v),
+    read from the fiber's order pairs and f's substitution table.  Each
+    morphism is named once, keyed by (f, source, target), and a composite
+    is looked up there by the base composite: it exists, since
+    u <= f^*(v) and v <= g^*(w) give u <= f^*(g^*(w)) = (g o f)^*(w)."""
     w = check_internal_locale(X)
     if w is not None:
         raise SiteError(w)
@@ -355,21 +361,30 @@ def semidirect_site(
         for u in X.fiber(A).elements:
             if keep(A, u):
                 omap[semidirect_obj_name(A, u)] = (A, u)
+    order = {A: X.fiber(A).poset.pairs for A in base.objects}
+    sub = {f: X.sub(f).mapping for f in base.morphisms}
     morphisms, identities, comp = {}, {}, {}
     mdata: dict[str, str] = {}
+    named: dict[tuple[str, str, str], str] = {}  # (f, src, tgt) -> name
+    out_of: dict[str, list[tuple[str, str, str]]] = {}  # src -> (name, f, tgt)
     for nx, (A, u) in omap.items():
+        leq_A, out = order[A], out_of.setdefault(nx, [])
         for ny, (B, v) in omap.items():
             for f in base.hom(A, B):
-                if X.fiber(A).leq(u, X.sub(f)(v)):
-                    n = semidirect_mor_name(f, nx, ny)
+                if (u, sub[f][v]) in leq_A:
+                    n = named[f, nx, ny] = semidirect_mor_name(f, nx, ny)
                     morphisms[n] = Morphism(n, nx, ny)
                     mdata[n] = f
+                    out.append((n, f, ny))
     for nx, (A, u) in omap.items():
-        identities[nx] = semidirect_mor_name(base.identity(A), nx, nx)
-    for m1, m2 in composable_pairs(morphisms):
-        comp[(m2.name, m1.name)] = semidirect_mor_name(
-            base.compose(mdata[m2.name], mdata[m1.name]), m1.src, m2.tgt
-        )
+        identities[nx] = named[base.identity(A), nx, nx]
+    # the composable pairs in `composable_pairs` order: the first morphism
+    # in table order, which runs through `out_of` by source, then the second
+    base_comp = base.comp
+    for nx, out in out_of.items():
+        for n1, f1, ny in out:
+            for n2, f2, nz in out_of[ny]:
+                comp[n2, n1] = named[base_comp[f2, f1], nx, nz]
     cat = FinCategory(tuple(sorted(omap)), morphisms, comp, identities)
 
     adjoints = {

@@ -1,18 +1,21 @@
 """Small structures and fixture access that only the suites use: chain
 and antichain posets, the chain, one-element, four-element Boolean and M3
-lattices, the N5 pentagon, the definitional filter, prime-filter and
-ideal tests (the oracles of the up-set enumerations), the path of a
-shipped fixture, and a hyperdoctrine whose existential table breaks the
-adjunction law."""
+lattices, the N5 pentagon, the lattice tables found by scanning every
+element (the oracle of `FinLattice.from_poset`), the definitional filter,
+prime-filter and ideal tests (the oracles of the up-set enumerations), the
+path of a shipped fixture, and a hyperdoctrine whose existential table
+breaks the adjunction law."""
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
 from pathlib import Path
 
 from cohext.cohcat import LatticeCategory
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import CoherentHyperdoctrine, sub_hyperdoctrine
-from cohext.lattice import FinLattice, MonotoneMap
+from cohext.lattice import FinLattice, LatticeError, MonotoneMap
 from cohext.order import FinPoset
 
 
@@ -64,6 +67,28 @@ def n5() -> FinLattice:
             "0acb1", [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]
         )
     )
+
+
+def lattice_by_scan(poset: FinPoset) -> FinLattice:
+    """`FinLattice.from_poset` as it was before it read bitmasks: each meet
+    and join found by scanning every element for the lower and upper
+    bounds of the pair and then for their greatest and least members."""
+    if not poset.elements:
+        raise LatticeError("a lattice needs at least one element")
+    meet, join = {}, {}
+    for a, b in product(poset.elements, repeat=2):
+        lows = [x for x in poset.elements if poset.leq(x, a) and poset.leq(x, b)]
+        glb = [x for x in lows if all(poset.leq(y, x) for y in lows)]
+        ups = [x for x in poset.elements if poset.leq(a, x) and poset.leq(b, x)]
+        lub = [x for x in ups if all(poset.leq(x, y) for y in ups)]
+        if len(glb) != 1:
+            raise LatticeError(f"pair ({a},{b}) has no meet")
+        if len(lub) != 1:
+            raise LatticeError(f"pair ({a},{b}) has no join")
+        meet[(a, b)], join[(a, b)] = glb[0], lub[0]
+    bottom = reduce(lambda x, y: meet[x, y], poset.elements)
+    top = reduce(lambda x, y: join[x, y], poset.elements)
+    return FinLattice(poset, meet, join, bottom, top)
 
 
 def is_filter(L: FinLattice, s) -> bool:

@@ -1,12 +1,15 @@
 """Hyperdoctrine validators, the subobject and powerset constructions, and
 fiberwise canonical extension."""
 
+import json
 from dataclasses import replace
 
 from cohext.canext import canonical_extension, delta_extension
 from cohext.catalog import distributive_lattices
 from cohext.cohcat import ConcreteCohCategory, LatticeCategory
+from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import (
+    BaseLimits,
     canext_fo,
     canext_hyperdoctrine,
     canext_morphism,
@@ -18,6 +21,8 @@ from cohext.hyperdoctrine import (
     validate_fo,
     validate_morphism,
 )
+from cohext.jsonio import hyperdoctrine_from_json, load_category
+from cohext.predcat import PredCohCategory
 from cohext.sites import filter_hyperdoctrine
 from helpers import (
     boolean4,
@@ -254,3 +259,62 @@ def test_every_construction_satisfies_the_hyperdoctrine_laws():
         assert_lifts_are_delta(F, Fd, "forall")
         bases += 1
     assert bases == 39
+
+
+# -- the chosen pullback squares are built on first read ----------------------
+
+
+def counted_chosen_squares(monkeypatch) -> list:
+    """Record the category of every `chosen_squares` call."""
+    calls = []
+    for cls in (ConcreteCohCategory, LatticeCategory, PredCohCategory):
+        def counting(self, chosen=cls.chosen_squares):
+            calls.append(self)
+            return chosen(self)
+
+        monkeypatch.setattr(cls, "chosen_squares", counting)
+    return calls
+
+
+def test_squares_are_built_by_the_first_validation_only(monkeypatch):
+    calls = counted_chosen_squares(monkeypatch)
+    for name in ("three_chain.hyp.json", "broken_exists.hyp.json"):
+        data = json.loads((FIXTURE_DIR / name).read_text())
+        hyperdoctrine_from_json(data, FIXTURE_DIR)
+    assert calls == []
+    for C in (LatticeCategory(boolean4()), ConcreteCohCategory([frozenset("xy")])):
+        S = sub_hyperdoctrine(C)
+        Sd = canext_hyperdoctrine(S)
+        fo_from_cohcat(C)
+        filter_hyperdoctrine(C)
+        assert calls == []
+        assert validate(S).passed and validate(Sd).passed
+        assert calls == [C] and Sd.limits is S.limits
+        calls.clear()
+
+
+def site_fixture_categories():
+    """The three concrete fragments of the site sweep and every category
+    file among the fixtures."""
+    for seeds in (("x",), ("x", "y"), ("xy",)):
+        yield ConcreteCohCategory([frozenset(s) for s in seeds])
+    for path in sorted(FIXTURE_DIR.glob("*cat.json")):
+        yield load_category(path)
+
+
+def test_lazy_squares_validate_as_the_squares_built_up_front():
+    cases = [LatticeCategory(L) for L in distributive_lattices(6)]
+    cases += site_fixture_categories()
+    for C in cases:
+        eager = replace(BaseLimits.from_cohcat(C), squares=tuple(C.chosen_squares()))
+        S = sub_hyperdoctrine(C)
+        F = fo_from_cohcat(C)
+        for P in (S, canext_hyperdoctrine(S), filter_hyperdoctrine(C)):
+            assert validate(P) == validate(replace(P, limits=eager)), C
+        for P in (F, canext_fo(F)):
+            assert validate_fo(P) == validate_fo(replace(P, limits=eager)), C
+    P = broken_exists_hyperdoctrine()
+    eager = replace(P.limits, squares=tuple(P.limits.cohcat.chosen_squares()))
+    assert validate(P) == validate(replace(P, limits=eager))
+    assert not validate(P).passed
+    assert len(cases) == 13 + 3 + 5

@@ -32,6 +32,7 @@ from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine, unit_m
 from cohext.lattice import (
     FinLattice,
     LatticeHom,
+    LatticeError,
     MonotoneMap,
     NotDistributiveError,
     adjunction_failures,
@@ -64,6 +65,7 @@ from cohext.logic.parser import parse_theory
 from cohext.order import FinPoset, poset_failures
 from cohext.predcat import PredCategory, PredCohCategory
 from cohext.sites import filter_hyperdoctrine, locale_morphism, type_category
+from catalog_oracle import all_posets
 from helpers import (
     antichain,
     boolean4,
@@ -72,6 +74,7 @@ from helpers import (
     is_filter,
     is_ideal,
     is_prime_filter,
+    lattice_by_scan,
     m3,
     n5,
     trivial_lattice,
@@ -247,6 +250,30 @@ def assert_prime_filters_match_irreducibles(lattices):
                 assert pfp.leq(set_name(s), set_name(t)) == J.leq(
                     mapping[set_name(s)], mapping[set_name(t)]
                 )
+
+
+def test_from_poset_matches_the_scan_on_every_poset_up_to_six():
+    # most posets are not lattices, so the witness pair is compared too;
+    # the reversed element order moves which pair fails first
+    lattices = refused = 0
+    for n in range(7):
+        for P in all_posets(n):
+            for order in (P, FinPoset(P.elements[::-1], P.pairs)):
+                try:
+                    want = lattice_by_scan(order)
+                except LatticeError as e:
+                    with pytest.raises(LatticeError) as got:
+                        FinLattice.from_poset(order)
+                    assert str(got.value) == str(e)
+                    refused += 1
+                    continue
+                got = FinLattice.from_poset(order)
+                assert got.meet_table == want.meet_table
+                assert got.join_table == want.join_table
+                assert (got.bottom, got.top) == (want.bottom, want.top)
+                lattices += 1
+    # the 25 lattices of at most six elements and the 381 other posets
+    assert (lattices, refused) == (2 * 25, 2 * 381)
 
 
 def test_prime_filter_join_irreducible_bijection():

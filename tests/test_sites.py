@@ -1222,6 +1222,55 @@ def test_germ_of_refuses_a_domain_outside_the_source_filter():
     assert refused > 0
 
 
+def semidirect_site_oracle(C, X, keep=lambda A, u: True):
+    """`semidirect_site` as it was before it read the fiber orders and
+    substitution tables directly: a method call per order test and one
+    formatted name per composable pair."""
+    base = X.base
+    omap = {}
+    for A in base.objects:
+        for u in X.fiber(A).elements:
+            if keep(A, u):
+                omap[semidirect_obj_name(A, u)] = (A, u)
+    morphisms, identities, comp, mdata = {}, {}, {}, {}
+    for nx, (A, u) in omap.items():
+        for ny, (B, v) in omap.items():
+            for f in base.hom(A, B):
+                if X.fiber(A).leq(u, X.sub(f)(v)):
+                    n = semidirect_mor_name(f, nx, ny)
+                    morphisms[n] = Morphism(n, nx, ny)
+                    mdata[n] = f
+    for nx, (A, u) in omap.items():
+        identities[nx] = semidirect_mor_name(base.identity(A), nx, nx)
+    for m1, m2 in composable_pairs(morphisms):
+        comp[(m2.name, m1.name)] = semidirect_mor_name(
+            base.compose(mdata[m2.name], mdata[m1.name]), m1.src, m2.tgt
+        )
+    cat = FinCategory(tuple(sorted(omap)), morphisms, comp, identities)
+    adjoints = {f: X.sub(f).left_adjoint() for f in base.morphisms}
+    image = {n: adjoints[mdata[n]](omap[m.src][1]) for n, m in morphisms.items()}
+    return SemidirectSite(cat, None, {}, obj_data=omap, mor_data=mdata, image=image)
+
+
+def test_semidirect_site_matches_the_pairwise_builder():
+    cases = [LatticeCategory(L) for L in distributive_lattices(8)] + concrete_fragments()
+    built = 0
+    for C in cases:
+        X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+
+        def irreducible(A, x):
+            return is_join_irreducible(X.fiber(A), x)
+
+        for keep in (lambda A, u: True, irreducible):
+            got, want = semidirect_site(C, X, keep), semidirect_site_oracle(C, X, keep)
+            assert_same_category(got.cat, want.cat)
+            assert list(got.obj_data.items()) == list(want.obj_data.items())
+            assert list(got.mor_data.items()) == list(want.mor_data.items())
+            assert list(got.image.items()) == list(want.image.items())
+            built += 1
+    assert built == 2 * (36 + 3)
+
+
 def irreducible_site_oracle(C, X):
     """The irreducible site as built before `semidirect_site` took an
     object filter: the full semidirect site cut down by hand."""
