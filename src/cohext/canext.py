@@ -282,10 +282,16 @@ def sigma_extension(
 ) -> ExtendedMap:
     """The two-stage formula for f followed by the embedding of ce_t."""
     _check_lift_typing(f, ce_s, ce_t)
+    return ExtendedMap("sigma", f, ce_s, ce_t, sigma_map(f, ce_s, ce_t))
+
+
+def sigma_map(
+    f: MonotoneMap, ce_s: CanonicalExtension, ce_t: CanonicalExtension
+) -> MonotoneMap:
+    """The table of `sigma_extension`, unchecked: for a caller that knows
+    f's lattices are the bases of ce_s and ce_t."""
     value = {a: ce_t.embed[b] for a, b in f.mapping.items()}
-    table = _two_stage(ce_s, ce_t.ext, value)
-    table_map = MonotoneMap(ce_s.ext, ce_t.ext, table)
-    return ExtendedMap("sigma", f, ce_s, ce_t, table_map)
+    return MonotoneMap(ce_s.ext, ce_t.ext, _two_stage(ce_s, ce_t.ext, value))
 
 
 def pi_extension(

@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .canext import CanonicalExtension, canonical_extension, pi_extension, sigma_extension
+from .canext import (
+    CanonicalExtension,
+    canonical_extension,
+    pi_extension,
+    sigma_extension,
+    sigma_map,
+)
 from .cohcat import (
     CohCategory,
     MissingLimitError,
@@ -228,14 +234,23 @@ class CanextHyperdoctrine(CoherentHyperdoctrine):
 def canext_hyperdoctrine(P: CoherentHyperdoctrine) -> CanextHyperdoctrine:
     """Apply canonical extension to every fiber; substitution and the
     existential adjoints preserve finite joins and lift by their sigma
-    extensions."""
+    extensions.  `canonical_extension` finds each fiber's extension by
+    comparing the fiber with the extension's base, once per object, so a
+    table whose lattices are the fibers themselves is lifted without
+    comparing them again; any other goes through `sigma_extension`'s check."""
     exts = {A: canonical_extension(P.fibers[A]) for A in P.base.objects}
     fibers = {A: exts[A].ext for A in P.base.objects}
+
+    def lift(g: MonotoneMap, A: str, B: str) -> MonotoneMap:
+        if g.source is P.fibers[A] and g.target is P.fibers[B]:
+            return sigma_map(g, exts[A], exts[B])
+        return sigma_extension(g, exts[A], exts[B]).map
+
     subst, exists = {}, {}
     for f, m in P.base.morphisms.items():
-        s = sigma_extension(P.sub(f), exts[m.tgt], exts[m.src]).map
+        s = lift(P.sub(f), m.tgt, m.src)
         subst[f] = LatticeHom(s.source, s.target, s.mapping)
-        exists[f] = sigma_extension(P.ex(f), exts[m.src], exts[m.tgt]).map
+        exists[f] = lift(P.ex(f), m.src, m.tgt)
     return CanextHyperdoctrine(
         P.base, fibers, subst, exists, P.limits, fiber_ext=exts
     )

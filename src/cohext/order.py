@@ -80,8 +80,8 @@ def cached_method(method):
     tuple in a dict kept on the instance the same way, so they live and die
     with it, where a process-wide `functools.lru_cache` would keep every
     instance alive.  A function defined outside the class keeps its results
-    the same way on its first argument (`predcat.triple_projections` on a
-    base category).  A call that raises keeps nothing.  Most results do not
+    the same way on its first argument (`canext.extend_hom` on the hom it
+    extends).  A call that raises keeps nothing.  Most results do not
     refer back to the instance, which is then freed at once when dropped.
     Two kinds do.  An enumeration of maps kept on their source lattice
     (`lattice.FinLattice._maps_to`): each map names the lattice.  A lift

@@ -8,13 +8,15 @@ the program builds (see `hyperdoctrine`), so a relation f in P(A x B) is
 total and bounded exactly when its source predicate is a = ex_pi1(f) and
 its target predicate b satisfies b >= ex_pi2(f).  So the build reads each
 fiber P(A x B) once per pair of base objects, tests single-valuedness once
-per relation, and emits it at every such b.  Composition is relation
-composition through the triple product (A x B) x C, computed once per pair
-of composable relations, and the identity is the diagonal image; both are
-fixed formulas here, so A(P) is a category by theorem and is built without
-re-proving the laws: the CLI and the tests check them with
-`fincat.category_law_failures`, and `counit_equivalence_check` does before
-it builds the counit.
+per relation, and drops it into the bucket of each (source, target) pair
+of object ranks it joins, from which the morphisms are listed in order.
+Composition is relation composition through the triple product
+(A x B) x C, computed once per pair of composable relations from six
+tables the build reads once per triple of base objects, and the identity
+is the diagonal image; both are fixed formulas here, so A(P) is a
+category by theorem and is built without re-proving the laws: the CLI
+and the tests check them with `fincat.category_law_failures`, and
+`counit_equivalence_check` does before it builds the counit.
 """
 
 from __future__ import annotations
@@ -71,8 +73,7 @@ def pred_mor_name(f: str, src: str, tgt: str) -> str:
     return f"rel[{f}]:{src}->{tgt}"
 
 
-@dataclass(frozen=True)
-class RelData:
+class RelData(NamedTuple):
     src_obj: str
     src_elem: str
     tgt_obj: str
@@ -80,34 +81,28 @@ class RelData:
     elem: str  # element of fiber(product(src_obj, tgt_obj))
 
 
-class _Span(NamedTuple):
-    """The tables of the triple product (A x B) x C: substitution along its
-    projections onto A x B, A x C and B x C, its meet, and the existential
-    adjoints along the last two."""
-
-    sub12: dict[str, str]
-    sub13: dict[str, str]
-    sub23: dict[str, str]
-    meet: dict[tuple[str, str], str]
-    ex13: dict[str, str]
-    ex23: dict[str, str]
-
-
-@cached_method
-def triple_projections(
-    base: FinCategory, ab: ProductCone, t: ProductCone, ac: ProductCone, bc: ProductCone
-) -> tuple[str, str]:
-    """The projections pi13 and pi23 of the triple product t = ab x C onto
-    A x C and B x C, paired into the cones ac and bc.  They depend on the
-    base and the cones alone, so they are kept on the base category: the
-    predicate categories of S and S^delta over one base, which share its
-    chosen limits, pair each of them once."""
-    pi1 = base.compose(ab.pi1, t.pi1)
-    pi2 = base.compose(ab.pi2, t.pi1)
-    return (
-        pairing(base, ac, pi1, t.pi2),
-        pairing(base, bc, pi2, t.pi2),
-    )
+def triple_projections(P: CoherentHyperdoctrine, A: str, B: str, C: str) -> tuple[str, str]:
+    """The projections pi13 and pi23 of the triple product (A x B) x C onto
+    A x C and B x C, paired into the chosen products.  They depend on the
+    base and its chosen products alone, and every hyperdoctrine over one
+    base reads the products of the one coherent category the base belongs
+    to, so they are kept on the base category, keyed by (A, B, C): the
+    predicate categories of S and S^delta over one base pair each once."""
+    base, prod = P.base, P.limits.product
+    try:
+        kept = base._triple_projections
+    except AttributeError:
+        kept = {}
+        object.__setattr__(base, "_triple_projections", kept)
+    pis = kept.get((A, B, C))
+    if pis is None:
+        ab = prod(A, B)
+        t = prod(ab.obj, C)
+        pis = kept[A, B, C] = (
+            pairing(base, prod(A, C), base.compose(ab.pi1, t.pi1), t.pi2),
+            pairing(base, prod(B, C), base.compose(ab.pi2, t.pi1), t.pi2),
+        )
+    return pis
 
 
 class PredCategory:
@@ -116,110 +111,118 @@ class PredCategory:
     The build relies on exists being left adjoint to substitution, which
     holds by theorem and is not checked: a single-valued f in P(A x B) is
     then a morphism (A, ex_pi1(f)) -> (B, b) exactly when b >= ex_pi2(f).
-    One pass over each fiber P(A x B) finds every morphism; they are listed
-    by source, then target, then f in fiber order.  Each pair of composable
-    relations is composed once, and the composite is entered for every
-    target predicate of the second."""
+    One pass over each fiber P(A x B) drops f into the bucket of each such
+    (source, target) pair of object ranks, and the morphisms are listed
+    bucket by bucket: by source, then target, then f in fiber order.  The
+    six tables of each triple product (A x B) x C are read once per build,
+    into a dict local to it.  Each pair of composable relations is composed
+    once, with the tables the composite reads looked up once per relation f
+    and third object C, and the composite is entered for every target
+    predicate of the second."""
 
     def __init__(self, P: CoherentHyperdoctrine, budget: int | None = None):
         budget = budget if budget is not None else search_budget()
         self.P = P
-        base = P.base
+        base, prod = P.base, P.limits.product
         objs = [
             (A, a) for A in base.objects for a in P.fiber(A).elements
         ]
-        self.obj_data = {pred_obj_name(A, a): (A, a) for A, a in objs}
+        names = [pred_obj_name(A, a) for A, a in objs]
+        self.obj_data = dict(zip(names, objs))
         pairs = [(A, B) for A in base.objects for B in base.objects]
         # candidate count drives the enumeration budget
-        total = sum(len(P.fiber(self._pi(A, B).obj).elements) for A, B in pairs)
+        total = sum(len(P.fiber(prod(A, B).obj).elements) for A, B in pairs)
         if total > budget:
             raise BudgetError(
                 f"predicate-category enumeration needs {total} candidate checks, "
                 f"budget is {budget}; raise --budget to proceed"
             )
+        spans = {}
+
+        def span(A, B, C):
+            """sub along the projections of (A x B) x C onto A x B, A x C
+            and B x C, its meet, and ex along the last two."""
+            s = spans.get((A, B, C))
+            if s is None:
+                pi13, pi23 = triple_projections(P, A, B, C)
+                t = prod(prod(A, B).obj, C)
+                s = spans[A, B, C] = (
+                    P.sub(t.pi1).mapping, P.sub(pi13).mapping, P.sub(pi23).mapping,
+                    P.fiber(t.obj).meet_table, P.ex(pi13).mapping, P.ex(pi23).mapping,
+                )
+            return s
+
         rank = {X: i for i, X in enumerate(objs)}
-        above = {
-            A: {b: P.fiber(A).poset.up_set(b) for b in P.fiber(A).elements}
-            for A in base.objects
-        }
-        found = []
-        for A, B in pairs:
-            cone = self._pi(A, B)
-            ex1, ex2 = P.ex(cone.pi1).mapping, P.ex(cone.pi2).mapping
-            s = self._span(A, B, B)
-            below_diagonal = P.fiber(self._pi(B, B).obj).poset.down_set(
+        # above[B][b]: the ranks of the (B, c) with c >= b, from B's order pairs
+        above, below_diagonal = {}, {}
+        for B in base.objects:
+            ups = above[B] = {b: [] for b in P.fiber(B).elements}
+            for b, c in P.fiber(B).poset.pairs:
+                ups[b].append(rank[B, c])
+            below_diagonal[B] = P.fiber(prod(B, B).obj).poset.down_set(
                 self.identity_relation(B, P.fiber(B).top)
             )
-            for i, f in enumerate(P.fiber(cone.obj).elements):
-                if s.ex23[s.meet[(s.sub12[f], s.sub13[f])]] in below_diagonal:
-                    a = ex1[f]
-                    found += [
-                        (rank[(A, a)], rank[(B, b)], i, A, a, B, b, f)
-                        for b in above[B][ex2[f]]
-                    ]
+        n = len(objs)
+        buckets: dict[int, list[str]] = {}
+        for A, B in pairs:
+            cone = prod(A, B)
+            ex1, ex2 = P.ex(cone.pi1).mapping, P.ex(cone.pi2).mapping
+            sub12, sub13, _, meet, _, ex23 = span(A, B, B)
+            below, ups = below_diagonal[B], above[B]
+            for f in P.fiber(cone.obj).elements:
+                if ex23[meet[sub12[f], sub13[f]]] in below:
+                    src = rank[A, ex1[f]] * n
+                    for tgt in ups[ex2[f]]:
+                        buckets.setdefault(src + tgt, []).append(f)
         self.rels: dict[str, RelData] = {}
         morphisms: dict[str, Morphism] = {}
-        # (A, a, B, f) -> {b: name}, and the relations leaving each (A, a)
-        targets: dict[tuple[str, str, str, str], dict[str, str]] = {}
-        leaving: dict[tuple[str, str], list] = {}
-        for *_, A, a, B, b, f in sorted(found):
-            src, tgt = pred_obj_name(A, a), pred_obj_name(B, b)
-            n = pred_mor_name(f, src, tgt)
-            morphisms[n] = Morphism(n, src, tgt)
-            self.rels[n] = RelData(A, a, B, b, f)
-            f_at = targets.get((A, a, B, f))
-            if f_at is None:
-                f_at = targets[(A, a, B, f)] = {}
-                leaving.setdefault((A, a), []).append((B, f, f_at))
-            f_at[b] = n
+        # (A, a) -> B -> f -> {b: name}: the relations leaving each (A, a)
+        leaving: dict[tuple[str, str], dict[str, dict[str, dict[str, str]]]] = {}
+        for k in sorted(buckets):
+            i, j = divmod(k, n)
+            src, tgt = names[i], names[j]
+            A, a = objs[i]
+            B, b = objs[j]
+            at = leaving.setdefault((A, a), {}).setdefault(B, {})
+            for f in buckets[k]:
+                name = pred_mor_name(f, src, tgt)
+                morphisms[name] = Morphism(name, src, tgt)
+                self.rels[name] = RelData(A, a, B, b, f)
+                at.setdefault(f, {})[b] = name
         identities = {}
-        for A, a in objs:
-            ident = self.identity_relation(A, a)
-            n = pred_mor_name(
-                ident, pred_obj_name(A, a), pred_obj_name(A, a)
-            )
-            if n not in morphisms:
+        for (A, a), X in zip(objs, names):
+            ident = pred_mor_name(self.identity_relation(A, a), X, X)
+            if ident not in morphisms:
                 raise HyperdoctrineError(
                     f"diagonal image of ({A},{a}) is not a functional relation"
                 )
-            identities[pred_obj_name(A, a)] = n
+            identities[X] = ident
         comp = {}
-        for (A, a, B, f), f_at in targets.items():
-            for b, fn in f_at.items():
-                for C, g, g_at in leaving.get((B, b), ()):
-                    s = self._span(A, B, C)
-                    h_at = targets.get(
-                        (A, a, C, s.ex13[s.meet[(s.sub12[f], s.sub23[g])]]), {}
-                    )
-                    for c, gn in g_at.items():
-                        if c not in h_at:
-                            raise HyperdoctrineError(
-                                f"composite of {fn};{gn} is not a functional relation"
-                            )
-                        comp[(gn, fn)] = h_at[c]
-        self.cat = FinCategory(
-            tuple(sorted(self.obj_data)), morphisms, comp, identities
-        )
+        for (A, a), out in leaving.items():
+            for B, at in out.items():
+                for f, f_at in at.items():
+                    hoisted = {}
+                    for b, fn in f_at.items():
+                        for C, g_rels in leaving[B, b].items():
+                            h = hoisted.get(C)
+                            if h is None:
+                                sub12, _, sub23, meet, ex13, _ = span(A, B, C)
+                                h = hoisted[C] = sub12[f], sub23, meet, ex13, out.get(C, {})
+                            x, sub23, meet, ex13, h_rels = h
+                            for g, g_at in g_rels.items():
+                                h_at = h_rels.get(ex13[meet[x, sub23[g]]], {})
+                                for c, gn in g_at.items():
+                                    if c not in h_at:
+                                        raise HyperdoctrineError(
+                                            f"composite of {fn};{gn} is not a functional relation"
+                                        )
+                                    comp[gn, fn] = h_at[c]
+        self.cat = FinCategory(tuple(sorted(names)), morphisms, comp, identities)
 
     # -- relation calculus -------------------------------------------------
 
     def _pi(self, A: str, B: str) -> ProductCone:
         return self.P.limits.product(A, B)
-
-    @cached_method
-    def _span(self, A: str, B: str, C: str) -> _Span:
-        P = self.P
-        ab = self._pi(A, B)
-        t = P.limits.product(ab.obj, C)
-        pi13, pi23 = triple_projections(P.base, ab, t, self._pi(A, C), self._pi(B, C))
-        return _Span(
-            P.sub(t.pi1).mapping,
-            P.sub(pi13).mapping,
-            P.sub(pi23).mapping,
-            P.fiber(t.obj).meet_table,
-            P.ex(pi13).mapping,
-            P.ex(pi23).mapping,
-        )
 
     @cached_method
     def _diagonal(self, A: str) -> str:

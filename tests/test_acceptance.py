@@ -461,6 +461,33 @@ def test_criterion_11_on_every_lattice_of_nine_and_ten_elements():
             assert sheaf_glueing_and_coincidence(sized) == sieves
 
 
+def test_criteria_06_to_10_on_every_lattice_of_nine_elements():
+    """Criteria 6-10 on the 26 lattices of DL(=9), as the DL(<=8) tests run
+    them; criterion 9 finds one type object per prime filter.  Gates:
+    about 4x the slowest of the 0.68-0.87 s, 0.96-1.65 s, 1.55-1.65 s,
+    0.35-0.37 s and 0.68-0.89 s measured on a 2-vCPU host."""
+    lats = [L for L in distributive_lattices(9) if len(L.elements) == 9]
+    assert len(lats) == 26
+    with criterion(6, "posetal extension equivalence on DL(=9)", 3.5):
+        for L in lats:
+            check_posetal_extension_equivalence(L)
+    with criterion(7, "counit equivalence on DL(=9)", 7):
+        for L in lats:
+            rep = counit_equivalence_check(LatticeCategory(L))
+            assert rep.passed, rep.error
+            assert next(category_law_failures(rep.functor.source), None) is None
+    with criterion(8, "embedding p-model and factorization on DL(=9)", 7):
+        for L in lats:
+            check_embedding_universal_property(LatticeCategory(L))
+    with criterion(9, "localic type spaces on DL(=9)", 1.5):
+        for L in lats:
+            check_localic_type_space(L, len(prime_filters(L)))
+    with criterion(10, "comparison conditions on DL(=9)", 3.5):
+        for L in lats:
+            rep = comparison_report(LatticeCategory(L))
+            assert rep.passed, rep.witness
+
+
 def set_valued_models(C: LatticeCategory, D: ConcreteCohCategory):
     """Every functor from the lattice category C into the one-point fragment
     D, by one search over C's objects: an object map is a functor exactly

@@ -2,8 +2,12 @@
 fiberwise canonical extension."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
+import pytest
+
+from cohext import hyperdoctrine
 from cohext.canext import canonical_extension, delta_extension
 from cohext.catalog import distributive_lattices
 from cohext.cohcat import ConcreteCohCategory, LatticeCategory
@@ -22,6 +26,7 @@ from cohext.hyperdoctrine import (
     validate_morphism,
 )
 from cohext.jsonio import hyperdoctrine_from_json, load_category
+from cohext.lattice import FinLattice, LatticeError, LatticeHom
 from cohext.predcat import PredCohCategory
 from cohext.sites import filter_hyperdoctrine
 from helpers import (
@@ -318,3 +323,50 @@ def test_lazy_squares_validate_as_the_squares_built_up_front():
     assert validate(P) == validate(replace(P, limits=eager))
     assert not validate(P).passed
     assert len(cases) == 13 + 3 + 5
+
+
+def test_canext_hyperdoctrine_compares_no_lift_endpoints_by_structure(monkeypatch):
+    """Each fiber meets its extension's base in the extension cache's
+    lookup, at most once per object; no lift of a table between the fibers
+    compares lattices by structure."""
+    real_eq, real_extension = FinLattice.__eq__, hyperdoctrine.canonical_extension
+    looking_up, calls = [], Counter()
+
+    def eq(L, M):
+        calls["lookup" if looking_up else "lift"] += 1
+        return real_eq(L, M)
+
+    def extension(L):
+        looking_up.append(L)
+        try:
+            return real_extension(L)
+        finally:
+            looking_up.pop()
+
+    monkeypatch.setattr(FinLattice, "__eq__", eq)
+    monkeypatch.setattr(hyperdoctrine, "canonical_extension", extension)
+    objects = 0
+    for L in distributive_lattices(6):
+        S = sub_hyperdoctrine(LatticeCategory(L))
+        canext_hyperdoctrine(S)
+        objects += len(S.base.objects)
+    assert calls["lift"] == 0
+    assert 0 < calls["lookup"] <= objects
+
+
+def test_canext_hyperdoctrine_checks_tables_over_other_lattices_by_structure():
+    S = sub_hyperdoctrine(LatticeCategory(chain_lattice(3)))
+    # equal copies of the fibers lift as the fibers do
+    copies = {A: FinLattice.from_poset(F.poset) for A, F in S.fibers.items()}
+    subst = {
+        f: LatticeHom(copies[m.tgt], copies[m.src], S.sub(f).mapping)
+        for f, m in S.base.morphisms.items()
+    }
+    want, got = canext_hyperdoctrine(S), canext_hyperdoctrine(replace(S, subst=subst))
+    assert {f: h.mapping for f, h in got.subst.items()} == {
+        f: h.mapping for f, h in want.subst.items()
+    }
+    # a table over a lattice that is not its fiber is refused
+    subst["le(c0,c1)"] = LatticeHom(S.fibers["c2"], S.fibers["c0"], {})
+    with pytest.raises(LatticeError, match="map endpoints do not match"):
+        canext_hyperdoctrine(replace(S, subst=subst))

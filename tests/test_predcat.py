@@ -5,6 +5,7 @@ import gc
 import json
 import weakref
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -26,8 +27,13 @@ from cohext.fincat import (
     composable_pairs,
 )
 from cohext.fixtures import FIXTURE_DIR
-from cohext.hyperdoctrine import canext_hyperdoctrine, sub_hyperdoctrine
+from cohext.hyperdoctrine import (
+    HyperdoctrineError,
+    canext_hyperdoctrine,
+    sub_hyperdoctrine,
+)
 from cohext.jsonio import hyperdoctrine_from_json
+from cohext.lattice import MonotoneMap
 from cohext.predcat import (
     BudgetError,
     NotCoherentError,
@@ -44,7 +50,7 @@ from cohext.predcat import (
     triple_projections,
     universal_factorization,
 )
-from helpers import boolean4, chain_lattice, trivial_lattice
+from helpers import boolean4, broken_exists_hyperdoctrine, chain_lattice, trivial_lattice
 
 
 def test_pred_category_over_trivial_base_is_fiber_preorder():
@@ -369,16 +375,37 @@ def test_a_base_without_products_fails_as_the_candidate_search_does():
     assert str(got.value) == str(want.value)
 
 
+def test_a_composite_that_is_not_a_functional_relation_is_refused_at_the_first_pair():
+    # nine composable pairs of the broken table fail; the build names the
+    # first one in its listing order (source, target, relation)
+    with pytest.raises(HyperdoctrineError) as e:
+        PredCategory(broken_exists_hyperdoctrine())
+    assert str(e.value) == (
+        "composite of rel[c0]:(c0|c0)->(c1|c0);rel[c0]:(c1|c0)->(c2|c0) "
+        "is not a functional relation"
+    )
+
+
+def test_a_diagonal_image_that_is_not_a_functional_relation_is_refused():
+    S = sub_hyperdoctrine(LatticeCategory(chain_lattice(3)))
+    # the diagonal of c1 is le(c1,c1); its image of c0 jumps to c1
+    exists = dict(S.exists)
+    old = exists["le(c1,c1)"]
+    exists["le(c1,c1)"] = MonotoneMap(old.source, old.target, {**old.mapping, "c0": "c1"})
+    with pytest.raises(HyperdoctrineError) as e:
+        PredCategory(replace(S, exists=exists))
+    assert str(e.value) == "diagonal image of (c1,c0) is not a functional relation"
+
+
 # -- triple-product projections kept on the base ----------------------------------
 
 
-def triple_cones(P):
-    """(ab, t, ac, bc) for each triple (A, B, C) of base objects: the chosen
-    products A x B, (A x B) x C, A x C and B x C."""
+def triple_cones(P, A, B, C):
+    """(ab, t, ac, bc): the chosen products A x B, (A x B) x C, A x C and
+    B x C."""
     lim = P.limits
-    for A, B, C in product(P.base.objects, repeat=3):
-        ab = lim.product(A, B)
-        yield ab, lim.product(ab.obj, C), lim.product(A, C), lim.product(B, C)
+    ab = lim.product(A, B)
+    return ab, lim.product(ab.obj, C), lim.product(A, C), lim.product(B, C)
 
 
 def uncached_triple_projections(base, ab, t, ac, bc):
@@ -397,12 +424,13 @@ def pairing_bases():
 def test_kept_triple_projections_equal_an_uncached_pairing():
     for C in pairing_bases():
         canonical_extension_category(C)
-        kept = C.cat._triple_projections_results
-        cones = list(triple_cones(sub_hyperdoctrine(C)))
-        assert kept and set(kept) <= set(cones)
-        for key in cones:
-            assert triple_projections(C.cat, *key) == uncached_triple_projections(
-                C.cat, *key
+        kept = C.cat._triple_projections
+        S = sub_hyperdoctrine(C)
+        triples = list(product(C.cat.objects, repeat=3))
+        assert kept and set(kept) <= set(triples)
+        for key in triples:
+            assert triple_projections(S, *key) == uncached_triple_projections(
+                C.cat, *triple_cones(S, *key)
             )
 
 
@@ -427,7 +455,8 @@ def test_the_s_and_s_delta_builds_over_one_base_pair_each_projection_once(
             PredCategory(S)
             PredCategory(Sd)
         base, expected = C.cat, Counter()
-        for ab, t, ac, bc in base._triple_projections_results:
+        for key in base._triple_projections:
+            ab, t, ac, bc = triple_cones(S, *key)
             for cone, p in ((ac, ab.pi1), (bc, ab.pi2)):
                 legs = ((cone.pi1, base.compose(p, t.pi1)), (cone.pi2, t.pi2))
                 expected[(t.obj, cone.obj, legs)] += 1
@@ -441,14 +470,18 @@ def test_a_base_that_kept_triple_projections_leaves_no_reference_cycle():
     # as `test_cached_data_leaves_no_reference_cycle`: a dropped base is
     # freed by reference counting, not left to the cyclic collector
     C = LatticeCategory(chain_lattice(3))
-    key = next(triple_cones(sub_hyperdoctrine(C)))
+    S = sub_hyperdoctrine(C)
+    key = ("c0", "c1", "c0")
     gc.disable()
     try:
         base = FinCategory(C.cat.objects, C.cat.morphisms, C.cat.comp, C.cat.identities)
-        assert triple_projections(base, *key) == uncached_triple_projections(C.cat, *key)
-        assert list(base._triple_projections_results) == [key]
+        P = replace(S, base=base)
+        assert triple_projections(P, *key) == uncached_triple_projections(
+            C.cat, *triple_cones(S, *key)
+        )
+        assert list(base._triple_projections) == [key]
         ref = weakref.ref(base)
-        del base
+        del base, P
         assert ref() is None
     finally:
         gc.enable()
