@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import ClassVar
 
-from .order import assignments
+from .order import assignments, cached
 
 
 class CategoryError(ValueError):
@@ -86,6 +86,11 @@ class FinCategory:
             object.__setattr__(
                 self, name, {k: tuple(sorted(v)) for k, v in index.items()}
             )
+
+    @cached
+    def thin(self) -> bool:
+        """Every hom-set has at most one member."""
+        return all(len(names) <= 1 for names in self._hom.values())
 
     def src(self, f: str) -> str:
         return self.morphisms[f].src
@@ -155,7 +160,7 @@ def category_law_failures(cat: FinCategory):
     witness."""
     tables = list(_table_failures(cat))
     yield from tables
-    if tables or all(len(names) <= 1 for names in cat._hom.values()):
+    if tables or cat.thin:
         return
     comp, ids = cat.comp, cat.identities
     for f in cat.morphisms.values():
@@ -199,6 +204,13 @@ class FinFunctor:
     mor_map: dict[str, str]
 
     def __post_init__(self):
+        """Check that both maps are total and well typed, then that the
+        functor keeps identities and composites.  The second check is
+        skipped when the target is thin, on the precondition that both
+        categories' tables are well typed (`category_law_failures`): then
+        F(id A) and id F(A) lie in Hom(F A, F A), and F(g o f) and
+        F g o F f in Hom(F src f, F tgt g), each with at most one member,
+        so they are equal."""
         for A in self.source.objects:
             if self.obj_map.get(A) not in self.target.objects:
                 raise CategoryError(f"functor undefined or mistyped on object {A}")
@@ -209,6 +221,8 @@ class FinFunctor:
             gm = self.target.morphisms[g]
             if gm.src != self.obj_map[m.src] or gm.tgt != self.obj_map[m.tgt]:
                 raise CategoryError(f"functor mistyped on morphism {f}")
+        if self.target.thin:
+            return
         for A in self.source.objects:
             if self.mor_map[self.source.identity(A)] != self.target.identity(
                 self.obj_map[A]

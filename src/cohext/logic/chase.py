@@ -32,48 +32,31 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class FinModel:
+    """A finite structure for a theory's signature: the carrier of each
+    sort, each function's table from argument tuples to elements and each
+    relation's set of rows.  The chase reads a view of its own partial
+    tables through it, and model enumeration a view of its partial
+    assignment.  Terms and formulas are evaluated by the closures their
+    nodes compile once (`syntax`), which read `sorts`, `funcs` and `rels`."""
+
     theory: Theory
     sorts: dict[str, tuple[str, ...]]
     funcs: dict[str, dict[tuple, str]]
     rels: dict[str, frozenset]
 
     def eval_term(self, t, env: dict) -> str:
-        if isinstance(t, Var):
-            return env[t.name]
-        return self.funcs[t.func][tuple(self.eval_term(a, env) for a in t.args)]
+        return t.value(self.funcs, env)
 
     def satisfies_formula(self, phi, env: dict) -> bool:
-        if isinstance(phi, Truth):
-            return True
-        if isinstance(phi, Falsity):
-            return False
-        if isinstance(phi, RelAtom):
-            args = tuple(self.eval_term(t, env) for t in phi.args)
-            return args in self.rels[phi.rel]
-        if isinstance(phi, Eq):
-            return self.eval_term(phi.lhs, env) == self.eval_term(phi.rhs, env)
-        if isinstance(phi, And):
-            return all(self.satisfies_formula(p, env) for p in phi.parts)
-        if isinstance(phi, Or):
-            return any(self.satisfies_formula(p, env) for p in phi.parts)
-        if isinstance(phi, Exists):
-            domains = [self.sorts[b.sort] for b in phi.binders]
-            return any(
-                self.satisfies_formula(
-                    phi.body,
-                    {**env, **{b.name: v for b, v in zip(phi.binders, choice)}},
-                )
-                for choice in iproduct(*domains)
-            )
-        raise TypeError(phi)
+        """phi's truth under env, by its compiled closure (`syntax`)."""
+        return phi.holds(self, env)
 
     def satisfies(self, seq: Sequent) -> bool:
+        lhs, rhs = seq.lhs.holds, seq.rhs.holds
         domains = [self.sorts[v.sort] for v in seq.context]
         for choice in iproduct(*domains):
             env = {v.name: x for v, x in zip(seq.context, choice)}
-            if self.satisfies_formula(seq.lhs, env) and not self.satisfies_formula(
-                seq.rhs, env
-            ):
+            if lhs(self, env) and not rhs(self, env):
                 return False
         return True
 
@@ -260,10 +243,15 @@ def _totality_sequent(f, args, res) -> Sequent:
 
 
 def _holds(model, phi, env) -> bool:
-    """Satisfaction over possibly-partial function tables: an atom with an
-    undefined subterm does not hold."""
+    """Satisfaction over possibly-partial function tables: a read of an
+    undefined function value raises `KeyError`, which escapes the whole
+    formula, so the formula reads as not holding, even where a part read
+    later would make it hold.  Only a part that decides the formula before
+    the evaluation reaches the undefined term keeps its value: with f(c)
+    undefined and Q(c) true, `Q(c) or P(f(c))` holds but `P(f(c)) or Q(c)`
+    does not."""
     try:
-        return model.satisfies_formula(phi, env)
+        return phi.holds(model, env)
     except KeyError:
         return False
 

@@ -1,11 +1,12 @@
 """Scanner and recursive-descent parser for the theory file format.
 
-Layout: declarations (sort / fun / rel) followed by sequents.  'and' binds
-tighter than 'or'; a quantifier body extends as far right as possible.
-Sequent contexts are optional: missing variable sorts are inferred from
-their first constraining use, and a variable with no constraining use is a
-sort error carrying its location.  Binders are renamed apart from the
-free variables and from each other as they are read, so each sequent is
+Layout: declarations (sort / fun / rel) and sequents, in any order; each
+sequent sees only the declarations above it.  'and' binds tighter than
+'or'; a quantifier body extends as far right as possible.  Sequent
+contexts are optional: missing variable sorts are inferred from their
+first constraining use, and a variable with no constraining use is a sort
+error carrying its location.  Binders are renamed apart from the free
+variables and from each other as they are read, so each sequent is
 elaborated in one flat environment.
 
 Lexical rules (docs/grammar.md, "Lexical structure"): tokens are
@@ -17,11 +18,23 @@ characters from 1.  Declared names must be identifiers, and no sort,
 function or relation is declared twice.
 
 `scan` reads the text one line at a time, with no Python loop over
-characters or tokens: each line is cut at its first '//', one regex match
-finds where its first stray character would be, and one `findall` lists
-its tokens.  A token is kept as its text, its line and its place on the
-line; its column is found only when a span is read, for an error or for a
-sequent's start, so the parser and elaboration pass token indices around.
+characters or tokens: each line is cut at its first '//' and one `findall`
+lists its tokens.  Tokens never hold a blank and a stray character is in
+no token, so the line has a stray character exactly when its tokens are
+shorter in all than its non-blank characters; only then does one regex
+match find where the first one is.  A token is kept as its text, its line
+and its place on the line; its column is found only when a span is read,
+for an error or for a sequent's start, so the parser and elaboration pass
+token indices around.  The parser reads the token texts in place: on the
+paths every sequent takes it compares `texts[pos]` and moves `pos` itself.
+
+Each sequent is elaborated in three steps (`elaborate_sequent`):
+`_collect_free` checks every symbol, arity and context use and lists the
+free variables; the `_infer` fixpoint runs only while some variable's sort
+is unknown; then one walk (`_formula`, `_term`) makes `_infer`'s checks, in
+`_infer`'s order, and builds the AST.  Errors come in that order: a syntax
+error before any sort error, a symbol, arity or context error before a
+sort clash, a sort clash before an unknown or undeclared variable sort.
 """
 
 from __future__ import annotations
@@ -92,8 +105,8 @@ class Scan(NamedTuple):
 
 def scan(text: str) -> Scan:
     """The tokens of `text`, or a ParseError at its first stray character.
-    A line's tokens and blanks are checked by one match and its tokens
-    listed by one `findall`, before and without its comment."""
+    A line's tokens are listed by one `findall`, before and without its
+    comment; `str.split` drops exactly the characters that `\\s` matches."""
     lines = text.splitlines()
     texts: list[str] = []
     line_of: list[int] = []
@@ -102,10 +115,10 @@ def scan(text: str) -> Scan:
         cut = line.find("//")
         if cut >= 0:
             line = line[:cut]
-        end = _CLEAN(line).end()
-        if end < len(line):
-            raise ParseError(f"unexpected character {line[end]!r}", (ln, end + 1))
         words = _TOKEN.findall(line)
+        if len("".join(words)) != len("".join(line.split())):
+            end = _CLEAN(line).end()
+            raise ParseError(f"unexpected character {line[end]!r}", (ln, end + 1))
         texts += words
         line_of += [ln] * len(words)
         place += range(len(words))
@@ -124,9 +137,16 @@ class RawTerm(NamedTuple):
 _raw_term = partial(tuple.__new__, RawTerm)
 
 
+def _found(text: str) -> str:
+    return repr(text) if text else "end of input"
+
+
 class Parser:
     """Reads token texts; a token is named by its index in the scan, and
-    its (line, column) is found only for an error or a sequent's span."""
+    its (line, column) is found only for an error or a sequent's span.
+    Only the EOF token has the empty text, so a token whose text is
+    compared equal to a punctuation or keyword is never EOF and the token
+    after it exists."""
 
     def __init__(self, tokens: Scan):
         self.locate = tokens.locate
@@ -141,17 +161,12 @@ class Parser:
         self.bound: dict[str, tuple[str | None, int]] = {}
         self.clashes: set[str] = set()
 
-    def next(self) -> int:
-        """The next token's index; it is consumed unless it is EOF."""
-        i = self.pos
-        if i < self.eof:
-            self.pos = i + 1
-        return i
-
     def expect(self, text: str):
-        i = self.next()
-        if self.texts[i] != text:
-            raise ParseError(f"expected {text!r}, found {self.texts[i]!r}", self.locate(i))
+        i = self.pos
+        t = self.texts[i]
+        if t != text:
+            raise ParseError(f"expected {text!r}, found {_found(t)}", self.locate(i))
+        self.pos = i + 1
 
     def accept(self, text: str) -> bool:
         """Consume the next token if its text is `text` (never EOF's)."""
@@ -163,11 +178,11 @@ class Parser:
     def name(self, what: str) -> str:
         """Read an identifier and return it; `what` says what it names when
         the next token is not one."""
-        i = self.next()
+        i = self.pos
         t = self.texts[i]
         if t in _KIND:
-            found = repr(t) if t else "end of input"
-            raise ParseError(f"expected {what}, found {found}", self.locate(i))
+            raise ParseError(f"expected {what}, found {_found(t)}", self.locate(i))
+        self.pos = i + 1
         return t
 
     # -- declarations ----------------------------------------------------
@@ -178,14 +193,18 @@ class Parser:
         rels: dict = {}
         declared: dict = {}  # (kind, name) -> the token of the name declared
         sequents = []
+        texts = self.texts
         # The declarations so far, built when a sequent follows new ones.  It
         # shares the dicts: a sequent is elaborated before the next
         # declaration is read, so it sees only the declarations above it.
         sig = None
         while self.pos < self.eof:
-            if self.accept("sort"):
+            t = texts[self.pos]
+            if t == "sort":
+                self.pos += 1
                 sorts.append(self._declare("sort", declared))
-            elif self.accept("fun"):
+            elif t == "fun":
+                self.pos += 1
                 name = self._declare("function", declared)
                 self.expect(":")
                 args = []
@@ -193,13 +212,13 @@ class Parser:
                     # sorts are separated by commas: a sort name right
                     # after a sort is refused here, any other token by `name`
                     at = self.pos
-                    t = self.texts[at]
+                    t = texts[at]
                     if args and not self.accept(",") and t not in _KIND:
-                        found = f"found {t!r}"
-                        raise ParseError(f"expected ',' or '->', {found}", self.locate(at))
+                        raise ParseError(f"expected ',' or '->', found {t!r}", self.locate(at))
                     args.append(self.name("a sort name"))
                 funcs[name] = (tuple(args), self.name("a sort name"))
-            elif self.accept("rel"):
+            elif t == "rel":
+                self.pos += 1
                 name = self._declare("relation", declared)
                 self.expect(":")
                 args = [self.name("a sort name")]
@@ -253,38 +272,53 @@ class Parser:
 
     def _try_context(self):
         """`x:A, y:B |` if the sequent starts with one, else () and no
-        token consumed."""
-        save = self.pos
+        token consumed.  A sort is whatever token follows the ':', EOF
+        included; elaboration refuses it if it is no declared sort."""
+        texts = self.texts
+        i = self.pos
         binds = []
         while True:
-            t = self.texts[self.next()]
-            if t in _KIND or not self.accept(":"):
-                break
-            binds.append((t, self.texts[self.next()]))
-            if self.accept("|"):
+            t = texts[i]
+            if t in _KIND or texts[i + 1] != ":":
+                return ()
+            sort = texts[i + 2]
+            binds.append((t, sort))
+            i += 3 if sort else 2  # EOF is never consumed
+            t = texts[i]
+            if t == "|":
+                self.pos = i + 1
                 return tuple(binds)
-            if not self.accept(","):
-                break
-        self.pos = save
-        return ()
+            if t != ",":
+                return ()
+            i += 1
 
     # -- formulas -----------------------------------------------------------
 
     def parse_formula(self):
-        parts = [self.parse_conjunct()]
-        while self.accept("or"):
+        part = self.parse_conjunct()
+        if self.texts[self.pos] != "or":
+            return part
+        parts = [part]
+        while self.texts[self.pos] == "or":
+            self.pos += 1
             parts.append(self.parse_conjunct())
-        return parts[0] if len(parts) == 1 else ("or", tuple(parts))
+        return ("or", tuple(parts))
 
     def parse_conjunct(self):
-        parts = [self.parse_quantified()]
-        while self.accept("and"):
+        part = self.parse_quantified()
+        if self.texts[self.pos] != "and":
+            return part
+        parts = [part]
+        while self.texts[self.pos] == "and":
+            self.pos += 1
             parts.append(self.parse_quantified())
-        return parts[0] if len(parts) == 1 else ("and", tuple(parts))
+        return ("and", tuple(parts))
 
     def parse_quantified(self):
-        if not self.accept("exists"):
+        texts = self.texts
+        if texts[self.pos] != "exists":
             return self.parse_atom()
+        self.pos += 1
         # Each binder is renamed apart from every name taken so far in the
         # sequent, so one flat environment covers the whole sequent.  It
         # names that binder inside its body only.
@@ -292,11 +326,16 @@ class Parser:
         self.renaming = dict(outer)
         binders = []
         while True:
-            i = self.next()
-            t = self.texts[i]
+            i = self.pos
+            t = texts[i]
             if t in _KIND:
-                raise ParseError("expected a bound variable", self.locate(i))
-            sort = self.texts[self.next()] if self.accept(":") else None
+                raise ParseError(f"expected a bound variable, found {_found(t)}", self.locate(i))
+            sort = None
+            if texts[i + 1] == ":":
+                sort = texts[i + 2]
+                self.pos = i + 3 if sort else i + 2  # EOF is never consumed
+            else:
+                self.pos = i + 1
             fresh = t
             while fresh in self.taken:
                 fresh += "'"
@@ -304,8 +343,9 @@ class Parser:
             self.renaming[t] = fresh
             self.bound[fresh] = (sort, i)
             binders.append((fresh, sort, i))
-            if not self.accept(","):
+            if texts[self.pos] != ",":
                 break
+            self.pos += 1
         self.expect(".")
         body = self.parse_formula()
         self.renaming = outer
@@ -322,22 +362,29 @@ class Parser:
             self.expect(")")
             return phi
         term = self.parse_term()
-        if self.accept("="):
+        if self.texts[self.pos] == "=":
+            self.pos += 1
             return ("eq", term, self.parse_term())
         return ("atomT", term)
 
     def parse_term(self) -> RawTerm:
-        i = self.next()
-        t = self.texts[i]
+        texts = self.texts
+        i = self.pos
+        t = texts[i]
         if t in _KIND:
-            raise ParseError(f"expected a term, found {t!r}", self.locate(i))
-        args = []
-        if self.accept("("):
-            if self.texts[self.pos] != ")":
-                args.append(self.parse_term())
-                while self.accept(","):
+            raise ParseError(f"expected a term, found {_found(t)}", self.locate(i))
+        args = ()
+        if texts[i + 1] == "(":
+            self.pos = i + 2
+            if texts[i + 2] != ")":
+                args = [self.parse_term()]
+                while texts[self.pos] == ",":
+                    self.pos += 1
                     args.append(self.parse_term())
+                args = tuple(args)
             self.expect(")")
+        else:
+            self.pos = i + 1
         name = self.renaming.get(t)
         if name is None:
             name = t
@@ -345,7 +392,7 @@ class Parser:
                 self.taken.add(name)
                 if name in self.bound:
                     self.clashes.add(name)
-        return _raw_term((name, tuple(args), i))
+        return _raw_term((name, args, i))
 
 
 # -- elaboration ------------------------------------------------------------------
@@ -363,7 +410,12 @@ class _Misplaced(Exception):
 
 def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
     """`span` is where the sequent starts; `bound` maps each binder of the
-    two sides to its declared sort (or None) and its token."""
+    two sides to its declared sort (or None) and its token.
+
+    Once no sort is unknown, a pass of `_infer` changes nothing and only
+    checks, so the walk that builds the AST makes that pass's checks in its
+    order and raises the error it would raise first.  Its equations and
+    arguments then agree in sort, as the AST needs."""
     explicit = bool(context)
     env: dict[str, str | None] = {}
     tokens: dict[str, int] = {}
@@ -380,9 +432,14 @@ def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
         tokens[name] = at
     _collect_free(sig, raw_lhs, env, tokens, order, explicit)
     _collect_free(sig, raw_rhs, env, tokens, order, explicit)
-    for _ in range(1 + len(env)):
+    # each pass that changes a sort fills at least one unknown one
+    while None in env.values():
         if not (_infer(sig, raw_lhs, env) | _infer(sig, raw_rhs, env)):
-            break
+            break  # a sort stays unknown, which the loop below reports
+    else:  # every sort is known
+        var = {name: Var(name, sort) for name, sort in env.items()}
+        lhs = _formula(sig.funcs, sig.rels, raw_lhs, var)
+        rhs = _formula(sig.funcs, sig.rels, raw_rhs, var)
     for name, sort in env.items():
         # a context variable's sort was checked above; every other name has
         # a token
@@ -390,30 +447,24 @@ def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
             raise _Misplaced(f"cannot infer a sort for variable {name}", tokens[name])
         if sort not in sig.sorts:
             raise _Misplaced(f"unknown sort {sort}", tokens[name])
-    var = {name: Var(name, sort) for name, sort in env.items()}
-    lhs = _elab_formula(sig, raw_lhs, var)
-    rhs = _elab_formula(sig, raw_rhs, var)
     return Sequent(tuple([var[n] for n in order]), lhs, rhs, span)
 
 
 def _collect_free(sig, raw, env, tokens, order, explicit):
     kind = raw[0]
-    if kind in ("true", "false"):
-        return
-    if kind == "eq":
-        _collect_term(sig, raw[1], env, tokens, order, explicit)
-        _collect_term(sig, raw[2], env, tokens, order, explicit)
-    elif kind == "atomT":
+    if kind == "atomT":
         t = raw[1]
-        if t.head not in sig.rels:
+        args = sig.rels.get(t.head)
+        if args is None:
             raise _Misplaced(f"unknown relation {t.head}", t.at)
-        if len(sig.rels[t.head]) != len(t.args):
-            raise _Misplaced(
-                f"relation {t.head} expects {len(sig.rels[t.head])} arguments", t.at
-            )
+        if len(args) != len(t.args):
+            raise _Misplaced(f"relation {t.head} expects {len(args)} arguments", t.at)
         for a in t.args:
             _collect_term(sig, a, env, tokens, order, explicit)
-    elif kind in ("and", "or"):
+    elif kind == "eq":
+        _collect_term(sig, raw[1], env, tokens, order, explicit)
+        _collect_term(sig, raw[2], env, tokens, order, explicit)
+    elif kind == "and" or kind == "or":
         for p in raw[1]:
             _collect_free(sig, p, env, tokens, order, explicit)
     elif kind == "exists":
@@ -421,12 +472,10 @@ def _collect_free(sig, raw, env, tokens, order, explicit):
 
 
 def _collect_term(sig, t: RawTerm, env, tokens, order, explicit):
-    if t.head in sig.funcs:
-        if len(sig.funcs[t.head][0]) != len(t.args):
-            raise _Misplaced(
-                f"function {t.head} expects {len(sig.funcs[t.head][0])} arguments",
-                t.at,
-            )
+    f = sig.funcs.get(t.head)
+    if f is not None:
+        if len(f[0]) != len(t.args):
+            raise _Misplaced(f"function {t.head} expects {len(f[0])} arguments", t.at)
         for a in t.args:
             _collect_term(sig, a, env, tokens, order, explicit)
         return
@@ -485,51 +534,44 @@ def _push(sig, t: RawTerm, sort, env) -> bool:
     return False
 
 
-def _elab_formula(sig, raw, var):
+def _formula(funcs, rels, raw, var):
+    """The AST of a side, checked as a pass of `_infer` with every sort
+    known checks it: an equation's sides at the sort of its left side, a
+    relation's arguments at its argument sorts."""
     kind = raw[0]
-    if kind == "true":
-        return Truth()
-    if kind == "false":
-        return Falsity()
-    if kind == "eq":
-        lhs, rhs = _elab_term(sig, raw[1], var), _elab_term(sig, raw[2], var)
-        if lhs.sort != rhs.sort:
-            raise _Misplaced(
-                f"equality between sorts {lhs.sort} and {rhs.sort}", raw[1].at
-            )
-        return Eq(lhs, rhs)
     if kind == "atomT":
         t = raw[1]
-        terms = tuple([_elab_term(sig, a, var) for a in t.args])
-        for tm, s, rt in zip(terms, sig.rels[t.head], t.args):
-            if tm.sort != s:
-                raise _Misplaced(
-                    f"argument of {t.head} has sort {tm.sort}, expected {s}", rt.at
-                )
-        return RelAtom(t.head, terms)
+        return RelAtom(
+            t.head, tuple([_term(funcs, a, s, var) for a, s in zip(t.args, rels[t.head])])
+        )
+    if kind == "eq":
+        lhs = raw[1]
+        f = funcs.get(lhs.head)
+        sort = var[lhs.head].sort if f is None else f[1]
+        return Eq(_term(funcs, lhs, sort, var), _term(funcs, raw[2], sort, var))
     if kind == "and":
-        return And(tuple([_elab_formula(sig, p, var) for p in raw[1]]))
+        return And(tuple([_formula(funcs, rels, p, var) for p in raw[1]]))
     if kind == "or":
-        return Or(tuple([_elab_formula(sig, p, var) for p in raw[1]]))
+        return Or(tuple([_formula(funcs, rels, p, var) for p in raw[1]]))
     if kind == "exists":
-        binders = tuple(var[name] for name, _, _ in raw[1])
-        return Exists(binders, _elab_formula(sig, raw[2], var))
-    raise ParseError(f"malformed formula {raw!r}")
+        binders = tuple([var[name] for name, _, _ in raw[1]])
+        return Exists(binders, _formula(funcs, rels, raw[2], var))
+    return Truth() if kind == "true" else Falsity()
 
 
-def _elab_term(sig, t: RawTerm, var):
-    if t.head in sig.funcs:
-        args, res = sig.funcs[t.head]
-        terms = tuple([_elab_term(sig, a, var) for a in t.args])
-        for tm, s in zip(terms, args):
-            if tm.sort != s:
-                raise _Misplaced(
-                    f"argument of {t.head} has sort {tm.sort}, expected {s}", t.at
-                )
-        return App(t.head, terms, res)
-    return var[t.head]
+def _term(funcs, t: RawTerm, sort, var):
+    """The term t, checked at `sort` as `_push` checks it."""
+    f = funcs.get(t.head)
+    if f is None:
+        v = var[t.head]
+        if v.sort != sort:
+            raise _Misplaced(f"variable {t.head} used at sorts {v.sort} and {sort}", t.at)
+        return v
+    args, res = f
+    if res != sort:
+        raise _Misplaced(f"term {t.head} has sort {res}, expected {sort}", t.at)
+    return App(t.head, tuple([_term(funcs, a, s, var) for a, s in zip(t.args, args)]), res)
 
 
 def parse_theory(text: str) -> Theory:
     return Parser(scan(text)).parse_theory()
-

@@ -1,10 +1,28 @@
 """AST for the coherent-logic frontend: signatures, terms, formulas over
 true/false/and/or/exists/=, sequents, and theories, with a canonical
-pretty-printer."""
+pretty-printer.
+
+Each term and formula is compiled, on its first evaluation, into a closure
+that is kept on its node (`order.cached`): a term's `value(funcs, env)` is
+its element, a formula's `holds(model, env)` its truth in a model with
+`sorts`, `funcs` and `rels` tables (`chase.FinModel`), both under an
+assignment `env` of elements to variable names.  A closure reads the
+tables in the order of the recursive interpreter it replaced: a term's
+arguments left to right before its own cell, a relation's arguments
+before its row, an equation's left side before its right, the parts of a
+conjunction or disjunction left to right until one decides it, and an
+existential's choices in `itertools.product` order of its binders'
+carriers until one holds.  So it gives the same value and lets the same
+exception escape: a `KeyError` from an undefined cell or variable, or
+whatever a partial table raises for a cell not yet assigned.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+
+from ..order import cached
 
 
 class SortError(ValueError):
@@ -51,12 +69,31 @@ class Var:
     name: str
     sort: str
 
+    @cached
+    def value(self):
+        name = self.name
+        return lambda funcs, env: env[name]
+
 
 @dataclass(frozen=True)
 class App:
     func: str
     args: tuple
     sort: str
+
+    @cached
+    def value(self):
+        f, args = self.func, self.args
+        if not args:
+            return lambda funcs, env: funcs[f][()]
+        if len(args) == 1:
+            if isinstance(args[0], Var):
+                x = args[0].name
+                return lambda funcs, env: funcs[f][(env[x],)]
+            a = args[0].value
+            return lambda funcs, env: funcs[f][(a(funcs, env),)]
+        values = [t.value for t in args]
+        return lambda funcs, env: funcs[f][tuple([v(funcs, env) for v in values])]
 
 
 def print_term(t) -> str:
@@ -72,12 +109,16 @@ def print_term(t) -> str:
 
 @dataclass(frozen=True)
 class Truth:
-    pass
+    @cached
+    def holds(self):
+        return lambda model, env: True
 
 
 @dataclass(frozen=True)
 class Falsity:
-    pass
+    @cached
+    def holds(self):
+        return lambda model, env: False
 
 
 @dataclass(frozen=True)
@@ -85,27 +126,120 @@ class RelAtom:
     rel: str
     args: tuple
 
+    @cached
+    def holds(self):
+        r, args = self.rel, self.args
+        if len(args) == 1:
+            a = args[0].value
+            return lambda model, env: (a(model.funcs, env),) in model.rels[r]
+        if len(args) == 2:
+            a, b = args[0].value, args[1].value
+
+            def holds(model, env):
+                funcs = model.funcs
+                return (a(funcs, env), b(funcs, env)) in model.rels[r]
+
+            return holds
+        values = [t.value for t in args]
+
+        def holds(model, env):
+            funcs = model.funcs
+            return tuple([v(funcs, env) for v in values]) in model.rels[r]
+
+        return holds
+
 
 @dataclass(frozen=True)
 class Eq:
     lhs: object
     rhs: object
 
+    @cached
+    def holds(self):
+        a, b = self.lhs.value, self.rhs.value
+
+        def holds(model, env):
+            funcs = model.funcs
+            return a(funcs, env) == b(funcs, env)
+
+        return holds
+
 
 @dataclass(frozen=True)
 class And:
     parts: tuple  # two or more
+
+    @cached
+    def holds(self):
+        parts = [p.holds for p in self.parts]
+        if len(parts) == 2:
+            p, q = parts
+            return lambda model, env: p(model, env) and q(model, env)
+
+        def holds(model, env):
+            for p in parts:
+                if not p(model, env):
+                    return False
+            return True
+
+        return holds
 
 
 @dataclass(frozen=True)
 class Or:
     parts: tuple
 
+    @cached
+    def holds(self):
+        parts = [p.holds for p in self.parts]
+        if len(parts) == 2:
+            p, q = parts
+            return lambda model, env: p(model, env) or q(model, env)
+
+        def holds(model, env):
+            for p in parts:
+                if p(model, env):
+                    return True
+            return False
+
+        return holds
+
 
 @dataclass(frozen=True)
 class Exists:
     binders: tuple[Var, ...]
     body: object
+
+    @cached
+    def holds(self):
+        body = self.body.holds
+        if len(self.binders) == 1:
+            (b,) = self.binders
+            name, sort = b.name, b.sort
+
+            def holds(model, env):
+                domain = model.sorts[sort]
+                env = dict(env)
+                for x in domain:
+                    env[name] = x
+                    if body(model, env):
+                        return True
+                return False
+
+            return holds
+        names = [b.name for b in self.binders]
+        sorts = [b.sort for b in self.binders]
+
+        def holds(model, env):
+            domains = [model.sorts[s] for s in sorts]
+            env = dict(env)
+            for choice in product(*domains):
+                env.update(zip(names, choice))
+                if body(model, env):
+                    return True
+            return False
+
+        return holds
 
 
 def print_formula(phi) -> str:

@@ -3,8 +3,10 @@ and antichain posets, the chain, one-element, four-element Boolean and M3
 lattices, the N5 pentagon, the lattice tables found by scanning every
 element (the oracle of `FinLattice.from_poset`), the definitional filter,
 prime-filter and ideal tests (the oracles of the up-set enumerations), the
-path of a shipped fixture, and a hyperdoctrine whose existential table
-breaks the adjunction law."""
+path of a shipped fixture, a hyperdoctrine whose existential table
+breaks the adjunction law, and the texts of random theories: one with
+its tokens joined by a random mix of blanks, line breaks and comments,
+and one for the chase."""
 
 from __future__ import annotations
 
@@ -132,3 +134,67 @@ def broken_exists_hyperdoctrine() -> CoherentHyperdoctrine:
     table["c0"] = "c2"  # image of the bottom subobject jumps to the top
     exists[f] = MonotoneMap(old.source, old.target, table)
     return CoherentHyperdoctrine(P.base, P.fibers, P.subst, exists, P.limits)
+
+
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BLANKS = [" ", "  ", "\t", "\xa0", "\x1f", "\u3000"]
+
+
+def noisy_theory_text(rng) -> str:
+    """Theory text over one signature, with its tokens joined by a random mix
+    of blanks, line breaks and comments, and now and then a stray character."""
+    words = ["sort", "A", "fun", "f", ":", "A", "->", "A", "rel", "R", ":", "A", ",", "A"]
+    for _ in range(rng.randint(1, 4)):
+        words += ["x", ":", "A", "|"] if rng.random() < 0.5 else []
+        words += rng.choice([["R", "(", "x", ",", "f", "(", "x", ")", ")"], ["true"], ["x", "=", "x'"]])
+        words += ["|-", "exists", "y", ".", "R", "(", "x", ",", "y", ")", "or", "false"]
+    out = []
+    for w in words:
+        out.append(w)
+        k = rng.random()
+        if k < 0.1:
+            out.append(rng.choice(BLANKS) + "// note |- (" + rng.choice(BREAKS))
+        elif k < 0.3:
+            out.append(rng.choice(BREAKS))
+        elif k < 0.95:
+            out.append(rng.choice(BLANKS))
+    if rng.random() < 0.1:
+        out.insert(rng.randrange(len(out) + 1), rng.choice(["-", "/", "é", "?", "$"]))
+    return "".join(out)
+
+
+def chase_theory_text(rng) -> str:
+    """A theory over the model-sweep benchmark's signature (a constant c, a
+    function f, relations P, Q and R) where, unlike the benchmark's, f(x)
+    may occur in a conclusion and a conclusion may be false."""
+
+    def term(vs):
+        base = rng.choice(vs + ["c"])
+        return f"f({base})" if rng.random() < 0.3 else base
+
+    def atom(vs, first=None):
+        k, a = rng.random(), first or term(vs)
+        if k < 0.3:
+            return f"P({a})"
+        if k < 0.55:
+            return f"Q({a})"
+        if k < 0.85:
+            return f"R({a}, {term(vs)})"
+        return f"{a} = {term(vs)}"
+
+    lines = ["sort A", "fun c : -> A", "fun f : A -> A", "rel P : A", "rel Q : A", "rel R : A, A"]
+    for _ in range(rng.randint(2, 5)):
+        vs = ["x", "y"][: rng.choice([0, 1, 1, 2])]
+        lhs = " and ".join(atom(vs) for _ in range(rng.choice([1, 2]))) if vs else "true"
+        k = rng.random()
+        if k < 0.1:
+            rhs = "false"
+        elif k < 0.35:
+            rhs = f"{atom(vs)} or {atom(vs)}"
+        elif k < 0.6:
+            rhs = f"exists z:A. {atom(vs + ['z'], first='z')}"
+        else:
+            rhs = atom(vs)
+        ctx = ", ".join(f"{v}:A" for v in vs)
+        lines.append(f"{ctx} | {lhs} |- {rhs}" if vs else f"{lhs} |- {rhs}")
+    return "\n".join(lines) + "\n"

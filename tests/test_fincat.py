@@ -39,6 +39,7 @@ from cohext.order import set_name
 from cohext.sites import (
     FilterCategory,
     irreducible_site,
+    irreducible_to_types,
     semidirect_site,
     type_category,
 )
@@ -573,6 +574,116 @@ def test_functor_law_reports_the_oracle_witness_on_a_broken_composite():
                 assert message == raised(lambda: FinFunctor(cat, cat, objects, mor_map))
                 broken += 1
     assert broken > 0
+
+
+def full_functor_check(F: FinFunctor):
+    """The check `FinFunctor` made on every functor before it skipped the
+    identity and composition loops for a thin target."""
+    source, target, obj_map, mor_map = F.source, F.target, F.obj_map, F.mor_map
+    for A in source.objects:
+        if obj_map.get(A) not in target.objects:
+            raise CategoryError(f"functor undefined or mistyped on object {A}")
+    for f, m in source.morphisms.items():
+        g = mor_map.get(f)
+        if g is None or g not in target.morphisms:
+            raise CategoryError(f"functor undefined on morphism {f}")
+        gm = target.morphisms[g]
+        if gm.src != obj_map[m.src] or gm.tgt != obj_map[m.tgt]:
+            raise CategoryError(f"functor mistyped on morphism {f}")
+    for A in source.objects:
+        if mor_map[source.identity(A)] != target.identity(obj_map[A]):
+            raise CategoryError(f"functor breaks identity of {A}")
+    for f, g in composable_pairs(source.morphisms):
+        if mor_map[source.compose(g.name, f.name)] != target.compose(
+            mor_map[g.name], mor_map[f.name]
+        ):
+            raise CategoryError(f"functor breaks composition ({g.name},{f.name})")
+
+
+class _Unchecked(FinFunctor):
+    """The four tables of a functor, built without its check."""
+
+    def __post_init__(self):
+        pass
+
+
+def test_a_functor_into_a_category_that_is_not_thin_is_checked_in_full():
+    cat = two_point_category().cat
+    assert not cat.thin
+    objects = {A: A for A in cat.objects}
+    idents = set(cat.identities.values())
+    swaps = [f for f in cat.hom("{x,y}", "{x,y}") if cat.is_iso(f) and f not in idents]
+    kinds = set()
+    for f, m in cat.morphisms.items():
+        for g in cat.hom(m.src, m.tgt):
+            if g == f or (f in idents and g not in swaps):
+                continue
+            mor_map = {**{h: h for h in cat.morphisms}, f: g}
+            message = raised(lambda: full_functor_check(_Unchecked(cat, cat, objects, mor_map)))
+            assert message == raised(lambda: FinFunctor(cat, cat, objects, mor_map))
+            kinds.add(message.split(" of ")[0].split(" (")[0])
+    assert kinds == {"functor breaks identity", "functor breaks composition"}
+
+
+def test_an_undefined_or_mistyped_functor_into_a_thin_target_is_refused():
+    cat = LatticeCategory(chain_lattice(3)).cat
+    assert cat.thin
+    objects = {A: A for A in cat.objects}
+    mor_map = {f: f for f in cat.morphisms}
+    f = next(f for f, m in cat.morphisms.items() if m.src != m.tgt)
+    loop = cat.identity(cat.src(f))
+    cases = [
+        ({k: v for k, v in objects.items() if k != cat.src(f)}, mor_map, "undefined or mistyped on object"),
+        ({**objects, cat.src(f): "nowhere"}, mor_map, "undefined or mistyped on object"),
+        (objects, {k: v for k, v in mor_map.items() if k != f}, f"undefined on morphism {f}"),
+        (objects, {**mor_map, f: "nothing"}, f"undefined on morphism {f}"),
+        (objects, {**mor_map, f: loop}, f"mistyped on morphism {f}"),
+    ]
+    for obj_map, mors, message in cases:
+        expected = raised(lambda: full_functor_check(_Unchecked(cat, cat, obj_map, mors)))
+        assert message in expected
+        assert raised(lambda: FinFunctor(cat, cat, obj_map, mors)) == expected
+
+
+def test_every_functor_built_into_a_thin_target_passes_the_full_check(monkeypatch):
+    """Every functor the constructions build over DL(<=6) and the three
+    concrete fragments (counits, embeddings E_C, factorizations G(M) and
+    their composites with E_C, irreducible-to-type comparisons, lattice
+    hom functors) passes the check made before thin targets
+    skipped its law loops."""
+    built = []
+    check = FinFunctor.__post_init__
+
+    def recording(F):
+        check(F)
+        built.append(F)
+
+    monkeypatch.setattr(FinFunctor, "__post_init__", recording)
+    bases = [LatticeCategory(L) for L in distributive_lattices(6)]
+    bases += [
+        ConcreteCohCategory([frozenset(s) for s in seeds])
+        for seeds in (("x",), ("x", "y"), ("xy",))
+    ]
+    for C in bases:
+        predcat.counit_equivalence_check(C)
+        X = canext_hyperdoctrine(sub_hyperdoctrine(C))
+        irreducible_to_types(C, X, irreducible_site(C, X), type_category(C))
+        try:
+            ext = predcat.canonical_extension_category(C)
+        except MissingLimitError:  # the two-point fragment lacks products
+            continue
+        predcat.universal_factorization(ext.embedding, C, ext.coh, ext)
+    lattices = distributive_lattices(6)
+    for L, K in product(lattices, repeat=2):
+        for h in lattice_homs(L, K):
+            lattice_hom_functor(h, LatticeCategory(L), LatticeCategory(K))
+    thin = 0
+    for F in built:
+        full_functor_check(F)
+        thin += F.target.thin
+    # every target is thin, so each functor above skipped the law loops:
+    # 2,655 lattice hom functors and 76 functors of the constructions
+    assert (len(built), thin) == (2731, 2731)
 
 
 def test_factorizations_match_the_hom_filter():

@@ -706,22 +706,25 @@ def test_cohext_import_finder_on_samples():
 
 PYPROJECT = SRC.parent / "pyproject.toml"
 
-# Imports every cohext module, parses each fixture theory, and reads two
-# fixture categories and validates their subobject hyperdoctrines, which
-# runs the lattice reader and builds the pullback squares.
+# Imports every cohext module, parses and chases each fixture theory, which
+# compiles and runs its formulas' closures, and reads two fixture
+# categories and validates their subobject hyperdoctrines, which runs the
+# lattice reader and builds the pullback squares.
 IMPORT_AND_PARSE = """
 import importlib, pkgutil
 import cohext
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import sub_hyperdoctrine, validate
 from cohext.jsonio import load_category
+from cohext.logic.chase import chase
 from cohext.logic.parser import parse_theory
 for m in pkgutil.walk_packages(cohext.__path__, "cohext."):
     importlib.import_module(m.name)
 theories = sorted(FIXTURE_DIR.glob("*.chr"))
 assert len(theories) == 3, theories
 for path in theories:
-    parse_theory(path.read_text())
+    res = chase(parse_theory(path.read_text()), max_fresh=6, max_rounds=40)
+    assert res.status == "model" and res.model.satisfies_theory(), path
 for name in ("diamond.latcat.json", "two_objects.cat.json"):
     S = sub_hyperdoctrine(load_category(FIXTURE_DIR / name))
     report = validate(S)

@@ -7,6 +7,7 @@ import pytest
 
 from cohext.fixtures import designated_model_index
 from cohext.jsonio import FormatError, model_from_json, model_to_json
+from cohext.logic import chase as chase_module
 from cohext.logic.chase import FinModel, chase
 from cohext.logic.models import (
     DistillationBudget,
@@ -15,6 +16,8 @@ from cohext.logic.models import (
     ModelFamily,
     PreconditionError,
     _models,
+    _partial_model,
+    _Unassigned,
     check_m1,
     check_m2,
     check_m3,
@@ -25,7 +28,9 @@ from cohext.logic.models import (
 )
 from cohext.logic.parser import Parser, ParseError, parse_theory, scan
 from cohext.logic.syntax import (
+    And,
     App,
+    Eq,
     Exists,
     Or,
     RelAtom,
@@ -39,7 +44,8 @@ from cohext.logic.syntax import (
     print_theory,
 )
 from cohext.order import assignments
-from helpers import fixture_path, is_prime_filter
+from evaluator_oracle import eval_term_oracle, satisfies_formula_oracle, satisfies_theory_oracle
+from helpers import chase_theory_text, fixture_path, is_prime_filter, noisy_theory_text
 
 CORPUS = ["pointed", "idempotent", "ordered"]
 
@@ -201,40 +207,7 @@ def test_chase_corpus_terminates():
 
 
 def chase_theory(rng):
-    """A theory over the model-sweep benchmark's signature (a constant c, a
-    function f, relations P, Q and R) where, unlike the benchmark's, f(x)
-    may occur in a conclusion and a conclusion may be false."""
-
-    def term(vs):
-        base = rng.choice(vs + ["c"])
-        return f"f({base})" if rng.random() < 0.3 else base
-
-    def atom(vs, first=None):
-        k, a = rng.random(), first or term(vs)
-        if k < 0.3:
-            return f"P({a})"
-        if k < 0.55:
-            return f"Q({a})"
-        if k < 0.85:
-            return f"R({a}, {term(vs)})"
-        return f"{a} = {term(vs)}"
-
-    lines = ["sort A", "fun c : -> A", "fun f : A -> A", "rel P : A", "rel Q : A", "rel R : A, A"]
-    for _ in range(rng.randint(2, 5)):
-        vs = ["x", "y"][: rng.choice([0, 1, 1, 2])]
-        lhs = " and ".join(atom(vs) for _ in range(rng.choice([1, 2]))) if vs else "true"
-        k = rng.random()
-        if k < 0.1:
-            rhs = "false"
-        elif k < 0.35:
-            rhs = f"{atom(vs)} or {atom(vs)}"
-        elif k < 0.6:
-            rhs = f"exists z:A. {atom(vs + ['z'], first='z')}"
-        else:
-            rhs = atom(vs)
-        ctx = ", ".join(f"{v}:A" for v in vs)
-        lines.append(f"{ctx} | {lhs} |- {rhs}" if vs else f"{lhs} |- {rhs}")
-    return parse_theory("\n".join(lines) + "\n")
+    return parse_theory(chase_theory_text(rng))
 
 
 def test_every_chase_model_satisfies_its_theory():
@@ -252,7 +225,147 @@ def test_every_chase_model_satisfies_its_theory():
             for f, (args, _) in T.signature.funcs.items():
                 assert set(M.funcs[f]) == set(product(*[M.sorts[s] for s in args]))
             assert M.satisfies_theory(), print_theory(T)
+            assert satisfies_theory_oracle(M), print_theory(T)
     assert statuses == {"model": 254, "refuted": 32, "exhausted": 14}
+
+
+def chase_theories():
+    rng = random.Random(17)
+    return [chase_theory(rng) for _ in range(300)]
+
+
+def oracle_holds(model, phi, env) -> bool:
+    """`chase._holds` read through the interpreter oracle."""
+    try:
+        return satisfies_formula_oracle(model, phi, env)
+    except KeyError:
+        return False
+
+
+def test_the_chase_gives_the_results_it_gave_through_the_interpreter(monkeypatch):
+    theories = chase_theories()
+    got = [chase(T, max_fresh=3, max_rounds=32) for T in theories]
+    monkeypatch.setattr(chase_module, "_holds", oracle_holds)
+    assert [chase(T, max_fresh=3, max_rounds=32) for T in theories] == got
+
+
+def has_small_model(T) -> bool:
+    """T has a model of one or two elements in each sort, by the first
+    model of each `_models` search."""
+    names = ("a0", "a1")
+    return any(
+        next(_models(T, {s: names[:n] for s in T.signature.sorts}), None) is not None
+        for n in (1, 2)
+    )
+
+
+def test_no_refuted_theory_has_a_model_of_one_or_two_elements():
+    small = {"model": [], "refuted": [], "exhausted": []}
+    for T in chase_theories():
+        small[chase(T, max_fresh=3, max_rounds=32).status].append(has_small_model(T))
+    assert (len(small["refuted"]), sum(small["refuted"])) == (32, 0)
+    # a fact measured at this bound, not a property: the chase names every
+    # undefined function value by a fresh element (`_eval_defining`), so
+    # most theories it gives up on have a model that it never tries
+    assert (len(small["exhausted"]), sum(small["exhausted"])) == (14, 13)
+
+
+# -- the compiled evaluator against the interpreter -----------------------------
+
+
+def subformulas(phi):
+    yield phi
+    if isinstance(phi, (And, Or)):
+        for p in phi.parts:
+            yield from subformulas(p)
+    elif isinstance(phi, Exists):
+        yield from subformulas(phi.body)
+
+
+def subterms(phi):
+    for psi in subformulas(phi):
+        stack = list(psi.args) if isinstance(psi, RelAtom) else []
+        stack += [psi.lhs, psi.rhs] if isinstance(psi, Eq) else []
+        while stack:
+            t = stack.pop()
+            yield t
+            if isinstance(t, App):
+                stack += t.args
+
+
+def outcome(evaluate, *args):
+    """The value, or the class of the exception that escaped."""
+    try:
+        return evaluate(*args)
+    except (KeyError, _Unassigned) as e:
+        return type(e)
+
+
+def evaluation_models(T, rng):
+    """The chase's model of T (total, or partial when the chase gave up),
+    the same with every other function cell dropped, and two partial
+    assignments of model enumeration on two elements per sort."""
+    M = chase(T, max_fresh=3, max_rounds=32).model
+    if M is not None:
+        yield M
+        dropped = {f: dict(sorted(table.items())[::2]) for f, table in M.funcs.items()}
+        yield FinModel(T, M.sorts, dropped, M.rels)
+    sig = T.signature
+    sorts = {s: (f"{s.lower()}0", f"{s.lower()}1") for s in sig.sorts}
+    cells = {("fun", f, d): sorts[res] for f, (args, res) in sig.funcs.items()
+             for d in product(*[sorts[s] for s in args])}
+    cells |= {("rel", r, d): (False, True) for r, args in sig.rels.items()
+              for d in product(*[sorts[s] for s in args])}
+    for _ in range(2):
+        acc = {c: rng.choice(vs) for c, vs in cells.items() if rng.random() < 0.7}
+        yield _partial_model(T, sorts, acc)
+
+
+def test_compiled_formulas_evaluate_as_the_interpreter_did():
+    """Every formula and term of the theories that the parser's differential
+    test reads (the fixtures, and the seed-17 noisy and chase texts that
+    parse) and of the two-sorted theory, over `evaluation_models`, under
+    assignments of every variable of its sequent (four per sequent and
+    model, at random) and of its context only: the same value, or the same
+    exception."""
+    texts = [fixture_path(f"{name}.chr").read_text() for name in CORPUS]
+    rng = random.Random(17)
+    texts += [noisy_theory_text(rng) for _ in range(400)]
+    rng = random.Random(17)
+    texts += [chase_theory_text(rng) for _ in range(300)]
+    theories = [two_sorted_theory()]
+    for text in texts:
+        try:
+            theories.append(parse_theory(text))
+        except (ParseError, SortError):
+            pass
+    seen = {"value": 0, KeyError: 0, _Unassigned: 0}
+    rng = random.Random(35)
+    for T in theories:
+        for M in evaluation_models(T, rng):
+            for seq in T.sequents:
+                names = {v.name: v.sort for v in seq.context}
+                for phi in (seq.lhs, seq.rhs):
+                    for psi in subformulas(phi):
+                        if isinstance(psi, Exists):
+                            names.update((b.name, b.sort) for b in psi.binders)
+                choices = list(product(*[M.sorts[s] for s in names.values()]))
+                for choice in rng.sample(choices, min(4, len(choices))):
+                    env = dict(zip(names, choice))
+                    for env in (env, {v.name: env[v.name] for v in seq.context}):
+                        for phi in (seq.lhs, seq.rhs):
+                            for psi in subformulas(phi):
+                                got = outcome(M.satisfies_formula, psi, env)
+                                assert got == outcome(satisfies_formula_oracle, M, psi, env)
+                                seen[got if isinstance(got, type) else "value"] += 1
+                            for t in subterms(phi):
+                                got = outcome(M.eval_term, t, env)
+                                assert got == outcome(eval_term_oracle, M, t, env)
+    # the two-sorted theory, 3 fixtures, 140 noisy and 300 chase texts; each
+    # outcome occurs (51,945 values, 7,838 KeyErrors, 21,013 unassigned
+    # reads when measured)
+    assert len(theories) == 1 + 3 + 140 + 300
+    assert all(seen.values()), seen
 
 
 ONE = {"sorts": {"A": ["a"]}}
@@ -434,7 +547,8 @@ def all_rel_tables(sig, sorts):
 
 def enumerate_models_oracle(T, max_size, min_size=1):
     """The generate-and-filter enumerator: every choice of tables on every
-    size vector, kept when it satisfies the theory."""
+    size vector, kept when it satisfies the theory by the interpreter
+    oracle."""
     sig = T.signature
     out = []
     for vec in product(range(min_size, max_size + 1), repeat=len(sig.sorts)):
@@ -442,7 +556,7 @@ def enumerate_models_oracle(T, max_size, min_size=1):
         for funcs in all_func_tables(sig, sorts):
             for rels in all_rel_tables(sig, sorts):
                 m = FinModel(T, sorts, funcs, rels)
-                if m.satisfies_theory():
+                if satisfies_theory_oracle(m):
                     out.append(m)
     return out
 

@@ -1,5 +1,7 @@
-"""The line scanner against the per-character scanner it replaced, and the
-parser's checks on declarations."""
+"""The line scanner against the per-character scanner it replaced, the
+parser against the parser it replaced, and the parser's checks on
+declarations, on errors at the end of the input and on the order of its
+errors."""
 
 import random
 from typing import NamedTuple
@@ -7,11 +9,12 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parser_oracle import parse_theory as parse_theory_oracle
 from scanner_oracle import tokenize_oracle
 
-from cohext.logic.parser import _KIND, ParseError, parse_theory, scan
+from cohext.logic.parser import _KIND, KEYWORDS, PUNCT, ParseError, parse_theory, scan
 from cohext.logic.syntax import SortError, print_theory
-from helpers import fixture_path
+from helpers import BREAKS, chase_theory_text, fixture_path, noisy_theory_text
 
 
 class Token(NamedTuple):
@@ -29,8 +32,6 @@ def tokenize(text: str) -> list[Token]:
 
 
 CORPUS = ["pointed", "idempotent", "ordered"]
-BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-BLANKS = [" ", "  ", "\t", "\xa0", "\x1f", "\u3000"]
 
 
 def read_tokens(tokenizer, text):
@@ -54,33 +55,10 @@ def test_scanner_matches_the_oracle_on_the_fixtures():
         assert_same_scan(fixture_path(f"golden/{name}.chr.golden").read_text())
 
 
-def generated_theory(rng: random.Random) -> str:
-    """Theory text over one signature, with its tokens joined by a random mix
-    of blanks, line breaks and comments, and now and then a stray character."""
-    words = ["sort", "A", "fun", "f", ":", "A", "->", "A", "rel", "R", ":", "A", ",", "A"]
-    for _ in range(rng.randint(1, 4)):
-        words += ["x", ":", "A", "|"] if rng.random() < 0.5 else []
-        words += rng.choice([["R", "(", "x", ",", "f", "(", "x", ")", ")"], ["true"], ["x", "=", "x'"]])
-        words += ["|-", "exists", "y", ".", "R", "(", "x", ",", "y", ")", "or", "false"]
-    out = []
-    for w in words:
-        out.append(w)
-        k = rng.random()
-        if k < 0.1:
-            out.append(rng.choice(BLANKS) + "// note |- (" + rng.choice(BREAKS))
-        elif k < 0.3:
-            out.append(rng.choice(BREAKS))
-        elif k < 0.95:
-            out.append(rng.choice(BLANKS))
-    if rng.random() < 0.1:
-        out.insert(rng.randrange(len(out) + 1), rng.choice(["-", "/", "é", "?", "$"]))
-    return "".join(out)
-
-
 def test_scanner_matches_the_oracle_on_generated_theories():
     rng = random.Random(17)
     for _ in range(400):
-        assert_same_scan(generated_theory(rng))
+        assert_same_scan(noisy_theory_text(rng))
 
 
 EDGE_CASES = [
@@ -174,7 +152,7 @@ def test_an_error_at_a_token_not_first_on_its_line_is_located(text, message):
 
 
 def sequent_starts(text: str) -> list[tuple[int, int]]:
-    """Where `generated_theory`'s sequents start, by the oracle scanner: the
+    """Where `noisy_theory_text`'s sequents start, by the oracle scanner: the
     first after the 14 tokens of the declarations, each other after the last
     token of the sequent before it, `false`, which occurs nowhere else."""
     toks = tokenize_oracle(text)
@@ -185,7 +163,7 @@ def sequent_starts(text: str) -> list[tuple[int, int]]:
 def test_sequent_spans_match_the_oracle_on_generated_theories():
     rng, parsed = random.Random(17), 0
     for _ in range(400):
-        text = generated_theory(rng)
+        text = noisy_theory_text(rng)
         try:
             T = parse_theory(text)
         except (ParseError, SortError):
@@ -310,3 +288,135 @@ def test_a_free_name_shared_with_a_binder_must_be_in_the_given_context():
     assert str(e.value) == "variable y not in context (line 3, column 29)"
     T = parse_theory("sort A\nrel P : A\nx:A, y:A | exists y:A. P(y) |- P(y)\n")
     assert str(T.sequents[0]) == "x:A, y:A | exists y':A. P(y') |- P(y)"
+
+
+# -- the parser against the parser it replaced ----------------------------------
+
+
+def parse_outcome(parse, text):
+    """The theory and its sequents' spans, or the error's class, message and
+    span."""
+    try:
+        T = parse(text)
+    except (ParseError, SortError) as e:
+        return (type(e), str(e), e.span)
+    return (T, [seq.span for seq in T.sequents])
+
+
+def differential_texts() -> list[str]:
+    """The fixtures and their goldens, the 400 seed-17 `noisy_theory_text`
+    texts and the 300 seed-17 `chase_theory_text` texts."""
+    texts = [fixture_path(f"{name}.chr").read_text() for name in CORPUS]
+    texts += [fixture_path(f"golden/{name}.chr.golden").read_text() for name in CORPUS]
+    rng = random.Random(17)
+    texts += [noisy_theory_text(rng) for _ in range(400)]
+    rng = random.Random(17)
+    texts += [chase_theory_text(rng) for _ in range(300)]
+    return texts
+
+
+# the words a mutation inserts: every keyword and punctuation token, the
+# signatures' names, names declared nowhere and a sort name that is not one
+MUTATION_WORDS = sorted(KEYWORDS) + PUNCT + [
+    "A", "B", "C", "c", "f", "g", "x", "y", "z", "P", "Q", "R", "Z", "x'",
+]
+
+
+# words of one kind, which a mutation may put one for another
+SIMILAR = [["and", "or"], ["c", "x", "y", "z", "f", "g", "x'"], ["P", "Q", "R", "Z"], ["A", "B", "C"]]
+
+
+def mutated(rng: random.Random, text: str) -> str:
+    """text with one or two token edits (delete, insert, replace, replace by
+    a word of its kind, swap two neighbours, duplicate), its tokens written
+    one blank apart on the lines they were on."""
+    words = [(t.line, t.text) for t in tokenize_oracle(text)[:-1]]
+    last = len(text.splitlines())
+    for _ in range(rng.randint(1, 2)):
+        if not words:
+            break
+        k = rng.randrange(len(words))
+        line, word = words[k]
+        edit = rng.choice(["delete", "insert", "replace", "similar", "similar", "swap", "duplicate"])
+        if edit == "delete":
+            del words[k]
+        elif edit == "insert":
+            words.insert(k, (line, rng.choice(MUTATION_WORDS)))
+        elif edit == "replace":
+            words[k] = (line, rng.choice(MUTATION_WORDS))
+        elif edit == "similar":
+            kind = next((ws for ws in SIMILAR if word in ws), [word])
+            words[k] = (line, rng.choice(kind))
+        elif edit == "duplicate":
+            words.insert(k, (line, word))
+        elif k + 1 < len(words):
+            words[k], words[k + 1] = (line, words[k + 1][1]), (words[k + 1][0], word)
+    lines = [[] for _ in range(last)]
+    for line, word in words:
+        lines[line - 1].append(word)
+    return "\n".join(" ".join(ws) for ws in lines) + "\n"
+
+
+def test_parser_matches_the_oracle_on_theories_and_their_mutations():
+    """Each text gives an equal theory with equal spans, or an error of the
+    same class with the same message and span."""
+    texts = differential_texts()
+    rng = random.Random(35)
+    mutants = []
+    for text in texts:
+        try:
+            tokenize_oracle(text)
+        except ParseError:  # a stray character: the text is an error as it is
+            continue
+        mutants += [mutated(rng, text) for _ in range(3)]
+    errors = []
+    for text in texts + mutants:
+        got = parse_outcome(parse_theory, text)
+        assert got == parse_outcome(parse_theory_oracle, text), repr(text)
+        errors.append(isinstance(got[0], type))
+    # facts measured on these inputs: how many texts, and how many of them
+    # fail to parse
+    assert (len(texts), sum(errors[: len(texts)])) == (706, 260)
+    assert (len(mutants), sum(errors[len(texts) :])) == (2016, 1838)
+
+
+SIG7 = "sort A\nsort B\nfun c : -> A\nfun g : B -> B\nrel P : A\nrel Q : B\n"
+
+
+@pytest.mark.parametrize(
+    "sequent, message",
+    [
+        ("x:A | P(x) |- P(x) and", "expected a term, found end of input (line 8, column 1)"),
+        ("x:A | P(x)", "expected '|-', found end of input (line 8, column 1)"),
+        ("P(c) |- exists z", "expected '.', found end of input (line 8, column 1)"),
+        ("P(c) |- exists", "expected a bound variable, found end of input (line 8, column 1)"),
+    ],
+)
+def test_an_error_at_the_end_of_input_names_it(sequent, message):
+    for parse in (parse_theory, parse_theory_oracle):
+        with pytest.raises(ParseError) as e:
+            parse(SIG7 + sequent)
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "sequent, message",
+    [
+        # a syntax error wins over every sort error
+        ("x:A | Z(x) |- P(x) and", "expected a term, found end of input (line 8, column 1)"),
+        ("x:A | Z(x) |- P(x)", "unknown relation Z (line 7, column 7)"),
+        # an unknown symbol, an arity or a context error wins over a sort clash
+        ("x:A | Q(x) |- Z(x)", "unknown relation Z (line 7, column 15)"),
+        ("x:A | Q(x) |- P(g(x, x))", "function g expects 1 arguments (line 7, column 17)"),
+        ("x:A | Q(x) |- P(y)", "variable y not in context (line 7, column 17)"),
+        ("x:A | Q(x) |- P(x)", "variable x used at sorts A and B (line 7, column 9)"),
+        # a sort clash wins over an undeclared binder sort
+        ("x:A | Q(x) |- exists z:C. P(z)", "variable x used at sorts A and B (line 7, column 9)"),
+        ("x:A | P(x) |- exists z:C. true", "unknown sort C (line 7, column 22)"),
+    ],
+)
+def test_errors_come_in_the_documented_order(sequent, message):
+    for parse in (parse_theory, parse_theory_oracle):
+        with pytest.raises((ParseError, SortError)) as e:
+            parse(SIG7 + sequent)
+        assert str(e.value) == message
