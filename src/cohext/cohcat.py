@@ -47,10 +47,18 @@ class PullbackSquare:
 
 
 def pairing(cat: FinCategory, cone: ProductCone, f: str, g: str) -> str:
-    """The unique mediating morphism into a chosen product cone."""
-    matches = cat.factorizations(
-        cat.src(f), cone.obj, ((cone.pi1, f), (cone.pi2, g))
-    )
+    """The unique mediating morphism into a chosen product cone.  In a thin
+    category pi o h and u share a hom-set, and so are equal, exactly when u
+    runs from h's source to p's target; so the candidates are hom(src f,
+    cone.obj) when both legs' ends check out, and none otherwise, without
+    the `factorizations` scan."""
+    Z, legs = cat.src(f), ((cone.pi1, f), (cone.pi2, g))
+    if not cat.thin:
+        matches = cat.factorizations(Z, cone.obj, legs)
+    elif all(cat.src(u) == Z and cat.tgt(u) == cat.tgt(p) for p, u in legs):
+        matches = cat.hom(Z, cone.obj)
+    else:
+        matches = []
     if len(matches) != 1:
         raise MissingLimitError(
             f"pairing of ({f},{g}) has {len(matches)} candidates"

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from ..order import canonical_form
 from .syntax import (
     And,
     App,
@@ -71,36 +70,6 @@ class FinModel:
             for x in self.sorts[var.sort]
             if self.satisfies_formula(phi, {var.name: x})
         )
-
-    def canonical_key(self):
-        """Isomorphism-invariant key: the carrier sizes, the symbols, and
-        the least encoding of the function graphs and then the relation rows
-        by each element's position within its sort, over the orders that
-        permute only elements of one sort with the same (symbol, position)
-        incidences in function graph and relation rows
-        (`order.canonical_form`)."""
-        sort_of = {x: s for s, xs in self.sorts.items() for x in xs}
-        funcs, rels = sorted(self.funcs), sorted(self.rels)
-        tables = [[k + (v,) for k, v in self.funcs[f].items()] for f in funcs]
-        tables += [self.rels[r] for r in rels]
-        incidences = {x: [] for x in sort_of}
-        for name, rows in zip(funcs + rels, tables):
-            for row in rows:
-                for i, x in enumerate(row):
-                    incidences[x].append((name, i))
-        # the signature leads with the sort, so every order lists the sorts
-        # in sorted order and gives the same positions within them
-        positions = [j for s in sorted(self.sorts) for j in range(len(self.sorts[s]))]
-
-        def encode(order):
-            pos = dict(zip(order, positions)).__getitem__
-            return tuple(
-                tuple(sorted([tuple(map(pos, row)) for row in rows])) for rows in tables
-            )
-
-        signature = lambda x: (sort_of[x], tuple(sorted(incidences[x])))
-        sizes = tuple(sorted((s, len(xs)) for s, xs in self.sorts.items()))
-        return sizes, tuple(funcs), tuple(rels), canonical_form(sort_of, signature, encode)
 
 
 @dataclass

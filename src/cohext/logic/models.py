@@ -19,7 +19,9 @@ isomorphism class, the search also cuts a branch once some transposition
 of two elements of one sort provably sends its models to models the search
 yields earlier (a lex-leader check).  Those are never the first of their
 class, which is the one kept, so the cut is exact and the lists are
-unchanged; the labelled enumeration (`up_to_iso=False`) does not cut.
+unchanged; the labelled enumeration (`up_to_iso=False`) does not cut.  The
+repeats the cut misses are found by an invariant from colour refinement
+and, within one value of it, an exact isomorphism search.
 
 A model family keeps, for each ordered pair of members, the reach relation
 of the homomorphisms between them: which elements the homomorphisms
@@ -34,6 +36,13 @@ cells are all one element, such as P(a), R(a, a) or a constant's value,
 keeps in that element's domain only the targets that satisfy it.  Every
 homomorphism satisfies such a row, so the pruning is exact; what it saves
 is each pinned search whose pin lies outside its domain, which must fail.
+Homomorphisms compose, so a pair's reach contains the composite of the
+reaches through any third member, and the searches cover only what those
+composites leave.
+
+The family conditions, and each element's type, are found once per
+category and kept on it, so the frame-isomorphism check reads the verdicts
+and types the conditions have found, and the other way round.
 """
 
 from __future__ import annotations
@@ -52,7 +61,14 @@ from ..lattice import (
     prime_filters,
     set_lattice,
 )
-from ..order import BudgetError, assignments, bounded, set_name, union_closure
+from ..order import (
+    BudgetError,
+    assignments,
+    bounded,
+    cached_method,
+    set_name,
+    union_closure,
+)
 from ..report import LawCheck
 from .chase import FinModel
 from .syntax import And, App, Eq, Exists, Or, RelAtom, Theory, Var, print_term
@@ -82,8 +98,11 @@ def enumerate_models(
     transposition of two elements of one sort maps to a model earlier in
     that order (`_models`' lex-leader cut).  Such a model is not the first
     of its class, so the cut drops only models that would be dropped
-    anyway, and `canonical_key` removes the repeats it misses.  Without
-    up_to_iso the search does not cut and visits every labelled model."""
+    anyway.  The repeats it misses are found by class: each model is
+    bucketed by an isomorphism invariant read from its colour refinement
+    (`_Coloured`), and kept unless an exact search finds it isomorphic to
+    a model already kept in its bucket.  Without up_to_iso the search does
+    not cut and visits every labelled model."""
     sig = T.signature
     names = {s: tuple(f"{s.lower()}{i}" for i in range(max_size)) for s in sig.sorts}
     owner = {}
@@ -91,17 +110,106 @@ def enumerate_models(
         for x in xs:
             if owner.setdefault(x, s) != s:
                 raise ValueError(f"sorts {owner[x]} and {s} share the element name {x}")
-    out, seen = [], set()
+    out, palette, buckets = [], {}, {}
     for vec in iproduct(range(min_size, max_size + 1), repeat=len(sig.sorts)):
         sorts = {s: names[s][:n] for s, n in zip(sig.sorts, vec)}
         for m in _models(T, sorts, lex_leader=up_to_iso):
             if up_to_iso:
-                key = m.canonical_key()
-                if key in seen:
+                coloured = _Coloured(m, palette)
+                bucket = buckets.setdefault(coloured.invariant, [])
+                if any(coloured.isomorphic(kept) for kept in bucket):
                     continue
-                seen.add(key)
+                bucket.append(coloured)
             out.append(m)
     return out
+
+
+def _tables(M: FinModel) -> list[tuple[tuple[str, ...], set]]:
+    """M's function graphs and relations, each as (its sorts, its rows),
+    functions first in signature order; a graph row is args + (value,)."""
+    sig = M.theory.signature
+    return [
+        (args + (res,), {k + (v,) for k, v in M.funcs[f].items()})
+        for f, (args, res) in sig.funcs.items()
+    ] + [(args, M.rels[r]) for r, args in sig.rels.items()]
+
+
+class _Coloured:
+    """A model with its tables (`_tables`) and the stable colouring of its
+    elements by colour refinement (one-dimensional Weisfeiler-Leman).  An
+    element starts with the colour of its sort; each round recolours it by
+    its colour and the sorted list of (position, table and colours of the
+    row) over the rows it lies in, until a round splits no class or leaves
+    none with two elements.  Colours are the indices of these signatures in
+    `palette`, which the models of one enumeration share, so equal colours
+    mean equal signatures in every model.  An isomorphism keeps every
+    colour, so isomorphic models have equal invariants: the carrier sizes,
+    the colour histogram and each table's rows read as colours.  When every
+    element has its own colour the invariant determines the model up to
+    isomorphism."""
+
+    __slots__ = ("model", "tables", "colour", "invariant")
+
+    def __init__(self, M: FinModel, palette: dict):
+        tables = [rows for _, rows in _tables(M)]
+        cells = [(t, row) for t, rows in enumerate(tables) for row in rows if row]
+        colour = {
+            x: palette.setdefault(("sort", s), len(palette))
+            for s, xs in M.sorts.items()
+            for x in xs
+        }
+        classes = len(set(colour.values()))
+        while True:
+            seen = {x: [] for x in colour}
+            get = colour.__getitem__
+            for t, row in cells:
+                image = (t, *map(get, row))
+                for p, x in enumerate(row):
+                    seen[x].append((p, image))
+            colour = {
+                x: palette.setdefault((c, *sorted(seen[x])), len(palette))
+                for x, c in colour.items()
+            }
+            refined = len(set(colour.values()))
+            if refined in (classes, len(colour)):
+                break
+            classes = refined
+        get = colour.__getitem__
+        self.model, self.tables, self.colour = M, tables, colour
+        self.invariant = (
+            tuple(len(xs) for xs in M.sorts.values()),
+            tuple(sorted(colour.values())),
+            tuple(tuple(sorted(tuple(map(get, row)) for row in rows)) for rows in tables),
+        )
+
+    def isomorphic(self, other: _Coloured) -> bool:
+        """Whether some bijection keeping colours maps this model's rows
+        onto the other's, by one `order.assignments` search over this
+        model's elements, the smallest colour classes first, each row
+        checked once its last element is assigned.  Called on models with
+        equal invariants, so each colour class has as many elements here as
+        there and each table as many rows: an injective map that sends rows
+        into rows is an isomorphism."""
+        candidates = {}
+        for y, c in other.colour.items():
+            candidates.setdefault(c, []).append(y)
+        colour = self.colour
+        order = sorted(colour, key=lambda x: len(candidates[colour[x]]))
+        position = {x: i for i, x in enumerate(order)}
+        last = {x: [] for x in order}
+        for rows, target in zip(self.tables, other.tables):
+            for row in rows:
+                if row:
+                    last[max(row, key=position.__getitem__)].append((row, target))
+
+        def consistent(x, h):
+            y = h[x]
+            return sum(v == y for v in h.values()) == 1 and all(
+                tuple(map(h.__getitem__, row)) in target for row, target in last[x]
+            )
+
+        values = lambda x: candidates[colour[x]]
+        return next(assignments(order, values, consistent), None) is not None
 
 
 def _models(T: Theory, sorts: dict[str, tuple[str, ...]], lex_leader: bool = False):
@@ -292,22 +400,23 @@ class _RowTables:
     As a source M: its keys (sort, element); each row of its relations and
     function graphs whose cells name two or more keys, listed under each of
     them with its table's index; its rows with no cell (a nullary relation);
-    and its loops, the rows whose cells all name one key k, as (k, arity,
-    table index).  As a target N: the row set of each table, by index."""
+    and each key's loop profile, its sort and the (arity, table index) of
+    each row whose cells all name that key, and the set of these profiles.
+    As a target N: the row set of each table, by index, and the
+    node-consistent domain of each loop profile met so far (`domain`)."""
 
-    __slots__ = ("model", "keys", "rows", "ground", "loops", "sets")
+    __slots__ = (
+        "model", "keys", "rows", "ground", "profile", "profiles", "sets", "domains"
+    )
 
     def __init__(self, M: FinModel):
-        sig = M.theory.signature
-        tables = [
-            (args + (res,), {k + (v,) for k, v in M.funcs[f].items()})
-            for f, (args, res) in sig.funcs.items()
-        ] + [(args, M.rels[r]) for r, args in sig.rels.items()]
+        tables = _tables(M)
         self.model = M
-        self.keys = [(s, a) for s in sig.sorts for a in M.sorts[s]]
+        self.keys = [(s, a) for s in M.theory.signature.sorts for a in M.sorts[s]]
         self.sets = [m_rows for _, m_rows in tables]
         self.rows = {k: [] for k in self.keys}
-        self.ground, self.loops = [], []
+        self.ground = []
+        loops = {k: [] for k in self.keys}
         for t, (sorts, m_rows) in enumerate(tables):
             for row in m_rows:
                 cells = tuple(zip(sorts, row))
@@ -315,40 +424,72 @@ class _RowTables:
                 if not cells:
                     self.ground.append((row, t))
                 elif len(distinct) == 1:
-                    self.loops.append((cells[0], len(cells), t))
+                    loops[cells[0]].append((len(cells), t))
                 else:
                     for cell in distinct:
                         self.rows[cell].append((cells, t))
+        self.profile = {k: (k[0], tuple(sorted(ls))) for k, ls in loops.items()}
+        self.profiles = set(self.profile.values())
+        self.domains = {}
+
+    def domain(self, profile) -> tuple[list[str], frozenset[str]]:
+        """The elements b of the profile's sort in this model whose row
+        (b, ..., b) lies in the table of each loop of the profile, in
+        carrier order and as a set; found once per profile."""
+        try:
+            return self.domains[profile]
+        except KeyError:
+            sort, loops = profile
+            found = [
+                b for b in self.model.sorts[sort]
+                if all((b,) * arity in self.sets[t] for arity, t in loops)
+            ]
+            kept = self.domains[profile] = found, frozenset(found)
+            return kept
 
 
-def _reach(m: _RowTables, n: _RowTables) -> dict[str, dict[str, frozenset[str]]]:
+def _reach(m: _RowTables, n: _RowTables, via) -> tuple[dict, bool, int]:
     """reach[A][a] = {h(a) : h a structure homomorphism M -> N}, for each
     sort A and element a of M, found from witnesses instead of listing every
-    homomorphism.  One unpinned search tells whether any homomorphism
-    exists; each pair (a, b) that no homomorphism found so far covers then
-    gets one depth-first search with a first in key order and pinned to b,
-    stopped at its first homomorphism.  Inside such a search values not yet
-    reached are tried first, so each homomorphism found covers new pairs.
+    homomorphism; with whether a homomorphism exists and the number of
+    searches run.
 
-    Both models' tables are built once per model (`_RowTables`).  Each key
-    searches a node-consistent domain: a loop of M, a row whose cells are
-    all one key k, keeps in k's domain only the b whose row (b, ..., b) lies
-    in N's table.  That is exact: every homomorphism satisfies the loop,
-    and a search that checked it would reject each pruned value as soon as
-    k is assigned, so every search finds the homomorphism it would find
-    unpruned.  The loops are not checked again: an empty domain means that
-    no homomorphism exists, and a pin outside its domain gets no search.
-    Any other row is checked as soon as all its cells are assigned, in
-    whatever order the search assigns them.  When M has no such row, every
-    assignment from the domains is a homomorphism, so the reach is the
-    domains themselves and no search runs."""
-    M, N = m.model, n.model
-    sig = M.theory.signature
+    Each key searches a node-consistent domain (`_RowTables.domain`): a
+    loop of M, a row whose cells are all one key k, keeps in k's domain
+    only the b whose row (b, ..., b) lies in N's table.  That is exact:
+    every homomorphism satisfies the loop, and a search that checked it
+    would reject each pruned value as soon as k is assigned.  The loops are
+    not checked again: an empty domain means that no homomorphism exists,
+    and a pin outside its domain is never reached.  When M has no other
+    row, every assignment from the domains is a homomorphism, so the reach
+    is the domains themselves and no search runs.
+
+    Otherwise `reached` is seeded with composites: `via` yields the reach
+    relations (M -> K, K -> N) through models K that M maps to and that map
+    to N, and a composite of homomorphisms is a homomorphism, so g(h(a))
+    lies in the reach for every h(a) in the first and g(h(a)) in the second.
+    They are read until every key's domain is covered.  A composite shows
+    that a homomorphism exists; without one, one unpinned search tells.
+    Then each pair (a, b) of a domain that no homomorphism found so far
+    covers gets one depth-first search with a first in key order and
+    pinned to b, stopped at its first homomorphism.  Inside such a search
+    values not yet reached are tried first, so each homomorphism found
+    covers new pairs.  Any row is checked as soon as all its cells are
+    assigned, in whatever order the search assigns them."""
+    sorts = m.model.theory.signature.sorts
+    domains = {p: n.domain(p) for p in m.profiles}
+    exists = all(row in n.sets[t] for row, t in m.ground) and all(
+        found for found, _ in domains.values()
+    )
+    if not exists or not any(m.rows.values()):
+        reach = {s: {} for s in sorts}
+        for (s, a), p in m.profile.items():
+            reach[s][a] = domains[p][1] if exists else frozenset()
+        return reach, exists, 0
+    domain = {k: domains[p][0] for k, p in m.profile.items()}
     reached = {k: set() for k in m.keys}
-    domain = {k: N.sorts[k[0]] for k in m.keys}
-    for k, arity, t in m.loops:
-        domain[k] = [b for b in domain[k] if (b,) * arity in n.sets[t]]
     rows, sets = m.rows, n.sets
+    searches, composed = 0, False
 
     def consistent(key, acc):
         for cells, t in rows[key]:
@@ -358,17 +499,26 @@ def _reach(m: _RowTables, n: _RowTables) -> dict[str, dict[str, frozenset[str]]]
         return True
 
     def first_hom(order, values) -> bool:
+        nonlocal searches
+        searches += 1
         for h in assignments(order, values.__getitem__, consistent):
             for k, b in h.items():
                 reached[k].add(b)
             return True
         return False
 
-    hom_exists = all(row in sets[t] for row, t in m.ground) and all(domain.values())
-    if hom_exists and not any(rows.values()):
-        reached = domain
-    elif hom_exists and first_hom(m.keys, domain):
+    for to_k, from_k in via:
+        composed = True
+        for (s, a), got in reached.items():
+            firsts, seconds = to_k[s][a], from_k[s]
+            for b in firsts:
+                got |= seconds[b]
+        if all(len(reached[k]) == len(domain[k]) for k in m.keys):
+            break
+    if composed or first_hom(m.keys, domain):
         for pin in m.keys:
+            if len(reached[pin]) == len(domain[pin]):
+                continue
             rest = [k for k in m.keys if k != pin]
             for b in domain[pin]:
                 if b not in reached[pin]:
@@ -377,7 +527,13 @@ def _reach(m: _RowTables, n: _RowTables) -> dict[str, dict[str, frozenset[str]]]
                         for k in rest
                     }
                     first_hom([pin, *rest], {**values, pin: (b,)})
-    return {s: {a: frozenset(reached[s, a]) for a in M.sorts[s]} for s in sig.sorts}
+        exists = True
+    else:
+        exists = False
+    reach = {s: {} for s in sorts}
+    for (s, a), got in reached.items():
+        reach[s][a] = frozenset(got)
+    return reach, exists, searches
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,17 +543,22 @@ class ModelFamily:
     reach[(i, j)][A][a] = {h(a) : h : M_i -> M_j}, for each sort A and each
     element a of M_i(A).  The homomorphisms themselves are not kept.  Their
     readers need no more: condition M3, the subfunctor test and the cyclic
-    subfunctors each ask only where homomorphisms send one element."""
+    subfunctors each ask only where homomorphisms send one element.
+    `searches` counts the homomorphism searches the build ran."""
 
     models: tuple[FinModel, ...]
     reach: dict[tuple[int, int], dict[str, dict[str, frozenset[str]]]]
+    searches: int = 0
 
     @classmethod
     def build(cls, models, budget: int | None = None) -> ModelFamily:
-        """`budget` bounds the ordered model pairs, one reach search each.
-        Each model's row tables are built once (`_RowTables`) and serve
-        every pair it is in, as source and as target; each pair's search
-        runs over node-consistent domains (see `_reach`)."""
+        """`budget` bounds the ordered model pairs, one reach each.  Each
+        model's row tables are built once (`_RowTables`) and serve every
+        pair it is in, as source and as target; a target finds each
+        node-consistent domain once per loop profile (see `_reach`).  The
+        pairs are built row by row, so the pair (i, j) reads composites
+        through each model k below both i and j with homomorphisms i -> k
+        and k -> j, and searches only the pins they leave uncovered."""
         models = tuple(models)
         budget = REACH_BUDGET if budget is None else budget
         if len(models) ** 2 > budget:
@@ -406,12 +567,19 @@ class ModelFamily:
                 "model pairs; raise --budget"
             )
         tables = [_RowTables(M) for M in models]
-        reach = {
-            (i, j): _reach(m, n)
-            for i, m in enumerate(tables)
-            for j, n in enumerate(tables)
-        }
-        return cls(models, reach)
+        reach, homs, searches = {}, set(), 0
+        for i, m in enumerate(tables):
+            for j, n in enumerate(tables):
+                via = (
+                    (reach[i, k], reach[k, j])
+                    for k in range(min(i, j))
+                    if (i, k) in homs and (k, j) in homs
+                )
+                reach[i, j], exists, count = _reach(m, n, via)
+                searches += count
+                if exists:
+                    homs.add((i, j))
+        return cls(models, reach, searches)
 
 
 # -- the distilled base category ----------------------------------------------------
@@ -668,12 +836,20 @@ def _argument_patterns(sig, argsorts, s):
 # -- types ------------------------------------------------------------------------
 
 
+@cached_method
 def type_of(C: FamilyCategory, A: str, model_index: int, a: str) -> frozenset:
-    """t_A(a, M): the subobjects of A whose component at M contains a."""
+    """t_A(a, M): the subobjects of A whose component at M contains a;
+    found once per element and kept on C."""
     S = C.sub_lattice(A)
     return frozenset(
         u for u in S.elements if a in C.decode(A, u)[model_index]
     )
+
+
+@cached_method
+def _least_member(C: FamilyCategory, A: str, model_index: int, a: str) -> str:
+    """The least member of a's type, the meet of the filter."""
+    return C.sub_lattice(A).meet_all(type_of(C, A, model_index, a))
 
 
 def types(C: FamilyCategory, A: str) -> list[tuple[int, str, frozenset]]:
@@ -685,6 +861,10 @@ def types(C: FamilyCategory, A: str) -> list[tuple[int, str, frozenset]]:
 
 
 # -- the family conditions ----------------------------------------------------------
+#
+# Each verdict is kept on the category by its normalised index tuple, so
+# `sigma_bar_check`'s precondition pass reads the verdicts a caller has
+# already asked for, and a caller reads those the precondition pass found.
 
 
 def _indices(C: FamilyCategory, indices) -> tuple[int, ...]:
@@ -702,18 +882,35 @@ def _meet_exchange(C: FamilyCategory, tm: TermMap, i: int, rho) -> bool:
 
 def check_m1(C: FamilyCategory, indices=None) -> LawCheck:
     """Every family member commutes images with prime-filter meets."""
+    return _m1(C, _indices(C, indices))
+
+
+def check_m2(C: FamilyCategory, indices=None) -> LawCheck:
+    """Every prime filter of every subobject lattice is a realized type."""
+    return _m2(C, _indices(C, indices))
+
+
+def check_m3(C: FamilyCategory, indices=None) -> LawCheck:
+    """Whenever b lies in every N-component of the type of a, some family
+    homomorphism carries a to b.  A type is a filter of Sub(A), so those b
+    are the N-component of its least member, one meet of the type; each
+    model then takes one set difference against the reach."""
+    return _m3(C, _indices(C, indices))
+
+
+@cached_method
+def _m1(C: FamilyCategory, idx: tuple[int, ...]) -> LawCheck:
     return LawCheck.first("M1", (
         f"model {i}, map {f}, prime filter {sorted(rho)}"
-        for i in _indices(C, indices)
+        for i in idx
         for f, tm in C._maps.items()
         for rho in prime_filters(C.sub_lattice(tm.src))
         if not _meet_exchange(C, tm, i, rho)
     ))
 
 
-def check_m2(C: FamilyCategory, indices=None) -> LawCheck:
-    """Every prime filter of every subobject lattice is a realized type."""
-    idx = _indices(C, indices)
+@cached_method
+def _m2(C: FamilyCategory, idx: tuple[int, ...]) -> LawCheck:
     return LawCheck.first("M2", (
         f"prime filter {sorted(rho)} of {A} unrealized"
         for A in C.sorts
@@ -721,10 +918,9 @@ def check_m2(C: FamilyCategory, indices=None) -> LawCheck:
     ))
 
 
-def check_m3(C: FamilyCategory, indices=None) -> LawCheck:
-    """Whenever b lies in every N-component of the type of a, some family
-    homomorphism carries a to b."""
-    return LawCheck.first("M3", _m3_failures(C, _indices(C, indices)))
+@cached_method
+def _m3(C: FamilyCategory, idx: tuple[int, ...]) -> LawCheck:
+    return LawCheck.first("M3", _m3_failures(C, idx))
 
 
 def _m3_failures(C: FamilyCategory, idx):
@@ -732,12 +928,9 @@ def _m3_failures(C: FamilyCategory, idx):
     for A in C.sorts:
         for i in idx:
             for a in fam.models[i].sorts[A]:
-                t = type_of(C, A, i, a)
+                least = C.decode(A, _least_member(C, A, i, a))
                 for j in idx:
-                    meet = set(fam.models[j].sorts[A])
-                    for u in t:
-                        meet &= C.decode(A, u)[j]
-                    missing = meet - fam.reach[(i, j)][A][a]
+                    missing = least[j] - fam.reach[(i, j)][A][a]
                     if missing:
                         yield (
                             f"no hom sends {a} (model {i}) to {min(missing)} "
@@ -772,15 +965,15 @@ class Evaluation:
         )
 
     def is_subfunctor(self, A: str, fam) -> bool:
-        """Every homomorphism between the members keeps fam inside fam."""
-        reach = self.family.reach
+        """Every homomorphism between the members keeps fam inside fam: the
+        cyclic subfunctor of each of its elements lies inside it."""
         return all(
-            reach[(i, j)][A][a].issubset(fam[pj])
-            for pi, i in enumerate(self.indices)
-            for a in fam[pi]
-            for pj, j in enumerate(self.indices)
+            all(map(le, self.cyclic_subfunctor(A, i, a), fam))
+            for i, part in zip(self.indices, fam)
+            for a in part
         )
 
+    @cached_method
     def cyclic_subfunctor(self, A: str, i: int, a: str) -> tuple:
         """The least subfunctor containing a at family member i: the orbit
         of a under all outgoing homomorphisms."""
@@ -905,7 +1098,11 @@ def sigma_bar_check(
     """Extend the subobject-to-subfunctor comparison to the fiber
     extensions and check it is an internal frame isomorphism: natural,
     existential-preserving, an embedding, and surjective.  `budget` bounds
-    each subfunctor lattice of the evaluation."""
+    each subfunctor lattice of the evaluation.  With require_conditions,
+    M1-M3 must hold on the indexed members first; their verdicts are the
+    ones `check_m1` to `check_m3` keep on C, so a caller that has checked
+    them pays for no second pass.  The surjectivity check reads the types
+    they found too."""
     if require_conditions:
         for rep in (check_m1(C, indices), check_m2(C, indices), check_m3(C, indices)):
             if not rep.passed:
@@ -944,16 +1141,20 @@ def sigma_bar_check(
                 )
 
     def surjectivity():
-        """Every subfunctor is reached by the join of its type points."""
+        """Every subfunctor is reached by the join of its type points.  The
+        point of a type is the meet of its image in the extension, which is
+        the image of its least member, as e preserves meets."""
         for A in C.sorts:
             SE, ext = ev.sub_lattice(A), exts[A]
+            point = {
+                (j, a): ext.e(_least_member(C, A, j, a))
+                for j in ev.indices
+                for a in C.family.models[j].sorts[A]
+            }
             for H in SE.elements:
-                fam = SE.decode[H]
-                points = [
-                    ext.ext.meet_all(ext.e(u) for u in type_of(C, A, j, a))
-                    for pj, j in enumerate(ev.indices)
-                    for a in sorted(fam[pj])
-                ]
+                points = (
+                    point[j, a] for j, part in zip(ev.indices, SE.decode[H]) for a in part
+                )
                 if sigma_bar[A](ext.ext.join_all(points)) != H:
                     yield f"subfunctor {H} of ev({A}) not reached"
 

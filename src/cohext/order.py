@@ -15,8 +15,8 @@ Down-closed families (downsets here, sieves in `sites`, subfunctors in
 `union_closure` enumerates them without a search over all subsets.  Every
 finite map search (monotone maps, isomorphisms, homomorphisms, function
 tables) is one depth-first `assignments` that prunes as it assigns.  The
-canonical forms of posets and of models are one `canonical_form`, which
-permutes elements only within classes of equal invariant signature.
+canonical form of a poset is one `canonical_form`, which permutes elements
+only within classes of equal invariant signature.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@ generator of witnesses, kept as test oracles: `validate`, `validate_fo` and
 `validate_morphism` with a flag loop per law, `open_check` and its own
 Frobenius loop, the family conditions, `Evaluation.coherence_check` and
 `sigma_bar_check`.  They report the same `LawCheck`s, so the new code must
-give the same name, verdict and witness for every check, in order."""
+give the same name, verdict and witness for every check, in order.  The
+family oracles find each type afresh (`type_of_oracle`), so they read
+nothing the family checks keep on a category."""
 
 from itertools import product as iproduct
 
@@ -18,8 +20,6 @@ from cohext.logic.models import (
     SigmaBarReport,
     _indices,
     _meet_exchange,
-    _unrealized_prime_filter,
-    type_of,
 )
 from cohext.report import LawCheck
 
@@ -273,6 +273,26 @@ def open_check_oracle(m):
     return True, None
 
 
+def type_of_oracle(C, A, model_index, a):
+    """The subobjects of A whose component at the model contains a."""
+    S = C.sub_lattice(A)
+    return frozenset(u for u in S.elements if a in C.decode(A, u)[model_index])
+
+
+def unrealized_prime_filter_oracle(C, indices, A):
+    """The first prime filter of Sub(A) that no element of the indexed
+    models realizes as its type, or None."""
+    realized = {
+        type_of_oracle(C, A, i, a)
+        for i in indices
+        for a in C.family.models[i].sorts[A]
+    }
+    for rho in prime_filters(C.sub_lattice(A)):
+        if frozenset(rho) not in realized:
+            return rho
+    return None
+
+
 def check_m1_oracle(C, indices=None):
     """Every family member commutes images with prime-filter meets."""
     for i in _indices(C, indices):
@@ -291,7 +311,7 @@ def check_m2_oracle(C, indices=None):
     """Every prime filter of every subobject lattice is a realized type."""
     idx = _indices(C, indices)
     for A in C.sorts:
-        rho = _unrealized_prime_filter(C, idx, A)
+        rho = unrealized_prime_filter_oracle(C, idx, A)
         if rho is not None:
             return LawCheck(
                 "M2", False, f"prime filter {sorted(rho)} of {A} unrealized"
@@ -307,7 +327,7 @@ def check_m3_oracle(C, indices=None):
     for A in C.sorts:
         for i in idx:
             for a in fam.models[i].sorts[A]:
-                t = type_of(C, A, i, a)
+                t = type_of_oracle(C, A, i, a)
                 for j in idx:
                     meet = set(fam.models[j].sorts[A])
                     for u in t:
@@ -393,7 +413,7 @@ def sigma_bar_check_oracle(C, require_conditions=True, indices=None, budget=None
     emb = LawCheck("embedding", True)
     for A in C.sorts:
         if not sigma_bar[A].is_order_embedding():
-            rho = _unrealized_prime_filter(C, ev.indices, A)
+            rho = unrealized_prime_filter_oracle(C, ev.indices, A)
             emb = LawCheck(
                 "embedding", False,
                 f"component at {A} not an embedding"
@@ -410,7 +430,7 @@ def sigma_bar_check_oracle(C, require_conditions=True, indices=None, budget=None
             points = []
             for pj, j in enumerate(ev.indices):
                 for a in sorted(fam[pj]):
-                    rho = type_of(C, A, j, a)
+                    rho = type_of_oracle(C, A, j, a)
                     points.append(
                         ext.ext.meet_all(ext.e(u) for u in rho)
                     )

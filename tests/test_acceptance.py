@@ -43,6 +43,7 @@ from cohext.lattice import (
     join_irreducibles,
     join_preserving_maps,
     lattice_homs,
+    meet_preserving_maps,
     monotone_maps,
     prime_filters,
     product_projections,
@@ -124,15 +125,26 @@ def site_fixtures():
     ]
 
 
+def assert_extension_axioms(lattices):
+    for L in lattices:
+        ce = canonical_extension(L)
+        assert check_dense(ce)
+        assert check_compact(ce)
+        assert ce.is_iso()
+
+
 def test_criterion_01_extension_axioms():
     with criterion(1, "canonical-extension axioms <=6", 30):
         lats = distributive_lattices(6)
         assert len(lats) == 13
-        for L in lats:
-            ce = canonical_extension(L)
-            assert check_dense(ce)
-            assert check_compact(ce)
-            assert ce.is_iso()
+        assert_extension_axioms(lats)
+
+
+def test_criterion_01_extension_axioms_on_every_lattice_up_to_ten():
+    lats = distributive_lattices(10)
+    assert len(lats) == 109
+    with criterion(1, "canonical-extension axioms on DL(<=10)", 1):
+        assert_extension_axioms(lats)
 
 
 def assert_filter_dualities(lattices):
@@ -155,7 +167,12 @@ def test_filter_dualities_on_the_lattices_of_seven_to_ten_elements():
 
 
 def test_criterion_03_sigma_pi_laws():
-    with criterion(3, "sigma/pi laws <=4", 120):
+    # exhaustive at its bounds: every (g, f) pair for the unary laws, sigma
+    # for join-preserving f and pi for meet-preserving f (the join-preserving
+    # maps of the order duals), and every pair of join-preserving maps, every
+    # lattice and every monotone map for the n-ary case
+    composites = Counter()
+    with criterion(3, "sigma/pi laws <=4", 5):
         lats = distributive_lattices(4)
         ces = {L: canonical_extension(L) for L in lats}
         for L in lats:
@@ -170,13 +187,17 @@ def test_criterion_03_sigma_pi_laws():
                     )
                     if f.preserves_finite_joins():
                         joinpres.append(f)
-                # composition law under its hypothesis (unary case)
+                lifts = {"sigma": joinpres, "pi": meet_preserving_maps(L, K)}
+                # composition laws under their hypotheses (unary case)
                 for M in lats:
                     cm = ces[M]
-                    for f in joinpres:
-                        for g in monotone_maps(M, L)[:8]:
-                            rep = check_composition(g, f, "sigma", cm, cs, ct)
-                            assert rep.holds, rep.witness
+                    gs = monotone_maps(M, L)
+                    for mode, fs in lifts.items():
+                        for f in fs:
+                            for g in gs:
+                                rep = check_composition(g, f, mode, cm, cs, ct)
+                                assert rep.holds, rep.witness
+                        composites[mode] += len(fs) * len(gs)
                 # Esakia identity for every join-preserving map
                 elems = list(cs.filt_elements)
                 filtered_sets = [
@@ -192,31 +213,30 @@ def test_criterion_03_sigma_pi_laws():
         for L in small:
             P, p1, p2 = product_projections(L, L)
             cp = canonical_extension(P)
+            diagonal = {
+                a: next(x for x in P.elements if p1(x) == a and p2(x) == a)
+                for a in L.elements
+            }
             for K in small:
                 ck = canonical_extension(K)
                 hs = join_preserving_maps(L, K)
-                for h1 in hs[:4]:
-                    for h2 in hs[:4]:
+                for h1 in hs:
+                    for h2 in hs:
                         table = {
                             x: K.join(h1(p1(x)), h2(p2(x))) for x in P.elements
                         }
                         f = MonotoneMap(P, K, table)
-                        for M in small[:2]:
+                        for M in small:
                             cm = canonical_extension(M)
-                            for gl in monotone_maps(M, L)[:3]:
+                            for gl in monotone_maps(M, L):
                                 g = MonotoneMap(
-                                    M, P,
-                                    {
-                                        m: next(
-                                            x
-                                            for x in P.elements
-                                            if p1(x) == gl(m) and p2(x) == gl(m)
-                                        )
-                                        for m in M.elements
-                                    },
+                                    M, P, {m: diagonal[gl(m)] for m in M.elements}
                                 )
                                 rep = check_composition(g, f, "sigma", cm, cp, ck)
                                 assert rep.holds, rep.witness
+                                composites["n-ary"] += 1
+    # facts measured at these bounds
+    assert composites == {"sigma": 12080, "pi": 12080, "n-ary": 1009}
 
 
 def test_sigma_below_pi_on_every_monotone_map_up_to_five():
@@ -282,6 +302,18 @@ def test_criterion_05_hyperdoctrine_canonicity():
         for C in lattice_fixtures():
             Pd = canext_fo(fo_from_cohcat(C))
             assert validate_fo(Pd).passed
+
+
+def test_criterion_05_hyperdoctrine_canonicity_on_every_lattice_up_to_eight():
+    lats = distributive_lattices(8)
+    assert len(lats) == 36
+    with criterion(5, "hyperdoctrine canonicity on DL(<=8)", 1.5):
+        for L in lats:
+            C = LatticeCategory(L)
+            P = sub_hyperdoctrine(C)
+            assert validate(P).passed
+            assert validate(canext_hyperdoctrine(P)).passed
+            assert validate_fo(canext_fo(fo_from_cohcat(C))).passed
 
 
 def check_posetal_extension_equivalence(L):
@@ -697,6 +729,43 @@ def test_criterion_13_family_checks_at_size_eight():
             rep = sigma_bar_check(C)
             assert rep.passed, (name, rep)
         assert totals == [36, 66, 120]
+
+
+def test_criterion_13_family_checks_at_size_ten():
+    # the closed forms of test_criterion_13_family_checks_at_size_eight.  The
+    # family budget is passed explicitly: the default of 16,384 ordered model
+    # pairs cuts idempotent (138 models) and ordered (220) at size 10
+    closed_forms = {
+        "pointed": lambda n: n,
+        "idempotent": partition_count,
+        "ordered": lambda n: comb(n + 1, 2),
+    }
+    with criterion(13, "family checks at size 10", 10):
+        from cohext.logic.models import (
+            FamilyCategory,
+            ModelFamily,
+            check_m1,
+            check_m2,
+            check_m3,
+            enumerate_models,
+            sigma_bar_check,
+        )
+        from cohext.logic.parser import parse_theory
+
+        totals = []
+        for name, count in closed_forms.items():
+            T = parse_theory(fixture_path(f"{name}.chr").read_text())
+            models = enumerate_models(T, 10)
+            C = FamilyCategory(T, ModelFamily.build(models, budget=len(models) ** 2))
+            sizes = Counter(len(M.sorts["A"]) for M in models)
+            assert sizes == {n: count(n) for n in range(1, 11)}, name
+            totals.append(len(models))
+            assert check_m1(C).passed
+            assert check_m2(C).passed
+            assert check_m3(C).passed
+            rep = sigma_bar_check(C)
+            assert rep.passed, (name, rep)
+        assert totals == [55, 138, 220]
 
 
 def test_criterion_14_parser_golden():

@@ -35,6 +35,7 @@ from cohext.logic.models import (
     Evaluation,
     FamilyCategory,
     ModelFamily,
+    PreconditionError,
     check_m1,
     check_m2,
     check_m3,
@@ -258,6 +259,40 @@ def test_family_checks_match_the_oracles_with_and_without_the_designated_model()
             )
             embedding_failed |= not rep.embedding.passed
     assert embedding_failed
+
+
+@pytest.mark.parametrize("sigma_bar_first", [False, True])
+def test_kept_family_verdicts_match_the_oracles_in_either_order(sigma_bar_first):
+    # the conditions and sigma-bar on one category, with and without the
+    # designated model of pointed: whichever runs first finds the verdicts
+    # and types the other reads
+    T = parse_theory((FIXTURE_DIR / "pointed.chr").read_text())
+    C = FamilyCategory(T, ModelFamily.build(enumerate_models(T, 2)))
+    drop = designated_model_index(C)
+    keep = tuple(i for i in range(len(C.family.models)) if i != drop)
+    parts = ("naturality", "exists_preservation", "embedding", "surjectivity")
+
+    def conditions(checks):
+        return triples([check(C, idx) for idx in (None, keep) for check in checks])
+
+    def sigma_bar(check):
+        rep = check(C)
+        with pytest.raises(PreconditionError) as e:
+            check(C, indices=keep)
+        dropped = check(C, require_conditions=False, indices=keep)
+        reports = [getattr(r, p) for r in (rep, dropped) for p in parts]
+        return triples(reports), str(e.value)
+
+    if sigma_bar_first:
+        got_bar = sigma_bar(sigma_bar_check)
+        got = conditions((check_m1, check_m2, check_m3))
+    else:
+        got = conditions((check_m1, check_m2, check_m3))
+        got_bar = sigma_bar(sigma_bar_check)
+    assert got == conditions((check_m1_oracle, check_m2_oracle, check_m3_oracle))
+    assert got_bar == sigma_bar(sigma_bar_check_oracle)
+    assert got_bar[1].startswith("M2 fails: prime filter")
+    assert [c for c in got if not c[1]] == [got[4]]
 
 
 @pytest.mark.parametrize("source, target, hom", [

@@ -17,6 +17,7 @@ from cohext.logic.models import (
     PreconditionError,
     _models,
     _partial_model,
+    _Coloured,
     _Unassigned,
     check_m1,
     check_m2,
@@ -46,6 +47,7 @@ from cohext.logic.syntax import (
 from cohext.order import assignments
 from evaluator_oracle import eval_term_oracle, satisfies_formula_oracle, satisfies_theory_oracle
 from helpers import chase_theory_text, fixture_path, is_prime_filter, noisy_theory_text
+from model_oracle import canonical_key, enumerate_models_by_key, family_reach_oracle
 
 CORPUS = ["pointed", "idempotent", "ordered"]
 
@@ -491,11 +493,28 @@ def iso_classes(models, key):
     return sorted(classes.values())
 
 
+def iso_classes_by_search(models):
+    """The classes `enumerate_models` finds: each model joins the first
+    kept model of equal invariant that the search finds isomorphic."""
+    palette, kept, classes = {}, [], []
+    for i, M in enumerate(models):
+        coloured = _Coloured(M, palette)
+        for c, K in enumerate(kept):
+            if K.invariant == coloured.invariant and coloured.isomorphic(K):
+                classes[c].append(i)
+                break
+        else:
+            kept.append(coloured)
+            classes.append([i])
+    return sorted(classes)
+
+
 def test_canonical_key_splits_models_like_the_permutation_oracle():
     models = classes = 0
     for family in oracle_families(up_to_iso=False):
-        got = iso_classes(family, FinModel.canonical_key)
+        got = iso_classes(family, canonical_key)
         assert got == iso_classes(family, canonical_key_oracle)
+        assert iso_classes_by_search(family) == got
         models, classes = models + len(family), classes + len(got)
     assert (models, classes) == (559, 143)
 
@@ -650,7 +669,7 @@ def test_enumerate_models_matches_the_generate_and_filter_oracle():
         want = enumerate_models_oracle(T, max_size, min_size)
         got = enumerate_models(T, max_size, min_size, up_to_iso=False)
         assert as_tables(got) == as_tables(want), name
-        reduced = first_of_each_class(want, FinModel.canonical_key)
+        reduced = first_of_each_class(want, canonical_key)
         got = enumerate_models(T, max_size, min_size)
         assert as_tables(got) == as_tables(reduced), name
         counts[name] = (len(reduced), len(want))
@@ -673,9 +692,21 @@ def test_transposition_cut_leaves_few_labelled_models_at_size_five():
 def test_canonical_key_splits_the_shared_name_family_like_the_permutation_oracle():
     T = theory("sort A\nfun f : A -> A\nrel f : A\n")
     family = enumerate_models(T, 3, up_to_iso=False)
-    got = iso_classes(family, FinModel.canonical_key)
+    got = iso_classes(family, canonical_key)
     assert got == iso_classes(family, canonical_key_oracle)
+    assert iso_classes_by_search(family) == got
     assert (len(family), len(got)) == (2 + 16 + 216, len(enumerate_models(T, 3)))
+
+
+def test_enumerate_models_matches_the_canonical_key_enumerator_up_to_size_eight():
+    # one list per theory covers every smaller size: models come out by
+    # carrier size, so the list at size n begins with the list at n - 1
+    for name in CORPUS:
+        T = parse_theory(fixture_path(f"{name}.chr").read_text())
+        assert as_tables(enumerate_models(T, 8)) == as_tables(enumerate_models_by_key(T, 8))
+    # the generated theories are compared at size 2 by
+    # test_enumerate_models_matches_the_generate_and_filter_oracle: with a
+    # binary relation, some have tens of thousands of models at size 3
 
 
 def homomorphisms(M: FinModel, N: FinModel) -> list[dict[str, dict[str, str]]]:
@@ -982,7 +1013,42 @@ def test_node_consistent_domains_skip_the_pinned_searches_that_must_fail(monkeyp
         for M, N in product(family, repeat=2):
             reach_search_oracle(M, N)
         found[name] = (len(family), counts[-2:])
-    assert found == {"ordered": (35, [0, 11515]), "idempotent": (18, [906, 2250])}
+    # idempotent's build searched 906 times before its pairs read composites
+    assert found == {"ordered": (35, [0, 11515]), "idempotent": (18, [52, 2250])}
+
+
+def test_reach_matches_the_witness_search_oracle_up_to_size_eight():
+    for name in CORPUS:
+        T = parse_theory(fixture_path(f"{name}.chr").read_text())
+        for size in (3, 6, 8):
+            models = enumerate_models(T, size)
+            assert ModelFamily.build(models).reach == family_reach_oracle(models), name
+    # the two-sorted corpus, and labelled families, where composites pass
+    # through isomorphic copies: idempotent at size 4 and the empty carriers
+    labelled = oracle_families(up_to_iso=False)
+    for models in oracle_families()[-2:] + [labelled[1], labelled[-1]]:
+        assert ModelFamily.build(models).reach == family_reach_oracle(models)
+
+
+def test_model_family_counts_the_searches_it_runs(monkeypatch):
+    # facts measured at these bounds: before the pairs read composites,
+    # idempotent's build ran 906 searches at size 5 and 26,000 at size 8
+    import cohext.logic.models as models
+
+    T = parse_theory(fixture_path("idempotent.chr").read_text())
+    calls = []
+    search = models.assignments
+    monkeypatch.setattr(
+        models, "assignments", lambda *args: calls.append(args) or search(*args)
+    )
+    counts = []
+    for size in (5, 8):
+        family = enumerate_models(T, size)
+        calls.clear()
+        fam = ModelFamily.build(family)
+        assert fam.searches == len(calls)
+        counts.append((len(family), fam.searches))
+    assert counts == [(18, 52), (66, 314)]
 
 
 def test_types_are_prime_filters_on_all_corpus_fixtures():

@@ -437,21 +437,22 @@ def test_kept_triple_projections_equal_an_uncached_pairing():
 def test_the_s_and_s_delta_builds_over_one_base_pair_each_projection_once(
     monkeypatch,
 ):
-    """Every factorizations scan of the two builds, counted by its
-    arguments: each triple product's two pairings once, and each diagonal
-    once per build (`PredCategory._diagonal` is kept per category)."""
-    real = FinCategory.factorizations
+    """Every pairing of the two builds, counted by its source, product and
+    legs: each triple product's two pairings once, and each diagonal once
+    per build (`PredCategory._diagonal` is kept per category)."""
+    import cohext.predcat as predcat
+
     for C in pairing_bases():
         S = sub_hyperdoctrine(C)
         Sd = canext_hyperdoctrine(sub_hyperdoctrine(C))
         scans = Counter()
 
-        def counted(cat, Z, Q, legs):
-            scans[(Z, Q, legs)] += 1
-            return real(cat, Z, Q, legs)
+        def counted(cat, cone, f, g):
+            scans[(cat.src(f), cone.obj, ((cone.pi1, f), (cone.pi2, g)))] += 1
+            return pairing(cat, cone, f, g)
 
         with monkeypatch.context() as m:
-            m.setattr(FinCategory, "factorizations", counted)
+            m.setattr(predcat, "pairing", counted)
             PredCategory(S)
             PredCategory(Sd)
         base, expected = C.cat, Counter()
@@ -464,6 +465,48 @@ def test_the_s_and_s_delta_builds_over_one_base_pair_each_projection_once(
             cone, i = S.limits.product(A, A), base.identity(A)
             expected[(A, cone.obj, ((cone.pi1, i), (cone.pi2, i)))] += 2
         assert scans == expected
+
+
+def pairing_by_scan(cat, cone, f, g):
+    """The mediating morphism found by the `factorizations` scan."""
+    matches = cat.factorizations(cat.src(f), cone.obj, ((cone.pi1, f), (cone.pi2, g)))
+    if len(matches) != 1:
+        raise MissingLimitError(f"pairing of ({f},{g}) has {len(matches)} candidates")
+    return matches[0]
+
+
+def outcome(pair, *args):
+    try:
+        return pair(*args)
+    except MissingLimitError as e:
+        return str(e)
+
+
+def test_pairing_matches_the_factorizations_scan():
+    # every pair of morphisms into two objects with a chosen product, with
+    # equal sources or not: thin bases (DL(<=6), the fragments of one-point
+    # sets) read the one candidate, the other scans; a mismatch names no
+    # candidate
+    fragments = [
+        ConcreteCohCategory([frozenset({"x"})]),
+        ConcreteCohCategory([frozenset({"x"}), frozenset({"y"})]),
+        ConcreteCohCategory([frozenset({"x", "y"})]),
+    ]
+    bases = [LatticeCategory(L) for L in distributive_lattices(6)] + fragments
+    calls = failures = 0
+    for C in bases:
+        cat = C.cat
+        for A, B in product(cat.objects, repeat=2):
+            try:
+                cone = C.product(A, B)
+            except MissingLimitError:
+                continue
+            for f, g in product(cat.morphisms_into(A), cat.morphisms_into(B)):
+                got = outcome(pairing, cat, cone, f, g)
+                assert got == outcome(pairing_by_scan, cat, cone, f, g), (f, g)
+                calls, failures = calls + 1, failures + (got not in cat.morphisms)
+    assert [C.cat.thin for C in fragments] == [True, True, False]
+    assert 0 < failures < calls
 
 
 def test_a_base_that_kept_triple_projections_leaves_no_reference_cycle():
