@@ -43,24 +43,29 @@ class FinModel:
     funcs: dict[str, dict[tuple, str]]
     rels: dict[str, frozenset]
 
-    def eval_term(self, t, env: dict) -> str:
+    def eval_term(self, t, env: dict) -> str | None:
         return t.value(self.funcs, env)
 
-    def satisfies_formula(self, phi, env: dict) -> bool:
-        """phi's truth under env, by its compiled closure (`syntax`)."""
+    def satisfies_formula(self, phi, env: dict) -> bool | None:
+        """phi's truth value under env, by its compiled closure (`syntax`):
+        None when the cells defined so far do not decide it."""
         return phi.holds(self, env)
 
-    def satisfies(self, seq: Sequent) -> bool:
-        lhs, rhs = seq.lhs.holds, seq.rhs.holds
-        domains = [self.sorts[v.sort] for v in seq.context]
-        for choice in iproduct(*domains):
-            env = {v.name: x for v, x in zip(seq.context, choice)}
-            if lhs(self, env) and not rhs(self, env):
-                return False
-        return True
+    def violation(self) -> tuple[Sequent, dict] | None:
+        """The first instance, a sequent with an assignment of its context,
+        whose lhs is true and whose rhs is not, in sequent order and
+        `itertools.product` order of the context's carriers; None if there
+        is none.  On total tables the rhs is then false."""
+        for seq in self.theory.sequents:
+            lhs, rhs = seq.lhs.holds, seq.rhs.holds
+            for choice in iproduct(*[self.sorts[v.sort] for v in seq.context]):
+                env = {v.name: x for v, x in zip(seq.context, choice)}
+                if lhs(self, env) is True and rhs(self, env) is not True:
+                    return seq, env
+        return None
 
     def satisfies_theory(self) -> bool:
-        return all(self.satisfies(s) for s in self.theory.sequents)
+        return self.violation() is None
 
     def definable(self, phi, var: Var) -> frozenset:
         """The subset of the carrier of var's sort defined by a formula
@@ -165,10 +170,11 @@ def _search(T, state, max_fresh, max_rounds, seed) -> ChaseResult:
 
 
 def _run_rounds(T, state, max_fresh, rounds_left, seed, cuts):
-    """Repair rounds on one branch.  A state with no violation is returned
-    as a model unchecked: no instance is violated, and every function is
-    total on the same tables, so no term is undefined and `_holds` is
-    `satisfies_formula` there; the model satisfies its theory."""
+    """Repair rounds on one branch: each repairs the first instance whose
+    lhs is true and whose rhs is not, false or not yet decided by the
+    partial tables.  A state with no such instance is returned as a model
+    unchecked: every function is total on the same tables, so each formula
+    reads true or false there, and no instance is violated."""
     used = 0
     while used < rounds_left:
         violation = _find_violation(T, state)
@@ -188,13 +194,9 @@ def _run_rounds(T, state, max_fresh, rounds_left, seed, cuts):
 
 def _find_violation(T, state):
     # a view of the state's own tables, read only while no repair runs
-    model = FinModel(T, state.sorts, state.funcs, state.rels)
-    for seq in T.sequents:
-        domains = [state.sorts[v.sort] for v in seq.context]
-        for choice in iproduct(*domains):
-            env = {v.name: x for v, x in zip(seq.context, choice)}
-            if _holds(model, seq.lhs, env) and not _holds(model, seq.rhs, env):
-                return seq, env
+    found = FinModel(T, state.sorts, state.funcs, state.rels).violation()
+    if found is not None:
+        return found
     # implicit totality of function symbols
     for f, (args, res) in sorted(T.signature.funcs.items()):
         for tup in iproduct(*[state.sorts[s] for s in args]):
@@ -209,20 +211,6 @@ def _totality_sequent(f, args, res) -> Sequent:
     xs = tuple(Var(f"x{i}", s) for i, s in enumerate(args))
     y = Var("y*", res)
     return Sequent(xs, Truth(), Exists((y,), Eq(App(f, xs, res), y)))
-
-
-def _holds(model, phi, env) -> bool:
-    """Satisfaction over possibly-partial function tables: a read of an
-    undefined function value raises `KeyError`, which escapes the whole
-    formula, so the formula reads as not holding, even where a part read
-    later would make it hold.  Only a part that decides the formula before
-    the evaluation reaches the undefined term keeps its value: with f(c)
-    undefined and Q(c) true, `Q(c) or P(f(c))` holds but `P(f(c)) or Q(c)`
-    does not."""
-    try:
-        return phi.holds(model, env)
-    except KeyError:
-        return False
 
 
 def _repairs(T, phi, env, state, max_fresh, seed, cuts) -> list[_State]:

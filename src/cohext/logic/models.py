@@ -12,16 +12,18 @@ terms up to the depth `TERM_DEPTH`.
 Models are enumerated by propagation: one depth-first search per vector of
 carrier sizes assigns the cells of the function and relation tables, and
 each sequent instance (a sequent with one assignment of its context) is
-evaluated, by `FinModel`'s own evaluator over the partial tables, whenever
-a cell it may read is assigned.  A definite violation cuts the branch, so
-every leaf of the search is a model.  When models are wanted one per
-isomorphism class, the search also cuts a branch once some transposition
-of two elements of one sort provably sends its models to models the search
-yields earlier (a lex-leader check).  Those are never the first of their
-class, which is the one kept, so the cut is exact and the lists are
-unchanged; the labelled enumeration (`up_to_iso=False`) does not cut.  The
-repeats the cut misses are found by an invariant from colour refinement
-and, within one value of it, an exact isomorphism search.
+evaluated, by the formulas' own three-valued closures over the partial
+tables (`syntax`), whenever a cell it may read is assigned.  An instance
+whose lhs reads true and whose rhs reads false is violated in every
+completion, so it cuts the branch, and every leaf of the search is a
+model.  When models are wanted one per isomorphism class, the search also
+cuts a branch once some transposition of two elements of one sort provably
+sends its models to models the search yields earlier (a lex-leader check).
+Those are never the first of their class, which is the one kept, so the
+cut is exact and the lists are unchanged; the labelled enumeration
+(`up_to_iso=False`) does not cut.  The repeats the cut misses are found by
+an invariant from colour refinement and, within one value of it, an exact
+isomorphism search.
 
 A model family keeps, for each ordered pair of members, the reach relation
 of the homomorphisms between them: which elements the homomorphisms
@@ -217,9 +219,10 @@ def _models(T: Theory, sorts: dict[str, tuple[str, ...]], lex_leader: bool = Fal
     search over the cells ("fun", f, args) and ("rel", r, args); a relation
     cell takes False, then True.  A sequent instance, a sequent with one
     assignment of its context, is indexed under every cell it may read and
-    evaluated whenever one of them is assigned.  Reading an unassigned cell
-    leaves it undecided; a holding lhs with a failing rhs cuts the branch.
-    An instance that reads no cell is decided before the search.
+    evaluated whenever one of them is assigned.  An unassigned cell reads
+    as unknown, and a part it leaves unknown may still decide its formula;
+    a true lhs with a false rhs cuts the branch.  An instance that reads no
+    cell is decided before the search.
 
     With lex_leader, a branch is also cut when some transposition sigma of
     two elements of one sort provably sends each of its models M to a
@@ -321,26 +324,21 @@ def _transposition_tables(T: Theory, sorts, keys, position) -> list[list[tuple]]
     return tables
 
 
-class _Unassigned(Exception):
-    """A read of a cell that the search has not assigned yet."""
-
-
 class _Cells:
-    """One symbol's cells in a partial assignment, read as a function table
-    (`cells[args]`) or as a relation (`args in cells`)."""
+    """One symbol's cells in a partial assignment: `get(args)` reads a
+    function's value or a relation row's truth, None while unassigned.  The
+    compiled closures read a relation's row by calling `__contains__`, which
+    is the same read; `in` would make None false."""
 
     __slots__ = ("acc", "kind", "name")
 
     def __init__(self, acc: dict, kind: str, name: str):
         self.acc, self.kind, self.name = acc, kind, name
 
-    def __getitem__(self, args):
-        value = self.acc.get((self.kind, self.name, args))
-        if value is None:
-            raise _Unassigned
-        return value
+    def get(self, args):
+        return self.acc.get((self.kind, self.name, args))
 
-    __contains__ = __getitem__
+    __contains__ = get
 
 
 def _partial_model(T: Theory, sorts, acc: dict) -> FinModel:
@@ -354,12 +352,9 @@ def _partial_model(T: Theory, sorts, acc: dict) -> FinModel:
 
 
 def _violated(M: FinModel, seq, env) -> bool:
-    """The instance's lhs holds in M and its rhs fails, read from assigned
-    cells only."""
-    try:
-        return M.satisfies_formula(seq.lhs, env) and not M.satisfies_formula(seq.rhs, env)
-    except _Unassigned:
-        return False
+    """The instance's lhs is true and its rhs false on the cells assigned
+    so far, and so in every model that extends them."""
+    return seq.lhs.holds(M, env) is True and seq.rhs.holds(M, env) is False
 
 
 def _cells_read(seq, env: dict, sorts) -> set[tuple]:

@@ -4,23 +4,32 @@ pretty-printer.
 
 Each term and formula is compiled, on its first evaluation, into a closure
 that is kept on its node (`order.cached`): a term's `value(funcs, env)` is
-its element, a formula's `holds(model, env)` its truth in a model with
-`sorts`, `funcs` and `rels` tables (`chase.FinModel`), both under an
-assignment `env` of elements to variable names.  A closure reads the
-tables in the order of the recursive interpreter it replaced: a term's
-arguments left to right before its own cell, a relation's arguments
-before its row, an equation's left side before its right, the parts of a
-conjunction or disjunction left to right until one decides it, and an
-existential's choices in `itertools.product` order of its binders'
-carriers until one holds.  So it gives the same value and lets the same
-exception escape: a `KeyError` from an undefined cell or variable, or
-whatever a partial table raises for a cell not yet assigned.
+its element, a formula's `holds(model, env)` its truth value, both under
+an assignment `env` of elements to variable names.  The model may be
+partial, as the chase's states and model enumeration's assignments are:
+`model.sorts` gives each carrier, `model.funcs` each function's table,
+read by `table.get(args)`, and `model.rels` each relation's table, read
+by calling `table.__contains__(row)`: membership in a set of rows, or a
+partial assignment's value for the row, None while it is unassigned.
+
+A term with an undefined cell has the value None, and a formula is read
+in strong Kleene logic (Kleene, *Introduction to Metamathematics*, 1952,
+section 64): True, False, or None when the known cells do not decide it.
+A conjunction is false as soon as one part is false, and a disjunction or
+an existential true as soon as one part or one choice is true.  The logic
+is positive (no negation or implication), so the reading is monotone: a
+True or False holds in every completion of a partial model, and on a
+total model the value is the formula's truth.  A closure reads the cells
+in the order of the recursive interpreter it replaced: a term's arguments
+left to right before its own cell, the parts of a junction left to right,
+and an existential's choices in `itertools.product` order of its binders'
+carriers; it stops at the first part or choice that decides the formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import reduce
 
 from ..order import cached
 
@@ -83,17 +92,19 @@ class App:
 
     @cached
     def value(self):
+        # no table has None among its arguments, so an undefined argument
+        # reads as an undefined cell
         f, args = self.func, self.args
         if not args:
-            return lambda funcs, env: funcs[f][()]
+            return lambda funcs, env: funcs[f].get(())
         if len(args) == 1:
             if isinstance(args[0], Var):
                 x = args[0].name
-                return lambda funcs, env: funcs[f][(env[x],)]
+                return lambda funcs, env: funcs[f].get((env[x],))
             a = args[0].value
-            return lambda funcs, env: funcs[f][(a(funcs, env),)]
+            return lambda funcs, env: funcs[f].get((a(funcs, env),))
         values = [t.value for t in args]
-        return lambda funcs, env: funcs[f][tuple([v(funcs, env) for v in values])]
+        return lambda funcs, env: funcs[f].get(tuple([v(funcs, env) for v in values]))
 
 
 def print_term(t) -> str:
@@ -131,20 +142,18 @@ class RelAtom:
         r, args = self.rel, self.args
         if len(args) == 1:
             a = args[0].value
-            return lambda model, env: (a(model.funcs, env),) in model.rels[r]
-        if len(args) == 2:
-            a, b = args[0].value, args[1].value
 
             def holds(model, env):
-                funcs = model.funcs
-                return (a(funcs, env), b(funcs, env)) in model.rels[r]
+                x = a(model.funcs, env)
+                return None if x is None else model.rels[r].__contains__((x,))
 
             return holds
         values = [t.value for t in args]
 
         def holds(model, env):
             funcs = model.funcs
-            return tuple([v(funcs, env) for v in values]) in model.rels[r]
+            row = tuple([v(funcs, env) for v in values])
+            return None if None in row else model.rels[r].__contains__(row)
 
         return holds
 
@@ -160,7 +169,8 @@ class Eq:
 
         def holds(model, env):
             funcs = model.funcs
-            return a(funcs, env) == b(funcs, env)
+            x, y = a(funcs, env), b(funcs, env)
+            return None if x is None or y is None else x == y
 
         return holds
 
@@ -171,18 +181,7 @@ class And:
 
     @cached
     def holds(self):
-        parts = [p.holds for p in self.parts]
-        if len(parts) == 2:
-            p, q = parts
-            return lambda model, env: p(model, env) and q(model, env)
-
-        def holds(model, env):
-            for p in parts:
-                if not p(model, env):
-                    return False
-            return True
-
-        return holds
+        return reduce(_conjunction, [p.holds for p in self.parts])
 
 
 @dataclass(frozen=True)
@@ -191,18 +190,7 @@ class Or:
 
     @cached
     def holds(self):
-        parts = [p.holds for p in self.parts]
-        if len(parts) == 2:
-            p, q = parts
-            return lambda model, env: p(model, env) or q(model, env)
-
-        def holds(model, env):
-            for p in parts:
-                if p(model, env):
-                    return True
-            return False
-
-        return holds
+        return reduce(_disjunction, [p.holds for p in self.parts])
 
 
 @dataclass(frozen=True)
@@ -212,34 +200,54 @@ class Exists:
 
     @cached
     def holds(self):
-        body = self.body.holds
-        if len(self.binders) == 1:
-            (b,) = self.binders
-            name, sort = b.name, b.sort
-
-            def holds(model, env):
-                domain = model.sorts[sort]
-                env = dict(env)
-                for x in domain:
-                    env[name] = x
-                    if body(model, env):
-                        return True
-                return False
-
-            return holds
-        names = [b.name for b in self.binders]
-        sorts = [b.sort for b in self.binders]
-
-        def holds(model, env):
-            domains = [model.sorts[s] for s in sorts]
-            env = dict(env)
-            for choice in product(*domains):
-                env.update(zip(names, choice))
-                if body(model, env):
-                    return True
-            return False
-
+        holds = self.body.holds
+        for b in reversed(self.binders):
+            holds = _exists(b.name, b.sort, holds)
         return holds
+
+
+# Strong Kleene conjunction and disjunction are associative, so a junction
+# of n parts is read as n - 1 nested two-part ones, and an existential over
+# n binders, whose choices run in `itertools.product` order, as n nested
+# one-binder ones.
+
+
+def _conjunction(p, q):
+    def holds(model, env):
+        x = p(model, env)
+        if x is False:
+            return False
+        y = q(model, env)
+        return y if x or y is False else None
+
+    return holds
+
+
+def _disjunction(p, q):
+    def holds(model, env):
+        x = p(model, env)
+        if x:
+            return True
+        y = q(model, env)
+        return y if x is False or y else None
+
+    return holds
+
+
+def _exists(name, sort, body):
+    def holds(model, env):
+        env = dict(env)
+        value = False
+        for x in model.sorts[sort]:
+            env[name] = x
+            y = body(model, env)
+            if y:
+                return True
+            if y is None:
+                value = None
+        return value
+
+    return holds
 
 
 def print_formula(phi) -> str:

@@ -707,16 +707,19 @@ def test_cohext_import_finder_on_samples():
 PYPROJECT = SRC.parent / "pyproject.toml"
 
 # Imports every cohext module, parses and chases each fixture theory, which
-# compiles and runs its formulas' closures, and reads two fixture
-# categories and validates their subobject hyperdoctrines, which runs the
-# lattice reader and builds the pullback squares.
+# compiles and runs its formulas' closures, enumerates each fixture's models
+# up to size 3, which runs the closures on partial assignments, reads one
+# formula as unknown on a partial model, and reads two fixture categories
+# and validates their subobject hyperdoctrines, which runs the lattice
+# reader and builds the pullback squares.
 IMPORT_AND_PARSE = """
 import importlib, pkgutil
 import cohext
 from cohext.fixtures import FIXTURE_DIR
 from cohext.hyperdoctrine import sub_hyperdoctrine, validate
 from cohext.jsonio import load_category
-from cohext.logic.chase import chase
+from cohext.logic.chase import FinModel, chase
+from cohext.logic.models import enumerate_models
 from cohext.logic.parser import parse_theory
 for m in pkgutil.walk_packages(cohext.__path__, "cohext."):
     importlib.import_module(m.name)
@@ -725,6 +728,11 @@ assert len(theories) == 3, theories
 for path in theories:
     res = chase(parse_theory(path.read_text()), max_fresh=6, max_rounds=40)
     assert res.status == "model" and res.model.satisfies_theory(), path
+counts = [len(enumerate_models(parse_theory(p.read_text()), 3)) for p in theories]
+assert counts == [6, 10, 6], counts
+T = parse_theory("sort A\\nfun c : -> A\\nfun f : A -> A\\nrel P : A\\ntrue |- P(f(c))\\n")
+M = FinModel(T, {"A": ("a",)}, {"c": {(): "a"}, "f": {}}, {"P": frozenset()})
+assert M.satisfies_formula(T.sequents[0].rhs, {}) is None
 for name in ("diamond.latcat.json", "two_objects.cat.json"):
     S = sub_hyperdoctrine(load_category(FIXTURE_DIR / name))
     report = validate(S)
