@@ -29,6 +29,15 @@ refuses them unless they agree; only `esakia_check`, which states
 Esakia's lemma for delta, takes it.  The tests check sigma = pi by running
 it on every map between lattices of DL(<=4) that preserves either.
 
+Square transfer (`comjpm_decide`) is decided per map pair: condition (1)
+and the table of g o ext(h1) depend only on (g, h1), and the table of
+ext(h2) o sigma(f) only on (f, h2).  `comjpm_decide` keeps each pair's
+data on g and on f as tuples in the element orders of the one kept
+extension of their source, so a square costs two lookups and two tuple
+comparisons.  `square_transfer` decides every commuting square of a
+quadruple of lattices from the pair data alone, in time linear in the
+pairs, and keeps none of it on the maps.
+
 The meet side is read through the order dual.  `CanonicalExtension.dual`
 embeds `base.dual` into `ext.dual` by the same map, so its filter elements
 and tables are the ideal elements and tables of the extension itself:
@@ -46,8 +55,9 @@ from .lattice import (
     LatticeHom,
     MonotoneMap,
     downset_lattice,
+    join_preserving_maps,
+    lattice_homs,
     prime_filter_poset,
-    prime_filters,
     require_distributive,
 )
 from .order import BudgetError, cached, cached_method, set_name, trusted_instance
@@ -429,8 +439,12 @@ def comjpm_decide(
 
     which are equivalent; both booleans are computed independently and the
     equality is asserted.  f preserves finite joins, checked first, so its
-    delta lift is its sigma lift, which (2) reads; the lift is kept on f,
-    so the squares that share f share it.
+    delta lift is its sigma lift, which (2) reads.
+
+    Condition (1) and the left side of (2) depend only on (g, h1), the
+    right side only on (f, h2); each pair's data is kept on g and on f
+    (`_kept_transfer_left`, `_kept_transfer_right`), so a square whose
+    pairs were seen before costs two lookups and two tuple comparisons.
     """
     if not f.preserves_finite_joins():
         raise PreservationError("f must preserve finite joins")
@@ -438,22 +452,151 @@ def comjpm_decide(
         raise PreservationError("g must preserve all joins")
     if f.source is not h1.source and f.source != h1.source:
         raise LatticeError("f and h1 must start at the same lattice")
-    for a in h1.source.elements:
-        if g(h1(a)) != h2(f(a)):
-            raise LatticeError(f"base square does not commute at {a}")
-    L1, K1, K2 = h1.source, h1.target, h2.target
-    ce1 = canonical_extension(L1)
-    cond1 = all(
-        g(K1.meet_all(h1(a) for a in rho)) == K2.meet_all(g(h1(a)) for a in rho)
-        for rho in prime_filters(ce1.base)
-    )
-    ce2 = canonical_extension(f.target)
-    h1bar = extend_hom(h1, ce1)
-    h2bar = extend_hom(h2, ce2)
-    fsigma = _kept_sigma_extension(f)
-    cond2 = all(
-        g(h1bar(u)) == h2bar(fsigma(u)) for u in ce1.ext.elements
-    )
+    key1, cond1, table1 = _kept_transfer_left(g, h1)
+    key2, table2 = _kept_transfer_right(f, h2)
+    if key1 != key2:
+        a = next(a for a in h1.source.elements if g(h1(a)) != h2(f(a)))
+        raise LatticeError(f"base square does not commute at {a}")
+    cond2 = table1 == table2
     assert cond1 == cond2, "square-transfer conditions disagree"
     return cond1, cond2
 
+
+def _hom_side(h: LatticeHom, ce: CanonicalExtension, hbar: dict) -> tuple:
+    """What the pair tables read of a hom h : L -> K, given ce, the
+    extension of L, and the table hbar of ext(h): h's values on the base
+    elements and hbar's on the extension elements, in element order, and
+    for each prime filter of L the meet in K of h over it with the values
+    it is the meet of."""
+    K, hm = h.target, h.mapping
+    meets = tuple(
+        (K.meet_all(values), values)
+        for values in (tuple(hm[a] for a in rho) for rho in ce.base.prime_filter_sets)
+    )
+    return (
+        tuple(hm[a] for a in ce.base.elements),
+        tuple(hbar[u] for u in ce.ext.elements),
+        meets,
+    )
+
+
+def _transfer_left(g: MonotoneMap, h1_side: tuple) -> tuple[tuple, bool, tuple]:
+    """The data of the squares with right side g and top h1, read off
+    `_hom_side` of h1: the base composite g o h1, condition (1), and the
+    table of g o ext(h1), as tuples in element order."""
+    values, lifted, meets = h1_side
+    at, K2 = g.mapping.__getitem__, g.target
+    cond1 = True
+    for m, rho in meets:
+        if at(m) != K2.meet_all(map(at, rho)):
+            cond1 = False
+            break
+    return tuple(map(at, values)), cond1, tuple(map(at, lifted))
+
+
+def _transfer_right(
+    f_side: tuple, h2: LatticeHom, h2bar: dict
+) -> tuple[tuple, tuple]:
+    """The data of the squares with left side f and bottom h2, read off f's
+    values on the base elements and sigma(f)'s on the extension elements
+    (`f_side`) and the table h2bar of ext(h2): the base composite h2 o f
+    and the table of ext(h2) o sigma(f), in the orders of `_transfer_left`."""
+    values, lifted = f_side
+    return (
+        tuple(map(h2.mapping.__getitem__, values)),
+        tuple(map(h2bar.__getitem__, lifted)),
+    )
+
+
+def _join_map_side(f: MonotoneMap, ce1: CanonicalExtension, fsigma: dict) -> tuple:
+    """f's values on the base elements of ce1 and the values of its sigma
+    lift, with table fsigma, on the extension elements."""
+    fm = f.mapping
+    return (
+        tuple(fm[a] for a in ce1.base.elements),
+        tuple(fsigma[u] for u in ce1.ext.elements),
+    )
+
+
+@cached_method
+def _kept_transfer_left(g: MonotoneMap, h1: LatticeHom) -> tuple[tuple, bool, tuple]:
+    """`_transfer_left` for (g, h1), kept on g per h1."""
+    ce1 = canonical_extension(h1.source)
+    return _transfer_left(g, _hom_side(h1, ce1, extend_hom(h1, ce1).mapping))
+
+
+@cached_method
+def _kept_transfer_right(f: MonotoneMap, h2: LatticeHom) -> tuple[tuple, tuple]:
+    """`_transfer_right` for (f, h2), kept on f per h2; reads the sigma
+    lift kept on f."""
+    f_side = _join_map_side(
+        f, canonical_extension(f.source), _kept_sigma_extension(f).map.mapping
+    )
+    return _transfer_right(
+        f_side, h2, extend_hom(h2, canonical_extension(f.target)).mapping
+    )
+
+
+@dataclass(frozen=True)
+class SquareTransferReport:
+    squares: int  # commuting squares decided
+    witness: tuple | None  # first square (h1, h2, f, g) whose conditions disagree
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
+
+
+def square_transfer(
+    L1: FinLattice, K1: FinLattice, L2: FinLattice, K2: FinLattice
+) -> SquareTransferReport:
+    """`comjpm_decide` on every commuting square g o h1 = h2 o f with
+    h1 : L1 -> K1 and h2 : L2 -> K2 homs and f : L1 -> L2, g : K1 -> K2
+    join-preserving, decided per map pair instead of per square.
+
+    The pairs (g, h1) are grouped by their base composite, and each (f, h2)
+    meets the group of its own: those are the commuting squares.  Within
+    a group, (1) == (2) on every square exactly when each (g, h1) with (1)
+    true has the table of every (f, h2) in the group and each (g, h1) with
+    (1) false has none of them, which takes time linear in the pairs.  The
+    witness is the first failing square in the order of the per-square
+    loop: f, then h2, then the group's (g, h1) in the order g, then h1.
+    The lifts are those `comjpm_decide` reads, and each hom keeps its own
+    (`extend_hom`), but the pair data and the sigma lifts stay in locals:
+    nothing is kept on f or g."""
+    ce1, ce2 = canonical_extension(L1), canonical_extension(L2)
+    h1s, fs = lattice_homs(L1, K1), join_preserving_maps(L1, L2)
+    h2s, gs = lattice_homs(L2, K2), join_preserving_maps(K1, K2)
+    h1_sides = [_hom_side(h1, ce1, extend_hom(h1, ce1).mapping) for h1 in h1s]
+    left = {}
+    for g in gs:
+        for h1, h1_side in zip(h1s, h1_sides):
+            key, cond1, table = _transfer_left(g, h1_side)
+            left.setdefault(key, []).append((g, h1, cond1, table))
+    h2bars = [extend_hom(h2, ce2).mapping for h2 in h2s]
+    right, tables = [], {}
+    for f in fs:
+        f_side = _join_map_side(f, ce1, sigma_map(f, ce1, ce2).mapping)
+        for h2, h2bar in zip(h2s, h2bars):
+            key, table = _transfer_right(f_side, h2, h2bar)
+            if key in left:
+                right.append((f, h2, key, table))
+                tables.setdefault(key, set()).add(table)
+    failing = {
+        key
+        for key, seen in tables.items()
+        if any(seen != {t} if c else t in seen for _, _, c, t in left[key])
+    }
+    witness = next(
+        (
+            (h1, h2, f, g)
+            for f, h2, key, t2 in right
+            if key in failing
+            for g, h1, c, t1 in left[key]
+            if c != (t1 == t2)
+        ),
+        None,
+    )
+    return SquareTransferReport(
+        sum(len(left[key]) for _, _, key, _ in right), witness
+    )

@@ -459,8 +459,12 @@ class MonotoneMap:
             and self.mapping == other.mapping
         )
 
-    def __hash__(self):
+    @cached
+    def _hash(self) -> int:
         return hash((self.source, self.target, tuple(sorted(self.mapping.items()))))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"MonotoneMap({self.mapping})"

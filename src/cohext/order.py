@@ -56,9 +56,9 @@ class cached:
     CPython 3.11, materializing `__dict__` slows every later attribute load
     on the object.  A constructor that knows the value may set it the same
     way (`trusted_instance`); `func` recomputes it.  A structure's hash is
-    one more such value: `FinPoset`, `lattice.FinLattice` and
-    `canext.CanonicalExtension` keep theirs as `_hash`, which `__hash__`
-    returns, while equality stays structural."""
+    one more such value: `FinPoset`, `lattice.FinLattice`,
+    `lattice.MonotoneMap` and `canext.CanonicalExtension` keep theirs as
+    `_hash`, which `__hash__` returns, while equality stays structural."""
 
     def __init__(self, func):
         self.func = func

@@ -5,15 +5,23 @@ Frobenius loop, the family conditions, `Evaluation.coherence_check` and
 `sigma_bar_check`.  They report the same `LawCheck`s, so the new code must
 give the same name, verdict and witness for every check, in order.  The
 family oracles find each type afresh (`type_of_oracle`), so they read
-nothing the family checks keep on a category."""
+nothing the family checks keep on a category.  `comjpm_oracle` is the
+square transfer decided per square, as it was before the data of each map
+pair was kept."""
 
 from itertools import product as iproduct
 
-from cohext.canext import canonical_extension, comjpm_decide, delta_extension, extend_hom
+import cohext.canext as canext
+from cohext.canext import (
+    PreservationError,
+    canonical_extension,
+    delta_extension,
+    extend_hom,
+)
 from cohext.cohcat import ProductCone, is_product_cone
 from cohext.fincat import composable_pairs
 from cohext.hyperdoctrine import ValidationReport
-from cohext.lattice import check_distributive, prime_filters
+from cohext.lattice import LatticeError, check_distributive, prime_filters
 from cohext.logic.models import (
     Evaluation,
     PreconditionError,
@@ -403,7 +411,7 @@ def sigma_bar_check_oracle(C, require_conditions=True, indices=None, budget=None
             sigma_bar[tm.tgt](exd(u)) == imE(sigma_bar[tm.src](u))
             for u in exts[tm.src].ext.elements
         )
-        c1, c2 = comjpm_decide(sigma[tm.src], sigma[tm.tgt], im, imE)
+        c1, c2 = comjpm_oracle(sigma[tm.src], sigma[tm.tgt], im, imE)
         if not (direct and c1 and c2):
             exp = LawCheck(
                 "exists-preservation", False, f"fails along {f}"
@@ -443,3 +451,35 @@ def sigma_bar_check_oracle(C, require_conditions=True, indices=None, budget=None
         if not sur.passed:
             break
     return SigmaBarReport(nat, exp, emb, sur)
+
+
+def comjpm_oracle(h1, h2, f, g):
+    """`canext.comjpm_decide` with every check made per square: the base
+    square and condition (1) read through the maps, and both sides of (2)
+    compared element by element through the lifts.  The lifts are read
+    through the `canext` module, so a test that replaces one there
+    reaches this loop too."""
+    if not f.preserves_finite_joins():
+        raise PreservationError("f must preserve finite joins")
+    if not g.preserves_finite_joins():
+        raise PreservationError("g must preserve all joins")
+    if f.source is not h1.source and f.source != h1.source:
+        raise LatticeError("f and h1 must start at the same lattice")
+    for a in h1.source.elements:
+        if g(h1(a)) != h2(f(a)):
+            raise LatticeError(f"base square does not commute at {a}")
+    L1, K1, K2 = h1.source, h1.target, h2.target
+    ce1 = canonical_extension(L1)
+    cond1 = all(
+        g(K1.meet_all(h1(a) for a in rho)) == K2.meet_all(g(h1(a)) for a in rho)
+        for rho in prime_filters(ce1.base)
+    )
+    ce2 = canonical_extension(f.target)
+    h1bar = canext.extend_hom(h1, ce1)
+    h2bar = canext.extend_hom(h2, ce2)
+    fsigma = canext._kept_sigma_extension(f)
+    cond2 = all(
+        g(h1bar(u)) == h2bar(fsigma(u)) for u in ce1.ext.elements
+    )
+    assert cond1 == cond2, "square-transfer conditions disagree"
+    return cond1, cond2

@@ -6,6 +6,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from itertools import product
 from math import comb
 
 from cohext.canext import (
@@ -13,11 +14,11 @@ from cohext.canext import (
     check_compact,
     check_composition,
     check_dense,
-    comjpm_decide,
     esakia_check,
     is_filtered,
     pi_extension,
     sigma_extension,
+    square_transfer,
 )
 from cohext.catalog import distributive_lattices
 from cohext.cohcat import (
@@ -253,34 +254,25 @@ def test_sigma_below_pi_on_every_monotone_map_up_to_five():
     assert checked == 2536
 
 
+def square_transfer_on(lats) -> int:
+    """Criterion 4 on every commuting square over `lats`, decided per map
+    pair by `square_transfer`; the number of squares."""
+    squares = 0
+    for quad in product(lats, repeat=4):
+        report = square_transfer(*quad)
+        assert report.holds, report.witness
+        squares += report.squares
+    return squares
+
+
 def test_criterion_04_square_transfer():
     with criterion(4, "square-transfer equivalence <=4", 120):
-        lats = distributive_lattices(4)
-        ces = {L: canonical_extension(L) for L in lats}
-        squares = 0
-        for L1 in lats:
-            for K1 in lats:
-                h1s = lattice_homs(L1, K1)
-                for L2 in lats:
-                    fs = join_preserving_maps(L1, L2)
-                    for K2 in lats:
-                        h2s = lattice_homs(L2, K2)
-                        gs = join_preserving_maps(K1, K2)
-                        left = {}
-                        for g in gs:
-                            for h1 in h1s:
-                                key = tuple(
-                                    g(h1(a)) for a in L1.elements
-                                )
-                                left.setdefault(key, []).append((g, h1))
-                        for f in fs:
-                            for h2 in h2s:
-                                key = tuple(h2(f(a)) for a in L1.elements)
-                                for g, h1 in left.get(key, ()):
-                                    c1, c2 = comjpm_decide(h1, h2, f, g)
-                                    assert c1 == c2
-                                    squares += 1
-        assert squares > 1000
+        assert square_transfer_on(distributive_lattices(4)) == 49481
+
+
+def test_criterion_04_square_transfer_on_every_lattice_up_to_five():
+    with criterion(4, "square-transfer equivalence on DL(<=5)", 13):
+        assert square_transfer_on(distributive_lattices(5)) == 8273437
 
 
 def hyperdoctrine_catalog():

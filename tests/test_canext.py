@@ -2,13 +2,16 @@
 unique complete extensions, Esakia identity, and square transfer."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
+import cohext.canext as canext
 from cohext.canext import (
     CanonicalExtension,
     FilteredError,
     PreservationError,
+    SquareTransferReport,
     canonical_extension,
     check_compact,
     check_composition,
@@ -20,6 +23,10 @@ from cohext.canext import (
     is_filtered,
     pi_extension,
     sigma_extension,
+    square_transfer,
+    _kept_sigma_extension,
+    _kept_transfer_left,
+    _kept_transfer_right,
     _two_stage,
 )
 from cohext.catalog import distributive_lattices
@@ -46,6 +53,7 @@ from helpers import (
     m3,
     trivial_lattice,
 )
+from law_oracle import comjpm_oracle
 
 
 def test_extension_shapes_on_small_lattices():
@@ -383,6 +391,137 @@ def test_the_square_transfer_lifts_each_f_once(monkeypatch):
                                     squares += 1
                                     shared.add(id(f))
     assert len(lifted) == len({id(f) for f in lifted}) == len(shared) < squares
+
+
+def commuting_squares(L1, K1, L2, K2):
+    """The commuting squares g o h1 = h2 o f of a quadruple, as the tuples
+    (h1, h2, f, g) `comjpm_decide` takes, in the order of the per-square
+    loop: f, then h2, then g, then h1."""
+    h1s, fs = lattice_homs(L1, K1), join_preserving_maps(L1, L2)
+    h2s, gs = lattice_homs(L2, K2), join_preserving_maps(K1, K2)
+    for f, h2, g, h1 in product(fs, h2s, gs, h1s):
+        if all(g(h1(a)) == h2(f(a)) for a in L1.elements):
+            yield h1, h2, f, g
+
+
+def test_comjpm_decide_gives_the_oracle_pair_on_every_square_up_to_four():
+    lats = distributive_lattices(4)
+    squares = 0
+    for quad in product(lats, repeat=4):
+        loop = list(commuting_squares(*quad))
+        for square in loop:
+            assert comjpm_decide(*square) == comjpm_oracle(*square) == (True, True)
+        assert square_transfer(*quad) == SquareTransferReport(len(loop), None)
+        squares += len(loop)
+    assert squares == 49481
+
+
+def test_comjpm_decide_raises_what_the_oracle_raises():
+    L, K = chain_lattice(3), boolean4()
+    homs = lattice_homs(L, K)
+    f, g = MonotoneMap.identity(L), MonotoneMap.identity(K)
+    top_of_L = MonotoneMap(L, L, {a: L.top for a in L.elements})
+    top_of_K = MonotoneMap(K, K, {b: K.top for b in K.elements})
+    elsewhere = MonotoneMap.identity(chain_lattice(2))
+    # the homs agree at the bottom c0 and first differ at c1
+    h1, h2 = homs[0], homs[1]
+    cases = {
+        (homs[0], homs[0], top_of_L, g): "f must preserve finite joins",
+        (homs[0], homs[0], f, top_of_K): "g must preserve all joins",
+        (homs[0], homs[0], elsewhere, g): "f and h1 must start at the same lattice",
+        (h1, h2, f, g): "base square does not commute at c1",
+    }
+    for square, message in cases.items():
+        with pytest.raises(LatticeError) as new:
+            comjpm_decide(*square)
+        with pytest.raises(LatticeError) as old:
+            comjpm_oracle(*square)
+        assert type(new.value) is type(old.value)
+        assert str(new.value) == str(old.value) == message
+
+
+@pytest.mark.parametrize("broken", ["lift", "meet"])
+def test_a_broken_table_fails_at_the_oracle_loop_s_first_failing_square(
+    monkeypatch, broken
+):
+    # No catalogue square fails, so one table is broken: ext(h2) at one
+    # element, failing (2), or every meet in K1, failing (1).  The lattices
+    # are fresh, so the tables kept under the break stay on their maps.
+    L1, K1, L2 = (chain_lattice(3, prefix=f"broken_{broken}_{p}") for p in "lkm")
+    K2 = boolean4()
+    if broken == "lift":
+        h2 = lattice_homs(L2, K2)[2]
+        u = canonical_extension(L2).ext.elements[1]
+        extend = canext.extend_hom
+
+        def broken_extend(h, ce):
+            hbar = extend(h, ce)
+            if h is not h2:
+                return hbar
+            wrong = K2.bottom if hbar(u) == K2.top else K2.top
+            return MonotoneMap(hbar.source, hbar.target, {**hbar.mapping, u: wrong})
+
+        monkeypatch.setattr(canext, "extend_hom", broken_extend)
+    else:
+        meet_all = FinLattice.meet_all
+        monkeypatch.setattr(
+            FinLattice, "meet_all", lambda M, xs: M.top if M is K1 else meet_all(M, xs)
+        )
+    loop = list(commuting_squares(L1, K1, L2, K2))
+    failing = []
+    for square in loop:
+        try:
+            comjpm_oracle(*square)
+        except AssertionError:
+            failing.append(square)
+    assert 0 < len(failing) < len(loop) and loop.index(failing[0]) > 0
+    report = square_transfer(L1, K1, L2, K2)
+    assert report == SquareTransferReport(len(loop), failing[0])
+    assert not report.holds
+    with pytest.raises(AssertionError, match="square-transfer conditions disagree"):
+        comjpm_decide(*failing[0])
+
+
+def kept_results(function) -> str:
+    """The attribute under which `order.cached_method` keeps `function`'s
+    results on its first argument."""
+    return f"_{function.__name__}_results"
+
+
+def test_the_batch_keeps_nothing_on_the_maps_it_pairs():
+    L1, K1, L2, K2 = (chain_lattice(3, prefix=f"batch_{p}") for p in "lkmn")
+    report = square_transfer(L1, K1, L2, K2)
+    assert report.squares > 0 and report.holds
+    maps = join_preserving_maps(L1, L2) + join_preserving_maps(K1, K2)
+    kept = [
+        kept_results(fn)
+        for fn in (_kept_transfer_left, _kept_transfer_right, _kept_sigma_extension)
+    ]
+    assert not any(hasattr(m, name) for m in maps for name in kept)
+
+
+def test_equal_maps_built_apart_hash_once_and_share_one_kept_entry(monkeypatch):
+    calls = Counter()
+    kept = MonotoneMap._hash
+
+    def counted(m, func=kept.func):
+        calls[id(m)] += 1
+        return func(m)
+
+    monkeypatch.setattr(kept, "func", counted)
+    L = chain_lattice(3, prefix="apart")
+    f = MonotoneMap.identity(L)
+    h, h_again = LatticeHom.identity(L), LatticeHom.identity(L)
+    assert h_again is not h and h_again == h
+    for _ in range(3):
+        assert hash(h) == hash(h_again) == hash(
+            (L, L, tuple(sorted(h.mapping.items())))
+        )
+    assert calls == {id(h): 1, id(h_again): 1}
+    for square in ((h, h, f, f), (h_again, h_again, f, f)):
+        assert comjpm_decide(*square) == (True, True)
+    for fn in (_kept_transfer_left, _kept_transfer_right):
+        assert len(getattr(f, kept_results(fn))) == 1
 
 
 def restrict_extension(L: FinLattice, a: str) -> CanonicalExtension:

@@ -278,6 +278,8 @@ KEPT_FOR_THE_PAPER = {
         "the composition laws of sigma and pi lifts (criterion 3)",
     "cohext.canext.esakia_check":
         "Esakia's lemma: delta lifts of join-preserving maps keep filtered meets",
+    "cohext.canext.square_transfer":
+        "square transfer on every commuting square of a quadruple (criterion 4)",
     "cohext.cohcat.check_conservative":
         "a coherent functor is conservative (criterion 12)",
     "cohext.cohcat.check_heyting_functor":

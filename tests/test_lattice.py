@@ -496,7 +496,7 @@ def test_kept_map_searches_match_the_uncached_enumerators():
 
 def test_the_criterion_4_loop_enumerates_each_lattice_pair_once(monkeypatch):
     from cohext import lattice
-    from cohext.canext import comjpm_decide
+    from cohext.canext import square_transfer
 
     calls = Counter()
     for name in ("_join_preserving_maps", "_lattice_homs"):
@@ -507,32 +507,44 @@ def test_the_criterion_4_loop_enumerates_each_lattice_pair_once(monkeypatch):
         monkeypatch.setattr(lattice, name, counting)
     lats = distributive_lattices(3)
     squares = 0
-    for L1, K1, L2, K2 in product(lats, repeat=4):
-        h1s, fs = lattice_homs(L1, K1), join_preserving_maps(L1, L2)
-        h2s, gs = lattice_homs(L2, K2), join_preserving_maps(K1, K2)
-        for h1, h2, f, g in product(h1s, h2s, fs, gs):
-            if all(g(h1(a)) == h2(f(a)) for a in L1.elements):
-                c1, c2 = comjpm_decide(h1, h2, f, g)
-                assert c1 == c2
-                squares += 1
+    for quad in product(lats, repeat=4):
+        report = square_transfer(*quad)
+        assert report.holds
+        squares += report.squares
     assert squares == 325
     pairs = len(lats) ** 2
     assert calls == {"_join_preserving_maps": pairs, "_lattice_homs": pairs}
 
 
 def test_a_lattice_pair_with_kept_maps_is_collected():
-    # each kept map names its source, a cycle the collector frees
-    from cohext.canext import CanonicalExtension, extend_hom
+    # each kept map names its source, a cycle the collector frees; so does
+    # the square data kept on f and g, which names h1 and h2
+    from cohext.canext import (
+        CanonicalExtension,
+        canonical_extension,
+        comjpm_decide,
+        extend_hom,
+    )
 
+    # the extensions cache keeps the lattice it first met, so L and K are
+    # equal to lattices it keeps already, not kept by it themselves
+    canonical_extension(chain_lattice(3)), canonical_extension(boolean4())
     L, K = chain_lattice(3), boolean4()
     homs = lattice_homs(L, K)
     assert homs and join_preserving_maps(L, K) and meet_preserving_maps(L, K)
     ce = CanonicalExtension(L, L, {a: a for a in L.elements})
     assert all(extend_hom(h, ce).mapping == h.mapping for h in homs)
-    refs = [weakref.ref(x) for x in (L, K, ce, homs[0])]
-    del L, K, ce, homs
+    f, g = (
+        next(m for m in join_preserving_maps(M, M) if m == MonotoneMap.identity(M))
+        for M in (L, K)
+    )
+    assert all(comjpm_decide(h, h, f, g) == (True, True) for h in homs)
+    assert hasattr(g, "__kept_transfer_left_results")
+    assert hasattr(f, "__kept_transfer_right_results")
+    refs = [weakref.ref(x) for x in (L, K, ce, homs[0], f, g)]
+    del L, K, ce, homs, f, g
     gc.collect()
-    assert [r() for r in refs] == [None] * 4
+    assert [r() for r in refs] == [None] * 6
 
 
 def duality_lattices():
