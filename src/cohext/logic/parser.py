@@ -6,8 +6,7 @@ sequent sees only the declarations above it.  'and' binds tighter than
 contexts are optional: missing variable sorts are inferred from their
 first constraining use, and a variable with no constraining use is a sort
 error carrying its location.  Binders are renamed apart from the free
-variables and from each other as they are read, so each sequent is
-elaborated in one flat environment.
+variables and from each other as they are read.
 
 Lexical rules (docs/grammar.md, "Lexical structure"): tokens are
 identifiers `[A-Za-z_][A-Za-z0-9_']*`, the keywords among them, and the
@@ -28,13 +27,22 @@ for an error or for a sequent's start, so the parser and elaboration pass
 token indices around.  The parser reads the token texts in place: on the
 paths every sequent takes it compares `texts[pos]` and moves `pos` itself.
 
-Each sequent is elaborated in three steps (`elaborate_sequent`):
+A sequent is read by one of two paths.  The typed descent
+(`_typed_sequent`) applies when every sort is known as it is read: the
+context is given, or no free variable occurs, and every binder has a
+declared sort.  It builds the AST as it reads, checking each symbol, arity
+and sort against the signature and its scope, and it never raises: at
+anything it cannot type, a sort to infer or an error, it gives up.  The
+sequent is then read again from its context by the raw path
+(`_raw_sequent`): a raw descent, then `elaborate_sequent` in three steps.
 `_collect_free` checks every symbol, arity and context use and lists the
 free variables; the `_infer` fixpoint runs only while some variable's sort
 is unknown; then one walk (`_formula`, `_term`) makes `_infer`'s checks, in
-`_infer`'s order, and builds the AST.  Errors come in that order: a syntax
-error before any sort error, a symbol, arity or context error before a
-sort clash, a sort clash before an unknown or undeclared variable sort.
+`_infer`'s order, and builds the AST.  Only the raw path infers sorts and
+raises errors, so the errors come in one documented order whichever path
+a sequent starts on: a syntax error before any sort error, a context,
+symbol, arity or context-use error before a sort clash, a sort clash
+before an unknown or undeclared variable sort.
 """
 
 from __future__ import annotations
@@ -155,11 +163,14 @@ class Parser:
         self.pos = 0
         # the sequent being read: names its binders may not take, the
         # binders in scope (by name as written, to the name given), each
-        # binder's declared sort and token, and the free names a binder took
+        # binder's declared sort and token, the free names a binder took,
+        # and the head token of each binder applied to arguments, to its
+        # name as written
         self.taken: set[str] = set()
         self.renaming: dict[str, str] = {}
         self.bound: dict[str, tuple[str | None, int]] = {}
         self.clashes: set[str] = set()
+        self.applied: dict[int, str] = {}
 
     def expect(self, text: str):
         i = self.pos
@@ -247,22 +258,33 @@ class Parser:
     # -- sequents ----------------------------------------------------------
 
     def parse_sequent(self, sig: Signature) -> Sequent:
-        """A free name is taken from the binders read after it; one that
-        occurs only after a binder of its name is found when it is read,
-        and the sequent is read again with it taken."""
+        """Read by the typed descent; when it gives up, read again from the
+        context by the raw descent, which alone infers sorts and raises
+        errors."""
         start = self.pos
         context = self._try_context()
         begin = self.pos
+        seq = self._typed_sequent(sig, context, start)
+        if seq is None:
+            self.pos = begin
+            seq = self._raw_sequent(sig, context, start)
+        return seq
+
+    def _raw_sequent(self, sig: Signature, context, start: int) -> Sequent:
+        """A free name is taken from the binders read after it; one that
+        occurs only after a binder of its name is found when it is read,
+        and the sequent is read again with it taken."""
+        begin = self.pos
         avoid = {name for name, _ in context} | set(sig.funcs)
         while True:
-            self.taken, self.bound, self.clashes = set(avoid), {}, set()
+            self.taken, self.bound, self.clashes, self.applied = set(avoid), {}, set(), {}
             lhs = self.parse_formula()
             self.expect("|-")
             rhs = self.parse_formula()
             if not self.clashes:
                 try:
                     return elaborate_sequent(
-                        sig, context, lhs, rhs, self.locate(start), self.bound
+                        sig, context, lhs, rhs, self.locate(start), self.bound, self.applied
                     )
                 except _Misplaced as e:
                     message, at = e.args
@@ -291,6 +313,163 @@ class Parser:
             if t != ",":
                 return ()
             i += 1
+
+    # -- the typed descent -------------------------------------------------
+    #
+    # Each method reads one production as the raw descent does and builds
+    # its AST node at once, checking symbols, arities and sorts as it goes.
+    # It raises `_Untyped` at whatever it cannot type: a sort to infer, an
+    # error, or a rare form such as a binder named as a relation, which the
+    # raw path reads.  A term is read at the sort its position asks for, or
+    # at its own sort on an equation's left.
+
+    def _typed_sequent(self, sig: Signature, context, start: int) -> Sequent | None:
+        """The sequent read with every sort known as it is read, or None
+        when it gives up.  The scope maps each context variable, and each
+        binder inside its body, by its name as written to its variable,
+        renamed apart as the raw descent renames it."""
+        funcs = sig.funcs
+        free: dict[str, Var] = {}
+        for name, sort in context:
+            if sort not in sig.sorts or name in funcs or name in free:
+                return None
+            free[name] = Var(name, sort)
+        self.funcs, self.rels, self.sorts = funcs, sig.rels, sig.sorts
+        self.scope, self.taken = free, set(funcs).union(free)
+        try:
+            lhs = self._typed_formula()
+            if self.texts[self.pos] != "|-":
+                return None
+            self.pos += 1
+            rhs = self._typed_formula()
+        except _Untyped:
+            return None
+        return Sequent(tuple(free.values()), lhs, rhs, self.locate(start))
+
+    def _typed_formula(self):
+        part = self._typed_conjunct()
+        texts = self.texts
+        if texts[self.pos] != "or":
+            return part
+        parts = [part]
+        while texts[self.pos] == "or":
+            self.pos += 1
+            parts.append(self._typed_conjunct())
+        return Or(tuple(parts))
+
+    def _typed_conjunct(self):
+        part = self._typed_quantified()
+        texts = self.texts
+        if texts[self.pos] != "and":
+            return part
+        parts = [part]
+        while texts[self.pos] == "and":
+            self.pos += 1
+            parts.append(self._typed_quantified())
+        return And(tuple(parts))
+
+    def _typed_quantified(self):
+        texts = self.texts
+        if texts[self.pos] != "exists":
+            return self._typed_atom()
+        self.pos += 1
+        outer = self.scope
+        scope = self.scope = dict(outer)
+        taken = self.taken
+        binders = []
+        while True:
+            i = self.pos
+            t = texts[i]
+            if t in _KIND or texts[i + 1] != ":" or texts[i + 2] not in self.sorts:
+                raise _Untyped
+            fresh = t
+            while fresh in taken:
+                fresh += "'"
+            taken.add(fresh)
+            v = scope[t] = Var(fresh, texts[i + 2])
+            binders.append(v)
+            self.pos = i + 3
+            if texts[i + 3] != ",":
+                break
+            self.pos = i + 4
+        if texts[self.pos] != ".":
+            raise _Untyped
+        self.pos += 1
+        body = self._typed_formula()
+        self.scope = outer
+        return Exists(tuple(binders), body)
+
+    def _typed_atom(self):
+        texts = self.texts
+        i = self.pos
+        t = texts[i]
+        if t == "true" or t == "false":
+            self.pos = i + 1
+            return Truth() if t == "true" else Falsity()
+        if t == "(":
+            self.pos = i + 1
+            phi = self._typed_formula()
+            if texts[self.pos] != ")":
+                raise _Untyped
+            self.pos += 1
+            return phi
+        if t in _KIND:
+            raise _Untyped
+        if texts[i + 1] == "(" and t not in self.funcs:
+            # a relation atom; a name that is also a function's is read as
+            # a term below, and a relation with no '(' as a bare term
+            sorts = self.rels.get(t)
+            if sorts is None or t in self.scope:
+                raise _Untyped
+            self.pos = i + 2
+            return RelAtom(t, self._typed_args(sorts))
+        lhs = self._typed_term(None)
+        if texts[self.pos] != "=":
+            raise _Untyped
+        self.pos += 1
+        return Eq(lhs, self._typed_term(lhs.sort))
+
+    def _typed_args(self, sorts) -> tuple:
+        """The arguments after an opening '(', read at `sorts`, and the
+        closing ')'."""
+        texts = self.texts
+        args = []
+        for s in sorts:
+            if args:
+                if texts[self.pos] != ",":
+                    raise _Untyped
+                self.pos += 1
+            args.append(self._typed_term(s))
+        if texts[self.pos] != ")":
+            raise _Untyped
+        self.pos += 1
+        return tuple(args)
+
+    def _typed_term(self, sort):
+        """A term of sort `sort`, or of any sort when `sort` is None.  A
+        bare name is the innermost binder of that name in scope, else a
+        context variable, else a constant; no name is applied to arguments
+        but a function's."""
+        texts = self.texts
+        i = self.pos
+        t = texts[i]
+        if t in _KIND:
+            raise _Untyped
+        f = self.funcs.get(t)
+        if texts[i + 1] == "(":
+            if f is None or t in self.scope or (sort is not None and f[1] != sort):
+                raise _Untyped
+            self.pos = i + 2
+            return App(t, self._typed_args(f[0]), f[1])
+        self.pos = i + 1
+        v = self.scope.get(t)
+        if v is None:
+            if f is None or f[0] or (sort is not None and f[1] != sort):
+                raise _Untyped
+            return App(t, (), f[1])
+        if sort is not None and v.sort != sort:
+            raise _Untyped
+        return v
 
     # -- formulas -----------------------------------------------------------
 
@@ -392,6 +571,8 @@ class Parser:
                 self.taken.add(name)
                 if name in self.bound:
                     self.clashes.add(name)
+        elif args:
+            self.applied[i] = t
         return _raw_term((name, args, i))
 
 
@@ -404,13 +585,19 @@ class Parser:
 # the parser, which alone can locate the token, raises it as a SortError.
 
 
+class _Untyped(Exception):
+    """The typed descent met something it cannot type."""
+
+
 class _Misplaced(Exception):
     """A sort error's message and the index of the token it is at."""
 
 
-def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
+def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound, applied) -> Sequent:
     """`span` is where the sequent starts; `bound` maps each binder of the
-    two sides to its declared sort (or None) and its token.
+    two sides to its declared sort (or None) and its token, and `applied`
+    the head token of each binder applied to arguments to its name as
+    written.
 
     Once no sort is unknown, a pass of `_infer` changes nothing and only
     checks, so the walk that builds the AST makes that pass's checks in its
@@ -425,13 +612,15 @@ def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
             raise SortError(f"unknown sort {sort}", span)
         if name in sig.funcs:
             raise SortError(f"variable {name} collides with a declared symbol", span)
+        if name in env:
+            raise SortError(f"variable {name} is repeated in the context", span)
         env[name] = sort
         order.append(name)
     for name, (sort, at) in bound.items():
         env[name] = sort
         tokens[name] = at
-    _collect_free(sig, raw_lhs, env, tokens, order, explicit)
-    _collect_free(sig, raw_rhs, env, tokens, order, explicit)
+    _collect_free(sig, raw_lhs, env, tokens, order, explicit, applied)
+    _collect_free(sig, raw_rhs, env, tokens, order, explicit, applied)
     # each pass that changes a sort fills at least one unknown one
     while None in env.values():
         if not (_infer(sig, raw_lhs, env) | _infer(sig, raw_rhs, env)):
@@ -450,7 +639,7 @@ def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
     return Sequent(tuple([var[n] for n in order]), lhs, rhs, span)
 
 
-def _collect_free(sig, raw, env, tokens, order, explicit):
+def _collect_free(sig, raw, env, tokens, order, explicit, applied):
     kind = raw[0]
     if kind == "atomT":
         t = raw[1]
@@ -460,26 +649,28 @@ def _collect_free(sig, raw, env, tokens, order, explicit):
         if len(args) != len(t.args):
             raise _Misplaced(f"relation {t.head} expects {len(args)} arguments", t.at)
         for a in t.args:
-            _collect_term(sig, a, env, tokens, order, explicit)
+            _collect_term(sig, a, env, tokens, order, explicit, applied)
     elif kind == "eq":
-        _collect_term(sig, raw[1], env, tokens, order, explicit)
-        _collect_term(sig, raw[2], env, tokens, order, explicit)
+        _collect_term(sig, raw[1], env, tokens, order, explicit, applied)
+        _collect_term(sig, raw[2], env, tokens, order, explicit, applied)
     elif kind == "and" or kind == "or":
         for p in raw[1]:
-            _collect_free(sig, p, env, tokens, order, explicit)
+            _collect_free(sig, p, env, tokens, order, explicit, applied)
     elif kind == "exists":
-        _collect_free(sig, raw[2], env, tokens, order, explicit)
+        _collect_free(sig, raw[2], env, tokens, order, explicit, applied)
 
 
-def _collect_term(sig, t: RawTerm, env, tokens, order, explicit):
+def _collect_term(sig, t: RawTerm, env, tokens, order, explicit, applied):
     f = sig.funcs.get(t.head)
     if f is not None:
         if len(f[0]) != len(t.args):
             raise _Misplaced(f"function {t.head} expects {len(f[0])} arguments", t.at)
         for a in t.args:
-            _collect_term(sig, a, env, tokens, order, explicit)
+            _collect_term(sig, a, env, tokens, order, explicit, applied)
         return
     if t.args:
+        if t.at in applied:
+            raise _Misplaced(f"bound variable {applied[t.at]} applied to arguments", t.at)
         raise _Misplaced(f"unknown function {t.head}", t.at)
     if t.head not in env:
         if explicit:

@@ -118,11 +118,14 @@ class Parser:
         self.pos = 0
         # the sequent being read: names its binders may not take, the
         # binders in scope (by name as written, to the name given), each
-        # binder's declared sort and token, and the free names a binder took
+        # binder's declared sort and token, the free names a binder took,
+        # and the head token of each binder applied to arguments, to its
+        # name as written
         self.taken: set[str] = set()
         self.renaming: dict[str, str] = {}
         self.bound: dict[str, tuple[str | None, int]] = {}
         self.clashes: set[str] = set()
+        self.applied: dict[int, str] = {}
 
     def next(self) -> int:
         """The next token's index; it is consumed unless it is EOF."""
@@ -218,14 +221,14 @@ class Parser:
         begin = self.pos
         avoid = {name for name, _ in context} | set(sig.funcs)
         while True:
-            self.taken, self.bound, self.clashes = set(avoid), {}, set()
+            self.taken, self.bound, self.clashes, self.applied = set(avoid), {}, set(), {}
             lhs = self.parse_formula()
             self.expect("|-")
             rhs = self.parse_formula()
             if not self.clashes:
                 try:
                     return elaborate_sequent(
-                        sig, context, lhs, rhs, self.locate(start), self.bound
+                        sig, context, lhs, rhs, self.locate(start), self.bound, self.applied
                     )
                 except _Misplaced as e:
                     message, at = e.args
@@ -327,6 +330,8 @@ class Parser:
                 self.taken.add(name)
                 if name in self.bound:
                     self.clashes.add(name)
+        elif args:
+            self.applied[i] = t
         return _raw_term((name, tuple(args), i))
 
 
@@ -343,9 +348,11 @@ class _Misplaced(Exception):
     """A sort error's message and the index of the token it is at."""
 
 
-def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
+def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound, applied) -> Sequent:
     """`span` is where the sequent starts; `bound` maps each binder of the
-    two sides to its declared sort (or None) and its token."""
+    two sides to its declared sort (or None) and its token, and `applied`
+    the head token of each binder applied to arguments to its name as
+    written."""
     explicit = bool(context)
     env: dict[str, str | None] = {}
     tokens: dict[str, int] = {}
@@ -355,13 +362,15 @@ def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
             raise SortError(f"unknown sort {sort}", span)
         if name in sig.funcs:
             raise SortError(f"variable {name} collides with a declared symbol", span)
+        if name in env:
+            raise SortError(f"variable {name} is repeated in the context", span)
         env[name] = sort
         order.append(name)
     for name, (sort, at) in bound.items():
         env[name] = sort
         tokens[name] = at
-    _collect_free(sig, raw_lhs, env, tokens, order, explicit)
-    _collect_free(sig, raw_rhs, env, tokens, order, explicit)
+    _collect_free(sig, raw_lhs, env, tokens, order, explicit, applied)
+    _collect_free(sig, raw_rhs, env, tokens, order, explicit, applied)
     for _ in range(1 + len(env)):
         if not (_infer(sig, raw_lhs, env) | _infer(sig, raw_rhs, env)):
             break
@@ -378,13 +387,13 @@ def elaborate_sequent(sig, context, raw_lhs, raw_rhs, span, bound) -> Sequent:
     return Sequent(tuple([var[n] for n in order]), lhs, rhs, span)
 
 
-def _collect_free(sig, raw, env, tokens, order, explicit):
+def _collect_free(sig, raw, env, tokens, order, explicit, applied):
     kind = raw[0]
     if kind in ("true", "false"):
         return
     if kind == "eq":
-        _collect_term(sig, raw[1], env, tokens, order, explicit)
-        _collect_term(sig, raw[2], env, tokens, order, explicit)
+        _collect_term(sig, raw[1], env, tokens, order, explicit, applied)
+        _collect_term(sig, raw[2], env, tokens, order, explicit, applied)
     elif kind == "atomT":
         t = raw[1]
         if t.head not in sig.rels:
@@ -394,15 +403,15 @@ def _collect_free(sig, raw, env, tokens, order, explicit):
                 f"relation {t.head} expects {len(sig.rels[t.head])} arguments", t.at
             )
         for a in t.args:
-            _collect_term(sig, a, env, tokens, order, explicit)
+            _collect_term(sig, a, env, tokens, order, explicit, applied)
     elif kind in ("and", "or"):
         for p in raw[1]:
-            _collect_free(sig, p, env, tokens, order, explicit)
+            _collect_free(sig, p, env, tokens, order, explicit, applied)
     elif kind == "exists":
-        _collect_free(sig, raw[2], env, tokens, order, explicit)
+        _collect_free(sig, raw[2], env, tokens, order, explicit, applied)
 
 
-def _collect_term(sig, t: RawTerm, env, tokens, order, explicit):
+def _collect_term(sig, t: RawTerm, env, tokens, order, explicit, applied):
     if t.head in sig.funcs:
         if len(sig.funcs[t.head][0]) != len(t.args):
             raise _Misplaced(
@@ -410,9 +419,11 @@ def _collect_term(sig, t: RawTerm, env, tokens, order, explicit):
                 t.at,
             )
         for a in t.args:
-            _collect_term(sig, a, env, tokens, order, explicit)
+            _collect_term(sig, a, env, tokens, order, explicit, applied)
         return
     if t.args:
+        if t.at in applied:
+            raise _Misplaced(f"bound variable {applied[t.at]} applied to arguments", t.at)
         raise _Misplaced(f"unknown function {t.head}", t.at)
     if t.head not in env:
         if explicit:

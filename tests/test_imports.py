@@ -711,7 +711,9 @@ PYPROJECT = SRC.parent / "pyproject.toml"
 # Imports every cohext module, parses and chases each fixture theory, which
 # compiles and runs its formulas' closures, enumerates each fixture's models
 # up to size 3, which runs the closures on partial assignments, reads one
-# formula as unknown on a partial model, and reads two fixture categories
+# formula as unknown on a partial model, parses a sequent whose sorts are
+# inferred and one with a sort error, which the fixtures' typed sequents
+# leave to the raw path and its errors, and reads two fixture categories
 # and validates their subobject hyperdoctrines, which runs the lattice
 # reader and builds the pullback squares.
 IMPORT_AND_PARSE = """
@@ -723,6 +725,7 @@ from cohext.jsonio import load_category
 from cohext.logic.chase import FinModel, chase
 from cohext.logic.models import enumerate_models
 from cohext.logic.parser import parse_theory
+from cohext.logic.syntax import SortError
 for m in pkgutil.walk_packages(cohext.__path__, "cohext."):
     importlib.import_module(m.name)
 theories = sorted(FIXTURE_DIR.glob("*.chr"))
@@ -735,6 +738,15 @@ assert counts == [6, 10, 6], counts
 T = parse_theory("sort A\\nfun c : -> A\\nfun f : A -> A\\nrel P : A\\ntrue |- P(f(c))\\n")
 M = FinModel(T, {"A": ("a",)}, {"c": {(): "a"}, "f": {}}, {"P": frozenset()})
 assert M.satisfies_formula(T.sequents[0].rhs, {}) is None
+# an omitted context and binder sort, inferred, and a sort error, raised
+T = parse_theory("sort A\\nrel R : A, A\\nR(x, y) |- exists z. R(z, x)\\n")
+assert str(T.sequents[0]) == "x:A, y:A | R(x, y) |- exists z:A. R(z, x)", T
+try:
+    parse_theory("sort A\\nsort B\\nrel P : A\\nrel Q : B\\nx:A | Q(x) |- P(x)\\n")
+except SortError as e:
+    assert str(e) == "variable x used at sorts A and B (line 5, column 9)", e
+else:
+    raise AssertionError("no sort error")
 for name in ("diamond.latcat.json", "two_objects.cat.json"):
     S = sub_hyperdoctrine(load_category(FIXTURE_DIR / name))
     report = validate(S)

@@ -1,7 +1,8 @@
 """The line scanner against the per-character scanner it replaced, the
-parser against the parser it replaced, and the parser's checks on
+parser against the parser it replaced, the parser's checks on
 declarations, on errors at the end of the input and on the order of its
-errors."""
+errors, and which of its two paths, the typed descent or the raw re-read,
+reads each sequent."""
 
 import random
 from typing import NamedTuple
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from parser_oracle import parse_theory as parse_theory_oracle
 from scanner_oracle import tokenize_oracle
 
-from cohext.logic.parser import _KIND, KEYWORDS, PUNCT, ParseError, parse_theory, scan
+from cohext.logic.parser import _KIND, KEYWORDS, PUNCT, ParseError, Parser, parse_theory, scan
 from cohext.logic.syntax import SortError, print_theory
 from helpers import BREAKS, chase_theory_text, fixture_path, noisy_theory_text
 
@@ -357,10 +358,8 @@ def mutated(rng: random.Random, text: str) -> str:
     return "\n".join(" ".join(ws) for ws in lines) + "\n"
 
 
-def test_parser_matches_the_oracle_on_theories_and_their_mutations():
-    """Each text gives an equal theory with equal spans, or an error of the
-    same class with the same message and span."""
-    texts = differential_texts()
+def mutants_of(texts: list[str]) -> list[str]:
+    """Three seed-35 mutations of each text that scans."""
     rng = random.Random(35)
     mutants = []
     for text in texts:
@@ -369,6 +368,14 @@ def test_parser_matches_the_oracle_on_theories_and_their_mutations():
         except ParseError:  # a stray character: the text is an error as it is
             continue
         mutants += [mutated(rng, text) for _ in range(3)]
+    return mutants
+
+
+def test_parser_matches_the_oracle_on_theories_and_their_mutations():
+    """Each text gives an equal theory with equal spans, or an error of the
+    same class with the same message and span."""
+    texts = differential_texts()
+    mutants = mutants_of(texts)
     errors = []
     for text in texts + mutants:
         got = parse_outcome(parse_theory, text)
@@ -410,6 +417,12 @@ def test_an_error_at_the_end_of_input_names_it(sequent, message):
         ("x:A | Q(x) |- P(g(x, x))", "function g expects 1 arguments (line 7, column 17)"),
         ("x:A | Q(x) |- P(y)", "variable y not in context (line 7, column 17)"),
         ("x:A | Q(x) |- P(x)", "variable x used at sorts A and B (line 7, column 9)"),
+        # a context that names an undeclared sort, a function or a variable
+        # twice is refused before any use
+        ("x:C | Z(x) |- P(x)", "unknown sort C (line 7, column 1)"),
+        ("c:A | P(c) |- P(c)", "variable c collides with a declared symbol (line 7, column 1)"),
+        ("x:A, x:B | Q(x) |- Q(x)", "variable x is repeated in the context (line 7, column 1)"),
+        ("x:A, x:A | Z(x) |- P(x)", "variable x is repeated in the context (line 7, column 1)"),
         # a sort clash wins over an undeclared binder sort
         ("x:A | Q(x) |- exists z:C. P(z)", "variable x used at sorts A and B (line 7, column 9)"),
         ("x:A | P(x) |- exists z:C. true", "unknown sort C (line 7, column 22)"),
@@ -420,3 +433,86 @@ def test_errors_come_in_the_documented_order(sequent, message):
         with pytest.raises((ParseError, SortError)) as e:
             parse(SIG7 + sequent)
         assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "sequent, message",
+    [
+        # the binder shadows the function g and is named as written
+        ("true |- exists g:B. Q(g(g))", "bound variable g applied to arguments (line 7, column 23)"),
+        ("true |- exists y:A. P(y(c))", "bound variable y applied to arguments (line 7, column 23)"),
+        # outside its binder's body the name is no bound variable
+        ("(exists y:A. P(y)) and P(y(c)) |- true", "unknown function y (line 7, column 26)"),
+    ],
+)
+def test_a_bound_variable_applied_to_arguments_is_named_as_written(sequent, message):
+    for parse in (parse_theory, parse_theory_oracle):
+        with pytest.raises(SortError) as e:
+            parse(SIG7 + sequent)
+        assert str(e.value) == message
+
+
+# -- the typed descent and the raw re-read ---------------------------------------
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Counts the sequents the typed descent reads and the raw re-reads."""
+    counts = {"typed": 0, "raw": 0}
+    typed, raw = Parser._typed_sequent, Parser._raw_sequent
+
+    def count_typed(self, *args):
+        seq = typed(self, *args)
+        counts["typed"] += seq is not None
+        return seq
+
+    def count_raw(self, *args):
+        counts["raw"] += 1
+        return raw(self, *args)
+
+    monkeypatch.setattr(Parser, "_typed_sequent", count_typed)
+    monkeypatch.setattr(Parser, "_raw_sequent", count_raw)
+    return counts
+
+
+def test_every_fixture_sequent_takes_the_typed_descent(paths):
+    sequents = 0
+    for name in CORPUS:
+        for path in (f"{name}.chr", f"golden/{name}.chr.golden"):
+            sequents += len(parse_theory(fixture_path(path).read_text()).sequents)
+    assert sequents == 14
+    assert paths == {"typed": 14, "raw": 0}
+
+
+def test_the_differential_texts_take_each_path_as_counted(paths):
+    # facts measured on these inputs: the typed descent gives up on a
+    # sequent whose sorts must be inferred or which holds an error, and the
+    # raw descent reads it again
+    for text in differential_texts():
+        try:
+            parse_theory(text)
+        except (ParseError, SortError):
+            pass
+    assert paths == {"typed": 1053, "raw": 621}
+
+
+# forms the typed descent leaves to the raw path: a binder named as a
+# relation, renamed or not, `x()` for a bound x, a context variable named as a
+# relation, a relation or a context variable applied as a function, and a
+# name that is both a constant and a relation
+RAW_FORMS = [SIG7 + sequent for sequent in [
+    "true |- exists P:A. exists P:A. P(c)",
+    "true |- exists P:A. P(c)",
+    "x:A | exists x:A. x() = c |- P(x())",
+    "P:A | P(P) |- true",
+    "P(c) = c |- true",
+    "x:A | x(c) = c |- true",
+]] + ["sort A\nfun P : -> A\nrel P : A\nP = P |- P(P) or P() = P\n"]
+
+
+def test_the_raw_path_alone_reads_every_text_the_same(monkeypatch):
+    texts = differential_texts() + RAW_FORMS
+    texts += mutants_of(texts)
+    outcomes = [parse_outcome(parse_theory, text) for text in texts]
+    monkeypatch.setattr(Parser, "_typed_sequent", lambda self, sig, context, start: None)
+    assert [parse_outcome(parse_theory, text) for text in texts] == outcomes
